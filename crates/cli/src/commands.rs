@@ -44,6 +44,8 @@ pub enum CliError {
     Json(serde_json::Error),
     /// A differential-validation gate failed (`dtrctl validate`).
     Gate(String),
+    /// An incumbent `dtrctl validate` cannot simulate.
+    Trapped(dtr_scenario::TrappedDemand),
     /// A churn trace failed structural validation (`dtrctl replay`).
     Trace {
         /// Path the trace was loaded from.
@@ -64,6 +66,7 @@ impl fmt::Display for CliError {
             CliError::Io(e) => write!(f, "io: {e}"),
             CliError::Json(e) => write!(f, "json: {e}"),
             CliError::Gate(msg) => write!(f, "validation gate failed: {msg}"),
+            CliError::Trapped(e) => write!(f, "validate: {e}"),
             CliError::Trace { path, detail } => {
                 write!(f, "invalid churn trace {path}: {detail}")
             }
@@ -1161,7 +1164,7 @@ fn cmd_validate(args: &Args) -> Result<(), CliError> {
         cfg.packets()
     );
     let start = std::time::Instant::now();
-    let (reports, summary) = run_validation(&specs, &cfg);
+    let (reports, summary) = run_validation(&specs, &cfg).map_err(CliError::Trapped)?;
     std::fs::create_dir_all(out_dir)?;
     for r in &reports {
         if cfg.smoke {

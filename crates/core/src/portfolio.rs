@@ -318,34 +318,6 @@ impl<'a> PortfolioSearch<'a> {
         }
     }
 
-    /// Prepares a portfolio under a unified
-    /// [`ObjectiveSpec`](dtr_cost::ObjectiveSpec).
-    ///
-    /// The portfolio drives the two-class search stack, so the spec must
-    /// map onto the legacy [`Objective`] enum (two-class specs route
-    /// through the exact [`Self::new`] path, keeping incumbents
-    /// bit-identical); `k ≥ 3` specs are rejected with a structured
-    /// error pointing at the k-class pipeline.
-    pub fn with_spec(
-        topo: &'a Topology,
-        demands: &'a DemandSet,
-        spec: &dtr_cost::ObjectiveSpec,
-        params: SearchParams,
-        mode: PortfolioMode,
-        cfg: PortfolioParams,
-    ) -> Result<Self, dtr_cost::ObjectiveError> {
-        spec.validate()?;
-        match spec.as_two_class() {
-            Some(objective) => Ok(PortfolioSearch::new(
-                topo, demands, objective, params, mode, cfg,
-            )),
-            None => Err(dtr_cost::ObjectiveError::Unsupported {
-                context: "two-class PortfolioSearch (k ≥ 3 uses dtr-multi's MultiSearch)",
-                spec: spec.summary(),
-            }),
-        }
-    }
-
     /// Binds a partial-deployment model: the deployment-aware arms
     /// (descent, anneal) search the mixed network directly, the
     /// replicated-subspace arms (GA, memetic) keep exploring shared
@@ -904,55 +876,6 @@ mod tests {
                 ..Default::default()
             },
         );
-    }
-
-    #[test]
-    fn with_spec_two_class_load_matches_legacy() {
-        let (topo, demands) = small_instance(5);
-        let run_legacy = || {
-            PortfolioSearch::new(
-                &topo,
-                &demands,
-                Objective::LoadBased,
-                SearchParams::tiny().with_seed(11),
-                PortfolioMode::Nominal(Scheme::Dtr),
-                cfg(2, 2),
-            )
-            .run()
-        };
-        let run_spec = || {
-            PortfolioSearch::with_spec(
-                &topo,
-                &demands,
-                &dtr_cost::ObjectiveSpec::two_class_load(),
-                SearchParams::tiny().with_seed(11),
-                PortfolioMode::Nominal(Scheme::Dtr),
-                cfg(2, 2),
-            )
-            .expect("two-class load spec is always supported")
-            .run()
-        };
-        let a = run_legacy();
-        let b = run_spec();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.weights, b.weights);
-        assert_eq!(a.cost, b.cost);
-    }
-
-    #[test]
-    fn with_spec_rejects_three_classes() {
-        let (topo, demands) = small_instance(5);
-        let err = PortfolioSearch::with_spec(
-            &topo,
-            &demands,
-            &dtr_cost::ObjectiveSpec::load(3),
-            SearchParams::tiny(),
-            PortfolioMode::Nominal(Scheme::Dtr),
-            cfg(1, 1),
-        )
-        .err()
-        .expect("k = 3 must be routed to dtr-multi, not the portfolio");
-        assert!(matches!(err, dtr_cost::ObjectiveError::Unsupported { .. }));
     }
 
     #[test]

@@ -470,29 +470,6 @@ impl ReoptSession {
         }
     }
 
-    /// Opens a session under a unified
-    /// [`ObjectiveSpec`](dtr_cost::ObjectiveSpec).
-    ///
-    /// Sessions reoptimize the two-class incumbent, so the spec must map
-    /// onto the legacy [`Objective`] enum (two-class specs route through
-    /// the exact [`Self::new`] path); `k ≥ 3` specs are rejected with a
-    /// structured error.
-    pub fn with_spec(
-        incumbent: DualWeights,
-        spec: &dtr_cost::ObjectiveSpec,
-        params: SearchParams,
-        scheme: Scheme,
-    ) -> Result<Self, dtr_cost::ObjectiveError> {
-        spec.validate()?;
-        match spec.as_two_class() {
-            Some(objective) => Ok(ReoptSession::new(incumbent, objective, params, scheme)),
-            None => Err(dtr_cost::ObjectiveError::Unsupported {
-                context: "two-class ReoptSession",
-                spec: spec.summary(),
-            }),
-        }
-    }
-
     /// The current incumbent setting.
     pub fn incumbent(&self) -> &DualWeights {
         &self.incumbent
@@ -1068,49 +1045,5 @@ mod tests {
         let rb = b.step(&topo, &drifted, 4);
         assert_eq!(ra.weights, rb.weights);
         assert_eq!(ra.best_cost, rb.best_cost);
-    }
-
-    #[test]
-    fn session_with_spec_matches_legacy_and_accepts_sla() {
-        let (topo, base, drifted) = drifted_instance();
-        let incumbent = DualWeights::replicated(WeightVector::uniform(&topo, 1));
-        let _ = base;
-        let mut legacy = ReoptSession::new(
-            incumbent.clone(),
-            Objective::LoadBased,
-            SearchParams::tiny().with_seed(31),
-            Scheme::Dtr,
-        );
-        let mut spec = ReoptSession::with_spec(
-            incumbent.clone(),
-            &dtr_cost::ObjectiveSpec::two_class_load(),
-            SearchParams::tiny().with_seed(31),
-            Scheme::Dtr,
-        )
-        .expect("two-class load spec is always supported");
-        let ra = legacy.step(&topo, &drifted, 4);
-        let rb = spec.step(&topo, &drifted, 4);
-        assert_eq!(ra.weights, rb.weights);
-        assert_eq!(ra.best_cost, rb.best_cost);
-
-        // A two-class SLA spec routes to the legacy SLA objective.
-        let sla = ReoptSession::with_spec(
-            incumbent.clone(),
-            &dtr_cost::ObjectiveSpec::uniform_sla(2, dtr_cost::SlaParams::default()),
-            SearchParams::tiny().with_seed(31),
-            Scheme::Dtr,
-        );
-        assert!(sla.is_ok());
-
-        // k = 3 is not a session-sized problem: structured rejection.
-        let err = ReoptSession::with_spec(
-            incumbent,
-            &dtr_cost::ObjectiveSpec::load(3),
-            SearchParams::tiny(),
-            Scheme::Dtr,
-        )
-        .err()
-        .expect("k = 3 must be rejected");
-        assert!(matches!(err, dtr_cost::ObjectiveError::Unsupported { .. }));
     }
 }

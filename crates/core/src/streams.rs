@@ -13,7 +13,7 @@
 //! The fix is an explicit allocation: each subsystem owns a **span** of
 //! `2^32` stream ids starting at a tagged base, and derives its per-use
 //! stream as `BASE + counter` with `counter < 2^32`. Spans are pairwise
-//! disjoint (enforced by [`tests::spans_are_pairwise_disjoint`]), so no
+//! disjoint (enforced by the `spans_are_pairwise_disjoint` test), so no
 //! two subsystems can ever derive the same stream id again.
 //!
 //! **Frozen legacy span:** the reoptimization step stream keeps the bare

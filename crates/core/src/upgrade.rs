@@ -12,7 +12,7 @@
 //! searches:
 //!
 //! 1. **Baseline.** One STR search (stream
-//!    [`streams::UPGRADE_BASELINE`](crate::streams::UPGRADE_BASELINE))
+//!    [`streams::UPGRADE_BASELINE`])
 //!    fixes the denominator of every `R_L` ratio.
 //! 2. **Greedy.** Starting from the empty deployment, each budget step
 //!    tries every not-yet-upgraded node, scoring `dep ∪ {v}` with a

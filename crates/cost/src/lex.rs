@@ -82,8 +82,8 @@ impl fmt::Display for Lex2 {
 
 /// A lexicographically ordered k-component cost vector; component 0 is
 /// the highest priority. This is the k-class generalization of [`Lex2`]:
-/// `dtr-multi`'s `LexK` is an alias of this type, and a two-component
-/// `LexCost` orders exactly like the `Lex2` built from the same values.
+/// a two-component `LexCost` orders exactly like the `Lex2` built from
+/// the same values.
 /// Comparisons require equal lengths (same class count).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LexCost(Vec<f64>);
@@ -262,6 +262,14 @@ mod tests {
         let c = LexCost::new(vec![3.0, 1.0, 2.0]);
         assert_eq!(c.two_view(), Lex2::new(3.0, 3.0));
         assert_eq!(LexCost::from(Lex2::new(5.0, 7.0)).as_slice(), &[5.0, 7.0]);
+    }
+
+    #[test]
+    fn lexcost_display_renders_components() {
+        assert_eq!(
+            format!("{}", LexCost::new(vec![1.0, 0.5])),
+            "⟨1.000, 0.500⟩"
+        );
     }
 
     #[test]

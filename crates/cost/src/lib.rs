@@ -21,26 +21,24 @@
 //! Everything in this crate is deterministic, allocation-free and
 //! `f64`-pure; the routing engine (`dtr-routing`) supplies the link loads.
 //!
-//! # Migrating to [`ObjectiveSpec`]
+//! # [`Objective`] and [`ObjectiveSpec`]
 //!
-//! The two-class [`Objective`] enum is retained for compatibility, and
-//! every evaluator keeps its `Objective`-taking constructor as a thin
-//! wrapper, but the spec is the canonical form:
+//! The spec is the canonical form manifests, the CLI and the daemon
+//! carry. Two evaluation stacks consume it:
 //!
-//! - `Evaluator::new(topo, demands, objective)` in `dtr-routing`
-//!   forwards to `Evaluator::with_spec(topo, demands,
-//!   &ObjectiveSpec::from(objective))`.
-//! - `MultiEvaluator::new(topo, demands)` in `dtr-multi` forwards to
-//!   `MultiEvaluator::with_spec(topo, demands,
-//!   &ObjectiveSpec::load(k))`.
-//! - `BatchEvaluator`, `PortfolioSearch`, `ReoptSession` and the daemon
-//!   accept specs through their own `with_spec` constructors, which
-//!   return a structured [`ObjectiveError`] instead of panicking when a
-//!   spec is outside the consumer's supported subset.
+//! - the two-class stack (`dtr_routing::Evaluator`,
+//!   `dtr_engine::BatchEvaluator`, `PortfolioSearch`, `ReoptSession`)
+//!   takes the [`Objective`] enum; a caller holding a spec maps it with
+//!   [`ObjectiveSpec::as_two_class`], which returns `None` for anything
+//!   that stack cannot express;
+//! - `dtr_engine::KClassBatchEvaluator` takes the spec itself and is the
+//!   only k-class evaluator — `dtr-multi`'s search, the scenario suite
+//!   and the experiments all cost their weight settings through it. It
+//!   validates the spec and returns a structured [`ObjectiveError`]
+//!   (`TooFewClasses`, `ClassCountMismatch`, …) instead of panicking.
 //!
-//! Two-class specs are routed through the exact legacy code paths (see
-//! [`ObjectiveSpec::as_two_class`]), so migrating a call site cannot
-//! change any result bit.
+//! A two-class spec through the k-class kernel is bit-identical to the
+//! two-class stack (class 0's residual capacity is the raw capacity).
 
 pub mod delay;
 pub mod lex;

@@ -6,20 +6,11 @@
 //! load cost `Φ` against the class's cascading residual capacity
 //! `C̃_c = max(C − Σ_{j<c} load_j, 0)`, or the paper's SLA penalty `Λ`
 //! (Eq. 4) with per-class [`SlaParams`]. The two-class specs map exactly
-//! onto the legacy enum (see [`ObjectiveSpec::as_two_class`]), which is
-//! how every evaluator guarantees `k = 2` results stay bit-identical to
-//! the pre-spec code paths.
-//!
-//! # Migrating from `Objective`
-//!
-//! | legacy call | spec call |
-//! |---|---|
-//! | `Evaluator::new(t, d, Objective::LoadBased)` | `Evaluator::with_spec(t, d, &ObjectiveSpec::two_class_load())` |
-//! | `Evaluator::new(t, d, Objective::SlaBased(p))` | `Evaluator::with_spec(t, d, &ObjectiveSpec::from(Objective::SlaBased(p)))` |
-//! | `MultiEvaluator::new(t, d)` | `MultiEvaluator::with_spec(t, d, &ObjectiveSpec::load(k))` |
-//!
-//! The legacy constructors remain as thin forwarding wrappers; new code
-//! should construct an `ObjectiveSpec` once and thread it through.
+//! onto the [`Objective`] enum (see [`ObjectiveSpec::as_two_class`]):
+//! consumers of the two-class search stack (`Evaluator`,
+//! `BatchEvaluator`, `PortfolioSearch`, `ReoptSession`) take the enum,
+//! and a caller holding a spec makes that one call itself; every other
+//! spec is evaluated by `dtr-engine`'s `KClassBatchEvaluator`.
 
 use crate::objective::{Objective, SlaParams};
 use serde::{Deserialize, Serialize};
@@ -209,14 +200,6 @@ pub enum ObjectiveError {
         /// Classes in the demand set.
         demands: usize,
     },
-    /// The consumer only supports a subset of specs (for example the
-    /// two-class search stack), and this spec is outside it.
-    Unsupported {
-        /// The consumer that rejected the spec.
-        context: &'static str,
-        /// The rejected spec's [`ObjectiveSpec::summary`].
-        spec: String,
-    },
 }
 
 impl fmt::Display for ObjectiveError {
@@ -235,9 +218,6 @@ impl fmt::Display for ObjectiveError {
                 f,
                 "objective has {spec} classes but the demands carry {demands}"
             ),
-            ObjectiveError::Unsupported { context, spec } => {
-                write!(f, "{context} does not support objective \"{spec}\"")
-            }
         }
     }
 }
@@ -326,11 +306,13 @@ mod tests {
 
     #[test]
     fn errors_display_clearly() {
-        let e = ObjectiveError::Unsupported {
-            context: "robust search",
-            spec: "sla:25ms,load".into(),
+        let e = ObjectiveError::ClassCountMismatch {
+            spec: 3,
+            demands: 2,
         };
-        assert!(e.to_string().contains("robust search"));
-        assert!(e.to_string().contains("sla:25ms,load"));
+        assert_eq!(
+            e.to_string(),
+            "objective has 3 classes but the demands carry 2"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! monotonicity of Φ, totality of the lexicographic order, monotonicity of
 //! SLA penalties and delays.
 
-use dtr_cost::{link_delay, phi, phi_derivative, sla_penalty, DelayParams, Lex2};
+use dtr_cost::{link_delay, phi, phi_derivative, sla_penalty, DelayParams, Lex2, LexCost};
 use proptest::prelude::*;
 
 proptest! {
@@ -68,6 +68,16 @@ proptest! {
         let y = Lex2::new(b1, b2);
         prop_assert_eq!(x < y, y > x);
         prop_assert_eq!(x == y, y == x);
+    }
+
+    #[test]
+    fn lexcost_order_agrees_with_slice_order(
+        a in proptest::collection::vec(0.0f64..1e6, 3),
+        b in proptest::collection::vec(0.0f64..1e6, 3),
+    ) {
+        let la = LexCost::new(a.clone());
+        let lb = LexCost::new(b.clone());
+        prop_assert_eq!(la < lb, a < b);
     }
 
     #[test]

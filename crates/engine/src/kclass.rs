@@ -1,15 +1,16 @@
 //! k-class batch evaluation over the unified [`ObjectiveSpec`].
 //!
-//! [`KClassBatchEvaluator`] generalizes the two-class
-//! [`BatchEvaluator`](crate::BatchEvaluator) to `k` strict-priority
-//! classes: one
-//! [`EvalBackend`] per class (each binding that class's traffic matrix),
-//! per-class LRU caches over (loads, DAGs), and an assembly step that
-//! runs the shared residual-capacity cascade
-//! ([`dtr_routing::cascade_classes`]) and, for SLA-mode classes, the
-//! shared SLA walk ([`dtr_routing::sla_walk`]) over link delays
-//! evaluated against each class's **residual** capacity
-//! `C̃_c = max(C − Σ_{j<c} load_j, 0)`.
+//! [`KClassBatchEvaluator`] is the one place that turns `k` weight
+//! vectors into a k-class cost — `dtr-multi`'s search, the scenario
+//! suite and the experiments all evaluate through it. It generalizes the
+//! two-class [`BatchEvaluator`](crate::BatchEvaluator) to `k`
+//! strict-priority classes: one [`EvalBackend`] per class (each binding
+//! that class's traffic matrix), a small per-class side cache over
+//! (loads, DAGs), and an assembly step that runs the shared
+//! residual-capacity cascade ([`dtr_routing::cascade_classes`]) and, for
+//! SLA-mode classes, the shared SLA walk ([`dtr_routing::sla_walk`])
+//! over link delays evaluated against each class's **residual**
+//! capacity `C̃_c = max(C − Σ_{j<c} load_j, 0)`.
 //!
 //! Because every class routes independently on its own weight vector,
 //! the incremental backend's dynamic-SPF repair applies per class
@@ -44,6 +45,37 @@ pub struct KClassEvaluation {
     pub cost: LexCost,
 }
 
+impl KClassEvaluation {
+    /// Residual capacity seen by class `class` on each link.
+    pub fn residuals(&self, topo: &Topology, class: usize) -> Vec<f64> {
+        topo.links()
+            .map(|(lid, link)| {
+                let higher: f64 = self.loads[..class].iter().map(|l| l[lid.index()]).sum();
+                (link.capacity - higher).max(0.0)
+            })
+            .collect()
+    }
+
+    /// Total per-link load across classes.
+    pub fn total_loads(&self) -> Vec<f64> {
+        dtr_routing::loads::sum_class_loads(&self.loads)
+    }
+
+    /// Average link utilization.
+    pub fn avg_utilization(&self, topo: &Topology) -> f64 {
+        dtr_routing::loads::avg_utilization(topo, &self.total_loads())
+    }
+}
+
+/// Entries per class in the side cache. A search step re-reads the `k`
+/// current sides and its own last few candidates (the accepted one
+/// becomes current); nothing older is revisited often enough to matter.
+/// Every entry of an SLA class pins one `Arc<ShortestPathDag>` per
+/// destination, so the capacity bounds resident DAGs: at the two-class
+/// evaluator's 512 entries a 30-node k = 3 suite run held 24 MB, at 16
+/// it holds 11 MB at the same speed.
+const SIDE_CACHE_CAPACITY: usize = 16;
+
 /// What the per-class backends produce and the caches hold: loads plus
 /// (for SLA classes) the candidate's per-destination DAGs.
 #[derive(Clone)]
@@ -57,7 +89,6 @@ pub struct KClassBatchEvaluator<'a> {
     topo: &'a Topology,
     matrices: Vec<&'a TrafficMatrix>,
     spec: ObjectiveSpec,
-    kind: BackendKind,
     backends: Vec<Box<dyn EvalBackend + 'a>>,
     caches: Vec<LruCache<ClassSide>>,
     /// Per-class destinations with demand, ascending — nonempty only for
@@ -89,7 +120,7 @@ impl<'a> KClassBatchEvaluator<'a> {
             .collect();
         let caches = matrices
             .iter()
-            .map(|_| LruCache::new(crate::DEFAULT_CACHE_CAPACITY))
+            .map(|_| LruCache::new(SIDE_CACHE_CAPACITY))
             .collect();
         let dests = spec
             .classes
@@ -107,7 +138,6 @@ impl<'a> KClassBatchEvaluator<'a> {
             topo,
             matrices,
             spec: spec.clone(),
-            kind,
             backends,
             caches,
             dests,
@@ -117,16 +147,6 @@ impl<'a> KClassBatchEvaluator<'a> {
     /// The bound topology.
     pub fn topo(&self) -> &'a Topology {
         self.topo
-    }
-
-    /// The bound objective spec.
-    pub fn spec(&self) -> &ObjectiveSpec {
-        &self.spec
-    }
-
-    /// The backend kind in use.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
     }
 
     /// Number of classes.
@@ -157,14 +177,19 @@ impl<'a> KClassBatchEvaluator<'a> {
         side
     }
 
-    /// Full evaluation of one weight vector per class (highest first).
-    pub fn eval(&mut self, weights: &[WeightVector]) -> KClassEvaluation {
+    /// Every class's side at `weights` (one vector per class).
+    fn sides(&mut self, weights: &[WeightVector]) -> Vec<ClassSide> {
         assert_eq!(weights.len(), self.class_count(), "one vector per class");
-        let sides: Vec<ClassSide> = weights
+        weights
             .iter()
             .enumerate()
             .map(|(c, w)| self.class_side(c, w))
-            .collect();
+            .collect()
+    }
+
+    /// Full evaluation of one weight vector per class (highest first).
+    pub fn eval(&mut self, weights: &[WeightVector]) -> KClassEvaluation {
+        let sides = self.sides(weights);
         self.assemble(&sides)
     }
 
@@ -178,12 +203,7 @@ impl<'a> KClassBatchEvaluator<'a> {
         cands: &[WeightVector],
         weights: &[WeightVector],
     ) -> Vec<KClassEvaluation> {
-        assert_eq!(weights.len(), self.class_count(), "one vector per class");
-        let mut sides: Vec<ClassSide> = weights
-            .iter()
-            .enumerate()
-            .map(|(c, w)| self.class_side(c, w))
-            .collect();
+        let mut sides = self.sides(weights);
         cands
             .iter()
             .map(|w| {
@@ -269,6 +289,8 @@ mod tests {
     use dtr_routing::Evaluator;
     use dtr_traffic::{DemandSet, TrafficCfg};
 
+    const KINDS: [BackendKind; 2] = [BackendKind::Full, BackendKind::Incremental];
+
     fn instance(seed: u64) -> (Topology, DemandSet) {
         let topo = random_topology(&RandomTopologyCfg {
             nodes: 12,
@@ -290,7 +312,7 @@ mod tests {
     fn two_class_load_spec_matches_evaluator_bitwise() {
         let (topo, demands) = instance(21);
         let spec = ObjectiveSpec::two_class_load();
-        for kind in [BackendKind::Full, BackendKind::Incremental] {
+        for kind in KINDS {
             let mut kc =
                 KClassBatchEvaluator::new(&topo, vec![&demands.high, &demands.low], &spec, kind)
                     .unwrap();
@@ -315,7 +337,7 @@ mod tests {
         let (topo, demands) = instance(22);
         let params = SlaParams::default();
         let spec = ObjectiveSpec::from(Objective::SlaBased(params));
-        for kind in [BackendKind::Full, BackendKind::Incremental] {
+        for kind in KINDS {
             let mut kc =
                 KClassBatchEvaluator::new(&topo, vec![&demands.high, &demands.low], &spec, kind)
                     .unwrap();
@@ -363,6 +385,91 @@ mod tests {
         let ba = full.eval_class_batch(1, &cands, &weights);
         let bb = incr.eval_class_batch(1, &cands, &weights);
         assert_eq!(ba, bb);
+    }
+
+    /// 3 classes on the unit triangle, all A→C, 1/3 each.
+    fn stacked_triangle() -> (Topology, Vec<TrafficMatrix>) {
+        let mut m = TrafficMatrix::zeros(3);
+        m.set(0, 2, 1.0 / 3.0);
+        (dtr_graph::gen::triangle_topology(1.0), vec![m; 3])
+    }
+
+    #[test]
+    fn cascading_residuals_on_shared_path() {
+        let (topo, classes) = stacked_triangle();
+        let ac = topo.find_link(NodeId(0), NodeId(2)).unwrap();
+        for kind in KINDS {
+            let mut kc = KClassBatchEvaluator::new(
+                &topo,
+                classes.iter().collect(),
+                &ObjectiveSpec::load(3),
+                kind,
+            )
+            .unwrap();
+            let e = kc.eval(&vec![WeightVector::uniform(&topo, 1); 3]);
+            // Class 0: Φ(1/3, 1) = 1/3. Class 1: Φ(1/3, 2/3) (util 0.5 →
+            // 3·1/3 − 2/3·2/3 = 5/9). Class 2: Φ(1/3, 1/3) (util 1 →
+            // 70/3 − 178/9 = 32/9).
+            assert!((e.phis[0] - 1.0 / 3.0).abs() < 1e-9);
+            assert!((e.phis[1] - 5.0 / 9.0).abs() < 1e-9, "got {}", e.phis[1]);
+            assert!((e.phis[2] - 32.0 / 9.0).abs() < 1e-9, "got {}", e.phis[2]);
+            assert!((e.residuals(&topo, 2)[ac.index()] - 1.0 / 3.0).abs() < 1e-9);
+            assert_eq!(e.cost.as_slice(), &e.phis[..]);
+        }
+    }
+
+    #[test]
+    fn sla_components_use_residual_capacity() {
+        // Classes 0 and 1 under SLA on one shared path: class 1's link
+        // delays see the residual left by class 0, so they are strictly
+        // larger on the shared link.
+        let (topo, classes) = stacked_triangle();
+        let ac = topo.find_link(NodeId(0), NodeId(2)).unwrap();
+        let spec = ObjectiveSpec::uniform_sla(3, SlaParams::default());
+        for kind in KINDS {
+            let mut kc =
+                KClassBatchEvaluator::new(&topo, classes.iter().collect(), &spec, kind).unwrap();
+            let e = kc.eval(&vec![WeightVector::uniform(&topo, 1); 3]);
+            let d0 = e.sla[0].as_ref().unwrap().link_delays[ac.index()];
+            let d1 = e.sla[1].as_ref().unwrap().link_delays[ac.index()];
+            assert!(d1 > d0, "residual delays must cascade: {d0} vs {d1}");
+            assert!(e.sla[2].is_none());
+            // Components: λ for SLA classes, Φ for the load class.
+            assert_eq!(e.cost.get(0), e.sla[0].as_ref().unwrap().lambda);
+            assert_eq!(e.cost.get(2), e.phis[2]);
+        }
+    }
+
+    #[test]
+    fn higher_class_immune_to_lower_weights() {
+        let (topo, demands) = instance(25);
+        let matrices = vec![&demands.high, &demands.low, &demands.high];
+        for kind in KINDS {
+            let mut kc =
+                KClassBatchEvaluator::new(&topo, matrices.clone(), &ObjectiveSpec::load(3), kind)
+                    .unwrap();
+            let base = vec![WeightVector::uniform(&topo, 1); 3];
+            let mut tweaked = base.clone();
+            tweaked[2] = WeightVector::delay_proportional(&topo, 30);
+            let a = kc.eval(&base);
+            let b = kc.eval(&tweaked);
+            assert_eq!(a.phis[0], b.phis[0]);
+            assert_eq!(a.phis[1], b.phis[1]);
+            assert_ne!(a.phis[2], b.phis[2]);
+        }
+    }
+
+    #[test]
+    fn rejects_a_single_class() {
+        let (topo, demands) = instance(26);
+        for kind in KINDS {
+            let err =
+                KClassBatchEvaluator::new(&topo, vec![&demands.low], &ObjectiveSpec::load(1), kind);
+            assert!(matches!(
+                err.err(),
+                Some(ObjectiveError::TooFewClasses { got: 1 })
+            ));
+        }
     }
 
     #[test]

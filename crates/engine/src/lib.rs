@@ -63,7 +63,7 @@ pub use flat::{FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
 pub use kclass::{KClassBatchEvaluator, KClassEvaluation};
 pub use state::{CandidateEval, DestState, FlowState};
 
-use dtr_cost::{Objective, ObjectiveError, ObjectiveSpec};
+use dtr_cost::Objective;
 use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
 use dtr_routing::{
     hybrid_low_dag, push_demand_down_dag, sla_evaluation, trapped_flow, ClassLoads, DeploymentSet,
@@ -172,29 +172,6 @@ impl<'a> BatchEvaluator<'a> {
             low_cache: LruCache::new(DEFAULT_CACHE_CAPACITY),
             joint_cache: LruCache::new(DEFAULT_CACHE_CAPACITY),
             ws: SpfWorkspace::new(),
-        }
-    }
-
-    /// Binds the problem instance under a unified [`ObjectiveSpec`].
-    ///
-    /// This evaluator is the two-class search engine, so the spec must
-    /// map onto the legacy [`Objective`] enum (see
-    /// [`ObjectiveSpec::as_two_class`]); compatible specs route through
-    /// the exact [`Self::new`] path, keeping results bit-identical.
-    /// `k ≥ 3` specs belong to [`KClassBatchEvaluator`].
-    pub fn with_spec(
-        topo: &'a Topology,
-        demands: &'a DemandSet,
-        spec: &ObjectiveSpec,
-        kind: BackendKind,
-    ) -> Result<Self, ObjectiveError> {
-        spec.validate()?;
-        match spec.as_two_class() {
-            Some(objective) => Ok(BatchEvaluator::new(topo, demands, objective, kind)),
-            None => Err(ObjectiveError::Unsupported {
-                context: "two-class BatchEvaluator",
-                spec: spec.summary(),
-            }),
         }
     }
 

@@ -17,8 +17,10 @@
 use crate::report::{fmt, Table};
 use crate::runner::{cost_ratio, ExperimentCtx, TopologyKind};
 use dtr_core::SearchParams;
+use dtr_cost::ObjectiveSpec;
+use dtr_engine::{KClassBatchEvaluator, KClassEvaluation};
 use dtr_graph::{LinkId, Topology, WeightVector};
-use dtr_multi::{MultiDemand, MultiEvaluator, MultiSearch, MultiTrafficCfg};
+use dtr_multi::{MultiDemand, MultiSearch, MultiTrafficCfg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -38,12 +40,27 @@ pub struct KOutcome {
     pub avg_util: f64,
 }
 
+/// The all-load kernel `⟨Φ_0, …, Φ_{k−1}⟩` over `demands`.
+fn load_kernel<'a>(
+    topo: &'a Topology,
+    demands: &'a MultiDemand,
+    params: &SearchParams,
+) -> KClassBatchEvaluator<'a> {
+    KClassBatchEvaluator::new(
+        topo,
+        demands.classes.iter().collect(),
+        &ObjectiveSpec::load(demands.class_count()),
+        params.backend,
+    )
+    .expect("workloads carry 2..=4 classes")
+}
+
 /// Single-topology baseline for a k-class workload: one shared weight
 /// vector, same lexicographic objective, single-weight-change local
 /// search at the same candidate budget as the staged MTR search.
 fn str_baseline(topo: &Topology, demands: &MultiDemand, params: SearchParams) -> Vec<f64> {
     let k = demands.class_count();
-    let mut ev = MultiEvaluator::new(topo, demands);
+    let mut ev = load_kernel(topo, demands, &params);
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x5f5f);
     let n_links = topo.link_count();
 
@@ -56,7 +73,7 @@ fn str_baseline(topo: &Topology, demands: &MultiDemand, params: SearchParams) ->
     // Budget parity with MultiSearch: k stages of n_iters plus k_iters.
     let iters = k * params.n_iters + params.k_iters;
     for _ in 0..iters {
-        let mut best_cand: Option<(dtr_multi::MultiEvaluation, WeightVector)> = None;
+        let mut best_cand: Option<(KClassEvaluation, WeightVector)> = None;
         for _ in 0..params.neighbors {
             let lid = LinkId(rng.random_range(0..n_links as u32));
             let old = cur_w.get(lid);
@@ -79,6 +96,7 @@ fn str_baseline(topo: &Topology, demands: &MultiDemand, params: SearchParams) ->
             Some((e, w)) if e.cost < cur.cost => {
                 cur = e;
                 cur_w = w;
+                rebase_all(&mut ev, &cur_w);
                 if cur.cost < best.0 {
                     best = (cur.cost.clone(), cur.phis.clone());
                     stall = 0;
@@ -90,11 +108,19 @@ fn str_baseline(topo: &Topology, demands: &MultiDemand, params: SearchParams) ->
         }
         if stall >= params.diversify_after {
             dtr_core::neighborhood::perturb_weights(&mut cur_w, params.g1, &params, &mut rng);
+            rebase_all(&mut ev, &cur_w);
             cur = ev.eval(&replicate(&cur_w));
             stall = 0;
         }
     }
     best.1
+}
+
+/// Every class rides the shared vector, so every class's base follows it.
+fn rebase_all(ev: &mut KClassBatchEvaluator<'_>, w: &WeightVector) {
+    for c in 0..ev.class_count() {
+        ev.rebase(c, w);
+    }
 }
 
 /// Builds the k-class workload: the priority classes split 30 % of the
@@ -119,12 +145,15 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<KOutcome> {
         .map(|k| {
             let base = MultiDemand::generate(&topo, &workload(k, ctx.seed));
             // Scale to AD ≈ 0.6 under uniform shared weights.
-            let mut ev = MultiEvaluator::new(&topo, &base);
             let uniform = vec![WeightVector::uniform(&topo, 1); k];
-            let probe = ev.eval(&uniform).avg_utilization(&topo);
+            let probe = load_kernel(&topo, &base, &params)
+                .eval(&uniform)
+                .avg_utilization(&topo);
             let demands = base.scaled(0.6 / probe);
 
-            let mtr = MultiSearch::new(&topo, &demands, params).run();
+            let mtr = MultiSearch::with_spec(&topo, &demands, &ObjectiveSpec::load(k), params)
+                .expect("workloads carry 2..=4 classes")
+                .run();
             let str_phis = str_baseline(&topo, &demands, params);
             let ratios: Vec<f64> = str_phis
                 .iter()

@@ -93,20 +93,6 @@ impl MultiDemand {
             classes: self.classes.iter().map(|m| m.scaled(gamma)).collect(),
         }
     }
-
-    /// A two-class view for cross-checking against `dtr-core` (only
-    /// valid when `class_count() == 2`).
-    pub fn as_demand_set(&self) -> dtr_traffic::DemandSet {
-        assert_eq!(
-            self.classes.len(),
-            2,
-            "as_demand_set needs exactly 2 classes"
-        );
-        dtr_traffic::DemandSet {
-            high: self.classes[0].clone(),
-            low: self.classes[1].clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,8 +136,8 @@ mod tests {
                 seed: 7,
             },
         );
-        let ds = d.as_demand_set();
-        assert!((ds.high_fraction() - 0.3).abs() < 1e-9);
+        assert_eq!(d.class_count(), 2);
+        assert!((d.fraction(0) - 0.3).abs() < 1e-9);
     }
 
     #[test]

@@ -8,13 +8,18 @@
 //! the *remaining* lexicographic link cost `⟨Φ_c,l, …, Φ_{k−1},l⟩`
 //! projected onto its leading component (the classes below `c` cannot
 //! influence class `c`, mirroring the paper's FindH/FindL split).
+//!
+//! Every cost comes from [`dtr_engine::KClassBatchEvaluator`] on the
+//! backend [`SearchParams::backend`] names: a step's candidates are one
+//! `eval_class_batch` call (the moved class repairs incrementally, the
+//! other classes' sides stay cached) and an accepted move is a `rebase`.
 
 use crate::demand::MultiDemand;
-use crate::eval::{MultiEvaluation, MultiEvaluator};
-use crate::lexk::LexK;
 use dtr_core::neighborhood::{perturb_weights, NeighborhoodSampler, RankTable};
 use dtr_core::telemetry::Phase;
 use dtr_core::{SearchParams, SearchTrace};
+use dtr_cost::{LexCost, ObjectiveError, ObjectiveSpec};
+use dtr_engine::{KClassBatchEvaluator, KClassEvaluation};
 use dtr_graph::{Topology, WeightVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,44 +30,39 @@ pub struct MultiResult {
     /// One weight vector per class, highest priority first.
     pub weights: Vec<WeightVector>,
     /// Evaluation of the returned setting.
-    pub eval: MultiEvaluation,
+    pub eval: KClassEvaluation,
     /// The lexicographic objective value.
-    pub best_cost: LexK,
+    pub best_cost: LexCost,
     /// Telemetry.
     pub trace: SearchTrace,
 }
 
 /// The k-class search.
 pub struct MultiSearch<'a> {
-    evaluator: MultiEvaluator<'a>,
+    kernel: KClassBatchEvaluator<'a>,
     params: SearchParams,
     initial: Option<Vec<WeightVector>>,
 }
 
 impl<'a> MultiSearch<'a> {
-    /// Prepares a search starting from uniform weights for every class,
-    /// under the all-load objective (thin wrapper over the spec path).
-    pub fn new(topo: &'a Topology, demands: &'a MultiDemand, params: SearchParams) -> Self {
-        params.validate();
-        MultiSearch {
-            evaluator: MultiEvaluator::new(topo, demands),
-            params,
-            initial: None,
-        }
-    }
-
-    /// Prepares a search under a unified [`dtr_cost::ObjectiveSpec`] —
-    /// per-class load or SLA cost components (see
-    /// [`MultiEvaluator::with_spec`]).
+    /// Prepares a search starting from uniform weights for every class
+    /// under `spec` — per-class load or SLA cost components over the
+    /// strict-priority residual cascade. The spec's class count must
+    /// match the demand set's.
     pub fn with_spec(
         topo: &'a Topology,
         demands: &'a MultiDemand,
-        spec: &dtr_cost::ObjectiveSpec,
+        spec: &ObjectiveSpec,
         params: SearchParams,
-    ) -> Result<Self, dtr_cost::ObjectiveError> {
+    ) -> Result<Self, ObjectiveError> {
         params.validate();
         Ok(MultiSearch {
-            evaluator: MultiEvaluator::with_spec(topo, demands, spec)?,
+            kernel: KClassBatchEvaluator::new(
+                topo,
+                demands.classes.iter().collect(),
+                spec,
+                params.backend,
+            )?,
             params,
             initial: None,
         })
@@ -76,7 +76,7 @@ impl<'a> MultiSearch<'a> {
     pub fn with_initial(mut self, weights: Vec<WeightVector>) -> Self {
         assert_eq!(
             weights.len(),
-            self.evaluator.class_count(),
+            self.kernel.class_count(),
             "one initial weight vector per class"
         );
         self.initial = Some(weights);
@@ -86,8 +86,8 @@ impl<'a> MultiSearch<'a> {
     /// Runs the staged search.
     pub fn run(mut self) -> MultiResult {
         let params = self.params;
-        let k = self.evaluator.class_count();
-        let topo = self.evaluator.topo();
+        let k = self.kernel.class_count();
+        let topo = self.kernel.topo();
         let mut rng = StdRng::seed_from_u64(params.seed);
         let sampler = NeighborhoodSampler::new(topo.link_count(), &params);
         let mut trace = SearchTrace::default();
@@ -96,9 +96,9 @@ impl<'a> MultiSearch<'a> {
             .initial
             .take()
             .unwrap_or_else(|| vec![WeightVector::uniform(topo, 1); k]);
-        let mut eval = self.evaluator.eval(&weights);
+        let mut eval = self.jump_to(&weights);
         let mut best = (eval.cost.clone(), weights.clone());
-        trace.improved(0, Phase::OptimizeHigh, two_view(&eval.cost));
+        trace.improved(0, Phase::OptimizeHigh, eval.cost.two_view());
 
         // Stage per class: optimize class c with classes < c frozen at
         // their best and classes > c at their current settings.
@@ -110,21 +110,21 @@ impl<'a> MultiSearch<'a> {
                     self.step_class(c, &sampler, &mut weights, &mut eval, &mut rng, &mut trace);
                 if moved && eval.cost < best.0 {
                     best = (eval.cost.clone(), weights.clone());
-                    trace.improved(trace.iterations, Phase::OptimizeHigh, two_view(&eval.cost));
+                    trace.improved(trace.iterations, Phase::OptimizeHigh, eval.cost.two_view());
                     stall = 0;
                 } else {
                     stall += 1;
                 }
                 if stall >= params.diversify_after {
                     perturb_weights(&mut weights[c], params.g1, &params, &mut rng);
-                    eval = self.evaluator.eval(&weights);
+                    eval = self.jump_to(&weights);
                     trace.diversifications += 1;
                     stall = 0;
                 }
             }
             // Freeze this class at its best before optimizing the next.
             weights = best.1.clone();
-            eval = self.evaluator.eval(&weights);
+            eval = self.jump_to(&weights);
         }
 
         // Refinement: rotate across classes.
@@ -135,7 +135,7 @@ impl<'a> MultiSearch<'a> {
             let moved = self.step_class(c, &sampler, &mut weights, &mut eval, &mut rng, &mut trace);
             if moved && eval.cost < best.0 {
                 best = (eval.cost.clone(), weights.clone());
-                trace.improved(trace.iterations, Phase::Refine, two_view(&eval.cost));
+                trace.improved(trace.iterations, Phase::Refine, eval.cost.two_view());
                 stall = 0;
             } else {
                 stall += 1;
@@ -145,14 +145,14 @@ impl<'a> MultiSearch<'a> {
                 for w in weights.iter_mut() {
                     perturb_weights(w, params.g3, &params, &mut rng);
                 }
-                eval = self.evaluator.eval(&weights);
+                eval = self.jump_to(&weights);
                 trace.diversifications += 1;
                 stall = 0;
             }
         }
 
         let weights = best.1;
-        let eval = self.evaluator.eval(&weights);
+        let eval = self.kernel.eval(&weights);
         debug_assert_eq!(eval.cost, best.0);
         MultiResult {
             best_cost: eval.cost.clone(),
@@ -162,45 +162,50 @@ impl<'a> MultiSearch<'a> {
         }
     }
 
-    /// One Algorithm 2 pass over class `c`'s weights. Only class `c`'s
-    /// loads are re-routed; all other classes' loads are reused.
+    /// Moves the search to `weights` by something other than an
+    /// accepted step (start, diversification, return to the incumbent):
+    /// rebases every class there and evaluates the setting.
+    fn jump_to(&mut self, weights: &[WeightVector]) -> KClassEvaluation {
+        for (c, w) in weights.iter().enumerate() {
+            self.kernel.rebase(c, w);
+        }
+        self.kernel.eval(weights)
+    }
+
+    /// One Algorithm 2 pass over class `c`'s weights. Only class `c` is
+    /// re-routed; every other class's side is reused.
     fn step_class(
         &mut self,
         c: usize,
         sampler: &NeighborhoodSampler,
         weights: &mut [WeightVector],
-        eval: &mut MultiEvaluation,
+        eval: &mut KClassEvaluation,
         rng: &mut StdRng,
         trace: &mut SearchTrace,
     ) -> bool {
-        // Rank links by class c's per-link cost (ties by the class below).
-        let keys: Vec<f64> = eval.phi_per_link[c].clone();
-        let table = RankTable::new(&keys);
-        let moves = sampler.moves(&table, &self.params, rng);
+        // Rank links by class c's per-link cost.
+        let table = RankTable::new(&eval.phi_per_link[c]);
+        let cands: Vec<WeightVector> = sampler
+            .moves(&table, &self.params, rng)
+            .into_iter()
+            .filter_map(|mv| {
+                let mut w = weights[c].clone();
+                mv.apply(&mut w, &self.params);
+                (w != weights[c]).then_some(w)
+            })
+            .collect();
+        let evals = self.kernel.eval_class_batch(c, &cands, weights);
+        trace.evaluations += cands.len();
 
-        let mut best_cand: Option<(MultiEvaluation, WeightVector)> = None;
-        for mv in moves {
-            let mut w = weights[c].clone();
-            mv.apply(&mut w, &self.params);
-            if w == weights[c] {
-                continue;
-            }
-            let mut loads = eval.loads.clone();
-            loads[c] = self.evaluator.class_loads(c, &w);
-            let cand = if self.evaluator.has_sla() {
-                let mut wc = weights.to_vec();
-                wc[c] = w.clone();
-                self.evaluator.assemble_with(loads, &wc)
-            } else {
-                self.evaluator.assemble(loads)
-            };
-            trace.evaluations += 1;
+        let mut best_cand: Option<(KClassEvaluation, WeightVector)> = None;
+        for (cand, w) in evals.into_iter().zip(cands) {
             if best_cand.as_ref().is_none_or(|(b, _)| cand.cost < b.cost) {
                 best_cand = Some((cand, w));
             }
         }
         match best_cand {
             Some((cand, w)) if cand.cost < eval.cost => {
+                self.kernel.rebase(c, &w);
                 weights[c] = w;
                 *eval = cand;
                 trace.moves_accepted += 1;
@@ -209,13 +214,6 @@ impl<'a> MultiSearch<'a> {
             _ => false,
         }
     }
-}
-
-/// Projects a k-tuple onto the 2-tuple telemetry type (first component +
-/// the sum of the rest) so `SearchTrace` stays shared across crates.
-fn two_view(cost: &LexK) -> dtr_cost::Lex2 {
-    let rest: f64 = cost.as_slice()[1..].iter().sum();
-    dtr_cost::Lex2::new(cost.get(0), rest)
 }
 
 #[cfg(test)]
@@ -242,39 +240,66 @@ mod tests {
         (topo, demands)
     }
 
+    /// The all-load search `⟨Φ_0, …, Φ_{k−1}⟩` over `demands`.
+    fn load_search<'a>(
+        topo: &'a Topology,
+        demands: &'a MultiDemand,
+        params: SearchParams,
+    ) -> MultiSearch<'a> {
+        let spec = ObjectiveSpec::load(demands.class_count());
+        MultiSearch::with_spec(topo, demands, &spec, params).unwrap()
+    }
+
     #[test]
     fn three_class_search_improves_all_levels() {
         let (topo, demands) = instance(2, 5);
-        let mut ev = MultiEvaluator::new(&topo, &demands);
-        let initial = ev.eval(&vec![WeightVector::uniform(&topo, 1); 3]);
-        let res = MultiSearch::new(&topo, &demands, SearchParams::tiny().with_seed(5)).run();
+        let params = SearchParams::tiny().with_seed(5);
+        let mut kernel = KClassBatchEvaluator::new(
+            &topo,
+            demands.classes.iter().collect(),
+            &ObjectiveSpec::load(3),
+            params.backend,
+        )
+        .unwrap();
+        let initial = kernel.eval(&vec![WeightVector::uniform(&topo, 1); 3]);
+        let res = load_search(&topo, &demands, params).run();
         assert_eq!(res.weights.len(), 3);
         assert!(res.best_cost <= initial.cost);
         // Reported cost matches a fresh evaluation of the weights.
-        let re = ev.eval(&res.weights);
+        let re = kernel.eval(&res.weights);
         assert_eq!(re.cost, res.best_cost);
     }
 
     #[test]
-    fn single_class_degenerates_to_str_like_search() {
+    fn single_class_is_a_structured_error() {
         let topo = random_topology(&RandomTopologyCfg {
             nodes: 10,
             directed_links: 40,
             seed: 6,
         });
-        let base = dtr_traffic::gravity_matrix(10, &dtr_traffic::GravityCfg::default(), 6);
         let demands = MultiDemand {
-            classes: vec![base],
+            classes: vec![dtr_traffic::gravity_matrix(
+                10,
+                &dtr_traffic::GravityCfg::default(),
+                6,
+            )],
         };
-        let res = MultiSearch::new(&topo.clone(), &demands, SearchParams::tiny()).run();
-        assert_eq!(res.best_cost.len(), 1);
-        assert!(res.best_cost.get(0) > 0.0);
+        let err = MultiSearch::with_spec(
+            &topo,
+            &demands,
+            &ObjectiveSpec::load(1),
+            SearchParams::tiny(),
+        );
+        assert!(matches!(
+            err.err(),
+            Some(ObjectiveError::TooFewClasses { got: 1 })
+        ));
     }
 
     #[test]
     fn deterministic_in_seed() {
         let (topo, demands) = instance(1, 7);
-        let run = || MultiSearch::new(&topo, &demands, SearchParams::tiny().with_seed(11)).run();
+        let run = || load_search(&topo, &demands, SearchParams::tiny().with_seed(11)).run();
         let (a, b) = (run(), run());
         assert_eq!(a.best_cost, b.best_cost);
         assert_eq!(a.weights, b.weights);
@@ -286,9 +311,12 @@ mod tests {
         // but the achieved lexicographic cost must land in the same
         // ballpark as DtrSearch on the identical instance and budget.
         let (topo, demands) = instance(1, 8);
-        let ds = demands.as_demand_set();
+        let ds = dtr_traffic::DemandSet {
+            high: demands.classes[0].clone(),
+            low: demands.classes[1].clone(),
+        };
         let params = SearchParams::quick().with_seed(8);
-        let multi = MultiSearch::new(&topo, &demands, params).run();
+        let multi = load_search(&topo, &demands, params).run();
         let dtr =
             dtr_core::DtrSearch::new(&topo, &ds, dtr_core::Objective::LoadBased, params).run();
         let (m0, d0) = (multi.best_cost.get(0), dtr.eval.phi_h);
@@ -301,7 +329,7 @@ mod tests {
     #[test]
     fn sla_spec_search_runs_and_reports_lambda_components() {
         let (topo, demands) = instance(2, 12);
-        let spec = dtr_cost::ObjectiveSpec::uniform_sla(3, dtr_cost::SlaParams::default());
+        let spec = ObjectiveSpec::uniform_sla(3, dtr_cost::SlaParams::default());
         let res =
             MultiSearch::with_spec(&topo, &demands, &spec, SearchParams::tiny().with_seed(12))
                 .unwrap()
@@ -323,8 +351,8 @@ mod tests {
     #[test]
     fn warm_start_never_regresses_from_its_initial_point() {
         let (topo, demands) = instance(2, 4);
-        let base = MultiSearch::new(&topo, &demands, SearchParams::tiny().with_seed(4)).run();
-        let warm = MultiSearch::new(&topo, &demands, SearchParams::tiny().with_seed(40))
+        let base = load_search(&topo, &demands, SearchParams::tiny().with_seed(4)).run();
+        let warm = load_search(&topo, &demands, SearchParams::tiny().with_seed(40))
             .with_initial(base.weights.clone())
             .run();
         assert!(warm.best_cost <= base.best_cost);
@@ -350,8 +378,8 @@ mod tests {
             ],
         };
         let params = SearchParams::tiny().with_seed(9);
-        let r3 = MultiSearch::new(&topo, &demands3, params).run();
-        let r2 = MultiSearch::new(&topo, &demands2, params).run();
+        let r3 = load_search(&topo, &demands3, params).run();
+        let r2 = load_search(&topo, &demands2, params).run();
         // Class 0 sees the identical subproblem in both runs.
         let rel = (r3.best_cost.get(0) - r2.best_cost.get(0)).abs() / r2.best_cost.get(0).max(1.0);
         assert!(rel < 0.30, "class-0 outcomes diverged by {rel}");

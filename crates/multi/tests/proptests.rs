@@ -1,11 +1,33 @@
 //! Property tests for the k-class generalization: the cascade invariants
-//! that must hold for any class count, demand draw and weight setting.
+//! that must hold for any class count, demand draw and weight setting,
+//! on both evaluation backends of the kernel.
 
+use dtr_cost::ObjectiveSpec;
+use dtr_engine::{BackendKind, KClassBatchEvaluator, KClassEvaluation};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::WeightVector;
-use dtr_multi::{LexK, MultiDemand, MultiEvaluator, MultiTrafficCfg};
+use dtr_multi::{MultiDemand, MultiTrafficCfg};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+
+const KINDS: [BackendKind; 2] = [BackendKind::Full, BackendKind::Incremental];
+
+/// All-load evaluations of `settings` (in order) on one kernel of `kind`.
+fn eval_on(
+    kind: BackendKind,
+    topo: &dtr_graph::Topology,
+    demands: &MultiDemand,
+    settings: &[&[WeightVector]],
+) -> Vec<KClassEvaluation> {
+    let mut kernel = KClassBatchEvaluator::new(
+        topo,
+        demands.classes.iter().collect(),
+        &ObjectiveSpec::load(demands.class_count()),
+        kind,
+    )
+    .unwrap();
+    settings.iter().map(|w| kernel.eval(w)).collect()
+}
 
 fn instance(k_extra: usize, seed: u64) -> (dtr_graph::Topology, MultiDemand) {
     let topo = random_topology(&RandomTopologyCfg {
@@ -47,14 +69,16 @@ proptest! {
     ) {
         let (topo, demands) = instance(k_extra, seed);
         let k = demands.class_count();
-        let mut ev = MultiEvaluator::new(&topo, &demands);
-        let e = ev.eval(&rand_weights(&topo, wseed, k));
-        for c in 1..k {
-            let above = e.residuals(&topo, c - 1);
-            let below = e.residuals(&topo, c);
-            for (hi, lo) in above.iter().zip(&below) {
-                prop_assert!(lo <= hi, "residuals must shrink with priority");
-                prop_assert!(*lo >= 0.0);
+        let w = rand_weights(&topo, wseed, k);
+        for kind in KINDS {
+            let e = &eval_on(kind, &topo, &demands, &[&w])[0];
+            for c in 1..k {
+                let above = e.residuals(&topo, c - 1);
+                let below = e.residuals(&topo, c);
+                for (hi, lo) in above.iter().zip(&below) {
+                    prop_assert!(lo <= hi, "residuals must shrink with priority");
+                    prop_assert!(*lo >= 0.0);
+                }
             }
         }
     }
@@ -65,14 +89,16 @@ proptest! {
     ) {
         let (topo, demands) = instance(k_extra, seed);
         let k = demands.class_count();
-        let mut ev = MultiEvaluator::new(&topo, &demands);
-        let e = ev.eval(&rand_weights(&topo, wseed, k));
-        prop_assert_eq!(e.cost.len(), k);
-        for c in 0..k {
-            prop_assert!(e.phis[c].is_finite() && e.phis[c] >= 0.0);
-            let per_link: f64 = e.phi_per_link[c].iter().sum();
-            prop_assert!((per_link - e.phis[c]).abs() < 1e-6);
-            prop_assert_eq!(e.cost.get(c), e.phis[c]);
+        let w = rand_weights(&topo, wseed, k);
+        for kind in KINDS {
+            let e = &eval_on(kind, &topo, &demands, &[&w])[0];
+            prop_assert_eq!(e.cost.len(), k);
+            for c in 0..k {
+                prop_assert!(e.phis[c].is_finite() && e.phis[c] >= 0.0);
+                let per_link: f64 = e.phi_per_link[c].iter().sum();
+                prop_assert!((per_link - e.phis[c]).abs() < 1e-6);
+                prop_assert_eq!(e.cost.get(c), e.phis[c]);
+            }
         }
     }
 
@@ -82,25 +108,15 @@ proptest! {
     ) {
         let (topo, demands) = instance(k_extra, seed);
         let k = demands.class_count();
-        let mut ev = MultiEvaluator::new(&topo, &demands);
         let base = rand_weights(&topo, w1, k);
         let mut tweaked = base.clone();
         // Change only the lowest class's weights.
         tweaked[k - 1] = rand_weights(&topo, w2, 1).pop().unwrap();
-        let a = ev.eval(&base);
-        let b = ev.eval(&tweaked);
-        for c in 0..k - 1 {
-            prop_assert_eq!(a.phis[c], b.phis[c], "class {} leaked", c);
+        for kind in KINDS {
+            let e = eval_on(kind, &topo, &demands, &[&base, &tweaked]);
+            for c in 0..k - 1 {
+                prop_assert_eq!(e[0].phis[c], e[1].phis[c], "class {} leaked", c);
+            }
         }
-    }
-
-    #[test]
-    fn lexk_order_agrees_with_slice_order(
-        a in proptest::collection::vec(0.0f64..1e6, 3),
-        b in proptest::collection::vec(0.0f64..1e6, 3),
-    ) {
-        let la = LexK::new(a.clone());
-        let lb = LexK::new(b.clone());
-        prop_assert_eq!(la < lb, a < b);
     }
 }

@@ -1,13 +1,12 @@
-//! The strict-priority residual-capacity cascade shared by every
-//! k-class evaluator.
+//! The strict-priority residual-capacity cascade of k-class evaluation.
 //!
 //! Class `c` on link `l` sees the residual capacity left by all
 //! higher-priority classes, `C̃_c = max(C_l − Σ_{j<c} load_j, 0)`, and is
 //! charged the Fortz–Thorup `Φ(load_c, C̃_c)`. This module owns the one
 //! canonical loop (link-major, classes in priority order, running
-//! `used` accumulator) so that `dtr-multi`'s `MultiEvaluator` and
-//! `dtr-engine`'s k-class batch path produce bit-identical per-link and
-//! per-class values: identical expressions evaluated in identical order.
+//! `used` accumulator); its one caller outside this crate is
+//! `dtr-engine`'s k-class kernel, which every k-class search and report
+//! evaluates through.
 //!
 //! For `k = 2` the cascade reproduces the two-class
 //! [`Evaluator`](crate::Evaluator) exactly: class 0 sees `(C − 0).max(0) = C`

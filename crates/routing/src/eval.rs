@@ -18,7 +18,7 @@ use crate::deploy::{hybrid_low_dag, trapped_flow, DeploymentSet};
 use crate::loads::{
     avg_utilization, max_utilization, push_demand_down_dag, ClassLoads, LoadCalculator,
 };
-use dtr_cost::{link_delay, phi, sla_penalty, Lex2, Objective, ObjectiveSpec, SlaParams};
+use dtr_cost::{link_delay, phi, sla_penalty, Lex2, Objective, SlaParams};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
 use dtr_traffic::DemandSet;
@@ -200,12 +200,10 @@ pub struct Evaluator<'a> {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Binds `topo`, `demands` and `objective`.
-    ///
-    /// This is the legacy two-class entry point, retained as a thin
-    /// wrapper: `Evaluator::new(t, d, o)` is equivalent to
-    /// `Evaluator::with_spec(t, d, &ObjectiveSpec::from(o)).unwrap()`,
-    /// and new code should prefer [`Evaluator::with_spec`].
+    /// Binds `topo`, `demands` and the two-class `objective`. Callers
+    /// holding an [`ObjectiveSpec`](dtr_cost::ObjectiveSpec) map it with
+    /// [`as_two_class`](dtr_cost::ObjectiveSpec::as_two_class) first;
+    /// `k ≥ 3` specs belong to `dtr-engine`'s k-class kernel.
     pub fn new(topo: &'a Topology, demands: &'a DemandSet, objective: Objective) -> Self {
         let high_dests = topo
             .nodes()
@@ -219,30 +217,6 @@ impl<'a> Evaluator<'a> {
             ws: SpfWorkspace::new(),
             high_dests,
             deployment: None,
-        }
-    }
-
-    /// Binds `topo`, `demands` and a unified [`ObjectiveSpec`].
-    ///
-    /// This evaluator implements the paper's two-class model, so the
-    /// spec must map onto the legacy [`Objective`] enum (see
-    /// [`ObjectiveSpec::as_two_class`]); compatible specs are routed
-    /// through the exact same code paths as [`Evaluator::new`], which
-    /// keeps results bit-identical. Specs with `k ≥ 3` classes belong
-    /// to `dtr-multi` / `dtr-engine` and yield
-    /// [`ObjectiveError::Unsupported`](dtr_cost::ObjectiveError::Unsupported).
-    pub fn with_spec(
-        topo: &'a Topology,
-        demands: &'a DemandSet,
-        spec: &ObjectiveSpec,
-    ) -> Result<Self, dtr_cost::ObjectiveError> {
-        spec.validate()?;
-        match spec.as_two_class() {
-            Some(objective) => Ok(Evaluator::new(topo, demands, objective)),
-            None => Err(dtr_cost::ObjectiveError::Unsupported {
-                context: "two-class Evaluator",
-                spec: spec.summary(),
-            }),
         }
     }
 

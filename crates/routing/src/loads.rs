@@ -208,6 +208,18 @@ pub fn total_loads(high: &[f64], low: &[f64]) -> Vec<f64> {
     high.iter().zip(low).map(|(h, l)| h + l).collect()
 }
 
+/// Element-wise sum of any number of class load vectors (at least one),
+/// accumulated in priority order.
+pub fn sum_class_loads(classes: &[ClassLoads]) -> Vec<f64> {
+    let mut out = vec![0.0; classes[0].len()];
+    for class in classes {
+        for (o, l) in out.iter_mut().zip(class) {
+            *o += l;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,9 +33,10 @@ use dtr_core::{
     DtrSearch, Objective, ObjectiveSpec, PortfolioMode, PortfolioParams, PortfolioSearch,
     RobustCost, RobustEvaluator, ScenarioCombine, Scheme, StrSearch, StrategyKind,
 };
+use dtr_engine::{BackendKind, KClassBatchEvaluator, KClassEvaluation};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_multi::{MultiDemand, MultiEvaluation, MultiEvaluator, MultiSearch};
+use dtr_multi::{MultiDemand, MultiSearch};
 use dtr_routing::{DeploymentSet, Evaluator, FailurePolicy};
 use dtr_traffic::DemandSet;
 use serde::{Deserialize, Serialize};
@@ -272,25 +273,12 @@ fn run_scheme(
     (weights, report)
 }
 
-/// One instance's outcome **with the incumbent weight settings** — what
-/// the differential-validation harness consumes (it replays both
-/// incumbents through the simulation backends).
-#[derive(Debug, Clone)]
-pub struct InstanceRun {
-    /// The serializable report.
-    pub report: InstanceReport,
-    /// The STR baseline incumbent, replicated into both vectors.
-    pub str_weights: DualWeights,
-    /// The DTR incumbent (warm-started from the baseline).
-    pub dtr_weights: DualWeights,
-}
-
 /// Executes one instance end-to-end.
 pub fn run_instance(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
     if spec.class_count() > 2 {
         run_instance_k(spec, smoke)
     } else {
-        run_instance_full(spec, smoke).report
+        run_instance_two_class(spec, smoke)
     }
 }
 
@@ -402,7 +390,7 @@ fn aggregate_two_class(demands: &MultiDemand) -> DemandSet {
 /// the objective's leading component plus the sum of the rest.
 fn scheme_report_k(
     topo: &Topology,
-    eval: &MultiEvaluation,
+    eval: &KClassEvaluation,
     evaluations: usize,
     elapsed_s: f64,
 ) -> SchemeReport {
@@ -431,16 +419,22 @@ pub fn search_incumbents_k(spec: &ScenarioSpec, smoke: bool) -> SearchedInstance
     let search = spec.search();
     let params = search.params(smoke);
 
-    let mut evaluator =
-        MultiEvaluator::with_spec(&topo, &demands, &objective).expect("manifest validated");
-
     // Baseline: single-topology STR on the aggregated two-class view.
     let start = Instant::now();
     let agg = aggregate_two_class(&demands);
     let res = StrSearch::new(&topo, &agg, Objective::LoadBased, params).run();
     let str_elapsed = start.elapsed().as_secs_f64();
     let str_weights = vec![res.weights; k];
-    let baseline_eval = evaluator.eval(&str_weights);
+    // One setting evaluated once: an incremental base would have
+    // nothing to repair from, so the full backend it is.
+    let baseline_eval = KClassBatchEvaluator::new(
+        &topo,
+        demands.classes.iter().collect(),
+        &objective,
+        BackendKind::Full,
+    )
+    .expect("manifest validated")
+    .eval(&str_weights);
     let baseline = scheme_report_k(&topo, &baseline_eval, res.trace.evaluations, str_elapsed);
 
     // DTR: the staged k-class search under the unified objective.
@@ -475,7 +469,7 @@ pub fn search_incumbents_k(spec: &ScenarioSpec, smoke: bool) -> SearchedInstance
 /// Executes one k-class instance end-to-end. The failure-policy sweep
 /// does not apply (manifest validation rejects k-class instances with a
 /// failure policy), so the report's `robust` is always `None`.
-pub fn run_instance_k(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
+fn run_instance_k(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
     let run = search_incumbents_k(spec, smoke);
     InstanceReport {
         name: spec.name.clone(),
@@ -499,13 +493,9 @@ pub fn run_instance_k(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
     }
 }
 
-/// Executes one instance end-to-end, returning the report **and** both
-/// incumbent weight settings.
-pub fn run_instance_full(spec: &ScenarioSpec, smoke: bool) -> InstanceRun {
-    assert!(
-        spec.class_count() == 2,
-        "k-class instances go through run_instance_k"
-    );
+/// Executes one two-class instance end-to-end, failure-policy sweep
+/// included.
+fn run_instance_two_class(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
     let search = spec.search();
     let SearchedInstance {
         topo,
@@ -542,7 +532,7 @@ pub fn run_instance_full(spec: &ScenarioSpec, smoke: bool) -> InstanceRun {
         }
     };
 
-    let report = InstanceReport {
+    InstanceReport {
         name: spec.name.clone(),
         topology: spec.topology.family_name().to_string(),
         traffic: spec.traffic.family.name().to_string(),
@@ -561,11 +551,6 @@ pub fn run_instance_full(spec: &ScenarioSpec, smoke: bool) -> InstanceRun {
         baseline,
         dtr,
         robust,
-    };
-    InstanceRun {
-        report,
-        str_weights,
-        dtr_weights,
     }
 }
 

@@ -32,14 +32,15 @@
 
 use crate::spec::ScenarioSpec;
 use crate::suite::{search_incumbents, search_incumbents_k, SuiteCfg};
-use dtr_core::{derive_stream_seed, Objective};
+use dtr_core::{derive_stream_seed, streams, Objective};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_multi::{MultiDemand, MultiEvaluator};
-use dtr_routing::{DeploymentSet, Evaluator};
-use dtr_sim::{BackendReport, DesBackend, FluidSim, ForwardingState, KClassReport, TrafficClass};
+use dtr_multi::MultiDemand;
+use dtr_routing::{ClassLoads, DeploymentSet, Evaluator, LoadCalculator};
+use dtr_sim::{DesBackend, FluidSim, ForwardingState, KClassReport};
 use dtr_traffic::{DemandSet, TrafficMatrix};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Fluid loads must match the analytic evaluator's to this relative
 /// tolerance. They are computed by the same primitive over the same
@@ -97,10 +98,9 @@ pub fn load_floor(max_load: f64) -> f64 {
 const ISOLATION_MIN_SAMPLES: u64 = 500;
 
 /// Minimum DES wait samples a (class, link) needs before its relative
-/// load error enters the k-class comparison. The two-class check gets
-/// significance for free — its load floor tracks the aggregate volume —
-/// but a thin class's links can clear the 2% floor on a handful of
-/// packets, where a relative error is pure sampling noise.
+/// load error enters the k ≥ 3 comparison: a thin class's links can
+/// clear the 2% floor on a handful of packets, where a relative error
+/// is pure sampling noise.
 const DES_LOAD_MIN_SAMPLES: u64 = 500;
 
 /// How the validation harness should run.
@@ -278,19 +278,47 @@ impl Default for EnvelopeSpec {
     }
 }
 
-/// Compares one class's loads and delays across the three pipelines.
-/// `link_stable[l]` marks links below [`HOT_UTIL`] total utilization —
-/// the region where the DES can be expected to reproduce the offered
-/// loads and steady-state delays.
+/// An incumbent the harness cannot validate: under its partial
+/// deployment a cross-topology forwarding loop traps demand, and
+/// trapped demand has no steady state to simulate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrappedDemand {
+    /// Instance name (the manifest's).
+    pub instance: String,
+    /// `"baseline"` or `"dtr"`.
+    pub scheme: String,
+    /// Low-class volume that never reaches its destination.
+    pub undeliverable_mbps: f64,
+}
+
+impl fmt::Display for TrappedDemand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}/{}: incumbent traps {} Mbit/s under the partial deployment \
+             (cross-topology forwarding loop); nothing to simulate",
+            self.instance, self.scheme, self.undeliverable_mbps
+        )
+    }
+}
+
+impl std::error::Error for TrappedDemand {}
+
+/// Compares one priority class's loads and delays across the three
+/// pipelines. `link_stable[l]` marks links below [`HOT_UTIL`] total
+/// utilization — the region where the DES can be expected to reproduce
+/// the offered loads and steady-state delays. A (class, link) enters
+/// the DES load comparison only with at least `des_load_min_samples`
+/// wait samples.
 fn class_agreement(
-    class: TrafficClass,
+    c: usize,
     analytic_loads: &[f64],
     link_stable: &[bool],
-    fluid: &BackendReport,
-    des: &BackendReport,
-    demands: &DemandSet,
+    fluid: &KClassReport,
+    des: &KClassReport,
+    matrix: &TrafficMatrix,
+    des_load_min_samples: u64,
 ) -> ClassAgreement {
-    let c = class.idx();
     // Fluid vs analytic: every link, relative to the analytic load
     // (zero-load links must be zero in both).
     let mut fluid_err = 0.0f64;
@@ -302,182 +330,7 @@ fn class_agreement(
         };
         fluid_err = fluid_err.max(err);
     }
-    // DES vs analytic: stable links above the floor only.
-    let max_load = analytic_loads.iter().cloned().fold(0.0, f64::max);
-    let floor = load_floor(max_load);
-    let mut des_err = 0.0f64;
-    for (i, (a, d)) in analytic_loads.iter().zip(&des.class_loads[c]).enumerate() {
-        if *a >= floor && floor > 0.0 && link_stable[i] {
-            des_err = des_err.max((d - a).abs() / a);
-        }
-    }
-    // Delays: flow-weighted means over the common pair set (finite,
-    // non-hot fluid prediction AND DES measured). Iterates the fluid
-    // report's sorted map, so the accumulation order is deterministic.
-    let m = match class {
-        TrafficClass::High => &demands.high,
-        TrafficClass::Low => &demands.low,
-    };
-    let (mut fluid_sum, mut des_sum, mut vol) = (0.0, 0.0, 0.0);
-    let (mut compared, mut saturated) = (0usize, 0usize);
-    for (key, &fd) in &fluid.pair_delays {
-        if key.class != class {
-            continue;
-        }
-        if !fd.is_finite() || fluid.hot_pairs.contains(key) {
-            saturated += 1;
-            continue;
-        }
-        let Some(&dd) = des.pair_delays.get(key) else {
-            continue;
-        };
-        let v = m.get(key.src as usize, key.dst as usize);
-        if v <= 0.0 {
-            continue;
-        }
-        fluid_sum += fd * v;
-        des_sum += dd * v;
-        vol += v;
-        compared += 1;
-    }
-    let (fluid_mean, des_mean, rel) = if vol > 0.0 {
-        let fm = fluid_sum / vol;
-        let dm = des_sum / vol;
-        (Some(fm), Some(dm), Some((dm - fm).abs() / fm))
-    } else {
-        (None, None, None)
-    };
-    ClassAgreement {
-        fluid_load_rel_err: fluid_err,
-        des_load_rel_err: des_err,
-        fluid_mean_delay_s: fluid_mean,
-        des_mean_delay_s: des_mean,
-        mean_delay_rel_err: rel,
-        pairs_compared: compared,
-        pairs_saturated: saturated,
-    }
-}
-
-/// Scans a DES report for priority inversions: links where, with enough
-/// samples of both classes, the high class's mean wait exceeds the low
-/// class's by more than noise slack.
-fn isolation_violations(des: &BackendReport) -> usize {
-    let n = des.class_loads[0].len();
-    let mut violations = 0;
-    for i in 0..n {
-        let (nh, nl) = (des.link_wait_samples[0][i], des.link_wait_samples[1][i]);
-        if nh < ISOLATION_MIN_SAMPLES || nl < ISOLATION_MIN_SAMPLES {
-            continue;
-        }
-        let (wh, wl) = (des.link_wait_s[0][i], des.link_wait_s[1][i]);
-        if wh > 1.25 * wl + 2e-5 {
-            violations += 1;
-        }
-    }
-    violations
-}
-
-/// Validates one incumbent weight setting on one instance.
-///
-/// Under a partial `deployment` the analytic evaluation and both
-/// simulation backends all route the low class on the **hybrid** DAGs
-/// (legacy routers forward on the high table); the incumbent must be
-/// loop-free — trapped demand has no steady state to validate, so the
-/// harness refuses it up front with the undeliverable volume.
-fn validate_scheme(
-    scheme: &str,
-    topo: &Topology,
-    demands: &DemandSet,
-    weights: &DualWeights,
-    deployment: Option<&DeploymentSet>,
-    des_seed: u64,
-    packets: u64,
-) -> SchemeValidation {
-    let mut evaluator = Evaluator::new(topo, demands, Objective::LoadBased);
-    evaluator
-        .set_deployment(deployment.cloned())
-        .expect("validated manifest fences deployment to load-based two-class");
-    if let Some(dep) = deployment {
-        let (_, undeliverable) = evaluator.low_loads_deployed(dep, &weights.high, &weights.low);
-        assert!(
-            undeliverable <= 0.0,
-            "{scheme}: incumbent traps {undeliverable} Mbit/s under the partial \
-             deployment (cross-topology forwarding loop); nothing to simulate"
-        );
-    }
-    let analytic = evaluator.eval_dual(weights);
-    let fwd = match deployment {
-        Some(dep) => ForwardingState::with_deployment(topo, weights, dep),
-        None => ForwardingState::new(topo, weights),
-    };
-    let mats = [&demands.high, &demands.low];
-    // The same threshold classifies links here (load gate) and pairs
-    // inside the fluid backend (delay gate) — passing it explicitly
-    // keeps the two exclusion sets from drifting apart.
-    let fluid_backend = FluidSim {
-        cfg: dtr_sim::FluidCfg {
-            hot_util: HOT_UTIL,
-            ..Default::default()
-        },
-    };
-    let fluid = fluid_backend
-        .run_classes_on(topo, &mats, &fwd)
-        .into_two_class();
-    let des = DesBackend::budgeted(demands, packets, des_seed)
-        .run_classes_on(topo, &mats, &fwd)
-        .into_two_class();
-
-    let total = analytic.total_loads();
-    let link_stable: Vec<bool> = topo
-        .links()
-        .map(|(lid, l)| total[lid.index()] / l.capacity < HOT_UTIL)
-        .collect();
-    let saturated_links = link_stable.iter().filter(|ok| !**ok).count();
-    SchemeValidation {
-        scheme: scheme.to_string(),
-        max_util: analytic.max_utilization(topo),
-        saturated_links,
-        des_seed,
-        des_packets: des.packets,
-        isolation_violations: isolation_violations(&des),
-        high: class_agreement(
-            TrafficClass::High,
-            &analytic.high_loads,
-            &link_stable,
-            &fluid,
-            &des,
-            demands,
-        ),
-        low: class_agreement(
-            TrafficClass::Low,
-            &analytic.low_loads,
-            &link_stable,
-            &fluid,
-            &des,
-            demands,
-        ),
-    }
-}
-
-/// The k-class counterpart of [`class_agreement`]: one priority class
-/// of one scheme, compared across the three k-class pipelines.
-fn class_agreement_k(
-    c: usize,
-    analytic_loads: &[f64],
-    link_stable: &[bool],
-    fluid: &KClassReport,
-    des: &KClassReport,
-    matrix: &TrafficMatrix,
-) -> ClassAgreement {
-    let mut fluid_err = 0.0f64;
-    for (a, f) in analytic_loads.iter().zip(&fluid.class_loads[c]) {
-        let err = if *a == 0.0 && *f == 0.0 {
-            0.0
-        } else {
-            (f - a).abs() / a.abs().max(1e-12)
-        };
-        fluid_err = fluid_err.max(err);
-    }
+    // DES vs analytic: stable, sufficiently sampled links above the floor.
     let max_load = analytic_loads.iter().cloned().fold(0.0, f64::max);
     let floor = load_floor(max_load);
     let mut des_err = 0.0f64;
@@ -485,11 +338,14 @@ fn class_agreement_k(
         if *a >= floor
             && floor > 0.0
             && link_stable[i]
-            && des.link_wait_samples[c][i] >= DES_LOAD_MIN_SAMPLES
+            && des.link_wait_samples[c][i] >= des_load_min_samples
         {
             des_err = des_err.max((d - a).abs() / a);
         }
     }
+    // Delays: flow-weighted means over the common pair set (finite,
+    // non-hot fluid prediction AND DES measured). Iterates the fluid
+    // report's sorted map, so the accumulation order is deterministic.
     let (mut fluid_sum, mut des_sum, mut vol) = (0.0, 0.0, 0.0);
     let (mut compared, mut saturated) = (0usize, 0usize);
     for (key, &fd) in &fluid.pair_delays {
@@ -533,7 +389,7 @@ fn class_agreement_k(
 /// Folds the agreements of classes `1..k` into the report's `low` slot:
 /// worst-case load errors, summed pair counts, and the delay means of
 /// the class with the worst delay error (so the reported means and the
-/// reported error describe the same class).
+/// reported error describe the same class). One class folds to itself.
 fn fold_lower_classes(classes: &[ClassAgreement]) -> ClassAgreement {
     let mut out = ClassAgreement {
         fluid_load_rel_err: 0.0,
@@ -560,10 +416,11 @@ fn fold_lower_classes(classes: &[ClassAgreement]) -> ClassAgreement {
     out
 }
 
-/// Scans a k-class DES report for priority inversions across every
-/// adjacent class pair — strict priority forbids a higher class waiting
-/// longer than the class right below it on the same link.
-fn isolation_violations_k(des: &KClassReport) -> usize {
+/// Scans a DES report for priority inversions across every adjacent
+/// class pair: links where, with enough samples of both classes, the
+/// higher class's mean wait exceeds that of the class right below it by
+/// more than noise slack — which strict priority forbids.
+fn isolation_violations(des: &KClassReport) -> usize {
     let k = des.classes();
     let n = des.class_loads[0].len();
     let mut violations = 0;
@@ -581,51 +438,51 @@ fn isolation_violations_k(des: &KClassReport) -> usize {
     violations
 }
 
-/// Validates one k-class incumbent (one weight vector per class) on one
-/// instance: analytic k-class evaluator vs fluid `run_classes` vs
-/// budgeted k-class DES, with the same gates as the two-class path.
-fn validate_scheme_k(
+/// The three-way comparison both class counts share: `analytic[c]` are
+/// the per-class loads the optimizer's load model predicts for the
+/// forwarding tables `fwd`; the fluid and DES backends run on those same
+/// tables. The report's `high` slot carries class 0, `low` the fold of
+/// every lower class, so [`summarize`] gates every instance alike.
+#[allow(clippy::too_many_arguments)]
+fn compare_pipelines(
     scheme: &str,
     topo: &Topology,
-    demands: &MultiDemand,
-    weights: &[WeightVector],
+    matrices: &[&TrafficMatrix],
+    analytic: &[ClassLoads],
+    fwd: &ForwardingState,
     des_seed: u64,
     packets: u64,
+    des_load_min_samples: u64,
 ) -> SchemeValidation {
-    let k = demands.class_count();
-    let analytic = MultiEvaluator::new(topo, demands).eval(weights);
-    let matrices: Vec<&TrafficMatrix> = demands.classes.iter().collect();
+    // The same threshold classifies links here (load gate) and pairs
+    // inside the fluid backend (delay gate) — passing it explicitly
+    // keeps the two exclusion sets from drifting apart.
     let fluid_backend = FluidSim {
         cfg: dtr_sim::FluidCfg {
             hot_util: HOT_UTIL,
             ..Default::default()
         },
     };
-    let fluid = fluid_backend.run_classes(topo, &matrices, weights);
-    // The DES envelopes are calibrated against the two-class corpus. The
-    // binding statistic is the *per-class* load error and the thinnest
-    // class in a k-class split carries a small fraction of the volume, so
-    // scale the packet budget with the class count to keep that class's
-    // sample size in the regime the envelopes were tuned for.
-    let packets = packets * k as u64;
-    let des = DesBackend::budgeted_classes(&matrices, packets, des_seed)
-        .run_classes(topo, &matrices, weights);
+    let fluid = fluid_backend.run_classes_on(topo, matrices, fwd);
+    let des = DesBackend::budgeted_classes(matrices, packets, des_seed)
+        .run_classes_on(topo, matrices, fwd);
 
-    let total = analytic.total_loads();
+    let total = dtr_routing::loads::sum_class_loads(analytic);
     let link_stable: Vec<bool> = topo
         .links()
         .map(|(lid, l)| total[lid.index()] / l.capacity < HOT_UTIL)
         .collect();
     let saturated_links = link_stable.iter().filter(|ok| !**ok).count();
-    let per_class: Vec<ClassAgreement> = (0..k)
+    let per_class: Vec<ClassAgreement> = (0..matrices.len())
         .map(|c| {
-            class_agreement_k(
+            class_agreement(
                 c,
-                &analytic.loads[c],
+                &analytic[c],
                 &link_stable,
                 &fluid,
                 &des,
-                &demands.classes[c],
+                matrices[c],
+                des_load_min_samples,
             )
         })
         .collect();
@@ -635,91 +492,149 @@ fn validate_scheme_k(
         saturated_links,
         des_seed,
         des_packets: des.packets,
-        isolation_violations: isolation_violations_k(&des),
+        isolation_violations: isolation_violations(&des),
         high: per_class[0],
         low: fold_lower_classes(&per_class[1..]),
     }
 }
 
-/// Stream tags for the derived DES seeds, allocated in the central
-/// registry ([`dtr_core::streams`]) inside the span-tagged DES window so
-/// validation can never share an RNG stream with a search arm or a
-/// reoptimization step.
-const DES_STREAM_BASELINE: u64 = dtr_core::streams::DES_BASELINE;
-/// See [`DES_STREAM_BASELINE`].
-const DES_STREAM_DTR: u64 = dtr_core::streams::DES_DTR;
+/// Validates one two-class incumbent on one instance.
+///
+/// Under a partial `deployment` the analytic evaluation and both
+/// simulation backends all route the low class on the **hybrid** DAGs
+/// (legacy routers forward on the high table); the incumbent must be
+/// loop-free, so one that traps demand is refused up front with the
+/// undeliverable volume.
+#[allow(clippy::too_many_arguments)]
+fn validate_scheme(
+    instance: &str,
+    scheme: &str,
+    topo: &Topology,
+    demands: &DemandSet,
+    weights: &DualWeights,
+    deployment: Option<&DeploymentSet>,
+    des_seed: u64,
+    packets: u64,
+) -> Result<SchemeValidation, TrappedDemand> {
+    let mut evaluator = Evaluator::new(topo, demands, Objective::LoadBased);
+    evaluator
+        .set_deployment(deployment.cloned())
+        .expect("validated manifest fences deployment to load-based two-class");
+    if let Some(dep) = deployment {
+        let (_, undeliverable) = evaluator.low_loads_deployed(dep, &weights.high, &weights.low);
+        if undeliverable > 0.0 {
+            return Err(TrappedDemand {
+                instance: instance.to_string(),
+                scheme: scheme.to_string(),
+                undeliverable_mbps: undeliverable,
+            });
+        }
+    }
+    let analytic = evaluator.eval_dual(weights);
+    let fwd = match deployment {
+        Some(dep) => ForwardingState::with_deployment(topo, weights, dep),
+        None => ForwardingState::new(topo, weights),
+    };
+    // The two-class load floor tracks the aggregate volume, which gives
+    // every compared link significance without a sample floor.
+    Ok(compare_pipelines(
+        scheme,
+        topo,
+        &[&demands.high, &demands.low],
+        &[analytic.high_loads, analytic.low_loads],
+        &fwd,
+        des_seed,
+        packets,
+        0,
+    ))
+}
+
+/// Validates one k-class incumbent (one weight vector per class) on one
+/// instance, with the same gates as the two-class path. The analytic
+/// side is each class's matrix routed on its own vector — all the
+/// comparison needs of the k-class objective is its loads.
+fn validate_scheme_k(
+    scheme: &str,
+    topo: &Topology,
+    demands: &MultiDemand,
+    weights: &[WeightVector],
+    des_seed: u64,
+    packets: u64,
+) -> SchemeValidation {
+    let matrices: Vec<&TrafficMatrix> = demands.classes.iter().collect();
+    let mut calc = LoadCalculator::new();
+    let analytic: Vec<ClassLoads> = matrices
+        .iter()
+        .zip(weights)
+        .map(|(m, w)| calc.class_loads(topo, w, m))
+        .collect();
+    // The DES envelopes are calibrated against the two-class corpus. The
+    // binding statistic is the *per-class* load error and the thinnest
+    // class in a k-class split carries a small fraction of the volume, so
+    // scale the packet budget with the class count to keep that class's
+    // sample size in the regime the envelopes were tuned for.
+    compare_pipelines(
+        scheme,
+        topo,
+        &matrices,
+        &analytic,
+        &ForwardingState::with_class_weights(topo, weights),
+        des_seed,
+        packets * matrices.len() as u64,
+        DES_LOAD_MIN_SAMPLES,
+    )
+}
 
 /// Validates one corpus instance end-to-end: reruns the suite searches
 /// for the incumbents (without the failure-policy sweep, which
-/// validation has no use for), then pushes both through the three
+/// validation has no use for), then pushes the STR baseline and the DTR
+/// incumbent — one weight vector per class — through the three
 /// pipelines.
-pub fn validate_instance(spec: &ScenarioSpec, cfg: &ValidateCfg) -> ValidationReport {
-    if spec.class_count() > 2 {
-        return validate_instance_k(spec, cfg);
-    }
-    let run = search_incumbents(spec, cfg.smoke);
+pub fn validate_instance(
+    spec: &ScenarioSpec,
+    cfg: &ValidateCfg,
+) -> Result<ValidationReport, TrappedDemand> {
     let base_seed = spec.search().seed.unwrap_or(1);
+    // Stream tags from the central registry's DES window, so validation
+    // never shares an RNG stream with a search arm or a reopt step.
+    let baseline_seed = derive_stream_seed(base_seed, streams::DES_BASELINE);
+    let dtr_seed = derive_stream_seed(base_seed, streams::DES_DTR);
     let packets = cfg.packets();
-    ValidationReport {
+    let (topo, budget, baseline, dtr) = if spec.class_count() > 2 {
+        let run = search_incumbents_k(spec, cfg.smoke);
+        let scheme = |name, weights, seed| {
+            validate_scheme_k(name, &run.topo, &run.demands, weights, seed, packets)
+        };
+        let baseline = scheme("baseline", &run.str_weights, baseline_seed);
+        let dtr = scheme("dtr", &run.dtr_weights, dtr_seed);
+        (run.topo, run.budget, baseline, dtr)
+    } else {
+        let run = search_incumbents(spec, cfg.smoke);
+        let scheme = |name, weights, deployment, seed| {
+            validate_scheme(
+                &spec.name,
+                name,
+                &run.topo,
+                &run.demands,
+                weights,
+                deployment,
+                seed,
+                packets,
+            )
+        };
+        let baseline = scheme("baseline", &run.str_weights, None, baseline_seed)?;
+        let dtr = scheme("dtr", &run.dtr_weights, run.deployment.as_ref(), dtr_seed)?;
+        (run.topo, run.budget, baseline, dtr)
+    };
+    Ok(ValidationReport {
         name: spec.name.clone(),
         topology: spec.topology.family_name().to_string(),
-        nodes: run.topo.node_count(),
-        links: run.topo.link_count(),
-        budget: run.budget.clone(),
-        baseline: validate_scheme(
-            "baseline",
-            &run.topo,
-            &run.demands,
-            &run.str_weights,
-            None,
-            derive_stream_seed(base_seed, DES_STREAM_BASELINE),
-            packets,
-        ),
-        dtr: validate_scheme(
-            "dtr",
-            &run.topo,
-            &run.demands,
-            &run.dtr_weights,
-            run.deployment.as_ref(),
-            derive_stream_seed(base_seed, DES_STREAM_DTR),
-            packets,
-        ),
-    }
-}
-
-/// The k-class variant of [`validate_instance`]: reruns the k-class
-/// suite searches for the incumbents, then pushes the replicated STR
-/// baseline and the k-vector DTR incumbent through the analytic, fluid
-/// and DES k-class pipelines. The report's `high` slot carries class 0,
-/// `low` the fold of every lower class ([`fold_lower_classes`]), so
-/// [`summarize`] gates k-class instances with the same envelopes.
-fn validate_instance_k(spec: &ScenarioSpec, cfg: &ValidateCfg) -> ValidationReport {
-    let run = search_incumbents_k(spec, cfg.smoke);
-    let base_seed = spec.search().seed.unwrap_or(1);
-    let packets = cfg.packets();
-    ValidationReport {
-        name: spec.name.clone(),
-        topology: spec.topology.family_name().to_string(),
-        nodes: run.topo.node_count(),
-        links: run.topo.link_count(),
-        budget: run.budget.clone(),
-        baseline: validate_scheme_k(
-            "baseline",
-            &run.topo,
-            &run.demands,
-            &run.str_weights,
-            derive_stream_seed(base_seed, DES_STREAM_BASELINE),
-            packets,
-        ),
-        dtr: validate_scheme_k(
-            "dtr",
-            &run.topo,
-            &run.demands,
-            &run.dtr_weights,
-            derive_stream_seed(base_seed, DES_STREAM_DTR),
-            packets,
-        ),
-    }
+        nodes: topo.node_count(),
+        links: topo.link_count(),
+        budget,
+        baseline,
+        dtr,
+    })
 }
 
 /// Folds per-instance reports into the aggregate summary with gate
@@ -777,13 +692,16 @@ pub fn summarize(reports: &[ValidationReport], cfg: &ValidateCfg) -> ValidationS
 
 /// Runs differential validation over the corpus selection.
 ///
+/// # Errors
+/// The first incumbent that traps demand under its partial deployment.
+///
 /// # Panics
 /// If `cfg` selects no instances — check with [`crate::select`] first
 /// when the selection comes from user input.
 pub fn run_validation(
     specs: &[ScenarioSpec],
     cfg: &ValidateCfg,
-) -> (Vec<ValidationReport>, ValidationSummary) {
+) -> Result<(Vec<ValidationReport>, ValidationSummary), TrappedDemand> {
     let selected = crate::select(specs, &cfg.suite_cfg());
     assert!(
         !selected.is_empty(),
@@ -791,12 +709,12 @@ pub fn run_validation(
         cfg.smoke,
         cfg.only
     );
-    let reports: Vec<ValidationReport> = selected
+    let reports = selected
         .iter()
         .map(|spec| validate_instance(spec, cfg))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let summary = summarize(&reports, cfg);
-    (reports, summary)
+    Ok((reports, summary))
 }
 
 /// The result-shape invariants a smoke run asserts. Panics with the
@@ -882,7 +800,7 @@ mod tests {
 
     #[test]
     fn instance_validates_end_to_end() {
-        let r = validate_instance(&spec("mini"), &cfg());
+        let r = validate_instance(&spec("mini"), &cfg()).unwrap();
         assert_validation_shape(&r);
         // Structural agreement: fluid loads are the analytic loads.
         for s in r.schemes() {
@@ -908,7 +826,7 @@ mod tests {
             upgraded: vec![0, 3, 5],
         });
         s.validate().unwrap();
-        let r = validate_instance(&s, &cfg());
+        let r = validate_instance(&s, &cfg()).unwrap();
         assert_validation_shape(&r);
         // The fluid backend routed on the same hybrid DAGs as the
         // deployment-aware analytic evaluation: exact agreement.
@@ -925,8 +843,46 @@ mod tests {
     }
 
     #[test]
+    fn incumbent_that_traps_demand_is_a_typed_error() {
+        // `routing::deploy`'s canonical loop: legacy A forwards towards C
+        // on the high topology via B, upgraded B forwards towards C on
+        // the low topology via A, so A → B → A traps all low demand.
+        use dtr_graph::NodeId;
+        let topo = dtr_graph::gen::triangle_topology(1.0);
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        let mut high = WeightVector::uniform(&topo, 1);
+        high.set(topo.find_link(a, c).unwrap(), 10);
+        let mut low = WeightVector::uniform(&topo, 1);
+        low.set(topo.find_link(b, c).unwrap(), 10);
+        let mut demands = DemandSet {
+            high: TrafficMatrix::zeros(3),
+            low: TrafficMatrix::zeros(3),
+        };
+        demands.high.set(0, 2, 0.1);
+        demands.low.set(0, 2, 0.25);
+        demands.low.set(1, 2, 0.5);
+        let err = validate_scheme(
+            "loop",
+            "dtr",
+            &topo,
+            &demands,
+            &DualWeights { high, low },
+            Some(&DeploymentSet::from_upgraded(3, &[1])),
+            1,
+            1_000,
+        )
+        .unwrap_err();
+        assert_eq!(err.instance, "loop");
+        assert_eq!(err.scheme, "dtr");
+        assert!((err.undeliverable_mbps - 0.75).abs() < 1e-12);
+        assert!(err
+            .to_string()
+            .contains("loop/dtr: incumbent traps 0.75 Mbit/s"));
+    }
+
+    #[test]
     fn summary_gates_trip_on_bad_numbers() {
-        let mut r = validate_instance(&spec("gates"), &cfg());
+        let mut r = validate_instance(&spec("gates"), &cfg()).unwrap();
         r.dtr.high.fluid_load_rel_err = 1e-3;
         r.dtr.low.mean_delay_rel_err = Some(10.0);
         r.baseline.isolation_violations = 2;
@@ -938,7 +894,7 @@ mod tests {
 
     #[test]
     fn reports_serialize_round_trip() {
-        let r = validate_instance(&spec("json"), &cfg());
+        let r = validate_instance(&spec("json"), &cfg()).unwrap();
         let text = serde_json::to_string_pretty(&r).unwrap();
         let back: ValidationReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, r);
@@ -952,7 +908,7 @@ mod tests {
             dtr_cost::SlaParams::default(),
         ));
         s.validate().unwrap();
-        let r = validate_instance(&s, &cfg());
+        let r = validate_instance(&s, &cfg()).unwrap();
         assert_validation_shape(&r);
         // Fluid loads reproduce the k-class analytic loads exactly, for
         // class 0 and for every lower class.
@@ -1003,7 +959,7 @@ mod tests {
 
     #[test]
     fn des_seeds_are_derived_not_raw() {
-        let r = validate_instance(&spec("seeds"), &cfg());
+        let r = validate_instance(&spec("seeds"), &cfg()).unwrap();
         assert_ne!(r.baseline.des_seed, r.dtr.des_seed);
         assert_ne!(r.baseline.des_seed, 5);
     }

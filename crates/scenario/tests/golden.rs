@@ -43,7 +43,7 @@ fn regenerate() -> Vec<(PathBuf, String)> {
         ));
         out.push((
             repo_file(&format!("tests/golden/validate/{name}.json")),
-            serde_json::to_string_pretty(&validate_instance(&spec, &cfg)).unwrap(),
+            serde_json::to_string_pretty(&validate_instance(&spec, &cfg).unwrap()).unwrap(),
         ));
     }
     out

@@ -61,8 +61,8 @@ fn repeat_runs_serialize_byte_identically() {
         7,
     );
     let c = cfg(30_000);
-    let a = serde_json::to_string_pretty(&validate_instance(&s, &c)).unwrap();
-    let b = serde_json::to_string_pretty(&validate_instance(&s, &c)).unwrap();
+    let a = serde_json::to_string_pretty(&validate_instance(&s, &c).unwrap()).unwrap();
+    let b = serde_json::to_string_pretty(&validate_instance(&s, &c).unwrap()).unwrap();
     assert_eq!(a, b, "validation reports must be byte-identical");
 }
 
@@ -75,8 +75,8 @@ fn different_manifest_seeds_give_different_des_streams() {
         links: 36,
         seed: 7,
     };
-    let a = validate_instance(&spec("a", topo, TrafficFamily::Gravity, 7), &cfg(20_000));
-    let b = validate_instance(&spec("b", topo, TrafficFamily::Gravity, 8), &cfg(20_000));
+    let a = validate_instance(&spec("a", topo, TrafficFamily::Gravity, 7), &cfg(20_000)).unwrap();
+    let b = validate_instance(&spec("b", topo, TrafficFamily::Gravity, 8), &cfg(20_000)).unwrap();
     assert_ne!(a.baseline.des_seed, b.baseline.des_seed);
     assert_ne!(a.dtr.des_seed, b.dtr.des_seed);
 }
@@ -120,7 +120,7 @@ fn gates_hold_across_topology_and_traffic_regimes() {
         ),
     ];
     let c = cfg(30_000);
-    let (reports, summary) = run_validation(&specs, &c);
+    let (reports, summary) = run_validation(&specs, &c).unwrap();
     assert_eq!(reports.len(), 3);
     assert!(
         summary.fluid_ok,
@@ -153,7 +153,7 @@ fn validation_reuses_the_comma_list_filter() {
         only: Some("one,three".into()),
         des_packets: 15_000,
     };
-    let (reports, summary) = run_validation(&specs, &c);
+    let (reports, summary) = run_validation(&specs, &c).unwrap();
     assert_eq!(summary.names, vec!["one", "three"]);
     assert_eq!(reports.len(), 2);
 }

@@ -12,6 +12,7 @@
 //! ```
 
 use dtr::core::SearchParams;
+use dtr::cost::ObjectiveSpec;
 use dtr::graph::gen::{random_topology, RandomTopologyCfg};
 use dtr::multi::{MultiDemand, MultiSearch, MultiTrafficCfg};
 
@@ -37,7 +38,10 @@ fn main() {
     );
 
     println!("optimizing three weight topologies (staged lexicographic search)...");
-    let res = MultiSearch::new(&topo, &demands, SearchParams::experiment().with_seed(5)).run();
+    let params = SearchParams::experiment().with_seed(5);
+    let res = MultiSearch::with_spec(&topo, &demands, &ObjectiveSpec::load(3), params)
+        .expect("three load classes")
+        .run();
 
     println!("\nfinal lexicographic cost: {}", res.best_cost);
     for (i, name) in ["voice", "business", "bulk"].iter().enumerate() {

@@ -10,6 +10,7 @@
 //! - [`traffic`] — gravity-model and high-priority traffic matrices.
 //! - [`cost`] — load-based (Fortz–Thorup) and SLA-based cost functions.
 //! - [`routing`] — the ECMP routing engine and objective evaluator.
+//! - [`engine`] — incremental-SPF batch evaluation, two-class and k-class.
 //! - [`core`] — the paper's contribution: DTR/STR weight-search heuristics.
 //! - [`sim`] — discrete-event two-priority queueing simulator.
 //! - [`mtr`] — MT-OSPF-style (RFC 4915) control-plane emulation.
@@ -43,6 +44,7 @@
 
 pub use dtr_core as core;
 pub use dtr_cost as cost;
+pub use dtr_engine as engine;
 pub use dtr_experiments as experiments;
 pub use dtr_graph as graph;
 pub use dtr_mtr as mtr;
