@@ -49,9 +49,33 @@ struct State {
     high: HighSide,
     low_loads: ClassLoads,
     eval: Evaluation,
+    /// `FindH`'s and `FindL`'s rank tables of `eval`, built on first
+    /// use: a pass that accepts no move leaves `eval`, and so the
+    /// ranking of every link, as it was.
+    high_ranks: Option<RankTable>,
+    low_ranks: Option<RankTable>,
 }
 
 impl State {
+    fn new(w: DualWeights, high: HighSide, low_loads: ClassLoads, eval: Evaluation) -> State {
+        State {
+            w,
+            high,
+            low_loads,
+            eval,
+            high_ranks: None,
+            low_ranks: None,
+        }
+    }
+
+    /// Replaces the evaluation after an accepted move, dropping the
+    /// rank tables built from the old one.
+    fn set_eval(&mut self, eval: Evaluation) {
+        self.eval = eval;
+        self.high_ranks = None;
+        self.low_ranks = None;
+    }
+
     /// Evaluates `w` through the engine and rebases both class backends
     /// onto it, so subsequent candidate deltas are small. Under a bound
     /// partial deployment the low class rides the hybrid DAGs and
@@ -68,12 +92,7 @@ impl State {
                 .evaluator()
                 .finish_deployed(high.clone(), low_loads.clone(), undeliverable)
                 .expect("engine high sides carry the SLA walk");
-            return State {
-                w,
-                high,
-                low_loads,
-                eval,
-            };
+            return State::new(w, high, low_loads, eval);
         }
         let high = engine.eval_high(&w.high);
         let low_loads = engine.eval_low(&w.low);
@@ -81,12 +100,7 @@ impl State {
             .evaluator()
             .finish(high.clone(), low_loads.clone())
             .expect("engine high sides carry the SLA walk");
-        State {
-            w,
-            high,
-            low_loads,
-            eval,
-        }
+        State::new(w, high, low_loads, eval)
     }
 }
 
@@ -280,10 +294,12 @@ impl<'a> DtrSearch<'a> {
         rng: &mut StdRng,
         trace: &mut SearchTrace,
     ) -> bool {
-        let ranks = self.engine.evaluator().link_ranks(&state.eval);
-        let keys: Vec<Lex2> = ranks.iter().map(|r| r.high).collect();
-        let table = RankTable::new(&keys);
-        let moves = sampler.moves(&table, &self.params, rng);
+        let table = state.high_ranks.get_or_insert_with(|| {
+            let ranks = self.engine.evaluator().link_ranks(&state.eval);
+            let keys: Vec<Lex2> = ranks.iter().map(|r| r.high).collect();
+            RankTable::new(&keys)
+        });
+        let moves = sampler.moves(table, &self.params, rng);
 
         // Materialize the non-degenerate candidates, then evaluate them
         // as one engine batch (incremental repair or cache hit each).
@@ -317,7 +333,7 @@ impl<'a> DtrSearch<'a> {
                     state.w.high = wh;
                     state.high = high;
                     state.low_loads = low_loads;
-                    state.eval = eval;
+                    state.set_eval(eval);
                     self.engine.rebase_high(&state.w.high);
                     trace.moves_accepted += 1;
                     true
@@ -343,7 +359,7 @@ impl<'a> DtrSearch<'a> {
             Some((eval, high, wh)) if eval.cost < state.eval.cost => {
                 state.w.high = wh;
                 state.high = high;
-                state.eval = eval;
+                state.set_eval(eval);
                 self.engine.rebase_high(&state.w.high);
                 trace.moves_accepted += 1;
                 true
@@ -362,10 +378,12 @@ impl<'a> DtrSearch<'a> {
         rng: &mut StdRng,
         trace: &mut SearchTrace,
     ) -> bool {
-        let ranks = self.engine.evaluator().link_ranks(&state.eval);
-        let keys: Vec<f64> = ranks.iter().map(|r| r.low).collect();
-        let table = RankTable::new(&keys);
-        let moves = sampler.moves(&table, &self.params, rng);
+        let table = state.low_ranks.get_or_insert_with(|| {
+            let ranks = self.engine.evaluator().link_ranks(&state.eval);
+            let keys: Vec<f64> = ranks.iter().map(|r| r.low).collect();
+            RankTable::new(&keys)
+        });
+        let moves = sampler.moves(table, &self.params, rng);
 
         let cands: Vec<WeightVector> = moves
             .into_iter()
@@ -393,7 +411,7 @@ impl<'a> DtrSearch<'a> {
                 Some((eval, low_loads, wl)) if eval.cost < state.eval.cost => {
                     state.w.low = wl;
                     state.low_loads = low_loads;
-                    state.eval = eval;
+                    state.set_eval(eval);
                     self.engine.rebase_low(&state.w.low);
                     trace.moves_accepted += 1;
                     true
@@ -419,7 +437,7 @@ impl<'a> DtrSearch<'a> {
             Some((eval, low_loads, wl)) if eval.cost < state.eval.cost => {
                 state.w.low = wl;
                 state.low_loads = low_loads;
-                state.eval = eval;
+                state.set_eval(eval);
                 self.engine.rebase_low(&state.w.low);
                 trace.moves_accepted += 1;
                 true

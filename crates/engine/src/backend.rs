@@ -19,7 +19,7 @@
 //! Both produce bit-identical loads for identical inputs; the engine's
 //! equivalence proptests enforce this.
 
-use crate::state::{CandidateEval, FlowState};
+use crate::state::{CandidateEval, FlowState, WorkStats};
 use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
 use dtr_routing::{push_demand_down_dag, ClassLoads, FailureScenario};
 use dtr_traffic::TrafficMatrix;
@@ -80,6 +80,12 @@ pub trait EvalBackend {
 
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
+
+    /// Deterministic work counters since construction. All zero for a
+    /// backend that keeps no incremental state.
+    fn work_stats(&self) -> WorkStats {
+        WorkStats::default()
+    }
 }
 
 /// Full recomputation per candidate, parallel over the batch.
@@ -271,6 +277,10 @@ impl<'a> EvalBackend for IncrementalBackend<'a> {
 
     fn kind(&self) -> BackendKind {
         BackendKind::Incremental
+    }
+
+    fn work_stats(&self) -> WorkStats {
+        self.state.work_stats()
     }
 }
 

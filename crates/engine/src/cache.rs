@@ -12,6 +12,7 @@
 //! corrupt the search).
 
 use dtr_graph::WeightVector;
+use std::collections::{HashMap, VecDeque};
 
 /// FNV-1a over the raw weight words.
 pub fn weight_hash(w: &WeightVector) -> u64 {
@@ -32,7 +33,14 @@ struct Entry<V> {
 
 /// Least-recently-used map from weight vectors to evaluation results.
 pub struct LruCache<V> {
-    map: std::collections::HashMap<u64, Entry<V>>,
+    map: HashMap<u64, Entry<V>>,
+    /// One `(hash, stamp)` record per use, oldest first. A record is
+    /// live while its entry still carries that stamp; a later use of
+    /// the entry leaves it stale. The oldest live record names the
+    /// least-recently-used entry, so eviction pops from the front —
+    /// amortised O(1), where scanning every entry for the minimum stamp
+    /// cost O(capacity) per insert once the cache was full.
+    recency: VecDeque<(u64, u64)>,
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -48,7 +56,8 @@ impl<V: Clone> LruCache<V> {
         // absurd requests — `capacity` itself stays fully honored by
         // the eviction logic in `put`.
         LruCache {
-            map: std::collections::HashMap::with_capacity(capacity.min(1 << 16)),
+            map: HashMap::with_capacity(capacity.min(1 << 16)),
+            recency: VecDeque::new(),
             capacity,
             tick: 0,
             hits: 0,
@@ -67,12 +76,26 @@ impl<V: Clone> LruCache<V> {
             Some(e) if &e.key == w => {
                 e.stamp = self.tick;
                 self.hits += 1;
-                Some(e.value.clone())
+                let value = e.value.clone();
+                self.record_use(h);
+                Some(value)
             }
             _ => {
                 self.misses += 1;
                 None
             }
+        }
+    }
+
+    /// Appends the use of `h` at the current tick to the recency queue,
+    /// dropping stale records once they outnumber the live ones (at
+    /// most one live record per entry), which keeps the queue O(capacity).
+    fn record_use(&mut self, h: u64) {
+        self.recency.push_back((h, self.tick));
+        if self.recency.len() > 2 * self.capacity {
+            let map = &self.map;
+            self.recency
+                .retain(|&(h, stamp)| map.get(&h).is_some_and(|e| e.stamp == stamp));
         }
     }
 
@@ -86,8 +109,11 @@ impl<V: Clone> LruCache<V> {
         self.tick += 1;
         let h = weight_hash(w);
         if self.map.len() >= self.capacity && !self.map.contains_key(&h) {
-            if let Some((&evict, _)) = self.map.iter().min_by_key(|(_, e)| e.stamp) {
-                self.map.remove(&evict);
+            while let Some((old, stamp)) = self.recency.pop_front() {
+                if self.map.get(&old).is_some_and(|e| e.stamp == stamp) {
+                    self.map.remove(&old);
+                    break;
+                }
             }
         }
         self.map.insert(
@@ -98,6 +124,7 @@ impl<V: Clone> LruCache<V> {
                 stamp: self.tick,
             },
         );
+        self.record_use(h);
     }
 
     /// `(hits, misses)` counters.
@@ -108,6 +135,7 @@ impl<V: Clone> LruCache<V> {
     /// Drops all entries (counters are kept).
     pub fn clear(&mut self) {
         self.map.clear();
+        self.recency.clear();
     }
 }
 
@@ -161,6 +189,27 @@ mod tests {
         assert_eq!(c.get(&wv(vec![2, 3])), None, "LRU entry must go first");
         assert_eq!(c.get(&wv(vec![1, 2])), Some(1), "refreshed entry survives");
         assert_eq!(c.get(&wv(vec![9999, 10000])), Some(9999));
+    }
+
+    #[test]
+    fn hits_keep_the_recency_queue_bounded_and_eviction_exact() {
+        let mut c: LruCache<u32> = LruCache::new(4);
+        for i in 0..4u32 {
+            c.put(&wv(vec![i]), i);
+        }
+        // Far more uses than entries, and no eviction to drain them.
+        for _ in 0..100 {
+            for i in [3u32, 2, 1, 0] {
+                assert_eq!(c.get(&wv(vec![i])), Some(i));
+            }
+        }
+        assert!(c.recency.len() <= 2 * 4 + 1, "{}", c.recency.len());
+        // The last round used 3 first, so 3 is the least recently used.
+        c.put(&wv(vec![9]), 9);
+        assert_eq!(c.get(&wv(vec![3])), None);
+        for i in [2u32, 1, 0, 9] {
+            assert_eq!(c.get(&wv(vec![i])), Some(i));
+        }
     }
 
     #[test]

@@ -25,10 +25,14 @@
 //! Distances are integers, so the repaired `dist` is exactly what a
 //! fresh reverse-Dijkstra would produce. The repaired ECMP arena slots
 //! are rebuilt by the same out-link scan (in out-link order) the full
-//! computation uses, and `order` is re-sorted with the same stable sort
-//! over the same keys — so the repaired DAG is **structurally
-//! identical** to a freshly computed one, not merely equivalent.
-//! Downstream load pushes therefore produce bit-identical
+//! computation uses. `order` is the **unique** permutation sorted by
+//! (distance descending, node id ascending) — what the full
+//! computation's stable sort from the identity yields — so a repair
+//! only has to move the nodes whose distance changed: it sorts those by
+//! the same key and merges them back among the rest, whose relative
+//! order cannot have changed. The repaired DAG is therefore
+//! **structurally identical** to a freshly computed one, not merely
+//! equivalent, and downstream load pushes produce bit-identical
 //! floating-point results.
 //!
 //! # Algorithm
@@ -44,9 +48,11 @@
 //! a Dijkstra seeded with `dist'(u) = w' + dist(v)` propagates strictly
 //! improving distances upstream.
 //!
-//! In both cases, ECMP is rebuilt exactly for the nodes whose own
-//! distance changed plus their in-neighbors (tightness of a link `(p,
-//! x)` depends only on `dist(p)`, `dist(x)` and its weight).
+//! In both cases, ECMP is rebuilt exactly for the changed link's tail,
+//! the nodes whose own distance changed and their in-neighbors
+//! (tightness of a link `(p, x)` depends only on `dist(p)`, `dist(x)`
+//! and its weight) — an invalidated ancestor that re-settles at its old
+//! distance costs nothing further.
 
 use crate::flat::{FlatDag, FlatTopo, LinkMask};
 use dtr_graph::spf::{Dist, UNREACHABLE};
@@ -60,7 +66,9 @@ use std::collections::BinaryHeap;
 pub struct DynSpfScratch {
     heap: BinaryHeap<Reverse<(Dist, u32)>>,
     /// Membership bitmap for the affected set; entries listed in
-    /// `touched` are reset after every repair.
+    /// `touched` are reset before the next repair. While a repair runs
+    /// the set is the invalidated region; once its Dijkstra is done it
+    /// is exactly the nodes whose distance changed.
     in_set: Vec<bool>,
     touched: Vec<u32>,
     /// BFS/iteration worklist.
@@ -120,11 +128,25 @@ pub fn delta_affects_dag(
     old_w: Weight,
     new_w: Weight,
 ) -> bool {
+    endpoints_delta_affects_dag(dag, ft.src(link), ft.dst(link), old_w, new_w)
+}
+
+/// [`delta_affects_dag`] for a link `(u, v)` whose endpoints the caller
+/// already holds — candidate evaluation asks this of every destination
+/// for the same one or two links.
+#[inline]
+pub(crate) fn endpoints_delta_affects_dag(
+    dag: &FlatDag,
+    u: u32,
+    v: u32,
+    old_w: Weight,
+    new_w: Weight,
+) -> bool {
     if old_w == new_w {
         return false;
     }
-    let du = dag.dist[ft.src(link) as usize];
-    let dv = dag.dist[ft.dst(link) as usize];
+    let du = dag.dist[u as usize];
+    let dv = dag.dist[v as usize];
     if dv == UNREACHABLE {
         // The link leads nowhere useful; its weight is irrelevant.
         return false;
@@ -269,7 +291,7 @@ pub fn apply_weight_delta(
         return false;
     }
 
-    let dists_changed = if new_w > old_w {
+    if new_w > old_w {
         let was_tight = du != UNREACHABLE && du == dv + old_w as Dist;
         if !was_tight {
             return false;
@@ -282,7 +304,7 @@ pub fn apply_weight_delta(
             rebuild_ecmp(ft, dag, weights, None, u);
             return true;
         }
-        repair_increase(ft, dag, weights, None, u, scratch)
+        repair_increase(ft, dag, weights, None, u, scratch);
     } else {
         let cand = dv + new_w as Dist;
         if du != UNREACHABLE && cand > du {
@@ -293,10 +315,10 @@ pub fn apply_weight_delta(
             rebuild_ecmp(ft, dag, weights, None, u);
             return true;
         }
-        repair_decrease(ft, dag, weights, None, u, cand, scratch)
-    };
+        repair_decrease(ft, dag, weights, None, u, cand, scratch);
+    }
 
-    finish_repair(ft, dag, weights, None, u, dists_changed, scratch)
+    finish_repair(ft, dag, weights, None, u, scratch)
 }
 
 /// Returns true iff **removing** `link` can alter `dag`: a removal
@@ -345,8 +367,8 @@ pub fn apply_link_down(
         rebuild_ecmp(ft, dag, weights, Some(mask), u);
         return true;
     }
-    let dists_changed = repair_increase(ft, dag, weights, Some(mask), u, scratch);
-    finish_repair(ft, dag, weights, Some(mask), u, dists_changed, scratch)
+    repair_increase(ft, dag, weights, Some(mask), u, scratch);
+    finish_repair(ft, dag, weights, Some(mask), u, scratch)
 }
 
 /// Repairs `dag` in place after `link` came back **up**. `mask` must be
@@ -385,22 +407,22 @@ pub fn apply_link_up(
         rebuild_ecmp(ft, dag, weights, Some(mask), u);
         return true;
     }
-    let dists_changed = repair_decrease(ft, dag, weights, Some(mask), u, cand, scratch);
-    finish_repair(ft, dag, weights, Some(mask), u, dists_changed, scratch)
+    repair_decrease(ft, dag, weights, Some(mask), u, cand, scratch);
+    finish_repair(ft, dag, weights, Some(mask), u, scratch)
 }
 
-/// Shared repair tail: rebuild ECMP membership for every node whose
-/// distance changed and for their in-neighbors (whose tight-link sets
-/// reference those distances), plus `u` itself (the changed link's
-/// tail); then re-sort `order` if any distance changed. Always returns
-/// `true` (the repair ran).
+/// Shared repair tail. `scratch.touched` holds exactly the nodes whose
+/// distance changed; ECMP membership is rebuilt for them, for their
+/// in-neighbors (whose tight-link sets reference those distances) and
+/// for `u` itself (the changed link's tail), and the changed nodes are
+/// moved to their new places in `order`. Always returns `true` (the
+/// repair ran).
 fn finish_repair(
     ft: &FlatTopo,
     dag: &mut FlatDag,
     weights: &[Weight],
     mask: Option<&LinkMask>,
     u: u32,
-    dists_changed: bool,
     scratch: &mut DynSpfScratch,
 ) -> bool {
     scratch.mark_recompute(u);
@@ -419,16 +441,43 @@ fn finish_repair(
     scratch.recompute = recompute;
     scratch.recompute.clear();
 
-    if dists_changed {
-        // Same stable sort over the same keys as the full computation;
-        // start from the identity permutation so equal-distance ties
-        // land in the same order a fresh compute produces.
-        for (i, x) in dag.order.iter_mut().enumerate() {
-            *x = i as u32;
-        }
-        dag.order.sort_by_key(|&x| Reverse(dag.dist[x as usize]));
+    if !scratch.touched.is_empty() {
+        reorder_changed(dag, scratch);
     }
     true
+}
+
+/// Restores `dag.order` after the distances of exactly the nodes in
+/// `scratch.touched` changed. `order` is the unique permutation sorted
+/// by (distance descending, node id ascending), and the unchanged nodes
+/// are still sorted among themselves: compact them to the front, sort
+/// the changed ones by the same key, and merge backward into the freed
+/// tail. Once the changed nodes run out, the unchanged ones that remain
+/// are already in place.
+fn reorder_changed(dag: &mut FlatDag, scratch: &mut DynSpfScratch) {
+    let FlatDag { dist, order, .. } = dag;
+    let key = |x: u32| (Reverse(dist[x as usize]), x);
+    let mut kept = 0;
+    for i in 0..order.len() {
+        let x = order[i];
+        if !scratch.in_set[x as usize] {
+            order[kept] = x;
+            kept += 1;
+        }
+    }
+    scratch.touched.sort_unstable_by_key(|&x| key(x));
+    let mut changed = scratch.touched.len();
+    while changed > 0 {
+        let c = scratch.touched[changed - 1];
+        let at = kept + changed - 1;
+        if kept > 0 && key(order[kept - 1]) > key(c) {
+            order[at] = order[kept - 1];
+            kept -= 1;
+        } else {
+            order[at] = c;
+            changed -= 1;
+        }
+    }
 }
 
 /// Rebuilds node `x`'s ECMP arena slot by the same (optionally masked)
@@ -460,10 +509,9 @@ fn rebuild_ecmp(
 }
 
 /// Weight increase on a tight link out of `u`: invalidate the ancestor
-/// set of `u` and re-settle it from its boundary. Marks every node whose
-/// distance is invalidated in `scratch.touched` (superset of actually
-/// changed nodes — all get their ECMP rebuilt). Returns whether any
-/// final distance differs.
+/// set of `u` and re-settle it from its boundary. The invalidated set
+/// is a superset of the nodes that end up at a different distance; on
+/// return `scratch.touched` (and `in_set`) is narrowed to those.
 fn repair_increase(
     ft: &FlatTopo,
     dag: &mut FlatDag,
@@ -471,7 +519,7 @@ fn repair_increase(
     mask: Option<&LinkMask>,
     u: u32,
     scratch: &mut DynSpfScratch,
-) -> bool {
+) {
     // Ancestor set S = nodes with a DAG path to u (including u): reverse
     // BFS over tight up in-links. Tightness is judged on the pre-change
     // distances; the changed link itself points *out of* u and is never
@@ -555,16 +603,20 @@ fn repair_increase(
         }
     }
 
-    scratch
-        .old_dist
-        .iter()
-        .any(|&(x, d)| dag.dist[x as usize] != d)
+    // `old_dist` lists S in `touched` order: filter both in step.
+    scratch.touched.clear();
+    for &(x, d) in &scratch.old_dist {
+        if dag.dist[x as usize] != d {
+            scratch.touched.push(x);
+        } else {
+            scratch.in_set[x as usize] = false;
+        }
+    }
 }
 
 /// Weight decrease: propagate the strictly improving candidate
-/// `dist'(u) = cand` upstream. Marks improved nodes in
-/// `scratch.touched`. Returns whether anything improved (always true
-/// when called — the caller pre-checks `cand < dist(u)`).
+/// `dist'(u) = cand` upstream (the caller pre-checks `cand < dist(u)`).
+/// Marks the improved nodes in `scratch.touched`.
 fn repair_decrease(
     ft: &FlatTopo,
     dag: &mut FlatDag,
@@ -573,7 +625,7 @@ fn repair_decrease(
     u: u32,
     cand: Dist,
     scratch: &mut DynSpfScratch,
-) -> bool {
+) {
     debug_assert!(dag.dist[u as usize] == UNREACHABLE || cand < dag.dist[u as usize]);
     dag.dist[u as usize] = cand;
     scratch.mark_set(u);
@@ -595,7 +647,6 @@ fn repair_decrease(
             }
         }
     }
-    true
 }
 
 #[cfg(test)]
@@ -822,6 +873,77 @@ mod tests {
                 apply_weight_delta(&ft, &mut dag, w.as_slice(), lid, old, new, &mut scratch);
             }
             assert_matches_fresh(&topo, &ft, &dag, &w);
+        }
+    }
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// Long in-place walks where ties are everywhere (weights from
+        /// 1..=3) and, in between, every out-link of some node goes down
+        /// and comes back, which cuts that node (and whatever hangs off
+        /// it) from the destination. After every single repair the DAG
+        /// (`dist`, `order`, every branch list) equals a fresh one.
+        #[test]
+        fn tied_walks_with_disconnections_match_fresh(
+            seed in 0u64..10_000,
+            nodes in 20usize..=60,
+        ) {
+            use proptest::prelude::*;
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let topo = dtr_graph::gen::random_topology(&dtr_graph::gen::RandomTopologyCfg {
+                nodes,
+                directed_links: nodes * 4,
+                seed,
+            });
+            let ft = FlatTopo::new(&topo);
+            let m = topo.link_count() as u32;
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut w: Vec<Weight> = (0..m).map(|_| rng.random_range(1u32..=3)).collect();
+            let dest = rng.random_range(0..nodes as u32);
+            let mut ws = FlatSpfWorkspace::new();
+            let mut dag = FlatDag::empty(&ft);
+            dag.compute_into(&ft, &w, dest, None, &mut ws);
+            let mut fresh = FlatDag::empty(&ft);
+            let mut scratch = DynSpfScratch::new();
+            let mut mask = LinkMask::all_up(m as usize);
+            let mut cut_nodes = 0usize;
+
+            for step in 0..240usize {
+                if step % 8 == 7 {
+                    let x = rng.random_range(0..nodes as u32);
+                    let downs = ft.out_links(x).to_vec();
+                    for &l in &downs {
+                        mask.set_down(l);
+                        if link_down_affects_dag(&ft, &dag, &w, l) {
+                            apply_link_down(&ft, &mut dag, &w, &mask, l, &mut scratch);
+                        }
+                        fresh.compute_into(&ft, &w, dest, Some(&mask), &mut ws);
+                        prop_assert!(dag.same_structure(&ft, &fresh), "step {}", step);
+                    }
+                    if x != dest {
+                        prop_assert_eq!(dag.dist[x as usize], UNREACHABLE);
+                        cut_nodes += 1;
+                    }
+                    for &l in downs.iter().rev() {
+                        mask.set_up(l);
+                        apply_link_up(&ft, &mut dag, &w, &mask, l, &mut scratch);
+                        fresh.compute_into(&ft, &w, dest, Some(&mask), &mut ws);
+                        prop_assert!(dag.same_structure(&ft, &fresh), "step {}", step);
+                    }
+                    continue;
+                }
+                let lid = rng.random_range(0..m);
+                let old = w[lid as usize];
+                let new = rng.random_range(1u32..=3);
+                w[lid as usize] = new;
+                if delta_affects_dag(&ft, &dag, lid, old, new) {
+                    apply_weight_delta(&ft, &mut dag, &w, lid, old, new, &mut scratch);
+                }
+                fresh.compute_into(&ft, &w, dest, None, &mut ws);
+                prop_assert!(dag.same_structure(&ft, &fresh), "step {}", step);
+            }
+            prop_assert!(cut_nodes >= 25);
         }
     }
 }

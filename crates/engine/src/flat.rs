@@ -22,8 +22,9 @@
 //!   of 8);
 //! - [`push_demand_flat`] — the demand push of
 //!   [`dtr_routing::push_demand_down_dag_with`] over the flat arrays,
-//!   with the identical arithmetic in the identical order, so loads stay
-//!   bit-identical to the full calculator's.
+//!   seeded from a cached dense [`demand_column`], with the identical
+//!   arithmetic in the identical order, so loads stay bit-identical to
+//!   the full calculator's.
 //!
 //! The flat structures are engine-internal: `Topology` keeps its
 //! serialized form (daemon snapshots and churn traces embed it), and
@@ -240,7 +241,8 @@ pub struct FlatDag {
     /// Per-node branch count (0 for `dest` and unreachable nodes).
     pub ecmp_len: Vec<u32>,
     /// Node indices by decreasing distance (the demand-push order),
-    /// ties in ascending node order (stable sort from the identity).
+    /// ties in ascending node order: what a stable sort from the
+    /// identity yields, and the unique permutation sorted by that key.
     pub order: Vec<u32>,
 }
 
@@ -405,33 +407,45 @@ impl FlatDag {
     }
 }
 
-/// Pushes all of `m`'s demand towards `t` down the flat DAG, **adding**
-/// into `out` (indexed by link id) — the flat mirror of
+/// The demand `m` carries towards `t` as a dense per-source column of
+/// length `n` — what [`push_demand_flat`] seeds its per-node flow from.
+/// Empty when no source sends anything to `t`.
+pub fn demand_column(m: &TrafficMatrix, t: u32, n: usize) -> Vec<f64> {
+    let mut col = Vec::new();
+    for (s, v) in m.demands_to(t as usize) {
+        col.resize(n, 0.0);
+        col[s] += v;
+    }
+    col
+}
+
+/// Pushes the demand column `demand` (see [`demand_column`]) down the
+/// flat DAG towards `dag.dest`, reporting every `+= share` a link
+/// receives to `add(link, share)` — the flat mirror of
 /// [`dtr_routing::push_demand_down_dag_with`], with the identical
-/// floating-point expressions evaluated in the identical order, so the
-/// loads are bit-identical for structurally identical DAGs.
+/// floating-point expressions evaluated in the identical order, so an
+/// `add` that accumulates into a per-link vector yields bit-identical
+/// loads for structurally identical DAGs. Each DAG link is reported at
+/// most once (it is a branch of its unique tail node).
 /// `override_branches` substitutes one node's branch list for this walk
 /// (the fast-rebranch path). `flow` is caller scratch, overwritten.
 pub fn push_demand_flat(
     ft: &FlatTopo,
     dag: &FlatDag,
-    m: &TrafficMatrix,
-    t: u32,
+    demand: &[f64],
     flow: &mut Vec<f64>,
-    out: &mut [f64],
     override_branches: Option<(u32, &[u32])>,
+    mut add: impl FnMut(u32, f64),
 ) {
-    flow.resize(ft.node_count(), 0.0);
-    flow.fill(0.0);
-    for (s, v) in m.demands_to(t as usize) {
-        flow[s] += v;
-    }
+    debug_assert_eq!(demand.len(), ft.node_count());
+    flow.clear();
+    flow.extend_from_slice(demand);
     // Decreasing-distance order guarantees every contributor to a
     // node's flow is processed before the node itself.
     for &v in &dag.order {
         let vi = v as usize;
         let f = flow[vi];
-        if f <= 0.0 || v == t {
+        if f <= 0.0 || v == dag.dest {
             continue;
         }
         let branches: &[u32] = match override_branches {
@@ -446,7 +460,7 @@ pub fn push_demand_flat(
         }
         let share = f / branches.len() as f64;
         for &lid in branches {
-            out[lid as usize] += share;
+            add(lid, share);
             flow[ft.dst(lid) as usize] += share;
         }
     }
@@ -576,14 +590,17 @@ mod tests {
         let mut flow_a = Vec::new();
         let mut flow_b = Vec::new();
         for t in topo.nodes() {
-            if demands.high.demands_to(t.index()).next().is_none() {
+            let col = demand_column(&demands.high, t.0, topo.node_count());
+            if col.is_empty() {
                 continue;
             }
             flat.compute_into(&ft, w.as_slice(), t.0, None, &mut ws);
             let dag = ShortestPathDag::compute(&topo, &w, t);
             let mut a = vec![0.0; topo.link_count()];
             let mut b = vec![0.0; topo.link_count()];
-            push_demand_flat(&ft, &flat, &demands.high, t.0, &mut flow_a, &mut a, None);
+            push_demand_flat(&ft, &flat, &col, &mut flow_a, None, |l, share| {
+                a[l as usize] += share
+            });
             dtr_routing::push_demand_down_dag(&topo, &dag, &demands.high, t, &mut flow_b, &mut b);
             assert_eq!(a, b);
         }

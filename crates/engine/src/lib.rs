@@ -61,7 +61,7 @@ pub use dynspf::{
 };
 pub use flat::{FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
 pub use kclass::{KClassBatchEvaluator, KClassEvaluation};
-pub use state::{CandidateEval, DestState, FlowState};
+pub use state::{CandidateEval, DestState, FlowState, WorkStats};
 
 use dtr_cost::Objective;
 use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
@@ -146,6 +146,12 @@ impl<'a> LazyBackend<'a> {
             Some(b) => b.rebase(w),
             None => self.base = w.clone(),
         }
+    }
+
+    fn work_stats(&self) -> WorkStats {
+        self.backend
+            .as_ref()
+            .map_or_else(WorkStats::default, |b| b.work_stats())
     }
 }
 
@@ -261,9 +267,7 @@ impl<'a> BatchEvaluator<'a> {
                 self.high_cache.put(&cands[i], hs.clone());
                 values.push(hs);
             }
-            for (k, &i) in misses.iter().enumerate() {
-                out[i] = Some(values[alias[k]].clone());
-            }
+            scatter(&mut out, &misses, &uniq, &alias, values);
         }
         out.into_iter().map(Option::unwrap).collect()
     }
@@ -288,9 +292,7 @@ impl<'a> BatchEvaluator<'a> {
                 self.low_cache.put(&cands[i], loads.clone());
                 values.push(loads);
             }
-            for (k, &i) in misses.iter().enumerate() {
-                out[i] = Some(values[alias[k]].clone());
-            }
+            scatter(&mut out, &misses, &uniq, &alias, values);
         }
         out.into_iter().map(Option::unwrap).collect()
     }
@@ -326,9 +328,7 @@ impl<'a> BatchEvaluator<'a> {
                 self.joint_cache.put(&cands[i], evaluation.clone());
                 values.push(evaluation);
             }
-            for (k, &i) in misses.iter().enumerate() {
-                out[i] = Some(values[alias[k]].clone());
-            }
+            scatter(&mut out, &misses, &uniq, &alias, values);
         }
         out.into_iter().map(Option::unwrap).collect()
     }
@@ -560,6 +560,19 @@ impl<'a> BatchEvaluator<'a> {
         let (h3, m3) = self.joint_cache.stats();
         (h1 + h2 + h3, m1 + m2 + m3)
     }
+
+    /// Work counters summed over the three backends: how the
+    /// incremental backends disposed of each destination of each
+    /// candidate (replayed / rebranched / repaired), how many candidates
+    /// fell back to a full evaluation, and how many rebases ran. Exact
+    /// and repeatable for a given call sequence; all zero under
+    /// [`BackendKind::Full`].
+    pub fn work_stats(&self) -> WorkStats {
+        let mut total = self.high.work_stats();
+        total += self.low.work_stats();
+        total += self.joint.work_stats();
+        total
+    }
 }
 
 /// Deduplicates cache misses within one batch: the neighborhood sampler
@@ -581,6 +594,26 @@ fn dedupe(cands: &[WeightVector], misses: &[usize]) -> (Vec<usize>, Vec<usize>) 
         }
     }
     (uniq, alias)
+}
+
+/// Hands the freshly evaluated `values` (one per [`dedupe`]
+/// representative) to the batch's output slots: in-batch duplicates get
+/// a clone, then each value moves into its representative's slot.
+fn scatter<V: Clone>(
+    out: &mut [Option<V>],
+    misses: &[usize],
+    uniq: &[usize],
+    alias: &[usize],
+    values: Vec<V>,
+) {
+    for (&i, &p) in misses.iter().zip(alias) {
+        if uniq[p] != i {
+            out[i] = Some(values[p].clone());
+        }
+    }
+    for (&i, v) in uniq.iter().zip(values) {
+        out[i] = Some(v);
+    }
 }
 
 #[cfg(test)]
@@ -687,6 +720,57 @@ mod tests {
                 assert_eq!(ev, ev2);
             }
         }
+    }
+
+    #[test]
+    fn work_stats_repeat_exactly_for_one_seed() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (topo, demands) = instance(7);
+        let run = |kind| {
+            let mut engine = BatchEvaluator::new(&topo, &demands, Objective::LoadBased, kind);
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut cur = WeightVector::uniform(&topo, 4);
+            engine.rebase_joint(&cur);
+            engine.rebase_low(&cur);
+            let mut costs = Vec::new();
+            for step in 0..40 {
+                let mut cands: Vec<WeightVector> = (0..5)
+                    .map(|i| {
+                        let mut w = cur.clone();
+                        for _ in 0..1 + i % 2 {
+                            let lid =
+                                dtr_graph::LinkId(rng.random_range(0..topo.link_count() as u32));
+                            w.set(lid, rng.random_range(1u32..=20));
+                        }
+                        w
+                    })
+                    .collect();
+                // The sampler can draw one candidate twice in a batch.
+                cands.push(cands[0].clone());
+                let joint = engine.eval_joint_batch(&cands);
+                assert_eq!(joint[0], joint[5]);
+                let low = engine.eval_low_batch(&cands);
+                assert_eq!(low[0], low[5]);
+                costs.extend(joint.iter().map(|e| e.cost));
+                if step % 4 == 0 {
+                    cur = cands[1].clone();
+                    engine.rebase_joint(&cur);
+                    engine.rebase_low(&cur);
+                }
+            }
+            (engine.work_stats(), engine.cache_stats(), costs)
+        };
+        let a = run(BackendKind::Incremental);
+        assert_eq!(a, run(BackendKind::Incremental));
+        let w = a.0;
+        assert!(w.replayed > 0 && w.rebranched > 0 && w.repaired > 0 && w.rebases > 0);
+        assert_eq!(w.full_fallbacks, 0);
+        // The full backend keeps no incremental state: same results,
+        // same cache traffic, no repair work to count.
+        let f = run(BackendKind::Full);
+        assert_eq!(f.0, WorkStats::default());
+        assert_eq!((f.1, &f.2), (a.1, &a.2));
     }
 
     #[test]

@@ -21,19 +21,21 @@
 //! each touched link receives **exactly one** `+= share` per
 //! destination per matrix (a link is a branch of its unique tail node).
 //! The full calculator therefore performs, per link, one add per
-//! *touching* destination — untouched links see nothing. Storing each
-//! destination's contribution as `(link, value)` pairs and replaying
-//! only those reproduces that add sequence exactly; the dense
-//! alternative's interleaved `+= 0.0` adds are bit-exact no-ops on the
-//! non-negative accumulators anyway, and at 1000+ nodes a dense vector
-//! per destination per matrix is tens of megabytes of mostly zeros that
-//! the fold would stream through every candidate.
+//! *touching* destination — untouched links see nothing. The push
+//! itself records each destination's contribution as the `(link, share)`
+//! adds it performs, and replaying those reproduces that add sequence
+//! exactly. Pairs of one destination name distinct links, so their
+//! order among themselves cannot change any link's add sequence; only
+//! the destination order matters, and the fold keeps it. (A dense
+//! vector per destination would interleave `+= 0.0` adds — bit-exact
+//! no-ops on the non-negative accumulators — and at 1000+ nodes be tens
+//! of megabytes of mostly zeros streamed through every candidate.)
 
 use crate::dynspf::{
-    apply_link_down, apply_link_up, apply_weight_delta, delta_affects_dag, fast_rebranch,
-    link_down_affects_dag, DynSpfScratch,
+    apply_link_down, apply_link_up, apply_weight_delta, delta_affects_dag,
+    endpoints_delta_affects_dag, fast_rebranch, link_down_affects_dag, DynSpfScratch,
 };
-use crate::flat::{push_demand_flat, FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
+use crate::flat::{demand_column, push_demand_flat, FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
 use dtr_graph::{LinkId, NodeId, ShortestPathDag, Topology, Weight, WeightVector};
 use dtr_routing::ClassLoads;
 use dtr_traffic::TrafficMatrix;
@@ -42,11 +44,50 @@ use std::sync::Arc;
 /// A single weight change `(link, new_weight)`.
 pub type WeightDelta = (LinkId, Weight);
 
-/// One destination's load contribution to one matrix, as `(link,
-/// value)` pairs in ascending link order (empty = no demand towards the
-/// destination in that matrix). Values are the exact `+= share` amounts
-/// a full demand push performs — see the module docs for why replaying
-/// them is bit-identical to the dense fold.
+/// A candidate's weight change on one link, with everything the
+/// per-destination affectedness test reads looked up once.
+struct StagedDelta {
+    link: u32,
+    src: u32,
+    dst: u32,
+    old_w: Weight,
+    new_w: Weight,
+}
+
+/// Deterministic work counters of one [`FlowState`]: how candidate
+/// evaluation disposed of each cached destination, and how often the
+/// state moved. They depend only on the call sequence, never on timing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkStats {
+    /// Destinations whose cached contributions were replayed untouched.
+    pub replayed: u64,
+    /// Destinations pushed down their cached DAG with a one-node branch
+    /// override (no distance changed).
+    pub rebranched: u64,
+    /// Destinations whose DAG was copied, repaired and pushed.
+    pub repaired: u64,
+    /// Candidates handed back for a full evaluation (delta count above
+    /// the caller's limit).
+    pub full_fallbacks: u64,
+    /// Base moves, by repair or rebuild.
+    pub rebases: u64,
+}
+
+impl std::ops::AddAssign for WorkStats {
+    fn add_assign(&mut self, o: WorkStats) {
+        self.replayed += o.replayed;
+        self.rebranched += o.rebranched;
+        self.repaired += o.repaired;
+        self.full_fallbacks += o.full_fallbacks;
+        self.rebases += o.rebases;
+    }
+}
+
+/// One destination's load contribution to one matrix: the `(link,
+/// share)` adds of its demand push, in push order (empty = no demand
+/// towards the destination in that matrix). Every link appears at most
+/// once — see the module docs for why replaying the pairs is
+/// bit-identical to the full calculator's fold.
 #[derive(Debug, Clone, Default)]
 struct SparseLoads {
     links: Vec<u32>,
@@ -61,18 +102,6 @@ impl SparseLoads {
             agg[l as usize] += v;
         }
     }
-
-    /// Rebuilds from a dense push result, keeping only touched links.
-    fn compress_from(&mut self, dense: &[f64]) {
-        self.links.clear();
-        self.vals.clear();
-        for (l, &v) in dense.iter().enumerate() {
-            if v != 0.0 {
-                self.links.push(l as u32);
-                self.vals.push(v);
-            }
-        }
-    }
 }
 
 /// Per-destination cached state.
@@ -82,6 +111,9 @@ pub struct DestState {
     pub dest: NodeId,
     /// The flat ECMP DAG towards `dest` under the current base weights.
     dag: FlatDag,
+    /// Per-matrix dense demand column towards `dest` (empty = that
+    /// matrix sends nothing here); fixed at construction.
+    demand: Vec<Vec<f64>>,
     /// Per-matrix sparse load contribution of this destination.
     contrib: Vec<SparseLoads>,
     /// Lazily materialized [`ShortestPathDag`] form of `dag`, shared
@@ -98,7 +130,8 @@ pub struct FlowState<'a> {
     /// on this (the `Topology` itself is not retained).
     flat: FlatTopo,
     /// The traffic matrices routed on this weight vector (1 for a DTR
-    /// class, 2 for STR joint evaluation).
+    /// class, 2 for STR joint evaluation). The hot path reads their
+    /// demand from the destinations' cached columns, not from here.
     matrices: Vec<&'a TrafficMatrix>,
     /// The base weight vector the cached DAGs reflect.
     base: WeightVector,
@@ -118,8 +151,6 @@ pub struct FlowState<'a> {
     work_weights: Vec<Weight>,
     /// Scratch per-node flow buffer for load pushes.
     node_flow: Vec<f64>,
-    /// Scratch dense load vector for contribution compression.
-    dense_buf: Vec<f64>,
     /// Scratch branch list for single-node ECMP overrides.
     branch_buf: Vec<u32>,
     /// Scratch staged link-up mask for failure sweeps; invariantly
@@ -129,6 +160,8 @@ pub struct FlowState<'a> {
     downs_buf: Vec<u32>,
     /// Scratch dirty flags for rebase.
     dirty_buf: Vec<bool>,
+    /// Work counters since construction.
+    stats: WorkStats,
 }
 
 /// The outcome of evaluating one candidate against the base state:
@@ -153,13 +186,15 @@ impl<'a> FlowState<'a> {
         let scratch_dag = FlatDag::empty(&flat);
         let mut dests = Vec::new();
         for t in topo.nodes() {
-            let any = matrices
+            let demand: Vec<Vec<f64>> = matrices
                 .iter()
-                .any(|m| m.demands_to(t.index()).next().is_some());
-            if any {
+                .map(|m| demand_column(m, t.0, topo.node_count()))
+                .collect();
+            if demand.iter().any(|col| !col.is_empty()) {
                 dests.push(DestState {
                     dest: t,
                     dag: FlatDag::empty(&flat),
+                    demand,
                     contrib: Vec::new(),
                     shared: None,
                 });
@@ -175,11 +210,11 @@ impl<'a> FlowState<'a> {
             scratch_dag,
             work_weights: Vec::new(),
             node_flow: Vec::new(),
-            dense_buf: Vec::new(),
             branch_buf: Vec::new(),
             mask_buf,
             downs_buf: Vec::new(),
             dirty_buf: Vec::new(),
+            stats: WorkStats::default(),
         };
         state.rebuild_all();
         state
@@ -195,6 +230,11 @@ impl<'a> FlowState<'a> {
         self.dests.len()
     }
 
+    /// Work counters since construction.
+    pub fn work_stats(&self) -> WorkStats {
+        self.stats
+    }
+
     /// Full recompute of every destination state from `self.base`,
     /// reusing every existing buffer (the destination set is fixed).
     fn rebuild_all(&mut self) {
@@ -203,15 +243,7 @@ impl<'a> FlowState<'a> {
             ds.dag
                 .compute_into(&self.flat, weights, ds.dest.0, None, &mut self.spf_ws);
             ds.shared = None;
-            contributions_into(
-                &self.flat,
-                &self.matrices,
-                &ds.dag,
-                ds.dest.0,
-                &mut self.node_flow,
-                &mut self.dense_buf,
-                &mut ds.contrib,
-            );
+            ds.record_contributions(&self.flat, &mut self.node_flow);
         }
     }
 
@@ -259,10 +291,21 @@ impl<'a> FlowState<'a> {
         max_deltas: usize,
         want_dags: bool,
     ) -> Option<CandidateEval> {
-        let deltas = self.diff(cand);
-        if deltas.len() > max_deltas {
+        let diff = self.diff(cand);
+        if diff.len() > max_deltas {
+            self.stats.full_fallbacks += 1;
             return None;
         }
+        let deltas: Vec<StagedDelta> = diff
+            .into_iter()
+            .map(|(lid, new_w)| StagedDelta {
+                link: lid.0,
+                src: self.flat.src(lid.0),
+                dst: self.flat.dst(lid.0),
+                old_w: self.base.get(lid),
+                new_w,
+            })
+            .collect();
         let m = self.flat.link_count();
         if want_dags {
             self.materialize_shared();
@@ -287,13 +330,18 @@ impl<'a> FlowState<'a> {
             // Find the first delta that affects this destination. All
             // checks up to that point run against the still-valid cached
             // DAG.
-            let mut first_hit = None;
-            for (k, &(lid, new_w)) in deltas.iter().enumerate() {
-                if delta_affects_dag(&self.flat, &ds.dag, lid.0, self.base.get(lid), new_w) {
-                    first_hit = Some(k);
-                    break;
+            let first_hit = deltas
+                .iter()
+                .position(|d| endpoints_delta_affects_dag(&ds.dag, d.src, d.dst, d.old_w, d.new_w));
+            let Some(k0) = first_hit else {
+                self.stats.replayed += 1;
+                ds.replay_into(&mut loads);
+                if want_dags {
+                    let shared = ds.shared.as_ref().expect("materialized above");
+                    dags.push((ds.dest, shared.clone()));
                 }
-            }
+                continue;
+            };
 
             // Fast path: exactly one delta can affect this destination
             // (the first hit is the last delta) and its entire effect is
@@ -301,31 +349,25 @@ impl<'a> FlowState<'a> {
             // the *cached* DAG with a one-node branch override, no copy.
             // Tightness under the final weights is unchanged for the
             // non-affecting deltas, so the final slice is valid here.
-            if first_hit.is_some_and(|k| k + 1 == deltas.len()) {
-                let (lid, new_w) = deltas[deltas.len() - 1];
+            if k0 + 1 == deltas.len() {
+                let d = &deltas[k0];
                 if let Some(u) = fast_rebranch(
                     &self.flat,
                     &ds.dag,
                     cand.as_slice(),
-                    lid.0,
-                    self.base.get(lid),
-                    new_w,
+                    d.link,
+                    d.old_w,
+                    d.new_w,
                     &mut self.branch_buf,
                 ) {
-                    for (j, mm) in self.matrices.iter().enumerate() {
-                        if mm.demands_to(ds.dest.index()).next().is_none() {
-                            continue;
-                        }
-                        push_demand_flat(
-                            &self.flat,
-                            &ds.dag,
-                            mm,
-                            ds.dest.0,
-                            &mut self.node_flow,
-                            &mut loads[j],
-                            Some((u, &self.branch_buf)),
-                        );
-                    }
+                    self.stats.rebranched += 1;
+                    ds.push_into(
+                        &self.flat,
+                        &ds.dag,
+                        Some((u, &self.branch_buf)),
+                        &mut self.node_flow,
+                        &mut loads,
+                    );
                     if want_dags {
                         let mut patched = ds.dag.to_dag(&self.flat);
                         patched.ecmp_out[u as usize] =
@@ -337,72 +379,42 @@ impl<'a> FlowState<'a> {
             }
 
             // General path: clone into the reusable scratch DAG and
-            // apply the delta sequence.
-            let mut repaired = false;
-            if let Some(k0) = first_hit {
-                for &(lid, new_w) in &deltas[..k0] {
-                    self.work_weights[lid.index()] = new_w;
-                }
-                for &(lid, new_w) in &deltas[k0..] {
-                    self.work_weights[lid.index()] = new_w;
-                    let old_w = self.base.get(lid);
-                    let affects = {
-                        let current = if repaired { &self.scratch_dag } else { &ds.dag };
-                        delta_affects_dag(&self.flat, current, lid.0, old_w, new_w)
-                    };
-                    if !affects {
-                        continue;
-                    }
-                    if !repaired {
-                        self.scratch_dag.clone_from(&ds.dag);
-                        repaired = true;
-                    }
+            // apply the delta sequence from the first hit on, each delta
+            // tested against the DAG as repaired so far.
+            self.stats.repaired += 1;
+            self.scratch_dag.clone_from(&ds.dag);
+            for d in &deltas[..k0] {
+                self.work_weights[d.link as usize] = d.new_w;
+            }
+            for d in &deltas[k0..] {
+                self.work_weights[d.link as usize] = d.new_w;
+                if endpoints_delta_affects_dag(&self.scratch_dag, d.src, d.dst, d.old_w, d.new_w) {
                     apply_weight_delta(
                         &self.flat,
                         &mut self.scratch_dag,
                         &self.work_weights,
-                        lid.0,
-                        old_w,
-                        new_w,
+                        d.link,
+                        d.old_w,
+                        d.new_w,
                         &mut self.scratch,
                     );
                 }
-                // Restore the stage buffer to the base for the next
-                // destination (and the next call).
-                for &(lid, _) in &deltas {
-                    self.work_weights[lid.index()] = self.base.get(lid);
-                }
+            }
+            // Restore the stage buffer to the base for the next
+            // destination (and the next call).
+            for d in &deltas {
+                self.work_weights[d.link as usize] = d.old_w;
             }
 
-            if repaired {
-                // Push demand straight into the accumulators — the same
-                // add sequence the full calculator performs at this
-                // destination's position.
-                for (j, mm) in self.matrices.iter().enumerate() {
-                    if mm.demands_to(ds.dest.index()).next().is_none() {
-                        continue;
-                    }
-                    push_demand_flat(
-                        &self.flat,
-                        &self.scratch_dag,
-                        mm,
-                        ds.dest.0,
-                        &mut self.node_flow,
-                        &mut loads[j],
-                        None,
-                    );
-                }
-                if want_dags {
-                    dags.push((ds.dest, Arc::new(self.scratch_dag.to_dag(&self.flat))));
-                }
-            } else {
-                for (j, contrib) in ds.contrib.iter().enumerate() {
-                    contrib.add_into(&mut loads[j]);
-                }
-                if want_dags {
-                    let shared = ds.shared.as_ref().expect("materialized above");
-                    dags.push((ds.dest, shared.clone()));
-                }
+            ds.push_into(
+                &self.flat,
+                &self.scratch_dag,
+                None,
+                &mut self.node_flow,
+                &mut loads,
+            );
+            if want_dags {
+                dags.push((ds.dest, Arc::new(self.scratch_dag.to_dag(&self.flat))));
             }
         }
 
@@ -417,6 +429,7 @@ impl<'a> FlowState<'a> {
         if deltas.is_empty() {
             return;
         }
+        self.stats.rebases += 1;
         // Any committed weight change invalidates the staged buffer
         // invariant (`work_weights == base`); rebuild it lazily.
         self.work_weights.clear();
@@ -451,15 +464,7 @@ impl<'a> FlowState<'a> {
         for (i, ds) in self.dests.iter_mut().enumerate() {
             if self.dirty_buf[i] {
                 ds.shared = None;
-                contributions_into(
-                    &self.flat,
-                    &self.matrices,
-                    &ds.dag,
-                    ds.dest.0,
-                    &mut self.node_flow,
-                    &mut self.dense_buf,
-                    &mut ds.contrib,
-                );
+                ds.record_contributions(&self.flat, &mut self.node_flow);
             }
         }
     }
@@ -469,9 +474,7 @@ impl<'a> FlowState<'a> {
         let m = self.flat.link_count();
         let mut out: Vec<ClassLoads> = self.matrices.iter().map(|_| vec![0.0; m]).collect();
         for ds in &self.dests {
-            for (j, contrib) in ds.contrib.iter().enumerate() {
-                contrib.add_into(&mut out[j]);
-            }
+            ds.replay_into(&mut out);
         }
         out
     }
@@ -501,12 +504,7 @@ impl<'a> FlowState<'a> {
             .extend((0..m as u32).filter(|&i| !link_up[i as usize]));
         let mut loads: Vec<ClassLoads> = self.matrices.iter().map(|_| vec![0.0; m]).collect();
         if self.downs_buf.is_empty() {
-            for ds in &self.dests {
-                for (j, contrib) in ds.contrib.iter().enumerate() {
-                    contrib.add_into(&mut loads[j]);
-                }
-            }
-            return loads;
+            return self.base_loads();
         }
         // Staged working mask: entry `k` of the down list is cleared
         // just before delta `k` is considered, so every repair sees
@@ -526,10 +524,7 @@ impl<'a> FlowState<'a> {
                     .position(|&l| link_down_affects_dag(&self.flat, dag, weights, l))
             };
             let Some(k0) = first else {
-                let ds = &self.dests[di];
-                for (j, contrib) in ds.contrib.iter().enumerate() {
-                    contrib.add_into(&mut loads[j]);
-                }
+                self.dests[di].replay_into(&mut loads);
                 continue;
             };
             let ds = &mut self.dests[di];
@@ -553,23 +548,7 @@ impl<'a> FlowState<'a> {
                     );
                 }
             }
-            // Push demand straight into the accumulators — the same add
-            // sequence the full masked calculator performs at this
-            // destination's position.
-            for (j, mm) in self.matrices.iter().enumerate() {
-                if mm.demands_to(ds.dest.index()).next().is_none() {
-                    continue;
-                }
-                push_demand_flat(
-                    &self.flat,
-                    &ds.dag,
-                    mm,
-                    ds.dest.0,
-                    &mut self.node_flow,
-                    &mut loads[j],
-                    None,
-                );
-            }
+            ds.push_into(&self.flat, &ds.dag, None, &mut self.node_flow, &mut loads);
             // Revert: restore the links in reverse order under the
             // matching staged masks. `apply_link_up` detects no-ops
             // itself, so no-op removals need no bookkeeping.
@@ -590,29 +569,52 @@ impl<'a> FlowState<'a> {
     }
 }
 
-/// (Re)computes `contrib` — the sparse per-matrix contribution vectors
-/// of one destination's DAG — via a dense push into `dense` scratch.
-fn contributions_into(
-    flat: &FlatTopo,
-    matrices: &[&TrafficMatrix],
-    dag: &FlatDag,
-    t: u32,
-    node_flow: &mut Vec<f64>,
-    dense: &mut Vec<f64>,
-    contrib: &mut Vec<SparseLoads>,
-) {
-    contrib.resize_with(matrices.len(), SparseLoads::default);
-    for (j, m) in matrices.iter().enumerate() {
-        let sl = &mut contrib[j];
-        if m.demands_to(t as usize).next().is_none() {
+impl DestState {
+    /// (Re)records `contrib` from a push of each matrix's demand down
+    /// the current DAG: the pairs are the push's own adds.
+    fn record_contributions(&mut self, flat: &FlatTopo, node_flow: &mut Vec<f64>) {
+        self.contrib
+            .resize_with(self.demand.len(), SparseLoads::default);
+        for (col, sl) in self.demand.iter().zip(&mut self.contrib) {
             sl.links.clear();
             sl.vals.clear();
-            continue;
+            if col.is_empty() {
+                continue;
+            }
+            push_demand_flat(flat, &self.dag, col, node_flow, None, |l, share| {
+                sl.links.push(l);
+                sl.vals.push(share);
+            });
         }
-        dense.resize(flat.link_count(), 0.0);
-        dense.fill(0.0);
-        push_demand_flat(flat, dag, m, t, node_flow, dense, None);
-        sl.compress_from(dense);
+    }
+
+    /// Pushes each matrix's demand down `dag` (this destination's DAG,
+    /// possibly repaired) straight into the fold accumulators — the same
+    /// add sequence the full calculator performs at this destination's
+    /// position.
+    fn push_into(
+        &self,
+        flat: &FlatTopo,
+        dag: &FlatDag,
+        override_branches: Option<(u32, &[u32])>,
+        node_flow: &mut Vec<f64>,
+        loads: &mut [ClassLoads],
+    ) {
+        for (col, out) in self.demand.iter().zip(loads) {
+            if col.is_empty() {
+                continue;
+            }
+            push_demand_flat(flat, dag, col, node_flow, override_branches, |l, share| {
+                out[l as usize] += share
+            });
+        }
+    }
+
+    /// Replays the cached contributions into the fold accumulators.
+    fn replay_into(&self, loads: &mut [ClassLoads]) {
+        for (contrib, out) in self.contrib.iter().zip(loads) {
+            contrib.add_into(out);
+        }
     }
 }
 
@@ -731,24 +733,61 @@ mod tests {
         assert_eq!(state.eval_mask(&up), state.base_loads());
     }
 
+    /// After every rebase — by repair and, every tenth step, by rebuild
+    /// — the recorded contributions replay to the full calculator's
+    /// loads, for one- and two-matrix states.
     #[test]
     fn rebase_walks_match_full() {
         let (topo, demands) = instance(2);
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut w = WeightVector::uniform(&topo, 9);
-        let mut state = FlowState::new(&topo, vec![&demands.high], w.clone());
-        let mut calc = LoadCalculator::new();
-        for step in 0..100 {
-            let mut next = w.clone();
-            let count = if step % 10 == 0 { 12 } else { 2 }; // force both paths
-            for _ in 0..count {
-                let lid = LinkId(rng.random_range(0..topo.link_count() as u32));
-                next.set(lid, rng.random_range(1u32..=30));
+        for matrices in [vec![&demands.high], vec![&demands.high, &demands.low]] {
+            let mut rng = StdRng::seed_from_u64(23);
+            let mut w = WeightVector::uniform(&topo, 9);
+            let mut state = FlowState::new(&topo, matrices.clone(), w.clone());
+            let mut calc = LoadCalculator::new();
+            for step in 0..100 {
+                let mut next = w.clone();
+                let count = if step % 10 == 0 { 12 } else { 2 }; // force both paths
+                for _ in 0..count {
+                    let lid = LinkId(rng.random_range(0..topo.link_count() as u32));
+                    next.set(lid, rng.random_range(1u32..=30));
+                }
+                state.rebase(&next, 4);
+                w = next;
+                let loads = state.base_loads();
+                assert_eq!(loads.len(), matrices.len());
+                for (got, m) in loads.iter().zip(&matrices) {
+                    assert_eq!(got, &calc.class_loads(&topo, &w, m), "step {step}");
+                }
             }
-            state.rebase(&next, 4);
-            w = next;
-            let full = calc.class_loads(&topo, &w, &demands.high);
-            assert_eq!(state.base_loads()[0], full, "step {step}");
+            let stats = state.work_stats();
+            assert!(stats.rebases > 90 && stats.replayed == 0, "{stats:?}");
         }
+    }
+
+    #[test]
+    fn work_stats_classify_every_destination_of_every_candidate() {
+        let (topo, demands) = instance(8);
+        let mut rng = StdRng::seed_from_u64(5);
+        let w = WeightVector::uniform(&topo, 5);
+        let mut state = FlowState::new(&topo, vec![&demands.low], w.clone());
+        let mut evaluated = 0;
+        for i in 0..60 {
+            let mut cand = w.clone();
+            // Every tenth candidate is a diversification-sized jump.
+            let changes = if i % 10 == 9 { 9 } else { 1 + i % 2 };
+            for _ in 0..changes {
+                let lid = LinkId(rng.random_range(0..topo.link_count() as u32));
+                cand.set(lid, rng.random_range(1u32..=30));
+            }
+            evaluated += state.eval_candidate(&cand, 4, false).is_some() as u64;
+        }
+        let s = state.work_stats();
+        assert_eq!(
+            s.replayed + s.rebranched + s.repaired,
+            evaluated * state.dest_count() as u64
+        );
+        assert_eq!(s.full_fallbacks, 60 - evaluated);
+        assert!(s.full_fallbacks > 0 && s.rebranched > 0 && s.repaired > 0 && s.replayed > 0);
+        assert_eq!(s.rebases, 0);
     }
 }
