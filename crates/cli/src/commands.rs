@@ -53,6 +53,21 @@ pub enum CliError {
         /// The structural defect, naming the offending event index.
         detail: String,
     },
+    /// A weight file that parses but does not fit the command's
+    /// topology or scheme.
+    Weights {
+        /// Path the weights were loaded from.
+        path: String,
+        /// What does not fit.
+        detail: String,
+    },
+    /// `dtrctl replay --objective sla` on a trace with link events.
+    SlaReplayWithLinkEvents {
+        /// Trace name.
+        trace: String,
+        /// How many link events and link probes it holds.
+        link_events: usize,
+    },
 }
 
 impl fmt::Display for CliError {
@@ -70,6 +85,13 @@ impl fmt::Display for CliError {
             CliError::Trace { path, detail } => {
                 write!(f, "invalid churn trace {path}: {detail}")
             }
+            CliError::Weights { path, detail } => write!(f, "invalid weights {path}: {detail}"),
+            CliError::SlaReplayWithLinkEvents { trace, link_events } => write!(
+                f,
+                "the sla objective cannot replay trace {trace:?}: it holds {link_events} \
+                 link-failure events and masked evaluation is load-only (regenerate the \
+                 trace with --flap-rate 0 --whatif-rate 0)"
+            ),
         }
     }
 }
@@ -95,6 +117,33 @@ impl From<serde_json::Error> for CliError {
 fn load<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, CliError> {
     let s = std::fs::read_to_string(Path::new(path))?;
     Ok(serde_json::from_str(&s)?)
+}
+
+/// Loads a weight file meant to start a search on `topo` under `scheme`:
+/// both vectors must cover every directed link, and an STR setting must
+/// be one vector written twice. The searches assert exactly this, so a
+/// mismatched file is reported here instead of panicking there.
+fn load_incumbent(path: &str, topo: &Topology, scheme: Scheme) -> Result<DualWeights, CliError> {
+    let w: DualWeights = load(path)?;
+    let bad = |detail: String| CliError::Weights {
+        path: path.to_string(),
+        detail,
+    };
+    let m = topo.link_count();
+    if w.high.len() != m || w.low.len() != m {
+        return Err(bad(format!(
+            "{} high and {} low entries, but the topology has {m} directed links",
+            w.high.len(),
+            w.low.len()
+        )));
+    }
+    if scheme == Scheme::Str && w.high != w.low {
+        return Err(bad(format!(
+            "--scheme str needs one vector written twice, but high and low differ on {} links",
+            w.high.hamming(&w.low)
+        )));
+    }
+    Ok(w)
 }
 
 fn save<T: serde::Serialize>(path: &str, value: &T) -> Result<(), CliError> {
@@ -295,9 +344,9 @@ USAGE:
           --workers/--portfolio/--restarts switch on the parallel
           portfolio orchestrator: restarts×|portfolio| independent arms
           with derived seeds fan out over N worker threads (0 = all
-          cores), each arm owning its own engine state; arms share a
-          live incumbent bound and reduce deterministically, so the
-          result depends only on --seed and the spec, never on N.
+          cores), each arm owning its own engine state; arms share
+          nothing and reduce deterministically, so the result depends
+          only on --seed and the spec, never on N.
           --prune-margin F drops arms worse than the incumbent by more
           than fraction F at restart barriers. With the orchestrator,
           --scheme selects the routing scheme (str|dtr) only; in
@@ -836,10 +885,10 @@ fn parse_scheme(args: &Args) -> Result<Scheme, CliError> {
 fn cmd_reopt(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
     let demands: DemandSet = load(args.require("traffic")?)?;
-    let incumbent: DualWeights = load(args.require("weights")?)?;
     let params = parse_budget(args)?;
     let objective = parse_objective(args)?;
     let scheme = parse_scheme(args)?;
+    let incumbent = load_incumbent(args.require("weights")?, &topo, scheme)?;
     let h: usize = args
         .require("changes")?
         .parse()
@@ -1417,11 +1466,9 @@ fn cmd_replay(args: &Args) -> Result<(), CliError> {
             })
             .count();
         if link_events > 0 {
-            return Err(CliError::UnknownVariant {
-                what: "objective for a trace with link-failure events \
-                       (masked evaluation is load-only; regenerate the \
-                       trace with --flap-rate 0 --whatif-rate 0)",
-                value: format!("sla ({link_events} link events in {})", trace.name),
+            return Err(CliError::SlaReplayWithLinkEvents {
+                trace: trace.name.clone(),
+                link_events,
             });
         }
     }
@@ -1448,7 +1495,7 @@ fn cmd_replay(args: &Args) -> Result<(), CliError> {
         }
     };
     let initial: Option<DualWeights> = match args.get("weights") {
-        Some(p) => Some(load(p)?),
+        Some(p) => Some(load_incumbent(p, &trace.topo, Scheme::Dtr)?),
         None => None,
     };
     println!(
@@ -2287,9 +2334,65 @@ mod tests {
             "replay --trace {trace_p} --objective sla --out /tmp/replay-sla-err"
         )))
         .unwrap_err();
+        assert!(
+            matches!(e, CliError::SlaReplayWithLinkEvents { .. }),
+            "{e:?}"
+        );
         let msg = e.to_string();
         assert!(msg.contains("link-failure events"), "{msg}");
         assert!(msg.contains("--flap-rate 0"), "{msg}");
+        assert!(!msg.starts_with("unknown"), "{msg}");
+    }
+
+    #[test]
+    fn reopt_rejects_weights_that_do_not_fit_with_a_typed_error() {
+        // Both used to die in `ReoptSearch::new`'s assertions (exit 101
+        // and a backtrace); now they are exit-1 errors naming the file.
+        let topo_p = tmp("t-fit.json");
+        let small_p = tmp("t-fit-small.json");
+        let tm_p = tmp("m-fit.json");
+        let w_p = tmp("w-fit.json");
+        let out_p = tmp("w-fit-out.json");
+        run(&args(&format!(
+            "topo random --nodes 8 --links 32 --seed 1 --out {topo_p}"
+        )))
+        .unwrap();
+        run(&args(&format!(
+            "topo random --nodes 6 --links 24 --seed 1 --out {small_p}"
+        )))
+        .unwrap();
+        run(&args(&format!(
+            "traffic --topo {topo_p} --seed 1 --out {tm_p}"
+        )))
+        .unwrap();
+        run(&args(&format!(
+            "optimize --topo {topo_p} --traffic {tm_p} --scheme dtr --budget tiny --out {w_p}"
+        )))
+        .unwrap();
+        let reopt = |topo: &str, scheme: &str| {
+            run(&args(&format!(
+                "reopt --topo {topo} --traffic {tm_p} --weights {w_p} --changes 2 \
+                 --scheme {scheme} --budget tiny --out {out_p}"
+            )))
+        };
+        // A DTR optimum has diverged vectors: not an STR incumbent.
+        let e = reopt(&topo_p, "str").unwrap_err();
+        assert!(matches!(e, CliError::Weights { .. }), "{e:?}");
+        let msg = e.to_string();
+        assert!(msg.contains(&w_p) && msg.contains("--scheme str"), "{msg}");
+        // 32 weights do not fit a 24-link topology.
+        let e = reopt(&small_p, "dtr").unwrap_err();
+        assert!(matches!(e, CliError::Weights { .. }), "{e:?}");
+        let msg = e.to_string();
+        assert!(
+            msg.contains(&w_p) && msg.contains("24 directed links"),
+            "{msg}"
+        );
+        // The fitting combination still runs.
+        reopt(&topo_p, "dtr").unwrap();
+        for p in [&topo_p, &small_p, &tm_p, &w_p, &out_p] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     #[test]

@@ -40,7 +40,6 @@ use crate::params::SearchParams;
 use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
-use dtr_engine::SharedBound;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, Topology, WeightVector};
 use dtr_routing::{Evaluation, Evaluator};
@@ -48,7 +47,6 @@ use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Which routing scheme the annealer optimizes (alias of the shared
 /// [`Scheme`] enum).
@@ -108,7 +106,6 @@ pub struct AnnealSearch<'a> {
     params: SearchParams,
     anneal: AnnealParams,
     mode: AnnealMode,
-    bound: Option<Arc<SharedBound>>,
 }
 
 /// Floor used when normalizing relative degradations of near-zero costs.
@@ -129,18 +126,7 @@ impl<'a> AnnealSearch<'a> {
             params,
             anneal: AnnealParams::default(),
             mode,
-            bound: None,
         }
-    }
-
-    /// Attaches a portfolio's shared incumbent bound (publish +
-    /// telemetry only — never changes the trajectory or result; see
-    /// [`crate::DtrSearch::with_shared_bound`]). Dominated checkpoints
-    /// are sampled every `SearchParams::diversify_after` iterations of
-    /// the walk.
-    pub fn with_shared_bound(mut self, bound: Arc<SharedBound>) -> Self {
-        self.bound = Some(bound);
-        self
     }
 
     /// Binds a partial-deployment model (DTR mode, load-based objective
@@ -261,12 +247,6 @@ impl<'a> AnnealSearch<'a> {
     pub fn run(mut self) -> AnnealResult {
         let params = self.params;
         let anneal = self.anneal;
-        let bound = self.bound.take();
-        let publish = |c: Lex2| {
-            if let Some(b) = &bound {
-                b.observe(c.primary);
-            }
-        };
         let budget = params.dtr_eval_budget();
         // Salted so strategy ablations with a shared `seed` explore
         // independent candidate streams (see DESIGN.md fair-budget notes).
@@ -280,7 +260,6 @@ impl<'a> AnnealSearch<'a> {
         let mut best_w = cur_w.clone();
         let mut best = cur.clone();
         trace.improved(0, Phase::Str, best.cost);
-        publish(best.cost);
 
         // --- Temperature calibration: sample random moves, set T₀ so the
         // median degradation is accepted with the target probability. ---
@@ -297,7 +276,6 @@ impl<'a> AnnealSearch<'a> {
                 best = cand.clone();
                 best_w = cand_w.clone();
                 trace.improved(trace.evaluations, Phase::Str, best.cost);
-                publish(best.cost);
             }
         }
         degradations.sort_by(f64::total_cmp);
@@ -337,14 +315,6 @@ impl<'a> AnnealSearch<'a> {
                     best = cur.clone();
                     best_w = cur_w.clone();
                     trace.improved(trace.evaluations, Phase::Str, best.cost);
-                    publish(best.cost);
-                }
-            }
-            if trace.iterations % params.diversify_after == 0 {
-                if let Some(b) = &bound {
-                    if b.dominates(best.cost.primary) {
-                        trace.dominated_checkpoints += 1;
-                    }
                 }
             }
             temp = (temp * decay).max(t0 * anneal.final_temp_frac);

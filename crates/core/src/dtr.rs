@@ -21,14 +21,13 @@ use crate::neighborhood::{perturb_weights, NeighborhoodSampler, RankTable};
 use crate::params::SearchParams;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
-use dtr_engine::{BatchEvaluator, SharedBound};
+use dtr_engine::BatchEvaluator;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
 use dtr_routing::{ClassLoads, Evaluation, HighSide};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Outcome of a DTR search.
 #[derive(Debug, Clone)]
@@ -109,7 +108,6 @@ pub struct DtrSearch<'a> {
     engine: BatchEvaluator<'a>,
     params: SearchParams,
     initial: DualWeights,
-    bound: Option<Arc<SharedBound>>,
 }
 
 impl<'a> DtrSearch<'a> {
@@ -127,19 +125,7 @@ impl<'a> DtrSearch<'a> {
             engine: BatchEvaluator::new(topo, demands, objective, params.backend),
             params,
             initial,
-            bound: None,
         }
-    }
-
-    /// Attaches a portfolio's shared incumbent bound: incumbent
-    /// improvements are published to it, and diversification checkpoints
-    /// where another worker leads are counted in
-    /// [`SearchTrace::dominated_checkpoints`]. The bound never changes
-    /// the search trajectory or result — it is publish + telemetry only,
-    /// so seeded runs stay reproducible under any thread schedule.
-    pub fn with_shared_bound(mut self, bound: Arc<SharedBound>) -> Self {
-        self.bound = Some(bound);
-        self
     }
 
     /// Binds a partial-deployment model: legacy nodes forward the low
@@ -166,19 +152,6 @@ impl<'a> DtrSearch<'a> {
     /// Runs the three routines and returns the best setting found.
     pub fn run(mut self) -> DtrResult {
         let params = self.params;
-        let bound = self.bound.take();
-        let publish = |c: Lex2| {
-            if let Some(b) = &bound {
-                b.observe(c.primary);
-            }
-        };
-        let checkpoint = |c: Lex2, trace: &mut SearchTrace| {
-            if let Some(b) = &bound {
-                if b.dominates(c.primary) {
-                    trace.dominated_checkpoints += 1;
-                }
-            }
-        };
         let mut rng = StdRng::seed_from_u64(params.seed);
         let sampler = NeighborhoodSampler::new(self.engine.topo().link_count(), &params);
         let mut trace = SearchTrace::default();
@@ -187,7 +160,6 @@ impl<'a> DtrSearch<'a> {
         let mut best_w = state.w.clone();
         let mut best_cost = state.eval.cost;
         trace.improved(0, Phase::OptimizeHigh, best_cost);
-        publish(best_cost);
 
         // --- Routine 1: optimize W^H, W^L fixed (lines 3–12). ---
         let mut stall = 0usize;
@@ -198,13 +170,11 @@ impl<'a> DtrSearch<'a> {
                 best_cost = state.eval.cost;
                 best_w = state.w.clone();
                 trace.improved(trace.iterations, Phase::OptimizeHigh, best_cost);
-                publish(best_cost);
                 stall = 0;
             } else {
                 stall += 1;
             }
             if stall >= params.diversify_after {
-                checkpoint(best_cost, &mut trace);
                 perturb_weights(&mut state.w.high, params.g1, &params, &mut rng);
                 state = State::build(&mut self.engine, state.w);
                 trace.diversifications += 1;
@@ -221,7 +191,6 @@ impl<'a> DtrSearch<'a> {
             // W^L drifted only via diversification; refresh incumbents.
             best_cost = state.eval.cost;
             best_w = state.w.clone();
-            publish(best_cost);
         }
         let mut stall = 0usize;
         for _ in 0..params.n_iters {
@@ -231,13 +200,11 @@ impl<'a> DtrSearch<'a> {
                 best_cost = state.eval.cost;
                 best_w = state.w.clone();
                 trace.improved(trace.iterations, Phase::OptimizeLow, best_cost);
-                publish(best_cost);
                 stall = 0;
             } else {
                 stall += 1;
             }
             if stall >= params.diversify_after {
-                checkpoint(best_cost, &mut trace);
                 perturb_weights(&mut state.w.low, params.g2, &params, &mut rng);
                 state = State::build(&mut self.engine, state.w);
                 trace.diversifications += 1;
@@ -256,13 +223,11 @@ impl<'a> DtrSearch<'a> {
                 best_cost = state.eval.cost;
                 best_w = state.w.clone();
                 trace.improved(trace.iterations, Phase::Refine, best_cost);
-                publish(best_cost);
                 stall = 0;
             } else {
                 stall += 1;
             }
             if stall >= params.diversify_after {
-                checkpoint(best_cost, &mut trace);
                 // Restart from the incumbent, slightly perturbed (lines
                 // 33–36): g3 is smaller so the restart stays near W*.
                 let mut w = best_w.clone();

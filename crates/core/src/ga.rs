@@ -16,14 +16,12 @@
 use crate::params::SearchParams;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
-use dtr_engine::SharedBound;
 use dtr_graph::{LinkId, Topology, WeightVector};
 use dtr_routing::{Evaluation, Evaluator};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// GA-specific knobs; the evaluation budget still comes from
 /// [`SearchParams`] so GA and local search are comparable.
@@ -70,7 +68,6 @@ pub struct GaSearch<'a> {
     evaluator: Evaluator<'a>,
     params: SearchParams,
     ga: GaParams,
-    bound: Option<Arc<SharedBound>>,
 }
 
 impl<'a> GaSearch<'a> {
@@ -86,16 +83,7 @@ impl<'a> GaSearch<'a> {
             evaluator: Evaluator::new(topo, demands, objective),
             params,
             ga: GaParams::default(),
-            bound: None,
         }
-    }
-
-    /// Attaches a portfolio's shared incumbent bound (publish +
-    /// telemetry only — never changes the trajectory or result; see
-    /// [`crate::DtrSearch::with_shared_bound`]).
-    pub fn with_shared_bound(mut self, bound: Arc<SharedBound>) -> Self {
-        self.bound = Some(bound);
-        self
     }
 
     /// Overrides the GA-specific knobs.
@@ -111,7 +99,6 @@ impl<'a> GaSearch<'a> {
     /// Runs until the evaluation budget (`SearchParams::dtr_eval_budget`)
     /// is spent.
     pub fn run(mut self) -> GaResult {
-        let bound = self.bound.take();
         // Salted so strategy ablations with a shared `seed` explore
         // independent candidate streams.
         let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x6761_0000_0000_0001);
@@ -143,9 +130,6 @@ impl<'a> GaSearch<'a> {
         pop.sort_by_key(|a| a.0);
         let mut best = pop[0].clone();
         trace.improved(0, Phase::Str, best.0);
-        if let Some(b) = &bound {
-            b.observe(best.0.primary);
-        }
 
         let elite = ((self.ga.population as f64 * self.ga.elite_frac) as usize).max(1);
         let mut generations = 0;
@@ -182,14 +166,6 @@ impl<'a> GaSearch<'a> {
             if pop[0].0 < best.0 {
                 best = pop[0].clone();
                 trace.improved(generations, Phase::Str, best.0);
-                if let Some(b) = &bound {
-                    b.observe(best.0.primary);
-                }
-            }
-            if let Some(b) = &bound {
-                if b.dominates(best.0.primary) {
-                    trace.dominated_checkpoints += 1;
-                }
             }
             trace.iterations += 1;
         }

@@ -41,8 +41,7 @@
 //! - [`PortfolioSearch`] — the parallel multi-start orchestrator: N
 //!   workers over rayon, each running one strategy arm
 //!   (descent/anneal/GA/memetic) with a derived seed and its own engine
-//!   state, sharing a [`SharedBound`] incumbent bound, reduced
-//!   deterministically so `--workers N` never changes the result.
+//!   state, reduced deterministically so `--workers N` never changes the result.
 //!
 //! The evaluation budget is controlled by [`SearchParams`]; the paper's
 //! full budget (`N = 300 000`, `K = 800 000`) is available as
@@ -91,7 +90,7 @@ pub use upgrade::{cost_ratio, UpgradeOutcome, UpgradeParams, UpgradeSearch, Upgr
 // Re-export the types a downstream user needs to drive a search without
 // depending on every substrate crate explicitly.
 pub use dtr_cost::{Lex2, LexCost, Objective, ObjectiveError, ObjectiveSpec, SlaParams};
-pub use dtr_engine::{BackendKind, BatchEvaluator, EvalBackend, SharedBound};
+pub use dtr_engine::{BackendKind, BatchEvaluator, EvalBackend};
 pub use dtr_graph::weights::DualWeights;
 pub use dtr_graph::{Topology, WeightVector};
 pub use dtr_routing::{DeploymentSet, Evaluation, Evaluator};

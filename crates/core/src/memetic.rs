@@ -19,14 +19,12 @@ use crate::ga::GaParams;
 use crate::params::SearchParams;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
-use dtr_engine::SharedBound;
 use dtr_graph::{LinkId, Topology, WeightVector};
 use dtr_routing::{Evaluation, Evaluator};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Memetic-specific knobs: the underlying GA plus the hill-climb length.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -75,7 +73,6 @@ pub struct MemeticSearch<'a> {
     evaluator: Evaluator<'a>,
     params: SearchParams,
     memetic: MemeticParams,
-    bound: Option<Arc<SharedBound>>,
 }
 
 impl<'a> MemeticSearch<'a> {
@@ -91,16 +88,7 @@ impl<'a> MemeticSearch<'a> {
             evaluator: Evaluator::new(topo, demands, objective),
             params,
             memetic: MemeticParams::default(),
-            bound: None,
         }
-    }
-
-    /// Attaches a portfolio's shared incumbent bound (publish +
-    /// telemetry only — never changes the trajectory or result; see
-    /// [`crate::DtrSearch::with_shared_bound`]).
-    pub fn with_shared_bound(mut self, bound: Arc<SharedBound>) -> Self {
-        self.bound = Some(bound);
-        self
     }
 
     /// Overrides the memetic knobs.
@@ -155,7 +143,6 @@ impl<'a> MemeticSearch<'a> {
 
     /// Runs until the evaluation budget is spent.
     pub fn run(mut self) -> MemeticResult {
-        let bound = self.bound.take();
         // Salted so strategy ablations with a shared `seed` explore
         // independent candidate streams.
         let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x6d65_6d65_7469_0001);
@@ -189,9 +176,6 @@ impl<'a> MemeticSearch<'a> {
         pop.sort_by_key(|a| a.0);
         let mut best = pop[0].clone();
         trace.improved(0, Phase::Str, best.0);
-        if let Some(b) = &bound {
-            b.observe(best.0.primary);
-        }
 
         let elite = ((ga.population as f64 * ga.elite_frac) as usize).max(1);
         let mut generations = 0;
@@ -230,14 +214,6 @@ impl<'a> MemeticSearch<'a> {
             if pop[0].0 < best.0 {
                 best = pop[0].clone();
                 trace.improved(generations, Phase::Str, best.0);
-                if let Some(b) = &bound {
-                    b.observe(best.0.primary);
-                }
-            }
-            if let Some(b) = &bound {
-                if b.dominates(best.0.primary) {
-                    trace.dominated_checkpoints += 1;
-                }
             }
             trace.iterations += 1;
         }

@@ -17,11 +17,6 @@
 //!   rayon pool of `N` threads, **each task constructing its own search
 //!   and therefore its own [`dtr_engine::BatchEvaluator`]** — per-worker
 //!   engine state, no shared mutability on the SPF caches;
-//! - workers share one [`SharedBound`], publishing every incumbent
-//!   improvement. In-flight reads are telemetry only
-//!   (`SearchTrace::dominated_checkpoints`); every result-affecting use
-//!   of the bound happens at **wave barriers**, where its value is fully
-//!   determined (all contributing tasks have finished);
 //! - restarts execute as **waves** (one task per surviving strategy per
 //!   wave). At each barrier the orchestrator reduces results
 //!   **deterministically** — task-index order, compare by canonical
@@ -60,7 +55,6 @@ use crate::robust::{RobustCost, RobustEvaluator, RobustSearch, ScenarioCombine};
 use crate::scheme::Scheme;
 use crate::str_search::StrSearch;
 use dtr_cost::{Lex2, Objective};
-use dtr_engine::SharedBound;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
 use dtr_routing::{Evaluation, Evaluator};
@@ -69,7 +63,6 @@ use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// One search strategy an orchestrator arm can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -371,7 +364,6 @@ impl<'a> PortfolioSearch<'a> {
             .num_threads(workers)
             .build()
             .expect("thread pool builds");
-        let bound = Arc::new(SharedBound::new());
         // In robust mode with a cap, the canonical scenario set (the
         // worst scenarios of the shared initial) is derived once here —
         // one uncapped sweep — and reused read-only by every arm's
@@ -408,11 +400,11 @@ impl<'a> PortfolioSearch<'a> {
                 .map(|si| (wave * n_strats + si, si))
                 .collect();
             // The parallel region: one independent search per task, each
-            // with its own engine state; only `bound` is shared.
+            // with its own engine state; nothing is shared.
             let wave_out: Vec<TaskOutcome> = pool.install(|| {
                 specs
                     .par_iter()
-                    .map(|&(task, si)| self.run_task(task, wave, si, &bound, capped_ids.as_deref()))
+                    .map(|&(task, si)| self.run_task(task, wave, si, capped_ids.as_deref()))
                     .collect()
             });
 
@@ -505,15 +497,12 @@ impl<'a> PortfolioSearch<'a> {
             .unwrap_or_else(|| DualWeights::replicated(WeightVector::uniform(self.topo, 1)))
     }
 
-    /// Runs one arm. Everything here is a pure function of `(instance,
-    /// task index)` except the shared-bound telemetry, which never feeds
-    /// back into any trajectory.
+    /// Runs one arm: a pure function of `(instance, task index)`.
     fn run_task(
         &self,
         task: usize,
         wave: usize,
         si: usize,
-        bound: &Arc<SharedBound>,
         capped_ids: Option<&[u32]>,
     ) -> TaskOutcome {
         let strategy = self.cfg.strategies[si];
@@ -521,12 +510,12 @@ impl<'a> PortfolioSearch<'a> {
             .params
             .with_stream(crate::streams::PORTFOLIO_ARM + task as u64);
         let (weights, evaluations) = match self.mode {
-            PortfolioMode::Nominal(scheme) => self.run_nominal(strategy, scheme, params, bound),
+            PortfolioMode::Nominal(scheme) => self.run_nominal(strategy, scheme, params),
             PortfolioMode::Robust {
                 combine,
                 cap,
                 scheme,
-            } => self.run_robust(strategy, scheme, combine, cap, params, bound),
+            } => self.run_robust(strategy, scheme, combine, cap, params),
         };
         let cost = match self.mode {
             PortfolioMode::Nominal(_) => {
@@ -539,7 +528,6 @@ impl<'a> PortfolioSearch<'a> {
                     .combined
             }
         };
-        bound.observe(cost.primary);
         TaskOutcome {
             task,
             wave,
@@ -560,12 +548,10 @@ impl<'a> PortfolioSearch<'a> {
         strategy: StrategyKind,
         scheme: Scheme,
         params: SearchParams,
-        bound: &Arc<SharedBound>,
     ) -> (DualWeights, usize) {
         match (strategy, scheme) {
             (StrategyKind::Descent, Scheme::Dtr) => {
-                let mut s = DtrSearch::new(self.topo, self.demands, self.objective, params)
-                    .with_shared_bound(Arc::clone(bound));
+                let mut s = DtrSearch::new(self.topo, self.demands, self.objective, params);
                 if let Some(dep) = &self.deployment {
                     s = s.with_deployment(dep.clone());
                 }
@@ -576,8 +562,7 @@ impl<'a> PortfolioSearch<'a> {
                 (r.weights, r.trace.evaluations)
             }
             (StrategyKind::Descent, Scheme::Str) => {
-                let mut s = StrSearch::new(self.topo, self.demands, self.objective, params)
-                    .with_shared_bound(Arc::clone(bound));
+                let mut s = StrSearch::new(self.topo, self.demands, self.objective, params);
                 if let Some(w0) = &self.initial {
                     s = s.with_initial(w0.high.clone());
                 }
@@ -586,8 +571,7 @@ impl<'a> PortfolioSearch<'a> {
             }
             (StrategyKind::Anneal, scheme) => {
                 let mut s =
-                    AnnealSearch::new(self.topo, self.demands, self.objective, params, scheme)
-                        .with_shared_bound(Arc::clone(bound));
+                    AnnealSearch::new(self.topo, self.demands, self.objective, params, scheme);
                 if let Some(dep) = &self.deployment {
                     s = s.with_deployment(dep.clone());
                 }
@@ -595,15 +579,11 @@ impl<'a> PortfolioSearch<'a> {
                 (r.weights, r.trace.evaluations)
             }
             (StrategyKind::Ga, _) => {
-                let r = GaSearch::new(self.topo, self.demands, self.objective, params)
-                    .with_shared_bound(Arc::clone(bound))
-                    .run();
+                let r = GaSearch::new(self.topo, self.demands, self.objective, params).run();
                 (DualWeights::replicated(r.weights), r.trace.evaluations)
             }
             (StrategyKind::Memetic, _) => {
-                let r = MemeticSearch::new(self.topo, self.demands, self.objective, params)
-                    .with_shared_bound(Arc::clone(bound))
-                    .run();
+                let r = MemeticSearch::new(self.topo, self.demands, self.objective, params).run();
                 (DualWeights::replicated(r.weights), r.trace.evaluations)
             }
         }
@@ -619,11 +599,7 @@ impl<'a> PortfolioSearch<'a> {
         combine: ScenarioCombine,
         cap: Option<usize>,
         params: SearchParams,
-        bound: &Arc<SharedBound>,
     ) -> (DualWeights, usize) {
-        // The nominal pre-run does not publish to the bound: nominal
-        // costs are not comparable with combined robust costs, and the
-        // bound's meaning is "best robust incumbent so far".
         let (warm, warm_evals) = match strategy {
             StrategyKind::Descent => (self.initial.clone(), 0),
             StrategyKind::Anneal => {
@@ -646,8 +622,7 @@ impl<'a> PortfolioSearch<'a> {
                 )
             }
         };
-        let mut s = RobustSearch::new(self.topo, self.demands, combine, params, scheme)
-            .with_shared_bound(Arc::clone(bound));
+        let mut s = RobustSearch::new(self.topo, self.demands, combine, params, scheme);
         if let Some(cap) = cap {
             s = s.with_scenario_cap(cap);
         }

@@ -17,11 +17,26 @@
 //! `h` with warm starts to trace the cost-vs-churn curve an operator
 //! actually navigates.
 //!
-//! [`ReoptSession`] wraps the same kernel in a long-lived warm-start API
+//! [`ReoptSession`] wraps the same search in a long-lived warm-start API
 //! for callers that track a network over time (the `dtrd` daemon): it
-//! owns the incumbent, derives a decorrelated seed per step, and supports
-//! evaluation under a link-failure mask so re-optimization can run while
-//! part of the topology is down.
+//! owns the incumbent, derives a decorrelated seed per step, and tells
+//! the search which links are currently down.
+//!
+//! # One evaluation
+//!
+//! Every candidate of every descent — either scheme, either objective,
+//! links down or not — is costed by the same private `MaskedEngine`:
+//! one [`BatchEvaluator`] on [`SearchParams::backend`] whose per-class
+//! lanes sit at the descent's *current* point, swept under the link
+//! mask in force (all-up outside a failure). The lanes move with the
+//! descent — to the start, to every accepted move, to every
+//! diversification restart — so under [`BackendKind::Incremental`] a
+//! candidate is a one-weight repair of the current DAGs however far the
+//! descent has wandered from the incumbent. Both backends are
+//! bit-identical to `dtr_routing::LoadCalculator`, so the backend picks
+//! wall-clock time, never the trajectory.
+//!
+//! [`BackendKind::Incremental`]: dtr_engine::BackendKind::Incremental
 
 use crate::params::{derive_stream_seed, SearchParams};
 use crate::scheme::Scheme;
@@ -29,8 +44,8 @@ use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
 use dtr_engine::BatchEvaluator;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, Topology};
-use dtr_routing::{Evaluation, Evaluator, FailureScenario};
+use dtr_graph::{LinkId, Topology, WeightVector};
+use dtr_routing::{Evaluation, FailureScenario};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -184,112 +199,80 @@ impl ChangeProposer {
     }
 }
 
-/// The shared descent loop: `iters` iterations (normally
-/// [`SearchParams::str_iters`]) of `neighbors` candidates each, with
-/// diversification restarts inside the feasible ball. Generic over the
-/// evaluation function so the same loop serves full-topology
-/// ([`ReoptSearch::run`]) and masked ([`ReoptSession::step_masked`])
-/// evaluation; the explicit iteration budget serves
-/// [`ReoptSession::idle_step`]'s cheaper anytime passes.
-fn constrained_descent<E>(
-    mut eval: E,
-    proposer: &ChangeProposer,
-    incumbent: &DualWeights,
-    start: Option<DualWeights>,
-    n_links: usize,
-    iters: usize,
-) -> ReoptResult
-where
-    E: FnMut(&DualWeights) -> Evaluation,
-{
-    let params = proposer.params;
-    let scheme = proposer.scheme;
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut trace = SearchTrace::default();
+/// The one evaluation behind every descent (see the module docs): a
+/// [`BatchEvaluator`] whose per-class lanes track the descent's current
+/// point, swept under one link mask.
+struct MaskedEngine<'a> {
+    batch: BatchEvaluator<'a>,
+    scheme: Scheme,
+    /// The mask in force as a one-scenario sweep; `pair_id` is
+    /// reporting-only.
+    scenario: [FailureScenario; 1],
+}
 
-    let mut cur_w = start.unwrap_or_else(|| incumbent.clone());
-    let mut cur = eval(&cur_w);
-    trace.evaluations += 1;
-    let mut best_w = cur_w.clone();
-    let mut best_cost = cur.cost;
-    let mut best_eval = cur.clone();
-    trace.improved(0, Phase::Str, best_cost);
-
-    if proposer.max_changes == 0 {
-        // Nothing may move; the incumbent (or start) is the answer.
-        return ReoptResult {
-            changes_used: changes_between(&best_w, incumbent, scheme),
-            weights: best_w,
-            eval: best_eval,
-            best_cost,
-            max_changes: 0,
-            trace,
-        };
-    }
-
-    let mut stall = 0usize;
-    for _ in 0..iters {
-        trace.iterations += 1;
-
-        let mut best_cand: Option<(Evaluation, DualWeights)> = None;
-        for _ in 0..params.neighbors {
-            let Some(cand_w) = proposer.propose(&cur_w, incumbent, &mut rng) else {
-                continue;
-            };
-            let e = eval(&cand_w);
-            trace.evaluations += 1;
-            if best_cand.as_ref().is_none_or(|(b, _)| e.cost < b.cost) {
-                best_cand = Some((e, cand_w));
-            }
-        }
-
-        match best_cand {
-            Some((e, w)) if e.cost < cur.cost => {
-                cur = e;
-                cur_w = w;
-                trace.moves_accepted += 1;
-                if cur.cost < best_cost {
-                    best_cost = cur.cost;
-                    best_w = cur_w.clone();
-                    best_eval = cur.clone();
-                    trace.improved(trace.iterations, Phase::Str, best_cost);
-                    stall = 0;
-                } else {
-                    stall += 1;
-                }
-            }
-            _ => stall += 1,
-        }
-
-        if stall >= params.diversify_after {
-            // Restart inside the feasible ball: incumbent weights with
-            // a random subset of ≤ h positions re-randomized.
-            cur_w = proposer.random_feasible(incumbent, n_links, &mut rng);
-            cur = eval(&cur_w);
-            trace.evaluations += 1;
-            trace.diversifications += 1;
-            stall = 0;
+impl<'a> MaskedEngine<'a> {
+    fn new(search: &ReoptSearch<'a>) -> Self {
+        // The sweeps cost a failed network by its loads alone; an SLA
+        // walk over the surviving DAGs does not exist yet.
+        assert!(
+            matches!(search.objective, Objective::LoadBased) || search.link_up.iter().all(|&up| up),
+            "masked reoptimization supports Objective::LoadBased only"
+        );
+        MaskedEngine {
+            batch: BatchEvaluator::new(
+                search.topo,
+                search.demands,
+                search.objective,
+                search.params.backend,
+            ),
+            scheme: search.scheme,
+            scenario: [FailureScenario {
+                pair_id: u32::MAX,
+                link_up: search.link_up.clone(),
+            }],
         }
     }
 
-    ReoptResult {
-        changes_used: changes_between(&best_w, incumbent, scheme),
-        weights: best_w,
-        eval: best_eval,
-        best_cost,
-        max_changes: proposer.max_changes,
-        trace,
+    /// The vector the low class rides: the shared one under STR.
+    fn low_of<'w>(&self, w: &'w DualWeights) -> &'w WeightVector {
+        match self.scheme {
+            Scheme::Str => &w.high,
+            Scheme::Dtr => &w.low,
+        }
+    }
+
+    /// Moves both lanes onto `w`, the descent's new current point.
+    fn rebase(&mut self, w: &DualWeights) {
+        self.batch.rebase_high(&w.high);
+        self.batch.rebase_low(self.low_of(w));
+    }
+
+    /// Full evaluation of `w` under the mask.
+    fn eval(&mut self, w: &DualWeights) -> Evaluation {
+        let wl = self.low_of(w);
+        let hl = self.batch.sweep_high(&w.high, &self.scenario).pop();
+        let ll = self.batch.sweep_low(wl, &self.scenario).pop();
+        let ev = self.batch.evaluator();
+        let high = ev.high_side_from_loads(hl.expect("one scenario"), &w.high);
+        ev.finish(high, ll.expect("one scenario"))
+            .expect("high side built by this evaluator carries the SLA walk")
     }
 }
 
 /// The change-limited local search.
 pub struct ReoptSearch<'a> {
-    evaluator: Evaluator<'a>,
+    topo: &'a Topology,
+    demands: &'a DemandSet,
+    objective: Objective,
     params: SearchParams,
     scheme: Scheme,
     incumbent: DualWeights,
     max_changes: usize,
     start: Option<DualWeights>,
+    /// Per-directed-link operational state candidates are costed under
+    /// (`false` removes the link). All-up unless a [`ReoptSession`]
+    /// says otherwise.
+    link_up: Vec<bool>,
 }
 
 impl<'a> ReoptSearch<'a> {
@@ -316,12 +299,15 @@ impl<'a> ReoptSearch<'a> {
             );
         }
         ReoptSearch {
-            evaluator: Evaluator::new(topo, demands, objective),
+            topo,
+            demands,
+            objective,
             params,
             scheme,
             incumbent,
             max_changes,
             start: None,
+            link_up: vec![true; topo.link_count()],
         }
     }
 
@@ -344,21 +330,87 @@ impl<'a> ReoptSearch<'a> {
     }
 
     /// Like [`run`](Self::run) with an explicit iteration budget —
-    /// the anytime knob behind [`ReoptSession::idle_step`].
+    /// the anytime knob behind [`ReoptSession::idle_step`]: `iters`
+    /// iterations of `neighbors` candidates each, with diversification
+    /// restarts inside the feasible ball.
     pub fn run_with_iters(self, iters: usize) -> ReoptResult {
+        let mut engine = MaskedEngine::new(&self);
         let proposer = ChangeProposer {
             params: self.params,
             scheme: self.scheme,
             max_changes: self.max_changes,
         };
-        let n_links = self.evaluator.topo().link_count();
-        let scheme = self.scheme;
-        let mut evaluator = self.evaluator;
-        let eval = |w: &DualWeights| match scheme {
-            Scheme::Str => evaluator.eval_str(&w.high),
-            Scheme::Dtr => evaluator.eval_dual(w),
-        };
-        constrained_descent(eval, &proposer, &self.incumbent, self.start, n_links, iters)
+        let (params, scheme, incumbent) = (self.params, self.scheme, &self.incumbent);
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut trace = SearchTrace::default();
+
+        let mut cur_w = self.start.unwrap_or_else(|| incumbent.clone());
+        engine.rebase(&cur_w);
+        let mut cur = engine.eval(&cur_w);
+        trace.evaluations += 1;
+        let mut best_w = cur_w.clone();
+        let mut best_cost = cur.cost;
+        let mut best_eval = cur.clone();
+        trace.improved(0, Phase::Str, best_cost);
+
+        // With no budget nothing may move: the incumbent (or start) is
+        // the answer.
+        let iters = if self.max_changes == 0 { 0 } else { iters };
+        let mut stall = 0usize;
+        for _ in 0..iters {
+            trace.iterations += 1;
+
+            let mut best_cand: Option<(Evaluation, DualWeights)> = None;
+            for _ in 0..params.neighbors {
+                let Some(cand_w) = proposer.propose(&cur_w, incumbent, &mut rng) else {
+                    continue;
+                };
+                let e = engine.eval(&cand_w);
+                trace.evaluations += 1;
+                if best_cand.as_ref().is_none_or(|(b, _)| e.cost < b.cost) {
+                    best_cand = Some((e, cand_w));
+                }
+            }
+
+            match best_cand {
+                Some((e, w)) if e.cost < cur.cost => {
+                    cur = e;
+                    cur_w = w;
+                    engine.rebase(&cur_w);
+                    trace.moves_accepted += 1;
+                    if cur.cost < best_cost {
+                        best_cost = cur.cost;
+                        best_w = cur_w.clone();
+                        best_eval = cur.clone();
+                        trace.improved(trace.iterations, Phase::Str, best_cost);
+                        stall = 0;
+                    } else {
+                        stall += 1;
+                    }
+                }
+                _ => stall += 1,
+            }
+
+            if stall >= params.diversify_after {
+                // Restart inside the feasible ball: incumbent weights with
+                // a random subset of ≤ h positions re-randomized.
+                cur_w = proposer.random_feasible(incumbent, self.topo.link_count(), &mut rng);
+                engine.rebase(&cur_w);
+                cur = engine.eval(&cur_w);
+                trace.evaluations += 1;
+                trace.diversifications += 1;
+                stall = 0;
+            }
+        }
+
+        ReoptResult {
+            changes_used: changes_between(&best_w, incumbent, scheme),
+            weights: best_w,
+            eval: best_eval,
+            best_cost,
+            max_changes: self.max_changes,
+            trace,
+        }
     }
 }
 
@@ -416,13 +468,13 @@ pub fn frontier(
 /// asks "can ≤ `h` weight changes improve the current setting?". The
 /// session guarantees:
 ///
-/// - **Warm start:** every [`step`](Self::step) starts from the current
-///   incumbent, so its result is never worse than leaving the weights
-///   alone (the incumbent's own evaluation seeds the best-so-far).
-/// - **Seed decorrelation:** step `k` runs with
+/// - **Warm start:** every descent starts from the current incumbent, so
+///   its result is never worse than leaving the weights alone (the
+///   incumbent's own evaluation seeds the best-so-far).
+/// - **Seed decorrelation:** descent `k` runs with
 ///   [`derive_stream_seed`]`(params.seed,
 ///   `[`streams::REOPT_STEP`](crate::streams::REOPT_STEP)` + k)`, so
-///   consecutive steps explore independently while the whole sequence
+///   consecutive descents explore independently while the whole sequence
 ///   stays a pure function of the base seed — replaying the same event
 ///   sequence reproduces the same results bit for bit.
 /// - **Explicit adoption:** the session only moves its incumbent when
@@ -430,11 +482,13 @@ pub fn frontier(
 ///   operator who may decline a reconfiguration (e.g. because its
 ///   control-plane churn outweighs the gain).
 ///
-/// [`step_masked`](Self::step_masked) evaluates candidates under a
-/// link-failure mask via [`BatchEvaluator`] sweeps, so the session can
-/// re-optimize a network that currently has links down. Snapshot /
-/// restore is supported by persisting the incumbent and
-/// [`steps`](Self::steps), then [`resume_at`](Self::resume_at).
+/// [`step`](Self::step), [`step_masked`](Self::step_masked) and
+/// [`idle_step`](Self::idle_step) are one descent with different
+/// arguments — all links up or a failure mask, the full iteration
+/// schedule or a caller-chosen slice of it — and each consumes exactly
+/// one position of the seed stream. Snapshot / restore is supported by
+/// persisting the incumbent and [`steps`](Self::steps), then
+/// [`resume_at`](Self::resume_at).
 #[derive(Clone)]
 pub struct ReoptSession {
     objective: Objective,
@@ -507,17 +561,38 @@ impl ReoptSession {
         self.incumbent = weights;
     }
 
-    /// Derives this step's params (decorrelated seed) and advances the
-    /// stream position. Step `k` uses stream
+    /// The one descent behind the three public forms: warm-started from
+    /// the incumbent, costed under `link_up` (`None` = every link up),
+    /// `iters` iterations long. Descent `k` runs on seed stream
     /// [`streams::REOPT_STEP`](crate::streams::REOPT_STEP)` + k` — the
     /// frozen zero-tagged span, so recorded replay artifacts stay valid.
-    fn next_params(&mut self) -> SearchParams {
-        let p = self.params.with_seed(derive_stream_seed(
+    fn descend(
+        &mut self,
+        topo: &Topology,
+        demands: &DemandSet,
+        link_up: Option<&[bool]>,
+        max_changes: usize,
+        iters: usize,
+    ) -> ReoptResult {
+        let params = self.params.with_seed(derive_stream_seed(
             self.params.seed,
             crate::streams::REOPT_STEP + self.steps,
         ));
         self.steps += 1;
-        p
+        let mut search = ReoptSearch::new(
+            topo,
+            demands,
+            self.objective,
+            params,
+            self.scheme,
+            self.incumbent.clone(),
+            max_changes,
+        );
+        if let Some(mask) = link_up {
+            assert_eq!(mask.len(), topo.link_count());
+            search.link_up = mask.to_vec();
+        }
+        search.run_with_iters(iters)
     }
 
     /// One warm-started reoptimization of the incumbent against
@@ -530,34 +605,19 @@ impl ReoptSession {
         demands: &DemandSet,
         max_changes: usize,
     ) -> ReoptResult {
-        assert_eq!(self.incumbent.high.len(), topo.link_count());
-        let params = self.next_params();
-        ReoptSearch::new(
-            topo,
-            demands,
-            self.objective,
-            params,
-            self.scheme,
-            self.incumbent.clone(),
-            max_changes,
-        )
-        .run()
+        self.descend(topo, demands, None, max_changes, self.params.str_iters())
     }
 
-    /// Like [`step`](Self::step) but evaluating every candidate under a
+    /// Like [`step`](Self::step) but costing every candidate under a
     /// link-failure mask (`link_up[l] == false` removes link `l`), so
     /// the search optimizes for the network as it currently stands.
     /// The caller must ensure the surviving topology is still strongly
     /// connected — demand towards unreachable destinations would be
     /// dropped silently otherwise.
     ///
-    /// Masked evaluation goes through [`BatchEvaluator`] scenario
-    /// sweeps (the engine's `apply_link_down`/`apply_link_up` mask
-    /// deltas under [`BackendKind::Incremental`]), which only support
-    /// the load-based objective; panics under [`Objective::SlaBased`].
-    /// An all-up mask delegates to [`step`](Self::step).
-    ///
-    /// [`BackendKind::Incremental`]: dtr_engine::BackendKind::Incremental
+    /// A failed network is costed by its loads alone, so a mask with a
+    /// link down panics under [`Objective::SlaBased`]; an all-up mask is
+    /// exactly [`step`](Self::step).
     pub fn step_masked(
         &mut self,
         topo: &Topology,
@@ -565,32 +625,23 @@ impl ReoptSession {
         link_up: &[bool],
         max_changes: usize,
     ) -> ReoptResult {
-        assert_eq!(self.incumbent.high.len(), topo.link_count());
-        assert_eq!(link_up.len(), topo.link_count());
-        if link_up.iter().all(|&u| u) {
-            return self.step(topo, demands, max_changes);
-        }
-        assert!(
-            matches!(self.objective, Objective::LoadBased),
-            "masked reoptimization supports Objective::LoadBased only"
-        );
-        let params = self.next_params();
-        let iters = params.str_iters();
-        self.masked_descent(topo, demands, link_up, params, max_changes, iters)
+        self.descend(
+            topo,
+            demands,
+            Some(link_up),
+            max_changes,
+            self.params.str_iters(),
+        )
     }
 
-    /// A budgeted anytime improvement pass over the incumbent: one
-    /// warm-started descent limited to `iters` iterations instead of the
-    /// full [`SearchParams::str_iters`] schedule. Consumes one position
-    /// of the per-step seed stream exactly like
-    /// [`step_masked`](Self::step_masked), so a snapshotted session
-    /// restored via [`resume_at`](Self::resume_at) replays idle passes
-    /// identically. The incumbent is *not* moved — callers price the
-    /// result and [`accept`](Self::accept) it like any other step.
-    ///
-    /// Masked evaluation carries the same [`Objective::LoadBased`]-only
-    /// restriction as `step_masked`; an all-up mask uses the plain
-    /// evaluator and works under every objective.
+    /// A budgeted anytime improvement pass over the incumbent:
+    /// [`step_masked`](Self::step_masked) limited to `iters` iterations
+    /// instead of the full [`SearchParams::str_iters`] schedule. It
+    /// consumes one position of the seed stream like every other step,
+    /// so a snapshotted session restored via
+    /// [`resume_at`](Self::resume_at) replays idle passes identically.
+    /// The incumbent is *not* moved — callers price the result and
+    /// [`accept`](Self::accept) it like any other step.
     pub fn idle_step(
         &mut self,
         topo: &Topology,
@@ -599,74 +650,7 @@ impl ReoptSession {
         max_changes: usize,
         iters: usize,
     ) -> ReoptResult {
-        assert_eq!(self.incumbent.high.len(), topo.link_count());
-        assert_eq!(link_up.len(), topo.link_count());
-        let params = self.next_params();
-        if link_up.iter().all(|&u| u) {
-            return ReoptSearch::new(
-                topo,
-                demands,
-                self.objective,
-                params,
-                self.scheme,
-                self.incumbent.clone(),
-                max_changes,
-            )
-            .run_with_iters(iters);
-        }
-        assert!(
-            matches!(self.objective, Objective::LoadBased),
-            "masked reoptimization supports Objective::LoadBased only"
-        );
-        self.masked_descent(topo, demands, link_up, params, max_changes, iters)
-    }
-
-    /// The shared masked-descent body behind
-    /// [`step_masked`](Self::step_masked) and
-    /// [`idle_step`](Self::idle_step): candidates are evaluated under
-    /// the failure mask via one-scenario [`BatchEvaluator`] sweeps.
-    fn masked_descent(
-        &self,
-        topo: &Topology,
-        demands: &DemandSet,
-        link_up: &[bool],
-        params: SearchParams,
-        max_changes: usize,
-        iters: usize,
-    ) -> ReoptResult {
-        let scheme = self.scheme;
-        // A synthetic one-scenario sweep; pair_id is reporting-only.
-        let scenario = FailureScenario {
-            pair_id: u32::MAX,
-            link_up: link_up.to_vec(),
-        };
-        let scen = std::slice::from_ref(&scenario);
-        let mut batch = BatchEvaluator::new(topo, demands, self.objective, params.backend);
-        let proposer = ChangeProposer {
-            params,
-            scheme,
-            max_changes,
-        };
-        let eval = |w: &DualWeights| {
-            let hl = batch.sweep_high(&w.high, scen).pop().expect("one scenario");
-            let wl = match scheme {
-                Scheme::Str => &w.high,
-                Scheme::Dtr => &w.low,
-            };
-            let ll = batch.sweep_low(wl, scen).pop().expect("one scenario");
-            let ev = batch.evaluator();
-            let high = ev.high_side_from_loads(hl, &w.high);
-            ev.finish(high, ll)
-                .expect("high side built by this evaluator carries the SLA walk")
-        };
-        constrained_descent(
-            eval,
-            &proposer,
-            &self.incumbent,
-            None,
-            topo.link_count(),
-            iters,
-        )
+        self.descend(topo, demands, Some(link_up), max_changes, iters)
     }
 }
 
@@ -677,7 +661,7 @@ mod tests {
     use dtr_engine::BackendKind;
     use dtr_graph::gen::{random_topology, triangle_topology, RandomTopologyCfg};
     use dtr_graph::{NodeId, WeightVector};
-    use dtr_routing::survivable_duplex_failures;
+    use dtr_routing::{survivable_duplex_failures, Evaluator};
     use dtr_traffic::{TrafficCfg, TrafficMatrix};
 
     fn triangle_instance() -> (Topology, DemandSet) {
@@ -1045,5 +1029,98 @@ mod tests {
         let rb = b.step(&topo, &drifted, 4);
         assert_eq!(ra.weights, rb.weights);
         assert_eq!(ra.best_cost, rb.best_cost);
+    }
+
+    #[test]
+    fn search_and_frontier_are_backend_invariant() {
+        // h = 12 lets the descent (and every diversification restart)
+        // sit further from the incumbent than the incremental backend
+        // repairs in one go (MAX_DELTAS = 8): the lanes follow the
+        // current point, and the trajectory must not notice either way.
+        let (topo, _, drifted) = drifted_instance();
+        let incumbent = DualWeights::replicated(WeightVector::uniform(&topo, 1));
+        for scheme in [Scheme::Dtr, Scheme::Str] {
+            let run = |kind: BackendKind| {
+                let params = SearchParams::tiny().with_seed(37).with_backend(kind);
+                let single: Vec<ReoptResult> = [2usize, 12]
+                    .iter()
+                    .map(|&h| {
+                        ReoptSearch::new(
+                            &topo,
+                            &drifted,
+                            Objective::LoadBased,
+                            params,
+                            scheme,
+                            incumbent.clone(),
+                            h,
+                        )
+                        .run()
+                    })
+                    .collect();
+                let swept = frontier(
+                    &topo,
+                    &drifted,
+                    Objective::LoadBased,
+                    params,
+                    scheme,
+                    &incumbent,
+                    &[2, 12],
+                );
+                (single, swept)
+            };
+            let (full, incr) = (run(BackendKind::Full), run(BackendKind::Incremental));
+            for (a, b) in full
+                .0
+                .iter()
+                .chain(&full.1)
+                .zip(incr.0.iter().chain(&incr.1))
+            {
+                assert_eq!(a.weights, b.weights, "{scheme:?} h={}", a.max_changes);
+                assert_eq!(a.eval, b.eval);
+                assert_eq!(a.changes_used, b.changes_used);
+                assert_eq!(a.trace.evaluations, b.trace.evaluations);
+            }
+        }
+    }
+
+    #[test]
+    fn result_eval_is_the_single_shot_evaluation() {
+        // The engine's sweep + assembly and `Evaluator::eval_dual_masked`
+        // are the same function of (weights, mask), bit for bit — up or
+        // down, either objective.
+        let (topo, _, drifted) = drifted_instance();
+        let incumbent = DualWeights::replicated(WeightVector::uniform(&topo, 1));
+        let cut = survivable_duplex_failures(&topo)[0].link_up.clone();
+        let all_up = vec![true; topo.link_count()];
+        for (objective, mask) in [
+            (Objective::LoadBased, &cut),
+            (Objective::LoadBased, &all_up),
+            (Objective::sla_default(), &all_up),
+        ] {
+            let mut s = ReoptSession::new(
+                incumbent.clone(),
+                objective,
+                SearchParams::tiny().with_seed(41),
+                Scheme::Dtr,
+            );
+            let res = s.idle_step(&topo, &drifted, mask, 4, 20);
+            let single =
+                Evaluator::new(&topo, &drifted, objective).eval_dual_masked(&res.weights, mask);
+            assert_eq!(res.eval, single);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "LoadBased only")]
+    fn masked_step_rejects_the_sla_objective() {
+        let (topo, _, drifted) = drifted_instance();
+        let cut = survivable_duplex_failures(&topo)[0].link_up.clone();
+        let mut s = ReoptSession::new(
+            DualWeights::replicated(WeightVector::uniform(&topo, 1)),
+            Objective::sla_default(),
+            SearchParams::tiny(),
+            Scheme::Dtr,
+        );
+        s.step_masked(&topo, &drifted, &cut, 4);
     }
 }

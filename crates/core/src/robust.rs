@@ -52,7 +52,7 @@ use crate::params::SearchParams;
 use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{phi, Lex2, Objective};
-use dtr_engine::{BackendKind, BatchEvaluator, SharedBound};
+use dtr_engine::{BackendKind, BatchEvaluator};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, Topology, WeightVector};
 use dtr_routing::{survivable_duplex_failures, FailureScenario};
@@ -60,7 +60,6 @@ use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Which routing scheme the robust search optimizes (alias of the shared
 /// [`Scheme`] enum).
@@ -276,7 +275,6 @@ pub struct RobustSearch<'a> {
     mode: RobustMode,
     scenario_cap: Option<usize>,
     initial: Option<DualWeights>,
-    bound: Option<Arc<SharedBound>>,
 }
 
 impl<'a> RobustSearch<'a> {
@@ -296,17 +294,7 @@ impl<'a> RobustSearch<'a> {
             mode,
             scenario_cap: None,
             initial: None,
-            bound: None,
         }
-    }
-
-    /// Attaches a portfolio's shared incumbent bound; the published
-    /// primary component is the *combined* robust cost's. Publish +
-    /// telemetry only — never changes the trajectory or result (see
-    /// [`crate::DtrSearch::with_shared_bound`]).
-    pub fn with_shared_bound(mut self, bound: Arc<SharedBound>) -> Self {
-        self.bound = Some(bound);
-        self
     }
 
     /// Optimizes against only the `cap` worst scenarios of the initial
@@ -339,12 +327,6 @@ impl<'a> RobustSearch<'a> {
     /// relative to nominal runs.
     pub fn run(mut self) -> RobustResult {
         let params = self.params;
-        let bound = self.bound.take();
-        let publish = |c: Lex2| {
-            if let Some(b) = &bound {
-                b.observe(c.primary);
-            }
-        };
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut trace = SearchTrace::default();
         let n_links = self.evaluator.topo.link_count();
@@ -363,7 +345,6 @@ impl<'a> RobustSearch<'a> {
         let mut best_w = cur_w.clone();
         let mut best = cur;
         trace.improved(0, Phase::Str, best.combined);
-        publish(best.combined);
 
         let mut stall = 0usize;
         for _ in 0..params.str_iters() {
@@ -415,7 +396,6 @@ impl<'a> RobustSearch<'a> {
                         best = cur;
                         best_w = cur_w.clone();
                         trace.improved(trace.iterations, Phase::Str, best.combined);
-                        publish(best.combined);
                         stall = 0;
                     } else {
                         stall += 1;
@@ -425,11 +405,6 @@ impl<'a> RobustSearch<'a> {
             }
 
             if stall >= params.diversify_after {
-                if let Some(b) = &bound {
-                    if b.dominates(best.combined.primary) {
-                        trace.dominated_checkpoints += 1;
-                    }
-                }
                 crate::neighborhood::perturb_weights(&mut cur_w.high, params.g1, &params, &mut rng);
                 if self.mode == RobustMode::Str {
                     cur_w.low = cur_w.high.clone();

@@ -24,13 +24,12 @@ use crate::neighborhood::perturb_weights;
 use crate::params::SearchParams;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
-use dtr_engine::{BatchEvaluator, SharedBound};
+use dtr_engine::BatchEvaluator;
 use dtr_graph::{LinkId, Topology, WeightVector};
 use dtr_routing::Evaluation;
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Best relaxed solution tracked for one ε (load-based objective only).
 #[derive(Debug, Clone)]
@@ -112,7 +111,6 @@ pub struct StrSearch<'a> {
     params: SearchParams,
     initial: WeightVector,
     relax_eps: Vec<f64>,
-    bound: Option<Arc<SharedBound>>,
 }
 
 impl<'a> StrSearch<'a> {
@@ -130,16 +128,7 @@ impl<'a> StrSearch<'a> {
             params,
             initial,
             relax_eps: Vec::new(),
-            bound: None,
         }
-    }
-
-    /// Attaches a portfolio's shared incumbent bound (publish +
-    /// telemetry only — never changes the trajectory or result; see
-    /// [`crate::DtrSearch::with_shared_bound`]).
-    pub fn with_shared_bound(mut self, bound: Arc<SharedBound>) -> Self {
-        self.bound = Some(bound);
-        self
     }
 
     /// Overrides the initial weights.
@@ -162,12 +151,6 @@ impl<'a> StrSearch<'a> {
     /// Runs the search.
     pub fn run(mut self) -> StrResult {
         let params = self.params;
-        let bound = self.bound.take();
-        let publish = |c: Lex2| {
-            if let Some(b) = &bound {
-                b.observe(c.primary);
-            }
-        };
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut trace = SearchTrace::default();
         let n_links = self.engine.topo().link_count();
@@ -180,7 +163,6 @@ impl<'a> StrSearch<'a> {
         let mut best_w = cur_w.clone();
         let mut best_cost = cur.cost;
         trace.improved(0, Phase::Str, best_cost);
-        publish(best_cost);
 
         // Relaxed tracking state: the smallest Φ_H seen over all
         // evaluated candidates, and the Pareto front of (Φ_H, Φ_L).
@@ -246,7 +228,6 @@ impl<'a> StrSearch<'a> {
                         best_cost = cur.cost;
                         best_w = cur_w.clone();
                         trace.improved(trace.iterations, Phase::Str, best_cost);
-                        publish(best_cost);
                         stall = 0;
                     } else {
                         stall += 1;
@@ -256,11 +237,6 @@ impl<'a> StrSearch<'a> {
             }
 
             if stall >= params.diversify_after {
-                if let Some(b) = &bound {
-                    if b.dominates(best_cost.primary) {
-                        trace.dominated_checkpoints += 1;
-                    }
-                }
                 perturb_weights(&mut cur_w, params.g1, &params, &mut rng);
                 self.engine.rebase_joint(&cur_w);
                 cur = self.engine.eval_joint(&cur_w);

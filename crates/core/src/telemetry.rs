@@ -49,14 +49,6 @@ pub struct SearchTrace {
     pub moves_accepted: usize,
     /// Every incumbent improvement, in order.
     pub improvements: Vec<Improvement>,
-    /// Checkpoints (diversifications, generation boundaries) at which a
-    /// portfolio's shared incumbent bound was strictly better than this
-    /// search's incumbent — i.e. how long the search ran while another
-    /// portfolio worker led. Always 0 outside a portfolio. **Timing
-    /// dependent**: the bound is read live from other threads, so this
-    /// counter is telemetry only and excluded from every determinism
-    /// contract (results never depend on it).
-    pub dominated_checkpoints: usize,
     /// Failure-scenario pair ids a robust-search scenario cap **dropped**
     /// from the optimization set (ascending; empty when no cap was
     /// active). The cap is a real approximation — a move can improve

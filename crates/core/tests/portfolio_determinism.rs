@@ -13,8 +13,8 @@
 //!
 //! The tests sweep both routing schemes, pruning on/off, multiple waves,
 //! and the robust mode — the configurations where a scheduling
-//! dependency could plausibly hide (pruning reads the shared bound's
-//! data at barriers; robust arms warm-start from nominal pre-runs).
+//! dependency could plausibly hide (pruning reads finished arms at
+//! barriers; robust arms warm-start from nominal pre-runs).
 
 use dtr_core::portfolio::{PortfolioMode, PortfolioParams, PortfolioSearch, StrategyKind};
 use dtr_core::{Objective, ScenarioCombine, Scheme, SearchParams};

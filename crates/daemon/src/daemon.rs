@@ -23,7 +23,7 @@ use dtr_cost::Objective;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, Topology};
 use dtr_mtr::deployment_cost;
-use dtr_routing::{strongly_connected_under, Evaluation, Evaluator, LoadCalculator};
+use dtr_routing::{strongly_connected_under, Evaluation, Evaluator};
 use dtr_traffic::DemandSet;
 
 /// Daemon configuration.
@@ -111,6 +111,17 @@ pub struct Daemon {
     shutdown: bool,
 }
 
+/// A link event parsed once by [`Daemon::validate_event`].
+struct LinkEvent {
+    /// The reply's `event` field, e.g. `link_down(3)`.
+    label: String,
+    /// The directed links that change state: both directions of a
+    /// duplex pair, or the one link of a directed event.
+    links: Vec<LinkId>,
+    /// The state they move to.
+    up: bool,
+}
+
 impl Daemon {
     /// Boots a daemon around `topo`/`demands`. When `incumbent` is
     /// `None`, a cold batch DTR search under `cfg.params` produces the
@@ -192,7 +203,7 @@ impl Daemon {
     }
 
     /// Evaluates `w` on the current demands under the current mask.
-    /// The masked branch is only reachable under the load objective —
+    /// Links are only ever down under the load objective —
     /// link-failure events are refused up front under the SLA objective
     /// (see [`DaemonCfg::objective`]), so the mask never fills in.
     fn eval_under_mask(&self, w: &DualWeights) -> Evaluation {
@@ -203,19 +214,7 @@ impl Daemon {
     /// shared by state evaluation and the (non-mutating) what-if
     /// probes, so probes can be answered from a `&self` read view.
     fn eval_with_mask(&self, w: &DualWeights, link_up: &[bool]) -> Evaluation {
-        let mut ev = Evaluator::new(&self.topo, &self.demands, self.cfg.objective);
-        if link_up.iter().all(|&u| u) {
-            ev.eval_dual(w)
-        } else {
-            debug_assert!(
-                matches!(self.cfg.objective, Objective::LoadBased),
-                "links can only be down under the load objective"
-            );
-            let mut calc = LoadCalculator::new();
-            let hl = calc.class_loads_masked(&self.topo, &w.high, link_up, &self.demands.high);
-            let ll = calc.class_loads_masked(&self.topo, &w.low, link_up, &self.demands.low);
-            ev.assemble(hl, ll, &w.high)
-        }
+        Evaluator::new(&self.topo, &self.demands, self.cfg.objective).eval_dual_masked(w, link_up)
     }
 
     /// The clear protocol error for link-failure events and probes under
@@ -230,21 +229,6 @@ impl Daemon {
         })
     }
 
-    fn pair(&self, link: u32) -> Result<(LinkId, LinkId), String> {
-        if link as usize >= self.topo.link_count() {
-            return Err(format!(
-                "link {link} out of range (topology has {} directed links)",
-                self.topo.link_count()
-            ));
-        }
-        let lid = LinkId(link);
-        let twin = self
-            .topo
-            .reverse_link(lid)
-            .ok_or_else(|| format!("link {link} has no reverse direction"))?;
-        Ok((lid, twin))
-    }
-
     /// Validates a directed link index.
     fn check_link(&self, link: u32) -> Result<LinkId, String> {
         if link as usize >= self.topo.link_count() {
@@ -254,6 +238,16 @@ impl Daemon {
             ));
         }
         Ok(LinkId(link))
+    }
+
+    /// Both directions of the duplex pair `link` names.
+    fn pair(&self, link: u32) -> Result<[LinkId; 2], String> {
+        let lid = self.check_link(link)?;
+        let twin = self
+            .topo
+            .reverse_link(lid)
+            .ok_or_else(|| format!("link {link} has no reverse direction"))?;
+        Ok([lid, twin])
     }
 
     /// Routes a state-changing event that was just applied: reoptimize
@@ -398,33 +392,61 @@ impl Daemon {
         }
     }
 
-    /// Pre-flight validation of an event request, mirroring the error
-    /// checks of the event arms in [`Self::handle`] (same order, same
-    /// messages). Runs before the event boundary so a failing event
-    /// neither advances `seq` nor spends the idle budget.
-    fn validate_event(&self, req: &Request) -> Option<String> {
-        match req {
-            Request::DemandUpdate { demands } => {
-                if demands.high.len() != self.topo.node_count()
-                    || demands.low.len() != self.topo.node_count()
-                {
-                    return Some(format!(
-                        "demand matrices must be {n}x{n}",
-                        n = self.topo.node_count()
-                    ));
+    /// Pre-flight validation of an event request: every way an event
+    /// can fail is checked here, before the event boundary, so a
+    /// failing event neither advances `seq` nor spends the idle budget.
+    /// A link event comes back parsed, ready for
+    /// [`Self::apply_link_event`].
+    fn validate_event(&self, req: &Request) -> Result<Option<LinkEvent>, String> {
+        let (link, duplex, up) = match *req {
+            Request::DemandUpdate { ref demands } => {
+                let n = self.topo.node_count();
+                if demands.high.len() != n || demands.low.len() != n {
+                    return Err(format!("demand matrices must be {n}x{n}"));
                 }
-                None
+                return Ok(None);
             }
-            Request::LinkDown { link } => self
-                .reject_mask_under_sla()
-                .or_else(|| self.pair(*link).err()),
-            Request::LinkUp { link } => self.pair(*link).err(),
-            Request::DirectedLinkDown { link } => self
-                .reject_mask_under_sla()
-                .or_else(|| self.check_link(*link).err()),
-            Request::DirectedLinkUp { link } => self.check_link(*link).err(),
-            _ => None,
+            Request::LinkDown { link } => (link, true, false),
+            Request::LinkUp { link } => (link, true, true),
+            Request::DirectedLinkDown { link } => (link, false, false),
+            Request::DirectedLinkUp { link } => (link, false, true),
+            _ => return Ok(None),
+        };
+        if !up {
+            if let Some(message) = self.reject_mask_under_sla() {
+                return Err(message);
+            }
         }
+        let links = if duplex {
+            self.pair(link)?.to_vec()
+        } else {
+            vec![self.check_link(link)?]
+        };
+        Ok(Some(LinkEvent {
+            label: format!("{}({link})", req.kind()),
+            links,
+            up,
+        }))
+    }
+
+    /// Applies a validated link event: nothing to do when every named
+    /// link is already in the target state, refused when taking the
+    /// links down would disconnect the network, otherwise the mask
+    /// moves and the event is answered like any other.
+    fn apply_link_event(&mut self, ev: LinkEvent) -> Reply {
+        if ev.links.iter().all(|l| self.link_up[l.index()] == ev.up) {
+            return Reply::Event(self.no_change(ev.label, EventAction::NoOp));
+        }
+        let mut mask = self.link_up.clone();
+        for l in &ev.links {
+            mask[l.index()] = ev.up;
+        }
+        if !ev.up && !strongly_connected_under(&self.topo, &mask) {
+            self.refused += 1;
+            return Reply::Event(self.no_change(ev.label, EventAction::Refused));
+        }
+        self.link_up = mask;
+        self.event_reply(ev.label)
     }
 
     /// Processes one request and produces its reply.
@@ -439,13 +461,15 @@ impl Daemon {
     /// transport answer probes from a concurrent read view without
     /// perturbing the writer's stream.
     pub fn handle(&mut self, req: Request) -> Reply {
+        let mut link_event = None;
         if req.is_event() {
             // A failed event is a complete no-op: validation runs
             // before the event boundary so an `Error` reply neither
             // advances `seq` nor spends the idle budget.
-            if let Some(message) = self.validate_event(&req) {
-                return Reply::Error { message };
-            }
+            link_event = match self.validate_event(&req) {
+                Ok(parsed) => parsed,
+                Err(message) => return Reply::Error { message },
+            };
             // The background budget runs at event boundaries, before
             // the next event applies, and never while a coalescing
             // batch is open.
@@ -459,86 +483,14 @@ impl Daemon {
         }
         match req {
             Request::DemandUpdate { demands } => {
-                if demands.high.len() != self.topo.node_count()
-                    || demands.low.len() != self.topo.node_count()
-                {
-                    return Reply::Error {
-                        message: format!(
-                            "demand matrices must be {n}x{n}",
-                            n = self.topo.node_count()
-                        ),
-                    };
-                }
                 self.demands = demands;
                 self.event_reply("demand_update".to_string())
             }
-            Request::LinkDown { link } => {
-                let label = format!("link_down({link})");
-                if let Some(message) = self.reject_mask_under_sla() {
-                    return Reply::Error { message };
-                }
-                let (lid, twin) = match self.pair(link) {
-                    Ok(p) => p,
-                    Err(message) => return Reply::Error { message },
-                };
-                if !self.link_up[lid.index()] && !self.link_up[twin.index()] {
-                    return Reply::Event(self.no_change(label, EventAction::NoOp));
-                }
-                let mut mask = self.link_up.clone();
-                mask[lid.index()] = false;
-                mask[twin.index()] = false;
-                if !strongly_connected_under(&self.topo, &mask) {
-                    self.refused += 1;
-                    return Reply::Event(self.no_change(label, EventAction::Refused));
-                }
-                self.link_up = mask;
-                self.event_reply(label)
-            }
-            Request::LinkUp { link } => {
-                let label = format!("link_up({link})");
-                let (lid, twin) = match self.pair(link) {
-                    Ok(p) => p,
-                    Err(message) => return Reply::Error { message },
-                };
-                if self.link_up[lid.index()] && self.link_up[twin.index()] {
-                    return Reply::Event(self.no_change(label, EventAction::NoOp));
-                }
-                self.link_up[lid.index()] = true;
-                self.link_up[twin.index()] = true;
-                self.event_reply(label)
-            }
-            Request::DirectedLinkDown { link } => {
-                let label = format!("directed_link_down({link})");
-                if let Some(message) = self.reject_mask_under_sla() {
-                    return Reply::Error { message };
-                }
-                let lid = match self.check_link(link) {
-                    Ok(l) => l,
-                    Err(message) => return Reply::Error { message },
-                };
-                if !self.link_up[lid.index()] {
-                    return Reply::Event(self.no_change(label, EventAction::NoOp));
-                }
-                let mut mask = self.link_up.clone();
-                mask[lid.index()] = false;
-                if !strongly_connected_under(&self.topo, &mask) {
-                    self.refused += 1;
-                    return Reply::Event(self.no_change(label, EventAction::Refused));
-                }
-                self.link_up = mask;
-                self.event_reply(label)
-            }
-            Request::DirectedLinkUp { link } => {
-                let label = format!("directed_link_up({link})");
-                let lid = match self.check_link(link) {
-                    Ok(l) => l,
-                    Err(message) => return Reply::Error { message },
-                };
-                if self.link_up[lid.index()] {
-                    return Reply::Event(self.no_change(label, EventAction::NoOp));
-                }
-                self.link_up[lid.index()] = true;
-                self.event_reply(label)
+            Request::LinkDown { .. }
+            | Request::LinkUp { .. }
+            | Request::DirectedLinkDown { .. }
+            | Request::DirectedLinkUp { .. } => {
+                self.apply_link_event(link_event.expect("link events validate into a LinkEvent"))
             }
             Request::Flush => {
                 if self.pending == 0 {
@@ -607,13 +559,14 @@ impl Daemon {
                 if let Some(message) = self.reject_mask_under_sla() {
                     return Some(Reply::Error { message });
                 }
-                let (lid, twin) = match self.pair(*link) {
+                let pair = match self.pair(*link) {
                     Ok(p) => p,
                     Err(message) => return Some(Reply::Error { message }),
                 };
                 let mut mask = self.link_up.clone();
-                mask[lid.index()] = false;
-                mask[twin.index()] = false;
+                for l in pair {
+                    mask[l.index()] = false;
+                }
                 let feasible = strongly_connected_under(&self.topo, &mask);
                 let cost = feasible.then(|| {
                     let eval = self.eval_with_mask(self.session.incumbent(), &mask);

@@ -14,8 +14,8 @@
 //!   [`serve_unix`], [`serve_tcp`]);
 //! - each topology or demand event triggers an **incremental
 //!   reoptimization** warm-started from the incumbent
-//!   ([`dtr_core::ReoptSession`], evaluating through the engine's mask
-//!   deltas while links are down) under a configurable per-event change
+//!   ([`dtr_core::ReoptSession`], every candidate costed on the engine
+//!   under the current link mask) under a configurable per-event change
 //!   budget — or, under **event coalescing**
 //!   ([`DaemonCfg::coalesce`]), one batched reoptimization per burst;
 //! - between events a **background anytime budget**

@@ -25,9 +25,6 @@
 //!   implementations;
 //! - [`cache`] — an LRU evaluation cache keyed by weight-vector hash,
 //!   short-circuiting revisited candidates entirely;
-//! - [`bound`] — the wait-free shared incumbent bound that parallel
-//!   portfolio workers publish improvements to (`dtr-core`'s
-//!   orchestrator);
 //! - [`BatchEvaluator`] — the facade `dtr-core` drives: per-class batch
 //!   evaluation returning the same [`HighSide`] / [`ClassLoads`] /
 //!   [`Evaluation`] structures the routing evaluator produces.
@@ -42,7 +39,6 @@
 //! perturb ~5% of all weights).
 
 pub mod backend;
-pub mod bound;
 pub mod cache;
 pub mod dynspf;
 pub mod flat;
@@ -53,7 +49,6 @@ pub use backend::{
     full_candidate_eval, full_candidate_eval_masked, make_backend, BackendKind, EvalBackend,
     FullBackend, IncrementalBackend,
 };
-pub use bound::SharedBound;
 pub use cache::{weight_hash, LruCache};
 pub use dynspf::{
     apply_link_down, apply_link_up, apply_weight_delta, delta_affects_dag, link_down_affects_dag,

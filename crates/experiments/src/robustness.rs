@@ -17,11 +17,9 @@
 use crate::report::{fmt, Table};
 use crate::runner::{demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
 use dtr_core::{DtrSearch, Objective, StrSearch};
-use dtr_cost::phi;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::Topology;
-use dtr_routing::loads::max_utilization;
-use dtr_routing::LoadCalculator;
+use dtr_routing::Evaluator;
 use dtr_traffic::DemandSet;
 use serde::{Deserialize, Serialize};
 
@@ -65,24 +63,14 @@ pub fn failure_sweep(
     weights: &DualWeights,
     scheme: &str,
 ) -> RobustnessSummary {
-    let mut calc = LoadCalculator::new();
-
-    let eval_masked = |calc: &mut LoadCalculator, up: &[bool]| -> (f64, f64, f64) {
-        let h = calc.class_loads_masked(topo, &weights.high, up, &demands.high);
-        let l = calc.class_loads_masked(topo, &weights.low, up, &demands.low);
-        let mut phi_h = 0.0;
-        let mut phi_l = 0.0;
-        for (lid, link) in topo.links() {
-            let i = lid.index();
-            phi_h += phi(h[i], link.capacity);
-            phi_l += phi(l[i], (link.capacity - h[i]).max(0.0));
-        }
-        let total: Vec<f64> = h.iter().zip(&l).map(|(a, b)| a + b).collect();
-        (phi_h, phi_l, max_utilization(topo, &total))
+    let mut evaluator = Evaluator::new(topo, demands, Objective::LoadBased);
+    let mut eval_masked = |up: &[bool]| -> (f64, f64, f64) {
+        let e = evaluator.eval_dual_masked(weights, up);
+        (e.phi_h, e.phi_l, e.max_utilization(topo))
     };
 
     let all_up = vec![true; topo.link_count()];
-    let (ih, il, _) = eval_masked(&mut calc, &all_up);
+    let (ih, il, _) = eval_masked(&all_up);
 
     // One scenario per duplex pair, canonical id = min(link, twin).
     let mut outcomes = Vec::new();
@@ -97,7 +85,7 @@ pub fn failure_sweep(
         if !survives(topo, &up) {
             continue;
         }
-        let (phi_h, phi_l, max_util) = eval_masked(&mut calc, &up);
+        let (phi_h, phi_l, max_util) = eval_masked(&up);
         outcomes.push(FailureOutcome {
             failed_link: lid.0,
             phi_l,
@@ -253,7 +241,7 @@ mod tests {
             }
         }
         let w = dtr_graph::WeightVector::uniform(&topo, 1);
-        let loads = LoadCalculator::new().class_loads_masked(&topo, &w, &up, &m);
+        let loads = dtr_routing::LoadCalculator::new().class_loads_masked(&topo, &w, &up, &m);
         assert!(
             loads.iter().all(|&x| x == 0.0),
             "demand to a cut node is dropped"

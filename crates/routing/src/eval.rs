@@ -354,6 +354,30 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// [`Self::eval_dual`] on the network that `link_up` leaves
+    /// (`link_up[l] == false` removes link `l`): both classes route
+    /// around the down links and the costs are assembled from those
+    /// loads. An all-up mask is exactly [`Self::eval_dual`]. With a
+    /// link down only the load-based objective on a full deployment is
+    /// defined — the SLA walk and the hybrid low DAGs have no masked
+    /// form — and the caller must keep the survivors strongly connected.
+    pub fn eval_dual_masked(&mut self, w: &DualWeights, link_up: &[bool]) -> Evaluation {
+        if link_up.iter().all(|&up| up) {
+            return self.eval_dual(w);
+        }
+        debug_assert!(
+            matches!(self.objective, Objective::LoadBased) && self.deployment.is_none(),
+            "links can only be down under the load objective on a full deployment"
+        );
+        let hl = self
+            .calc
+            .class_loads_masked(self.topo, &w.high, link_up, &self.demands.high);
+        let ll = self
+            .calc
+            .class_loads_masked(self.topo, &w.low, link_up, &self.demands.low);
+        self.assemble(hl, ll, &w.high)
+    }
+
     /// Single-topology evaluation (both classes share `w`); one SPF pass
     /// per destination covers both classes.
     pub fn eval_str(&mut self, w: &WeightVector) -> Evaluation {
@@ -855,5 +879,38 @@ mod tests {
         let hu = e.high_utilizations(&topo);
         let ac = topo.find_link(NodeId(0), NodeId(2)).unwrap();
         assert!((hu[ac.index()] - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn masked_dual_eval_is_eval_dual_when_up_and_masked_loads_when_down() {
+        use crate::scenarios::survivable_duplex_failures;
+        use dtr_graph::gen::{random_topology, RandomTopologyCfg};
+        use dtr_traffic::TrafficCfg;
+        let topo = random_topology(&RandomTopologyCfg {
+            nodes: 10,
+            directed_links: 40,
+            seed: 8,
+        });
+        let cfg = TrafficCfg {
+            seed: 8,
+            ..Default::default()
+        };
+        let demands = DemandSet::generate(&topo, &cfg).scaled(4.0);
+        let mut w = DualWeights::replicated(WeightVector::uniform(&topo, 3));
+        w.high.set(dtr_graph::LinkId(2), 9);
+        w.low.set(dtr_graph::LinkId(5), 1);
+        let all_up = vec![true; topo.link_count()];
+        for objective in [Objective::LoadBased, Objective::sla_default()] {
+            let mut ev = Evaluator::new(&topo, &demands, objective);
+            assert_eq!(ev.eval_dual_masked(&w, &all_up), ev.eval_dual(&w));
+        }
+        let mut ev = Evaluator::new(&topo, &demands, Objective::LoadBased);
+        let cut = &survivable_duplex_failures(&topo)[0].link_up;
+        let mut calc = LoadCalculator::new();
+        let hl = calc.class_loads_masked(&topo, &w.high, cut, &demands.high);
+        let ll = calc.class_loads_masked(&topo, &w.low, cut, &demands.low);
+        let by_hand = ev.assemble(hl, ll, &w.high);
+        assert_eq!(ev.eval_dual_masked(&w, cut), by_hand);
+        assert_ne!(by_hand.cost, ev.eval_dual(&w).cost, "the cut must matter");
     }
 }

@@ -125,8 +125,14 @@ pub fn par_map_slice<'a, T: Sync, R: Send>(
     items: &'a [T],
     f: impl Fn(&'a T) -> R + Sync,
 ) -> Vec<R> {
-    let threads = current_num_threads().min(items.len());
-    if threads <= 1 || items.len() < 2 {
+    // Length first: `current_num_threads` may ask the OS (a cgroup file
+    // read), which one-item maps — a single-candidate batch, a
+    // one-scenario sweep — must not pay per call.
+    let threads = match items.len() {
+        0 | 1 => 1,
+        n => current_num_threads().min(n),
+    };
+    if threads <= 1 {
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
@@ -377,6 +383,23 @@ mod tests {
                 .collect()
         });
         assert!(inner.iter().all(|&n| n == 1), "{inner:?}");
+    }
+
+    #[test]
+    fn one_item_map_runs_on_the_calling_thread() {
+        // No worker is spawned (and the thread count never consulted)
+        // for a single item, whatever pool is installed.
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let caller = std::thread::current().id();
+        let ran_on: Vec<std::thread::ThreadId> = pool.install(|| {
+            [()].par_iter()
+                .map(|_| std::thread::current().id())
+                .collect()
+        });
+        assert_eq!(ran_on, [caller]);
     }
 
     #[test]
