@@ -12,9 +12,7 @@
 //! is cheap next to routing evaluations, so times should be close).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dtr_core::{
-    AnnealMode, AnnealSearch, GaSearch, MemeticSearch, Objective, SearchParams, StrSearch,
-};
+use dtr_core::{AnnealSearch, GaSearch, MemeticSearch, Objective, Scheme, SearchParams, StrSearch};
 use dtr_experiments::paper_random;
 use dtr_traffic::{DemandSet, TrafficCfg};
 use std::hint::black_box;
@@ -27,14 +25,7 @@ fn bench_strategy(c: &mut Criterion) {
     let ls = StrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
     let ga = GaSearch::new(&topo, &demands, Objective::LoadBased, params).run();
     let mem = MemeticSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-    let sa = AnnealSearch::new(
-        &topo,
-        &demands,
-        Objective::LoadBased,
-        params,
-        AnnealMode::Str,
-    )
-    .run();
+    let sa = AnnealSearch::new(&topo, &demands, Objective::LoadBased, params, Scheme::Str).run();
     println!(
         "[ablation_search_strategy] local search: ⟨{:.1}, {:.1}⟩ in {} evals",
         ls.best_cost.primary, ls.best_cost.secondary, ls.trace.evaluations
@@ -74,7 +65,7 @@ fn bench_strategy(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::from_parameter("annealing"), &params, |b, p| {
         b.iter(|| {
             black_box(
-                AnnealSearch::new(&topo, &demands, Objective::LoadBased, *p, AnnealMode::Str).run(),
+                AnnealSearch::new(&topo, &demands, Objective::LoadBased, *p, Scheme::Str).run(),
             )
         })
     });

@@ -20,6 +20,7 @@ use dtr_engine::{make_backend, BackendKind, KClassBatchEvaluator};
 use dtr_graph::datacenter::{fat_tree_topology, FatTreeCfg};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::rocketfuel::{rocketfuel_topology, RocketfuelCfg};
+use dtr_graph::weights::DualWeights;
 use dtr_graph::{waxman_topology, LinkId, Topology, WaxmanCfg, WeightVector};
 use dtr_multi::{MultiDemand, MultiTrafficCfg};
 use dtr_traffic::{DemandSet, TrafficCfg};
@@ -219,8 +220,8 @@ fn bench_kclass(c: &mut Criterion) {
 
 /// Deployment-aware low-class stepping cost: the 50-node instance with
 /// half the routers upgraded (every even index), batch-evaluating low
-/// weight candidates through `BatchEvaluator::eval_deployed_low_batch`
-/// — the `FindL` hot path of a partial-deployment search, where every
+/// weight candidates through `BatchEvaluator::eval_class_batch` — the
+/// `FindL` hot path of a partial-deployment search, where every
 /// candidate rebuilds the hybrid (legacy + upgraded) per-destination
 /// DAGs. Candidates are regenerated per iteration so caching cannot
 /// absorb the harness's repeats.
@@ -248,13 +249,14 @@ fn bench_deployed(c: &mut Criterion) {
     );
     ev.set_deployment(Some(dep))
         .expect("load-based two-class evaluator accepts a deployment");
-    let base = WeightVector::delay_proportional(&topo, 30);
+    let base = DualWeights::replicated(WeightVector::delay_proportional(&topo, 30));
+    let base_eval = ev.eval_dual(&base);
     let mut round: u64 = 0;
     c.bench_function("engine/deployed/low_step/random_50n_200l", |b| {
         b.iter(|| {
             round += 1;
-            let cands = neighbors_seeded(&topo, &base, 8, "step", round);
-            ev.eval_deployed_low_batch(&base, &cands)
+            let cands = neighbors_seeded(&topo, &base.low, 8, "step", round);
+            ev.eval_class_batch(dtr_engine::Class::Low, &cands, &base, &base_eval)
         })
     });
 }

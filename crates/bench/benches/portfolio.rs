@@ -9,14 +9,16 @@
 //!    `workers = 1` and `workers = 4` for the same seed — parallelism
 //!    is an execution knob only.
 //! 2. **Wall-clock speedup**: with ≥ 2 cores the 4-worker run must beat
-//!    the serial run on the 100-node instance. On a single-core machine
-//!    (this development container) there is nothing to win, so the
-//!    speedup is recorded with `"parallel_speedup_expected": false`
-//!    instead of asserted — CI runners with multiple cores assert it.
+//!    the serial run on both instances. On a single hardware thread
+//!    there is nothing to win, so there the speedup is recorded with
+//!    `"parallel_speedup_expected": false` instead of asserted.
 //!
 //! The quality section runs a 4-wave portfolio and records the
 //! deterministic incumbent cost after every wave barrier — the
-//! diminishing-returns curve an operator uses to pick a restart budget.
+//! diminishing-returns curve an operator uses to pick a restart budget —
+//! together with the strategy arm whose task supplied that incumbent
+//! (the per-arm contribution ROADMAP item 3 wants measured before any
+//! arm is kept or deleted).
 //!
 //! Emits `BENCH_portfolio.json` at the repository root. Schema:
 //! `{ "cores": N,
@@ -24,7 +26,8 @@
 //!                   speedup, same_incumbent,
 //!                   parallel_speedup_expected } … ],
 //!    "quality": [ { topology, arms_per_wave, restarts,
-//!                   wave_costs: [[primary, secondary] …] } … ] }`
+//!                   wave_costs: [[primary, secondary] …],
+//!                   wave_arms: [strategy name …] } … ] }`
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dtr_core::{
@@ -99,6 +102,33 @@ struct QualityRow {
     arms_per_wave: usize,
     restarts: usize,
     wave_costs: Vec<(f64, f64)>,
+    wave_arms: Vec<&'static str>,
+}
+
+/// The strategy of the task holding the incumbent after each wave: the
+/// portfolio's own reduction (lowest cost, then lexicographically
+/// smallest weights, then lowest task index) replayed over
+/// [`PortfolioResult::tasks`].
+fn incumbent_arms(res: &PortfolioResult) -> Vec<&'static str> {
+    let key = |t: &dtr_core::TaskOutcome| {
+        (
+            t.cost,
+            t.weights.high.as_slice().to_vec(),
+            t.weights.low.as_slice().to_vec(),
+        )
+    };
+    (0..res.wave_bests.len())
+        .map(|wave| {
+            let best = res
+                .tasks
+                .iter()
+                .filter(|t| t.wave <= wave)
+                .min_by_key(|t| key(t))
+                .expect("every wave runs a task");
+            assert_eq!(best.cost, res.wave_bests[wave]);
+            best.strategy.name()
+        })
+        .collect()
 }
 
 fn bench_portfolio(_c: &mut Criterion) {
@@ -151,12 +181,14 @@ fn bench_portfolio(_c: &mut Criterion) {
 
         let restarts = 4;
         let (multi, _) = run_portfolio(&topo, &demands, workers, restarts);
+        let wave_arms = incumbent_arms(&multi);
         println!(
             "portfolio {name}: quality over {restarts} waves: {}",
             multi
                 .wave_bests
                 .iter()
-                .map(|c| format!("{c}"))
+                .zip(&wave_arms)
+                .map(|(c, arm)| format!("{c} ({arm})"))
                 .collect::<Vec<_>>()
                 .join(" → ")
         );
@@ -169,6 +201,7 @@ fn bench_portfolio(_c: &mut Criterion) {
                 .iter()
                 .map(|c| (c.primary, c.secondary))
                 .collect(),
+            wave_arms,
         });
     }
 
@@ -199,11 +232,12 @@ fn write_json(cores: usize, speedups: &[SpeedupRow], quality: &[QualityRow]) {
             .map(|(p, s)| format!("[{p:?}, {s:?}]"))
             .collect();
         out.push_str(&format!(
-            "    {{ \"topology\": \"{}\", \"arms_per_wave\": {}, \"restarts\": {}, \"wave_costs\": [{}] }}{}\n",
+            "    {{ \"topology\": \"{}\", \"arms_per_wave\": {}, \"restarts\": {}, \"wave_costs\": [{}], \"wave_arms\": {:?} }}{}\n",
             q.topology,
             q.arms_per_wave,
             q.restarts,
             costs.join(", "),
+            q.wave_arms,
             if i + 1 < quality.len() { "," } else { "" }
         ));
     }

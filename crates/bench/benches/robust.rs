@@ -18,7 +18,7 @@
 //!                same_incumbent } }`
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dtr_core::robust::{RobustMode, RobustSearch, ScenarioCombine};
+use dtr_core::robust::{RobustSearch, ScenarioCombine};
 use dtr_core::SearchParams;
 use dtr_engine::{make_backend, BackendKind};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
@@ -174,7 +174,7 @@ fn search_comparison() -> (f64, f64, bool) {
             &demands,
             ScenarioCombine::Blend { beta: 0.5 },
             SearchParams::tiny().with_seed(5).with_backend(kind),
-            RobustMode::Dtr,
+            dtr_core::Scheme::Dtr,
         )
         .run();
         (start.elapsed().as_secs_f64(), res)

@@ -922,6 +922,16 @@ fn cmd_robust(args: &Args) -> Result<(), CliError> {
     let params = parse_budget(args)?;
     let scheme = parse_scheme(args)?;
     let beta: f64 = args.get_or("beta", 0.5)?;
+    if !(0.0..=1.0).contains(&beta) {
+        return Err(CliError::UnknownVariant {
+            what: "blend weight --beta (need a value in [0, 1])",
+            value: beta.to_string(),
+        });
+    }
+    let warm = match args.get("weights") {
+        Some(p) => Some(load_incumbent(p, &topo, scheme)?),
+        None => None,
+    };
     let cap: Option<usize> =
         match args.get("cap") {
             None => None,
@@ -947,8 +957,8 @@ fn cmd_robust(args: &Args) -> Result<(), CliError> {
             },
             cfg,
         );
-        if let Some(p) = args.get("weights") {
-            search = search.with_initial(load(p)?);
+        if let Some(w0) = warm {
+            search = search.with_initial(w0);
         }
         let start = std::time::Instant::now();
         let res = search.run();
@@ -974,8 +984,8 @@ fn cmd_robust(args: &Args) -> Result<(), CliError> {
     if let Some(n) = cap {
         search = search.with_scenario_cap(n);
     }
-    if let Some(p) = args.get("weights") {
-        search = search.with_initial(load(p)?);
+    if let Some(w0) = warm {
+        search = search.with_initial(w0);
     }
     let res = search.run();
     println!(
@@ -2391,6 +2401,95 @@ mod tests {
         // The fitting combination still runs.
         reopt(&topo_p, "dtr").unwrap();
         for p in [&topo_p, &small_p, &tm_p, &w_p, &out_p] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    /// An 8-node instance with a DTR optimum for it, plus a 6-node
+    /// instance those 32 weights do not fit:
+    /// `[topo, traffic, weights, small topo, small traffic, out]`.
+    fn robust_fixture(tag: &str) -> [String; 6] {
+        let f =
+            ["t", "m", "w", "t-small", "m-small", "out"].map(|n| tmp(&format!("{n}-{tag}.json")));
+        for (t, m, nodes) in [(&f[0], &f[1], 8), (&f[3], &f[4], 6)] {
+            run(&args(&format!(
+                "topo random --nodes {nodes} --links {} --seed 1 --out {t}",
+                nodes * 4
+            )))
+            .unwrap();
+            run(&args(&format!("traffic --topo {t} --seed 1 --out {m}"))).unwrap();
+        }
+        run(&args(&format!(
+            "optimize --topo {} --traffic {} --scheme dtr --budget tiny --out {}",
+            f[0], f[1], f[2]
+        )))
+        .unwrap();
+        f
+    }
+
+    fn assert_misfit(e: CliError, w_p: &str) {
+        assert!(matches!(e, CliError::Weights { .. }), "{e:?}");
+        let msg = e.to_string();
+        assert!(
+            msg.contains(w_p) && msg.contains("24 directed links"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn robust_rejects_weights_that_do_not_fit_with_a_typed_error() {
+        // Used to die in `RobustSearch::with_initial`'s assertions (exit
+        // 101 and a backtrace); now an exit-1 error naming the file.
+        let f = robust_fixture("rob-fit");
+        let [topo_p, tm_p, w_p, small_p, small_tm_p, out_p] = &f;
+        let robust = |topo: &str, tm: &str, scheme: &str| {
+            run(&args(&format!(
+                "robust --topo {topo} --traffic {tm} --weights {w_p} --scheme {scheme} \
+                 --cap 3 --budget tiny --out {out_p}"
+            )))
+        };
+        assert_misfit(robust(small_p, small_tm_p, "dtr").unwrap_err(), w_p);
+        // A DTR optimum has diverged vectors: not an STR warm start.
+        let e = robust(topo_p, tm_p, "str").unwrap_err();
+        assert!(matches!(e, CliError::Weights { .. }), "{e:?}");
+        // The fitting combination still runs.
+        robust(topo_p, tm_p, "dtr").unwrap();
+        for p in &f {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn robust_portfolio_rejects_weights_that_do_not_fit_with_a_typed_error() {
+        // Used to die in `PortfolioSearch::with_initial` (exit 101).
+        let f = robust_fixture("robp-fit");
+        let [_, _, w_p, small_p, small_tm_p, out_p] = &f;
+        let e = run(&args(&format!(
+            "optimize --robust --portfolio descent --topo {small_p} --traffic {small_tm_p} \
+             --weights {w_p} --budget tiny --out {out_p}"
+        )))
+        .unwrap_err();
+        assert_misfit(e, w_p);
+        for p in &f {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn robust_rejects_a_beta_outside_the_unit_interval() {
+        // Used to die in `RobustEvaluator`'s "β must be in [0,1]".
+        let f = robust_fixture("rob-beta");
+        let [topo_p, tm_p, _, _, _, out_p] = &f;
+        let e = run(&args(&format!(
+            "robust --topo {topo_p} --traffic {tm_p} --beta 2 --budget tiny --out {out_p}"
+        )))
+        .unwrap_err();
+        assert!(
+            matches!(e, CliError::UnknownVariant { ref value, .. } if value == "2"),
+            "{e:?}"
+        );
+        assert!(e.to_string().contains("--beta"), "{e}");
+        for p in &f {
             let _ = std::fs::remove_file(p);
         }
     }

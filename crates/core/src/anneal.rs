@@ -4,7 +4,7 @@
 //! algorithms (\[3\], [`crate::ga`]) are two of the classic heuristic
 //! families for the OSPF weight-setting problem; simulated annealing is
 //! the third. [`AnnealSearch`] implements it for both routing schemes —
-//! [`AnnealMode::Str`] anneals a single weight vector, [`AnnealMode::Dtr`]
+//! [`Scheme::Str`] anneals a single weight vector, [`Scheme::Dtr`]
 //! anneals the dual vector `{W^H, W^L}` with the same per-class
 //! evaluation caching as Algorithm 1 — so all three strategies can be
 //! compared at an identical evaluation budget
@@ -36,21 +36,18 @@
 //! degradation is accepted with probability ≈ 0.8 (standard practice)
 //! and decays geometrically to a floor over the evaluation budget.
 
+use crate::descent::SingleChange;
 use crate::params::SearchParams;
 use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, Topology, WeightVector};
+use dtr_graph::{Topology, WeightVector};
 use dtr_routing::{Evaluation, Evaluator};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// Which routing scheme the annealer optimizes (alias of the shared
-/// [`Scheme`] enum).
-pub type AnnealMode = Scheme;
 
 /// Annealing-specific knobs; the evaluation budget and weight range come
 /// from [`SearchParams`] so runs are comparable with the other searches.
@@ -85,7 +82,7 @@ impl Default for AnnealParams {
 /// Outcome of an annealing run.
 #[derive(Debug, Clone)]
 pub struct AnnealResult {
-    /// Best dual setting found. Under [`AnnealMode::Str`] the two vectors
+    /// Best dual setting found. Under [`Scheme::Str`] the two vectors
     /// are identical replicas (so the result type is uniform across
     /// modes).
     pub weights: DualWeights,
@@ -105,7 +102,7 @@ pub struct AnnealSearch<'a> {
     evaluator: Evaluator<'a>,
     params: SearchParams,
     anneal: AnnealParams,
-    mode: AnnealMode,
+    mode: Scheme,
 }
 
 /// Floor used when normalizing relative degradations of near-zero costs.
@@ -118,7 +115,7 @@ impl<'a> AnnealSearch<'a> {
         demands: &'a DemandSet,
         objective: Objective,
         params: SearchParams,
-        mode: AnnealMode,
+        mode: Scheme,
     ) -> Self {
         params.validate();
         AnnealSearch {
@@ -135,7 +132,7 @@ impl<'a> AnnealSearch<'a> {
     /// mixed network it will actually run on. A full set is a no-op.
     pub fn with_deployment(mut self, dep: dtr_routing::DeploymentSet) -> Self {
         assert!(
-            matches!(self.mode, AnnealMode::Dtr) || dep.is_full(),
+            matches!(self.mode, Scheme::Dtr) || dep.is_full(),
             "partial deployment requires DTR mode (STR is deployment-invariant)"
         );
         self.evaluator
@@ -177,31 +174,8 @@ impl<'a> AnnealSearch<'a> {
     /// Proposes a single-weight-change move: one class (in DTR mode), one
     /// link, one fresh weight value guaranteed to differ from the old one.
     fn propose(&self, w: &DualWeights, rng: &mut StdRng) -> DualWeights {
-        let n = w.high.len();
-        let lid = LinkId(rng.random_range(0..n as u32));
-        let change_high = match self.mode {
-            AnnealMode::Str => true, // both vectors change in lock-step below
-            AnnealMode::Dtr => rng.random_bool(0.5),
-        };
-        let target = if change_high { &w.high } else { &w.low };
-        let old = target.get(lid);
-        let mut v = rng.random_range(self.params.min_weight..=self.params.max_weight);
-        if v == old {
-            v = if v == self.params.max_weight {
-                self.params.min_weight
-            } else {
-                v + 1
-            };
-        }
         let mut next = w.clone();
-        match self.mode {
-            AnnealMode::Str => {
-                next.high.set(lid, v);
-                next.low.set(lid, v);
-            }
-            AnnealMode::Dtr if change_high => next.high.set(lid, v),
-            AnnealMode::Dtr => next.low.set(lid, v),
-        }
+        SingleChange::draw(self.mode, w, &self.params, rng).apply(self.mode, &mut next);
         next
     }
 
@@ -212,7 +186,7 @@ impl<'a> AnnealSearch<'a> {
         w: &DualWeights,
         prev: Option<(&DualWeights, &Evaluation)>,
     ) -> Evaluation {
-        if let (AnnealMode::Dtr, Some((pw, pe))) = (self.mode, prev) {
+        if let (Scheme::Dtr, Some((pw, pe))) = (self.mode, prev) {
             if w.high == pw.high {
                 // Only the low class moved: reuse the cached high side.
                 let high = self
@@ -237,8 +211,8 @@ impl<'a> AnnealSearch<'a> {
             }
         }
         match self.mode {
-            AnnealMode::Str => self.evaluator.eval_str(&w.high),
-            AnnealMode::Dtr => self.evaluator.eval_dual(w),
+            Scheme::Str => self.evaluator.eval_str(&w.high),
+            Scheme::Dtr => self.evaluator.eval_dual(w),
         }
     }
 
@@ -353,7 +327,7 @@ mod tests {
             &demands,
             Objective::LoadBased,
             SearchParams::quick().with_seed(4),
-            AnnealMode::Str,
+            Scheme::Str,
         )
         .run();
         assert!(
@@ -381,7 +355,7 @@ mod tests {
             &demands,
             Objective::LoadBased,
             SearchParams::quick().with_seed(4),
-            AnnealMode::Dtr,
+            Scheme::Dtr,
         )
         .run();
         assert!((dtr.eval.phi_h - 1.0 / 3.0).abs() < 1e-9);
@@ -408,7 +382,7 @@ mod tests {
         )
         .scaled(4.0);
         let params = SearchParams::tiny().with_seed(2);
-        for mode in [AnnealMode::Str, AnnealMode::Dtr] {
+        for mode in [Scheme::Str, Scheme::Dtr] {
             let res = AnnealSearch::new(&topo, &demands, Objective::LoadBased, params, mode).run();
             assert!(res.trace.evaluations <= params.dtr_eval_budget());
         }
@@ -436,7 +410,7 @@ mod tests {
             &demands,
             Objective::LoadBased,
             SearchParams::tiny().with_seed(7),
-            AnnealMode::Str,
+            Scheme::Str,
         )
         .run();
         assert!(res.best_cost <= uniform);
@@ -451,7 +425,7 @@ mod tests {
                 &demands,
                 Objective::LoadBased,
                 SearchParams::tiny().with_seed(13),
-                AnnealMode::Dtr,
+                Scheme::Dtr,
             )
             .run()
         };
@@ -469,7 +443,7 @@ mod tests {
             &demands,
             Objective::LoadBased,
             SearchParams::tiny(),
-            AnnealMode::Str,
+            Scheme::Str,
         );
         assert_eq!(s.degradation(Lex2::new(2.0, 2.0), Lex2::new(1.0, 5.0)), 0.0);
         assert_eq!(s.degradation(Lex2::new(2.0, 2.0), Lex2::new(2.0, 1.0)), 0.0);
@@ -500,7 +474,7 @@ mod tests {
             &demands,
             Objective::sla_default(),
             SearchParams::tiny().with_seed(1),
-            AnnealMode::Dtr,
+            Scheme::Dtr,
         )
         .run();
         assert!(res.eval.sla.is_some());
@@ -515,7 +489,7 @@ mod tests {
             &demands,
             Objective::LoadBased,
             SearchParams::tiny(),
-            AnnealMode::Str,
+            Scheme::Str,
         )
         .with_anneal_params(AnnealParams {
             primary_emphasis: 0.5,

@@ -1,30 +1,32 @@
 //! Algorithm 1: the DTR weight search.
 //!
-//! An iterated local search over the dual weight vector `W = {W^H, W^L}`
-//! in three routines (see the crate docs). The expensive step is candidate
-//! evaluation; it is delegated to the `dtr-engine`
-//! [`BatchEvaluator`], which combines three layers of reuse:
+//! Three stages over the dual weight vector `W = {W^H, W^L}` on the
+//! shared [`descent`](crate::descent) driver:
 //!
-//! - a `FindH` candidate re-routes **only the high class** (`W^L` and the
-//!   cached low-class loads are untouched), and vice versa for `FindL` —
-//!   the paper's per-class split;
-//! - under the (default) incremental backend, re-routing a class repairs
-//!   only the destinations whose shortest-path DAG the move's one-or-two
-//!   weight deltas actually affect (dynamic Dijkstra);
-//! - an LRU cache keyed by weight-vector hash short-circuits revisited
-//!   candidates entirely.
+//! | stage | iterations | a step is | a diversification |
+//! |---|---|---|---|
+//! | 1 (lines 3–12) | `N` | one `FindH` pass | perturbs `g1` of the current `W^H` |
+//! | 2 (lines 13–24) | `N` | one `FindL` pass | perturbs `g2` of the current `W^L` |
+//! | 3 (lines 25–38) | `K` | `FindH` then `FindL` | restarts `g3` of both vectors away from `W*` |
 //!
-//! Backend choice never changes results — both produce bit-identical
-//! evaluations — so seeded runs are reproducible across backends.
+//! Stages 2 and 3 start from the incumbent. A pass (Algorithm 2) ranks
+//! the links by the moved class's cost — `⟨Φ_H,l, Φ_L,l⟩` (or link
+//! delay) for `FindH`, `Φ_L,l` alone for `FindL`, because `W^L` cannot
+//! affect the high class (§4) — and evaluates its neighborhood as one
+//! [`BatchEvaluator::eval_class_batch`] call: only the moved class is
+//! re-routed, incrementally under the default backend, and the other
+//! class's side is reused. Backend choice never changes results, so
+//! seeded runs are reproducible across backends.
 
+use crate::descent::{best_improving, Descent, Step, Walk};
 use crate::neighborhood::{perturb_weights, NeighborhoodSampler, RankTable};
 use crate::params::SearchParams;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
-use dtr_engine::BatchEvaluator;
+use dtr_engine::{BatchEvaluator, Class};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_routing::{ClassLoads, Evaluation, HighSide};
+use dtr_routing::Evaluation;
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,64 +44,118 @@ pub struct DtrResult {
     pub trace: SearchTrace,
 }
 
-/// The working solution with its cached evaluation pieces.
-struct State {
+/// What a step of the running stage does.
+#[derive(Clone, Copy)]
+enum Routine {
+    /// One pass over one class's vector (`FindH` / `FindL`).
+    Find(Class),
+    /// `FindH` then `FindL`, restarting near the incumbent.
+    Refine,
+}
+
+/// The working solution and everything a pass needs to move it.
+struct DtrWalk<'a> {
+    engine: BatchEvaluator<'a>,
+    params: SearchParams,
+    sampler: NeighborhoodSampler,
+    rng: StdRng,
+    routine: Routine,
     w: DualWeights,
-    high: HighSide,
-    low_loads: ClassLoads,
     eval: Evaluation,
     /// `FindH`'s and `FindL`'s rank tables of `eval`, built on first
     /// use: a pass that accepts no move leaves `eval`, and so the
     /// ranking of every link, as it was.
-    high_ranks: Option<RankTable>,
-    low_ranks: Option<RankTable>,
+    ranks: [Option<RankTable>; 2],
 }
 
-impl State {
-    fn new(w: DualWeights, high: HighSide, low_loads: ClassLoads, eval: Evaluation) -> State {
-        State {
-            w,
-            high,
-            low_loads,
-            eval,
-            high_ranks: None,
-            low_ranks: None,
+/// Rebases both class backends onto `w`, so subsequent candidate deltas
+/// are small, and evaluates it.
+fn settle_at(engine: &mut BatchEvaluator<'_>, w: &DualWeights) -> Evaluation {
+    engine.rebase(Class::High, &w.high);
+    engine.rebase(Class::Low, &w.low);
+    engine.eval_dual(w)
+}
+
+impl DtrWalk<'_> {
+    /// Re-bases and re-evaluates after `self.w` moved by something other
+    /// than an accepted pass (diversification, return to the incumbent).
+    fn settle(&mut self) {
+        self.eval = settle_at(&mut self.engine, &self.w);
+        self.ranks = [None, None];
+    }
+
+    /// One `FindH` / `FindL` pass (Algorithm 2): build the neighborhood
+    /// from the current link ranks, evaluate the candidates as one
+    /// engine batch, move if the best one improves on the current
+    /// solution.
+    fn pass(&mut self, class: Class) -> Step {
+        let eval = &self.eval;
+        let table = self.ranks[class as usize].get_or_insert_with(|| {
+            let ranks = self.engine.evaluator().link_ranks(eval);
+            match class {
+                Class::High => RankTable::new(&ranks.iter().map(|r| r.high).collect::<Vec<_>>()),
+                Class::Low => RankTable::new(&ranks.iter().map(|r| r.low).collect::<Vec<_>>()),
+            }
+        });
+        let cands = self
+            .sampler
+            .neighbors(table, class.of(&self.w), &self.params, &mut self.rng);
+        let evaluated = cands.len();
+        let evals = self
+            .engine
+            .eval_class_batch(class, &cands, &self.w, &self.eval);
+        let best = best_improving(evals.into_iter().zip(cands), self.cost(), |(e, _)| &e.cost);
+        let moved = best.is_some();
+        if let Some((eval, w)) = best {
+            self.engine.rebase(class, &w);
+            *class.of_mut(&mut self.w) = w;
+            self.eval = eval;
+            self.ranks = [None, None];
+        }
+        Step::of(evaluated, moved)
+    }
+}
+
+impl Walk for DtrWalk<'_> {
+    type Cost = Lex2;
+    type Point = DualWeights;
+
+    fn cost(&self) -> &Lex2 {
+        &self.eval.cost
+    }
+
+    fn snapshot(&self) -> DualWeights {
+        self.w.clone()
+    }
+
+    fn step(&mut self, _it: usize) -> Step {
+        match self.routine {
+            Routine::Find(class) => self.pass(class),
+            Routine::Refine => {
+                let (h, l) = (self.pass(Class::High), self.pass(Class::Low));
+                Step {
+                    evaluated: h.evaluated + l.evaluated,
+                    accepted: h.accepted + l.accepted,
+                }
+            }
         }
     }
 
-    /// Replaces the evaluation after an accepted move, dropping the
-    /// rank tables built from the old one.
-    fn set_eval(&mut self, eval: Evaluation) {
-        self.eval = eval;
-        self.high_ranks = None;
-        self.low_ranks = None;
-    }
-
-    /// Evaluates `w` through the engine and rebases both class backends
-    /// onto it, so subsequent candidate deltas are small. Under a bound
-    /// partial deployment the low class rides the hybrid DAGs and
-    /// trapped demand is penalized (see `dtr_routing::deploy`).
-    fn build(engine: &mut BatchEvaluator<'_>, w: DualWeights) -> State {
-        engine.rebase_high(&w.high);
-        engine.rebase_low(&w.low);
-        if engine.deployment().is_some() {
-            let (high, low_loads, undeliverable) = engine
-                .eval_deployed_high_batch(std::slice::from_ref(&w.high), &w.low)
-                .pop()
-                .unwrap();
-            let eval = engine
-                .evaluator()
-                .finish_deployed(high.clone(), low_loads.clone(), undeliverable)
-                .expect("engine high sides carry the SLA walk");
-            return State::new(w, high, low_loads, eval);
+    fn diversify(&mut self, best: &DualWeights) -> usize {
+        let (p, w, rng) = (self.params, &mut self.w, &mut self.rng);
+        match self.routine {
+            Routine::Find(Class::High) => perturb_weights(&mut w.high, p.g1, &p, rng),
+            Routine::Find(Class::Low) => perturb_weights(&mut w.low, p.g2, &p, rng),
+            Routine::Refine => {
+                // Restart from the incumbent; g3 is smaller so the
+                // restart stays near W*.
+                *w = best.clone();
+                perturb_weights(&mut w.high, p.g3, &p, rng);
+                perturb_weights(&mut w.low, p.g3, &p, rng);
+            }
         }
-        let high = engine.eval_high(&w.high);
-        let low_loads = engine.eval_low(&w.low);
-        let eval = engine
-            .evaluator()
-            .finish(high.clone(), low_loads.clone())
-            .expect("engine high sides carry the SLA walk");
-        State::new(w, high, low_loads, eval)
+        self.settle();
+        0
     }
 }
 
@@ -149,265 +205,51 @@ impl<'a> DtrSearch<'a> {
         self
     }
 
-    /// Runs the three routines and returns the best setting found.
+    /// Runs the three stages and returns the best setting found.
     pub fn run(mut self) -> DtrResult {
         let params = self.params;
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let sampler = NeighborhoodSampler::new(self.engine.topo().link_count(), &params);
-        let mut trace = SearchTrace::default();
+        let mut walk = DtrWalk {
+            eval: settle_at(&mut self.engine, &self.initial),
+            sampler: NeighborhoodSampler::new(self.engine.topo().link_count(), &params),
+            engine: self.engine,
+            params,
+            rng: StdRng::seed_from_u64(params.seed),
+            routine: Routine::Find(Class::High),
+            w: self.initial,
+            ranks: [None, None],
+        };
+        let mut descent = Descent::start(&walk, params.diversify_after, Phase::OptimizeHigh, 0);
 
-        let mut state = State::build(&mut self.engine, self.initial.clone());
-        let mut best_w = state.w.clone();
-        let mut best_cost = state.eval.cost;
-        trace.improved(0, Phase::OptimizeHigh, best_cost);
-
-        // --- Routine 1: optimize W^H, W^L fixed (lines 3–12). ---
-        let mut stall = 0usize;
-        for _ in 0..params.n_iters {
-            trace.iterations += 1;
-            let moved = self.find_h(&mut state, &sampler, &mut rng, &mut trace);
-            if moved && state.eval.cost < best_cost {
-                best_cost = state.eval.cost;
-                best_w = state.w.clone();
-                trace.improved(trace.iterations, Phase::OptimizeHigh, best_cost);
-                stall = 0;
-            } else {
-                stall += 1;
+        let stages = [
+            (
+                Routine::Find(Class::High),
+                params.n_iters,
+                Phase::OptimizeHigh,
+            ),
+            (
+                Routine::Find(Class::Low),
+                params.n_iters,
+                Phase::OptimizeLow,
+            ),
+            (Routine::Refine, params.k_iters, Phase::Refine),
+        ];
+        for (i, (routine, iters, phase)) in stages.into_iter().enumerate() {
+            if i > 0 {
+                walk.w = descent.best().clone();
+                walk.settle();
             }
-            if stall >= params.diversify_after {
-                perturb_weights(&mut state.w.high, params.g1, &params, &mut rng);
-                state = State::build(&mut self.engine, state.w);
-                trace.diversifications += 1;
-                stall = 0;
-            }
+            walk.routine = routine;
+            descent.stage(&mut walk, iters, phase);
         }
 
-        // --- Routine 2: W^H frozen at W^H*, optimize W^L (lines 13–24).
-        // Primary cost is now constant, so lexicographic comparison
-        // reduces to Φ_L.
-        state.w.high = best_w.high.clone();
-        state = State::build(&mut self.engine, state.w);
-        if state.eval.cost < best_cost {
-            // W^L drifted only via diversification; refresh incumbents.
-            best_cost = state.eval.cost;
-            best_w = state.w.clone();
-        }
-        let mut stall = 0usize;
-        for _ in 0..params.n_iters {
-            trace.iterations += 1;
-            let moved = self.find_l(&mut state, &sampler, &mut rng, &mut trace);
-            if moved && state.eval.cost < best_cost {
-                best_cost = state.eval.cost;
-                best_w = state.w.clone();
-                trace.improved(trace.iterations, Phase::OptimizeLow, best_cost);
-                stall = 0;
-            } else {
-                stall += 1;
-            }
-            if stall >= params.diversify_after {
-                perturb_weights(&mut state.w.low, params.g2, &params, &mut rng);
-                state = State::build(&mut self.engine, state.w);
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
-
-        // --- Routine 3: joint refinement around W* (lines 25–38). ---
-        state = State::build(&mut self.engine, best_w.clone());
-        let mut stall = 0usize;
-        for _ in 0..params.k_iters {
-            trace.iterations += 1;
-            let moved_h = self.find_h(&mut state, &sampler, &mut rng, &mut trace);
-            let moved_l = self.find_l(&mut state, &sampler, &mut rng, &mut trace);
-            if (moved_h || moved_l) && state.eval.cost < best_cost {
-                best_cost = state.eval.cost;
-                best_w = state.w.clone();
-                trace.improved(trace.iterations, Phase::Refine, best_cost);
-                stall = 0;
-            } else {
-                stall += 1;
-            }
-            if stall >= params.diversify_after {
-                // Restart from the incumbent, slightly perturbed (lines
-                // 33–36): g3 is smaller so the restart stays near W*.
-                let mut w = best_w.clone();
-                perturb_weights(&mut w.high, params.g3, &params, &mut rng);
-                perturb_weights(&mut w.low, params.g3, &params, &mut rng);
-                state = State::build(&mut self.engine, w);
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
-
-        let eval = self.engine.evaluator().eval_dual(&best_w);
+        let (best_cost, weights, trace) = descent.finish();
+        let eval = walk.engine.evaluator().eval_dual(&weights);
         debug_assert_eq!(eval.cost, best_cost);
         DtrResult {
-            weights: best_w,
+            weights,
             eval,
             best_cost,
             trace,
-        }
-    }
-
-    /// One `FindH` pass (Algorithm 2): build the neighborhood from the
-    /// current link ranks, evaluate the candidates, move if the best one
-    /// improves on the current solution. Returns whether a move happened.
-    fn find_h(
-        &mut self,
-        state: &mut State,
-        sampler: &NeighborhoodSampler,
-        rng: &mut StdRng,
-        trace: &mut SearchTrace,
-    ) -> bool {
-        let table = state.high_ranks.get_or_insert_with(|| {
-            let ranks = self.engine.evaluator().link_ranks(&state.eval);
-            let keys: Vec<Lex2> = ranks.iter().map(|r| r.high).collect();
-            RankTable::new(&keys)
-        });
-        let moves = sampler.moves(table, &self.params, rng);
-
-        // Materialize the non-degenerate candidates, then evaluate them
-        // as one engine batch (incremental repair or cache hit each).
-        let cands: Vec<WeightVector> = moves
-            .into_iter()
-            .filter_map(|mv| {
-                let mut wh = state.w.high.clone();
-                mv.apply(&mut wh, &self.params);
-                (wh != state.w.high).then_some(wh) // drop clamped no-ops
-            })
-            .collect();
-        if self.engine.deployment().is_some() {
-            // A high-side move re-routes the low class too (legacy nodes
-            // forward it on the high DAGs), so candidates carry fresh
-            // hybrid low loads alongside their high sides.
-            let results = self.engine.eval_deployed_high_batch(&cands, &state.w.low);
-            let mut best: Option<(Evaluation, HighSide, ClassLoads, WeightVector)> = None;
-            for (wh, (high, low_loads, undeliverable)) in cands.into_iter().zip(results) {
-                let eval = self
-                    .engine
-                    .evaluator()
-                    .finish_deployed(high.clone(), low_loads.clone(), undeliverable)
-                    .expect("engine high sides carry the SLA walk");
-                trace.evaluations += 1;
-                if best.as_ref().is_none_or(|(b, _, _, _)| eval.cost < b.cost) {
-                    best = Some((eval, high, low_loads, wh));
-                }
-            }
-            return match best {
-                Some((eval, high, low_loads, wh)) if eval.cost < state.eval.cost => {
-                    state.w.high = wh;
-                    state.high = high;
-                    state.low_loads = low_loads;
-                    state.set_eval(eval);
-                    self.engine.rebase_high(&state.w.high);
-                    trace.moves_accepted += 1;
-                    true
-                }
-                _ => false,
-            };
-        }
-        let highs = self.engine.eval_high_batch(&cands);
-
-        let mut best: Option<(Evaluation, HighSide, WeightVector)> = None;
-        for (wh, high) in cands.into_iter().zip(highs) {
-            let eval = self
-                .engine
-                .evaluator()
-                .finish(high.clone(), state.low_loads.clone())
-                .expect("engine high sides carry the SLA walk");
-            trace.evaluations += 1;
-            if best.as_ref().is_none_or(|(b, _, _)| eval.cost < b.cost) {
-                best = Some((eval, high, wh));
-            }
-        }
-        match best {
-            Some((eval, high, wh)) if eval.cost < state.eval.cost => {
-                state.w.high = wh;
-                state.high = high;
-                state.set_eval(eval);
-                self.engine.rebase_high(&state.w.high);
-                trace.moves_accepted += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// One `FindL` pass: identical structure, but candidates re-route only
-    /// the low class and reuse the cached high side. Ranking uses
-    /// `Φ_L,l` only, because `W^L` cannot affect the high class (§4).
-    fn find_l(
-        &mut self,
-        state: &mut State,
-        sampler: &NeighborhoodSampler,
-        rng: &mut StdRng,
-        trace: &mut SearchTrace,
-    ) -> bool {
-        let table = state.low_ranks.get_or_insert_with(|| {
-            let ranks = self.engine.evaluator().link_ranks(&state.eval);
-            let keys: Vec<f64> = ranks.iter().map(|r| r.low).collect();
-            RankTable::new(&keys)
-        });
-        let moves = sampler.moves(table, &self.params, rng);
-
-        let cands: Vec<WeightVector> = moves
-            .into_iter()
-            .filter_map(|mv| {
-                let mut wl = state.w.low.clone();
-                mv.apply(&mut wl, &self.params);
-                (wl != state.w.low).then_some(wl)
-            })
-            .collect();
-        if self.engine.deployment().is_some() {
-            let results = self.engine.eval_deployed_low_batch(&state.w.high, &cands);
-            let mut best: Option<(Evaluation, ClassLoads, WeightVector)> = None;
-            for (wl, (low_loads, undeliverable)) in cands.into_iter().zip(results) {
-                let eval = self
-                    .engine
-                    .evaluator()
-                    .finish_deployed(state.high.clone(), low_loads.clone(), undeliverable)
-                    .expect("engine high sides carry the SLA walk");
-                trace.evaluations += 1;
-                if best.as_ref().is_none_or(|(b, _, _)| eval.cost < b.cost) {
-                    best = Some((eval, low_loads, wl));
-                }
-            }
-            return match best {
-                Some((eval, low_loads, wl)) if eval.cost < state.eval.cost => {
-                    state.w.low = wl;
-                    state.low_loads = low_loads;
-                    state.set_eval(eval);
-                    self.engine.rebase_low(&state.w.low);
-                    trace.moves_accepted += 1;
-                    true
-                }
-                _ => false,
-            };
-        }
-        let loads = self.engine.eval_low_batch(&cands);
-
-        let mut best: Option<(Evaluation, ClassLoads, WeightVector)> = None;
-        for (wl, low_loads) in cands.into_iter().zip(loads) {
-            let eval = self
-                .engine
-                .evaluator()
-                .finish(state.high.clone(), low_loads.clone())
-                .expect("engine high sides carry the SLA walk");
-            trace.evaluations += 1;
-            if best.as_ref().is_none_or(|(b, _, _)| eval.cost < b.cost) {
-                best = Some((eval, low_loads, wl));
-            }
-        }
-        match best {
-            Some((eval, low_loads, wl)) if eval.cost < state.eval.cost => {
-                state.w.low = wl;
-                state.low_loads = low_loads;
-                state.set_eval(eval);
-                self.engine.rebase_low(&state.w.low);
-                trace.moves_accepted += 1;
-                true
-            }
-            _ => false,
         }
     }
 }

@@ -3,15 +3,15 @@
 //! This crate implements §4 of *"Improving Service Differentiation in IP
 //! Networks through Dual Topology Routing"* (Kwong et al., CoNEXT 2007):
 //!
-//! - [`DtrSearch`] — **Algorithm 1**, the three-routine iterated local
-//!   search over dual weight vectors `W = {W^H, W^L}`:
-//!   1. optimize `W^H` with `FindH` while `W^L` stays at its initial
-//!      value;
-//!   2. freeze `W^H` at the best found and optimize `W^L` with `FindL`;
-//!   3. refine both in a small neighborhood of the incumbent.
-//!
-//!   Each routine *diversifies* (randomly perturbs a small fraction of
-//!   weights) after `M` non-improving iterations.
+//! - [`DtrSearch`] — **Algorithm 1**, three stages over the dual weight
+//!   vector `W = {W^H, W^L}`: `FindH` passes with `W^L` fixed, `FindL`
+//!   passes with `W^H` frozen at its best, then both around the
+//!   incumbent (stage table in [`dtr`]).
+//! - `descent` — the loop all of Algorithm 1's stages and the STR
+//!   baseline share (move to the best of ≤ `m` candidates if it
+//!   improves, *diversify* after `M` non-improving iterations, keep the
+//!   incumbent), written once; every search below except the GA,
+//!   memetic and annealing walks is a stage table over it.
 //! - [`neighborhood`] — **Algorithm 2** (`FindH`/`FindL` neighborhoods):
 //!   rank links by lexicographic link cost, draw window offsets `k₁, k₂`
 //!   from the heavy-tailed distribution `P(k) ∝ k^{−τ}`, pick `m`
@@ -50,6 +50,8 @@
 //! convergence (see DESIGN.md §3).
 
 pub mod anneal;
+#[doc(hidden)]
+pub mod descent;
 pub mod dtr;
 pub mod ga;
 pub mod joint;
@@ -66,7 +68,7 @@ pub mod streams;
 pub mod telemetry;
 pub mod upgrade;
 
-pub use anneal::{AnnealMode, AnnealParams, AnnealResult, AnnealSearch};
+pub use anneal::{AnnealParams, AnnealResult, AnnealSearch};
 pub use dtr::{DtrResult, DtrSearch};
 pub use ga::{GaParams, GaResult, GaSearch};
 pub use joint::{joint_cost, JointCostExplorer, TriangleVerdict};
@@ -78,9 +80,7 @@ pub use portfolio::{
     StrategyKind, TaskOutcome,
 };
 pub use reopt::{ReoptResult, ReoptSearch, ReoptSession};
-pub use robust::{
-    RobustCost, RobustEvaluator, RobustMode, RobustResult, RobustSearch, ScenarioCombine,
-};
+pub use robust::{RobustCost, RobustEvaluator, RobustResult, RobustSearch, ScenarioCombine};
 pub use scheme::Scheme;
 pub use slicing::{SlicedResult, SlicedSearch};
 pub use str_search::{RelaxedBest, StrResult, StrSearch};

@@ -15,8 +15,10 @@
 //! with [`crate::StrSearch`], [`crate::GaSearch`] and
 //! [`crate::AnnealSearch`] is effort-fair.
 
+use crate::descent::SingleChange;
 use crate::ga::GaParams;
 use crate::params::SearchParams;
+use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
 use dtr_graph::{LinkId, Topology, WeightVector};
@@ -118,17 +120,9 @@ impl<'a> MemeticSearch<'a> {
             if trace.evaluations >= budget {
                 break;
             }
-            let lid = LinkId(rng.random_range(0..n_links as u32));
+            let (lid, _) = SingleChange::draw_position(Scheme::Str, n_links, rng);
             let old = w.get(lid);
-            let mut v = rng.random_range(self.params.min_weight..=self.params.max_weight);
-            if v == old {
-                v = if v == self.params.max_weight {
-                    self.params.min_weight
-                } else {
-                    v + 1
-                };
-            }
-            w.set(lid, v);
+            w.set(lid, SingleChange::draw_value(old, &self.params, rng));
             let c = self.evaluator.eval_str(w).cost;
             trace.evaluations += 1;
             if c < *cost {

@@ -171,6 +171,25 @@ impl NeighborhoodSampler {
         }
         moves
     }
+
+    /// The neighbors of `current` that one [`moves`](Self::moves) draw
+    /// yields: each move applied to a copy, clamped no-ops dropped.
+    pub fn neighbors(
+        &self,
+        ranks: &RankTable,
+        current: &WeightVector,
+        params: &SearchParams,
+        rng: &mut StdRng,
+    ) -> Vec<WeightVector> {
+        self.moves(ranks, params, rng)
+            .into_iter()
+            .filter_map(|mv| {
+                let mut w = current.clone();
+                mv.apply(&mut w, params);
+                (w != *current).then_some(w)
+            })
+            .collect()
+    }
 }
 
 /// Diversification (Algorithm 1 lines 9/21/35): assigns fresh uniform

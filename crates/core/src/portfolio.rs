@@ -348,6 +348,7 @@ impl<'a> PortfolioSearch<'a> {
     /// diversity is the point of the portfolio.
     pub fn with_initial(mut self, w0: DualWeights) -> Self {
         assert_eq!(w0.high.len(), self.topo.link_count());
+        assert_eq!(w0.low.len(), self.topo.link_count());
         self.initial = Some(w0);
         self
     }
@@ -851,6 +852,25 @@ mod tests {
                 ..Default::default()
             },
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn warm_start_rejects_a_short_low_vector() {
+        let (topo, demands) = small_instance(1);
+        let w0 = DualWeights {
+            high: WeightVector::uniform(&topo, 1),
+            low: WeightVector::from_vec(vec![1; 3]),
+        };
+        let _ = PortfolioSearch::new(
+            &topo,
+            &demands,
+            Objective::LoadBased,
+            SearchParams::tiny(),
+            PortfolioMode::Nominal(Scheme::Dtr),
+            PortfolioParams::default(),
+        )
+        .with_initial(w0);
     }
 
     #[test]

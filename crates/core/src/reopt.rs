@@ -11,11 +11,14 @@
 //! under [`Scheme::Str`] a "change" is one link's shared weight; under
 //! [`Scheme::Dtr`] each per-class metric counts separately (that is what
 //! a router reconfiguration costs under multi-topology OSPF — one metric
-//! statement per topology per interface). Moves that would exceed the
-//! change budget are rejected; moves that *revert* a previously changed
-//! weight back to its incumbent value release budget. [`frontier`] sweeps
-//! `h` with warm starts to trace the cost-vs-churn curve an operator
-//! actually navigates.
+//! statement per topology per interface). It is one stage on the shared
+//! [`descent`](crate::descent) driver whose step proposes `m`
+//! single-weight changes inside the Hamming ball of radius `h` around
+//! the incumbent (a move that would exceed the budget becomes a
+//! *revert*, which releases budget) and whose diversification restarts
+//! at a random point of that ball. [`frontier`] sweeps `h` with warm
+//! starts to trace the cost-vs-churn curve an operator actually
+//! navigates.
 //!
 //! [`ReoptSession`] wraps the same search in a long-lived warm-start API
 //! for callers that track a network over time (the `dtrd` daemon): it
@@ -38,6 +41,7 @@
 //!
 //! [`BackendKind::Incremental`]: dtr_engine::BackendKind::Incremental
 
+use crate::descent::{best_improving, Descent, SingleChange, Step, Walk};
 use crate::params::{derive_stream_seed, SearchParams};
 use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
@@ -68,135 +72,6 @@ pub struct ReoptResult {
     pub changes_used: usize,
     /// Telemetry.
     pub trace: SearchTrace,
-}
-
-/// The proposal kernel shared by [`ReoptSearch`] and [`ReoptSession`]:
-/// every move stays inside the Hamming ball of radius `max_changes`
-/// around the incumbent, with reverts releasing budget.
-struct ChangeProposer {
-    params: SearchParams,
-    scheme: Scheme,
-    max_changes: usize,
-}
-
-impl ChangeProposer {
-    /// Proposes one feasible single-weight change, or `None` when the
-    /// randomly chosen position cannot move without breaking the budget.
-    fn propose(
-        &self,
-        cur: &DualWeights,
-        incumbent: &DualWeights,
-        rng: &mut StdRng,
-    ) -> Option<DualWeights> {
-        let n = cur.high.len();
-        let lid = LinkId(rng.random_range(0..n as u32));
-        let change_high = match self.scheme {
-            Scheme::Str => true,
-            Scheme::Dtr => rng.random_bool(0.5),
-        };
-        let (cur_vec, inc_vec) = if change_high {
-            (&cur.high, &incumbent.high)
-        } else {
-            (&cur.low, &incumbent.low)
-        };
-        let old = cur_vec.get(lid);
-        let inc = inc_vec.get(lid);
-        let used = changes_between(cur, incumbent, self.scheme);
-
-        let at_budget = used >= self.max_changes;
-        let position_changed = old != inc;
-        let v = if at_budget && !position_changed {
-            // Budget exhausted and this position is pristine: the only
-            // legal moves elsewhere are reverts, so propose one instead.
-            return self.propose_revert(cur, incumbent, rng);
-        } else {
-            // Either budget is available (any new value works) or this
-            // position already counts against the budget (re-valuing it
-            // is free).
-            let mut v = rng.random_range(self.params.min_weight..=self.params.max_weight);
-            if v == old {
-                v = if v == self.params.max_weight {
-                    self.params.min_weight
-                } else {
-                    v + 1
-                };
-            }
-            v
-        };
-
-        let mut next = cur.clone();
-        match self.scheme {
-            Scheme::Str => {
-                next.high.set(lid, v);
-                next.low.set(lid, v);
-            }
-            Scheme::Dtr if change_high => next.high.set(lid, v),
-            Scheme::Dtr => next.low.set(lid, v),
-        }
-        Some(next)
-    }
-
-    /// Reverts one randomly chosen changed position to its incumbent
-    /// value (releases one unit of budget); `None` when nothing changed.
-    fn propose_revert(
-        &self,
-        cur: &DualWeights,
-        incumbent: &DualWeights,
-        rng: &mut StdRng,
-    ) -> Option<DualWeights> {
-        let mut changed: Vec<(bool, LinkId)> = Vec::new();
-        for i in 0..cur.high.len() as u32 {
-            let lid = LinkId(i);
-            if cur.high.get(lid) != incumbent.high.get(lid) {
-                changed.push((true, lid));
-            }
-            if self.scheme == Scheme::Dtr && cur.low.get(lid) != incumbent.low.get(lid) {
-                changed.push((false, lid));
-            }
-        }
-        let &(is_high, lid) = changed.choose(rng)?;
-        let mut next = cur.clone();
-        match self.scheme {
-            Scheme::Str => {
-                let v = incumbent.high.get(lid);
-                next.high.set(lid, v);
-                next.low.set(lid, v);
-            }
-            Scheme::Dtr if is_high => {
-                let v = incumbent.high.get(lid);
-                next.high.set(lid, v);
-            }
-            Scheme::Dtr => {
-                let v = incumbent.low.get(lid);
-                next.low.set(lid, v);
-            }
-        }
-        Some(next)
-    }
-
-    /// A random point inside the feasible ball around the incumbent.
-    fn random_feasible(
-        &self,
-        incumbent: &DualWeights,
-        n_links: usize,
-        rng: &mut StdRng,
-    ) -> DualWeights {
-        let mut w = incumbent.clone();
-        let count = rng.random_range(1..=self.max_changes);
-        for _ in 0..count {
-            let lid = LinkId(rng.random_range(0..n_links as u32));
-            let v = rng.random_range(self.params.min_weight..=self.params.max_weight);
-            match self.scheme {
-                Scheme::Str => {
-                    w.high.set(lid, v);
-                    w.low.set(lid, v);
-                }
-                Scheme::Dtr if rng.random_bool(0.5) => w.high.set(lid, v),
-                Scheme::Dtr => w.low.set(lid, v),
-            }
-        }
-        w
-    }
 }
 
 /// The one evaluation behind every descent (see the module docs): a
@@ -333,84 +208,157 @@ impl<'a> ReoptSearch<'a> {
     /// the anytime knob behind [`ReoptSession::idle_step`]: `iters`
     /// iterations of `neighbors` candidates each, with diversification
     /// restarts inside the feasible ball.
-    pub fn run_with_iters(self, iters: usize) -> ReoptResult {
+    pub fn run_with_iters(mut self, iters: usize) -> ReoptResult {
         let mut engine = MaskedEngine::new(&self);
-        let proposer = ChangeProposer {
-            params: self.params,
-            scheme: self.scheme,
-            max_changes: self.max_changes,
+        let w = self.start.take().unwrap_or_else(|| self.incumbent.clone());
+        engine.rebase(&w);
+        let mut walk = ReoptWalk {
+            eval: engine.eval(&w),
+            engine,
+            search: &self,
+            rng: StdRng::seed_from_u64(self.params.seed),
+            w,
         };
-        let (params, scheme, incumbent) = (self.params, self.scheme, &self.incumbent);
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut trace = SearchTrace::default();
-
-        let mut cur_w = self.start.unwrap_or_else(|| incumbent.clone());
-        engine.rebase(&cur_w);
-        let mut cur = engine.eval(&cur_w);
-        trace.evaluations += 1;
-        let mut best_w = cur_w.clone();
-        let mut best_cost = cur.cost;
-        let mut best_eval = cur.clone();
-        trace.improved(0, Phase::Str, best_cost);
-
+        let mut descent = Descent::start(&walk, self.params.diversify_after, Phase::Str, 1);
         // With no budget nothing may move: the incumbent (or start) is
         // the answer.
         let iters = if self.max_changes == 0 { 0 } else { iters };
-        let mut stall = 0usize;
-        for _ in 0..iters {
-            trace.iterations += 1;
+        descent.stage(&mut walk, iters, Phase::Str);
 
-            let mut best_cand: Option<(Evaluation, DualWeights)> = None;
-            for _ in 0..params.neighbors {
-                let Some(cand_w) = proposer.propose(&cur_w, incumbent, &mut rng) else {
-                    continue;
-                };
-                let e = engine.eval(&cand_w);
-                trace.evaluations += 1;
-                if best_cand.as_ref().is_none_or(|(b, _)| e.cost < b.cost) {
-                    best_cand = Some((e, cand_w));
-                }
-            }
-
-            match best_cand {
-                Some((e, w)) if e.cost < cur.cost => {
-                    cur = e;
-                    cur_w = w;
-                    engine.rebase(&cur_w);
-                    trace.moves_accepted += 1;
-                    if cur.cost < best_cost {
-                        best_cost = cur.cost;
-                        best_w = cur_w.clone();
-                        best_eval = cur.clone();
-                        trace.improved(trace.iterations, Phase::Str, best_cost);
-                        stall = 0;
-                    } else {
-                        stall += 1;
-                    }
-                }
-                _ => stall += 1,
-            }
-
-            if stall >= params.diversify_after {
-                // Restart inside the feasible ball: incumbent weights with
-                // a random subset of ≤ h positions re-randomized.
-                cur_w = proposer.random_feasible(incumbent, self.topo.link_count(), &mut rng);
-                engine.rebase(&cur_w);
-                cur = engine.eval(&cur_w);
-                trace.evaluations += 1;
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
-
+        let (best_cost, (weights, eval), trace) = descent.finish();
         ReoptResult {
-            changes_used: changes_between(&best_w, incumbent, scheme),
-            weights: best_w,
-            eval: best_eval,
+            changes_used: changes_between(&weights, &self.incumbent, self.scheme),
+            weights,
+            eval,
             best_cost,
             max_changes: self.max_changes,
             trace,
         }
+    }
+}
+
+/// The descent's current point inside the feasible ball.
+struct ReoptWalk<'a, 's> {
+    engine: MaskedEngine<'a>,
+    search: &'s ReoptSearch<'a>,
+    rng: StdRng,
+    w: DualWeights,
+    eval: Evaluation,
+}
+
+impl Walk for ReoptWalk<'_, '_> {
+    type Cost = Lex2;
+    /// The evaluation rides along so the result needs no re-evaluation.
+    type Point = (DualWeights, Evaluation);
+
+    fn cost(&self) -> &Lex2 {
+        &self.eval.cost
+    }
+
+    fn snapshot(&self) -> Self::Point {
+        (self.w.clone(), self.eval.clone())
+    }
+
+    /// Up to `m` feasible single-weight changes (an infeasible draw is
+    /// skipped, not redrawn).
+    fn step(&mut self, _it: usize) -> Step {
+        let mut cands: Vec<(Evaluation, DualWeights)> = Vec::new();
+        for _ in 0..self.search.params.neighbors {
+            if let Some(w) = self.search.propose(&self.w, &mut self.rng) {
+                cands.push((self.engine.eval(&w), w));
+            }
+        }
+        let evaluated = cands.len();
+        let best = best_improving(cands, self.cost(), |(e, _)| &e.cost);
+        let moved = best.is_some();
+        if let Some((eval, w)) = best {
+            self.engine.rebase(&w);
+            self.eval = eval;
+            self.w = w;
+        }
+        Step::of(evaluated, moved)
+    }
+
+    /// Restarts inside the feasible ball: incumbent weights with a
+    /// random subset of ≤ h positions re-randomized.
+    fn diversify(&mut self, _best: &Self::Point) -> usize {
+        self.w = self.search.random_feasible(&mut self.rng);
+        self.engine.rebase(&self.w);
+        self.eval = self.engine.eval(&self.w);
+        1
+    }
+}
+
+/// The proposal kernel: every move stays inside the Hamming ball of
+/// radius `max_changes` around the incumbent, with reverts releasing
+/// budget.
+impl ReoptSearch<'_> {
+    /// Proposes one feasible single-weight change, or `None` when the
+    /// randomly chosen position cannot move without breaking the budget.
+    fn propose(&self, cur: &DualWeights, rng: &mut StdRng) -> Option<DualWeights> {
+        let incumbent = &self.incumbent;
+        let (link, high) = SingleChange::draw_position(self.scheme, cur.high.len(), rng);
+        let (cur_vec, inc_vec) = if high {
+            (&cur.high, &incumbent.high)
+        } else {
+            (&cur.low, &incumbent.low)
+        };
+        let old = cur_vec.get(link);
+        let at_budget = changes_between(cur, incumbent, self.scheme) >= self.max_changes;
+        if at_budget && old == inc_vec.get(link) {
+            // Budget exhausted and this position is pristine: the only
+            // legal moves elsewhere are reverts, so propose one instead.
+            return self.propose_revert(cur, rng);
+        }
+        // Either budget is available (any new value works) or this
+        // position already counts against the budget (re-valuing it is
+        // free).
+        let value = SingleChange::draw_value(old, &self.params, rng);
+        let mut next = cur.clone();
+        SingleChange { link, high, value }.apply(self.scheme, &mut next);
+        Some(next)
+    }
+
+    /// Reverts one randomly chosen changed position to its incumbent
+    /// value (releases one unit of budget); `None` when nothing changed.
+    fn propose_revert(&self, cur: &DualWeights, rng: &mut StdRng) -> Option<DualWeights> {
+        let incumbent = &self.incumbent;
+        let mut changed: Vec<(bool, LinkId)> = Vec::new();
+        for i in 0..cur.high.len() as u32 {
+            let lid = LinkId(i);
+            if cur.high.get(lid) != incumbent.high.get(lid) {
+                changed.push((true, lid));
+            }
+            if self.scheme == Scheme::Dtr && cur.low.get(lid) != incumbent.low.get(lid) {
+                changed.push((false, lid));
+            }
+        }
+        let &(high, link) = changed.choose(rng)?;
+        let value = if high {
+            &incumbent.high
+        } else {
+            &incumbent.low
+        }
+        .get(link);
+        let mut next = cur.clone();
+        SingleChange { link, high, value }.apply(self.scheme, &mut next);
+        Some(next)
+    }
+
+    /// A random point inside the feasible ball around the incumbent.
+    fn random_feasible(&self, rng: &mut StdRng) -> DualWeights {
+        let mut w = self.incumbent.clone();
+        let count = rng.random_range(1..=self.max_changes);
+        for _ in 0..count {
+            // Not a `SingleChange::draw`: the value comes before the
+            // class coin and may equal the old one. The goldens freeze
+            // this order.
+            let link = LinkId(rng.random_range(0..w.high.len() as u32));
+            let value = rng.random_range(self.params.min_weight..=self.params.max_weight);
+            let high = self.scheme == Scheme::Str || rng.random_bool(0.5);
+            SingleChange { link, high, value }.apply(self.scheme, &mut w);
+        }
+        w
     }
 }
 

@@ -22,18 +22,17 @@
 //! worst-case planning. The lexicographic precedence of the high class is
 //! preserved in every combination.
 //!
-//! The search itself is the same single-weight-change local search as the
-//! STR baseline, over either one shared vector ([`RobustMode::Str`]) or
-//! the dual vector ([`RobustMode::Dtr`]). Candidate evaluation costs
-//! `1 + |scenarios|` routing evaluations; evaluation is driven through
-//! `dtr-engine`'s [`dtr_engine::BatchEvaluator`], whose **failure-sweep
-//! backend** ([`SearchParams::backend`] `= Incremental`, the default)
-//! evaluates all scenarios of one candidate against a single intact SPF
-//! state — a failed duplex pair is two link-mask deltas repaired and
-//! reverted in place — instead of recomputing `|scenarios|` full routing
-//! evaluations. Both backends produce bit-identical costs (enforced by
-//! the engine's equivalence proptests), so backend choice never changes
-//! the incumbent, only wall-clock time.
+//! The search is one stage of [`SearchParams::str_iters`] iterations on
+//! the shared [`descent`](crate::descent) driver: a step proposes `m`
+//! single-weight changes under the [`Scheme`], a diversification
+//! perturbs `g1` of `W^H` and `g2` of `W^L` (STR: the shared vector).
+//! A candidate costs `1 + |scenarios|` routing evaluations through
+//! [`dtr_engine::BatchEvaluator`], whose **failure-sweep backend**
+//! ([`SearchParams::backend`] `= Incremental`, the default) evaluates
+//! all scenarios of one candidate against a single intact SPF state — a
+//! failed duplex pair is two link-mask deltas repaired and reverted in
+//! place. Both backends produce bit-identical costs, so backend choice
+//! never changes the incumbent, only wall-clock time.
 //!
 //! [`RobustSearch::with_scenario_cap`] trades fidelity for speed by
 //! optimizing against only the `cap` worst scenarios of the *initial*
@@ -48,22 +47,20 @@
 //! evaluation would need per-scenario delay DAGs, and §5's robustness
 //! question is about load headroom.
 
+use crate::descent::{best_improving, Descent, SingleChange, Step, Walk};
+use crate::neighborhood::perturb_weights;
 use crate::params::SearchParams;
 use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{phi, Lex2, Objective};
 use dtr_engine::{BackendKind, BatchEvaluator};
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, Topology, WeightVector};
+use dtr_graph::{Topology, WeightVector};
 use dtr_routing::{survivable_duplex_failures, FailureScenario};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-
-/// Which routing scheme the robust search optimizes (alias of the shared
-/// [`Scheme`] enum).
-pub type RobustMode = Scheme;
 
 /// How per-scenario costs are folded into one robust cost.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -272,7 +269,7 @@ fn cost_from_loads(topo: &Topology, h: &[f64], l: &[f64]) -> Lex2 {
 pub struct RobustSearch<'a> {
     evaluator: RobustEvaluator<'a>,
     params: SearchParams,
-    mode: RobustMode,
+    mode: Scheme,
     scenario_cap: Option<usize>,
     initial: Option<DualWeights>,
 }
@@ -285,7 +282,7 @@ impl<'a> RobustSearch<'a> {
         demands: &'a DemandSet,
         combine: ScenarioCombine,
         params: SearchParams,
-        mode: RobustMode,
+        mode: Scheme,
     ) -> Self {
         params.validate();
         RobustSearch {
@@ -311,6 +308,7 @@ impl<'a> RobustSearch<'a> {
     /// have replicated vectors.
     pub fn with_initial(mut self, w0: DualWeights) -> Self {
         assert_eq!(w0.high.len(), self.evaluator.topo.link_count());
+        assert_eq!(w0.low.len(), self.evaluator.topo.link_count());
         if self.mode == Scheme::Str {
             assert_eq!(
                 w0.high, w0.low,
@@ -327,109 +325,96 @@ impl<'a> RobustSearch<'a> {
     /// relative to nominal runs.
     pub fn run(mut self) -> RobustResult {
         let params = self.params;
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut trace = SearchTrace::default();
-        let n_links = self.evaluator.topo.link_count();
-
-        let mut cur_w = self.initial.clone().unwrap_or_else(|| {
+        let w = self.initial.take().unwrap_or_else(|| {
             DualWeights::replicated(WeightVector::uniform(self.evaluator.topo, 1))
         });
-        self.evaluator.rebase(&cur_w);
+        self.evaluator.rebase(&w);
+        let mut dropped_scenarios = Vec::new();
         if let Some(cap) = self.scenario_cap {
             let before = self.evaluator.pair_ids();
-            let kept = self.evaluator.cap_to_worst(&cur_w, cap);
-            trace.dropped_scenarios = before.into_iter().filter(|id| !kept.contains(id)).collect();
+            let kept = self.evaluator.cap_to_worst(&w, cap);
+            dropped_scenarios = before.into_iter().filter(|id| !kept.contains(id)).collect();
         }
-        let mut cur = self.evaluator.eval(&cur_w);
-        trace.evaluations += 1;
-        let mut best_w = cur_w.clone();
-        let mut best = cur;
-        trace.improved(0, Phase::Str, best.combined);
+        let mut walk = RobustWalk {
+            cost: self.evaluator.eval(&w),
+            evaluator: self.evaluator,
+            params,
+            mode: self.mode,
+            rng: StdRng::seed_from_u64(params.seed),
+            w,
+        };
+        let mut descent = Descent::start(&walk, params.diversify_after, Phase::Str, 1);
+        descent.stage(&mut walk, params.str_iters(), Phase::Str);
 
-        let mut stall = 0usize;
-        for _ in 0..params.str_iters() {
-            trace.iterations += 1;
-
-            let mut best_cand: Option<(RobustCost, DualWeights)> = None;
-            for _ in 0..params.neighbors {
-                let lid = LinkId(rng.random_range(0..n_links as u32));
-                let change_high = match self.mode {
-                    RobustMode::Str => true,
-                    RobustMode::Dtr => rng.random_bool(0.5),
-                };
-                let target = if change_high { &cur_w.high } else { &cur_w.low };
-                let old = target.get(lid);
-                let mut v = rng.random_range(params.min_weight..=params.max_weight);
-                if v == old {
-                    v = if v == params.max_weight {
-                        params.min_weight
-                    } else {
-                        v + 1
-                    };
-                }
-                let mut cand_w = cur_w.clone();
-                match self.mode {
-                    RobustMode::Str => {
-                        cand_w.high.set(lid, v);
-                        cand_w.low.set(lid, v);
-                    }
-                    RobustMode::Dtr if change_high => cand_w.high.set(lid, v),
-                    RobustMode::Dtr => cand_w.low.set(lid, v),
-                }
-                let c = self.evaluator.eval(&cand_w);
-                trace.evaluations += 1;
-                if best_cand
-                    .as_ref()
-                    .is_none_or(|(b, _)| c.combined < b.combined)
-                {
-                    best_cand = Some((c, cand_w));
-                }
-            }
-
-            match best_cand {
-                Some((c, w)) if c.combined < cur.combined => {
-                    cur = c;
-                    cur_w = w;
-                    self.evaluator.rebase(&cur_w);
-                    trace.moves_accepted += 1;
-                    if cur.combined < best.combined {
-                        best = cur;
-                        best_w = cur_w.clone();
-                        trace.improved(trace.iterations, Phase::Str, best.combined);
-                        stall = 0;
-                    } else {
-                        stall += 1;
-                    }
-                }
-                _ => stall += 1,
-            }
-
-            if stall >= params.diversify_after {
-                crate::neighborhood::perturb_weights(&mut cur_w.high, params.g1, &params, &mut rng);
-                if self.mode == RobustMode::Str {
-                    cur_w.low = cur_w.high.clone();
-                } else {
-                    crate::neighborhood::perturb_weights(
-                        &mut cur_w.low,
-                        params.g2,
-                        &params,
-                        &mut rng,
-                    );
-                }
-                self.evaluator.rebase(&cur_w);
-                cur = self.evaluator.eval(&cur_w);
-                trace.evaluations += 1;
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
-
+        let (_, (weights, cost), trace) = descent.finish();
         RobustResult {
-            weights: best_w,
-            cost: best,
-            scenarios_used: self.evaluator.scenario_count(),
-            trace,
+            weights,
+            cost,
+            scenarios_used: walk.evaluator.scenario_count(),
+            trace: SearchTrace {
+                dropped_scenarios,
+                ..trace
+            },
         }
+    }
+}
+
+/// The current setting with its robust cost breakdown.
+struct RobustWalk<'a> {
+    evaluator: RobustEvaluator<'a>,
+    params: SearchParams,
+    mode: Scheme,
+    rng: StdRng,
+    w: DualWeights,
+    cost: RobustCost,
+}
+
+impl Walk for RobustWalk<'_> {
+    /// The combined cost steers; the breakdown rides along.
+    type Cost = Lex2;
+    type Point = (DualWeights, RobustCost);
+
+    fn cost(&self) -> &Lex2 {
+        &self.cost.combined
+    }
+
+    fn snapshot(&self) -> Self::Point {
+        (self.w.clone(), self.cost)
+    }
+
+    /// `m` single-weight changes, each costing `1 + |scenarios|` routing
+    /// evaluations.
+    fn step(&mut self, _it: usize) -> Step {
+        let cands: Vec<(RobustCost, DualWeights)> = (0..self.params.neighbors)
+            .map(|_| {
+                let mv = SingleChange::draw(self.mode, &self.w, &self.params, &mut self.rng);
+                let mut w = self.w.clone();
+                mv.apply(self.mode, &mut w);
+                (self.evaluator.eval(&w), w)
+            })
+            .collect();
+        let evaluated = cands.len();
+        let best = best_improving(cands, self.cost(), |(c, _)| &c.combined);
+        let moved = best.is_some();
+        if let Some((cost, w)) = best {
+            self.evaluator.rebase(&w);
+            self.cost = cost;
+            self.w = w;
+        }
+        Step::of(evaluated, moved)
+    }
+
+    fn diversify(&mut self, _best: &Self::Point) -> usize {
+        let p = self.params;
+        perturb_weights(&mut self.w.high, p.g1, &p, &mut self.rng);
+        if self.mode == Scheme::Str {
+            self.w.low = self.w.high.clone();
+        } else {
+            perturb_weights(&mut self.w.low, p.g2, &p, &mut self.rng);
+        }
+        self.evaluator.rebase(&self.w);
+        self.cost = self.evaluator.eval(&self.w);
+        1
     }
 }
 
@@ -536,7 +521,7 @@ mod tests {
             &demands,
             ScenarioCombine::Worst,
             SearchParams::tiny().with_seed(3),
-            RobustMode::Dtr,
+            Scheme::Dtr,
         )
         .run();
         assert!(res.cost.combined <= uniform.combined);
@@ -569,7 +554,7 @@ mod tests {
             &demands,
             ScenarioCombine::Blend { beta: 0.5 },
             SearchParams::tiny().with_seed(4),
-            RobustMode::Str,
+            Scheme::Str,
         )
         .with_scenario_cap(5)
         .run();
@@ -586,7 +571,7 @@ mod tests {
                 &demands,
                 ScenarioCombine::Blend { beta: 0.5 },
                 SearchParams::tiny().with_seed(17),
-                RobustMode::Dtr,
+                Scheme::Dtr,
             )
             .with_scenario_cap(5)
             .run()
@@ -617,11 +602,31 @@ mod tests {
             &demands,
             combine,
             SearchParams::tiny().with_seed(8),
-            RobustMode::Dtr,
+            Scheme::Dtr,
         )
         .with_initial(w0)
         .run();
         assert!(res.cost.combined <= initial_cost.combined);
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn warm_start_rejects_a_short_low_vector() {
+        // Only the high vector used to be checked; a short low one
+        // indexed out of bounds deep inside the first evaluation.
+        let (topo, demands) = small_instance();
+        let w0 = DualWeights {
+            high: WeightVector::uniform(&topo, 1),
+            low: WeightVector::from_vec(vec![1; 3]),
+        };
+        let _ = RobustSearch::new(
+            &topo,
+            &demands,
+            ScenarioCombine::Worst,
+            SearchParams::tiny(),
+            Scheme::Dtr,
+        )
+        .with_initial(w0);
     }
 
     #[test]
@@ -635,7 +640,7 @@ mod tests {
             &demands,
             ScenarioCombine::Worst,
             SearchParams::tiny(),
-            RobustMode::Str,
+            Scheme::Str,
         )
         .with_initial(w0);
     }

@@ -15,15 +15,19 @@
 //!   state and SPF work (MTR hardware supports tens of topologies).
 //!
 //! The search freezes the high topology at its DTR-optimized setting
-//! (priority isolation makes the high subproblem independent) and
-//! round-robins `FindL`-style moves across slice topologies.
+//! (priority isolation makes the high subproblem independent). It is
+//! one stage of `2·(N+K)` iterations on the shared
+//! [`descent`](crate::descent) driver: step `it` is a `FindL`-style pass
+//! over slice `it mod S`, a diversification perturbs `g2` of that
+//! slice's vector.
 
+use crate::descent::{best_improving, Descent, Step, Walk};
 use crate::neighborhood::{perturb_weights, NeighborhoodSampler, RankTable};
 use crate::params::SearchParams;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{phi, Lex2, Objective};
 use dtr_graph::{Topology, WeightVector};
-use dtr_routing::{ClassLoads, Evaluator, HighSide, LoadCalculator};
+use dtr_routing::{ClassLoads, Evaluator, LoadCalculator};
 use dtr_traffic::{DemandSet, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,160 +80,171 @@ impl<'a> SlicedSearch<'a> {
         }
     }
 
-    /// Splits the low matrix into `S` equal slices.
-    fn slice_matrices(&self) -> Vec<TrafficMatrix> {
-        let share = 1.0 / self.slices as f64;
-        (0..self.slices)
-            .map(|_| self.demands.low.scaled(share))
-            .collect()
+    /// Runs the slice-coordinate local search: one stage of `2·(N+K)`
+    /// slice-moves (matching the other searches' counts), spent
+    /// round-robin over slices.
+    pub fn run(self) -> SlicedResult {
+        let params = self.params;
+        // Frozen high side.
+        let high = Evaluator::new(self.topo, self.demands, Objective::LoadBased)
+            .eval_high_side(&self.high_weights);
+        let mut walk = SlicedWalk {
+            topo: self.topo,
+            params,
+            sampler: NeighborhoodSampler::new(self.topo.link_count(), &params),
+            rng: StdRng::seed_from_u64(params.seed),
+            calc: LoadCalculator::new(),
+            residual: self
+                .topo
+                .links()
+                .map(|(lid, link)| (link.capacity - high.loads[lid.index()]).max(0.0))
+                .collect(),
+            slice_demand: self.demands.low.scaled(1.0 / self.slices as f64),
+            weights: vec![WeightVector::uniform(self.topo, 1); self.slices],
+            slice_loads: Vec::new(),
+            total: Vec::new(),
+            cost: Lex2::new(high.phi, 0.0),
+            slice: 0,
+        };
+        walk.reroute_all();
+        let mut descent = Descent::start(&walk, params.diversify_after, Phase::OptimizeLow, 0);
+        descent.stage(
+            &mut walk,
+            2 * (params.n_iters + params.k_iters),
+            Phase::OptimizeLow,
+        );
+
+        // Rebuild the best configuration's loads for the report.
+        let (_, slice_weights, trace) = descent.finish();
+        walk.weights = slice_weights;
+        walk.reroute_all();
+        SlicedResult {
+            high_weights: self.high_weights,
+            slice_weights: walk.weights,
+            cost: walk.cost,
+            low_loads: walk.total,
+            trace,
+        }
+    }
+}
+
+/// The per-slice weights with their cached loads, so one slice move
+/// re-routes one slice.
+struct SlicedWalk<'a> {
+    topo: &'a Topology,
+    params: SearchParams,
+    sampler: NeighborhoodSampler,
+    rng: StdRng,
+    calc: LoadCalculator,
+    /// Per-link capacity the frozen high class leaves.
+    residual: Vec<f64>,
+    /// The low matrix's equal share every slice carries.
+    slice_demand: TrafficMatrix,
+    weights: Vec<WeightVector>,
+    slice_loads: Vec<ClassLoads>,
+    /// Total low load per link (the sum of `slice_loads`).
+    total: ClassLoads,
+    /// `⟨Φ_H, Φ_L⟩`; the primary never moves.
+    cost: Lex2,
+    /// The slice the running iteration moves.
+    slice: usize,
+}
+
+impl SlicedWalk<'_> {
+    /// Per-link `Φ_L,l` of `low_loads` against the residual capacity.
+    fn phi_l_per_link<'s>(&'s self, low_loads: &'s [f64]) -> impl Iterator<Item = f64> + 's {
+        low_loads
+            .iter()
+            .zip(&self.residual)
+            .map(|(&load, &residual)| phi(load, residual))
     }
 
-    /// Total low loads for the given per-slice weights.
-    fn total_low_loads(
-        &self,
-        calc: &mut LoadCalculator,
-        slices: &[TrafficMatrix],
-        weights: &[WeightVector],
-    ) -> ClassLoads {
-        let mut total = vec![0.0; self.topo.link_count()];
-        for (m, w) in slices.iter().zip(weights) {
-            let loads = calc.class_loads(self.topo, w, m);
-            for (t, l) in total.iter_mut().zip(&loads) {
-                *t += l;
-            }
+    /// `total` with slice `s`'s loads swapped for `loads`.
+    fn total_with(&self, s: usize, loads: &[f64]) -> ClassLoads {
+        let mut total = self.total.clone();
+        for ((t, old), new) in total.iter_mut().zip(&self.slice_loads[s]).zip(loads) {
+            *t = (*t + new - old).max(0.0);
         }
         total
     }
 
-    /// `Φ_L` of `low_loads` against the residual capacity left by
-    /// `high`.
-    fn phi_l(&self, high: &HighSide, low_loads: &[f64]) -> f64 {
-        self.topo
-            .links()
-            .map(|(lid, link)| {
-                let residual = (link.capacity - high.loads[lid.index()]).max(0.0);
-                phi(low_loads[lid.index()], residual)
-            })
-            .sum()
+    /// Routes every slice from scratch and re-sums the totals.
+    fn reroute_all(&mut self) {
+        self.slice_loads = self
+            .weights
+            .iter()
+            .map(|w| self.calc.class_loads(self.topo, w, &self.slice_demand))
+            .collect();
+        self.resum();
     }
 
-    /// Runs the slice-coordinate local search. The iteration budget is
-    /// `2·(N+K)` slice-moves (matching the other searches' counts),
-    /// spent round-robin over slices.
-    pub fn run(self) -> SlicedResult {
-        let params = self.params;
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let sampler = NeighborhoodSampler::new(self.topo.link_count(), &params);
-        let mut calc = LoadCalculator::new();
-        let mut trace = SearchTrace::default();
-
-        // Frozen high side.
-        let mut ev = Evaluator::new(self.topo, self.demands, Objective::LoadBased);
-        let high = ev.eval_high_side(&self.high_weights);
-
-        let slices = self.slice_matrices();
-        let mut weights: Vec<WeightVector> = (0..self.slices)
-            .map(|_| WeightVector::uniform(self.topo, 1))
-            .collect();
-        // Per-slice loads cached so one slice move re-routes one slice.
-        let mut slice_loads: Vec<ClassLoads> = slices
-            .iter()
-            .zip(&weights)
-            .map(|(m, w)| calc.class_loads(self.topo, w, m))
-            .collect();
-        let mut total = vec![0.0; self.topo.link_count()];
-        for loads in &slice_loads {
-            for (t, l) in total.iter_mut().zip(loads) {
+    fn resum(&mut self) {
+        self.total = vec![0.0; self.topo.link_count()];
+        for loads in &self.slice_loads {
+            for (t, l) in self.total.iter_mut().zip(loads) {
                 *t += l;
             }
         }
-        let mut cur_phi_l = self.phi_l(&high, &total);
-        let mut best = (cur_phi_l, weights.clone());
-        trace.improved(0, Phase::OptimizeLow, Lex2::new(high.phi, cur_phi_l));
+        self.cost.secondary = self.phi_l_per_link(&self.total).sum();
+    }
+}
 
-        let iters = 2 * (params.n_iters + params.k_iters);
-        let mut stall = 0usize;
-        for it in 0..iters {
-            trace.iterations += 1;
-            let s = it % self.slices;
+impl Walk for SlicedWalk<'_> {
+    type Cost = Lex2;
+    type Point = Vec<WeightVector>;
 
-            // Rank links by their current low-class cost contribution.
-            let keys: Vec<f64> = self
-                .topo
-                .links()
-                .map(|(lid, link)| {
-                    let residual = (link.capacity - high.loads[lid.index()]).max(0.0);
-                    phi(total[lid.index()], residual)
-                })
-                .collect();
-            let table = RankTable::new(&keys);
-            let moves = sampler.moves(&table, &params, &mut rng);
+    fn cost(&self) -> &Lex2 {
+        &self.cost
+    }
 
-            let mut best_cand: Option<(f64, WeightVector, ClassLoads)> = None;
-            for mv in moves {
-                let mut w = weights[s].clone();
-                mv.apply(&mut w, &params);
-                if w == weights[s] {
-                    continue;
-                }
-                let loads = calc.class_loads(self.topo, &w, &slices[s]);
-                let mut cand_total = total.clone();
-                for ((t, old), new) in cand_total.iter_mut().zip(&slice_loads[s]).zip(&loads) {
-                    *t = (*t + new - old).max(0.0);
-                }
-                let cost = self.phi_l(&high, &cand_total);
-                trace.evaluations += 1;
-                if best_cand.as_ref().is_none_or(|(c, _, _)| cost < *c) {
-                    best_cand = Some((cost, w, loads));
-                }
-            }
+    fn snapshot(&self) -> Vec<WeightVector> {
+        self.weights.clone()
+    }
 
-            if let Some((cost, w, loads)) = best_cand {
-                if cost < cur_phi_l {
-                    for ((t, old), new) in total.iter_mut().zip(&slice_loads[s]).zip(&loads) {
-                        *t = (*t + new - old).max(0.0);
-                    }
-                    weights[s] = w;
-                    slice_loads[s] = loads;
-                    cur_phi_l = cost;
-                    trace.moves_accepted += 1;
-                    if cost < best.0 {
-                        best = (cost, weights.clone());
-                        trace.improved(it + 1, Phase::OptimizeLow, Lex2::new(high.phi, cost));
-                        stall = 0;
-                        continue;
-                    }
-                }
-            }
-            stall += 1;
-            if stall >= params.diversify_after {
-                perturb_weights(&mut weights[s], params.g2, &params, &mut rng);
-                slice_loads[s] = calc.class_loads(self.topo, &weights[s], &slices[s]);
-                total = vec![0.0; self.topo.link_count()];
-                for loads in &slice_loads {
-                    for (t, l) in total.iter_mut().zip(loads) {
-                        *t += l;
-                    }
-                }
-                cur_phi_l = self.phi_l(&high, &total);
-                trace.diversifications += 1;
-                stall = 0;
-            }
+    /// One `FindL`-style pass over slice `it mod S`.
+    fn step(&mut self, it: usize) -> Step {
+        let s = it % self.weights.len();
+        self.slice = s;
+        // Rank links by their current low-class cost contribution.
+        let keys: Vec<f64> = self.phi_l_per_link(&self.total).collect();
+        let neighbors = self.sampler.neighbors(
+            &RankTable::new(&keys),
+            &self.weights[s],
+            &self.params,
+            &mut self.rng,
+        );
+        let mut cands: Vec<(Lex2, WeightVector, ClassLoads, ClassLoads)> = Vec::new();
+        for w in neighbors {
+            let loads = self.calc.class_loads(self.topo, &w, &self.slice_demand);
+            let total = self.total_with(s, &loads);
+            let phi_l = self.phi_l_per_link(&total).sum();
+            cands.push((Lex2::new(self.cost.primary, phi_l), w, loads, total));
         }
-
-        // Rebuild the best configuration's loads for the report.
-        let low_loads = {
-            let mut calc = LoadCalculator::new();
-            self.total_low_loads(&mut calc, &slices, &best.1)
-        };
-        let phi_l = self.phi_l(&high, &low_loads);
-        SlicedResult {
-            high_weights: self.high_weights,
-            slice_weights: best.1,
-            cost: Lex2::new(high.phi, phi_l),
-            low_loads,
-            trace,
+        let evaluated = cands.len();
+        let best = best_improving(cands, self.cost(), |c| &c.0);
+        let moved = best.is_some();
+        if let Some((cost, w, loads, total)) = best {
+            self.weights[s] = w;
+            self.slice_loads[s] = loads;
+            self.total = total;
+            self.cost = cost;
         }
+        Step::of(evaluated, moved)
+    }
+
+    fn diversify(&mut self, _best: &Vec<WeightVector>) -> usize {
+        let s = self.slice;
+        perturb_weights(
+            &mut self.weights[s],
+            self.params.g2,
+            &self.params,
+            &mut self.rng,
+        );
+        self.slice_loads[s] =
+            self.calc
+                .class_loads(self.topo, &self.weights[s], &self.slice_demand);
+        self.resum();
+        0
     }
 }
 

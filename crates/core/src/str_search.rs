@@ -2,13 +2,16 @@
 //!
 //! STR assigns **one** weight per link; both classes ride the same
 //! shortest paths. Following §5.1.3, the baseline is the Fortz–Thorup
-//! "single weight change" local search \[2\] driven by the same
-//! lexicographic objectives as DTR: each iteration proposes `m` candidate
-//! settings (a random link re-assigned a random weight), moves to the
-//! best candidate if it improves the current solution, and diversifies
-//! after `M` non-improving iterations. The iteration count is derived
-//! from [`SearchParams::str_iters`] so STR and DTR consume the same
-//! number of candidate evaluations — a fair comparison.
+//! "single weight change" local search \[2\] under the same
+//! lexicographic objectives as DTR — one stage on the shared
+//! [`descent`](crate::descent) driver:
+//!
+//! | iterations | a step proposes | a diversification |
+//! |---|---|---|
+//! | [`SearchParams::str_iters`] | `m` links re-assigned a fresh weight | perturbs `g1` of the current vector |
+//!
+//! The iteration count makes STR and DTR consume the same number of
+//! candidate evaluations — a fair comparison.
 //!
 //! **Relaxed STR** (§3.3.2, §5.3.1, Table 1): the search additionally
 //! maintains the **Pareto front** of `(Φ_H, Φ_L)` pairs over every
@@ -20,16 +23,18 @@
 //! early candidates whose `Φ_H` only looked acceptable because the
 //! incumbent was still poor.)
 
+use crate::descent::{best_improving, Descent, SingleChange, Step, Walk};
 use crate::neighborhood::perturb_weights;
 use crate::params::SearchParams;
+use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
 use dtr_engine::BatchEvaluator;
-use dtr_graph::{LinkId, Topology, WeightVector};
+use dtr_graph::{Topology, WeightVector};
 use dtr_routing::Evaluation;
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Best relaxed solution tracked for one ε (load-based objective only).
 #[derive(Debug, Clone)]
@@ -105,6 +110,88 @@ impl ParetoFront {
     }
 }
 
+/// Relaxed tracking state: the smallest `Φ_H` seen over all evaluated
+/// candidates, and the Pareto front within the largest requested ε of
+/// it.
+struct Relaxation {
+    /// The largest requested ε; `None` (nothing requested) tracks
+    /// nothing.
+    eps_max: Option<f64>,
+    best_phi_h: f64,
+    front: ParetoFront,
+}
+
+impl Relaxation {
+    fn track(&mut self, w: &WeightVector, e: &Evaluation) {
+        let Some(eps_max) = self.eps_max else { return };
+        if e.phi_h < self.best_phi_h {
+            self.best_phi_h = e.phi_h;
+            self.front.prune((1.0 + eps_max) * self.best_phi_h);
+        }
+        self.front
+            .offer(e.phi_h, e.phi_l, w, (1.0 + eps_max) * self.best_phi_h);
+    }
+}
+
+/// The current setting and what a step needs to move it.
+struct StrWalk<'a> {
+    engine: BatchEvaluator<'a>,
+    params: SearchParams,
+    rng: StdRng,
+    w: WeightVector,
+    eval: Evaluation,
+    relaxation: Relaxation,
+}
+
+impl Walk for StrWalk<'_> {
+    type Cost = Lex2;
+    type Point = WeightVector;
+
+    fn cost(&self) -> &Lex2 {
+        &self.eval.cost
+    }
+
+    fn snapshot(&self) -> WeightVector {
+        self.w.clone()
+    }
+
+    /// `m` single-weight-change candidates, evaluated as one engine
+    /// batch (incremental repair or cache hit each).
+    fn step(&mut self, _it: usize) -> Step {
+        let cands: Vec<WeightVector> = (0..self.params.neighbors)
+            .map(|_| {
+                let (link, _) =
+                    SingleChange::draw_position(Scheme::Str, self.w.len(), &mut self.rng);
+                let value = SingleChange::draw_value(self.w.get(link), &self.params, &mut self.rng);
+                let mut cand = self.w.clone();
+                cand.set(link, value);
+                cand
+            })
+            .collect();
+        let evals = self.engine.eval_joint_batch(&cands);
+        for (w, e) in cands.iter().zip(&evals) {
+            self.relaxation.track(w, e);
+        }
+        let evaluated = cands.len();
+        let best = best_improving(evals.into_iter().zip(cands), self.cost(), |(e, _)| &e.cost);
+        let moved = best.is_some();
+        if let Some((eval, w)) = best {
+            self.engine.rebase_joint(&w);
+            self.eval = eval;
+            self.w = w;
+        }
+        Step::of(evaluated, moved)
+    }
+
+    fn diversify(&mut self, _best: &WeightVector) -> usize {
+        perturb_weights(&mut self.w, self.params.g1, &self.params, &mut self.rng);
+        self.engine.rebase_joint(&self.w);
+        self.eval = self.engine.eval_joint(&self.w);
+        self.relaxation.track(&self.w, &self.eval);
+        1
+    }
+}
+
 /// The Fortz–Thorup-style single-weight-change search.
 pub struct StrSearch<'a> {
     engine: BatchEvaluator<'a>,
@@ -148,106 +235,30 @@ impl<'a> StrSearch<'a> {
         self
     }
 
-    /// Runs the search.
+    /// Runs the search: one stage of [`SearchParams::str_iters`]
+    /// iterations.
     pub fn run(mut self) -> StrResult {
         let params = self.params;
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut trace = SearchTrace::default();
-        let n_links = self.engine.topo().link_count();
+        self.engine.rebase_joint(&self.initial);
+        let eval = self.engine.eval_joint(&self.initial);
+        let mut walk = StrWalk {
+            engine: self.engine,
+            params,
+            rng: StdRng::seed_from_u64(params.seed),
+            relaxation: Relaxation {
+                eps_max: self.relax_eps.iter().copied().reduce(f64::max),
+                best_phi_h: eval.phi_h,
+                front: ParetoFront::default(),
+            },
+            w: self.initial,
+            eval,
+        };
+        walk.relaxation.track(&walk.w, &walk.eval);
+        let mut descent = Descent::start(&walk, params.diversify_after, Phase::Str, 1);
+        descent.stage(&mut walk, params.str_iters(), Phase::Str);
+        let (best_cost, best_w, trace) = descent.finish();
 
-        let mut cur_w = self.initial.clone();
-        self.engine.rebase_joint(&cur_w);
-        let mut cur = self.engine.eval_joint(&cur_w);
-        trace.evaluations += 1;
-
-        let mut best_w = cur_w.clone();
-        let mut best_cost = cur.cost;
-        trace.improved(0, Phase::Str, best_cost);
-
-        // Relaxed tracking state: the smallest Φ_H seen over all
-        // evaluated candidates, and the Pareto front of (Φ_H, Φ_L).
-        let eps_max = self.relax_eps.iter().cloned().fold(0.0f64, f64::max);
-        let track_front = !self.relax_eps.is_empty();
-        let mut best_phi_h = cur.phi_h;
-        let mut front = ParetoFront::default();
-        let track =
-            |w: &WeightVector, e: &Evaluation, best_phi_h: &mut f64, front: &mut ParetoFront| {
-                if !track_front {
-                    return;
-                }
-                if e.phi_h < *best_phi_h {
-                    *best_phi_h = e.phi_h;
-                    front.prune((1.0 + eps_max) * *best_phi_h);
-                }
-                front.offer(e.phi_h, e.phi_l, w, (1.0 + eps_max) * *best_phi_h);
-            };
-        track(&cur_w, &cur, &mut best_phi_h, &mut front);
-
-        let mut stall = 0usize;
-        for _ in 0..params.str_iters() {
-            trace.iterations += 1;
-
-            // m single-weight-change candidates, evaluated as one
-            // engine batch (incremental repair or cache hit each);
-            // keep the best.
-            let cands: Vec<WeightVector> = (0..params.neighbors)
-                .map(|_| {
-                    let lid = LinkId(rng.random_range(0..n_links as u32));
-                    let old = cur_w.get(lid);
-                    let mut w = rng.random_range(params.min_weight..=params.max_weight);
-                    if w == old {
-                        // Force a change; wrap within the range.
-                        w = if w == params.max_weight {
-                            params.min_weight
-                        } else {
-                            w + 1
-                        };
-                    }
-                    let mut cand_w = cur_w.clone();
-                    cand_w.set(lid, w);
-                    cand_w
-                })
-                .collect();
-            let evals = self.engine.eval_joint_batch(&cands);
-            let mut best_cand: Option<(Evaluation, WeightVector)> = None;
-            for (cand_w, e) in cands.into_iter().zip(evals) {
-                trace.evaluations += 1;
-                track(&cand_w, &e, &mut best_phi_h, &mut front);
-                if best_cand.as_ref().is_none_or(|(b, _)| e.cost < b.cost) {
-                    best_cand = Some((e, cand_w));
-                }
-            }
-
-            match best_cand {
-                Some((e, w)) if e.cost < cur.cost => {
-                    cur = e;
-                    cur_w = w;
-                    self.engine.rebase_joint(&cur_w);
-                    trace.moves_accepted += 1;
-                    if cur.cost < best_cost {
-                        best_cost = cur.cost;
-                        best_w = cur_w.clone();
-                        trace.improved(trace.iterations, Phase::Str, best_cost);
-                        stall = 0;
-                    } else {
-                        stall += 1;
-                    }
-                }
-                _ => stall += 1,
-            }
-
-            if stall >= params.diversify_after {
-                perturb_weights(&mut cur_w, params.g1, &params, &mut rng);
-                self.engine.rebase_joint(&cur_w);
-                cur = self.engine.eval_joint(&cur_w);
-                trace.evaluations += 1;
-                track(&cur_w, &cur, &mut best_phi_h, &mut front);
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
-
-        let eval = self.engine.eval_joint(&best_w);
+        let eval = walk.engine.eval_joint(&best_w);
         debug_assert_eq!(eval.cost, best_cost);
 
         // Answer the relaxed queries against the *final* Φ*_H. The strict
@@ -255,19 +266,22 @@ impl<'a> StrSearch<'a> {
         let relaxed: Vec<RelaxedBest> = self
             .relax_eps
             .iter()
-            .map(|&eps| match front.best_within((1.0 + eps) * best_phi_h) {
-                Some((phi_h, phi_l, w)) => RelaxedBest {
-                    eps,
-                    weights: Some(w.clone()),
-                    phi_h: *phi_h,
-                    phi_l: *phi_l,
-                },
-                None => RelaxedBest {
-                    eps,
-                    weights: Some(best_w.clone()),
-                    phi_h: eval.phi_h,
-                    phi_l: eval.phi_l,
-                },
+            .map(|&eps| {
+                let r = &walk.relaxation;
+                match r.front.best_within((1.0 + eps) * r.best_phi_h) {
+                    Some((phi_h, phi_l, w)) => RelaxedBest {
+                        eps,
+                        weights: Some(w.clone()),
+                        phi_h: *phi_h,
+                        phi_l: *phi_l,
+                    },
+                    None => RelaxedBest {
+                        eps,
+                        weights: Some(best_w.clone()),
+                        phi_h: eval.phi_h,
+                        phi_l: eval.phi_l,
+                    },
+                }
             })
             .collect();
 

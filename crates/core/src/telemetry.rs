@@ -4,7 +4,7 @@
 //! ablation benches to compare design variants (diversification on/off,
 //! τ settings, routine 3 on/off).
 
-use dtr_cost::Lex2;
+use dtr_cost::LexCost;
 use serde::{Deserialize, Serialize};
 
 /// Which routine of Algorithm 1 an event belongs to.
@@ -21,7 +21,7 @@ pub enum Phase {
 }
 
 /// One incumbent improvement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Improvement {
     /// Global iteration counter at which the improvement was found.
     pub iteration: usize,
@@ -32,8 +32,9 @@ pub struct Improvement {
     pub evaluations: usize,
     /// Routine that found it.
     pub phase: Phase,
-    /// The new incumbent cost.
-    pub cost: Lex2,
+    /// The new incumbent cost, one component per class (a two-class
+    /// search records `⟨primary, secondary⟩`).
+    pub cost: LexCost,
 }
 
 /// Counters and the improvement log of one search run.
@@ -59,18 +60,18 @@ pub struct SearchTrace {
 
 impl SearchTrace {
     /// Records an incumbent improvement at the current evaluation count.
-    pub fn improved(&mut self, iteration: usize, phase: Phase, cost: Lex2) {
+    pub fn improved(&mut self, iteration: usize, phase: Phase, cost: impl Into<LexCost>) {
         self.improvements.push(Improvement {
             iteration,
             evaluations: self.evaluations,
             phase,
-            cost,
+            cost: cost.into(),
         });
     }
 
     /// The incumbent cost after the last improvement, if any.
-    pub fn final_cost(&self) -> Option<Lex2> {
-        self.improvements.last().map(|i| i.cost)
+    pub fn final_cost(&self) -> Option<&LexCost> {
+        self.improvements.last().map(|i| &i.cost)
     }
 
     /// Iterations between the first and last improvement — a crude
@@ -90,10 +91,10 @@ mod tests {
     #[test]
     fn records_improvements_in_order() {
         let mut t = SearchTrace::default();
-        t.improved(3, Phase::OptimizeHigh, Lex2::new(10.0, 5.0));
-        t.improved(9, Phase::Refine, Lex2::new(8.0, 4.0));
+        t.improved(3, Phase::OptimizeHigh, LexCost::two(10.0, 5.0));
+        t.improved(9, Phase::Refine, LexCost::two(8.0, 4.0));
         assert_eq!(t.improvements.len(), 2);
-        assert_eq!(t.final_cost(), Some(Lex2::new(8.0, 4.0)));
+        assert_eq!(t.final_cost(), Some(&LexCost::two(8.0, 4.0)));
         assert_eq!(t.convergence_span(), 6);
     }
 

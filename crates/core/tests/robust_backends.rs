@@ -3,7 +3,7 @@
 //!
 //! 1. Seeded [`RobustSearch`] runs must produce **identical** incumbents
 //!    and telemetry under the full and incremental backends, in both
-//!    [`RobustMode::Str`] and [`RobustMode::Dtr`], with and without a
+//!    [`Scheme::Str`] and [`Scheme::Dtr`], with and without a
 //!    scenario cap — the failure-sweep engine's bit-identical contract
 //!    lifted to the whole search trajectory.
 //! 2. The scenario cap is a real approximation (a move can improve every
@@ -12,8 +12,8 @@
 //!    **strictly worse on the full scenario set** than the uncapped
 //!    search, and the dropped pairs must be recorded in the trace.
 
-use dtr_core::robust::{RobustEvaluator, RobustMode, RobustResult, RobustSearch, ScenarioCombine};
-use dtr_core::{BackendKind, SearchParams};
+use dtr_core::robust::{RobustEvaluator, RobustResult, RobustSearch, ScenarioCombine};
+use dtr_core::{BackendKind, Scheme, SearchParams};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::topology::TopologyBuilder;
 use dtr_graph::NodeId;
@@ -39,7 +39,7 @@ fn small_instance(seed: u64) -> (dtr_graph::Topology, DemandSet) {
 fn run_robust(
     topo: &dtr_graph::Topology,
     demands: &DemandSet,
-    mode: RobustMode,
+    mode: Scheme,
     backend: BackendKind,
     cap: Option<usize>,
 ) -> RobustResult {
@@ -60,7 +60,7 @@ fn run_robust(
 #[test]
 fn backends_produce_identical_incumbents_and_traces() {
     let (topo, demands) = small_instance(31);
-    for mode in [RobustMode::Str, RobustMode::Dtr] {
+    for mode in [Scheme::Str, Scheme::Dtr] {
         for cap in [None, Some(5)] {
             let full = run_robust(&topo, &demands, mode, BackendKind::Full, cap);
             let incr = run_robust(&topo, &demands, mode, BackendKind::Incremental, cap);
@@ -138,7 +138,7 @@ fn uncapped_run_dominates_capped_on_triangle_family() {
             &demands,
             combine,
             SearchParams::tiny().with_seed(0),
-            RobustMode::Dtr,
+            Scheme::Dtr,
         );
         if let Some(c) = cap {
             s = s.with_scenario_cap(c);

@@ -59,6 +59,7 @@ pub use kclass::{KClassBatchEvaluator, KClassEvaluation};
 pub use state::{CandidateEval, DestState, FlowState, WorkStats};
 
 use dtr_cost::Objective;
+use dtr_graph::weights::DualWeights;
 use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
 use dtr_routing::{
     hybrid_low_dag, push_demand_down_dag, sla_evaluation, trapped_flow, ClassLoads, DeploymentSet,
@@ -66,6 +67,34 @@ use dtr_routing::{
 };
 use dtr_traffic::DemandSet;
 use std::sync::Arc;
+
+/// One class of a dual weight setting — which vector a
+/// [`BatchEvaluator::eval_class_batch`] call moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// The high-priority class, routed on `W^H`.
+    High,
+    /// The low-priority class, routed on `W^L`.
+    Low,
+}
+
+impl Class {
+    /// This class's vector of `w`.
+    pub fn of(self, w: &DualWeights) -> &WeightVector {
+        match self {
+            Class::High => &w.high,
+            Class::Low => &w.low,
+        }
+    }
+
+    /// This class's vector of `w`, to move it.
+    pub fn of_mut(self, w: &mut DualWeights) -> &mut WeightVector {
+        match self {
+            Class::High => &mut w.high,
+            Class::Low => &mut w.low,
+        }
+    }
+}
 
 /// Default LRU capacity per class cache.
 const DEFAULT_CACHE_CAPACITY: usize = 512;
@@ -340,106 +369,53 @@ impl<'a> BatchEvaluator<'a> {
         self.evaluator.deployment()
     }
 
-    /// Destinations with low-priority demand, ascending — the hybrid
-    /// push order (matches [`Evaluator::low_loads_deployed`]).
-    fn low_dests(&self) -> Vec<NodeId> {
-        self.topo
-            .nodes()
-            .filter(|t| self.demands.low.demands_to(t.index()).next().is_some())
-            .collect()
-    }
-
-    /// The bound deployment, required by the deployed entry points.
-    fn deployment_cloned(&self) -> DeploymentSet {
-        self.evaluator
-            .deployment()
-            .cloned()
-            .expect("deployed batch entry points require a bound partial deployment")
-    }
-
-    /// Evaluates a batch of **low-class** candidates under the bound
-    /// partial deployment, against a fixed high vector `wh`. Returns,
-    /// per candidate, the hybrid low loads plus the trapped
-    /// (undeliverable) volume — feed both to
-    /// [`Evaluator::finish_deployed`].
+    /// Routes a batch of candidates for one class under the bound
+    /// partial deployment, against the other class's vector in `w`.
+    /// Per candidate: its [`HighSide`] when the high class moved, the
+    /// hybrid low loads, and the trapped (undeliverable) volume.
     ///
-    /// The candidates' per-destination low DAGs come from the (possibly
-    /// incremental) low backend; the fixed high DAGs are computed once
-    /// per call. Results are bit-identical to
+    /// The moved class's per-destination DAGs come from its (possibly
+    /// incremental) backend — which tracks only destinations with that
+    /// class's demand, so a low destination outside the high backend's
+    /// coverage gets a fresh per-candidate SPF; the fixed class's DAGs
+    /// are computed once per call. Results are bit-identical to
     /// [`Evaluator::low_loads_deployed`] because the hybrid synthesis
     /// reads only DAG branch lists, which both paths produce identically.
     /// Uncached: results key on the `(wh, wl)` pair, which the per-class
     /// LRU caches cannot express.
-    pub fn eval_deployed_low_batch(
+    fn route_deployed(
         &mut self,
-        wh: &WeightVector,
+        class: Class,
         cands: &[WeightVector],
-    ) -> Vec<(ClassLoads, f64)> {
-        let dep = self.deployment_cloned();
-        let dests = self.low_dests();
-        let high_dags: Vec<ShortestPathDag> = dests
-            .iter()
-            .map(|&t| ShortestPathDag::compute_with(self.topo, wh, t, None, &mut self.ws))
+        w: &DualWeights,
+    ) -> Vec<(Option<HighSide>, ClassLoads, f64)> {
+        let dep = self
+            .deployment()
+            .cloned()
+            .expect("a partial deployment is bound");
+        // Destinations with low-priority demand, ascending — the hybrid
+        // push order (matches `Evaluator::low_loads_deployed`).
+        let dests: Vec<NodeId> = self
+            .topo
+            .nodes()
+            .filter(|t| self.demands.low.demands_to(t.index()).next().is_some())
             .collect();
-        let evals = self.low.get().eval_batch(cands, true);
-        let mut by_node: Vec<Option<Arc<ShortestPathDag>>> = vec![None; self.topo.node_count()];
-        evals
-            .into_iter()
-            .map(|ev| {
-                by_node.iter_mut().for_each(|s| *s = None);
-                for (t, dag) in ev.dags {
-                    by_node[t.index()] = Some(dag);
-                }
-                let mut out = vec![0.0; self.topo.link_count()];
-                let mut flow = Vec::new();
-                let mut undeliverable = 0.0;
-                for (t, dh) in dests.iter().zip(&high_dags) {
-                    let dl = by_node[t.index()]
-                        .as_deref()
-                        .expect("low backend DAGs cover every low destination");
-                    let hybrid = hybrid_low_dag(self.topo, &dep, dh, dl);
-                    push_demand_down_dag(
-                        self.topo,
-                        &hybrid,
-                        &self.demands.low,
-                        *t,
-                        &mut flow,
-                        &mut out,
-                    );
-                    undeliverable += trapped_flow(&hybrid, &flow);
-                }
-                (out, undeliverable)
-            })
-            .collect()
-    }
-
-    /// Evaluates a batch of **high-class** candidates under the bound
-    /// partial deployment, against a fixed low vector `wl`. Under
-    /// partial deployment a high-side move re-routes the low class too
-    /// (legacy nodes forward it on the high DAGs), so each entry carries
-    /// the candidate's [`HighSide`] *and* its hybrid low loads plus
-    /// trapped volume.
-    ///
-    /// High DAGs come from the high backend where it covers the
-    /// destination (it only tracks high-demand destinations); low-only
-    /// destinations get a fresh per-candidate SPF.
-    pub fn eval_deployed_high_batch(
-        &mut self,
-        cands: &[WeightVector],
-        wl: &WeightVector,
-    ) -> Vec<(HighSide, ClassLoads, f64)> {
-        let dep = self.deployment_cloned();
-        let dests = self.low_dests();
-        let low_dags: Vec<ShortestPathDag> = dests
+        let (fixed_w, backend) = match class {
+            Class::High => (&w.low, &mut self.high),
+            Class::Low => (&w.high, &mut self.low),
+        };
+        let fixed: Vec<ShortestPathDag> = dests
             .iter()
-            .map(|&t| ShortestPathDag::compute_with(self.topo, wl, t, None, &mut self.ws))
+            .map(|&t| ShortestPathDag::compute_with(self.topo, fixed_w, t, None, &mut self.ws))
             .collect();
-        let evals = self.high.get().eval_batch(cands, true);
+        let evals = backend.get().eval_batch(cands, true);
         let mut by_node: Vec<Option<Arc<ShortestPathDag>>> = vec![None; self.topo.node_count()];
         let mut results = Vec::with_capacity(evals.len());
-        for (mut ev, wh) in evals.into_iter().zip(cands) {
-            let loads = ev.loads.swap_remove(0);
-            let hs = self.make_high_side(loads, wh, &ev.dags);
+        for (mut ev, cand) in evals.into_iter().zip(cands) {
+            let high = (class == Class::High).then(|| {
+                let loads = ev.loads.swap_remove(0);
+                self.make_high_side(loads, cand, &ev.dags)
+            });
             by_node.iter_mut().for_each(|s| *s = None);
             for (t, dag) in ev.dags {
                 by_node[t.index()] = Some(dag);
@@ -447,15 +423,19 @@ impl<'a> BatchEvaluator<'a> {
             let mut out = vec![0.0; self.topo.link_count()];
             let mut flow = Vec::new();
             let mut undeliverable = 0.0;
-            for (t, dl) in dests.iter().zip(&low_dags) {
+            for (t, fixed_dag) in dests.iter().zip(&fixed) {
                 let fresh;
-                let dh = match by_node[t.index()].as_deref() {
+                let moved = match by_node[t.index()].as_deref() {
                     Some(d) => d,
                     None => {
                         fresh =
-                            ShortestPathDag::compute_with(self.topo, wh, *t, None, &mut self.ws);
+                            ShortestPathDag::compute_with(self.topo, cand, *t, None, &mut self.ws);
                         &fresh
                     }
+                };
+                let (dh, dl) = match class {
+                    Class::High => (moved, fixed_dag),
+                    Class::Low => (fixed_dag, moved),
                 };
                 let hybrid = hybrid_low_dag(self.topo, &dep, dh, dl);
                 push_demand_down_dag(
@@ -468,9 +448,69 @@ impl<'a> BatchEvaluator<'a> {
                 );
                 undeliverable += trapped_flow(&hybrid, &flow);
             }
-            results.push((hs, out, undeliverable));
+            results.push((high, out, undeliverable));
         }
         results
+    }
+
+    /// Full evaluation of a dual setting, bit-identical to
+    /// [`Evaluator::eval_dual`] (bound partial deployment included).
+    pub fn eval_dual(&mut self, w: &DualWeights) -> Evaluation {
+        let (high, low_loads, undeliverable) = if self.deployment().is_some() {
+            let (high, low_loads, undeliverable) = self
+                .route_deployed(Class::High, std::slice::from_ref(&w.high), w)
+                .pop()
+                .unwrap();
+            (high.expect("a high-class batch"), low_loads, undeliverable)
+        } else {
+            (self.eval_high(&w.high), self.eval_low(&w.low), 0.0)
+        };
+        self.evaluator
+            .finish_deployed(high, low_loads, undeliverable)
+            .expect("engine high sides carry the SLA walk")
+    }
+
+    /// Evaluates a batch of candidates for one class with the other
+    /// class held at `w` — the search stepping pattern, and the
+    /// two-class form of [`KClassBatchEvaluator::eval_class_batch`].
+    /// `base` must be this evaluator's evaluation of `w`: the unmoved
+    /// class's side is read from it instead of being re-routed.
+    ///
+    /// Under a bound partial deployment a high-class move re-routes the
+    /// low class too (legacy nodes forward it on the high DAGs), a
+    /// low-class move rides the hybrid DAGs, and trapped demand is
+    /// penalized (see [`dtr_routing::deploy`]); without one the moved
+    /// class repairs incrementally from its base and nothing else is
+    /// touched.
+    pub fn eval_class_batch(
+        &mut self,
+        class: Class,
+        cands: &[WeightVector],
+        w: &DualWeights,
+        base: &Evaluation,
+    ) -> Vec<Evaluation> {
+        let routed: Vec<(Option<HighSide>, ClassLoads, f64)> =
+            match (self.deployment().is_some(), class) {
+                (true, _) => self.route_deployed(class, cands, w),
+                (false, Class::High) => {
+                    let highs = self.eval_high_batch(cands);
+                    let with_low = |high| (Some(high), base.low_loads.clone(), 0.0);
+                    highs.into_iter().map(with_low).collect()
+                }
+                (false, Class::Low) => {
+                    let lows = self.eval_low_batch(cands);
+                    lows.into_iter().map(|loads| (None, loads, 0.0)).collect()
+                }
+            };
+        routed
+            .into_iter()
+            .map(|(high, low_loads, undeliverable)| {
+                let high = high.unwrap_or_else(|| high_side_of(base));
+                self.evaluator
+                    .finish_deployed(high, low_loads, undeliverable)
+                    .expect("engine high sides carry the SLA walk")
+            })
+            .collect()
     }
 
     /// Raw per-link loads of the high class under `wh` — no cost
@@ -548,6 +588,14 @@ impl<'a> BatchEvaluator<'a> {
         self.joint.rebase(w);
     }
 
+    /// Moves one class's base (the search accepted a move of `class`).
+    pub fn rebase(&mut self, class: Class, w: &WeightVector) {
+        match class {
+            Class::High => self.rebase_high(w),
+            Class::Low => self.rebase_low(w),
+        }
+    }
+
     /// `(hits, misses)` summed over the three class caches.
     pub fn cache_stats(&self) -> (u64, u64) {
         let (h1, m1) = self.high_cache.stats();
@@ -567,6 +615,16 @@ impl<'a> BatchEvaluator<'a> {
         total += self.low.work_stats();
         total += self.joint.work_stats();
         total
+    }
+}
+
+/// The high side an evaluation was finished from.
+fn high_side_of(ev: &Evaluation) -> HighSide {
+    HighSide {
+        loads: ev.high_loads.clone(),
+        phi_per_link: ev.phi_h_per_link.clone(),
+        phi: ev.phi_h,
+        sla: ev.sla.clone(),
     }
 }
 
@@ -670,49 +728,35 @@ mod tests {
     }
 
     #[test]
-    fn deployed_batches_match_the_plain_evaluator_bit_for_bit() {
-        let (topo, demands) = instance(11);
+    fn class_batches_match_eval_dual_of_the_candidate_setting() {
+        let (topo, demands) = instance(12);
         let n = topo.node_count();
-        // Upgrade every third node — a genuinely partial deployment.
         let upgraded: Vec<u32> = (0..n as u32).step_by(3).collect();
-        let dep = DeploymentSet::from_upgraded(n, &upgraded);
-        let wh = WeightVector::uniform(&topo, 2);
-        let mut cands = Vec::new();
-        for i in 0..4u32 {
-            let mut w = WeightVector::uniform(&topo, 1);
-            w.set(dtr_graph::LinkId(i), 7 + i);
-            cands.push(w);
-        }
-        let mut reference = Evaluator::new(&topo, &demands, Objective::LoadBased);
-        reference.set_deployment(Some(dep.clone())).unwrap();
-        for kind in [BackendKind::Full, BackendKind::Incremental] {
-            let mut engine = BatchEvaluator::new(&topo, &demands, Objective::LoadBased, kind);
-            engine.set_deployment(Some(dep.clone())).unwrap();
-            // Low-side candidates against a fixed high vector.
-            for (wl, (loads, und)) in cands
-                .iter()
-                .zip(engine.eval_deployed_low_batch(&wh, &cands))
-            {
-                let (ref_loads, ref_und) = reference.low_loads_deployed(&dep, &wh, wl);
-                assert_eq!(loads, ref_loads, "{kind:?} low loads diverge");
-                assert_eq!(und, ref_und);
-            }
-            // High-side candidates against a fixed low vector.
-            let wl = cands[1].clone();
-            for (whc, (hs, loads, und)) in cands
-                .iter()
-                .zip(engine.eval_deployed_high_batch(&cands, &wl))
-            {
-                let ref_hs = reference.eval_high_side(whc);
-                let (ref_loads, ref_und) = reference.low_loads_deployed(&dep, whc, &wl);
-                assert_eq!(hs, ref_hs, "{kind:?} high side diverges");
-                assert_eq!(loads, ref_loads, "{kind:?} hybrid low loads diverge");
-                assert_eq!(und, ref_und);
-                let ev = reference
-                    .finish_deployed(ref_hs, ref_loads, ref_und)
-                    .unwrap();
-                let ev2 = engine.evaluator().finish_deployed(hs, loads, und).unwrap();
-                assert_eq!(ev, ev2);
+        let mut w = DualWeights::replicated(WeightVector::uniform(&topo, 2));
+        w.low.set(dtr_graph::LinkId(5), 9);
+        let cands: Vec<WeightVector> = (0..4u32)
+            .map(|i| {
+                let mut c = WeightVector::uniform(&topo, 2);
+                c.set(dtr_graph::LinkId(i), 6 + i);
+                c
+            })
+            .collect();
+        for dep in [None, Some(DeploymentSet::from_upgraded(n, &upgraded))] {
+            let mut reference = Evaluator::new(&topo, &demands, Objective::LoadBased);
+            reference.set_deployment(dep.clone()).unwrap();
+            for kind in [BackendKind::Full, BackendKind::Incremental] {
+                let mut engine = BatchEvaluator::new(&topo, &demands, Objective::LoadBased, kind);
+                engine.set_deployment(dep.clone()).unwrap();
+                let base = engine.eval_dual(&w);
+                assert_eq!(base, reference.eval_dual(&w));
+                for class in [Class::High, Class::Low] {
+                    let evals = engine.eval_class_batch(class, &cands, &w, &base);
+                    for (c, ev) in cands.iter().zip(evals) {
+                        let mut moved = w.clone();
+                        *class.of_mut(&mut moved) = c.clone();
+                        assert_eq!(ev, reference.eval_dual(&moved), "{kind:?} {class:?}");
+                    }
+                }
             }
         }
     }

@@ -41,7 +41,7 @@ impl StrategyCurve {
             points: trace
                 .improvements
                 .iter()
-                .map(|i| (i.evaluations, i.cost.primary, i.cost.secondary))
+                .map(|i| (i.evaluations, i.cost.get(0), i.cost.get(1)))
                 .collect(),
             total_evaluations: trace.evaluations,
         }

@@ -16,7 +16,7 @@ use crate::report::{fmt, Table};
 use crate::robustness::{failure_sweep, RobustnessSummary};
 use crate::runner::{demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
 use dtr_core::{
-    DtrSearch, Objective, RobustMode, RobustSearch, ScenarioCombine, SearchParams, StrSearch,
+    DtrSearch, Objective, RobustSearch, ScenarioCombine, Scheme, SearchParams, StrSearch,
 };
 use dtr_graph::weights::DualWeights;
 use serde::{Deserialize, Serialize};
@@ -74,7 +74,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<RobustOptOutcome> {
         &demands,
         ScenarioCombine::Blend { beta: BETA },
         rparams,
-        RobustMode::Str,
+        Scheme::Str,
     )
     .with_initial(DualWeights::replicated(nominal_str.weights.clone()))
     .run();
@@ -83,7 +83,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<RobustOptOutcome> {
         &demands,
         ScenarioCombine::Blend { beta: BETA },
         rparams,
-        RobustMode::Dtr,
+        Scheme::Dtr,
     )
     .with_initial(nominal_dtr.weights.clone())
     .run();

@@ -1,20 +1,28 @@
 //! The k-class weight search: Algorithm 1 generalized.
 //!
-//! Stage `c` (for `c = 0 … k−1`) optimizes class `c`'s weight vector
-//! with all higher classes frozen at their optimized settings — priority
-//! isolation guarantees the frozen classes' costs cannot change. A final
-//! refinement stage rotates moves across all classes. Neighborhoods are
-//! Algorithm 2's, reusing `dtr-core`'s sampler; each stage ranks links by
-//! the *remaining* lexicographic link cost `⟨Φ_c,l, …, Φ_{k−1},l⟩`
-//! projected onto its leading component (the classes below `c` cannot
-//! influence class `c`, mirroring the paper's FindH/FindL split).
+//! `k + 1` stages on `dtr-core`'s shared descent driver:
+//!
+//! | stage | iterations | a step moves | a diversification |
+//! |---|---|---|---|
+//! | `c = 0 … k−1` | `N` | class `c` | perturbs `g1` of class `c`'s current vector |
+//! | refinement | `K` | class `it mod k` | restarts `g3` of every vector away from the incumbent |
+//!
+//! Every stage but the first starts from the incumbent, so stage `c`
+//! runs with all higher classes frozen at their optimized settings —
+//! priority isolation guarantees the frozen classes' costs cannot
+//! change. Neighborhoods are Algorithm 2's, reusing `dtr-core`'s
+//! sampler; a step ranks links by the moved class's per-link cost (the
+//! classes below `c` cannot influence class `c`, mirroring the paper's
+//! FindH/FindL split).
 //!
 //! Every cost comes from [`dtr_engine::KClassBatchEvaluator`] on the
 //! backend [`SearchParams::backend`] names: a step's candidates are one
 //! `eval_class_batch` call (the moved class repairs incrementally, the
 //! other classes' sides stay cached) and an accepted move is a `rebase`.
+//! The trace logs the full k-component cost of every improvement.
 
 use crate::demand::MultiDemand;
+use dtr_core::descent::{best_improving, Descent, Step, Walk};
 use dtr_core::neighborhood::{perturb_weights, NeighborhoodSampler, RankTable};
 use dtr_core::telemetry::Phase;
 use dtr_core::{SearchParams, SearchTrace};
@@ -88,131 +96,115 @@ impl<'a> MultiSearch<'a> {
         let params = self.params;
         let k = self.kernel.class_count();
         let topo = self.kernel.topo();
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let sampler = NeighborhoodSampler::new(topo.link_count(), &params);
-        let mut trace = SearchTrace::default();
-
-        let mut weights = self
+        let weights = self
             .initial
             .take()
             .unwrap_or_else(|| vec![WeightVector::uniform(topo, 1); k]);
-        let mut eval = self.jump_to(&weights);
-        let mut best = (eval.cost.clone(), weights.clone());
-        trace.improved(0, Phase::OptimizeHigh, eval.cost.two_view());
+        let mut walk = MultiWalk {
+            eval: settle_at(&mut self.kernel, &weights),
+            kernel: self.kernel,
+            params,
+            sampler: NeighborhoodSampler::new(topo.link_count(), &params),
+            rng: StdRng::seed_from_u64(params.seed),
+            class: Some(0),
+            weights,
+        };
+        let mut descent = Descent::start(&walk, params.diversify_after, Phase::OptimizeHigh, 0);
 
-        // Stage per class: optimize class c with classes < c frozen at
-        // their best and classes > c at their current settings.
-        for c in 0..k {
-            let mut stall = 0usize;
-            for _ in 0..params.n_iters {
-                trace.iterations += 1;
-                let moved =
-                    self.step_class(c, &sampler, &mut weights, &mut eval, &mut rng, &mut trace);
-                if moved && eval.cost < best.0 {
-                    best = (eval.cost.clone(), weights.clone());
-                    trace.improved(trace.iterations, Phase::OptimizeHigh, eval.cost.two_view());
-                    stall = 0;
-                } else {
-                    stall += 1;
-                }
-                if stall >= params.diversify_after {
-                    perturb_weights(&mut weights[c], params.g1, &params, &mut rng);
-                    eval = self.jump_to(&weights);
-                    trace.diversifications += 1;
-                    stall = 0;
-                }
+        let stages = (0..k)
+            .map(|c| (Some(c), params.n_iters, Phase::OptimizeHigh))
+            .chain([(None, params.k_iters, Phase::Refine)]);
+        for (i, (class, iters, phase)) in stages.enumerate() {
+            if i > 0 {
+                // Freeze the finished class at its best before the next.
+                walk.weights = descent.best().clone();
+                walk.eval = settle_at(&mut walk.kernel, &walk.weights);
             }
-            // Freeze this class at its best before optimizing the next.
-            weights = best.1.clone();
-            eval = self.jump_to(&weights);
+            walk.class = class;
+            descent.stage(&mut walk, iters, phase);
         }
 
-        // Refinement: rotate across classes.
-        let mut stall = 0usize;
-        for it in 0..params.k_iters {
-            trace.iterations += 1;
-            let c = it % k;
-            let moved = self.step_class(c, &sampler, &mut weights, &mut eval, &mut rng, &mut trace);
-            if moved && eval.cost < best.0 {
-                best = (eval.cost.clone(), weights.clone());
-                trace.improved(trace.iterations, Phase::Refine, eval.cost.two_view());
-                stall = 0;
-            } else {
-                stall += 1;
-            }
-            if stall >= params.diversify_after {
-                weights = best.1.clone();
-                for w in weights.iter_mut() {
-                    perturb_weights(w, params.g3, &params, &mut rng);
-                }
-                eval = self.jump_to(&weights);
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
-
-        let weights = best.1;
-        let eval = self.kernel.eval(&weights);
-        debug_assert_eq!(eval.cost, best.0);
+        let (best_cost, weights, trace) = descent.finish();
+        let eval = walk.kernel.eval(&weights);
+        debug_assert_eq!(eval.cost, best_cost);
         MultiResult {
-            best_cost: eval.cost.clone(),
+            best_cost,
             eval,
             weights,
             trace,
         }
     }
+}
 
-    /// Moves the search to `weights` by something other than an
-    /// accepted step (start, diversification, return to the incumbent):
-    /// rebases every class there and evaluates the setting.
-    fn jump_to(&mut self, weights: &[WeightVector]) -> KClassEvaluation {
-        for (c, w) in weights.iter().enumerate() {
-            self.kernel.rebase(c, w);
-        }
-        self.kernel.eval(weights)
+/// Rebases every class onto `weights` and evaluates the setting — how
+/// the search moves by something other than an accepted step (start,
+/// diversification, return to the incumbent).
+fn settle_at(kernel: &mut KClassBatchEvaluator<'_>, weights: &[WeightVector]) -> KClassEvaluation {
+    for (c, w) in weights.iter().enumerate() {
+        kernel.rebase(c, w);
+    }
+    kernel.eval(weights)
+}
+
+/// The working setting and what a step needs to move it.
+struct MultiWalk<'a> {
+    kernel: KClassBatchEvaluator<'a>,
+    params: SearchParams,
+    sampler: NeighborhoodSampler,
+    rng: StdRng,
+    /// The class the running stage optimizes; `None` in refinement,
+    /// which rotates across classes.
+    class: Option<usize>,
+    weights: Vec<WeightVector>,
+    eval: KClassEvaluation,
+}
+
+impl Walk for MultiWalk<'_> {
+    type Cost = LexCost;
+    type Point = Vec<WeightVector>;
+
+    fn cost(&self) -> &LexCost {
+        &self.eval.cost
     }
 
-    /// One Algorithm 2 pass over class `c`'s weights. Only class `c` is
-    /// re-routed; every other class's side is reused.
-    fn step_class(
-        &mut self,
-        c: usize,
-        sampler: &NeighborhoodSampler,
-        weights: &mut [WeightVector],
-        eval: &mut KClassEvaluation,
-        rng: &mut StdRng,
-        trace: &mut SearchTrace,
-    ) -> bool {
-        // Rank links by class c's per-link cost.
-        let table = RankTable::new(&eval.phi_per_link[c]);
-        let cands: Vec<WeightVector> = sampler
-            .moves(&table, &self.params, rng)
-            .into_iter()
-            .filter_map(|mv| {
-                let mut w = weights[c].clone();
-                mv.apply(&mut w, &self.params);
-                (w != weights[c]).then_some(w)
-            })
-            .collect();
-        let evals = self.kernel.eval_class_batch(c, &cands, weights);
-        trace.evaluations += cands.len();
+    fn snapshot(&self) -> Vec<WeightVector> {
+        self.weights.clone()
+    }
 
-        let mut best_cand: Option<(KClassEvaluation, WeightVector)> = None;
-        for (cand, w) in evals.into_iter().zip(cands) {
-            if best_cand.as_ref().is_none_or(|(b, _)| cand.cost < b.cost) {
-                best_cand = Some((cand, w));
+    /// One Algorithm 2 pass over one class's weights. Only that class is
+    /// re-routed; every other class's side is reused.
+    fn step(&mut self, it: usize) -> Step {
+        let c = self.class.unwrap_or(it % self.weights.len());
+        // Rank links by class c's per-link cost.
+        let table = RankTable::new(&self.eval.phi_per_link[c]);
+        let cands = self
+            .sampler
+            .neighbors(&table, &self.weights[c], &self.params, &mut self.rng);
+        let evaluated = cands.len();
+        let evals = self.kernel.eval_class_batch(c, &cands, &self.weights);
+        let best = best_improving(evals.into_iter().zip(cands), self.cost(), |(e, _)| &e.cost);
+        let moved = best.is_some();
+        if let Some((eval, w)) = best {
+            self.kernel.rebase(c, &w);
+            self.weights[c] = w;
+            self.eval = eval;
+        }
+        Step::of(evaluated, moved)
+    }
+
+    fn diversify(&mut self, best: &Vec<WeightVector>) -> usize {
+        let p = self.params;
+        match self.class {
+            Some(c) => perturb_weights(&mut self.weights[c], p.g1, &p, &mut self.rng),
+            None => {
+                self.weights = best.clone();
+                for w in self.weights.iter_mut() {
+                    perturb_weights(w, p.g3, &p, &mut self.rng);
+                }
             }
         }
-        match best_cand {
-            Some((cand, w)) if cand.cost < eval.cost => {
-                self.kernel.rebase(c, &w);
-                weights[c] = w;
-                *eval = cand;
-                trace.moves_accepted += 1;
-                true
-            }
-            _ => false,
-        }
+        self.eval = settle_at(&mut self.kernel, &self.weights);
+        0
     }
 }
 
@@ -268,6 +260,9 @@ mod tests {
         // Reported cost matches a fresh evaluation of the weights.
         let re = kernel.eval(&res.weights);
         assert_eq!(re.cost, res.best_cost);
+        // The trace logs the full cost, not a two-class view of it.
+        assert!(res.trace.improvements.iter().all(|i| i.cost.len() == 3));
+        assert_eq!(res.trace.final_cost(), Some(&res.best_cost));
     }
 
     #[test]
