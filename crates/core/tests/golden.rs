@@ -5,15 +5,18 @@
 //! per mode and one upgrade fingerprint. Recorded before the searches
 //! moved onto one descent driver; the RNG draw order of every search is
 //! part of what these files pin, so a refactor of the search stack must
-//! reproduce them byte for byte.
+//! reproduce them byte for byte. The annealing, GA and memetic runs
+//! (`anneal_*`, `ga_*`, `memetic_*`) were recorded while those three
+//! still costed candidates through the full-recompute `Evaluator`.
 //!
 //! After an intended behaviour change, rewrite the files with
 //! `cargo test -p dtr-core --test golden -- --ignored bless`.
 
 use dtr_core::portfolio::{PortfolioMode, PortfolioParams, PortfolioSearch, StrategyKind};
 use dtr_core::{
-    DtrSearch, Objective, ReoptSearch, ReoptSession, RobustSearch, ScenarioCombine, Scheme,
-    SearchParams, SearchTrace, SlicedSearch, StrSearch, UpgradeParams, UpgradeSearch,
+    AnnealSearch, DtrSearch, GaSearch, MemeticSearch, Objective, ReoptSearch, ReoptSession,
+    RobustSearch, ScenarioCombine, Scheme, SearchParams, SearchTrace, SlicedSearch, StrSearch,
+    UpgradeParams, UpgradeSearch,
 };
 use dtr_cost::{Lex2, SlaParams};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
@@ -111,6 +114,58 @@ fn dtr_case(search: DtrSearch<'_>) -> String {
     r.lex2("best_cost", res.best_cost);
     r.trace(&res.trace);
     r.0
+}
+
+/// A non-descent strategy's run: the dual setting (replicated for the
+/// single-vector strategies), the shared counters, and the strategy's
+/// own counter(s).
+fn strategy_case(
+    weights: &DualWeights,
+    best_cost: Lex2,
+    trace: &SearchTrace,
+    extra: &[(&str, usize)],
+) -> String {
+    let mut r = Record::default();
+    r.dual(weights);
+    r.lex2("best_cost", best_cost);
+    r.trace(trace);
+    for (key, value) in extra {
+        r.line(key, value);
+    }
+    r.0
+}
+
+fn anneal_case(search: AnnealSearch<'_>) -> String {
+    let res = search.run();
+    strategy_case(
+        &res.weights,
+        res.best_cost,
+        &res.trace,
+        &[("uphill_accepted", res.uphill_accepted)],
+    )
+}
+
+fn ga_case(search: GaSearch<'_>) -> String {
+    let res = search.run();
+    strategy_case(
+        &DualWeights::replicated(res.weights),
+        res.best_cost,
+        &res.trace,
+        &[("generations", res.generations)],
+    )
+}
+
+fn memetic_case(search: MemeticSearch<'_>) -> String {
+    let res = search.run();
+    strategy_case(
+        &DualWeights::replicated(res.weights),
+        res.best_cost,
+        &res.trace,
+        &[
+            ("generations", res.generations),
+            ("local_improvements", res.local_improvements),
+        ],
+    )
 }
 
 fn str_case(search: StrSearch<'_>) -> String {
@@ -318,6 +373,65 @@ fn regenerate() -> Vec<(PathBuf, String)> {
     cases.push((
         "str_sla",
         str_case(StrSearch::new(&topo, &demands, tight_sla(), tiny(3))),
+    ));
+
+    // The non-descent strategies, on the DTR fixtures above.
+    let (topo, demands) = instance(12, 4, 3.0);
+    let load = Objective::LoadBased;
+    cases.push((
+        "anneal_str_load",
+        anneal_case(AnnealSearch::new(
+            &topo,
+            &demands,
+            load,
+            tiny(7),
+            Scheme::Str,
+        )),
+    ));
+    cases.push((
+        "anneal_dtr_load",
+        anneal_case(AnnealSearch::new(
+            &topo,
+            &demands,
+            load,
+            tiny(7),
+            Scheme::Dtr,
+        )),
+    ));
+    cases.push((
+        "ga_load",
+        ga_case(GaSearch::new(&topo, &demands, load, tiny(7))),
+    ));
+    cases.push((
+        "memetic_load",
+        memetic_case(MemeticSearch::new(&topo, &demands, load, tiny(7))),
+    ));
+    let (topo, demands) = instance(12, 11, 3.0);
+    cases.push((
+        "anneal_dtr_deployed",
+        anneal_case(
+            AnnealSearch::new(&topo, &demands, load, tiny(5), Scheme::Dtr)
+                .with_deployment(DeploymentSet::from_upgraded(12, &upgraded)),
+        ),
+    ));
+    let (topo, demands) = instance(12, 6, 4.0);
+    cases.push((
+        "anneal_dtr_sla",
+        anneal_case(AnnealSearch::new(
+            &topo,
+            &demands,
+            tight_sla(),
+            tiny(1),
+            Scheme::Dtr,
+        )),
+    ));
+    cases.push((
+        "ga_sla",
+        ga_case(GaSearch::new(&topo, &demands, tight_sla(), tiny(1))),
+    ));
+    cases.push((
+        "memetic_sla",
+        memetic_case(MemeticSearch::new(&topo, &demands, tight_sla(), tiny(1))),
     ));
 
     cases.push(("reopt_dtr_h2", reopt_case(Scheme::Dtr, 2)));
