@@ -8,67 +8,64 @@
 //! - simulated annealing (STR mode).
 //!
 //! The printed objective values compare solution quality; the timed runs
-//! compare wall cost per evaluation (population/temperature bookkeeping
-//! is cheap next to routing evaluations, so times should be close).
+//! compare wall cost per evaluation. All four cost candidates on the
+//! engine, so what differs is how far a candidate is from the last one:
+//! the local search, the annealing walk and the memetic hill-climb move
+//! one weight (an incremental repair), a GA individual is a fresh vector
+//! (a full evaluation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dtr_core::{AnnealSearch, GaSearch, MemeticSearch, Objective, Scheme, SearchParams, StrSearch};
+use dtr_core::{run_strategy, Objective, Scheme, SearchParams, StrategyKind};
 use dtr_experiments::paper_random;
 use dtr_traffic::{DemandSet, TrafficCfg};
 use std::hint::black_box;
+
+/// `(bench id, printed label, strategy)`, all on one shared vector.
+const ARMS: [(&str, &str, StrategyKind); 4] = [
+    ("local_search", "local search", StrategyKind::Descent),
+    ("genetic", "genetic alg ", StrategyKind::Ga),
+    ("memetic", "memetic alg ", StrategyKind::Memetic),
+    ("annealing", "annealing   ", StrategyKind::Anneal),
+];
 
 fn bench_strategy(c: &mut Criterion) {
     let topo = paper_random(1);
     let demands = DemandSet::generate(&topo, &TrafficCfg::default()).scaled(6.0);
     let params = SearchParams::tiny();
+    let run = |strategy, params| {
+        run_strategy(
+            (strategy, Scheme::Str),
+            &topo,
+            &demands,
+            Objective::LoadBased,
+            params,
+            None,
+            None,
+        )
+    };
 
-    let ls = StrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-    let ga = GaSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-    let mem = MemeticSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-    let sa = AnnealSearch::new(&topo, &demands, Objective::LoadBased, params, Scheme::Str).run();
-    println!(
-        "[ablation_search_strategy] local search: ⟨{:.1}, {:.1}⟩ in {} evals",
-        ls.best_cost.primary, ls.best_cost.secondary, ls.trace.evaluations
-    );
-    println!(
-        "[ablation_search_strategy] genetic alg : ⟨{:.1}, {:.1}⟩ in {} evals ({} generations)",
-        ga.best_cost.primary, ga.best_cost.secondary, ga.trace.evaluations, ga.generations
-    );
-    println!(
-        "[ablation_search_strategy] memetic alg : ⟨{:.1}, {:.1}⟩ in {} evals ({} generations, {} local improvements)",
-        mem.best_cost.primary,
-        mem.best_cost.secondary,
-        mem.trace.evaluations,
-        mem.generations,
-        mem.local_improvements
-    );
-    println!(
-        "[ablation_search_strategy] annealing   : ⟨{:.1}, {:.1}⟩ in {} evals ({} uphill moves)",
-        sa.best_cost.primary, sa.best_cost.secondary, sa.trace.evaluations, sa.uphill_accepted
-    );
+    for (_, label, strategy) in ARMS {
+        let r = run(strategy, params);
+        let t = &r.trace;
+        println!(
+            "[ablation_search_strategy] {label}: ⟨{:.1}, {:.1}⟩ in {} evals \
+             ({} generations, {} local improvements, {} uphill moves)",
+            r.best_cost.primary,
+            r.best_cost.secondary,
+            t.evaluations,
+            t.generations,
+            t.local_improvements,
+            t.uphill_accepted
+        );
+    }
 
     let mut g = c.benchmark_group("ablation_search_strategy");
     g.sample_size(10);
-    g.bench_with_input(
-        BenchmarkId::from_parameter("local_search"),
-        &params,
-        |b, p| {
-            b.iter(|| black_box(StrSearch::new(&topo, &demands, Objective::LoadBased, *p).run()))
-        },
-    );
-    g.bench_with_input(BenchmarkId::from_parameter("genetic"), &params, |b, p| {
-        b.iter(|| black_box(GaSearch::new(&topo, &demands, Objective::LoadBased, *p).run()))
-    });
-    g.bench_with_input(BenchmarkId::from_parameter("memetic"), &params, |b, p| {
-        b.iter(|| black_box(MemeticSearch::new(&topo, &demands, Objective::LoadBased, *p).run()))
-    });
-    g.bench_with_input(BenchmarkId::from_parameter("annealing"), &params, |b, p| {
-        b.iter(|| {
-            black_box(
-                AnnealSearch::new(&topo, &demands, Objective::LoadBased, *p, Scheme::Str).run(),
-            )
-        })
-    });
+    for (id, _, strategy) in ARMS {
+        g.bench_with_input(BenchmarkId::from_parameter(id), &params, |b, p| {
+            b.iter(|| black_box(run(strategy, *p)))
+        });
+    }
     g.finish();
 }
 

@@ -13,19 +13,22 @@
 //!    there is nothing to win, so there the speedup is recorded with
 //!    `"parallel_speedup_expected": false` instead of asserted.
 //!
-//! The quality section runs a 4-wave portfolio and records the
-//! deterministic incumbent cost after every wave barrier — the
-//! diminishing-returns curve an operator uses to pick a restart budget —
-//! together with the strategy arm whose task supplied that incumbent
-//! (the per-arm contribution ROADMAP item 3 wants measured before any
-//! arm is kept or deleted).
+//! The quality section runs a 4-wave portfolio under each routing
+//! scheme and records the deterministic incumbent cost after every wave
+//! barrier — the diminishing-returns curve an operator uses to pick a
+//! restart budget — together with the strategy arm whose task supplied
+//! that incumbent (the per-arm contribution ROADMAP item 3 wants
+//! measured before any arm is kept or deleted). Both schemes, because
+//! the answer differs: the STR incumbent is the denominator of the
+//! paper's `R_H`, `R_L`, and the non-descent arms supply it far more
+//! often than they supply the DTR one.
 //!
 //! Emits `BENCH_portfolio.json` at the repository root. Schema:
 //! `{ "cores": N,
 //!    "speedup": [ { topology, arms, serial_s, parallel_s, workers,
 //!                   speedup, same_incumbent,
 //!                   parallel_speedup_expected } … ],
-//!    "quality": [ { topology, arms_per_wave, restarts,
+//!    "quality": [ { topology, scheme, arms_per_wave, restarts,
 //!                   wave_costs: [[primary, secondary] …],
 //!                   wave_arms: [strategy name …] } … ] }`
 
@@ -66,6 +69,8 @@ fn topologies() -> Vec<(&'static str, Topology)> {
 fn run_portfolio(
     topo: &Topology,
     demands: &DemandSet,
+    scheme: Scheme,
+    strategies: &[StrategyKind],
     workers: usize,
     restarts: usize,
 ) -> (PortfolioResult, f64) {
@@ -74,9 +79,9 @@ fn run_portfolio(
         demands,
         Objective::LoadBased,
         SearchParams::tiny().with_seed(7),
-        PortfolioMode::Nominal(Scheme::Dtr),
+        PortfolioMode::Nominal(scheme),
         PortfolioParams {
-            strategies: StrategyKind::ALL.to_vec(),
+            strategies: strategies.to_vec(),
             restarts,
             workers,
             prune_margin: f64::INFINITY,
@@ -99,6 +104,7 @@ struct SpeedupRow {
 
 struct QualityRow {
     topology: String,
+    scheme: Scheme,
     arms_per_wave: usize,
     restarts: usize,
     wave_costs: Vec<(f64, f64)>,
@@ -149,12 +155,18 @@ fn bench_portfolio(_c: &mut Criterion) {
         )
         .scaled(3.0);
 
-        let (serial, serial_s) = run_portfolio(&topo, &demands, 1, 1);
-        let (parallel, parallel_s) = run_portfolio(&topo, &demands, workers, 1);
+        // Every strategy twice: since the annealing, GA and memetic arms
+        // moved onto the engine the GA arm is most of a four-arm wave
+        // (it alone costs every individual a full evaluation), and one
+        // long arm bounds a wave's speedup whatever the pool does. Two
+        // of each lets two cores split the wave evenly.
+        let arms = [StrategyKind::ALL, StrategyKind::ALL].concat();
+        let (serial, serial_s) = run_portfolio(&topo, &demands, Scheme::Dtr, &arms, 1, 1);
+        let (parallel, parallel_s) = run_portfolio(&topo, &demands, Scheme::Dtr, &arms, workers, 1);
         let same = serial.fingerprint() == parallel.fingerprint();
         assert!(same, "worker count changed the incumbent on {name}");
         // With real parallelism available the 4-worker run must win
-        // clearly — 4 arms on ≥ 2 cores gives ≥ 1.5× in practice, so a
+        // clearly — 8 arms on ≥ 2 cores gives ≥ 1.5× in practice, so a
         // 1.25× floor separates "parallelism broke" from timing noise. A
         // single hardware thread has nothing to parallelize onto.
         let expected = cores >= 2;
@@ -180,29 +192,40 @@ fn bench_portfolio(_c: &mut Criterion) {
         });
 
         let restarts = 4;
-        let (multi, _) = run_portfolio(&topo, &demands, workers, restarts);
-        let wave_arms = incumbent_arms(&multi);
-        println!(
-            "portfolio {name}: quality over {restarts} waves: {}",
-            multi
-                .wave_bests
-                .iter()
-                .zip(&wave_arms)
-                .map(|(c, arm)| format!("{c} ({arm})"))
-                .collect::<Vec<_>>()
-                .join(" → ")
-        );
-        quality.push(QualityRow {
-            topology: name.to_string(),
-            arms_per_wave: StrategyKind::ALL.len(),
-            restarts,
-            wave_costs: multi
-                .wave_bests
-                .iter()
-                .map(|c| (c.primary, c.secondary))
-                .collect(),
-            wave_arms,
-        });
+        for scheme in [Scheme::Dtr, Scheme::Str] {
+            let (multi, _) = run_portfolio(
+                &topo,
+                &demands,
+                scheme,
+                &StrategyKind::ALL,
+                workers,
+                restarts,
+            );
+            let wave_arms = incumbent_arms(&multi);
+            println!(
+                "portfolio {name} ({}): quality over {restarts} waves: {}",
+                scheme.name(),
+                multi
+                    .wave_bests
+                    .iter()
+                    .zip(&wave_arms)
+                    .map(|(c, arm)| format!("{c} ({arm})"))
+                    .collect::<Vec<_>>()
+                    .join(" → ")
+            );
+            quality.push(QualityRow {
+                topology: name.to_string(),
+                scheme,
+                arms_per_wave: StrategyKind::ALL.len(),
+                restarts,
+                wave_costs: multi
+                    .wave_bests
+                    .iter()
+                    .map(|c| (c.primary, c.secondary))
+                    .collect(),
+                wave_arms,
+            });
+        }
     }
 
     write_json(cores, &speedups, &quality);
@@ -232,8 +255,9 @@ fn write_json(cores: usize, speedups: &[SpeedupRow], quality: &[QualityRow]) {
             .map(|(p, s)| format!("[{p:?}, {s:?}]"))
             .collect();
         out.push_str(&format!(
-            "    {{ \"topology\": \"{}\", \"arms_per_wave\": {}, \"restarts\": {}, \"wave_costs\": [{}], \"wave_arms\": {:?} }}{}\n",
+            "    {{ \"topology\": \"{}\", \"scheme\": \"{}\", \"arms_per_wave\": {}, \"restarts\": {}, \"wave_costs\": [{}], \"wave_arms\": {:?} }}{}\n",
             q.topology,
+            q.scheme.name(),
             q.arms_per_wave,
             q.restarts,
             costs.join(", "),

@@ -25,6 +25,9 @@
 //! cargo run --release -p dtr-bench --bin overhead
 //! cargo run --release -p dtr-bench --bin convergence
 //! cargo run --release -p dtr-bench --bin multiclass
+//!
+//! # CI gate over the BENCH_*.json artifacts (run from the repo root):
+//! cargo run --release -p dtr-bench --bin bench_gate
 //! ```
 //!
 //! Each prints the paper's rows/series and writes CSV under `results/`

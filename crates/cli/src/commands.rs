@@ -2,9 +2,9 @@
 
 use crate::args::{ArgError, Args};
 use dtr_core::{
-    parse_portfolio, AnnealSearch, DtrSearch, DualWeights, GaSearch, MemeticSearch, Objective,
-    PortfolioMode, PortfolioParams, PortfolioResult, PortfolioSearch, ReoptSearch, RobustSearch,
-    ScenarioCombine, Scheme, SearchParams, StrSearch, StrategyKind, UpgradeParams, UpgradeSearch,
+    parse_portfolio, run_strategy, DualWeights, Objective, PortfolioMode, PortfolioParams,
+    PortfolioResult, PortfolioSearch, ReoptSearch, RobustSearch, ScenarioCombine, Scheme,
+    SearchParams, StrategyKind, UpgradeParams, UpgradeSearch,
 };
 use dtr_graph::datacenter::{
     fat_tree_topology, jellyfish_topology, vl2_topology, xpander_topology, FatTreeCfg,
@@ -61,6 +61,14 @@ pub enum CliError {
         /// What does not fit.
         detail: String,
     },
+    /// A traffic file that parses but was generated for another
+    /// topology.
+    Traffic {
+        /// Path the matrices were loaded from.
+        path: String,
+        /// Which sizes disagree.
+        detail: String,
+    },
     /// `dtrctl replay --objective sla` on a trace with link events.
     SlaReplayWithLinkEvents {
         /// Trace name.
@@ -86,6 +94,7 @@ impl fmt::Display for CliError {
                 write!(f, "invalid churn trace {path}: {detail}")
             }
             CliError::Weights { path, detail } => write!(f, "invalid weights {path}: {detail}"),
+            CliError::Traffic { path, detail } => write!(f, "invalid traffic {path}: {detail}"),
             CliError::SlaReplayWithLinkEvents { trace, link_events } => write!(
                 f,
                 "the sla objective cannot replay trace {trace:?}: it holds {link_events} \
@@ -144,6 +153,26 @@ fn load_incumbent(path: &str, topo: &Topology, scheme: Scheme) -> Result<DualWei
         )));
     }
     Ok(w)
+}
+
+/// Loads the demand matrices a command routes on `topo`: both must be
+/// `node_count × node_count`. The load calculators index nodes by
+/// matrix position, so matrices generated for another topology are
+/// reported here instead of running off the end of a slice there.
+fn load_demands(path: &str, topo: &Topology) -> Result<DemandSet, CliError> {
+    let demands: DemandSet = load(path)?;
+    let n = topo.node_count();
+    if demands.high.len() != n || demands.low.len() != n {
+        return Err(CliError::Traffic {
+            path: path.to_string(),
+            detail: format!(
+                "{0}×{0} high and {1}×{1} low matrices, but the topology has {n} nodes",
+                demands.high.len(),
+                demands.low.len()
+            ),
+        });
+    }
+    Ok(demands)
 }
 
 fn save<T: serde::Serialize>(path: &str, value: &T) -> Result<(), CliError> {
@@ -335,9 +364,9 @@ USAGE:
          [--restarts R] [--prune-margin F]
          [--robust [--beta 0.5] [--cap N] [--weights warmstart.json]]
          --out weights.json       (--robust supports --objective load only)
-         (--backend selects the candidate-evaluation engine for the
-          dtr/str hot loops: incremental dynamic-SPF repair (default)
-          or full per-candidate recomputation — identical results;
+         (--backend selects the candidate-evaluation engine:
+          incremental dynamic-SPF repair (default) or full
+          per-candidate recomputation — identical results;
           --robust optimizes against all single duplex-pair failures,
           sweeping scenarios through the same engine; it supports
           --scheme str|dtr only.
@@ -593,7 +622,7 @@ fn cmd_optimize(args: &Args) -> Result<(), CliError> {
     };
 
     let topo: Topology = load(args.require("topo")?)?;
-    let demands: DemandSet = load(args.require("traffic")?)?;
+    let demands = load_demands(args.require("traffic")?, &topo)?;
     let params = parse_budget(args)?;
     let objective = parse_objective(args)?;
     let scheme = args.get("scheme").unwrap_or("dtr");
@@ -613,70 +642,53 @@ fn cmd_optimize(args: &Args) -> Result<(), CliError> {
         return save(args.require("out")?, &res.weights);
     }
 
-    let weights: DualWeights = match scheme {
-        "dtr" => {
-            let r = DtrSearch::new(&topo, &demands, objective, params).run();
-            println!(
-                "DTR: cost {} after {} evaluations ({} improvements)",
-                r.best_cost,
-                r.trace.evaluations,
-                r.trace.improvements.len()
-            );
-            r.weights
-        }
-        "str" => {
-            let r = StrSearch::new(&topo, &demands, objective, params).run();
-            println!(
-                "STR: cost {} after {} evaluations",
-                r.best_cost, r.trace.evaluations
-            );
-            DualWeights::replicated(r.weights)
-        }
-        "ga" => {
-            let r = GaSearch::new(&topo, &demands, objective, params).run();
-            println!(
-                "GA: cost {} after {} generations / {} evaluations",
-                r.best_cost, r.generations, r.trace.evaluations
-            );
-            DualWeights::replicated(r.weights)
-        }
-        "memetic" => {
-            let r = MemeticSearch::new(&topo, &demands, objective, params).run();
-            println!(
-                "memetic: cost {} after {} generations / {} evaluations ({} local improvements)",
-                r.best_cost, r.generations, r.trace.evaluations, r.local_improvements
-            );
-            DualWeights::replicated(r.weights)
-        }
-        "anneal-str" | "anneal-dtr" => {
-            let mode = if scheme == "anneal-str" {
-                Scheme::Str
-            } else {
-                Scheme::Dtr
-            };
-            let r = AnnealSearch::new(&topo, &demands, objective, params, mode).run();
-            println!(
-                "annealing ({}): cost {} after {} evaluations ({} uphill moves)",
-                mode.name(),
-                r.best_cost,
-                r.trace.evaluations,
-                r.uphill_accepted
-            );
-            r.weights
-        }
-        other => {
-            return Err(CliError::UnknownVariant {
-                what: "scheme",
-                value: other.to_string(),
-            })
-        }
+    let Some(&(_, strategy, routing)) = OPTIMIZE_SCHEMES.iter().find(|row| row.0 == scheme) else {
+        return Err(CliError::UnknownVariant {
+            what: "scheme",
+            value: scheme.to_string(),
+        });
     };
-    save(args.require("out")?, &weights)
+    let r = run_strategy(
+        (strategy, routing),
+        &topo,
+        &demands,
+        objective,
+        params,
+        None,
+        None,
+    );
+    let t = &r.trace;
+    let detail = match strategy {
+        StrategyKind::Descent => format!("{} improvements", t.improvements.len()),
+        StrategyKind::Anneal => format!("{} uphill moves", t.uphill_accepted),
+        StrategyKind::Ga => format!("{} generations", t.generations),
+        StrategyKind::Memetic => format!(
+            "{} generations, {} local improvements",
+            t.generations, t.local_improvements
+        ),
+    };
+    println!(
+        "{scheme}: cost {} after {} evaluations ({detail})",
+        r.best_cost, t.evaluations
+    );
+    save(args.require("out")?, &r.weights)
 }
+
+/// `optimize --scheme` values: the six valid rows of
+/// [`run_strategy`]'s table (the GA and memetic rows are scheme-blind,
+/// so each has one name).
+const OPTIMIZE_SCHEMES: [(&str, StrategyKind, Scheme); 6] = [
+    ("dtr", StrategyKind::Descent, Scheme::Dtr),
+    ("str", StrategyKind::Descent, Scheme::Str),
+    ("ga", StrategyKind::Ga, Scheme::Str),
+    ("memetic", StrategyKind::Memetic, Scheme::Str),
+    ("anneal-str", StrategyKind::Anneal, Scheme::Str),
+    ("anneal-dtr", StrategyKind::Anneal, Scheme::Dtr),
+];
 
 fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
-    let demands: DemandSet = load(args.require("traffic")?)?;
+    let demands = load_demands(args.require("traffic")?, &topo)?;
     let weights: DualWeights = load(args.require("weights")?)?;
     let objective = parse_objective(args)?;
     let mut ev = Evaluator::new(&topo, &demands, objective);
@@ -716,7 +728,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
 
 fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
-    let demands: DemandSet = load(args.require("traffic")?)?;
+    let demands = load_demands(args.require("traffic")?, &topo)?;
     let weights: DualWeights = load(args.require("weights")?)?;
     let cfg = SimConfig {
         warmup_s: args.get_or("warmup", 0.5)?,
@@ -811,7 +823,7 @@ fn cmd_deploy(args: &Args) -> Result<(), CliError> {
 fn cmd_bound(args: &Args) -> Result<(), CliError> {
     use dtr_routing::lower_bound::{dual_lower_bound, FwParams};
     let topo: Topology = load(args.require("topo")?)?;
-    let demands: DemandSet = load(args.require("traffic")?)?;
+    let demands = load_demands(args.require("traffic")?, &topo)?;
     let b = dual_lower_bound(&topo, &demands, &FwParams::default());
     println!("Frank–Wolfe optimal-routing reference (load-based objective):");
     println!(
@@ -838,7 +850,7 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
         gravity_prior, l1_error, tomogravity, LoadCalculator, RoutingMatrix, TomoCfg,
     };
     let topo: Topology = load(args.require("topo")?)?;
-    let truth: DemandSet = load(args.require("traffic")?)?;
+    let truth = load_demands(args.require("traffic")?, &topo)?;
     let measure_w = match args.get("weights") {
         Some(p) => {
             let w: DualWeights = load(p)?;
@@ -884,7 +896,7 @@ fn parse_scheme(args: &Args) -> Result<Scheme, CliError> {
 /// `reopt`: change-limited reoptimization of an incumbent setting.
 fn cmd_reopt(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
-    let demands: DemandSet = load(args.require("traffic")?)?;
+    let demands = load_demands(args.require("traffic")?, &topo)?;
     let params = parse_budget(args)?;
     let objective = parse_objective(args)?;
     let scheme = parse_scheme(args)?;
@@ -918,7 +930,7 @@ fn cmd_robust(args: &Args) -> Result<(), CliError> {
         });
     }
     let topo: Topology = load(args.require("topo")?)?;
-    let demands: DemandSet = load(args.require("traffic")?)?;
+    let demands = load_demands(args.require("traffic")?, &topo)?;
     let params = parse_budget(args)?;
     let scheme = parse_scheme(args)?;
     let beta: f64 = args.get_or("beta", 0.5)?;
@@ -1058,10 +1070,11 @@ fn cmd_upgrade(args: &Args) -> Result<(), CliError> {
                 let demands = spec.traffic.build(&topo);
                 (topo, demands)
             }
-            None => (
-                load(args.require("topo")?)?,
-                load(args.require("traffic")?)?,
-            ),
+            None => {
+                let topo: Topology = load(args.require("topo")?)?;
+                let demands = load_demands(args.require("traffic")?, &topo)?;
+                (topo, demands)
+            }
         };
 
     let budget_str = args.require("budget")?;
@@ -1300,7 +1313,7 @@ fn cmd_churn(args: &Args) -> Result<(), CliError> {
     use dtr_scenario::{generate_churn, ChurnAction, ChurnCfg};
 
     let topo: Topology = load(args.require("topo")?)?;
-    let base: DemandSet = load(args.require("traffic")?)?;
+    let base = load_demands(args.require("traffic")?, &topo)?;
     let defaults = ChurnCfg::default();
     let cfg = ChurnCfg {
         events: args.get_or("events", 100usize)?,
@@ -1719,7 +1732,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_robust_backends_agree() {
+    fn optimize_backends_agree() {
         let topo_p = tmp("t4.json");
         let tm_p = tmp("m4.json");
         let wi_p = tmp("w4i.json");
@@ -1733,21 +1746,83 @@ mod tests {
             "traffic --topo {topo_p} --scale 3 --seed 9 --out {tm_p}"
         )))
         .unwrap();
-        run(&args(&format!(
-            "optimize --robust --topo {topo_p} --traffic {tm_p} --scheme dtr \
-             --budget tiny --seed 4 --backend incremental --out {wi_p}"
-        )))
-        .unwrap();
-        run(&args(&format!(
-            "optimize --robust --topo {topo_p} --traffic {tm_p} --scheme dtr \
-             --budget tiny --seed 4 --backend full --out {wf_p}"
-        )))
-        .unwrap();
-        let a: DualWeights = load(&wi_p).unwrap();
-        let b: DualWeights = load(&wf_p).unwrap();
-        assert_eq!(a, b, "robust incumbents must not depend on the backend");
+        // The failure-aware descent, and a strategy that used to ignore
+        // the flag.
+        for search in ["--robust --scheme dtr", "--scheme anneal-dtr"] {
+            for (backend, out) in [("incremental", &wi_p), ("full", &wf_p)] {
+                run(&args(&format!(
+                    "optimize {search} --topo {topo_p} --traffic {tm_p}                      --budget tiny --seed 4 --backend {backend} --out {out}"
+                )))
+                .unwrap();
+            }
+            assert_eq!(
+                std::fs::read(&wi_p).unwrap(),
+                std::fs::read(&wf_p).unwrap(),
+                "{search}: incumbents must not depend on the backend"
+            );
+        }
 
         for p in [topo_p, tm_p, wi_p, wf_p] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn optimize_schemes_are_the_six_rows_of_the_strategy_table() {
+        for (i, a) in OPTIMIZE_SCHEMES.iter().enumerate() {
+            for b in &OPTIMIZE_SCHEMES[i + 1..] {
+                assert_ne!(a.0, b.0);
+                assert_ne!((a.1, a.2), (b.1, b.2), "{} and {} name one row", a.0, b.0);
+            }
+        }
+        // Four strategies × two schemes is eight rows; the two missing
+        // names are the GA and memetic rows under the other scheme,
+        // which are the same runs.
+        let topo = random_topology(&RandomTopologyCfg {
+            nodes: 8,
+            directed_links: 32,
+            seed: 2,
+        });
+        let demands = DemandSet::generate(&topo, &TrafficCfg::default()).scaled(3.0);
+        for strategy in [StrategyKind::Ga, StrategyKind::Memetic] {
+            let [a, b] = [Scheme::Str, Scheme::Dtr].map(|scheme| {
+                run_strategy(
+                    (strategy, scheme),
+                    &topo,
+                    &demands,
+                    Objective::LoadBased,
+                    SearchParams::tiny(),
+                    None,
+                    None,
+                )
+            });
+            assert_eq!((a.weights, a.trace), (b.weights, b.trace));
+        }
+    }
+
+    #[test]
+    fn traffic_for_another_topology_is_a_typed_error() {
+        // Used to index past the end of a load vector (exit 101) in
+        // `optimize` under every scheme and in `evaluate`.
+        let f = robust_fixture("tm-fit");
+        let [topo_p, _, w_p, _, small_tm_p, out_p] = &f;
+        for cmd in [
+            format!("optimize --scheme dtr --budget tiny --out {out_p}"),
+            format!("optimize --scheme ga --budget tiny --out {out_p}"),
+            format!("evaluate --weights {w_p}"),
+        ] {
+            let e = run(&args(&format!(
+                "{cmd} --topo {topo_p} --traffic {small_tm_p}"
+            )))
+            .unwrap_err();
+            assert!(matches!(e, CliError::Traffic { .. }), "{e:?}");
+            let msg = e.to_string();
+            assert!(
+                msg.contains(small_tm_p.as_str()) && msg.contains("6×6") && msg.contains("8 nodes"),
+                "{msg}"
+            );
+        }
+        for p in &f {
             let _ = std::fs::remove_file(p);
         }
     }
@@ -2358,49 +2433,24 @@ mod tests {
     fn reopt_rejects_weights_that_do_not_fit_with_a_typed_error() {
         // Both used to die in `ReoptSearch::new`'s assertions (exit 101
         // and a backtrace); now they are exit-1 errors naming the file.
-        let topo_p = tmp("t-fit.json");
-        let small_p = tmp("t-fit-small.json");
-        let tm_p = tmp("m-fit.json");
-        let w_p = tmp("w-fit.json");
-        let out_p = tmp("w-fit-out.json");
-        run(&args(&format!(
-            "topo random --nodes 8 --links 32 --seed 1 --out {topo_p}"
-        )))
-        .unwrap();
-        run(&args(&format!(
-            "topo random --nodes 6 --links 24 --seed 1 --out {small_p}"
-        )))
-        .unwrap();
-        run(&args(&format!(
-            "traffic --topo {topo_p} --seed 1 --out {tm_p}"
-        )))
-        .unwrap();
-        run(&args(&format!(
-            "optimize --topo {topo_p} --traffic {tm_p} --scheme dtr --budget tiny --out {w_p}"
-        )))
-        .unwrap();
-        let reopt = |topo: &str, scheme: &str| {
+        let f = robust_fixture("reopt-fit");
+        let [topo_p, tm_p, w_p, small_p, small_tm_p, out_p] = &f;
+        let reopt = |topo: &str, tm: &str, scheme: &str| {
             run(&args(&format!(
-                "reopt --topo {topo} --traffic {tm_p} --weights {w_p} --changes 2 \
+                "reopt --topo {topo} --traffic {tm} --weights {w_p} --changes 2 \
                  --scheme {scheme} --budget tiny --out {out_p}"
             )))
         };
         // A DTR optimum has diverged vectors: not an STR incumbent.
-        let e = reopt(&topo_p, "str").unwrap_err();
+        let e = reopt(topo_p, tm_p, "str").unwrap_err();
         assert!(matches!(e, CliError::Weights { .. }), "{e:?}");
         let msg = e.to_string();
-        assert!(msg.contains(&w_p) && msg.contains("--scheme str"), "{msg}");
+        assert!(msg.contains(w_p) && msg.contains("--scheme str"), "{msg}");
         // 32 weights do not fit a 24-link topology.
-        let e = reopt(&small_p, "dtr").unwrap_err();
-        assert!(matches!(e, CliError::Weights { .. }), "{e:?}");
-        let msg = e.to_string();
-        assert!(
-            msg.contains(&w_p) && msg.contains("24 directed links"),
-            "{msg}"
-        );
+        assert_misfit(reopt(small_p, small_tm_p, "dtr").unwrap_err(), w_p);
         // The fitting combination still runs.
-        reopt(&topo_p, "dtr").unwrap();
-        for p in [&topo_p, &small_p, &tm_p, &w_p, &out_p] {
+        reopt(topo_p, tm_p, "dtr").unwrap();
+        for p in &f {
             let _ = std::fs::remove_file(p);
         }
     }

@@ -5,8 +5,9 @@
 //! families for the OSPF weight-setting problem; simulated annealing is
 //! the third. [`AnnealSearch`] implements it for both routing schemes —
 //! [`Scheme::Str`] anneals a single weight vector, [`Scheme::Dtr`]
-//! anneals the dual vector `{W^H, W^L}` with the same per-class
-//! evaluation caching as Algorithm 1 — so all three strategies can be
+//! anneals the dual vector `{W^H, W^L}`, costing a move through the same
+//! [`BatchEvaluator::eval_class_batch`] call as Algorithm 1's passes
+//! (partial deployment included) — so all three strategies can be
 //! compared at an identical evaluation budget
 //! ([`SearchParams::dtr_eval_budget`]).
 //!
@@ -39,11 +40,12 @@
 use crate::descent::SingleChange;
 use crate::params::SearchParams;
 use crate::scheme::Scheme;
-use crate::telemetry::{Phase, SearchTrace};
+use crate::telemetry::{Phase, SearchResult, SearchTrace};
 use dtr_cost::{Lex2, Objective};
+use dtr_engine::{BatchEvaluator, Class};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_routing::{Evaluation, Evaluator};
+use dtr_routing::Evaluation;
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,27 +81,12 @@ impl Default for AnnealParams {
     }
 }
 
-/// Outcome of an annealing run.
-#[derive(Debug, Clone)]
-pub struct AnnealResult {
-    /// Best dual setting found. Under [`Scheme::Str`] the two vectors
-    /// are identical replicas (so the result type is uniform across
-    /// modes).
-    pub weights: DualWeights,
-    /// Full evaluation of the best setting.
-    pub eval: Evaluation,
-    /// Its objective value.
-    pub best_cost: Lex2,
-    /// Moves accepted while degrading (a measure of how much the walk
-    /// actually explored).
-    pub uphill_accepted: usize,
-    /// Telemetry (evaluations, improvements).
-    pub trace: SearchTrace,
-}
-
-/// Simulated annealing over link weights.
+/// Simulated annealing over link weights. Under [`Scheme::Str`] the
+/// result's two vectors are identical replicas;
+/// [`SearchTrace::uphill_accepted`] counts the degrading moves the walk
+/// took.
 pub struct AnnealSearch<'a> {
-    evaluator: Evaluator<'a>,
+    engine: BatchEvaluator<'a>,
     params: SearchParams,
     anneal: AnnealParams,
     mode: Scheme,
@@ -119,7 +106,7 @@ impl<'a> AnnealSearch<'a> {
     ) -> Self {
         params.validate();
         AnnealSearch {
-            evaluator: Evaluator::new(topo, demands, objective),
+            engine: BatchEvaluator::new(topo, demands, objective, params.backend),
             params,
             anneal: AnnealParams::default(),
             mode,
@@ -135,7 +122,7 @@ impl<'a> AnnealSearch<'a> {
             matches!(self.mode, Scheme::Dtr) || dep.is_full(),
             "partial deployment requires DTR mode (STR is deployment-invariant)"
         );
-        self.evaluator
+        self.engine
             .set_deployment(Some(dep))
             .expect("anneal deployment: load-based objective and matching node count required");
         self
@@ -171,54 +158,35 @@ impl<'a> AnnealSearch<'a> {
             + rel(to.secondary, from.secondary)
     }
 
-    /// Proposes a single-weight-change move: one class (in DTR mode), one
-    /// link, one fresh weight value guaranteed to differ from the old one.
-    fn propose(&self, w: &DualWeights, rng: &mut StdRng) -> DualWeights {
-        let mut next = w.clone();
-        SingleChange::draw(self.mode, w, &self.params, rng).apply(self.mode, &mut next);
-        next
-    }
-
-    /// Evaluates a dual setting, exploiting the per-class split in DTR
-    /// mode when only one class's vector changed relative to `prev`.
-    fn evaluate(
-        &mut self,
-        w: &DualWeights,
-        prev: Option<(&DualWeights, &Evaluation)>,
-    ) -> Evaluation {
-        if let (Scheme::Dtr, Some((pw, pe))) = (self.mode, prev) {
-            if w.high == pw.high {
-                // Only the low class moved: reuse the cached high side.
-                let high = self
-                    .evaluator
-                    .high_side_from_loads(pe.high_loads.clone(), &w.high);
-                if let Some(dep) = self.evaluator.deployment().cloned() {
-                    // Partial deployment: the low class rides the hybrid
-                    // DAGs (the high side is still reusable — the high
-                    // vector did not move).
-                    let (low, undeliverable) =
-                        self.evaluator.low_loads_deployed(&dep, &w.high, &w.low);
-                    return self
-                        .evaluator
-                        .finish_deployed(high, low, undeliverable)
-                        .expect("high side built by this evaluator carries the SLA walk");
-                }
-                let low = self.evaluator.low_loads(&w.low);
-                return self
-                    .evaluator
-                    .finish(high, low)
-                    .expect("high side built by this evaluator carries the SLA walk");
+    /// Proposes a single-weight-change move away from `w` (evaluated as
+    /// `at`, the engine's base) — one class in DTR mode, one link, one
+    /// fresh weight value guaranteed to differ from the old one — and
+    /// costs it: only the moved class is re-routed. A walk comes back to
+    /// a setting only by drawing the exact reverse move, so the STR probe
+    /// is not kept in the engine's cache.
+    fn probe(&mut self, w: &DualWeights, at: &Evaluation, rng: &mut StdRng) -> Probe {
+        let change = SingleChange::draw(self.mode, w, &self.params, rng);
+        let mut weights = w.clone();
+        change.apply(self.mode, &mut weights);
+        let class = if change.high { Class::High } else { Class::Low };
+        let eval = match self.mode {
+            Scheme::Str => self.engine.eval_joint_once(&weights.high),
+            Scheme::Dtr => {
+                let moved = std::slice::from_ref(class.of(&weights));
+                let mut evals = self.engine.eval_class_batch(class, moved, w, at);
+                evals.pop().expect("one candidate in, one evaluation out")
             }
-        }
-        match self.mode {
-            Scheme::Str => self.evaluator.eval_str(&w.high),
-            Scheme::Dtr => self.evaluator.eval_dual(w),
+        };
+        Probe {
+            weights,
+            class,
+            eval,
         }
     }
 
     /// Runs the annealer until the evaluation budget
     /// ([`SearchParams::dtr_eval_budget`]) is spent.
-    pub fn run(mut self) -> AnnealResult {
+    pub fn run(mut self) -> SearchResult {
         let params = self.params;
         let anneal = self.anneal;
         let budget = params.dtr_eval_budget();
@@ -227,9 +195,12 @@ impl<'a> AnnealSearch<'a> {
         let mut rng = StdRng::seed_from_u64(params.seed ^ 0x616e_6e65_616c_0001);
         let mut trace = SearchTrace::default();
 
-        let w0 = DualWeights::replicated(WeightVector::uniform(self.evaluator.topo(), 1));
-        let mut cur_w = w0;
-        let mut cur = self.evaluate(&cur_w.clone(), None);
+        // The engine's lanes start based at uniform weight 1.
+        let mut cur_w = DualWeights::replicated(WeightVector::uniform(self.engine.topo(), 1));
+        let mut cur = match self.mode {
+            Scheme::Str => self.engine.eval_joint_once(&cur_w.high),
+            Scheme::Dtr => self.engine.eval_dual(&cur_w),
+        };
         trace.evaluations += 1;
         let mut best_w = cur_w.clone();
         let mut best = cur.clone();
@@ -239,16 +210,15 @@ impl<'a> AnnealSearch<'a> {
         // median degradation is accepted with the target probability. ---
         let mut degradations = Vec::with_capacity(anneal.calibration_samples);
         while degradations.len() < anneal.calibration_samples && trace.evaluations < budget {
-            let cand_w = self.propose(&cur_w, &mut rng);
-            let cand = self.evaluate(&cand_w, Some((&cur_w, &cur)));
+            let cand = self.probe(&cur_w, &cur, &mut rng);
             trace.evaluations += 1;
-            let d = self.degradation(cur.cost, cand.cost);
+            let d = self.degradation(cur.cost, cand.eval.cost);
             if d > 0.0 {
                 degradations.push(d);
             }
-            if cand.cost < best.cost {
-                best = cand.clone();
-                best_w = cand_w.clone();
+            if cand.eval.cost < best.cost {
+                best = cand.eval;
+                best_w = cand.weights;
                 trace.improved(trace.evaluations, Phase::Str, best.cost);
             }
         }
@@ -265,14 +235,12 @@ impl<'a> AnnealSearch<'a> {
 
         // --- The walk. ---
         let mut temp = t0;
-        let mut uphill_accepted = 0usize;
         while trace.evaluations < budget {
             trace.iterations += 1;
-            let cand_w = self.propose(&cur_w, &mut rng);
-            let cand = self.evaluate(&cand_w, Some((&cur_w, &cur)));
+            let cand = self.probe(&cur_w, &cur, &mut rng);
             trace.evaluations += 1;
 
-            let d = self.degradation(cur.cost, cand.cost);
+            let d = self.degradation(cur.cost, cand.eval.cost);
             let accept = if d == 0.0 {
                 true
             } else {
@@ -280,10 +248,14 @@ impl<'a> AnnealSearch<'a> {
             };
             if accept {
                 if d > 0.0 {
-                    uphill_accepted += 1;
+                    trace.uphill_accepted += 1;
                 }
-                cur = cand;
-                cur_w = cand_w;
+                match self.mode {
+                    Scheme::Str => self.engine.rebase_joint(&cand.weights.high),
+                    Scheme::Dtr => self.engine.rebase(cand.class, cand.class.of(&cand.weights)),
+                }
+                cur = cand.eval;
+                cur_w = cand.weights;
                 trace.moves_accepted += 1;
                 if cur.cost < best.cost {
                     best = cur.clone();
@@ -294,20 +266,29 @@ impl<'a> AnnealSearch<'a> {
             temp = (temp * decay).max(t0 * anneal.final_temp_frac);
         }
 
-        AnnealResult {
+        SearchResult {
             best_cost: best.cost,
             eval: best,
             weights: best_w,
-            uphill_accepted,
             trace,
         }
     }
+}
+
+/// A proposed move, costed.
+struct Probe {
+    /// The setting after the move.
+    weights: DualWeights,
+    /// The class whose vector moved (under STR the other follows it).
+    class: Class,
+    eval: Evaluation,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dtr_graph::gen::{random_topology, triangle_topology, RandomTopologyCfg};
+    use dtr_routing::Evaluator;
     use dtr_traffic::{TrafficCfg, TrafficMatrix};
 
     fn triangle_instance() -> (Topology, DemandSet) {
@@ -432,7 +413,7 @@ mod tests {
         let (a, b) = (run(), run());
         assert_eq!(a.best_cost, b.best_cost);
         assert_eq!(a.weights, b.weights);
-        assert_eq!(a.uphill_accepted, b.uphill_accepted);
+        assert_eq!(a.trace.uphill_accepted, b.trace.uphill_accepted);
     }
 
     #[test]

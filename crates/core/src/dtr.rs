@@ -21,7 +21,7 @@
 use crate::descent::{best_improving, Descent, Step, Walk};
 use crate::neighborhood::{perturb_weights, NeighborhoodSampler, RankTable};
 use crate::params::SearchParams;
-use crate::telemetry::{Phase, SearchTrace};
+use crate::telemetry::{Phase, SearchResult};
 use dtr_cost::{Lex2, Objective};
 use dtr_engine::{BatchEvaluator, Class};
 use dtr_graph::weights::DualWeights;
@@ -30,19 +30,6 @@ use dtr_routing::Evaluation;
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Outcome of a DTR search.
-#[derive(Debug, Clone)]
-pub struct DtrResult {
-    /// Best dual weight setting found (`W*`).
-    pub weights: DualWeights,
-    /// Full evaluation of `W*`.
-    pub eval: Evaluation,
-    /// Objective value of `W*` (equals `eval.cost`).
-    pub best_cost: Lex2,
-    /// Search telemetry.
-    pub trace: SearchTrace,
-}
 
 /// What a step of the running stage does.
 #[derive(Clone, Copy)]
@@ -206,7 +193,7 @@ impl<'a> DtrSearch<'a> {
     }
 
     /// Runs the three stages and returns the best setting found.
-    pub fn run(mut self) -> DtrResult {
+    pub fn run(mut self) -> SearchResult {
         let params = self.params;
         let mut walk = DtrWalk {
             eval: settle_at(&mut self.engine, &self.initial),
@@ -245,7 +232,7 @@ impl<'a> DtrSearch<'a> {
         let (best_cost, weights, trace) = descent.finish();
         let eval = walk.engine.evaluator().eval_dual(&weights);
         debug_assert_eq!(eval.cost, best_cost);
-        DtrResult {
+        SearchResult {
             weights,
             eval,
             best_cost,

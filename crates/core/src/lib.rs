@@ -11,7 +11,10 @@
 //!   baseline share (move to the best of ≤ `m` candidates if it
 //!   improves, *diversify* after `M` non-improving iterations, keep the
 //!   incumbent), written once; every search below except the GA,
-//!   memetic and annealing walks is a stage table over it.
+//!   memetic and annealing walks is a stage table over it. Descent or
+//!   not, every search costs its candidates through
+//!   [`BatchEvaluator`], so [`SearchParams::backend`] reaches all of
+//!   them and changes none of their results.
 //! - [`neighborhood`] — **Algorithm 2** (`FindH`/`FindL` neighborhoods):
 //!   rank links by lexicographic link cost, draw window offsets `k₁, k₂`
 //!   from the heavy-tailed distribution `P(k) ∝ k^{−τ}`, pick `m`
@@ -32,7 +35,10 @@
 //!
 //! - [`GaSearch`] / [`MemeticSearch`] / [`AnnealSearch`] — the other
 //!   classic heuristic families (\[3\], \[4\], simulated annealing) at
-//!   identical evaluation budgets, for search-strategy ablations;
+//!   identical evaluation budgets, for search-strategy ablations (the GA
+//!   is the memetic generation loop with no hill-climb); with the two
+//!   descents they are the rows of [`run_strategy`]'s table, and all
+//!   return one [`SearchResult`];
 //! - [`RobustSearch`] — failure-aware optimization over all survivable
 //!   single duplex-pair cuts (\[5\]);
 //! - [`ReoptSearch`] — change-limited reoptimization after traffic drift
@@ -68,23 +74,23 @@ pub mod streams;
 pub mod telemetry;
 pub mod upgrade;
 
-pub use anneal::{AnnealParams, AnnealResult, AnnealSearch};
-pub use dtr::{DtrResult, DtrSearch};
-pub use ga::{GaParams, GaResult, GaSearch};
+pub use anneal::{AnnealParams, AnnealSearch};
+pub use dtr::DtrSearch;
+pub use ga::{GaParams, GaSearch};
 pub use joint::{joint_cost, JointCostExplorer, TriangleVerdict};
-pub use memetic::{MemeticParams, MemeticResult, MemeticSearch};
+pub use memetic::{MemeticParams, MemeticSearch};
 pub use neighborhood::{NeighborhoodSampler, RankTable};
 pub use params::{derive_stream_seed, SearchParams};
 pub use portfolio::{
-    parse_portfolio, PortfolioMode, PortfolioParams, PortfolioResult, PortfolioSearch,
-    StrategyKind, TaskOutcome,
+    parse_portfolio, run_strategy, PortfolioMode, PortfolioParams, PortfolioResult,
+    PortfolioSearch, StrategyKind, TaskOutcome,
 };
 pub use reopt::{ReoptResult, ReoptSearch, ReoptSession};
 pub use robust::{RobustCost, RobustEvaluator, RobustResult, RobustSearch, ScenarioCombine};
 pub use scheme::Scheme;
 pub use slicing::{SlicedResult, SlicedSearch};
 pub use str_search::{RelaxedBest, StrResult, StrSearch};
-pub use telemetry::SearchTrace;
+pub use telemetry::{SearchResult, SearchTrace};
 pub use upgrade::{cost_ratio, UpgradeOutcome, UpgradeParams, UpgradeSearch, UpgradeStep};
 
 // Re-export the types a downstream user needs to drive a search without

@@ -54,6 +54,7 @@ use crate::params::SearchParams;
 use crate::robust::{RobustCost, RobustEvaluator, RobustSearch, ScenarioCombine};
 use crate::scheme::Scheme;
 use crate::str_search::StrSearch;
+use crate::telemetry::SearchResult;
 use dtr_cost::{Lex2, Objective};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
@@ -511,7 +512,10 @@ impl<'a> PortfolioSearch<'a> {
             .params
             .with_stream(crate::streams::PORTFOLIO_ARM + task as u64);
         let (weights, evaluations) = match self.mode {
-            PortfolioMode::Nominal(scheme) => self.run_nominal(strategy, scheme, params),
+            PortfolioMode::Nominal(scheme) => {
+                let r = self.run_nominal(strategy, scheme, params);
+                (r.weights, r.trace.evaluations)
+            }
             PortfolioMode::Robust {
                 combine,
                 cap,
@@ -540,56 +544,6 @@ impl<'a> PortfolioSearch<'a> {
         }
     }
 
-    /// One nominal arm: run the strategy in the requested scheme. STR
-    /// strategies (and the GA/memetic arms in either scheme) return
-    /// replicated dual weights — valid DTR settings that explore the
-    /// shared-vector subspace.
-    fn run_nominal(
-        &self,
-        strategy: StrategyKind,
-        scheme: Scheme,
-        params: SearchParams,
-    ) -> (DualWeights, usize) {
-        match (strategy, scheme) {
-            (StrategyKind::Descent, Scheme::Dtr) => {
-                let mut s = DtrSearch::new(self.topo, self.demands, self.objective, params);
-                if let Some(dep) = &self.deployment {
-                    s = s.with_deployment(dep.clone());
-                }
-                if let Some(w0) = &self.initial {
-                    s = s.with_initial(w0.clone());
-                }
-                let r = s.run();
-                (r.weights, r.trace.evaluations)
-            }
-            (StrategyKind::Descent, Scheme::Str) => {
-                let mut s = StrSearch::new(self.topo, self.demands, self.objective, params);
-                if let Some(w0) = &self.initial {
-                    s = s.with_initial(w0.high.clone());
-                }
-                let r = s.run();
-                (DualWeights::replicated(r.weights), r.trace.evaluations)
-            }
-            (StrategyKind::Anneal, scheme) => {
-                let mut s =
-                    AnnealSearch::new(self.topo, self.demands, self.objective, params, scheme);
-                if let Some(dep) = &self.deployment {
-                    s = s.with_deployment(dep.clone());
-                }
-                let r = s.run();
-                (r.weights, r.trace.evaluations)
-            }
-            (StrategyKind::Ga, _) => {
-                let r = GaSearch::new(self.topo, self.demands, self.objective, params).run();
-                (DualWeights::replicated(r.weights), r.trace.evaluations)
-            }
-            (StrategyKind::Memetic, _) => {
-                let r = MemeticSearch::new(self.topo, self.demands, self.objective, params).run();
-                (DualWeights::replicated(r.weights), r.trace.evaluations)
-            }
-        }
-    }
-
     /// One robust arm: non-descent strategies first find their nominal
     /// optimum, which warm-starts the failure-aware descent (see the
     /// module docs). Evaluations count both phases.
@@ -603,24 +557,9 @@ impl<'a> PortfolioSearch<'a> {
     ) -> (DualWeights, usize) {
         let (warm, warm_evals) = match strategy {
             StrategyKind::Descent => (self.initial.clone(), 0),
-            StrategyKind::Anneal => {
-                let r = AnnealSearch::new(self.topo, self.demands, self.objective, params, scheme)
-                    .run();
+            _ => {
+                let r = self.run_nominal(strategy, scheme, params);
                 (Some(r.weights), r.trace.evaluations)
-            }
-            StrategyKind::Ga => {
-                let r = GaSearch::new(self.topo, self.demands, self.objective, params).run();
-                (
-                    Some(DualWeights::replicated(r.weights)),
-                    r.trace.evaluations,
-                )
-            }
-            StrategyKind::Memetic => {
-                let r = MemeticSearch::new(self.topo, self.demands, self.objective, params).run();
-                (
-                    Some(DualWeights::replicated(r.weights)),
-                    r.trace.evaluations,
-                )
             }
         };
         let mut s = RobustSearch::new(self.topo, self.demands, combine, params, scheme);
@@ -632,6 +571,89 @@ impl<'a> PortfolioSearch<'a> {
         }
         let r = s.run();
         (r.weights, warm_evals + r.trace.evaluations)
+    }
+
+    /// One nominal arm: its strategy-table row on this portfolio's
+    /// instance, warm start and deployment.
+    fn run_nominal(
+        &self,
+        strategy: StrategyKind,
+        scheme: Scheme,
+        params: SearchParams,
+    ) -> SearchResult {
+        run_strategy(
+            (strategy, scheme),
+            self.topo,
+            self.demands,
+            self.objective,
+            params,
+            self.initial.as_ref(),
+            self.deployment.as_ref(),
+        )
+    }
+}
+
+/// Runs one row of the strategy table on an instance:
+///
+/// | strategy | [`Scheme::Str`] | [`Scheme::Dtr`] |
+/// |---|---|---|
+/// | [`Descent`](StrategyKind::Descent) | [`StrSearch`] | [`DtrSearch`] |
+/// | [`Anneal`](StrategyKind::Anneal) | [`AnnealSearch`] on one vector | [`AnnealSearch`] on both |
+/// | [`Ga`](StrategyKind::Ga) | [`GaSearch`] | the same run |
+/// | [`Memetic`](StrategyKind::Memetic) | [`MemeticSearch`] | the same run |
+///
+/// The GA and memetic rows ignore the scheme: they explore the
+/// shared-vector subspace, whose settings are valid under both. Every
+/// row costs its candidates through the engine backend `params` names,
+/// and every single-vector run returns its vector written twice.
+///
+/// `initial` warm-starts the descent rows (the population and walk
+/// strategies keep their own initialization); a partial `deployment`
+/// (DTR scheme, load-based objective) is searched directly by the
+/// deployment-aware rows — descent and annealing — and is invisible to
+/// the shared-vector ones.
+pub fn run_strategy(
+    (strategy, scheme): (StrategyKind, Scheme),
+    topo: &Topology,
+    demands: &DemandSet,
+    objective: Objective,
+    params: SearchParams,
+    initial: Option<&DualWeights>,
+    deployment: Option<&dtr_routing::DeploymentSet>,
+) -> SearchResult {
+    match (strategy, scheme) {
+        (StrategyKind::Descent, Scheme::Dtr) => {
+            let mut s = DtrSearch::new(topo, demands, objective, params);
+            if let Some(dep) = deployment {
+                s = s.with_deployment(dep.clone());
+            }
+            if let Some(w0) = initial {
+                s = s.with_initial(w0.clone());
+            }
+            s.run()
+        }
+        (StrategyKind::Descent, Scheme::Str) => {
+            let mut s = StrSearch::new(topo, demands, objective, params);
+            if let Some(w0) = initial {
+                s = s.with_initial(w0.high.clone());
+            }
+            let r = s.run();
+            SearchResult {
+                weights: DualWeights::replicated(r.weights),
+                eval: r.eval,
+                best_cost: r.best_cost,
+                trace: r.trace,
+            }
+        }
+        (StrategyKind::Anneal, scheme) => {
+            let mut s = AnnealSearch::new(topo, demands, objective, params, scheme);
+            if let Some(dep) = deployment {
+                s = s.with_deployment(dep.clone());
+            }
+            s.run()
+        }
+        (StrategyKind::Ga, _) => GaSearch::new(topo, demands, objective, params).run(),
+        (StrategyKind::Memetic, _) => MemeticSearch::new(topo, demands, objective, params).run(),
     }
 }
 

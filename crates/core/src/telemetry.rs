@@ -1,11 +1,29 @@
-//! Search telemetry: what happened during a heuristic run.
+//! What a heuristic run returns: the setting it found and the telemetry
+//! of how it got there.
 //!
-//! Used by the experiments to report convergence behaviour and by the
-//! ablation benches to compare design variants (diversification on/off,
-//! τ settings, routine 3 on/off).
+//! The telemetry is used by the experiments to report convergence
+//! behaviour and by the ablation benches to compare design variants
+//! (diversification on/off, τ settings, routine 3 on/off).
 
-use dtr_cost::LexCost;
+use dtr_cost::{Lex2, LexCost};
+use dtr_graph::weights::DualWeights;
+use dtr_routing::Evaluation;
 use serde::{Deserialize, Serialize};
+
+/// Outcome of a two-class weight search under either scheme and any
+/// strategy ([`crate::portfolio::run_strategy`]'s rows).
+#[derive(Debug, Clone)]
+pub struct SearchResult {
+    /// Best dual weight setting found (`W*`). A single-vector search
+    /// returns the vector written twice.
+    pub weights: DualWeights,
+    /// Full evaluation of `W*`.
+    pub eval: Evaluation,
+    /// Objective value of `W*` (equals `eval.cost`).
+    pub best_cost: Lex2,
+    /// Search telemetry.
+    pub trace: SearchTrace,
+}
 
 /// Which routine of Algorithm 1 an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,6 +74,13 @@ pub struct SearchTrace {
     /// every retained scenario while degrading a dropped one — so the
     /// blind spots are recorded here rather than discarded silently.
     pub dropped_scenarios: Vec<u32>,
+    /// Annealing: moves accepted while degrading (how much the walk
+    /// actually explored).
+    pub uphill_accepted: usize,
+    /// GA / memetic: generations executed.
+    pub generations: usize,
+    /// Memetic: hill-climb probes that improved their individual.
+    pub local_improvements: usize,
 }
 
 impl SearchTrace {

@@ -7,7 +7,8 @@
 //! part of what these files pin, so a refactor of the search stack must
 //! reproduce them byte for byte. The annealing, GA and memetic runs
 //! (`anneal_*`, `ga_*`, `memetic_*`) were recorded while those three
-//! still costed candidates through the full-recompute `Evaluator`.
+//! still costed candidates through the full-recompute `Evaluator`, so
+//! they also pin the engine's bit-identity to it along whole runs.
 //!
 //! After an intended behaviour change, rewrite the files with
 //! `cargo test -p dtr-core --test golden -- --ignored bless`.
@@ -15,8 +16,8 @@
 use dtr_core::portfolio::{PortfolioMode, PortfolioParams, PortfolioSearch, StrategyKind};
 use dtr_core::{
     AnnealSearch, DtrSearch, GaSearch, MemeticSearch, Objective, ReoptSearch, ReoptSession,
-    RobustSearch, ScenarioCombine, Scheme, SearchParams, SearchTrace, SlicedSearch, StrSearch,
-    UpgradeParams, UpgradeSearch,
+    RobustSearch, ScenarioCombine, Scheme, SearchParams, SearchResult, SearchTrace, SlicedSearch,
+    StrSearch, UpgradeParams, UpgradeSearch,
 };
 use dtr_cost::{Lex2, SlaParams};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
@@ -107,65 +108,35 @@ impl Record {
     }
 }
 
-fn dtr_case(search: DtrSearch<'_>) -> String {
-    let res = search.run();
+/// A run of any strategy-table row: the dual setting (one vector
+/// written twice for the single-vector strategies), cost bits and trace.
+fn search_record(res: &SearchResult) -> Record {
     let mut r = Record::default();
     r.dual(&res.weights);
     r.lex2("best_cost", res.best_cost);
     r.trace(&res.trace);
-    r.0
+    r
 }
 
-/// A non-descent strategy's run: the dual setting (replicated for the
-/// single-vector strategies), the shared counters, and the strategy's
-/// own counter(s).
-fn strategy_case(
-    weights: &DualWeights,
-    best_cost: Lex2,
-    trace: &SearchTrace,
-    extra: &[(&str, usize)],
-) -> String {
-    let mut r = Record::default();
-    r.dual(weights);
-    r.lex2("best_cost", best_cost);
-    r.trace(trace);
-    for (key, value) in extra {
-        r.line(key, value);
-    }
-    r.0
+fn dtr_case(search: DtrSearch<'_>) -> String {
+    search_record(&search.run()).0
 }
 
 fn anneal_case(search: AnnealSearch<'_>) -> String {
     let res = search.run();
-    strategy_case(
-        &res.weights,
-        res.best_cost,
-        &res.trace,
-        &[("uphill_accepted", res.uphill_accepted)],
-    )
+    let mut r = search_record(&res);
+    r.line("uphill_accepted", res.trace.uphill_accepted);
+    r.0
 }
 
-fn ga_case(search: GaSearch<'_>) -> String {
-    let res = search.run();
-    strategy_case(
-        &DualWeights::replicated(res.weights),
-        res.best_cost,
-        &res.trace,
-        &[("generations", res.generations)],
-    )
-}
-
-fn memetic_case(search: MemeticSearch<'_>) -> String {
-    let res = search.run();
-    strategy_case(
-        &DualWeights::replicated(res.weights),
-        res.best_cost,
-        &res.trace,
-        &[
-            ("generations", res.generations),
-            ("local_improvements", res.local_improvements),
-        ],
-    )
+/// A [`GaSearch`] or [`MemeticSearch`] run.
+fn population_case(res: SearchResult, hill_climbs: bool) -> String {
+    let mut r = search_record(&res);
+    r.line("generations", res.trace.generations);
+    if hill_climbs {
+        r.line("local_improvements", res.trace.local_improvements);
+    }
+    r.0
 }
 
 fn str_case(search: StrSearch<'_>) -> String {
@@ -400,11 +371,14 @@ fn regenerate() -> Vec<(PathBuf, String)> {
     ));
     cases.push((
         "ga_load",
-        ga_case(GaSearch::new(&topo, &demands, load, tiny(7))),
+        population_case(GaSearch::new(&topo, &demands, load, tiny(7)).run(), false),
     ));
     cases.push((
         "memetic_load",
-        memetic_case(MemeticSearch::new(&topo, &demands, load, tiny(7))),
+        population_case(
+            MemeticSearch::new(&topo, &demands, load, tiny(7)).run(),
+            true,
+        ),
     ));
     let (topo, demands) = instance(12, 11, 3.0);
     cases.push((
@@ -427,11 +401,17 @@ fn regenerate() -> Vec<(PathBuf, String)> {
     ));
     cases.push((
         "ga_sla",
-        ga_case(GaSearch::new(&topo, &demands, tight_sla(), tiny(1))),
+        population_case(
+            GaSearch::new(&topo, &demands, tight_sla(), tiny(1)).run(),
+            false,
+        ),
     ));
     cases.push((
         "memetic_sla",
-        memetic_case(MemeticSearch::new(&topo, &demands, tight_sla(), tiny(1))),
+        population_case(
+            MemeticSearch::new(&topo, &demands, tight_sla(), tiny(1)).run(),
+            true,
+        ),
     ));
 
     cases.push(("reopt_dtr_h2", reopt_case(Scheme::Dtr, 2)));

@@ -101,59 +101,57 @@ const DEFAULT_CACHE_CAPACITY: usize = 512;
 
 /// The batch candidate evaluator the searches drive.
 ///
-/// Owns one backend per routed side — high class, low class, and the
-/// joint (single-topology) pairing — plus per-class LRU caches and the
-/// underlying [`Evaluator`] used to assemble costs. Backends track a
-/// *base* weight vector (the search's current solution); move the base
-/// with [`Self::rebase_high`] / [`Self::rebase_low`] /
-/// [`Self::rebase_joint`] whenever the search accepts a move, so the
-/// incremental backend's repairs stay small.
+/// Owns one lane (a backend plus an LRU cache) per routed side — high
+/// class, low class, and the joint (single-topology) pairing — and the
+/// underlying [`Evaluator`] used to assemble costs. Backends track a *base* weight vector (the
+/// search's current solution); move the base with [`Self::rebase_high`]
+/// / [`Self::rebase_low`] / [`Self::rebase_joint`] whenever the search
+/// accepts a move, so the incremental backend's repairs stay small.
 pub struct BatchEvaluator<'a> {
     evaluator: Evaluator<'a>,
     kind: BackendKind,
-    topo: &'a Topology,
-    demands: &'a DemandSet,
-    high: LazyBackend<'a>,
-    low: LazyBackend<'a>,
-    joint: LazyBackend<'a>,
-    high_cache: LruCache<HighSide>,
-    low_cache: LruCache<ClassLoads>,
-    joint_cache: LruCache<Evaluation>,
+    high: Lane<'a, HighSide>,
+    low: Lane<'a, ClassLoads>,
+    joint: Lane<'a, Evaluation>,
     /// Workspace for the fresh SPFs the deployed paths need at
     /// destinations outside a backend's coverage.
     ws: SpfWorkspace,
 }
 
-/// A backend constructed on first use. `DtrSearch` never touches the
-/// joint backend and `StrSearch` never touches the per-class ones;
+/// One routed side: the backend that routes its candidates and the LRU
+/// of the values built from what it routed.
+///
+/// The backend is constructed on first use. `DtrSearch` never touches
+/// the joint lane and `StrSearch` never touches the per-class ones;
 /// building eagerly would pay a full SPF sweep per unused side at every
 /// search construction (experiments build searches in tight loops).
-struct LazyBackend<'a> {
+struct Lane<'a, V> {
     kind: BackendKind,
     topo: &'a Topology,
     matrices: Vec<&'a dtr_traffic::TrafficMatrix>,
     /// Base tracked while the backend doesn't exist yet.
     base: WeightVector,
     backend: Option<Box<dyn EvalBackend + 'a>>,
+    cache: LruCache<V>,
 }
 
-impl<'a> LazyBackend<'a> {
+impl<'a, V: Clone> Lane<'a, V> {
     fn new(
         kind: BackendKind,
         topo: &'a Topology,
         matrices: Vec<&'a dtr_traffic::TrafficMatrix>,
-        base: WeightVector,
     ) -> Self {
-        LazyBackend {
+        Lane {
             kind,
             topo,
             matrices,
-            base,
+            base: WeightVector::uniform(topo, 1),
             backend: None,
+            cache: LruCache::new(DEFAULT_CACHE_CAPACITY),
         }
     }
 
-    fn get(&mut self) -> &mut (dyn EvalBackend + 'a) {
+    fn backend(&mut self) -> &mut (dyn EvalBackend + 'a) {
         if self.backend.is_none() {
             self.backend = Some(make_backend(
                 self.kind,
@@ -177,6 +175,39 @@ impl<'a> LazyBackend<'a> {
             .as_ref()
             .map_or_else(WorkStats::default, |b| b.work_stats())
     }
+
+    /// Evaluates a batch, preserving order: cache first, then the
+    /// backend once per distinct miss, `build`ing each value from the
+    /// routed candidate and retaining it. With `retain` off the cache is
+    /// neither read nor written — the form for candidates nothing
+    /// revisits (a population's offspring), which would only push the
+    /// revisited ones out and hold their memory.
+    fn eval(
+        &mut self,
+        cands: &[WeightVector],
+        want_dags: bool,
+        retain: bool,
+        mut build: impl FnMut(CandidateEval, &WeightVector) -> V,
+    ) -> Vec<V> {
+        let lookup = |w| if retain { self.cache.get(w) } else { None };
+        let mut out: Vec<Option<V>> = cands.iter().map(lookup).collect();
+        let misses: Vec<usize> = (0..cands.len()).filter(|&i| out[i].is_none()).collect();
+        if !misses.is_empty() {
+            let (uniq, alias) = dedupe(cands, &misses);
+            let miss_cands: Vec<WeightVector> = uniq.iter().map(|&i| cands[i].clone()).collect();
+            let evals = self.backend().eval_batch(&miss_cands, want_dags);
+            let mut values: Vec<V> = Vec::with_capacity(uniq.len());
+            for (&i, ev) in uniq.iter().zip(evals) {
+                let value = build(ev, &cands[i]);
+                if retain {
+                    self.cache.put(&cands[i], value.clone());
+                }
+                values.push(value);
+            }
+            scatter(&mut out, &misses, &uniq, &alias, values);
+        }
+        out.into_iter().map(Option::unwrap).collect()
+    }
 }
 
 impl<'a> BatchEvaluator<'a> {
@@ -189,18 +220,12 @@ impl<'a> BatchEvaluator<'a> {
         objective: Objective,
         kind: BackendKind,
     ) -> Self {
-        let w0 = WeightVector::uniform(topo, 1);
         BatchEvaluator {
             evaluator: Evaluator::new(topo, demands, objective),
             kind,
-            topo,
-            demands,
-            high: LazyBackend::new(kind, topo, vec![&demands.high], w0.clone()),
-            low: LazyBackend::new(kind, topo, vec![&demands.low], w0.clone()),
-            joint: LazyBackend::new(kind, topo, vec![&demands.high, &demands.low], w0),
-            high_cache: LruCache::new(DEFAULT_CACHE_CAPACITY),
-            low_cache: LruCache::new(DEFAULT_CACHE_CAPACITY),
-            joint_cache: LruCache::new(DEFAULT_CACHE_CAPACITY),
+            high: Lane::new(kind, topo, vec![&demands.high]),
+            low: Lane::new(kind, topo, vec![&demands.low]),
+            joint: Lane::new(kind, topo, vec![&demands.high, &demands.low]),
             ws: SpfWorkspace::new(),
         }
     }
@@ -218,12 +243,12 @@ impl<'a> BatchEvaluator<'a> {
 
     /// The bound topology.
     pub fn topo(&self) -> &'a Topology {
-        self.topo
+        self.evaluator.topo()
     }
 
     /// The bound demand set.
     pub fn demands(&self) -> &'a DemandSet {
-        self.demands
+        self.evaluator.demands()
     }
 
     /// Whether the SLA walk should reuse backend-provided DAGs. Both
@@ -232,39 +257,6 @@ impl<'a> BatchEvaluator<'a> {
     /// re-running one Dijkstra per high destination per candidate.
     fn want_dags(&self) -> bool {
         matches!(self.evaluator.objective(), Objective::SlaBased(_))
-    }
-
-    /// Assembles a [`HighSide`] from candidate loads, reusing candidate
-    /// DAGs for the SLA walk when the backend provided them.
-    fn make_high_side(
-        &mut self,
-        loads: ClassLoads,
-        wh: &WeightVector,
-        dags: &[(NodeId, Arc<ShortestPathDag>)],
-    ) -> HighSide {
-        match self.evaluator.objective() {
-            Objective::SlaBased(params) if !dags.is_empty() => {
-                let mut by_node: Vec<Option<&Arc<ShortestPathDag>>> =
-                    vec![None; self.topo.node_count()];
-                for (t, dag) in dags {
-                    by_node[t.index()] = Some(dag);
-                }
-                let sla = sla_evaluation(
-                    self.topo,
-                    &self.demands.high,
-                    self.evaluator.high_dests(),
-                    &loads,
-                    &params,
-                    |t| {
-                        by_node[t.index()]
-                            .expect("backend DAGs cover every high destination")
-                            .clone()
-                    },
-                );
-                self.evaluator.high_side_with_sla(loads, Some(sla))
-            }
-            _ => self.evaluator.high_side_from_loads(loads, wh),
-        }
     }
 
     /// Evaluates one high-class candidate.
@@ -277,23 +269,10 @@ impl<'a> BatchEvaluator<'a> {
     /// Evaluates a batch of high-class candidates (cache first, then the
     /// backend for the misses), preserving order.
     pub fn eval_high_batch(&mut self, cands: &[WeightVector]) -> Vec<HighSide> {
-        let want_dags = self.want_dags();
-        let mut out: Vec<Option<HighSide>> = cands.iter().map(|w| self.high_cache.get(w)).collect();
-        let misses: Vec<usize> = (0..cands.len()).filter(|&i| out[i].is_none()).collect();
-        if !misses.is_empty() {
-            let (uniq, alias) = dedupe(cands, &misses);
-            let miss_cands: Vec<WeightVector> = uniq.iter().map(|&i| cands[i].clone()).collect();
-            let evals = self.high.get().eval_batch(&miss_cands, want_dags);
-            let mut values: Vec<HighSide> = Vec::with_capacity(uniq.len());
-            for (&i, mut ev) in uniq.iter().zip(evals) {
-                let loads = ev.loads.swap_remove(0);
-                let hs = self.make_high_side(loads, &cands[i], &ev.dags);
-                self.high_cache.put(&cands[i], hs.clone());
-                values.push(hs);
-            }
-            scatter(&mut out, &misses, &uniq, &alias, values);
-        }
-        out.into_iter().map(Option::unwrap).collect()
+        let (want_dags, evaluator) = (self.want_dags(), &mut self.evaluator);
+        self.high.eval(cands, want_dags, true, |mut ev, wh| {
+            high_side(evaluator, ev.loads.swap_remove(0), wh, &ev.dags)
+        })
     }
 
     /// Evaluates one low-class candidate.
@@ -303,22 +282,8 @@ impl<'a> BatchEvaluator<'a> {
 
     /// Evaluates a batch of low-class candidates.
     pub fn eval_low_batch(&mut self, cands: &[WeightVector]) -> Vec<ClassLoads> {
-        let mut out: Vec<Option<ClassLoads>> =
-            cands.iter().map(|w| self.low_cache.get(w)).collect();
-        let misses: Vec<usize> = (0..cands.len()).filter(|&i| out[i].is_none()).collect();
-        if !misses.is_empty() {
-            let (uniq, alias) = dedupe(cands, &misses);
-            let miss_cands: Vec<WeightVector> = uniq.iter().map(|&i| cands[i].clone()).collect();
-            let evals = self.low.get().eval_batch(&miss_cands, false);
-            let mut values: Vec<ClassLoads> = Vec::with_capacity(uniq.len());
-            for (&i, mut ev) in uniq.iter().zip(evals) {
-                let loads = ev.loads.swap_remove(0);
-                self.low_cache.put(&cands[i], loads.clone());
-                values.push(loads);
-            }
-            scatter(&mut out, &misses, &uniq, &alias, values);
-        }
-        out.into_iter().map(Option::unwrap).collect()
+        self.low
+            .eval(cands, false, true, |mut ev, _| ev.loads.swap_remove(0))
     }
 
     /// Evaluates one joint (single-topology) candidate.
@@ -332,29 +297,29 @@ impl<'a> BatchEvaluator<'a> {
     /// the returned [`Evaluation`] matches `Evaluator::eval_str(w)`
     /// bit-for-bit.
     pub fn eval_joint_batch(&mut self, cands: &[WeightVector]) -> Vec<Evaluation> {
-        let want_dags = self.want_dags();
-        let mut out: Vec<Option<Evaluation>> =
-            cands.iter().map(|w| self.joint_cache.get(w)).collect();
-        let misses: Vec<usize> = (0..cands.len()).filter(|&i| out[i].is_none()).collect();
-        if !misses.is_empty() {
-            let (uniq, alias) = dedupe(cands, &misses);
-            let miss_cands: Vec<WeightVector> = uniq.iter().map(|&i| cands[i].clone()).collect();
-            let evals = self.joint.get().eval_batch(&miss_cands, want_dags);
-            let mut values: Vec<Evaluation> = Vec::with_capacity(uniq.len());
-            for (&i, mut ev) in uniq.iter().zip(evals) {
-                let low_loads = ev.loads.swap_remove(1);
-                let high_loads = ev.loads.swap_remove(0);
-                let high = self.make_high_side(high_loads, &cands[i], &ev.dags);
-                let evaluation = self
-                    .evaluator
-                    .finish(high, low_loads)
-                    .expect("make_high_side fills the SLA walk under SLA objectives");
-                self.joint_cache.put(&cands[i], evaluation.clone());
-                values.push(evaluation);
-            }
-            scatter(&mut out, &misses, &uniq, &alias, values);
-        }
-        out.into_iter().map(Option::unwrap).collect()
+        self.joint_lane(cands, true)
+    }
+
+    /// Evaluates one joint candidate the caller will not come back to —
+    /// an individual of a population search: same result as
+    /// [`Self::eval_joint`], but the cache is neither consulted nor
+    /// filled, so a stream of them leaves it (and the memory it holds)
+    /// as it was.
+    pub fn eval_joint_once(&mut self, w: &WeightVector) -> Evaluation {
+        self.joint_lane(std::slice::from_ref(w), false)
+            .pop()
+            .unwrap()
+    }
+
+    fn joint_lane(&mut self, cands: &[WeightVector], retain: bool) -> Vec<Evaluation> {
+        let (want_dags, evaluator) = (self.want_dags(), &mut self.evaluator);
+        self.joint.eval(cands, want_dags, retain, |mut ev, w| {
+            let low_loads = ev.loads.swap_remove(1);
+            let high = high_side(evaluator, ev.loads.swap_remove(0), w, &ev.dags);
+            evaluator
+                .finish(high, low_loads)
+                .expect("high_side fills the SLA walk under SLA objectives")
+        })
     }
 
     /// Binds a partial-deployment model on the underlying evaluator (see
@@ -393,34 +358,34 @@ impl<'a> BatchEvaluator<'a> {
             .deployment()
             .cloned()
             .expect("a partial deployment is bound");
+        let (topo, demands) = (self.topo(), self.demands());
         // Destinations with low-priority demand, ascending — the hybrid
         // push order (matches `Evaluator::low_loads_deployed`).
-        let dests: Vec<NodeId> = self
-            .topo
+        let dests: Vec<NodeId> = topo
             .nodes()
-            .filter(|t| self.demands.low.demands_to(t.index()).next().is_some())
+            .filter(|t| demands.low.demands_to(t.index()).next().is_some())
             .collect();
         let (fixed_w, backend) = match class {
-            Class::High => (&w.low, &mut self.high),
-            Class::Low => (&w.high, &mut self.low),
+            Class::High => (&w.low, self.high.backend()),
+            Class::Low => (&w.high, self.low.backend()),
         };
         let fixed: Vec<ShortestPathDag> = dests
             .iter()
-            .map(|&t| ShortestPathDag::compute_with(self.topo, fixed_w, t, None, &mut self.ws))
+            .map(|&t| ShortestPathDag::compute_with(topo, fixed_w, t, None, &mut self.ws))
             .collect();
-        let evals = backend.get().eval_batch(cands, true);
-        let mut by_node: Vec<Option<Arc<ShortestPathDag>>> = vec![None; self.topo.node_count()];
+        let evals = backend.eval_batch(cands, true);
+        let mut by_node: Vec<Option<Arc<ShortestPathDag>>> = vec![None; topo.node_count()];
         let mut results = Vec::with_capacity(evals.len());
         for (mut ev, cand) in evals.into_iter().zip(cands) {
             let high = (class == Class::High).then(|| {
                 let loads = ev.loads.swap_remove(0);
-                self.make_high_side(loads, cand, &ev.dags)
+                high_side(&mut self.evaluator, loads, cand, &ev.dags)
             });
             by_node.iter_mut().for_each(|s| *s = None);
             for (t, dag) in ev.dags {
                 by_node[t.index()] = Some(dag);
             }
-            let mut out = vec![0.0; self.topo.link_count()];
+            let mut out = vec![0.0; topo.link_count()];
             let mut flow = Vec::new();
             let mut undeliverable = 0.0;
             for (t, fixed_dag) in dests.iter().zip(&fixed) {
@@ -428,8 +393,7 @@ impl<'a> BatchEvaluator<'a> {
                 let moved = match by_node[t.index()].as_deref() {
                     Some(d) => d,
                     None => {
-                        fresh =
-                            ShortestPathDag::compute_with(self.topo, cand, *t, None, &mut self.ws);
+                        fresh = ShortestPathDag::compute_with(topo, cand, *t, None, &mut self.ws);
                         &fresh
                     }
                 };
@@ -437,15 +401,8 @@ impl<'a> BatchEvaluator<'a> {
                     Class::High => (moved, fixed_dag),
                     Class::Low => (fixed_dag, moved),
                 };
-                let hybrid = hybrid_low_dag(self.topo, &dep, dh, dl);
-                push_demand_down_dag(
-                    self.topo,
-                    &hybrid,
-                    &self.demands.low,
-                    *t,
-                    &mut flow,
-                    &mut out,
-                );
+                let hybrid = hybrid_low_dag(topo, &dep, dh, dl);
+                push_demand_down_dag(topo, &hybrid, &demands.low, *t, &mut flow, &mut out);
                 undeliverable += trapped_flow(&hybrid, &flow);
             }
             results.push((high, out, undeliverable));
@@ -521,7 +478,7 @@ impl<'a> BatchEvaluator<'a> {
     pub fn high_loads(&mut self, wh: &WeightVector) -> ClassLoads {
         let mut ev = self
             .high
-            .get()
+            .backend()
             .eval_batch(std::slice::from_ref(wh), false)
             .pop()
             .unwrap();
@@ -532,7 +489,7 @@ impl<'a> BatchEvaluator<'a> {
     pub fn low_loads(&mut self, wl: &WeightVector) -> ClassLoads {
         let mut ev = self
             .low
-            .get()
+            .backend()
             .eval_batch(std::slice::from_ref(wl), false)
             .pop()
             .unwrap();
@@ -552,7 +509,7 @@ impl<'a> BatchEvaluator<'a> {
         scenarios: &[FailureScenario],
     ) -> Vec<ClassLoads> {
         self.high
-            .get()
+            .backend()
             .eval_scenarios(wh, scenarios)
             .into_iter()
             .map(|mut ev| ev.loads.swap_remove(0))
@@ -566,7 +523,7 @@ impl<'a> BatchEvaluator<'a> {
         scenarios: &[FailureScenario],
     ) -> Vec<ClassLoads> {
         self.low
-            .get()
+            .backend()
             .eval_scenarios(wl, scenarios)
             .into_iter()
             .map(|mut ev| ev.loads.swap_remove(0))
@@ -598,9 +555,9 @@ impl<'a> BatchEvaluator<'a> {
 
     /// `(hits, misses)` summed over the three class caches.
     pub fn cache_stats(&self) -> (u64, u64) {
-        let (h1, m1) = self.high_cache.stats();
-        let (h2, m2) = self.low_cache.stats();
-        let (h3, m3) = self.joint_cache.stats();
+        let (h1, m1) = self.high.cache.stats();
+        let (h2, m2) = self.low.cache.stats();
+        let (h3, m3) = self.joint.cache.stats();
         (h1 + h2 + h3, m1 + m2 + m3)
     }
 
@@ -625,6 +582,39 @@ fn high_side_of(ev: &Evaluation) -> HighSide {
         phi_per_link: ev.phi_h_per_link.clone(),
         phi: ev.phi_h,
         sla: ev.sla.clone(),
+    }
+}
+
+/// Assembles a [`HighSide`] from candidate loads, reusing candidate DAGs
+/// for the SLA walk when the backend provided them.
+fn high_side(
+    evaluator: &mut Evaluator<'_>,
+    loads: ClassLoads,
+    wh: &WeightVector,
+    dags: &[(NodeId, Arc<ShortestPathDag>)],
+) -> HighSide {
+    match evaluator.objective() {
+        Objective::SlaBased(params) if !dags.is_empty() => {
+            let topo = evaluator.topo();
+            let mut by_node: Vec<Option<&Arc<ShortestPathDag>>> = vec![None; topo.node_count()];
+            for (t, dag) in dags {
+                by_node[t.index()] = Some(dag);
+            }
+            let sla = sla_evaluation(
+                topo,
+                &evaluator.demands().high,
+                evaluator.high_dests(),
+                &loads,
+                &params,
+                |t| {
+                    by_node[t.index()]
+                        .expect("backend DAGs cover every high destination")
+                        .clone()
+                },
+            );
+            evaluator.high_side_with_sla(loads, Some(sla))
+        }
+        _ => evaluator.high_side_from_loads(loads, wh),
     }
 }
 
@@ -728,6 +718,45 @@ mod tests {
     }
 
     #[test]
+    fn once_evaluations_leave_the_cache_as_it_was() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (topo, demands) = instance(5);
+        let mut engine = BatchEvaluator::new(
+            &topo,
+            &demands,
+            Objective::LoadBased,
+            BackendKind::Incremental,
+        );
+        let mut reference = Evaluator::new(&topo, &demands, Objective::LoadBased);
+        let kept = WeightVector::uniform(&topo, 3);
+        let kept_eval = engine.eval_joint(&kept);
+        let before = engine.cache_stats();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut last = kept.clone();
+        for i in 0..2000 {
+            last = WeightVector::from_vec(
+                (0..topo.link_count())
+                    .map(|_| rng.random_range(1u32..=30))
+                    .collect(),
+            );
+            let ev = engine.eval_joint_once(&last);
+            if i % 250 == 0 {
+                assert_eq!(ev, reference.eval_str(&last));
+            }
+        }
+        assert_eq!(engine.eval_joint_once(&kept), kept_eval);
+        assert_eq!(engine.cache_stats(), before);
+        // None of the 2 000 became an entry: asking for the last one
+        // again misses, and the one entry from before was not evicted
+        // (four times the capacity went past it).
+        engine.eval_joint(&last);
+        assert_eq!(engine.cache_stats(), (before.0, before.1 + 1));
+        engine.eval_joint(&kept);
+        assert_eq!(engine.cache_stats(), (before.0 + 1, before.1 + 1));
+    }
+
+    #[test]
     fn class_batches_match_eval_dual_of_the_candidate_setting() {
         let (topo, demands) = instance(12);
         let n = topo.node_count();
@@ -751,11 +780,23 @@ mod tests {
                 assert_eq!(base, reference.eval_dual(&w));
                 for class in [Class::High, Class::Low] {
                     let evals = engine.eval_class_batch(class, &cands, &w, &base);
-                    for (c, ev) in cands.iter().zip(evals) {
+                    for (c, ev) in cands.iter().zip(&evals) {
                         let mut moved = w.clone();
                         *class.of_mut(&mut moved) = c.clone();
-                        assert_eq!(ev, reference.eval_dual(&moved), "{kind:?} {class:?}");
+                        assert_eq!(ev, &reference.eval_dual(&moved), "{kind:?} {class:?}");
                     }
+                    // The annealing walk's call: accept a candidate
+                    // (rebase onto it, its evaluation becomes the base),
+                    // then cost one move from there.
+                    let mut at = w.clone();
+                    *class.of_mut(&mut at) = cands[1].clone();
+                    engine.rebase(class, &cands[1]);
+                    let mut next = at.clone();
+                    class.of_mut(&mut next).set(dtr_graph::LinkId(7), 3);
+                    let step = std::slice::from_ref(class.of(&next));
+                    let ev = engine.eval_class_batch(class, step, &at, &evals[1]);
+                    assert_eq!(ev, [reference.eval_dual(&next)], "{kind:?} {class:?}");
+                    engine.rebase(class, class.of(&w));
                 }
             }
         }

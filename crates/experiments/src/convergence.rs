@@ -17,9 +17,7 @@
 use crate::report::{fmt, Table};
 use crate::runner::{demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
 use dtr_core::telemetry::SearchTrace;
-use dtr_core::{
-    AnnealSearch, DtrSearch, GaSearch, MemeticSearch, Objective, Scheme, SearchParams, StrSearch,
-};
+use dtr_core::{run_strategy, Objective, Scheme, SearchParams, StrategyKind};
 use serde::{Deserialize, Serialize};
 
 /// One strategy's convergence record.
@@ -89,21 +87,29 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<StrategyCurve> {
     let demands = base.scaled(gammas[0]);
     let params: SearchParams = ctx.params.with_seed(ctx.seed);
 
-    let mut out = Vec::new();
-    let ls = StrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-    out.push(StrategyCurve::from_trace("local-search", &ls.trace));
-    let ga = GaSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-    out.push(StrategyCurve::from_trace("genetic", &ga.trace));
-    let mem = MemeticSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-    out.push(StrategyCurve::from_trace("memetic", &mem.trace));
-    let sa = AnnealSearch::new(&topo, &demands, Objective::LoadBased, params, Scheme::Str).run();
-    out.push(StrategyCurve::from_trace("annealing", &sa.trace));
-    let sa_dtr =
-        AnnealSearch::new(&topo, &demands, Objective::LoadBased, params, Scheme::Dtr).run();
-    out.push(StrategyCurve::from_trace("annealing-dtr", &sa_dtr.trace));
-    let dtr = DtrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-    out.push(StrategyCurve::from_trace("dtr", &dtr.trace));
-    out
+    use StrategyKind::{Anneal, Descent, Ga, Memetic};
+    [
+        ("local-search", Descent, Scheme::Str),
+        ("genetic", Ga, Scheme::Str),
+        ("memetic", Memetic, Scheme::Str),
+        ("annealing", Anneal, Scheme::Str),
+        ("annealing-dtr", Anneal, Scheme::Dtr),
+        ("dtr", Descent, Scheme::Dtr),
+    ]
+    .into_iter()
+    .map(|(name, strategy, scheme)| {
+        let res = run_strategy(
+            (strategy, scheme),
+            &topo,
+            &demands,
+            Objective::LoadBased,
+            params,
+            None,
+            None,
+        );
+        StrategyCurve::from_trace(name, &res.trace)
+    })
+    .collect()
 }
 
 /// Summary table (one row per strategy).

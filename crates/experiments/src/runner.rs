@@ -1,7 +1,7 @@
 //! Shared experiment machinery: paper instances, load sweeps, STR/DTR
 //! pairs, and the ratio conventions of §5.2.
 
-use dtr_core::{DtrResult, DtrSearch, Objective, SearchParams, StrResult, StrSearch};
+use dtr_core::{DtrSearch, Objective, SearchParams, SearchResult, StrResult, StrSearch};
 use dtr_graph::gen::{
     isp_topology, power_law_topology, random_topology, PowerLawTopologyCfg, RandomTopologyCfg,
 };
@@ -134,7 +134,7 @@ pub fn run_pair(
     demands: &DemandSet,
     objective: Objective,
     params: SearchParams,
-) -> (StrResult, DtrResult, PairOutcome) {
+) -> (StrResult, SearchResult, PairOutcome) {
     let str_res = StrSearch::new(topo, demands, objective, params).run();
     let dtr_res = DtrSearch::new(topo, demands, objective, params).run();
     let outcome = outcome_of(topo, &str_res, &dtr_res);
@@ -142,7 +142,7 @@ pub fn run_pair(
 }
 
 /// Computes the §5.2 ratios from finished runs.
-pub fn outcome_of(topo: &Topology, str_res: &StrResult, dtr_res: &DtrResult) -> PairOutcome {
+pub fn outcome_of(topo: &Topology, str_res: &StrResult, dtr_res: &SearchResult) -> PairOutcome {
     let str_primary = str_res.eval.cost.primary;
     let dtr_primary = dtr_res.eval.cost.primary;
     PairOutcome {
