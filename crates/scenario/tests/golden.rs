@@ -11,13 +11,19 @@
 use dtr_scenario::{load_spec, run_instance, validate_instance, ValidateCfg};
 use std::path::PathBuf;
 
-/// Two k-class SLA instances, one failure-sweep instance and one
-/// partial-deployment instance — one per evaluation path the suite has.
-const INSTANCES: [&str; 4] = [
-    "random10-triclass-sla",
-    "grid9-quadclass-sla",
-    "random12-smoke",
-    "isp-partial-upgrade",
+/// One manifest per path the suite has: two k-class SLA instances, a
+/// failure-sweep instance, a partial-deployment instance, the portfolio
+/// branch of `run_scheme`, a `WorstK` cap on a non-gravity family, and a
+/// two-class SLA objective. The last lives beside the goldens; the rest
+/// are corpus instances.
+const INSTANCES: [&str; 7] = [
+    "../../corpus/random10-triclass-sla",
+    "../../corpus/grid9-quadclass-sla",
+    "../../corpus/random12-smoke",
+    "../../corpus/isp-partial-upgrade",
+    "../../corpus/xpander20-portfolio",
+    "../../corpus/vl2-hotspot",
+    "tests/golden/specs/random10-dual-sla",
 ];
 
 fn repo_file(rel: &str) -> PathBuf {
@@ -32,8 +38,9 @@ fn regenerate() -> Vec<(PathBuf, String)> {
         des_packets: 0,
     };
     let mut out = Vec::new();
-    for name in INSTANCES {
-        let spec = load_spec(&repo_file(&format!("../../corpus/{name}.json"))).unwrap();
+    for manifest in INSTANCES {
+        let spec = load_spec(&repo_file(&format!("{manifest}.json"))).unwrap();
+        let name = &spec.name;
         let mut suite = run_instance(&spec, true);
         suite.baseline.elapsed_s = 0.0;
         suite.dtr.elapsed_s = 0.0;

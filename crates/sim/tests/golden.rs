@@ -1,0 +1,169 @@
+//! Frozen measurements of two seeded packet-level runs. The validate
+//! goldens of `dtr-scenario` see the DES only through condensed means;
+//! these files pin what the engine itself measures — packet counters,
+//! per-link per-class bits and wait accumulators, per-pair delay
+//! accumulators — with every float written as its bit pattern, so a
+//! refactor of the report types or the event loop must reproduce the
+//! RNG draw order and every accumulation exactly.
+//!
+//! After an intended behaviour change, rewrite the files with
+//! `cargo test -p dtr-sim --test golden -- --ignored bless`.
+
+use dtr_graph::gen::{random_topology, RandomTopologyCfg};
+use dtr_graph::weights::DualWeights;
+use dtr_graph::{Topology, WeightVector};
+use dtr_sim::stats::Acc;
+use dtr_sim::{KClassSimReport, SimConfig, SimReport, Simulation};
+use dtr_traffic::{DemandSet, TrafficCfg};
+use std::fmt::Write;
+use std::path::PathBuf;
+
+fn instance() -> (Topology, DemandSet, DualWeights, SimConfig) {
+    let topo = random_topology(&RandomTopologyCfg {
+        nodes: 10,
+        directed_links: 40,
+        seed: 3,
+    });
+    let demands = DemandSet::generate(
+        &topo,
+        &TrafficCfg {
+            seed: 4,
+            k: 0.3,
+            ..Default::default()
+        },
+    )
+    .scaled(2.0);
+    // Genuinely dual weights, so the classes take different paths.
+    let weights = DualWeights {
+        high: WeightVector::uniform(&topo, 1),
+        low: WeightVector::delay_proportional(&topo, 30),
+    };
+    let cfg = SimConfig {
+        warmup_s: 0.05,
+        duration_s: 0.25,
+        seed: 9,
+        ..Default::default()
+    };
+    (topo, demands, weights, cfg)
+}
+
+/// One line per counter, per (link, class) and per measured pair, pairs
+/// in sorted key order.
+fn fingerprint(
+    counters: [u64; 4],
+    links: Vec<Vec<(f64, Acc)>>,
+    mut pairs: Vec<((u8, u32, u32), Acc)>,
+) -> String {
+    let mut out = String::new();
+    let [generated, delivered, dropped, inflight] = counters;
+    writeln!(out, "generated {generated}").unwrap();
+    writeln!(out, "delivered {delivered}").unwrap();
+    writeln!(out, "dropped {dropped}").unwrap();
+    writeln!(out, "inflight_at_end {inflight}").unwrap();
+    for (i, classes) in links.iter().enumerate() {
+        for (c, (bits, wait)) in classes.iter().enumerate() {
+            writeln!(
+                out,
+                "link {i} class {c} bits {:016x} wait {} {:016x}",
+                bits.to_bits(),
+                wait.count,
+                wait.sum.to_bits()
+            )
+            .unwrap();
+        }
+    }
+    pairs.sort_by_key(|(key, _)| *key);
+    for ((class, src, dst), acc) in pairs {
+        writeln!(
+            out,
+            "pair {class} {src} {dst} delay {} {:016x}",
+            acc.count,
+            acc.sum.to_bits()
+        )
+        .unwrap();
+    }
+    out
+}
+
+fn two_class_fingerprint(r: &SimReport) -> String {
+    fingerprint(
+        [r.generated, r.delivered, r.dropped, r.inflight_at_end],
+        r.link_stats
+            .iter()
+            .map(|s| s.per_class.iter().map(|c| (c.bits, c.wait)).collect())
+            .collect(),
+        r.pair_delays
+            .iter()
+            .map(|(k, acc)| ((k.class.idx() as u8, k.src, k.dst), *acc))
+            .collect(),
+    )
+}
+
+fn k_class_fingerprint(r: &KClassSimReport) -> String {
+    fingerprint(
+        [r.generated, r.delivered, r.dropped, r.inflight_at_end],
+        r.link_stats
+            .iter()
+            .map(|s| s.per_class.iter().map(|c| (c.bits, c.wait)).collect())
+            .collect(),
+        r.pair_delays
+            .iter()
+            .map(|(k, acc)| ((k.class, k.src, k.dst), *acc))
+            .collect(),
+    )
+}
+
+/// `(golden file, regenerated contents)` for both frozen runs.
+fn regenerate() -> Vec<(PathBuf, String)> {
+    let (topo, demands, weights, cfg) = instance();
+    let two = Simulation::new(&topo, &demands, &weights, cfg).run();
+    // A third, lowest class: another seed's high matrix on its own
+    // weight vector.
+    let third = DemandSet::generate(
+        &topo,
+        &TrafficCfg {
+            seed: 5,
+            k: 0.2,
+            ..Default::default()
+        },
+    )
+    .high;
+    let three = Simulation::with_classes(
+        &topo,
+        &[&demands.high, &demands.low, &third],
+        &[
+            weights.high.clone(),
+            weights.low.clone(),
+            WeightVector::uniform(&topo, 3),
+        ],
+        cfg,
+    )
+    .run_classes();
+    let file = |name: &str| {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name)
+    };
+    vec![
+        (file("two_class.txt"), two_class_fingerprint(&two)),
+        (file("three_class.txt"), k_class_fingerprint(&three)),
+    ]
+}
+
+#[test]
+fn seeded_runs_match_the_frozen_fingerprints() {
+    for (path, fresh) in regenerate() {
+        let frozen =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(fresh, frozen, "{} drifted", path.display());
+    }
+}
+
+#[test]
+#[ignore = "rewrites the golden files"]
+fn bless() {
+    for (path, fresh) in regenerate() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, fresh).unwrap();
+    }
+}
