@@ -19,7 +19,7 @@ use dtr_graph::gen::{
 use dtr_graph::{export, Topology};
 use dtr_mtr::{MtrNetwork, TopologyId};
 use dtr_routing::Evaluator;
-use dtr_sim::{SimConfig, Simulation, TrafficClass};
+use dtr_sim::{SimConfig, Simulation};
 use dtr_traffic::{DemandSet, HighPriModel, SinkPattern, TrafficCfg};
 use std::fmt;
 use std::path::Path;
@@ -128,10 +128,12 @@ fn load<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, CliError> {
     Ok(serde_json::from_str(&s)?)
 }
 
-/// Loads a weight file meant to start a search on `topo` under `scheme`:
-/// both vectors must cover every directed link, and an STR setting must
-/// be one vector written twice. The searches assert exactly this, so a
-/// mismatched file is reported here instead of panicking there.
+/// Loads a weight file a command routes or searches `topo` with under
+/// `scheme`: both vectors must cover every directed link, and an STR
+/// setting must be one vector written twice. The searches assert
+/// exactly this and the load calculators index weights by link id — a
+/// short file runs off the end of a slice there, a long one is silently
+/// read as if it fitted — so a mismatched file is reported here.
 fn load_incumbent(path: &str, topo: &Topology, scheme: Scheme) -> Result<DualWeights, CliError> {
     let w: DualWeights = load(path)?;
     let bad = |detail: String| CliError::Weights {
@@ -689,7 +691,7 @@ const OPTIMIZE_SCHEMES: [(&str, StrategyKind, Scheme); 6] = [
 fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
     let demands = load_demands(args.require("traffic")?, &topo)?;
-    let weights: DualWeights = load(args.require("weights")?)?;
+    let weights = load_incumbent(args.require("weights")?, &topo, Scheme::Dtr)?;
     let objective = parse_objective(args)?;
     let mut ev = Evaluator::new(&topo, &demands, objective);
     let e = ev.eval_dual(&weights);
@@ -729,13 +731,23 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
 fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
     let demands = load_demands(args.require("traffic")?, &topo)?;
-    let weights: DualWeights = load(args.require("weights")?)?;
+    let weights = load_incumbent(args.require("weights")?, &topo, Scheme::Dtr)?;
     let cfg = SimConfig {
         warmup_s: args.get_or("warmup", 0.5)?,
         duration_s: args.get_or("duration", 2.0)?,
         seed: args.get_or("seed", 1u64)?,
         ..Default::default()
     };
+    // The engine asserts a positive window and never leaves a NaN one.
+    let (d, w) = (cfg.duration_s, cfg.warmup_s);
+    if !(d.is_finite() && d > 0.0 && w.is_finite() && w >= 0.0) {
+        return Err(CliError::Args(ArgError::Invalid {
+            flag: "--duration/--warmup".to_string(),
+            reason: format!(
+                "need a positive window after a non-negative warmup, got {d}s after {w}s"
+            ),
+        }));
+    }
     let report = Simulation::new(&topo, &demands, &weights, cfg).run();
     println!(
         "simulated {:.1}s: {} packets generated, {} delivered",
@@ -743,7 +755,7 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
         report.generated,
         report.delivered
     );
-    let mean = |class: TrafficClass| {
+    let mean = |class: u8| {
         let (mut sum, mut n) = (0.0, 0u64);
         for (k, acc) in &report.pair_delays {
             if k.class == class && acc.count > 0 {
@@ -759,8 +771,8 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     };
     println!(
         "mean end-to-end delay: high {:.2} ms, low {:.2} ms",
-        mean(TrafficClass::High) * 1e3,
-        mean(TrafficClass::Low) * 1e3
+        mean(0) * 1e3,
+        mean(1) * 1e3
     );
     let max_util = topo
         .links()
@@ -772,7 +784,7 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
 
 fn cmd_deploy(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
-    let weights: DualWeights = load(args.require("weights")?)?;
+    let weights = load_incumbent(args.require("weights")?, &topo, Scheme::Dtr)?;
     if let Some(path) = args.get("print-config") {
         std::fs::write(path, dtr_mtr::network_config(&topo, &weights))?;
         println!("[wrote] {path} (router configuration stanzas)");
@@ -852,10 +864,7 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
     let truth = load_demands(args.require("traffic")?, &topo)?;
     let measure_w = match args.get("weights") {
-        Some(p) => {
-            let w: DualWeights = load(p)?;
-            w.high
-        }
+        Some(p) => load_incumbent(p, &topo, Scheme::Dtr)?.high,
         None => dtr_graph::WeightVector::uniform(&topo, 1),
     };
     let rm = RoutingMatrix::compute(&topo, &measure_w);
@@ -2447,10 +2456,44 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains(w_p) && msg.contains("--scheme str"), "{msg}");
         // 32 weights do not fit a 24-link topology.
-        assert_misfit(reopt(small_p, small_tm_p, "dtr").unwrap_err(), w_p);
+        assert_misfit(reopt(small_p, small_tm_p, "dtr").unwrap_err(), w_p, 24);
         // The fitting combination still runs.
         reopt(topo_p, tm_p, "dtr").unwrap();
-        for p in &f {
+        // The commands that only route on the weights index them by link
+        // id: a short file used to run off the end of a slice (exit 101),
+        // a long one was read as if it fitted and answered (exit 0).
+        let short_p = tmp("w-small-reopt-fit.json");
+        run(&args(&format!(
+            "optimize --topo {small_p} --traffic {small_tm_p} --budget tiny --out {short_p}"
+        )))
+        .unwrap();
+        for (topo, tm, w, links) in [(topo_p, tm_p, &short_p, 32), (small_p, small_tm_p, w_p, 24)] {
+            for cmd in [
+                format!("evaluate --topo {topo} --traffic {tm}"),
+                format!("simulate --topo {topo} --traffic {tm} --duration 0.01"),
+                format!("deploy --topo {topo}"),
+                format!("estimate --topo {topo} --traffic {tm} --out {out_p}"),
+            ] {
+                let e = run(&args(&format!("{cmd} --weights {w}"))).unwrap_err();
+                assert_misfit(e, w, links);
+            }
+        }
+        for window in [
+            "--duration 0",
+            "--duration nan",
+            "--warmup -1",
+            "--warmup inf",
+        ] {
+            let e = run(&args(&format!(
+                "simulate --topo {topo_p} --traffic {tm_p} --weights {w_p} {window}"
+            )))
+            .unwrap_err();
+            assert!(
+                matches!(e, CliError::Args(ArgError::Invalid { .. })),
+                "{e:?}"
+            );
+        }
+        for p in f.iter().chain([&short_p]) {
             let _ = std::fs::remove_file(p);
         }
     }
@@ -2477,11 +2520,11 @@ mod tests {
         f
     }
 
-    fn assert_misfit(e: CliError, w_p: &str) {
+    fn assert_misfit(e: CliError, w_p: &str, links: usize) {
         assert!(matches!(e, CliError::Weights { .. }), "{e:?}");
         let msg = e.to_string();
         assert!(
-            msg.contains(w_p) && msg.contains("24 directed links"),
+            msg.contains(w_p) && msg.contains(&format!("{links} directed links")),
             "{msg}"
         );
     }
@@ -2498,7 +2541,7 @@ mod tests {
                  --cap 3 --budget tiny --out {out_p}"
             )))
         };
-        assert_misfit(robust(small_p, small_tm_p, "dtr").unwrap_err(), w_p);
+        assert_misfit(robust(small_p, small_tm_p, "dtr").unwrap_err(), w_p, 24);
         // A DTR optimum has diverged vectors: not an STR warm start.
         let e = robust(topo_p, tm_p, "str").unwrap_err();
         assert!(matches!(e, CliError::Weights { .. }), "{e:?}");
@@ -2519,7 +2562,7 @@ mod tests {
              --weights {w_p} --budget tiny --out {out_p}"
         )))
         .unwrap_err();
-        assert_misfit(e, w_p);
+        assert_misfit(e, w_p, 24);
         for p in &f {
             let _ = std::fs::remove_file(p);
         }

@@ -82,9 +82,30 @@ fn load_json<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, String> {
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     let topo: Topology = load_json(args.get("topo").ok_or("missing --topo")?)?;
-    let demands: DemandSet = load_json(args.get("traffic").ok_or("missing --traffic")?)?;
+    let traffic = args.get("traffic").ok_or("missing --traffic")?;
+    let demands: DemandSet = load_json(traffic)?;
+    // `Daemon::new` indexes the matrices by node and asserts the weight
+    // lengths: files written for another topology stop here instead.
+    let (n, m) = (topo.node_count(), topo.link_count());
+    if demands.high.len() != n || demands.low.len() != n {
+        return Err(format!(
+            "{traffic}: {0}×{0} high and {1}×{1} low matrices, but the topology has {n} nodes",
+            demands.high.len(),
+            demands.low.len()
+        ));
+    }
     let weights: Option<DualWeights> = match args.get("weights") {
-        Some(p) => Some(load_json(p)?),
+        Some(p) => {
+            let w: DualWeights = load_json(p)?;
+            if w.high.len() != m || w.low.len() != m {
+                return Err(format!(
+                    "{p}: {} high and {} low weights, but the topology has {m} directed links",
+                    w.high.len(),
+                    w.low.len()
+                ));
+            }
+            Some(w)
+        }
         None => None,
     };
 

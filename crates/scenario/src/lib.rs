@@ -33,9 +33,8 @@ pub use churn::{generate_churn, ChurnAction, ChurnCfg, ChurnEvent, ChurnTrace, C
 pub use corpus::{load_corpus, load_spec, ScenarioError};
 pub use spec::{DeploymentSpec, ScenarioSpec, SearchSpec, TopologySpec, TrafficSpec};
 pub use suite::{
-    cost_ratio, run_instance, run_suite, search_incumbents, search_incumbents_k, select,
-    InstanceReport, RobustReport, SchemeReport, SearchedInstance, SearchedInstanceK, SuiteCfg,
-    SuiteSummary,
+    cost_ratio, run_instance, run_suite, search_incumbents, select, InstanceReport, RobustReport,
+    SchemeReport, SearchedInstance, SuiteCfg, SuiteSummary,
 };
 pub use validate::{
     assert_validation_shape, run_validation, summarize, validate_instance, ClassAgreement,

@@ -21,6 +21,16 @@
 //!    (driven by `dtr-core`'s failure-sweep `RobustEvaluator`, i.e. the
 //!    `BatchEvaluator` incremental path).
 //!
+//! Class count is data above the cost kernel: instances with more than
+//! two classes run the same body through the same [`SearchedInstance`]
+//! and report shapes. `class_count() > 2` decides only which searches
+//! produce the incumbents ([`search_incumbents`]: steps 1–3 above vs. an
+//! STR search on the two-class fold followed by the staged k-class
+//! `MultiSearch`), which single-shot evaluator prices them (`price`),
+//! and — in [`crate::validate`] — the DES budget policy; step 4 stays
+//! behind the manifest fence that admits failure sweeps for two classes
+//! only.
+//!
 //! Reports are plain serializable structs; `dtrctl suite` writes one
 //! JSON file per instance plus `summary.json`. The paper's qualitative
 //! claim — DTR never sacrifices the high-priority class and massively
@@ -33,11 +43,11 @@ use dtr_core::{
     DtrSearch, Objective, ObjectiveSpec, PortfolioMode, PortfolioParams, PortfolioSearch,
     RobustCost, RobustEvaluator, ScenarioCombine, Scheme, StrSearch, StrategyKind,
 };
-use dtr_engine::{BackendKind, KClassBatchEvaluator, KClassEvaluation};
+use dtr_engine::{BackendKind, KClassBatchEvaluator};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
 use dtr_multi::{MultiDemand, MultiSearch};
-use dtr_routing::{DeploymentSet, Evaluator, FailurePolicy};
+use dtr_routing::{ClassLoads, DeploymentSet, Evaluator, FailurePolicy};
 use dtr_traffic::DemandSet;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -189,7 +199,51 @@ pub struct SuiteSummary {
     pub elapsed_s: f64,
 }
 
-/// Runs one scheme (plain search or portfolio) and reports it.
+/// One scheme's incumbent as its search left it, not yet priced: one
+/// weight vector per class, evaluations spent, wall-clock seconds.
+struct Found {
+    weights: Vec<WeightVector>,
+    evaluations: usize,
+    elapsed_s: f64,
+}
+
+/// Times one search.
+fn timed(search: impl FnOnce() -> (Vec<WeightVector>, usize)) -> Found {
+    let start = Instant::now();
+    let (weights, evaluations) = search();
+    Found {
+        weights,
+        evaluations,
+        elapsed_s: start.elapsed().as_secs_f64(),
+    }
+}
+
+/// The two-class kernel's view of a per-class weight list.
+pub(crate) fn dual_weights(weights: &[WeightVector]) -> DualWeights {
+    assert_eq!(weights.len(), 2, "the two-class kernel takes two vectors");
+    DualWeights {
+        high: weights[0].clone(),
+        low: weights[1].clone(),
+    }
+}
+
+/// The two-class kernel's view of a two-matrix demand list. Everything
+/// that needs it — `Evaluator`, `RobustEvaluator`, the deployment model
+/// — sits behind a manifest fence that admits two classes only.
+pub(crate) fn demand_pair(demands: &MultiDemand) -> DemandSet {
+    assert_eq!(
+        demands.class_count(),
+        2,
+        "the two-class kernel takes two matrices"
+    );
+    DemandSet {
+        high: demands.classes[0].clone(),
+        low: demands.classes[1].clone(),
+    }
+}
+
+/// Runs one two-class scheme (plain search or portfolio); returns the
+/// incumbent and the evaluations spent.
 fn run_scheme(
     topo: &Topology,
     demands: &DemandSet,
@@ -198,7 +252,7 @@ fn run_scheme(
     initial: Option<&DualWeights>,
     deployment: Option<&DeploymentSet>,
     smoke: bool,
-) -> (DualWeights, SchemeReport) {
+) -> (Vec<WeightVector>, usize) {
     let search = spec.search();
     let params = search.params(smoke);
     let objective = spec
@@ -211,7 +265,6 @@ fn run_scheme(
         deployment.is_none() || matches!(scheme, Scheme::Dtr),
         "deployment only applies to the DTR scheme"
     );
-    let start = Instant::now();
     let (weights, evaluations) = if search.portfolio() {
         let mut folio = PortfolioSearch::new(
             topo,
@@ -256,30 +309,7 @@ fn run_scheme(
             }
         }
     };
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let mut evaluator = Evaluator::new(topo, demands, objective);
-    evaluator
-        .set_deployment(deployment.cloned())
-        .expect("manifest validation fences deployment to load-based two-class");
-    let eval = evaluator.eval_dual(&weights);
-    let report = SchemeReport {
-        phi_h: eval.phi_h,
-        phi_l: eval.phi_l,
-        avg_util: eval.avg_utilization(topo),
-        max_util: eval.max_utilization(topo),
-        evaluations,
-        elapsed_s,
-    };
-    (weights, report)
-}
-
-/// Executes one instance end-to-end.
-pub fn run_instance(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
-    if spec.class_count() > 2 {
-        run_instance_k(spec, smoke)
-    } else {
-        run_instance_two_class(spec, smoke)
-    }
+    (vec![weights.high, weights.low], evaluations)
 }
 
 /// The search front half of one instance: the built topology and
@@ -291,68 +321,7 @@ pub fn run_instance(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
 pub struct SearchedInstance {
     /// The instance's topology.
     pub topo: Topology,
-    /// The instance's two-class demand set.
-    pub demands: DemandSet,
-    /// STR baseline incumbent (replicated) and its report.
-    pub str_weights: DualWeights,
-    /// Baseline scheme report.
-    pub baseline: SchemeReport,
-    /// DTR incumbent (warm-started from the baseline) and its report.
-    pub dtr_weights: DualWeights,
-    /// DTR scheme report.
-    pub dtr: SchemeReport,
-    /// The effective budget-preset name the searches ran at.
-    pub budget: String,
-    /// The manifest's partial deployment, already normalized (`None`
-    /// for an omitted key or a full set). The DTR search and the
-    /// canonical DTR evaluation above ran deployment-aware; the STR
-    /// baseline is deployment-invariant (one topology, one table).
-    pub deployment: Option<DeploymentSet>,
-}
-
-/// Builds one instance and runs both scheme searches (no robustness
-/// sweep — see [`SearchedInstance`]).
-pub fn search_incumbents(spec: &ScenarioSpec, smoke: bool) -> SearchedInstance {
-    let topo = spec.topology.build();
-    let demands = spec.traffic.build(&topo);
-    let search = spec.search();
-    let deployment = spec.deployment_set(topo.node_count());
-    let (str_weights, baseline) = run_scheme(&topo, &demands, spec, Scheme::Str, None, None, smoke);
-    // DTR warm-starts from the baseline incumbent (see module docs):
-    // the comparison reads "what does the second topology buy on top of
-    // the single-topology optimum", and the lexicographic search
-    // guarantees the high class never regresses from that start.
-    let (dtr_weights, dtr) = run_scheme(
-        &topo,
-        &demands,
-        spec,
-        Scheme::Dtr,
-        Some(&str_weights),
-        deployment.as_ref(),
-        smoke,
-    );
-    SearchedInstance {
-        topo,
-        demands,
-        str_weights,
-        baseline,
-        dtr_weights,
-        dtr,
-        budget: if smoke {
-            "tiny".to_string()
-        } else {
-            search.budget().to_string()
-        },
-        deployment,
-    }
-}
-
-/// The k-class counterpart of [`SearchedInstance`]: both schemes'
-/// incumbents carry one weight vector per class.
-pub struct SearchedInstanceK {
-    /// The instance's topology.
-    pub topo: Topology,
-    /// The instance's k-class demand set.
+    /// The instance's demands, one matrix per class.
     pub demands: MultiDemand,
     /// The effective objective spec.
     pub objective: ObjectiveSpec,
@@ -368,12 +337,17 @@ pub struct SearchedInstanceK {
     pub dtr: SchemeReport,
     /// The effective budget-preset name the searches ran at.
     pub budget: String,
+    /// The manifest's partial deployment, already normalized (`None`
+    /// for an omitted key or a full set). The DTR search and the
+    /// canonical DTR evaluation above ran deployment-aware; the STR
+    /// baseline is deployment-invariant (one topology, one table).
+    pub deployment: Option<DeploymentSet>,
 }
 
 /// Folds a k-class demand set into the two-class view the STR baseline
 /// search runs on: class 0 keeps the high slot, every lower class is
 /// merged into the low matrix.
-fn aggregate_two_class(demands: &MultiDemand) -> DemandSet {
+fn fold_lower_classes(demands: &MultiDemand) -> DemandSet {
     let mut low = demands.classes[1].clone();
     for m in &demands.classes[2..] {
         for (s, t) in m.positive_pairs() {
@@ -386,91 +360,176 @@ fn aggregate_two_class(demands: &MultiDemand) -> DemandSet {
     }
 }
 
-/// Projects a k-class evaluation onto the two-component report shape:
-/// the objective's leading component plus the sum of the rest.
-fn scheme_report_k(
+/// Projects an evaluation onto the two-component report shape: the
+/// leading cost component, the sum of the rest, and the utilization of
+/// the summed class loads.
+fn scheme_report(
     topo: &Topology,
-    eval: &KClassEvaluation,
-    evaluations: usize,
-    elapsed_s: f64,
+    phi_h: f64,
+    phi_l: f64,
+    loads: &[ClassLoads],
+    found: &Found,
 ) -> SchemeReport {
-    let total = eval.total_loads();
+    let total = dtr_routing::loads::sum_class_loads(loads);
     SchemeReport {
-        phi_h: eval.cost.get(0),
-        phi_l: eval.cost.as_slice()[1..].iter().sum(),
-        avg_util: eval.avg_utilization(topo),
+        phi_h,
+        phi_l,
+        avg_util: dtr_routing::loads::avg_utilization(topo, &total),
         max_util: dtr_routing::loads::max_utilization(topo, &total),
-        evaluations,
-        elapsed_s,
+        evaluations: found.evaluations,
+        elapsed_s: found.elapsed_s,
     }
 }
 
-/// Builds one k-class instance and runs both scheme searches: the STR
-/// baseline (one weight vector for every class, found on the two-class
-/// aggregate) and the staged k-class DTR search under the instance's
-/// [`ObjectiveSpec`], warm-started from the baseline so the leading
-/// cost component can never regress.
-pub fn search_incumbents_k(spec: &ScenarioSpec, smoke: bool) -> SearchedInstanceK {
+/// Prices both incumbents with the instance's single-shot evaluator:
+/// `[baseline, dtr]`. Two classes report the raw `Φ_H`/`Φ_L` of
+/// `Evaluator::eval_dual`, the DTR incumbent under the deployment it
+/// was searched for; more classes report the objective's components
+/// from one full-backend `KClassBatchEvaluator` (an incremental base
+/// would have nothing to repair from).
+fn price(
+    topo: &Topology,
+    demands: &MultiDemand,
+    objective: &ObjectiveSpec,
+    deployment: Option<&DeploymentSet>,
+    found: [&Found; 2],
+) -> [SchemeReport; 2] {
+    if objective.class_count() > 2 {
+        let mut evaluator = KClassBatchEvaluator::new(
+            topo,
+            demands.classes.iter().collect(),
+            objective,
+            BackendKind::Full,
+        )
+        .expect("manifest validated");
+        found.map(|f| {
+            let eval = evaluator.eval(&f.weights);
+            let rest = eval.cost.as_slice()[1..].iter().sum();
+            scheme_report(topo, eval.cost.get(0), rest, &eval.loads, f)
+        })
+    } else {
+        let pair = demand_pair(demands);
+        let two_class = objective
+            .as_two_class()
+            .expect("two classes map onto the two-class objective");
+        let mut evaluator = Evaluator::new(topo, &pair, two_class);
+        let mut report = |dep: Option<&DeploymentSet>, f: &Found| {
+            evaluator
+                .set_deployment(dep.cloned())
+                .expect("manifest validation fences deployment to load-based two-class");
+            let eval = evaluator.eval_dual(&dual_weights(&f.weights));
+            let loads = [eval.high_loads, eval.low_loads];
+            scheme_report(topo, eval.phi_h, eval.phi_l, &loads, f)
+        };
+        [report(None, found[0]), report(deployment, found[1])]
+    }
+}
+
+/// Builds one instance and runs both scheme searches (no robustness
+/// sweep — see [`SearchedInstance`]): the STR baseline, then DTR
+/// warm-started from the baseline incumbent (see module docs) — the
+/// comparison reads "what does the second topology buy on top of the
+/// single-topology optimum", and the lexicographic searches guarantee
+/// the leading cost component never regresses from that start.
+pub fn search_incumbents(spec: &ScenarioSpec, smoke: bool) -> SearchedInstance {
     let objective = spec.objective();
     let k = objective.class_count();
-    assert!(k > 2, "two-class instances use search_incumbents");
     let topo = spec.topology.build();
-    let demands = spec.traffic.build_multi(&topo, k);
     let search = spec.search();
-    let params = search.params(smoke);
-
-    // Baseline: single-topology STR on the aggregated two-class view.
-    let start = Instant::now();
-    let agg = aggregate_two_class(&demands);
-    let res = StrSearch::new(&topo, &agg, Objective::LoadBased, params).run();
-    let str_elapsed = start.elapsed().as_secs_f64();
-    let str_weights = vec![res.weights; k];
-    // One setting evaluated once: an incremental base would have
-    // nothing to repair from, so the full backend it is.
-    let baseline_eval = KClassBatchEvaluator::new(
+    let deployment = spec.deployment_set(topo.node_count());
+    // Which searches produce the incumbents: the paper's STR → DTR pair
+    // (plain or portfolio) for two classes; for more, STR on the
+    // two-class fold and the staged k-class search under the instance's
+    // objective spec.
+    let (demands, str_found, dtr_found) = if k > 2 {
+        let params = search.params(smoke);
+        let demands = spec.traffic.build_multi(&topo, k);
+        let folded = fold_lower_classes(&demands);
+        let str_found = timed(|| {
+            let res = StrSearch::new(&topo, &folded, Objective::LoadBased, params).run();
+            (vec![res.weights; k], res.trace.evaluations)
+        });
+        let dtr_found = timed(|| {
+            let res = MultiSearch::with_spec(&topo, &demands, &objective, params)
+                .expect("manifest validated")
+                .with_initial(str_found.weights.clone())
+                .run();
+            (res.weights, res.trace.evaluations)
+        });
+        (demands, str_found, dtr_found)
+    } else {
+        let pair = spec.traffic.build(&topo);
+        let str_found = timed(|| run_scheme(&topo, &pair, spec, Scheme::Str, None, None, smoke));
+        let start = dual_weights(&str_found.weights);
+        let dtr_found = timed(|| {
+            run_scheme(
+                &topo,
+                &pair,
+                spec,
+                Scheme::Dtr,
+                Some(&start),
+                deployment.as_ref(),
+                smoke,
+            )
+        });
+        let demands = MultiDemand {
+            classes: vec![pair.high, pair.low],
+        };
+        (demands, str_found, dtr_found)
+    };
+    let [baseline, dtr] = price(
         &topo,
-        demands.classes.iter().collect(),
+        &demands,
         &objective,
-        BackendKind::Full,
-    )
-    .expect("manifest validated")
-    .eval(&str_weights);
-    let baseline = scheme_report_k(&topo, &baseline_eval, res.trace.evaluations, str_elapsed);
-
-    // DTR: the staged k-class search under the unified objective.
-    let start = Instant::now();
-    let res = MultiSearch::with_spec(&topo, &demands, &objective, params)
-        .expect("manifest validated")
-        .with_initial(str_weights.clone())
-        .run();
-    let dtr = scheme_report_k(
-        &topo,
-        &res.eval,
-        res.trace.evaluations,
-        start.elapsed().as_secs_f64(),
+        deployment.as_ref(),
+        [&str_found, &dtr_found],
     );
-
-    SearchedInstanceK {
+    SearchedInstance {
         topo,
         demands,
         objective,
-        str_weights,
+        str_weights: str_found.weights,
         baseline,
-        dtr_weights: res.weights,
+        dtr_weights: dtr_found.weights,
         dtr,
         budget: if smoke {
             "tiny".to_string()
         } else {
             search.budget().to_string()
         },
+        deployment,
     }
 }
 
-/// Executes one k-class instance end-to-end. The failure-policy sweep
-/// does not apply (manifest validation rejects k-class instances with a
-/// failure policy), so the report's `robust` is always `None`.
-fn run_instance_k(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
-    let run = search_incumbents_k(spec, smoke);
+/// Executes one instance end-to-end, failure-policy sweep included
+/// (manifest validation fences the sweep to two-class instances).
+pub fn run_instance(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
+    let search = spec.search();
+    let run = search_incumbents(spec, smoke);
+    let robust = match spec.failures() {
+        FailurePolicy::None => None,
+        policy => {
+            let beta = search.beta();
+            let pair = demand_pair(&run.demands);
+            let mut rev = RobustEvaluator::new(&run.topo, &pair, ScenarioCombine::Blend { beta });
+            if let Some(k) = policy.cap() {
+                // Cap against a scheme-neutral reference (uniform
+                // weights) so both incumbents face the same scenarios.
+                let reference = DualWeights::replicated(WeightVector::uniform(&run.topo, 1));
+                rev.cap_to_worst(&reference, k);
+            }
+            let rc_dtr = rev.eval(&dual_weights(&run.dtr_weights));
+            let rc_str = rev.eval(&dual_weights(&run.str_weights));
+            Some(RobustReport {
+                scenarios: rev.scenario_count(),
+                beta,
+                dtr: rc_dtr,
+                baseline: rc_str,
+                r_h_worst: cost_ratio(rc_str.worst.primary, rc_dtr.worst.primary),
+                r_l_worst: cost_ratio(rc_str.worst.secondary, rc_dtr.worst.secondary),
+            })
+        }
+    };
     InstanceReport {
         name: spec.name.clone(),
         topology: spec.topology.family_name().to_string(),
@@ -482,74 +541,13 @@ fn run_instance_k(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
         total_demand: run.demands.total_volume(),
         high_fraction: run.demands.fraction(0),
         budget: run.budget,
-        portfolio: false,
-        deployment: None,
+        portfolio: search.portfolio(),
+        deployment: run.deployment.as_ref().map(DeploymentSet::upgraded_nodes),
         r_h: cost_ratio(run.baseline.phi_h, run.dtr.phi_h),
         r_l: cost_ratio(run.baseline.phi_l, run.dtr.phi_l),
         dtr_high_win: run.dtr.phi_h <= run.baseline.phi_h * (1.0 + 1e-9),
         baseline: run.baseline,
         dtr: run.dtr,
-        robust: None,
-    }
-}
-
-/// Executes one two-class instance end-to-end, failure-policy sweep
-/// included.
-fn run_instance_two_class(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
-    let search = spec.search();
-    let SearchedInstance {
-        topo,
-        demands,
-        str_weights,
-        baseline,
-        dtr_weights,
-        dtr,
-        budget,
-        deployment,
-    } = search_incumbents(spec, smoke);
-
-    let robust = match spec.failures() {
-        FailurePolicy::None => None,
-        policy => {
-            let beta = search.beta();
-            let mut rev = RobustEvaluator::new(&topo, &demands, ScenarioCombine::Blend { beta });
-            if let Some(k) = policy.cap() {
-                // Cap against a scheme-neutral reference (uniform
-                // weights) so both incumbents face the same scenarios.
-                let reference = DualWeights::replicated(WeightVector::uniform(&topo, 1));
-                rev.cap_to_worst(&reference, k);
-            }
-            let rc_dtr = rev.eval(&dtr_weights);
-            let rc_str = rev.eval(&str_weights);
-            Some(RobustReport {
-                scenarios: rev.scenario_count(),
-                beta,
-                dtr: rc_dtr,
-                baseline: rc_str,
-                r_h_worst: cost_ratio(rc_str.worst.primary, rc_dtr.worst.primary),
-                r_l_worst: cost_ratio(rc_str.worst.secondary, rc_dtr.worst.secondary),
-            })
-        }
-    };
-
-    InstanceReport {
-        name: spec.name.clone(),
-        topology: spec.topology.family_name().to_string(),
-        traffic: spec.traffic.family.name().to_string(),
-        classes: 2,
-        objective: spec.objective().summary(),
-        nodes: topo.node_count(),
-        links: topo.link_count(),
-        total_demand: demands.total_volume(),
-        high_fraction: demands.high_fraction(),
-        budget,
-        portfolio: search.portfolio(),
-        deployment: deployment.as_ref().map(DeploymentSet::upgraded_nodes),
-        r_h: cost_ratio(baseline.phi_h, dtr.phi_h),
-        r_l: cost_ratio(baseline.phi_l, dtr.phi_l),
-        dtr_high_win: dtr.phi_h <= baseline.phi_h * (1.0 + 1e-9),
-        baseline,
-        dtr,
         robust,
     }
 }
@@ -845,13 +843,13 @@ mod tests {
     }
 
     #[test]
-    fn k_class_aggregate_preserves_volume() {
+    fn folding_the_lower_classes_preserves_volume() {
         let mut s = spec("agg", true);
         s.failures = None;
         s.objective = Some(dtr_cost::ObjectiveSpec::load(4));
         let topo = s.topology.build();
         let demands = s.traffic.build_multi(&topo, 4);
-        let agg = aggregate_two_class(&demands);
+        let agg = fold_lower_classes(&demands);
         assert!((agg.total_volume() - demands.total_volume()).abs() < 1e-9);
         assert_eq!(agg.high, demands.classes[0]);
     }

@@ -31,14 +31,13 @@
 //! the same corpus — `tests/validation.rs` asserts it.
 
 use crate::spec::ScenarioSpec;
-use crate::suite::{search_incumbents, search_incumbents_k, SuiteCfg};
+use crate::suite::{demand_pair, dual_weights, search_incumbents, SuiteCfg};
 use dtr_core::{derive_stream_seed, streams, Objective};
-use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
 use dtr_multi::MultiDemand;
 use dtr_routing::{ClassLoads, DeploymentSet, Evaluator, LoadCalculator};
-use dtr_sim::{DesBackend, FluidSim, ForwardingState, KClassReport};
-use dtr_traffic::{DemandSet, TrafficMatrix};
+use dtr_sim::{BackendReport, DesBackend, FluidSim, ForwardingState};
+use dtr_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -314,8 +313,8 @@ fn class_agreement(
     c: usize,
     analytic_loads: &[f64],
     link_stable: &[bool],
-    fluid: &KClassReport,
-    des: &KClassReport,
+    fluid: &BackendReport,
+    des: &BackendReport,
     matrix: &TrafficMatrix,
     des_load_min_samples: u64,
 ) -> ClassAgreement {
@@ -420,7 +419,7 @@ fn fold_lower_classes(classes: &[ClassAgreement]) -> ClassAgreement {
 /// class pair: links where, with enough samples of both classes, the
 /// higher class's mean wait exceeds that of the class right below it by
 /// more than noise slack — which strict priority forbids.
-fn isolation_violations(des: &KClassReport) -> usize {
+fn isolation_violations(des: &BackendReport) -> usize {
     let k = des.classes();
     let n = des.class_loads[0].len();
     let mut violations = 0;
@@ -498,91 +497,61 @@ fn compare_pipelines(
     }
 }
 
-/// Validates one two-class incumbent on one instance.
+/// Validates one incumbent (one weight vector per class) on one
+/// instance. The analytic side is each class's matrix routed on its own
+/// vector — all the comparison needs of the objective is its loads.
 ///
-/// Under a partial `deployment` the analytic evaluation and both
-/// simulation backends all route the low class on the **hybrid** DAGs
-/// (legacy routers forward on the high table); the incumbent must be
-/// loop-free, so one that traps demand is refused up front with the
-/// undeliverable volume.
+/// Under a partial `deployment` (two classes, by the manifest fence) the
+/// analytic loads and both simulation backends all route the low class
+/// on the **hybrid** DAGs (legacy routers forward on the high table);
+/// the incumbent must be loop-free, so one that traps demand is refused
+/// up front with the undeliverable volume.
 #[allow(clippy::too_many_arguments)]
 fn validate_scheme(
     instance: &str,
     scheme: &str,
     topo: &Topology,
-    demands: &DemandSet,
-    weights: &DualWeights,
+    demands: &MultiDemand,
+    weights: &[WeightVector],
     deployment: Option<&DeploymentSet>,
     des_seed: u64,
     packets: u64,
+    des_load_min_samples: u64,
 ) -> Result<SchemeValidation, TrappedDemand> {
-    let mut evaluator = Evaluator::new(topo, demands, Objective::LoadBased);
-    evaluator
-        .set_deployment(deployment.cloned())
-        .expect("validated manifest fences deployment to load-based two-class");
-    if let Some(dep) = deployment {
-        let (_, undeliverable) = evaluator.low_loads_deployed(dep, &weights.high, &weights.low);
-        if undeliverable > 0.0 {
-            return Err(TrappedDemand {
-                instance: instance.to_string(),
-                scheme: scheme.to_string(),
-                undeliverable_mbps: undeliverable,
-            });
-        }
-    }
-    let analytic = evaluator.eval_dual(weights);
-    let fwd = match deployment {
-        Some(dep) => ForwardingState::with_deployment(topo, weights, dep),
-        None => ForwardingState::new(topo, weights),
-    };
-    // The two-class load floor tracks the aggregate volume, which gives
-    // every compared link significance without a sample floor.
-    Ok(compare_pipelines(
-        scheme,
-        topo,
-        &[&demands.high, &demands.low],
-        &[analytic.high_loads, analytic.low_loads],
-        &fwd,
-        des_seed,
-        packets,
-        0,
-    ))
-}
-
-/// Validates one k-class incumbent (one weight vector per class) on one
-/// instance, with the same gates as the two-class path. The analytic
-/// side is each class's matrix routed on its own vector — all the
-/// comparison needs of the k-class objective is its loads.
-fn validate_scheme_k(
-    scheme: &str,
-    topo: &Topology,
-    demands: &MultiDemand,
-    weights: &[WeightVector],
-    des_seed: u64,
-    packets: u64,
-) -> SchemeValidation {
     let matrices: Vec<&TrafficMatrix> = demands.classes.iter().collect();
     let mut calc = LoadCalculator::new();
-    let analytic: Vec<ClassLoads> = matrices
+    let mut analytic: Vec<ClassLoads> = matrices
         .iter()
         .zip(weights)
         .map(|(m, w)| calc.class_loads(topo, w, m))
         .collect();
-    // The DES envelopes are calibrated against the two-class corpus. The
-    // binding statistic is the *per-class* load error and the thinnest
-    // class in a k-class split carries a small fraction of the volume, so
-    // scale the packet budget with the class count to keep that class's
-    // sample size in the regime the envelopes were tuned for.
-    compare_pipelines(
+    let fwd = match deployment {
+        None => ForwardingState::with_class_weights(topo, weights),
+        Some(dep) => {
+            let pair = demand_pair(demands);
+            let (low, undeliverable) = Evaluator::new(topo, &pair, Objective::LoadBased)
+                .low_loads_deployed(dep, &weights[0], &weights[1]);
+            if undeliverable > 0.0 {
+                return Err(TrappedDemand {
+                    instance: instance.to_string(),
+                    scheme: scheme.to_string(),
+                    undeliverable_mbps: undeliverable,
+                });
+            }
+            analytic[1] = low;
+            ForwardingState::with_deployment(topo, &dual_weights(weights), dep)
+        }
+    };
+    Ok(compare_pipelines(
         scheme,
         topo,
         &matrices,
         &analytic,
-        &ForwardingState::with_class_weights(topo, weights),
+        &fwd,
         des_seed,
-        packets * matrices.len() as u64,
-        DES_LOAD_MIN_SAMPLES,
-    )
+        packets,
+        des_load_min_samples,
+    ))
 }
 
 /// Validates one corpus instance end-to-end: reruns the suite searches
@@ -599,39 +568,42 @@ pub fn validate_instance(
     // never shares an RNG stream with a search arm or a reopt step.
     let baseline_seed = derive_stream_seed(base_seed, streams::DES_BASELINE);
     let dtr_seed = derive_stream_seed(base_seed, streams::DES_DTR);
-    let packets = cfg.packets();
-    let (topo, budget, baseline, dtr) = if spec.class_count() > 2 {
-        let run = search_incumbents_k(spec, cfg.smoke);
-        let scheme = |name, weights, seed| {
-            validate_scheme_k(name, &run.topo, &run.demands, weights, seed, packets)
-        };
-        let baseline = scheme("baseline", &run.str_weights, baseline_seed);
-        let dtr = scheme("dtr", &run.dtr_weights, dtr_seed);
-        (run.topo, run.budget, baseline, dtr)
+    let run = search_incumbents(spec, cfg.smoke);
+    // The DES budget policy. The envelopes are calibrated against the
+    // two-class corpus, where the load floor tracks the aggregate volume
+    // and gives every compared link significance without a sample
+    // floor. The binding statistic is the *per-class* load error and the
+    // thinnest class in a k-class split carries a small fraction of the
+    // volume, so k ≥ 3 scales the packet budget with the class count to
+    // keep that class's sample size in the regime the envelopes were
+    // tuned for, and requires a sample floor per compared link.
+    let k = run.demands.class_count();
+    let (packets, des_load_min_samples) = if k > 2 {
+        (cfg.packets() * k as u64, DES_LOAD_MIN_SAMPLES)
     } else {
-        let run = search_incumbents(spec, cfg.smoke);
-        let scheme = |name, weights, deployment, seed| {
-            validate_scheme(
-                &spec.name,
-                name,
-                &run.topo,
-                &run.demands,
-                weights,
-                deployment,
-                seed,
-                packets,
-            )
-        };
-        let baseline = scheme("baseline", &run.str_weights, None, baseline_seed)?;
-        let dtr = scheme("dtr", &run.dtr_weights, run.deployment.as_ref(), dtr_seed)?;
-        (run.topo, run.budget, baseline, dtr)
+        (cfg.packets(), 0)
     };
+    let scheme = |name, weights, deployment, seed| {
+        validate_scheme(
+            &spec.name,
+            name,
+            &run.topo,
+            &run.demands,
+            weights,
+            deployment,
+            seed,
+            packets,
+            des_load_min_samples,
+        )
+    };
+    let baseline = scheme("baseline", &run.str_weights, None, baseline_seed)?;
+    let dtr = scheme("dtr", &run.dtr_weights, run.deployment.as_ref(), dtr_seed)?;
     Ok(ValidationReport {
         name: spec.name.clone(),
         topology: spec.topology.family_name().to_string(),
-        nodes: topo.node_count(),
-        links: topo.link_count(),
-        budget,
+        nodes: run.topo.node_count(),
+        links: run.topo.link_count(),
+        budget: run.budget,
         baseline,
         dtr,
     })
@@ -854,22 +826,22 @@ mod tests {
         high.set(topo.find_link(a, c).unwrap(), 10);
         let mut low = WeightVector::uniform(&topo, 1);
         low.set(topo.find_link(b, c).unwrap(), 10);
-        let mut demands = DemandSet {
-            high: TrafficMatrix::zeros(3),
-            low: TrafficMatrix::zeros(3),
+        let mut demands = MultiDemand {
+            classes: vec![TrafficMatrix::zeros(3); 2],
         };
-        demands.high.set(0, 2, 0.1);
-        demands.low.set(0, 2, 0.25);
-        demands.low.set(1, 2, 0.5);
+        demands.classes[0].set(0, 2, 0.1);
+        demands.classes[1].set(0, 2, 0.25);
+        demands.classes[1].set(1, 2, 0.5);
         let err = validate_scheme(
             "loop",
             "dtr",
             &topo,
             &demands,
-            &DualWeights { high, low },
+            &[high, low],
             Some(&DeploymentSet::from_upgraded(3, &[1])),
             1,
             1_000,
+            0,
         )
         .unwrap_err();
         assert_eq!(err.instance, "loop");

@@ -3,11 +3,13 @@
 //! Both the packet-level discrete-event engine ([`crate::Simulation`],
 //! wrapped by [`DesBackend`]) and the deterministic flow-level fluid
 //! model ([`crate::FluidSim`]) answer the same question — *given a
-//! topology, a two-class demand set and a dual weight setting, what are
-//! the per-class link loads and end-to-end delays?* — so they share one
-//! trait and one report shape. The differential-validation harness
-//! (`dtr-scenario`) runs the analytic evaluator, the fluid backend and a
-//! budgeted DES side by side and gates their agreement.
+//! topology, one demand matrix per priority class and one weight vector
+//! per class, what are the per-class link loads and end-to-end delays?*
+//! — so they share one report shape, [`BackendReport`], indexed by
+//! class (0 served first; the paper's high class is 0, its low class
+//! 1). The differential-validation harness (`dtr-scenario`) runs the
+//! analytic evaluator, the fluid backend and a budgeted DES side by
+//! side and gates their agreement.
 //!
 //! [`BackendReport`] deliberately uses sorted maps ([`BTreeMap`]) for
 //! the per-pair delays: aggregations iterate in a fixed order, so
@@ -16,15 +18,15 @@
 
 use crate::engine::{SimConfig, Simulation};
 use crate::forwarding::ForwardingState;
-use crate::stats::{ClassPairKey, PairKey, TrafficClass};
+use crate::stats::PairKey;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
 use dtr_traffic::{DemandSet, TrafficMatrix};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A simulation backend: routes `demands` on `weights` over `topo` and
-/// reports per-class link loads, per-link queueing waits and per-pair
-/// end-to-end delays in one common shape.
+/// The two-class entry point both backends share: routes `demands` on
+/// `weights` over `topo`, high class at priority 0. Each backend's
+/// `run_classes` is the same run for any class count.
 pub trait SimBackend {
     /// Machine-readable backend name (`"fluid"`, `"des"`).
     fn name(&self) -> &'static str;
@@ -33,9 +35,9 @@ pub trait SimBackend {
     fn run(&self, topo: &Topology, demands: &DemandSet, weights: &DualWeights) -> BackendReport;
 }
 
-/// What every backend reports. Loads are in Mbit/s, times in seconds,
-/// all link vectors indexed by `LinkId`, class arrays by
-/// [`TrafficClass::idx`].
+/// What every backend reports. Loads are in Mbit/s, times in seconds;
+/// the outer index of every vector is the priority class (0 served
+/// first), the inner one the `LinkId`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendReport {
     /// The producing backend's [`SimBackend::name`].
@@ -43,16 +45,16 @@ pub struct BackendReport {
     /// Per-class per-link carried load (Mbit/s). For the fluid backend
     /// these are exact expected arrival rates; for the DES, measured
     /// throughput over the measurement window.
-    pub class_loads: [Vec<f64>; 2],
+    pub class_loads: Vec<Vec<f64>>,
     /// Per-class per-link mean queueing wait (seconds). Fluid: the
     /// closed-form non-preemptive priority wait (infinite when the
     /// class is unstable at that link). DES: the sample mean (0 when no
     /// packet of the class was served there).
-    pub link_wait_s: [Vec<f64>; 2],
+    pub link_wait_s: Vec<Vec<f64>>,
     /// DES wait-sample counts per class per link (`u64::MAX` for the
     /// fluid backend, whose waits are exact rather than sampled). Lets
     /// consumers require statistical significance before comparing.
-    pub link_wait_samples: [Vec<u64>; 2],
+    pub link_wait_samples: Vec<Vec<u64>>,
     /// Mean end-to-end delay per (class, src, dst) pair, seconds.
     /// Sorted map so aggregation order is deterministic.
     pub pair_delays: BTreeMap<PairKey, f64>,
@@ -67,71 +69,19 @@ pub struct BackendReport {
 }
 
 impl BackendReport {
-    /// Flow-weighted mean end-to-end delay of one class over the pairs
-    /// this report measured with a finite delay, weighted by the
-    /// demand-set volume. `None` when no pair of the class qualifies.
-    pub fn mean_class_delay(&self, class: TrafficClass, demands: &DemandSet) -> Option<f64> {
-        let m: &TrafficMatrix = match class {
-            TrafficClass::High => &demands.high,
-            TrafficClass::Low => &demands.low,
-        };
-        let mut sum = 0.0;
-        let mut vol = 0.0;
-        // Iterate the sorted map (not the matrix) so the accumulation
-        // order is fixed regardless of how the matrix stores pairs.
-        for (key, &d) in &self.pair_delays {
-            if key.class != class || !d.is_finite() {
-                continue;
-            }
-            let v = m.get(key.src as usize, key.dst as usize);
-            if v > 0.0 {
-                sum += d * v;
-                vol += v;
-            }
-        }
-        (vol > 0.0).then_some(sum / vol)
-    }
-
-    /// Total carried volume of one class (Mbit/s), summed over links.
-    pub fn total_class_load(&self, class: TrafficClass) -> f64 {
-        self.class_loads[class.idx()].iter().sum()
-    }
-}
-
-/// [`BackendReport`]'s k-class counterpart: per-class vectors instead of
-/// two-element arrays, priority-index pair keys, same units and
-/// conventions. Produced by [`crate::FluidSim::run_classes`] and
-/// [`DesBackend::run_classes`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct KClassReport {
-    /// The producing backend's [`SimBackend::name`].
-    pub backend: &'static str,
-    /// Per-class per-link carried load (Mbit/s), index 0 served first.
-    pub class_loads: Vec<Vec<f64>>,
-    /// Per-class per-link mean queueing wait (seconds).
-    pub link_wait_s: Vec<Vec<f64>>,
-    /// Wait-sample counts (`u64::MAX` for exact fluid predictions).
-    pub link_wait_samples: Vec<Vec<u64>>,
-    /// Mean end-to-end delay per (class index, src, dst) pair, seconds.
-    pub pair_delays: BTreeMap<ClassPairKey, f64>,
-    /// Pairs whose expected path crosses a near-saturated link.
-    pub hot_pairs: BTreeSet<ClassPairKey>,
-    /// Packets generated (0 for the fluid backend).
-    pub packets: u64,
-}
-
-impl KClassReport {
     /// Number of priority classes covered.
     pub fn classes(&self) -> usize {
         self.class_loads.len()
     }
 
     /// Flow-weighted mean end-to-end delay of class `class` over the
-    /// finite-delay pairs, weighted by `matrix`'s volumes. `None` when
-    /// no pair of the class qualifies.
+    /// pairs this report measured with a finite delay, weighted by
+    /// `matrix`'s volumes. `None` when no pair of the class qualifies.
     pub fn mean_class_delay(&self, class: usize, matrix: &TrafficMatrix) -> Option<f64> {
         let mut sum = 0.0;
         let mut vol = 0.0;
+        // Iterate the sorted map (not the matrix) so the accumulation
+        // order is fixed regardless of how the matrix stores pairs.
         for (key, &d) in &self.pair_delays {
             if key.class as usize != class || !d.is_finite() {
                 continue;
@@ -143,36 +93,6 @@ impl KClassReport {
             }
         }
         (vol > 0.0).then_some(sum / vol)
-    }
-
-    /// Repackages a two-class report into the classic [`BackendReport`]
-    /// shape. Values are moved, not recomputed — bit-identical.
-    pub fn into_two_class(self) -> BackendReport {
-        assert_eq!(self.classes(), 2, "two-class report needs two classes");
-        let key = |k: ClassPairKey| PairKey {
-            class: TrafficClass::from_idx(k.class as usize)
-                .expect("two-class report has class indices 0 and 1"),
-            src: k.src,
-            dst: k.dst,
-        };
-        let two =
-            |v: Vec<Vec<f64>>| -> [Vec<f64>; 2] { v.try_into().expect("exactly two classes") };
-        BackendReport {
-            backend: self.backend,
-            class_loads: two(self.class_loads),
-            link_wait_s: two(self.link_wait_s),
-            link_wait_samples: self
-                .link_wait_samples
-                .try_into()
-                .expect("exactly two classes"),
-            pair_delays: self
-                .pair_delays
-                .into_iter()
-                .map(|(k, d)| (key(k), d))
-                .collect(),
-            hot_pairs: self.hot_pairs.into_iter().map(key).collect(),
-            packets: self.packets,
-        }
     }
 }
 
@@ -213,16 +133,15 @@ impl DesBackend {
         }
     }
 
-    /// The k-class DES run: one packet-level simulation of all classes
-    /// under strict priority, condensed to a [`KClassReport`]. With two
-    /// classes this is exactly [`SimBackend::run`] (which delegates
-    /// here).
+    /// One packet-level simulation of all classes under strict
+    /// priority, condensed to a [`BackendReport`]: `matrices[c]` is the
+    /// demand of priority class `c`, routed on `weights[c]`.
     pub fn run_classes(
         &self,
         topo: &Topology,
         matrices: &[&TrafficMatrix],
         weights: &[WeightVector],
-    ) -> KClassReport {
+    ) -> BackendReport {
         self.run_classes_on(
             topo,
             matrices,
@@ -240,9 +159,8 @@ impl DesBackend {
         topo: &Topology,
         matrices: &[&TrafficMatrix],
         fwd: &ForwardingState,
-    ) -> KClassReport {
-        let report =
-            Simulation::with_forwarding(topo, matrices, fwd.clone(), self.cfg).run_classes();
+    ) -> BackendReport {
+        let report = Simulation::with_forwarding(topo, matrices, fwd.clone(), self.cfg).run();
         let k = matrices.len();
         let m = topo.link_count();
         let mut class_loads = vec![vec![0.0; m]; k];
@@ -262,7 +180,7 @@ impl DesBackend {
             .filter(|(_, acc)| acc.count > 0)
             .map(|(key, acc)| (*key, acc.mean()))
             .collect();
-        KClassReport {
+        BackendReport {
             backend: "des",
             class_loads,
             link_wait_s,
@@ -285,7 +203,6 @@ impl SimBackend for DesBackend {
             &[&demands.high, &demands.low],
             &[weights.high.clone(), weights.low.clone()],
         )
-        .into_two_class()
     }
 }
 
@@ -317,10 +234,10 @@ mod tests {
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
         assert!((r.class_loads[0][link.index()] - 2.0).abs() < 0.3);
         assert!((r.class_loads[1][link.index()] - 3.0).abs() < 0.4);
-        let dh = r.mean_class_delay(TrafficClass::High, &demands).unwrap();
+        let dh = r.mean_class_delay(0, &demands.high).unwrap();
         // ≥ propagation + transmission.
         assert!(dh > 0.001, "high delay {dh}");
-        assert!(r.mean_class_delay(TrafficClass::Low, &demands).unwrap() >= dh * 0.5);
+        assert!(r.mean_class_delay(1, &demands.low).unwrap() >= dh * 0.5);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::event::{Event, EventQueue};
 use crate::forwarding::ForwardingState;
-use crate::stats::{Acc, ClassLinkStats, ClassPairKey, LinkStats, PairKey, TrafficClass};
+use crate::stats::{Acc, LinkStats, PairKey};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, NodeId, Topology, WeightVector};
 use dtr_traffic::{DemandSet, TrafficMatrix};
@@ -141,13 +141,13 @@ impl LinkState {
     }
 }
 
-/// Measurement outcome of a two-class run (the classic [`Simulation`]
-/// shape). k-class runs report a [`KClassSimReport`] instead.
+/// Measurement outcome of a run, for any class count: per-link rows
+/// and pair keys are indexed by priority class (0 served first).
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// The measurement window length.
     pub duration_s: f64,
-    /// Per-link statistics.
+    /// Per-link statistics, one [`crate::stats::ClassStats`] row per class.
     pub link_stats: Vec<LinkStats>,
     /// End-to-end delay accumulators per (class, src, dst).
     pub pair_delays: HashMap<PairKey, Acc>,
@@ -163,38 +163,11 @@ pub struct SimReport {
     pub hops: Acc,
 }
 
-/// Measurement outcome of a k-class run: [`SimReport`] with per-class
-/// vectors instead of two-element arrays and priority-index pair keys.
-#[derive(Debug, Clone)]
-pub struct KClassSimReport {
-    /// The measurement window length.
-    pub duration_s: f64,
-    /// Per-link statistics, one [`crate::stats::ClassStats`] row per class.
-    pub link_stats: Vec<ClassLinkStats>,
-    /// End-to-end delay accumulators per (class index, src, dst).
-    pub pair_delays: HashMap<ClassPairKey, Acc>,
-    /// Packets created (including warmup).
-    pub generated: u64,
-    /// Packets delivered to their destination (including warmup).
-    pub delivered: u64,
-    /// Packets dropped at full buffers (finite-buffer configs only).
-    pub dropped: u64,
-    /// Packets still queued or in flight when the run ended.
-    pub inflight_at_end: u64,
-    /// Hop-count accumulator over delivered, measured packets.
-    pub hops: Acc,
-}
-
-impl KClassSimReport {
-    /// Number of priority classes measured.
-    pub fn classes(&self) -> usize {
-        self.link_stats.first().map_or(0, |s| s.per_class.len())
-    }
-
+impl SimReport {
     /// Mean end-to-end delay of one pair, if measured.
     pub fn mean_pair_delay(&self, class: usize, src: u32, dst: u32) -> Option<f64> {
         self.pair_delays
-            .get(&ClassPairKey {
+            .get(&PairKey {
                 class: class as u8,
                 src,
                 dst,
@@ -203,62 +176,9 @@ impl KClassSimReport {
             .map(|a| a.mean())
     }
 
-    /// Repackages a two-class run into the classic [`SimReport`] shape.
-    /// The measurements are moved, not recomputed, so the result is
-    /// bit-identical to what the two-class engine always produced.
-    pub fn into_two_class(self) -> SimReport {
-        assert_eq!(self.classes(), 2, "two-class report needs two classes");
-        SimReport {
-            duration_s: self.duration_s,
-            link_stats: self
-                .link_stats
-                .into_iter()
-                .map(|s| {
-                    let [h, l]: [crate::stats::ClassStats; 2] =
-                        s.per_class.try_into().expect("exactly two classes");
-                    LinkStats {
-                        per_class: [h, l],
-                        busy_s: s.busy_s,
-                    }
-                })
-                .collect(),
-            pair_delays: self
-                .pair_delays
-                .into_iter()
-                .map(|(k, acc)| {
-                    let class = TrafficClass::from_idx(k.class as usize)
-                        .expect("two-class run has class indices 0 and 1");
-                    (
-                        PairKey {
-                            class,
-                            src: k.src,
-                            dst: k.dst,
-                        },
-                        acc,
-                    )
-                })
-                .collect(),
-            generated: self.generated,
-            delivered: self.delivered,
-            dropped: self.dropped,
-            inflight_at_end: self.inflight_at_end,
-            hops: self.hops,
-        }
-    }
-}
-
-impl SimReport {
-    /// Mean end-to-end delay of one pair, if measured.
-    pub fn mean_pair_delay(&self, class: TrafficClass, src: u32, dst: u32) -> Option<f64> {
-        self.pair_delays
-            .get(&PairKey { class, src, dst })
-            .filter(|a| a.count > 0)
-            .map(|a| a.mean())
-    }
-
     /// Mean sojourn (wait + transmission) of `class` on `link`.
-    pub fn mean_sojourn(&self, link: LinkId, class: TrafficClass) -> f64 {
-        self.link_stats[link.index()].per_class[class.idx()]
+    pub fn mean_sojourn(&self, link: LinkId, class: usize) -> f64 {
+        self.link_stats[link.index()].per_class[class]
             .sojourn
             .mean()
     }
@@ -269,8 +189,8 @@ impl SimReport {
     }
 
     /// Class throughput on `link` in Mbit/s over the window.
-    pub fn throughput_mbps(&self, link: LinkId, class: TrafficClass) -> f64 {
-        self.link_stats[link.index()].per_class[class.idx()].bits / self.duration_s / 1e6
+    pub fn throughput_mbps(&self, link: LinkId, class: usize) -> f64 {
+        self.link_stats[link.index()].per_class[class].bits / self.duration_s / 1e6
     }
 }
 
@@ -340,7 +260,7 @@ impl<'a> Simulation<'a> {
         for (c, m) in matrices.iter().enumerate() {
             for (s, t) in m.positive_pairs() {
                 assert!(
-                    fwd.class_dag(c, dtr_graph::NodeId(t as u32))
+                    fwd.dag(c, dtr_graph::NodeId(t as u32))
                         .reachable(dtr_graph::NodeId(s as u32)),
                     "class {c} flow {s}->{t} is undeliverable under these forwarding tables"
                 );
@@ -374,19 +294,8 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Runs a two-class simulation to completion. Panics when built via
-    /// [`Simulation::with_classes`] with `k ≠ 2` — use
-    /// [`Simulation::run_classes`] there.
+    /// Runs to completion and returns the measurements.
     pub fn run(self) -> SimReport {
-        assert_eq!(
-            self.classes, 2,
-            "run() reports the two-class shape; k-class runs use run_classes()"
-        );
-        self.run_classes().into_two_class()
-    }
-
-    /// Runs to completion and returns the k-class measurements.
-    pub fn run_classes(self) -> KClassSimReport {
         Engine::new(self).run()
     }
 }
@@ -411,8 +320,8 @@ struct Engine<'a> {
     // measurement
     win_start: f64,
     win_end: f64,
-    link_stats: Vec<ClassLinkStats>,
-    pair_delays: HashMap<ClassPairKey, Acc>,
+    link_stats: Vec<LinkStats>,
+    pair_delays: HashMap<PairKey, Acc>,
     generated: u64,
     delivered: u64,
     dropped: u64,
@@ -433,7 +342,7 @@ impl<'a> Engine<'a> {
             links: (0..n_links).map(|_| LinkState::new(sim.classes)).collect(),
             win_start,
             win_end,
-            link_stats: vec![ClassLinkStats::new(sim.classes); n_links],
+            link_stats: vec![LinkStats::new(sim.classes); n_links],
             pair_delays: HashMap::new(),
             generated: 0,
             delivered: 0,
@@ -447,7 +356,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self) -> KClassSimReport {
+    fn run(mut self) -> SimReport {
         // Seed each flow's first arrival.
         for (i, f) in self.flows.iter().enumerate() {
             if f.rate_pps > 0.0 {
@@ -477,7 +386,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        KClassSimReport {
+        SimReport {
             duration_s: self.cfg.duration_s,
             link_stats: self.link_stats,
             pair_delays: self.pair_delays,
@@ -536,7 +445,7 @@ impl<'a> Engine<'a> {
             self.live_packets -= 1;
             self.free.push(packet);
             if p.created_s >= self.win_start && now <= self.win_end {
-                let key = ClassPairKey {
+                let key = PairKey {
                     class: p.class,
                     src: p.src,
                     dst: p.dst,
@@ -549,9 +458,7 @@ impl<'a> Engine<'a> {
             }
             return;
         }
-        let branches = self
-            .fwd
-            .class_branches(p.class as usize, NodeId(p.dst), node);
+        let branches = self.fwd.branches(p.class as usize, NodeId(p.dst), node);
         assert!(
             !branches.is_empty(),
             "no route for class {} from {node} to destination n{}",
@@ -713,6 +620,9 @@ mod tests {
     use dtr_graph::WeightVector;
     use dtr_traffic::TrafficMatrix;
 
+    const HIGH: usize = 0;
+    const LOW: usize = 1;
+
     /// Two nodes, one duplex pair. Capacity in Mbit/s.
     fn two_node(capacity: f64, prop: f64) -> Topology {
         let mut b = TopologyBuilder::new();
@@ -764,7 +674,7 @@ mod tests {
         };
         let r = one_flow(&topo, 5.0, 0.0, cfg);
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let sim = r.mean_sojourn(link, TrafficClass::High);
+        let sim = r.mean_sojourn(link, HIGH);
         let theory = 1.0 / (1250.0 - 625.0);
         assert!(
             (sim - theory).abs() / theory < 0.05,
@@ -788,7 +698,7 @@ mod tests {
             "util {}",
             r.utilization(link)
         );
-        assert!((r.throughput_mbps(link, TrafficClass::High) - 3.0).abs() < 0.2);
+        assert!((r.throughput_mbps(link, HIGH) - 3.0).abs() < 0.2);
     }
 
     #[test]
@@ -803,12 +713,12 @@ mod tests {
             ..Default::default()
         };
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let alone = one_flow(&topo, 3.0, 0.0, cfg).mean_sojourn(link, TrafficClass::High);
-        let heavy = one_flow(&topo, 3.0, 6.0, cfg).mean_sojourn(link, TrafficClass::High);
+        let alone = one_flow(&topo, 3.0, 0.0, cfg).mean_sojourn(link, HIGH);
+        let heavy = one_flow(&topo, 3.0, 6.0, cfg).mean_sojourn(link, HIGH);
         // ρ_H = 0.3, ρ_L = 0.6: theory says W_H grows from R_H/(1−ρ_H)
         // with R = mean residual work; bounded well below 3× here, while
         // the low class itself queues far longer.
-        let low_heavy = one_flow(&topo, 3.0, 6.0, cfg).mean_sojourn(link, TrafficClass::Low);
+        let low_heavy = one_flow(&topo, 3.0, 6.0, cfg).mean_sojourn(link, LOW);
         assert!(heavy < 3.0 * alone, "high blew up: {alone} → {heavy}");
         assert!(low_heavy > 2.0 * heavy, "low should queue much longer");
     }
@@ -853,7 +763,7 @@ mod tests {
             ..Default::default()
         };
         let r = one_flow(&topo, 1.0, 0.0, cfg);
-        let d = r.mean_pair_delay(TrafficClass::High, 0, 1).unwrap();
+        let d = r.mean_pair_delay(HIGH, 0, 1).unwrap();
         // ≥ propagation + transmission; ≈ 10ms + 80µs at ρ=0.01.
         assert!(d > 0.010 && d < 0.012, "delay {d}");
         assert!((r.hops.mean() - 1.0).abs() < 1e-9);
@@ -878,8 +788,8 @@ mod tests {
     }
 
     #[test]
-    fn two_class_run_classes_matches_run_bitwise() {
-        // `with_classes` with k = 2 is the same engine as `new` + `run`:
+    fn two_class_constructor_matches_with_classes_bitwise() {
+        // `new` is `with_classes` with the high class at priority 0:
         // identical RNG stream, identical event order, identical floats.
         let topo = two_node(10.0, 0.001);
         let cfg = SimConfig {
@@ -892,20 +802,11 @@ mod tests {
         let mut low = TrafficMatrix::zeros(2);
         low.set(0, 1, 3.0);
         let w = WeightVector::uniform(&topo, 1);
-        let b = Simulation::with_classes(&topo, &[&high, &low], &[w.clone(), w], cfg).run_classes();
-        assert_eq!(b.classes(), 2);
+        let b = Simulation::with_classes(&topo, &[&high, &low], &[w.clone(), w], cfg).run();
         assert_eq!(a.generated, b.generated);
         assert_eq!(a.delivered, b.delivered);
-        for (lid, _) in topo.links() {
-            for c in 0..2 {
-                assert_eq!(
-                    a.link_stats[lid.index()].per_class[c],
-                    b.link_stats[lid.index()].per_class[c]
-                );
-            }
-        }
-        let two = b.into_two_class();
-        assert_eq!(a.pair_delays, two.pair_delays);
+        assert_eq!(a.link_stats, b.link_stats);
+        assert_eq!(a.pair_delays, b.pair_delays);
     }
 
     #[test]
@@ -931,7 +832,7 @@ mod tests {
             &[w.clone(), w.clone(), w],
             cfg,
         )
-        .run_classes();
+        .run();
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
         let theory = cobham_k(
             &PriorityLink {
@@ -973,11 +874,10 @@ mod tests {
         assert!(r.dropped > 0, "no drops under 2x overload");
         assert_eq!(r.generated, r.delivered + r.dropped + r.inflight_at_end);
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let goodput = r.throughput_mbps(link, TrafficClass::High)
-            + r.throughput_mbps(link, TrafficClass::Low);
+        let goodput = r.throughput_mbps(link, HIGH) + r.throughput_mbps(link, LOW);
         assert!((goodput - 10.0).abs() < 0.5, "goodput {goodput}");
         // Strict priority: the high class keeps nearly its full offer...
-        assert!(r.throughput_mbps(link, TrafficClass::High) > 8.5);
+        assert!(r.throughput_mbps(link, HIGH) > 8.5);
     }
 
     #[test]
@@ -998,8 +898,8 @@ mod tests {
         };
         let r = one_flow(&topo, 10.0, 10.0, cfg);
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let th = r.throughput_mbps(link, TrafficClass::High);
-        let tl = r.throughput_mbps(link, TrafficClass::Low);
+        let th = r.throughput_mbps(link, HIGH);
+        let tl = r.throughput_mbps(link, LOW);
         assert!((th - 5.0).abs() < 0.6, "high share {th}");
         assert!((tl - 5.0).abs() < 0.6, "low share {tl}");
     }
@@ -1020,8 +920,8 @@ mod tests {
         };
         let r = one_flow(&topo, 10.0, 10.0, cfg);
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let th = r.throughput_mbps(link, TrafficClass::High);
-        let tl = r.throughput_mbps(link, TrafficClass::Low);
+        let th = r.throughput_mbps(link, HIGH);
+        let tl = r.throughput_mbps(link, LOW);
         // 3:1 quanta → ≈ 7.5 / 2.5 split.
         assert!((th - 7.5).abs() < 0.8, "high share {th}");
         assert!((tl - 2.5).abs() < 0.8, "low share {tl}");
@@ -1055,8 +955,8 @@ mod tests {
                 ..base
             },
         );
-        let strict_low = strict.throughput_mbps(link, TrafficClass::Low);
-        let drr_low = drr.throughput_mbps(link, TrafficClass::Low);
+        let strict_low = strict.throughput_mbps(link, LOW);
+        let drr_low = drr.throughput_mbps(link, LOW);
         assert!(strict_low < 1.6, "residual only: {strict_low}");
         assert!(drr_low > 4.0, "fair share: {drr_low}");
     }
@@ -1129,8 +1029,8 @@ mod tests {
 
         let pp = Simulation::new(&topo, &demands, &w, cfg).run();
         let (u, l) = (
-            pp.throughput_mbps(upper, TrafficClass::High),
-            pp.throughput_mbps(lower, TrafficClass::High),
+            pp.throughput_mbps(upper, HIGH),
+            pp.throughput_mbps(lower, HIGH),
         );
         assert!(
             (u - 2.0).abs() < 0.3 && (l - 2.0).abs() < 0.3,
@@ -1148,8 +1048,8 @@ mod tests {
         )
         .run();
         let (u, l) = (
-            pf.throughput_mbps(upper, TrafficClass::High),
-            pf.throughput_mbps(lower, TrafficClass::High),
+            pf.throughput_mbps(upper, HIGH),
+            pf.throughput_mbps(lower, HIGH),
         );
         let (hot, cold) = (u.max(l), u.min(l));
         assert!(hot > 3.7, "per-flow must pin the flow: {u} / {l}");
@@ -1200,7 +1100,7 @@ mod tests {
         .run();
         let total = |rep: &SimReport| -> f64 {
             topo.links()
-                .map(|(lid, _)| rep.throughput_mbps(lid, TrafficClass::High))
+                .map(|(lid, _)| rep.throughput_mbps(lid, HIGH))
                 .sum()
         };
         assert!(

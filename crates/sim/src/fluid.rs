@@ -14,7 +14,7 @@
 //!    bit-identical to `Evaluator::eval_dual`'s — the structural
 //!    agreement the validation harness asserts at 1e-9.
 //! 2. **Per-link delays** — Cobham's closed-form mean waits for the
-//!    two-priority M/M/1 (or M/D/1) link at those loads; no event loop,
+//!    k-priority M/M/1 (or M/D/1) link at those loads; no event loop,
 //!    no sampling noise, unstable links report infinity.
 //! 3. **End-to-end delays** — a dynamic program over each destination
 //!    DAG: ξ(v→t) averages branch sojourn + propagation + downstream ξ
@@ -26,10 +26,10 @@
 //! magnitude faster than a statistically meaningful DES run, and exactly
 //! reproducible (no RNG anywhere).
 
-use crate::backend::{BackendReport, KClassReport, SimBackend};
+use crate::backend::{BackendReport, SimBackend};
 use crate::forwarding::ForwardingState;
 use crate::queueing::{cobham_k, PriorityLink};
-use crate::stats::ClassPairKey;
+use crate::stats::PairKey;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{NodeId, Topology, WeightVector};
 use dtr_routing::push_demand_down_dag;
@@ -93,22 +93,20 @@ impl FluidSim {
             if m.demands_to(t.index()).next().is_none() {
                 continue;
             }
-            push_demand_down_dag(topo, fwd.class_dag(class, t), m, t, flow, &mut loads);
+            push_demand_down_dag(topo, fwd.dag(class, t), m, t, flow, &mut loads);
         }
         loads
     }
 
-    /// The k-class fluid run: `matrices[c]` is the demand of priority
-    /// class `c` (0 served first), routed on `weights[c]`. Per-link
-    /// delays come from [`cobham_k`]; everything else is the two-class
-    /// pipeline generalized, and with `k = 2` the numbers are
-    /// bit-identical to [`SimBackend::run`] (which delegates here).
+    /// The fluid run: `matrices[c]` is the demand of priority class `c`
+    /// (0 served first), routed on `weights[c]`. Per-link delays come
+    /// from [`cobham_k`].
     pub fn run_classes(
         &self,
         topo: &Topology,
         matrices: &[&TrafficMatrix],
         weights: &[WeightVector],
-    ) -> KClassReport {
+    ) -> BackendReport {
         assert_eq!(matrices.len(), weights.len(), "one weight vector per class");
         let fwd = ForwardingState::with_class_weights(topo, weights);
         self.run_classes_on(topo, matrices, &fwd)
@@ -125,7 +123,7 @@ impl FluidSim {
         topo: &Topology,
         matrices: &[&TrafficMatrix],
         fwd: &ForwardingState,
-    ) -> KClassReport {
+    ) -> BackendReport {
         assert!(!matrices.is_empty(), "need at least one class");
         assert_eq!(matrices.len(), fwd.classes(), "one DAG table per class");
         let k = matrices.len();
@@ -175,7 +173,7 @@ impl FluidSim {
                 if matrix.demands_to(t.index()).next().is_none() {
                     continue;
                 }
-                let dag = fwd.class_dag(c, t);
+                let dag = fwd.dag(c, t);
                 xi.fill(0.0);
                 hot.fill(false);
                 // A source that cannot reach `t` has no delay, not a
@@ -201,7 +199,7 @@ impl FluidSim {
                     xi[vi] = acc / branches.len() as f64;
                 }
                 for (s, _vol) in matrix.demands_to(t.index()) {
-                    let key = ClassPairKey {
+                    let key = PairKey {
                         class: c as u8,
                         src: s as u32,
                         dst: t.index() as u32,
@@ -214,7 +212,7 @@ impl FluidSim {
             }
         }
 
-        KClassReport {
+        BackendReport {
             backend: "fluid",
             class_loads: loads,
             link_wait_s: wait,
@@ -239,7 +237,6 @@ impl SimBackend for FluidSim {
             &[&demands.high, &demands.low],
             &[weights.high.clone(), weights.low.clone()],
         )
-        .into_two_class()
     }
 }
 
@@ -247,7 +244,7 @@ impl SimBackend for FluidSim {
 mod tests {
     use super::*;
     use crate::queueing::cobham;
-    use crate::stats::{PairKey, TrafficClass};
+    use crate::stats::PairKey;
     use dtr_graph::{NodeId, TopologyBuilder, WeightVector};
 
     fn two_node(capacity: f64, prop: f64) -> Topology {
@@ -290,8 +287,8 @@ mod tests {
             dst: 1,
         };
         // End-to-end = sojourn + propagation, exactly.
-        assert!((r.pair_delays[&key(TrafficClass::High)] - (dh.sojourn_s + 0.002)).abs() < 1e-15);
-        assert!((r.pair_delays[&key(TrafficClass::Low)] - (dl.sojourn_s + 0.002)).abs() < 1e-15);
+        assert!((r.pair_delays[&key(0)] - (dh.sojourn_s + 0.002)).abs() < 1e-15);
+        assert!((r.pair_delays[&key(1)] - (dl.sojourn_s + 0.002)).abs() < 1e-15);
         assert_eq!(r.packets, 0);
     }
 
@@ -353,7 +350,7 @@ mod tests {
         };
         let (dh, _) = cobham(&pl, 2.0, 0.0);
         let key = PairKey {
-            class: TrafficClass::High,
+            class: 0,
             src: 0,
             dst: 3,
         };
@@ -381,20 +378,20 @@ mod tests {
         let w = DualWeights::replicated(WeightVector::uniform(&topo, 1));
         let r = FluidSim::new().run(&topo, &d, &w);
         let key = PairKey {
-            class: TrafficClass::Low,
+            class: 1,
             src: 0,
             dst: 1,
         };
         assert!(r.pair_delays[&key].is_infinite());
         // The high class stays finite (ρ_H = 0.4).
         let kh = PairKey {
-            class: TrafficClass::High,
+            class: 0,
             src: 0,
             dst: 1,
         };
         assert!(r.pair_delays[&kh].is_finite());
         // Flow-weighted mean skips the infinite pair.
-        assert!(r.mean_class_delay(TrafficClass::Low, &d).is_none());
+        assert!(r.mean_class_delay(1, &d.low).is_none());
     }
 
     #[test]
@@ -428,25 +425,24 @@ mod tests {
         let w = DualWeights::replicated(WeightVector::uniform(&topo, 1));
         let r = FluidSim::new().run(&topo, &d, &w);
         let cross = PairKey {
-            class: TrafficClass::High,
+            class: 0,
             src: 0,
             dst: 3,
         };
         assert!(r.pair_delays[&cross].is_infinite());
         // The mean covers only the deliverable pair.
         let local = PairKey {
-            class: TrafficClass::High,
+            class: 0,
             src: 2,
             dst: 3,
         };
-        let mean = r.mean_class_delay(TrafficClass::High, &d).unwrap();
+        let mean = r.mean_class_delay(0, &d.high).unwrap();
         assert_eq!(mean, r.pair_delays[&local]);
     }
 
     #[test]
     fn three_class_single_link_matches_cobham_k() {
         use crate::queueing::cobham_k;
-        use crate::stats::ClassPairKey;
         let topo = two_node(10.0, 0.002);
         let mut mats = Vec::new();
         for mbps in [2.0, 3.0, 3.0] {
@@ -471,7 +467,7 @@ mod tests {
         for c in 0..3 {
             assert_eq!(r.class_loads[c][link.index()], [2.0, 3.0, 3.0][c]);
             assert_eq!(r.link_wait_s[c][link.index()], theory[c].wait_s);
-            let key = ClassPairKey {
+            let key = PairKey {
                 class: c as u8,
                 src: 0,
                 dst: 1,
@@ -489,9 +485,11 @@ mod tests {
         let d = demands(3.0, 4.0, 2);
         let w = DualWeights::replicated(WeightVector::uniform(&topo, 1));
         let a = FluidSim::new().run(&topo, &d, &w);
-        let b = FluidSim::new()
-            .run_classes(&topo, &[&d.high, &d.low], &[w.high.clone(), w.low.clone()])
-            .into_two_class();
+        let b = FluidSim::new().run_classes(
+            &topo,
+            &[&d.high, &d.low],
+            &[w.high.clone(), w.low.clone()],
+        );
         assert_eq!(a, b);
     }
 

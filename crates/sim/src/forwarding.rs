@@ -5,7 +5,6 @@
 //! links. Packets pick uniformly among branches, which reproduces the
 //! evaluator's even splitting in expectation.
 
-use crate::stats::TrafficClass;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, NodeId, ShortestPathDag, Topology, WeightVector};
 use dtr_routing::{hybrid_low_dag, DeploymentSet};
@@ -86,28 +85,17 @@ impl ForwardingState {
         self.dags.len()
     }
 
-    /// The ECMP branches for `class` traffic at `node` towards `dest`.
-    /// Empty exactly when `node == dest`.
+    /// The ECMP branches for priority class `class` at `node` towards
+    /// `dest`. Empty exactly when `node == dest`.
     #[inline]
-    pub fn branches(&self, class: TrafficClass, dest: NodeId, node: NodeId) -> &[LinkId] {
-        self.class_branches(class.idx(), dest, node)
-    }
-
-    /// [`ForwardingState::branches`] by priority index.
-    #[inline]
-    pub fn class_branches(&self, class: usize, dest: NodeId, node: NodeId) -> &[LinkId] {
+    pub fn branches(&self, class: usize, dest: NodeId, node: NodeId) -> &[LinkId] {
         &self.dags[class][dest.index()].ecmp_out[node.index()]
     }
 
-    /// The full shortest-path DAG of `class` traffic towards `dest`.
+    /// The full shortest-path DAG of priority class `class` towards
+    /// `dest`.
     #[inline]
-    pub fn dag(&self, class: TrafficClass, dest: NodeId) -> &ShortestPathDag {
-        self.class_dag(class.idx(), dest)
-    }
-
-    /// [`ForwardingState::dag`] by priority index.
-    #[inline]
-    pub fn class_dag(&self, class: usize, dest: NodeId) -> &ShortestPathDag {
+    pub fn dag(&self, class: usize, dest: NodeId) -> &ShortestPathDag {
         &self.dags[class][dest.index()]
     }
 }
@@ -127,11 +115,11 @@ mod tests {
         wl.set(topo.find_link(NodeId(0), NodeId(2)).unwrap(), 30);
         let fwd = ForwardingState::new(&topo, &DualWeights { high: wh, low: wl });
 
-        let high = fwd.branches(TrafficClass::High, NodeId(2), NodeId(0));
+        let high = fwd.branches(0, NodeId(2), NodeId(0));
         assert_eq!(high.len(), 1);
         assert_eq!(topo.link(high[0]).dst, NodeId(2), "high goes direct");
 
-        let low = fwd.branches(TrafficClass::Low, NodeId(2), NodeId(0));
+        let low = fwd.branches(1, NodeId(2), NodeId(0));
         assert_eq!(low.len(), 1);
         assert_eq!(topo.link(low[0]).dst, NodeId(1), "low detours via B");
     }
@@ -149,14 +137,12 @@ mod tests {
         let two = ForwardingState::new(&topo, &DualWeights { high: w0, low: w1 });
         for dest in topo.nodes() {
             for node in topo.nodes() {
-                assert_eq!(
-                    fwd.class_branches(0, dest, node),
-                    two.branches(TrafficClass::High, dest, node)
-                );
-                assert_eq!(
-                    fwd.class_branches(1, dest, node),
-                    two.branches(TrafficClass::Low, dest, node)
-                );
+                for class in 0..2 {
+                    assert_eq!(
+                        fwd.branches(class, dest, node),
+                        two.branches(class, dest, node)
+                    );
+                }
             }
         }
     }
@@ -175,8 +161,8 @@ mod tests {
             for dest in topo.nodes() {
                 for node in topo.nodes() {
                     assert_eq!(
-                        deployed.class_branches(class, dest, node),
-                        plain.class_branches(class, dest, node)
+                        deployed.branches(class, dest, node),
+                        plain.branches(class, dest, node)
                     );
                 }
             }
@@ -195,11 +181,11 @@ mod tests {
         // (high-topology) table and sends low traffic straight to C.
         let dep = DeploymentSet::from_upgraded(3, &[1]);
         let fwd = ForwardingState::with_deployment(&topo, &w, &dep);
-        let low = fwd.branches(TrafficClass::Low, NodeId(2), NodeId(0));
+        let low = fwd.branches(1, NodeId(2), NodeId(0));
         assert_eq!(low.len(), 1);
         assert_eq!(topo.link(low[0]).dst, NodeId(2), "legacy A goes direct");
         // High forwarding is untouched by the deployment.
-        let high = fwd.branches(TrafficClass::High, NodeId(2), NodeId(0));
+        let high = fwd.branches(0, NodeId(2), NodeId(0));
         assert_eq!(topo.link(high[0]).dst, NodeId(2));
     }
 
@@ -208,8 +194,6 @@ mod tests {
         let topo = triangle_topology(1.0);
         let w = DualWeights::replicated(WeightVector::uniform(&topo, 1));
         let fwd = ForwardingState::new(&topo, &w);
-        assert!(fwd
-            .branches(TrafficClass::High, NodeId(1), NodeId(1))
-            .is_empty());
+        assert!(fwd.branches(0, NodeId(1), NodeId(1)).is_empty());
     }
 }

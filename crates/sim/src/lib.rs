@@ -1,4 +1,4 @@
-//! # dtr-sim — discrete-event two-priority queueing simulator
+//! # dtr-sim — discrete-event strict-priority queueing simulator
 //!
 //! The paper's evaluation is **analytic**: link costs come from the
 //! Fortz–Thorup Φ function and delays from the M/M/1-based Eq. 3, both
@@ -6,8 +6,9 @@
 //! discrete-event simulator those formulas abstract, so the reproduction
 //! can *check its own modeling assumptions*:
 //!
-//! - each link is a non-preemptive **two-priority** queue (§3: "the
-//!   high-priority queue is always served first") with infinite buffers;
+//! - each link is a non-preemptive **strict-priority** queue (§3: "the
+//!   high-priority queue is always served first") with infinite buffers
+//!   and one FIFO per class — the paper's two classes, or any `k`;
 //! - packets of each class arrive as Poisson streams per SD pair with
 //!   exponential (M/M/1) or deterministic sizes;
 //! - forwarding follows the per-class ECMP shortest-path DAGs, choosing
@@ -19,8 +20,14 @@
 //! class unaffected by low-class load), flow conservation, and the
 //! accuracy envelope of the paper's Eq. 3 approximation.
 //!
-//! Two backends answer the same question behind the [`SimBackend`]
-//! trait:
+//! Class count is data, not type: every report — [`SimReport`],
+//! [`BackendReport`], [`LinkStats`], [`PairKey`] — is indexed by priority
+//! class (0 served first; the paper's high class is 0, its low class 1),
+//! and the two-class constructors ([`Simulation::new`],
+//! [`ForwardingState::new`], [`DesBackend::budgeted`], [`SimBackend::run`])
+//! only spell `[high, low]` for the caller.
+//!
+//! Two backends answer the same question in one report shape:
 //!
 //! - [`DesBackend`] — the packet-level discrete-event engine above
 //!   ([`Simulation`]), statistically exact but O(packets);
@@ -44,8 +51,8 @@ pub mod forwarding;
 pub mod queueing;
 pub mod stats;
 
-pub use backend::{BackendReport, DesBackend, KClassReport, SimBackend};
-pub use engine::{EcmpMode, KClassSimReport, Scheduler, SimConfig, SimReport, Simulation};
+pub use backend::{BackendReport, DesBackend, SimBackend};
+pub use engine::{EcmpMode, Scheduler, SimConfig, SimReport, Simulation};
 pub use event::{Event, EventQueue};
 pub use fluid::{FluidCfg, FluidSim};
 pub use forwarding::ForwardingState;
@@ -53,4 +60,4 @@ pub use queueing::{
     cobham, cobham_k, mm1_sojourn, paper_high_sojourn, residual_approx_error, residual_low_sojourn,
     ClassDelays, PriorityLink,
 };
-pub use stats::{ClassLinkStats, ClassPairKey, ClassStats, LinkStats, PairKey, TrafficClass};
+pub use stats::{ClassStats, LinkStats, PairKey};

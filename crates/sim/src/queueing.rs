@@ -206,7 +206,6 @@ pub fn residual_approx_error(link: &PriorityLink, high_mbps: f64, low_mbps: f64)
 mod tests {
     use super::*;
     use crate::engine::{SimConfig, Simulation};
-    use crate::stats::TrafficClass;
     use dtr_graph::topology::TopologyBuilder;
     use dtr_graph::weights::DualWeights;
     use dtr_graph::{NodeId, WeightVector};
@@ -497,12 +496,8 @@ mod tests {
 
         let lid = topo.find_link(NodeId(0), NodeId(1)).unwrap();
         let (th, tl) = cobham(&link_10mbps(), 3.0, 3.0);
-        let sh = report.link_stats[lid.index()].per_class[TrafficClass::High.idx()]
-            .wait
-            .mean();
-        let sl = report.link_stats[lid.index()].per_class[TrafficClass::Low.idx()]
-            .wait
-            .mean();
+        let sh = report.link_stats[lid.index()].per_class[0].wait.mean();
+        let sl = report.link_stats[lid.index()].per_class[1].wait.mean();
         assert!(
             (sh - th.wait_s).abs() / th.wait_s < 0.10,
             "W_H sim {sh} vs {}",

@@ -2,37 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The two service classes (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum TrafficClass {
-    /// Served first at every link.
-    High,
-    /// Sees only residual capacity.
-    Low,
-}
-
-impl TrafficClass {
-    /// Index for two-element per-class arrays.
-    #[inline]
-    pub fn idx(self) -> usize {
-        match self {
-            TrafficClass::High => 0,
-            TrafficClass::Low => 1,
-        }
-    }
-
-    /// The class at a priority index, for converting k-class reports
-    /// back to the two-class shape. `None` beyond the two classes.
-    #[inline]
-    pub fn from_idx(i: usize) -> Option<TrafficClass> {
-        match i {
-            0 => Some(TrafficClass::High),
-            1 => Some(TrafficClass::Low),
-            _ => None,
-        }
-    }
-}
-
 /// Mean/min/max accumulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Acc {
@@ -77,63 +46,19 @@ pub struct ClassStats {
     pub bits: f64,
 }
 
-/// Both classes' measurements for one link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct LinkStats {
-    /// Indexed by [`TrafficClass::idx`].
-    pub per_class: [ClassStats; 2],
-    /// Total busy time of the transmitter (seconds).
-    pub busy_s: f64,
-}
-
-impl LinkStats {
-    /// Measured utilization over a window of `duration_s`.
-    pub fn utilization(&self, duration_s: f64) -> f64 {
-        self.busy_s / duration_s
-    }
-}
-
-/// Key for per-pair end-to-end accumulators. `Ord` so backend reports
-/// can keep pairs in sorted maps — aggregations then sum in a fixed
-/// order, which keeps validation reports byte-identical across runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct PairKey {
-    /// Traffic class of the flow.
-    pub class: TrafficClass,
-    /// Source node index.
-    pub src: u32,
-    /// Destination node index.
-    pub dst: u32,
-}
-
-/// [`PairKey`]'s k-class counterpart: the class is a priority index
-/// (0 = served first) instead of the two-valued enum. Orders by
-/// (class, src, dst) — the same order `PairKey` derives, so two-class
-/// conversions preserve map iteration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ClassPairKey {
-    /// Priority index of the flow's class (0 highest).
-    pub class: u8,
-    /// Source node index.
-    pub src: u32,
-    /// Destination node index.
-    pub dst: u32,
-}
-
-/// [`LinkStats`] for k priority classes: one [`ClassStats`] per class in
-/// priority order.
+/// Every class's measurements for one link.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ClassLinkStats {
+pub struct LinkStats {
     /// Indexed by priority (0 = served first).
     pub per_class: Vec<ClassStats>,
     /// Total busy time of the transmitter (seconds).
     pub busy_s: f64,
 }
 
-impl ClassLinkStats {
+impl LinkStats {
     /// Empty statistics for `classes` priority classes.
     pub fn new(classes: usize) -> Self {
-        ClassLinkStats {
+        LinkStats {
             per_class: vec![ClassStats::default(); classes],
             busy_s: 0.0,
         }
@@ -143,6 +68,21 @@ impl ClassLinkStats {
     pub fn utilization(&self, duration_s: f64) -> f64 {
         self.busy_s / duration_s
     }
+}
+
+/// Key for per-pair end-to-end accumulators. Orders by (class, src,
+/// dst) so backend reports can keep pairs in sorted maps — aggregations
+/// then sum in a fixed order, which keeps validation reports
+/// byte-identical across runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct PairKey {
+    /// Priority index of the flow's class (0 = served first; the
+    /// paper's high class is 0, its low class 1).
+    pub class: u8,
+    /// Source node index.
+    pub src: u32,
+    /// Destination node index.
+    pub dst: u32,
 }
 
 #[cfg(test)]
@@ -158,12 +98,6 @@ mod tests {
         assert_eq!(a.mean(), 2.0);
         assert_eq!(a.max, 3.0);
         assert_eq!(a.count, 2);
-    }
-
-    #[test]
-    fn class_indices() {
-        assert_eq!(TrafficClass::High.idx(), 0);
-        assert_eq!(TrafficClass::Low.idx(), 1);
     }
 
     #[test]

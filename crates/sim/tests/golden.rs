@@ -12,8 +12,7 @@
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_sim::stats::Acc;
-use dtr_sim::{KClassSimReport, SimConfig, SimReport, Simulation};
+use dtr_sim::{SimConfig, SimReport, Simulation};
 use dtr_traffic::{DemandSet, TrafficCfg};
 use std::fmt::Write;
 use std::path::PathBuf;
@@ -49,68 +48,39 @@ fn instance() -> (Topology, DemandSet, DualWeights, SimConfig) {
 
 /// One line per counter, per (link, class) and per measured pair, pairs
 /// in sorted key order.
-fn fingerprint(
-    counters: [u64; 4],
-    links: Vec<Vec<(f64, Acc)>>,
-    mut pairs: Vec<((u8, u32, u32), Acc)>,
-) -> String {
+fn fingerprint(r: &SimReport) -> String {
     let mut out = String::new();
-    let [generated, delivered, dropped, inflight] = counters;
-    writeln!(out, "generated {generated}").unwrap();
-    writeln!(out, "delivered {delivered}").unwrap();
-    writeln!(out, "dropped {dropped}").unwrap();
-    writeln!(out, "inflight_at_end {inflight}").unwrap();
-    for (i, classes) in links.iter().enumerate() {
-        for (c, (bits, wait)) in classes.iter().enumerate() {
+    writeln!(out, "generated {}", r.generated).unwrap();
+    writeln!(out, "delivered {}", r.delivered).unwrap();
+    writeln!(out, "dropped {}", r.dropped).unwrap();
+    writeln!(out, "inflight_at_end {}", r.inflight_at_end).unwrap();
+    for (i, link) in r.link_stats.iter().enumerate() {
+        for (c, stats) in link.per_class.iter().enumerate() {
             writeln!(
                 out,
                 "link {i} class {c} bits {:016x} wait {} {:016x}",
-                bits.to_bits(),
-                wait.count,
-                wait.sum.to_bits()
+                stats.bits.to_bits(),
+                stats.wait.count,
+                stats.wait.sum.to_bits()
             )
             .unwrap();
         }
     }
-    pairs.sort_by_key(|(key, _)| *key);
-    for ((class, src, dst), acc) in pairs {
+    let mut pairs: Vec<_> = r.pair_delays.iter().collect();
+    pairs.sort_by_key(|(key, _)| **key);
+    for (key, acc) in pairs {
         writeln!(
             out,
-            "pair {class} {src} {dst} delay {} {:016x}",
+            "pair {} {} {} delay {} {:016x}",
+            key.class,
+            key.src,
+            key.dst,
             acc.count,
             acc.sum.to_bits()
         )
         .unwrap();
     }
     out
-}
-
-fn two_class_fingerprint(r: &SimReport) -> String {
-    fingerprint(
-        [r.generated, r.delivered, r.dropped, r.inflight_at_end],
-        r.link_stats
-            .iter()
-            .map(|s| s.per_class.iter().map(|c| (c.bits, c.wait)).collect())
-            .collect(),
-        r.pair_delays
-            .iter()
-            .map(|(k, acc)| ((k.class.idx() as u8, k.src, k.dst), *acc))
-            .collect(),
-    )
-}
-
-fn k_class_fingerprint(r: &KClassSimReport) -> String {
-    fingerprint(
-        [r.generated, r.delivered, r.dropped, r.inflight_at_end],
-        r.link_stats
-            .iter()
-            .map(|s| s.per_class.iter().map(|c| (c.bits, c.wait)).collect())
-            .collect(),
-        r.pair_delays
-            .iter()
-            .map(|(k, acc)| ((k.class, k.src, k.dst), *acc))
-            .collect(),
-    )
 }
 
 /// `(golden file, regenerated contents)` for both frozen runs.
@@ -138,15 +108,15 @@ fn regenerate() -> Vec<(PathBuf, String)> {
         ],
         cfg,
     )
-    .run_classes();
+    .run();
     let file = |name: &str| {
         PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
             .join(name)
     };
     vec![
-        (file("two_class.txt"), two_class_fingerprint(&two)),
-        (file("three_class.txt"), k_class_fingerprint(&three)),
+        (file("two_class.txt"), fingerprint(&two)),
+        (file("three_class.txt"), fingerprint(&three)),
     ]
 }
 

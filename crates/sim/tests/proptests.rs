@@ -4,7 +4,7 @@
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::WeightVector;
-use dtr_sim::{DesBackend, FluidSim, SimBackend, SimConfig, SimReport, Simulation, TrafficClass};
+use dtr_sim::{DesBackend, FluidSim, SimBackend, SimConfig, SimReport, Simulation};
 use dtr_traffic::{
     family_demands, DemandSet, FamilyTrafficCfg, HighPriModel, TrafficCfg, TrafficFamily,
     TrafficMatrix,
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 fn mean_high_delay(r: &SimReport) -> f64 {
     let (mut sum, mut n) = (0.0, 0u64);
     for (k, acc) in &r.pair_delays {
-        if k.class == TrafficClass::High && acc.count > 0 {
+        if k.class == 0 && acc.count > 0 {
             sum += acc.sum;
             n += acc.count;
         }
@@ -87,8 +87,8 @@ proptest! {
         let cfg = SimConfig { warmup_s: 0.5, duration_s: 4.0, seed, ..Default::default() };
         let r = Simulation::new(&topo, &demands, &w, cfg).run();
         let link = topo.find_link(dtr_graph::NodeId(0), dtr_graph::NodeId(1)).unwrap();
-        let th = r.throughput_mbps(link, TrafficClass::High);
-        let tl = r.throughput_mbps(link, TrafficClass::Low);
+        let th = r.throughput_mbps(link, 0);
+        let tl = r.throughput_mbps(link, 1);
         prop_assert!((th - 20.0).abs() < 2.0, "high throughput {th}");
         prop_assert!((tl - 30.0).abs() < 2.5, "low throughput {tl}");
     }

@@ -18,7 +18,7 @@ use dtr::cost::{link_delay, DelayParams};
 use dtr::graph::gen::{random_topology, RandomTopologyCfg};
 use dtr::graph::WeightVector;
 use dtr::routing::Evaluator;
-use dtr::sim::{SimConfig, Simulation, TrafficClass};
+use dtr::sim::{SimConfig, Simulation};
 use dtr::traffic::{DemandSet, TrafficCfg};
 
 fn main() {
@@ -74,7 +74,7 @@ fn main() {
             link.capacity,
             link.prop_delay,
         );
-        let sim_d = report.mean_sojourn(lid, TrafficClass::High) + link.prop_delay;
+        let sim_d = report.mean_sojourn(lid, 0) + link.prop_delay;
         if lid.index() % 8 == 0 {
             println!(
                 "  {:>3}  {au:>12.3}  {su:>14.3}  {:>9.3}ms  {:>13.3}ms",

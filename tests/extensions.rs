@@ -15,7 +15,7 @@ use dtr::mtr::{measure_overhead, DeployMode, MtrNetwork, TopologyId};
 use dtr::routing::{
     gravity_prior, l1_error, tomogravity, Evaluator, LoadCalculator, RoutingMatrix, TomoCfg,
 };
-use dtr::sim::{EcmpMode, SimConfig, Simulation, TrafficClass};
+use dtr::sim::{EcmpMode, SimConfig, Simulation};
 use dtr::traffic::{DemandSet, TrafficCfg};
 
 fn instance() -> (dtr::graph::Topology, DemandSet) {
@@ -181,10 +181,7 @@ fn per_flow_ecmp_preserves_totals_but_skews_links() {
     let pf = run(EcmpMode::PerFlow);
     let total = |r: &dtr::sim::SimReport| -> f64 {
         topo.links()
-            .map(|(lid, _)| {
-                r.throughput_mbps(lid, TrafficClass::High)
-                    + r.throughput_mbps(lid, TrafficClass::Low)
-            })
+            .map(|(lid, _)| r.throughput_mbps(lid, 0) + r.throughput_mbps(lid, 1))
             .sum()
     };
     let (tp, tf) = (total(&pp), total(&pf));
@@ -194,8 +191,8 @@ fn per_flow_ecmp_preserves_totals_but_skews_links() {
     let max_diff = topo
         .links()
         .map(|(lid, _)| {
-            let a = pp.throughput_mbps(lid, TrafficClass::Low);
-            let b = pf.throughput_mbps(lid, TrafficClass::Low);
+            let a = pp.throughput_mbps(lid, 1);
+            let b = pf.throughput_mbps(lid, 1);
             (a - b).abs()
         })
         .fold(0.0f64, f64::max);

@@ -53,3 +53,79 @@ fn three_class_search_is_backend_invariant_and_never_regresses_class_0() {
     assert!(warm.best_cost <= incr.best_cost);
     assert!(warm.best_cost.get(0) <= incr.best_cost.get(0));
 }
+
+#[test]
+fn an_all_zero_extra_class_changes_nothing() {
+    // The metamorphic law behind "class count is data": appending a
+    // class that offers no traffic (on any weight vector) leaves every
+    // layer's view of the classes above it bit-identical.
+    use dtr::graph::WeightVector;
+    use dtr::sim::{FluidSim, SimConfig, Simulation};
+    use dtr::traffic::TrafficMatrix;
+
+    let topo = random_topology(&RandomTopologyCfg {
+        nodes: 10,
+        directed_links: 40,
+        seed: 17,
+    });
+    let demands = MultiDemand::generate(
+        &topo,
+        &MultiTrafficCfg {
+            fractions: vec![0.3],
+            densities: vec![0.3],
+            seed: 17,
+        },
+    )
+    .scaled(4.0);
+    let zero = TrafficMatrix::zeros(topo.node_count());
+    let two: Vec<&TrafficMatrix> = demands.classes.iter().collect();
+    let three = [two[0], two[1], &zero];
+    let weights = [
+        WeightVector::uniform(&topo, 1),
+        WeightVector::delay_proportional(&topo, 30),
+        WeightVector::uniform(&topo, 3),
+    ];
+
+    // The cost kernel, load spec, both backends.
+    for kind in [BackendKind::Full, BackendKind::Incremental] {
+        let a = KClassBatchEvaluator::new(&topo, two.clone(), &ObjectiveSpec::load(2), kind)
+            .unwrap()
+            .eval(&weights[..2]);
+        let b = KClassBatchEvaluator::new(&topo, three.to_vec(), &ObjectiveSpec::load(3), kind)
+            .unwrap()
+            .eval(&weights);
+        assert_eq!(a.loads[..], b.loads[..2], "{kind:?} loads");
+        assert_eq!(a.cost.as_slice(), &b.cost.as_slice()[..2], "{kind:?} cost");
+        assert_eq!(b.cost.get(2), 0.0, "{kind:?}: an empty class costs nothing");
+    }
+
+    // The fluid backend: loads, closed-form waits, pair delays.
+    let a = FluidSim::new().run_classes(&topo, &two, &weights[..2]);
+    let b = FluidSim::new().run_classes(&topo, &three, &weights);
+    assert_eq!(a.class_loads[..], b.class_loads[..2]);
+    assert_eq!(a.link_wait_s[..], b.link_wait_s[..2]);
+    assert_eq!(a.pair_delays, b.pair_delays);
+    assert_eq!(a.hot_pairs, b.hot_pairs);
+
+    // The packet engine: an empty class creates no flow, so the RNG
+    // stream — and with it every measurement — is the same.
+    let cfg = SimConfig {
+        warmup_s: 0.02,
+        duration_s: 0.1,
+        seed: 17,
+        ..Default::default()
+    };
+    let a = Simulation::with_classes(&topo, &two, &weights[..2], cfg).run();
+    let b = Simulation::with_classes(&topo, &three, &weights, cfg).run();
+    assert!(a.generated > 1_000);
+    assert_eq!(
+        (a.generated, a.delivered, a.inflight_at_end),
+        (b.generated, b.delivered, b.inflight_at_end)
+    );
+    for (la, lb) in a.link_stats.iter().zip(&b.link_stats) {
+        assert_eq!(la.per_class[..], lb.per_class[..2]);
+        assert_eq!(la.busy_s, lb.busy_s);
+        assert_eq!(lb.per_class[2], Default::default());
+    }
+    assert_eq!(a.pair_delays, b.pair_delays);
+}
