@@ -1,404 +1,443 @@
-//! Minimal `--flag value` argument parsing, plus the one shared parser
-//! for the unified objective flag pair (`--objective`/`--classes`).
+//! Table-driven argument parsing. A [`Flag`] is declared once with its
+//! kind and valid range; a [`Command`] row lists the flags it accepts;
+//! [`Args::parse`] checks a command line against its row from argv
+//! alone, before any file is opened; usage text is rendered from the
+//! same rows, so an accepted flag and a documented flag are one set.
 
-use dtr_core::{ObjectiveSpec, SlaParams};
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::{Bound, RangeBounds};
 
-/// Flags that act as bare boolean switches when no value follows
-/// (`--robust` alone means `--robust true`).
-const SWITCH_FLAGS: &[&str] = &["robust", "smoke"];
-
-/// Parsed command line: a subcommand, positional words and `--flag value`
-/// options.
-#[derive(Debug, Clone, Default)]
-pub struct Args {
-    /// The subcommand (first word).
-    pub command: String,
-    /// Positional arguments after the subcommand.
-    pub positional: Vec<String>,
-    /// `--flag value` pairs.
-    flags: HashMap<String, String>,
+/// What values a flag takes.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// Present or absent; takes no value (`--smoke`).
+    Switch,
+    /// Free text: a path, a name, a comma list.
+    Text,
+    /// One of a fixed set of spellings.
+    Choice(&'static [&'static str]),
+    /// An unsigned integer in `min..=max`.
+    Int(u64, u64),
+    /// A number between the two bounds. NaN is never in range.
+    Float(Bound<f64>, Bound<f64>),
+    /// Text with a syntax of its own, checked by the given function.
+    Parsed(fn(&str) -> Result<(), String>),
 }
 
-/// Argument errors, reported with the offending token.
+/// One `--flag`, declared once and shared by every row that takes it.
+#[derive(Debug)]
+pub struct Flag {
+    /// The name, without `--`.
+    pub name: &'static str,
+    /// The values it takes.
+    pub kind: Kind,
+    /// What usage shows after the name: the default where there is one
+    /// (`0.3`), a placeholder otherwise (`N`). Unused by switches and
+    /// choices.
+    pub value: &'static str,
+}
+
+impl Flag {
+    /// The flag as one usage item: `--nodes N`, `--backend a|b`, `--smoke`.
+    fn usage(&self) -> String {
+        match self.kind {
+            Kind::Switch => format!("--{}", self.name),
+            Kind::Choice(names) => format!("--{} {}", self.name, names.join("|")),
+            _ => format!("--{} {}", self.name, self.value),
+        }
+    }
+
+    /// Checks one value against the flag's kind and range.
+    fn check(&self, value: &str) -> Result<(), ArgError> {
+        let name = self.name;
+        let bad = || ArgError(format!("could not parse value {value:?} for --{name}"));
+        let need = |what: String| ArgError(format!("invalid value for --{name}: {what}"));
+        match self.kind {
+            Kind::Switch | Kind::Text => Ok(()),
+            Kind::Choice(names) if names.contains(&value) => Ok(()),
+            Kind::Choice(names) => Err(need(format!(
+                "unknown value {value:?} (expected {})",
+                names.join("|")
+            ))),
+            Kind::Int(min, max) => match value.parse::<u64>().map_err(|_| bad())? {
+                v if (min..=max).contains(&v) => Ok(()),
+                v if max == u64::MAX => Err(need(format!("{v} — need an integer ≥ {min}"))),
+                v => Err(need(format!("{v} — need an integer in {min}..={max}"))),
+            },
+            Kind::Float(lo, hi) => match value.parse::<f64>().map_err(|_| bad())? {
+                v if (lo, hi).contains(&v) => Ok(()),
+                v => Err(need(format!("{v} — need a number in {lo:?}..{hi:?}"))),
+            },
+            Kind::Parsed(check) => check(value).map_err(need),
+        }
+    }
+}
+
+/// One row of the command table.
+pub struct Command {
+    /// The subcommand word (`dtrd` for the daemon binary's one row).
+    pub name: &'static str,
+    /// Accepted values of the single optional positional word; empty
+    /// when the command takes none.
+    pub positional: &'static [&'static str],
+    /// Flags that must be given.
+    pub required: &'static [&'static Flag],
+    /// Flags that may be given, in groups (a group is read by one
+    /// function and shared between rows).
+    pub optional: &'static [&'static [&'static Flag]],
+    /// The prose paragraph `help` prints under the usage block.
+    pub about: &'static str,
+    /// Executes the parsed command line.
+    pub run: fn(&Args) -> Result<(), crate::CliError>,
+}
+
+impl Command {
+    /// Every flag the row accepts, required ones first.
+    pub fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        let optional = self.optional.iter().flat_map(|group| group.iter());
+        self.required.iter().chain(optional).copied()
+    }
+
+    /// The usage block: the invocation, then every flag, wrapped.
+    pub fn usage(&self) -> String {
+        let mut items = match self.name {
+            "dtrd" => vec!["dtrd".to_string()],
+            name => vec![format!("dtrctl {name}")],
+        };
+        if !self.positional.is_empty() {
+            items.push(format!("[{}]", self.positional.join("|")));
+        }
+        items.extend(self.required.iter().map(|f| f.usage()));
+        let optional = self.optional.iter().flat_map(|group| group.iter());
+        items.extend(optional.map(|f| format!("[{}]", f.usage())));
+        wrap(items.iter().map(String::as_str), "       ")
+    }
+}
+
+/// Joins `items` with spaces, breaking before the one that would cross
+/// column 78 and starting each later line with `indent`.
+pub fn wrap<'a>(items: impl Iterator<Item = &'a str>, indent: &str) -> String {
+    let (mut text, mut width) = (String::new(), 0);
+    for item in items {
+        let len = item.chars().count();
+        if width > 0 && width + 1 + len > 78 {
+            text.push('\n');
+            text.push_str(indent);
+            width = indent.len();
+        } else if width > 0 {
+            text.push(' ');
+            width += 1;
+        }
+        text.push_str(item);
+        width += len;
+    }
+    text
+}
+
+/// A usage error: the message names the offending token. Everything
+/// that returns one is decidable from argv alone and exits 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgError {
-    /// No subcommand given.
-    MissingCommand,
-    /// A `--flag` with no following value.
-    MissingValue(String),
-    /// A boolean switch written as `--switch=value`. Switches carry no
-    /// value — `--robust=false` would otherwise read as "robust
-    /// requested" — so the form is rejected outright.
-    SwitchWithValue {
-        /// The switch name (with `--`).
-        flag: String,
-        /// The rejected `=value` part.
-        value: String,
-    },
-    /// A flag's value failed to parse.
-    BadValue {
-        /// The flag name.
-        flag: String,
-        /// The raw value.
-        value: String,
-    },
-    /// A required flag is absent.
-    MissingFlag(String),
-    /// A flag parsed but its value is outside the supported range or
-    /// shape.
-    Invalid {
-        /// The flag name (with `--`).
-        flag: String,
-        /// Why the value is unusable.
-        reason: String,
-    },
-    /// Two flags that contradict each other.
-    Conflict {
-        /// The offending combination, e.g. `--objective load --sla-bound-ms`.
-        flags: String,
-        /// Why they cannot be combined.
-        reason: String,
-    },
-}
+pub struct ArgError(pub String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArgError::MissingCommand => write!(f, "no subcommand given (try `dtrctl help`)"),
-            ArgError::MissingValue(flag) => write!(f, "flag {flag} needs a value"),
-            ArgError::SwitchWithValue { flag, value } => write!(
-                f,
-                "{flag} is a boolean switch and takes no value: drop \
-                 `={value}` — the switch's presence alone means true, \
-                 its absence means false"
-            ),
-            ArgError::BadValue { flag, value } => {
-                write!(f, "could not parse value {value:?} for {flag}")
-            }
-            ArgError::MissingFlag(flag) => write!(f, "required flag {flag} is missing"),
-            ArgError::Invalid { flag, reason } => {
-                write!(f, "invalid value for {flag}: {reason}")
-            }
-            ArgError::Conflict { flags, reason } => {
-                write!(f, "conflicting flags {flags}: {reason}")
-            }
-        }
+        f.write_str(&self.0)
     }
 }
 
 impl std::error::Error for ArgError {}
 
+/// Levenshtein distance, for "did you mean".
+fn distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, cb) in b.iter().enumerate() {
+            let substitute = diagonal + usize::from(ca != *cb);
+            diagonal = row[j + 1];
+            row[j + 1] = substitute.min(diagonal + 1).min(row[j] + 1);
+        }
+    }
+    row[b.len()]
+}
+
+/// A command line checked against its row.
+#[derive(Debug)]
+pub struct Args {
+    /// The positional word, if one was given.
+    pub positional: Option<String>,
+    given: Vec<(&'static Flag, String)>,
+}
+
 impl Args {
-    /// Parses raw tokens (without the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Args, ArgError> {
-        let mut it = tokens.into_iter().peekable();
-        let command = it.next().ok_or(ArgError::MissingCommand)?;
+    /// Checks raw tokens (without program name and subcommand) against
+    /// `row`: every flag declared by the row and given once, every
+    /// value of its flag's kind and in range, no `--switch=value`, at
+    /// most the one positional word the row allows, every required flag
+    /// present.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        row: &Command,
+        tokens: I,
+    ) -> Result<Args, ArgError> {
         let mut args = Args {
-            command,
-            ..Default::default()
+            positional: None,
+            given: Vec::new(),
         };
+        let mut it = tokens.into_iter();
         while let Some(tok) = it.next() {
-            if let Some(flag) = tok.strip_prefix("--") {
-                // `--flag=value` assigns inline. Boolean switches are the
-                // exception: `--robust=false` must not silently read as
-                // "robust requested", so the `=` form is a hard error on
-                // them.
-                if let Some((name, value)) = flag.split_once('=') {
-                    if SWITCH_FLAGS.contains(&name) {
-                        return Err(ArgError::SwitchWithValue {
-                            flag: format!("--{name}"),
-                            value: value.to_string(),
-                        });
-                    }
-                    args.flags.insert(name.to_string(), value.to_string());
-                    continue;
+            let Some(body) = tok.strip_prefix("--") else {
+                if args.positional.is_some() || !row.positional.contains(&tok.as_str()) {
+                    return Err(ArgError(format!("unexpected argument {tok:?}")));
                 }
-                // Known switches may appear bare: `--robust --backend
-                // full` reads as `robust = true`. Every other flag still
-                // requires a value, so a forgotten one (`--out` at the
-                // end of a line) stays a hard error instead of silently
-                // becoming the string "true".
-                let value = match it.peek() {
-                    Some(next) if !next.starts_with("--") => it.next().unwrap(),
-                    _ if SWITCH_FLAGS.contains(&flag) => "true".to_string(),
-                    _ => return Err(ArgError::MissingValue(tok.clone())),
-                };
-                args.flags.insert(flag.to_string(), value);
-            } else {
-                args.positional.push(tok);
+                args.positional = Some(tok);
+                continue;
+            };
+            let (name, inline) = match body.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (body, None),
+            };
+            let Some(flag) = row.flags().find(|f| f.name == name) else {
+                let nearest = row.flags().map(|f| (distance(name, f.name), f.name)).min();
+                return Err(ArgError(match nearest {
+                    Some((d, near)) if d <= 2 => {
+                        format!("unknown flag --{name} (did you mean --{near}?)")
+                    }
+                    _ => format!("unknown flag --{name}"),
+                }));
+            };
+            if args.get(flag).is_some() {
+                return Err(ArgError(format!("flag --{name} is given twice")));
             }
+            let value = match (flag.kind, inline) {
+                // `--robust=false` would otherwise read as "robust
+                // requested", so the form is rejected outright.
+                (Kind::Switch, Some(value)) => {
+                    return Err(ArgError(format!(
+                        "--{name} is a boolean switch and takes no value: drop `={value}` — \
+                         the switch's presence alone means true, its absence means false"
+                    )))
+                }
+                (Kind::Switch, None) => String::new(),
+                (_, Some(value)) => value,
+                // A forgotten value (`--out` at the end of a line, or
+                // before the next flag) stays a hard error. Negative
+                // numbers are values, not flags.
+                (_, None) => it
+                    .next()
+                    .filter(|next| !next.starts_with("--"))
+                    .ok_or_else(|| ArgError(format!("flag --{name} needs a value")))?,
+            };
+            flag.check(&value)?;
+            args.given.push((flag, value));
+        }
+        for flag in row.required {
+            args.require(flag)?;
         }
         Ok(args)
     }
 
-    /// An optional string flag.
-    pub fn get(&self, flag: &str) -> Option<&str> {
-        self.flags.get(flag).map(|s| s.as_str())
+    /// The value given for `flag`, if any (the empty string for a switch).
+    pub fn get(&self, flag: &Flag) -> Option<&str> {
+        let found = self.given.iter().find(|(f, _)| f.name == flag.name);
+        found.map(|(_, value)| value.as_str())
     }
 
-    /// A required string flag.
-    pub fn require(&self, flag: &str) -> Result<&str, ArgError> {
-        self.get(flag)
-            .ok_or_else(|| ArgError::MissingFlag(format!("--{flag}")))
+    /// Whether a switch was given.
+    pub fn on(&self, flag: &Flag) -> bool {
+        self.get(flag).is_some()
     }
 
-    /// An optional parsed flag with default.
-    pub fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ArgError> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                flag: format!("--{flag}"),
-                value: v.to_string(),
-            }),
-        }
+    /// A flag the command cannot run without.
+    pub fn require(&self, flag: &Flag) -> Result<&str, ArgError> {
+        let missing = || ArgError(format!("required flag --{} is missing", flag.name));
+        self.get(flag).ok_or_else(missing)
     }
-}
 
-/// Parses the unified objective flag pair shared by `optimize`,
-/// `evaluate`, `reopt`, `robust`, `suite`, `validate` and `replay`:
-///
-/// - `--objective load|sla[:BOUND_MS]` — the per-class cost mode.
-///   `sla` defaults to the paper's 25 ms bound; `sla:40` sets 40 ms.
-/// - `--classes K` — class count (default 2). `K ≥ 3` builds a k-class
-///   spec: a load cascade under `load`, or `K − 1` identical SLA tiers
-///   over a load-based base under `sla` ([`ObjectiveSpec::uniform_sla`]).
-/// - `--sla-bound-ms MS` — the legacy bound spelling, equivalent to
-///   `--objective sla:MS`.
-///
-/// Contradictory combinations are hard errors rather than silent
-/// precedence: an inline bound together with `--sla-bound-ms`, a bound
-/// in either spelling under `--objective load`, a `load:<x>` suffix,
-/// and class counts outside the spec layer's supported range.
-pub fn parse_objective_spec(args: &Args) -> Result<ObjectiveSpec, ArgError> {
-    let classes: usize = args.get_or("classes", 2usize)?;
-    let legacy_ms: Option<f64> = match args.get("sla-bound-ms") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| ArgError::BadValue {
-            flag: "--sla-bound-ms".to_string(),
-            value: v.to_string(),
-        })?),
-    };
-    let objective = args.get("objective").unwrap_or("load");
-    let (kind, inline_bound) = match objective.split_once(':') {
-        Some((kind, bound)) => (kind, Some(bound)),
-        None => (objective, None),
-    };
-    let spec = match kind {
-        "load" => {
-            if inline_bound.is_some() {
-                return Err(ArgError::Invalid {
-                    flag: "--objective".to_string(),
-                    reason: format!(
-                        "\"{objective}\" — only the SLA mode takes a bound (sla:BOUND_MS)"
-                    ),
-                });
-            }
-            if legacy_ms.is_some() {
-                return Err(ArgError::Conflict {
-                    flags: "--objective load --sla-bound-ms".to_string(),
-                    reason: "an SLA bound is meaningless under the load objective".to_string(),
-                });
-            }
-            ObjectiveSpec::load(classes)
-        }
-        "sla" => {
-            let bound_ms = match (inline_bound, legacy_ms) {
-                (Some(_), Some(_)) => {
-                    return Err(ArgError::Conflict {
-                        flags: format!("--objective {objective} --sla-bound-ms"),
-                        reason: "the SLA bound is given twice; use one spelling".to_string(),
-                    })
-                }
-                (Some(inline), None) => inline.parse().map_err(|_| ArgError::BadValue {
-                    flag: "--objective".to_string(),
-                    value: objective.to_string(),
-                })?,
-                (None, Some(ms)) => ms,
-                (None, None) => SlaParams::default().bound_s * 1e3,
-            };
-            if !(bound_ms.is_finite() && bound_ms > 0.0) {
-                return Err(ArgError::Invalid {
-                    flag: "--objective".to_string(),
-                    reason: format!("SLA bound {bound_ms} ms — need a positive finite bound"),
-                });
-            }
-            ObjectiveSpec::uniform_sla(
-                classes,
-                SlaParams {
-                    bound_s: bound_ms * 1e-3,
-                    ..SlaParams::default()
-                },
-            )
-        }
-        other => {
-            return Err(ArgError::Invalid {
-                flag: "--objective".to_string(),
-                reason: format!("unknown mode \"{other}\" (expected load or sla[:BOUND_MS])"),
-            })
-        }
-    };
-    spec.validate().map_err(|e| ArgError::Invalid {
-        flag: "--classes".to_string(),
-        reason: e.to_string(),
-    })?;
-    Ok(spec)
+    /// The value of an `Int` or `Float` flag, if given.
+    pub fn num<T: std::str::FromStr>(&self, flag: &Flag) -> Option<T> {
+        let held = |v: &str| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("--{} holds {v:?}", flag.name))
+        };
+        self.get(flag).map(held)
+    }
+
+    /// The value of an `Int` or `Float` flag, or `default`.
+    pub fn num_or<T: std::str::FromStr>(&self, flag: &Flag, default: T) -> T {
+        self.num(flag).unwrap_or(default)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Bound::{Excluded, Included};
+
+    static NODES: Flag = Flag {
+        name: "nodes",
+        value: "30",
+        kind: Kind::Int(1, 1000),
+    };
+    static DELTA: Flag = Flag {
+        name: "delta",
+        value: "D",
+        kind: Kind::Float(Included(-10.0), Included(10.0)),
+    };
+    static SHARE: Flag = Flag {
+        name: "share",
+        value: "0.3",
+        kind: Kind::Float(Excluded(0.0), Included(1.0)),
+    };
+    static BACKEND: Flag = Flag {
+        name: "backend",
+        value: "",
+        kind: Kind::Choice(&["incremental", "full"]),
+    };
+    static ROBUST: Flag = Flag {
+        name: "robust",
+        value: "",
+        kind: Kind::Switch,
+    };
+    static OUT: Flag = Flag {
+        name: "out",
+        value: "PATH",
+        kind: Kind::Text,
+    };
+    static ROW: Command = Command {
+        name: "make",
+        positional: &["random", "grid"],
+        required: &[&OUT],
+        optional: &[&[&NODES, &DELTA], &[&SHARE, &BACKEND, &ROBUST]],
+        about: "",
+        run: |_| Ok(()),
+    };
 
     fn parse(s: &str) -> Result<Args, ArgError> {
-        Args::parse(s.split_whitespace().map(str::to_string))
+        Args::parse(&ROW, s.split_whitespace().map(str::to_string))
+    }
+
+    /// The message `s` is rejected with.
+    fn error(s: &str) -> String {
+        parse(s).unwrap_err().to_string()
     }
 
     #[test]
-    fn parses_command_positionals_and_flags() {
-        let a = parse("topo random --nodes 30 --seed 7").unwrap();
-        assert_eq!(a.command, "topo");
-        assert_eq!(a.positional, vec!["random"]);
-        assert_eq!(a.get("nodes"), Some("30"));
-        assert_eq!(a.get_or("seed", 0u64).unwrap(), 7);
-        assert_eq!(a.get_or("links", 150usize).unwrap(), 150);
-    }
-
-    #[test]
-    fn known_switches_read_as_boolean() {
-        let a = parse("optimize --robust --backend full").unwrap();
-        assert_eq!(a.get("robust"), Some("true"));
-        assert!(a.get_or("robust", false).unwrap());
-        assert_eq!(a.get("backend"), Some("full"));
-        // Trailing bare switch.
-        let b = parse("optimize --robust").unwrap();
-        assert!(b.get_or("robust", false).unwrap());
-        // Negative numbers are values, not flags.
-        let c = parse("x --delta -3").unwrap();
-        assert_eq!(c.get("delta"), Some("-3"));
+    fn parses_positional_flags_and_switches() {
+        let a = parse("random --nodes 30 --out t.json --robust --backend full").unwrap();
+        assert_eq!(a.positional.as_deref(), Some("random"));
+        assert_eq!(a.num::<usize>(&NODES), Some(30));
+        assert_eq!(a.num_or(&DELTA, 2.5), 2.5);
+        assert_eq!(a.get(&OUT), Some("t.json"));
+        assert!(a.on(&ROBUST));
+        assert_eq!(a.get(&BACKEND), Some("full"));
+        // A trailing bare switch, and negative numbers as values.
+        let b = parse("--out x --delta -3 --robust").unwrap();
+        assert_eq!(b.num::<f64>(&DELTA), Some(-3.0));
+        assert!(b.on(&ROBUST) && b.positional.is_none());
+        assert!(!parse("--out x").unwrap().on(&ROBUST));
     }
 
     #[test]
     fn switch_with_eq_value_is_rejected_with_a_clear_error() {
         // `--robust=false` must not silently mean true (or anything).
         for spec in [
-            "optimize --robust=false",
-            "optimize --robust=true --backend full",
-            "optimize --topo t.json --robust=0",
+            "--robust=false",
+            "--robust=true --out x",
+            "--out x --robust=0",
         ] {
-            let e = parse(spec).unwrap_err();
+            let msg = error(spec);
             assert!(
-                matches!(&e, ArgError::SwitchWithValue { flag, .. } if flag == "--robust"),
-                "{spec}: {e:?}"
+                msg.contains("--robust") && msg.contains("takes no value"),
+                "{msg}"
             );
-            let msg = e.to_string();
-            assert!(msg.contains("--robust"), "{msg}");
-            assert!(msg.contains("takes no value"), "{msg}");
         }
+        // Nor does a switch swallow the next word.
+        assert_eq!(
+            error("--out x --robust true"),
+            "unexpected argument \"true\""
+        );
     }
 
     #[test]
     fn eq_form_assigns_non_switch_flags() {
-        let a = parse("topo random --nodes=30 --seed=7 --out=topo.json").unwrap();
-        assert_eq!(a.get_or("nodes", 0usize).unwrap(), 30);
-        assert_eq!(a.get_or("seed", 0u64).unwrap(), 7);
-        assert_eq!(a.get("out"), Some("topo.json"));
+        let a = parse("--nodes=30 --out=topo.json").unwrap();
+        assert_eq!(a.num::<usize>(&NODES), Some(30));
+        assert_eq!(a.get(&OUT), Some("topo.json"));
         // An empty value stays an (empty) value, not a switch.
-        let b = parse("x --name=").unwrap();
-        assert_eq!(b.get("name"), Some(""));
+        assert_eq!(parse("--out=").unwrap().get(&OUT), Some(""));
     }
 
     #[test]
-    fn missing_value_is_an_error() {
-        // Non-switch flags still require a value — a forgotten one must
-        // not silently become the string "true".
+    fn missing_values_and_required_flags_are_errors() {
+        // A forgotten value must not silently become the next flag.
+        assert_eq!(error("--out x --nodes"), "flag --nodes needs a value");
         assert_eq!(
-            parse("topo --nodes").unwrap_err(),
-            ArgError::MissingValue("--nodes".into())
+            error("--robust --out --nodes 3"),
+            "flag --out needs a value"
         );
+        assert_eq!(error("--nodes 3"), "required flag --out is missing");
+    }
+
+    #[test]
+    fn unknown_duplicate_and_surplus_tokens_are_errors() {
         assert_eq!(
-            parse("optimize --robust --out").unwrap_err(),
-            ArgError::MissingValue("--out".into())
+            error("--out x --ndoes 3"),
+            "unknown flag --ndoes (did you mean --nodes?)"
         );
-    }
-
-    #[test]
-    fn bad_value_is_an_error() {
-        let a = parse("topo --nodes abc").unwrap();
-        assert!(matches!(
-            a.get_or("nodes", 0usize),
-            Err(ArgError::BadValue { .. })
-        ));
-    }
-
-    #[test]
-    fn require_reports_flag_name() {
-        let a = parse("evaluate").unwrap();
-        let e = a.require("topo").unwrap_err();
-        assert_eq!(e.to_string(), "required flag --topo is missing");
-    }
-
-    #[test]
-    fn empty_is_missing_command() {
-        assert_eq!(parse("").unwrap_err(), ArgError::MissingCommand);
-    }
-
-    fn objective(s: &str) -> Result<ObjectiveSpec, ArgError> {
-        parse_objective_spec(&parse(&format!("optimize {s}")).unwrap())
-    }
-
-    #[test]
-    fn objective_flags_build_the_expected_specs() {
-        assert_eq!(objective("").unwrap(), ObjectiveSpec::two_class_load());
-        assert_eq!(objective("--classes 3").unwrap(), ObjectiveSpec::load(3));
-        // The three bound spellings agree.
-        let sla25 = objective("--objective sla").unwrap();
-        assert_eq!(objective("--objective sla:25").unwrap(), sla25);
+        // Nothing within two edits: no suggestion, still named.
+        assert_eq!(error("--out x --bogus-flag 3"), "unknown flag --bogus-flag");
         assert_eq!(
-            objective("--objective sla --sla-bound-ms 25").unwrap(),
-            sla25
+            error("--out x --nodes 3 --nodes=4"),
+            "flag --nodes is given twice"
         );
-        assert_eq!(sla25.summary(), "sla:25ms,load");
-        // k-class SLA: uniform tiers over a load base.
-        let spec = objective("--objective sla:40 --classes 4").unwrap();
-        assert_eq!(spec.summary(), "sla:40ms,sla:40ms,sla:40ms,load");
+        assert_eq!(error("random grid --out x"), "unexpected argument \"grid\"");
+        assert_eq!(
+            error("hypercube --out x"),
+            "unexpected argument \"hypercube\""
+        );
     }
 
     #[test]
-    fn contradictory_objective_combos_are_rejected() {
-        // Bound under the load objective, in either spelling.
-        assert!(matches!(
-            objective("--objective load --sla-bound-ms 10"),
-            Err(ArgError::Conflict { .. })
-        ));
-        assert!(matches!(
-            objective("--objective load:10"),
-            Err(ArgError::Invalid { .. })
-        ));
-        // Bound given twice.
-        let e = objective("--objective sla:30 --sla-bound-ms 10").unwrap_err();
-        assert!(matches!(e, ArgError::Conflict { .. }));
-        assert!(e.to_string().contains("twice"), "{e}");
-        // Unknown mode and malformed bounds.
-        assert!(matches!(
-            objective("--objective latency"),
-            Err(ArgError::Invalid { .. })
-        ));
-        assert!(matches!(
-            objective("--objective sla:abc"),
-            Err(ArgError::BadValue { .. })
-        ));
-        assert!(matches!(
-            objective("--objective sla:-3"),
-            Err(ArgError::Invalid { .. })
-        ));
-        // Class counts outside the spec layer's range name --classes.
-        for combo in ["--classes 1", "--classes 9"] {
-            let e = objective(combo).unwrap_err();
+    fn ill_typed_and_out_of_range_values_are_errors() {
+        for spec in ["--nodes abc", "--nodes -1", "--delta 1.5.2"] {
+            let msg = error(&format!("--out x {spec}"));
+            assert!(msg.starts_with("could not parse value"), "{spec}: {msg}");
+        }
+        for spec in [
+            "--nodes 0",
+            "--nodes 1001",
+            "--nodes 18446744073709551615",
+            "--delta nan",
+            "--delta inf",
+            "--delta -10.5",
+            "--delta 1e308",
+            // An open end excludes its bound.
+            "--share 0",
+            "--backend incr",
+        ] {
+            let flag = spec.split(' ').next().unwrap();
+            let msg = error(&format!("--out x {spec}"));
             assert!(
-                matches!(&e, ArgError::Invalid { flag, .. } if flag == "--classes"),
-                "{combo}: {e:?}"
+                msg.starts_with(&format!("invalid value for {flag}: ")),
+                "{spec}: {msg}"
             );
         }
+        // A closed end includes its bound.
+        parse("--out x --share 1 --delta -10").unwrap();
+        assert_eq!(
+            error("--out x --share 2"),
+            "invalid value for --share: 2 — need a number in Excluded(0.0)..Included(1.0)"
+        );
+    }
+
+    #[test]
+    fn usage_lists_the_positional_and_every_flag() {
+        assert_eq!(
+            ROW.usage(),
+            "dtrctl make [random|grid] --out PATH [--nodes 30] [--delta D] [--share 0.3]\n      \
+             \x20[--backend incremental|full] [--robust]"
+        );
     }
 }

@@ -1,18 +1,6 @@
 //! `dtrctl` entry point.
 
-use dtr_cli::{run, Args};
-
 fn main() {
-    let args = match Args::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", dtr_cli::commands::help_text());
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = run(&args) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
+    let result = dtr_cli::run(std::env::args().skip(1));
+    std::process::exit(dtr_cli::exit_code("error", result));
 }

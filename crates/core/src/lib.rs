@@ -95,7 +95,9 @@ pub use upgrade::{cost_ratio, UpgradeOutcome, UpgradeParams, UpgradeSearch, Upgr
 
 // Re-export the types a downstream user needs to drive a search without
 // depending on every substrate crate explicitly.
-pub use dtr_cost::{Lex2, LexCost, Objective, ObjectiveError, ObjectiveSpec, SlaParams};
+pub use dtr_cost::{
+    Lex2, LexCost, Objective, ObjectiveError, ObjectiveSpec, SlaParams, MAX_CLASSES,
+};
 pub use dtr_engine::{BackendKind, BatchEvaluator, EvalBackend};
 pub use dtr_graph::weights::DualWeights;
 pub use dtr_graph::{Topology, WeightVector};

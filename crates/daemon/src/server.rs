@@ -15,32 +15,62 @@
 //! deterministic (see `DESIGN.md`).
 
 use crate::daemon::Daemon;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, ErrorKind, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+/// The loop every transport runs until EOF or `stopped()`. Empty lines
+/// are ignored; every other line gets exactly one reply line, flushed
+/// immediately. A reader with a read timeout notices `stopped()` while
+/// idle; partial lines survive timeouts because `read_line` appends into
+/// the same buffer across retries.
+///
+/// `writeln!` on an unbuffered writer is two `write`s; over TCP with
+/// Nagle on, the newline waits for the client's ACK of the reply (the
+/// 44 ms per line of `benchmark/README.md`). ROADMAP item 1(a) has the
+/// one-`write_all` fix and why it is not here.
+fn line_loop<R: BufRead, W: Write>(
+    mut input: R,
+    output: &mut W,
+    mut handle: impl FnMut(&str) -> String,
+    stopped: impl Fn() -> bool,
+) -> io::Result<()> {
+    let mut buf = String::new();
+    loop {
+        match input.read_line(&mut buf) {
+            Ok(0) => return Ok(()),
+            Ok(_) => {
+                if !buf.trim().is_empty() {
+                    let reply = handle(buf.trim_end());
+                    writeln!(output, "{reply}")?;
+                    output.flush()?;
+                }
+                buf.clear();
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => return Err(e),
+        }
+        if stopped() {
+            return Ok(());
+        }
+    }
+}
+
 /// Serves `daemon` over any line-based reader/writer pair until EOF or
-/// a `Shutdown` request. Empty lines are ignored; every other line gets
-/// exactly one reply line, flushed immediately.
+/// a `Shutdown` request.
 pub fn serve<R: BufRead, W: Write>(
     daemon: &mut Daemon,
     input: R,
     output: &mut W,
 ) -> io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = daemon.handle_line(&line);
-        writeln!(output, "{reply}")?;
-        output.flush()?;
-        if daemon.is_shutdown() {
-            break;
-        }
-    }
-    Ok(())
+    let shutdown = std::cell::Cell::new(false);
+    let handle = |line: &str| {
+        let reply = daemon.handle_line(line);
+        shutdown.set(daemon.is_shutdown());
+        reply
+    };
+    line_loop(input, output, handle, || shutdown.get())
 }
 
 /// Serves `daemon` on stdin/stdout (the default transport).
@@ -132,7 +162,7 @@ pub fn serve_tcp(daemon: Daemon, listener: TcpListener) -> io::Result<()> {
                     let _ = serve_tcp_client(&shared, stream);
                 }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
             Err(e) => return Err(e),
@@ -145,43 +175,17 @@ pub fn serve_tcp(daemon: Daemon, listener: TcpListener) -> io::Result<()> {
     Ok(())
 }
 
-/// One TCP client: read lines, answer via [`Shared::handle_line`],
-/// stop at EOF or once the daemon shut down. Reads use a short timeout
-/// so an idle connection notices shutdown instead of blocking the
-/// server's final join forever; partial lines survive timeouts because
-/// `read_line` appends into the same buffer across retries.
+/// One TCP client: the line loop over [`Shared::handle_line`]. Reads
+/// use a short timeout so an idle connection notices shutdown instead
+/// of blocking the server's final join forever.
 fn serve_tcp_client(shared: &Shared, stream: std::net::TcpStream) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(std::time::Duration::from_millis(50)))?;
     let mut writer = stream.try_clone()?;
-    let mut reader = io::BufReader::new(stream);
-    let mut buf = String::new();
-    loop {
-        match reader.read_line(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => {
-                if !buf.trim().is_empty() {
-                    let reply = shared.handle_line(buf.trim_end());
-                    writeln!(writer, "{reply}")?;
-                    writer.flush()?;
-                }
-                buf.clear();
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
+    line_loop(
+        io::BufReader::new(stream),
+        &mut writer,
+        |line| shared.handle_line(line),
+        || shared.shutdown.load(Ordering::SeqCst),
+    )
 }
