@@ -153,6 +153,13 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
     let out = dir.join("probe-out.json").display().to_string();
     let traffic = format!("traffic --topo {t} --out {out}");
     let churn = format!("churn --topo {t} --traffic {m} --out {out}");
+    // The instance's files with one entry dropped from the high matrix
+    // and link 0 pointed at a node that does not exist.
+    let [ragged, dangling] = ["ragged.json", "dangling.json"].map(|f| dir.join(f));
+    let text = |path: &String| std::fs::read_to_string(path).unwrap();
+    std::fs::write(&ragged, text(m).replacen("0.0,", "", 1)).unwrap();
+    std::fs::write(&dangling, text(t).replacen("\"dst\": ", "\"dst\": 9", 1)).unwrap();
+    let [ragged, dangling] = [ragged, dangling].map(|p| p.display().to_string());
     for (line, code, token) in [
         // Out-of-range values that used to die in a library assert!.
         (format!("topo random --nodes 0 --out {out}"), 2, "0/150"),
@@ -186,6 +193,17 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
             format!("upgrade --topo {t} --traffic {m} --budget 0"),
             2,
             "--budget",
+        ),
+        // Files that used to load and panic at first use.
+        (
+            format!("evaluate --topo {t} --traffic {ragged} --weights {w}"),
+            1,
+            "ragged.json: traffic matrix",
+        ),
+        (
+            format!("evaluate --topo {dangling} --traffic {m} --weights {w}"),
+            1,
+            "dangling.json: topology",
         ),
         // Typos that used to run the defaults and exit 0.
         (

@@ -21,14 +21,16 @@ fn dtrctl(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
-fn golden() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/simulate.txt")
-}
-
 /// Generates the instance, optimizes it at the `tiny` budget and
 /// returns what `simulate` prints for the resulting weights.
-fn simulate_stdout(tag: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("dtrctl-simulate-{tag}-{}", std::process::id()));
+fn simulate_stdout() -> String {
+    // Per thread as well as per process: the compare and bless tests
+    // may run side by side under `--include-ignored`.
+    let dir = std::env::temp_dir().join(format!(
+        "dtrctl-simulate-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
     let (t, m, w) = (file("t.json"), file("m.json"), file("w.json"));
@@ -68,14 +70,11 @@ fn simulate_stdout(tag: &str) -> String {
     out
 }
 
-#[test]
-fn simulate_prints_the_frozen_report() {
-    let frozen = std::fs::read_to_string(golden()).expect("golden file");
-    assert_eq!(simulate_stdout("check"), frozen);
+/// `(golden file, regenerated contents)`.
+fn regenerate() -> Vec<(PathBuf, String)> {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/simulate.txt");
+    vec![(golden, simulate_stdout())]
 }
 
-#[test]
-#[ignore = "rewrites the golden file"]
-fn bless() {
-    std::fs::write(golden(), simulate_stdout("bless")).unwrap();
-}
+#[path = "../../../tests/support/freeze.rs"]
+mod freeze;

@@ -452,20 +452,5 @@ fn regenerate() -> Vec<(PathBuf, String)> {
         .collect()
 }
 
-#[test]
-fn seeded_searches_match_the_frozen_files() {
-    for (path, fresh) in regenerate() {
-        let frozen =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(fresh, frozen, "{} drifted", path.display());
-    }
-}
-
-#[test]
-#[ignore = "rewrites the golden files"]
-fn bless() {
-    for (path, fresh) in regenerate() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, fresh).unwrap();
-    }
-}
+#[path = "../../../tests/support/freeze.rs"]
+mod freeze;

@@ -122,6 +122,14 @@ struct LinkEvent {
     up: bool,
 }
 
+/// Both matrices must index the `n` nodes of the topology they load.
+fn check_demands(demands: &DemandSet, n: usize) -> Result<(), String> {
+    if demands.high.len() != n || demands.low.len() != n {
+        return Err(format!("demand matrices must be {n}x{n}"));
+    }
+    Ok(())
+}
+
 impl Daemon {
     /// Boots a daemon around `topo`/`demands`. When `incumbent` is
     /// `None`, a cold batch DTR search under `cfg.params` produces the
@@ -400,11 +408,7 @@ impl Daemon {
     fn validate_event(&self, req: &Request) -> Result<Option<LinkEvent>, String> {
         let (link, duplex, up) = match *req {
             Request::DemandUpdate { ref demands } => {
-                let n = self.topo.node_count();
-                if demands.high.len() != n || demands.low.len() != n {
-                    return Err(format!("demand matrices must be {n}x{n}"));
-                }
-                return Ok(None);
+                return check_demands(demands, self.topo.node_count()).map(|()| None);
             }
             Request::LinkDown { link } => (link, true, false),
             Request::LinkUp { link } => (link, true, true),
@@ -427,6 +431,36 @@ impl Daemon {
             links,
             up,
         }))
+    }
+
+    /// Checks that a snapshot's parts fit each other and describe a state
+    /// events could have led to, before [`Request::Restore`] touches
+    /// anything. (Topology and matrices validated themselves when the
+    /// line was parsed.)
+    fn check_snapshot(&self, s: &Snapshot) -> Result<(), String> {
+        let (n, m) = (s.topo.node_count(), s.topo.link_count());
+        let range = self.cfg.params.min_weight..=self.cfg.params.max_weight;
+        for (class, w) in [("high", &s.incumbent.high), ("low", &s.incumbent.low)] {
+            if w.len() != m {
+                return Err(format!("{} {class} weights for {m} links", w.len()));
+            }
+            if let Some(bad) = w.as_slice().iter().find(|w| !range.contains(w)) {
+                return Err(format!("{class} weight {bad} outside {range:?}"));
+            }
+        }
+        check_demands(&s.demands, n)?;
+        if s.link_up.len() != m {
+            return Err(format!("{} link states for {m} links", s.link_up.len()));
+        }
+        if s.link_up.contains(&false) {
+            if let Some(message) = self.reject_mask_under_sla() {
+                return Err(message);
+            }
+        }
+        if !strongly_connected_under(&s.topo, &s.link_up) {
+            return Err("the links that are up do not connect the network".to_string());
+        }
+        Ok(())
     }
 
     /// Applies a validated link event: nothing to do when every named
@@ -505,12 +539,9 @@ impl Daemon {
             | Request::Status
             | Request::Snapshot => unreachable!("read-only requests are handled above"),
             Request::Restore { snapshot } => {
-                if snapshot.link_up.len() != snapshot.topo.link_count()
-                    || snapshot.incumbent.high.len() != snapshot.topo.link_count()
-                    || snapshot.demands.high.len() != snapshot.topo.node_count()
-                {
+                if let Err(detail) = self.check_snapshot(&snapshot) {
                     return Reply::Error {
-                        message: "snapshot is internally inconsistent".to_string(),
+                        message: format!("snapshot is internally inconsistent: {detail}"),
                     };
                 }
                 let mut session = ReoptSession::new(

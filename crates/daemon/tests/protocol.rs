@@ -314,11 +314,17 @@ fn sla_objective_daemon_optimizes_but_refuses_failure_masks() {
     let reply = d.handle(Request::DemandUpdate { demands: drifted });
     assert!(matches!(reply, Reply::Event(_)), "{reply:?}");
 
-    // Link-failure events and probes get the clear protocol error
-    // instead of numbers from an undefined masked SLA evaluation.
+    // Link-failure events and probes — and a snapshot that carries a
+    // failure in — get the clear protocol error instead of numbers from
+    // an undefined masked SLA evaluation.
+    let Reply::Snapshot(mut snapshot) = d.handle(Request::Snapshot) else {
+        panic!("expected a snapshot");
+    };
+    snapshot.link_up[0] = false;
     for req in [
         Request::LinkDown { link: 0 },
         Request::WhatIfLinkDown { link: 0 },
+        Request::Restore { snapshot },
     ] {
         match d.handle(req) {
             Reply::Error { message } => {
@@ -357,4 +363,138 @@ fn sla_objective_replays_a_demand_only_trace() {
     assert_eq!(a.lines, b.lines, "SLA replay must stay deterministic");
     assert_eq!(a.report.events, t.events.len());
     assert_eq!(a.report.final_links_down, 0);
+}
+
+/// `line` with the one occurrence of `from` replaced by `to`.
+fn edited(line: &str, from: &str, to: &str) -> String {
+    assert_eq!(line.matches(from).count(), 1, "{from:?} in {line}");
+    line.replace(from, to)
+}
+
+/// The hostile lines of ROADMAP item 5(c), by what is wrong with them:
+/// demand updates that are ragged, negative or sized for another
+/// network, and snapshots whose parts do not fit each other or describe
+/// a state no event sequence reaches.
+fn hostile_lines() -> Vec<(&'static str, String)> {
+    let (topo, base) = instance();
+    let (n, m) = (topo.node_count(), topo.link_count());
+    let json = |req: &Request| serde_json::to_string(req).unwrap();
+    let update = json(&Request::DemandUpdate {
+        demands: base.clone(),
+    });
+    // Entry (0, 1) of the high matrix, as it is written on the wire.
+    let head = format!(
+        "{{\"high\":{{\"n\":{n},\"data\":[0.0,{:?},",
+        base.high.get(0, 1)
+    );
+    let ragged_head = head.replace("[0.0,", "[");
+    let negative_head = format!("{{\"high\":{{\"n\":{n},\"data\":[0.0,-1.0,");
+    let small = DemandSet {
+        high: TrafficMatrix::zeros(3),
+        low: TrafficMatrix::zeros(3),
+    };
+
+    let mut booted = Daemon::new(topo.clone(), base.clone(), Some(uniform(&topo)), cfg());
+    let snapshot = match booted.handle(Request::Snapshot) {
+        Reply::Snapshot(s) => s,
+        other => panic!("expected snapshot, got {other:?}"),
+    };
+    let restore = |change: &dyn Fn(&mut Snapshot)| {
+        let mut snapshot = snapshot.clone();
+        change(&mut snapshot);
+        json(&Request::Restore { snapshot })
+    };
+    let intact = restore(&|_| ());
+    let first = topo.link(dtr_graph::LinkId(0));
+    let first_link = format!(
+        "\"links\":[{{\"src\":{},\"dst\":{},",
+        first.src.0, first.dst.0
+    );
+
+    vec![
+        ("ragged demand update", edited(&update, &head, &ragged_head)),
+        (
+            "negative demand update",
+            edited(&update, &head, &negative_head),
+        ),
+        (
+            "mis-sized demand update",
+            json(&Request::DemandUpdate {
+                demands: small.clone(),
+            }),
+        ),
+        (
+            "short low weight vector",
+            restore(&|s| {
+                let low = s.incumbent.low.as_slice()[..m - 1].to_vec();
+                s.incumbent.low = WeightVector::from_vec(low);
+            }),
+        ),
+        (
+            "zero weight",
+            restore(&|s| s.incumbent.high = WeightVector::uniform(&topo, 0)),
+        ),
+        (
+            "dangling link endpoint",
+            edited(
+                &intact,
+                &first_link,
+                &format!("\"links\":[{{\"src\":{},\"dst\":99,", first.src.0),
+            ),
+        ),
+        (
+            "3x3 low matrix",
+            restore(&|s| s.demands.low = small.low.clone()),
+        ),
+        ("ragged high matrix", edited(&intact, &head, &ragged_head)),
+        ("every link down", restore(&|s| s.link_up = vec![false; m])),
+    ]
+}
+
+/// Every hostile line gets an `Error` reply and leaves no trace: the
+/// `Status` line after it is the `Status` line before it, byte for byte.
+#[test]
+fn hostile_lines_are_errors_and_leave_state_untouched() {
+    let (topo, base) = instance();
+    let mut d = Daemon::new(topo.clone(), base, Some(uniform(&topo)), cfg());
+    let status = serde_json::to_string(&Request::Status).unwrap();
+    for (what, line) in hostile_lines() {
+        let before = d.handle_line(&status);
+        let reply = d.handle_line(&line);
+        assert!(
+            matches!(serde_json::from_str(&reply), Ok(Reply::Error { .. })),
+            "{what}: {reply}"
+        );
+        assert_eq!(d.handle_line(&status), before, "{what}");
+    }
+}
+
+/// Over TCP the same ragged update used to panic under the writer lock
+/// and take every later connection down with it.
+#[test]
+fn a_ragged_update_over_tcp_leaves_the_server_answering() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (topo, base) = instance();
+    let d = Daemon::new(topo.clone(), base, Some(uniform(&topo)), cfg());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || dtr_daemon::serve_tcp(d, listener));
+    let ask = |line: &str| {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        writeln!(stream, "{line}").unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).unwrap();
+        serde_json::from_str::<Reply>(reply.trim()).unwrap_or_else(|e| panic!("{reply:?}: {e}"))
+    };
+
+    let (_, ragged) = hostile_lines().swap_remove(0);
+    assert!(matches!(ask(&ragged), Reply::Error { .. }));
+    let json = |req: &Request| serde_json::to_string(req).unwrap();
+    match ask(&json(&Request::Status)) {
+        Reply::Status(s) => assert_eq!(s.seq, 0),
+        other => panic!("expected a status on the second connection, got {other:?}"),
+    }
+    assert!(matches!(ask(&json(&Request::Shutdown)), Reply::Bye { .. }));
+    server.join().unwrap().unwrap();
 }

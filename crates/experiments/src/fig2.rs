@@ -117,6 +117,11 @@ mod tests {
         assert_eq!(panel.points.len(), 2);
         // Load increases across the sweep.
         assert!(panel.points[0].avg_util < panel.points[1].avg_util);
+        // §5.2: ratios are saturated into [1e-3, 1e3], never 0, ∞ or NaN.
+        for p in &panel.points {
+            assert!((1e-3..=1e3).contains(&p.r_h), "R_H {}", p.r_h);
+            assert!((1e-3..=1e3).contains(&p.r_l), "R_L {}", p.r_l);
+        }
         let t = table(&panel);
         assert_eq!(t.rows.len(), 2);
         assert!(t.render().contains("isp"));

@@ -149,6 +149,9 @@ mod tests {
         let p = run_panel(&ctx, 0.10, Objective::LoadBased, "(a)", 0.6);
         assert_eq!(p.str_utils.len(), 150);
         assert_eq!(p.dtr_utils.len(), 150);
+        // Both histograms cover the same, non-empty link set.
+        let counted = p.bins.iter().fold((0, 0), |(s, d), b| (s + b.1, d + b.2));
+        assert_eq!(counted, (150, 150));
         let t = table(&p);
         assert!(!t.rows.is_empty());
     }

@@ -47,7 +47,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Fig9Point> {
     );
     let demands = base.scaled(gammas[0]);
 
-    crate::runner::parallel_map(ctx, BOUNDS_MS.to_vec(), |i, bound_ms| {
+    crate::runner::parallel_map(BOUNDS_MS.to_vec(), |i, bound_ms| {
         let objective = Objective::SlaBased(SlaParams {
             bound_s: bound_ms * 1e-3,
             ..SlaParams::default()
@@ -106,9 +106,7 @@ mod tests {
 
     #[test]
     fn smoke() {
-        let mut ctx = ExperimentCtx::smoke();
-        ctx.threads = 2;
-        let pts = run(&ctx);
+        let pts = run(&ExperimentCtx::smoke());
         assert_eq!(pts.len(), 5);
         for w in pts.windows(2) {
             assert!(w[0].bound_ms < w[1].bound_ms);

@@ -34,7 +34,12 @@
 //! sweeps, STR/DTR pairs, ratio conventions) and [`report`] (CSV files and
 //! fixed-width text tables). Every experiment is deterministic given the
 //! seeds in its config.
+//!
+//! [`ARTIFACTS`] lists all of them once; the crate's binary runs that
+//! list, or the `--only` part of it: `cargo run --release -p
+//! dtr-experiments -- [--quick] [--only fig2,table1]`.
 
+pub mod artifacts;
 pub mod convergence;
 pub mod drift;
 pub mod estimation;
@@ -57,6 +62,7 @@ pub mod runner;
 pub mod table1;
 pub mod triangle;
 
+pub use artifacts::{Artifact, Output, ARTIFACTS};
 pub use report::{write_csv, Table};
 pub use runner::{
     cost_ratio, paper_isp, paper_powerlaw, paper_random, ExperimentCtx, PairOutcome, TopologyKind,

@@ -1,140 +1,136 @@
-//! Experiment runner binary: `cargo run -p dtr-experiments -- [--smoke] [NAMES…]`.
+//! The figure front end: regenerates the paper's figures and tables and
+//! the extension studies from [`ARTIFACTS`] — all of them in order, or
+//! the `--only a,b` subset.
 //!
-//! Runs the requested experiment harnesses (default: `fig2 fig3 table1`)
-//! and prints their rendered tables. Two budgets:
+//! ```text
+//! cargo run --release -p dtr-experiments -- [--quick] [--paper] [--seed N] [--points N] [--only a,b]
+//! ```
 //!
-//! - `--smoke` (CI's `experiments-smoke` job): [`ExperimentCtx::smoke`] —
-//!   tiny search budget, ISP-sized instances where a choice exists, two
-//!   load points. Finishes in seconds and *asserts* basic result-shape
-//!   invariants (finite ratios, non-empty sweeps), so the experiments
-//!   crate cannot silently rot while CI only compiles it.
-//! - default: [`ExperimentCtx::default`] — the budget the committed
-//!   figures were produced with (minutes to hours; not run in CI).
+//! Prints each artifact's rows/series and writes them as CSV under
+//! `results/` (`DTR_RESULTS` overrides). `--quick` is the tiny smoke
+//! budget ([`ExperimentCtx::smoke`]; all 19 artifacts in seconds, CI's
+//! `experiments-smoke` job), `--paper` the full published iteration
+//! budget (hours of CPU); with neither, [`ExperimentCtx::default`] —
+//! the budget the committed figures were produced with. `--points N`
+//! sets the load points per sweep (the paper's Table 1 has seven:
+//! `--only table1 --points 7`).
 //!
-//! Exit status: `0` on success, `2` on a usage error. Invariant
-//! violations panic, which is exactly what a CI gate wants.
+//! Exit status: `0` on success, `2` on a usage error.
 
-use dtr_core::Objective;
-use dtr_experiments::{fig2, fig3, table1, ExperimentCtx, TopologyKind};
+use dtr_core::SearchParams;
+use dtr_experiments::{write_csv, ExperimentCtx, ARTIFACTS};
+use std::time::Instant;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dtr-experiments [--smoke] [fig2|fig3|table1 …]\n\
-         (no names = run all three; --smoke uses the tiny CI budget)"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str =
+    "usage: dtr-experiments [--quick] [--paper] [--seed N] [--points N] [--only a,b]";
 
-/// The smoke invariants shared by every ratio-producing experiment: the
-/// §5.2 conventions guarantee ratios are finite, positive, and saturated
-/// into [1e-3, 1e3].
-fn assert_ratio(label: &str, r: f64) {
-    assert!(
-        r.is_finite() && (1e-3..=1e3).contains(&r),
-        "{label}: ratio {r} outside the saturated range"
-    );
-}
-
-fn run_fig2(ctx: &ExperimentCtx, smoke: bool) {
-    let cfg = fig2::Fig2Cfg::default();
-    let panels = if smoke {
-        // One representative panel: the deterministic ISP topology under
-        // the load-based objective.
-        vec![fig2::run_panel(
-            ctx,
-            TopologyKind::Isp,
-            Objective::LoadBased,
-            &cfg,
-        )]
-    } else {
-        fig2::run_all(ctx, &cfg)
-    };
-    for panel in &panels {
-        assert!(!panel.points.is_empty(), "fig2 panel swept no load points");
-        for p in &panel.points {
-            assert_ratio("fig2 R_H", p.r_h);
-            assert_ratio("fig2 R_L", p.r_l);
+/// Builds the experiment context from the command line and returns it
+/// with the `--only` names (empty: everything). Anything the five flags
+/// do not cover is an error naming the offending token.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<(ExperimentCtx, Vec<String>), String> {
+    let (mut quick, mut paper, mut seed, mut points) = (false, false, None, None);
+    let mut only = Vec::new();
+    let mut it = args.into_iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or(format!("{flag} needs a value"));
+        let count = |v: String| {
+            v.parse::<u64>()
+                .map_err(|_| format!("{flag} needs an integer"))
+        };
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--paper" => paper = true,
+            "--seed" => seed = Some(count(value()?)?),
+            "--points" => points = Some(count(value()?)?),
+            "--only" => only = value()?.split(',').map(str::to_string).collect(),
+            other => return Err(format!("unknown argument {other:?}")),
         }
-        println!("{}", fig2::table(panel).render());
     }
-}
-
-fn run_fig3(ctx: &ExperimentCtx, smoke: bool) {
-    let panels = if smoke {
-        vec![fig3::run_panel(
-            ctx,
-            0.10,
-            Objective::LoadBased,
-            "(a) k=10%, load-based",
-            0.65,
-        )]
-    } else {
-        fig3::run_all(ctx)
+    if quick && paper {
+        return Err("--quick and --paper name two different budgets".into());
+    }
+    if points == Some(0) {
+        return Err("--points needs at least one load point".into());
+    }
+    if let Some(name) = only.iter().find(|o| ARTIFACTS.iter().all(|a| a.0 != **o)) {
+        let have: Vec<&str> = ARTIFACTS.iter().map(|a| a.0).collect();
+        return Err(format!(
+            "--only: no artifact is named {name:?} (have {})",
+            have.join(",")
+        ));
+    }
+    let mut ctx = match quick {
+        true => ExperimentCtx::smoke(),
+        false => ExperimentCtx::default(),
     };
-    for panel in &panels {
-        assert!(!panel.bins.is_empty(), "fig3 histogram is empty");
-        let str_links: usize = panel.bins.iter().map(|b| b.1).sum();
-        let dtr_links: usize = panel.bins.iter().map(|b| b.2).sum();
-        assert_eq!(
-            str_links, dtr_links,
-            "fig3 histograms must cover the same link set"
-        );
-        assert!(str_links > 0, "fig3 counted no links");
-        println!("{}", fig3::table(panel).render());
+    if paper {
+        ctx.params = SearchParams::paper();
     }
-}
-
-fn run_table1(ctx: &ExperimentCtx) {
-    let blocks = table1::run(ctx);
-    assert_eq!(blocks.len(), 3, "table1 covers three topology families");
-    for block in &blocks {
-        assert!(!block.points.is_empty(), "table1 block swept no points");
-        for p in &block.points {
-            assert_ratio("table1 R_L", p.r_l);
-            assert_ratio("table1 R_L,5%", p.r_l_5);
-            assert_ratio("table1 R_L,30%", p.r_l_30);
-            // Relaxation can only help the low class (monotone in ε).
-            assert!(
-                p.r_l_30 <= p.r_l_5 + 1e-9,
-                "table1: ε=30% ratio {} worse than ε=5% ratio {}",
-                p.r_l_30,
-                p.r_l_5
-            );
-        }
-        println!("{}", table1::table(block).render());
+    if let Some(seed) = seed {
+        ctx.seed = seed;
+        ctx.params = ctx.params.with_seed(seed);
     }
+    if let Some(points) = points {
+        ctx.load_points = points as usize;
+    }
+    Ok((ctx, only))
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut names: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "-h" | "--help" => usage(),
-            other if other.starts_with('-') => usage(),
-            other => names.push(other.to_string()),
+    let (ctx, only) = parse(std::env::args().skip(1)).unwrap_or_else(|message| {
+        eprintln!("dtr-experiments: {message}\n{USAGE}");
+        std::process::exit(2)
+    });
+    let t0 = Instant::now();
+    for &(name, heading, run) in ARTIFACTS {
+        if only.is_empty() || only.iter().any(|o| o == name) {
+            println!("=== {heading} ===");
+            for (csv_name, table) in run(&ctx).tables {
+                println!("{}", table.render());
+                let path = write_csv(&csv_name, &table);
+                println!("[csv] {}\n", path.display());
+            }
         }
     }
-    if names.is_empty() {
-        names = vec!["fig2".into(), "fig3".into(), "table1".into()];
+    println!("total wall time: {:?}", t0.elapsed());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<(ExperimentCtx, Vec<String>), String> {
+        parse(line.split_whitespace().map(str::to_string))
     }
-    let ctx = if smoke {
-        ExperimentCtx::smoke()
-    } else {
-        ExperimentCtx::default()
-    };
-    for name in &names {
-        println!(
-            "=== {name} ({} budget) ===",
-            if smoke { "smoke" } else { "full" }
-        );
-        match name.as_str() {
-            "fig2" => run_fig2(&ctx, smoke),
-            "fig3" => run_fig3(&ctx, smoke),
-            "table1" => run_table1(&ctx),
-            _ => usage(),
+
+    #[test]
+    fn default_ctx_is_experiment_budget() {
+        let (ctx, only) = parse_line("").unwrap();
+        assert_eq!(ctx.params.n_iters, SearchParams::experiment().n_iters);
+        assert!(only.is_empty());
+    }
+
+    #[test]
+    fn flags_apply_in_a_fixed_order_and_bad_lines_name_their_flag() {
+        let (ctx, only) = parse_line("--seed 9 --only fig2,table1 --paper --points 7").unwrap();
+        assert_eq!((ctx.seed, ctx.params.seed, ctx.load_points), (9, 9, 7));
+        assert_eq!(ctx.params.n_iters, SearchParams::paper().n_iters);
+        assert_eq!(only, ["fig2", "table1"]);
+        assert_eq!(parse_line("--quick").unwrap().0.load_points, 2);
+        for (line, token) in [
+            ("--quik", "--quik"),
+            ("fig2", "fig2"),
+            ("--seed x", "--seed"),
+            ("--points", "--points"),
+            ("--points 1.5", "--points"),
+            // Would print header-only tables over the CSVs on disk.
+            ("--quick --only fig2 --points 0", "--points"),
+            // `--paper` used to win silently: seconds became hours.
+            ("--quick --paper", "--paper"),
+            ("--only fig2,fig10", "\"fig10\""),
+        ] {
+            let message = parse_line(line).unwrap_err();
+            assert!(message.contains(token), "{line}: {message}");
         }
     }
-    println!("experiments OK: {}", names.join(", "));
 }

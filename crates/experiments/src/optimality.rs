@@ -72,7 +72,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<OptimalityPoint> {
     let base = demands_random_model(&topo, 0.30, 0.10, ctx.seed);
     let gammas = gamma_grid(&topo, &base, ctx);
 
-    parallel_map(ctx, gammas, |i, gamma| {
+    parallel_map(gammas, |i, gamma| {
         let demands = base.scaled(*gamma);
         let params = ctx.params.with_seed(ctx.seed.wrapping_add(53 * i as u64));
 

@@ -1,9 +1,10 @@
 //! Result rendering: CSV files and fixed-width text tables.
 //!
-//! Every experiment binary prints a [`Table`] to stdout (the same
-//! rows/series the paper's figure shows) and writes the raw data as CSV
-//! under the results directory (`DTR_RESULTS` env var, default
-//! `results/`).
+//! The `dtr-experiments` binary (`cargo run --release -p
+//! dtr-experiments -- [--quick] [--only …]`) prints each artifact's
+//! [`Table`]s to stdout (the same rows/series the paper's figure shows)
+//! and writes the raw data as CSV under the results directory
+//! (`DTR_RESULTS` env var, default `results/`).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

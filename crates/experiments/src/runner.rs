@@ -69,9 +69,6 @@ pub struct ExperimentCtx {
     pub params: SearchParams,
     /// Base seed; topology, traffic and search seeds derive from it.
     pub seed: u64,
-    /// Worker threads for sweep points (the paper's sweeps are
-    /// embarrassingly parallel).
-    pub threads: usize,
     /// Number of load points per sweep (the paper plots 5–7).
     pub load_points: usize,
     /// Average-utilization range the sweep targets.
@@ -83,9 +80,6 @@ impl Default for ExperimentCtx {
         ExperimentCtx {
             params: SearchParams::experiment(),
             seed: 1,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             load_points: 6,
             load_range: (0.40, 0.85),
         }
@@ -99,7 +93,6 @@ impl ExperimentCtx {
         ExperimentCtx {
             params: SearchParams::tiny(),
             seed: 1,
-            threads: 2,
             load_points: 2,
             load_range: (0.5, 0.7),
         }
@@ -176,10 +169,10 @@ pub fn gamma_grid(topo: &Topology, demands: &DemandSet, ctx: &ExperimentCtx) -> 
         .collect()
 }
 
-/// Runs `job` for every element of `inputs` on `ctx.threads` workers,
-/// preserving input order in the output. Jobs must be independent; each
-/// gets its index.
-pub fn parallel_map<I, O, F>(ctx: &ExperimentCtx, inputs: Vec<I>, job: F) -> Vec<O>
+/// Runs `job` for every element of `inputs` on one worker per available
+/// core (at most one per input), preserving input order in the output.
+/// Jobs must be independent; each gets its index.
+pub fn parallel_map<I, O, F>(inputs: Vec<I>, job: F) -> Vec<O>
 where
     I: Send + Sync,
     O: Send,
@@ -189,8 +182,9 @@ where
     let mut out: Vec<Option<O>> = (0..n).map(|_| None).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots = std::sync::Mutex::new(&mut out);
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     std::thread::scope(|s| {
-        for _ in 0..ctx.threads.max(1).min(n.max(1)) {
+        for _ in 0..cores.min(n) {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= n {
@@ -215,7 +209,7 @@ pub fn sweep_load(
     objective: Objective,
 ) -> Vec<PairOutcome> {
     let gammas = gamma_grid(topo, base, ctx);
-    parallel_map(ctx, gammas, |i, gamma| {
+    parallel_map(gammas, |i, gamma| {
         let demands = base.scaled(*gamma);
         let params = ctx.params.with_seed(ctx.seed.wrapping_add(7919 * i as u64));
         run_pair(topo, &demands, objective, params).2
@@ -265,8 +259,7 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
-        let ctx = ExperimentCtx::smoke();
-        let out = parallel_map(&ctx, (0..20).collect(), |i, x: &i32| {
+        let out = parallel_map((0..20).collect(), |i, x: &i32| {
             assert_eq!(i as i32, *x);
             x * 2
         });

@@ -54,7 +54,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table1Block> {
         let topo = kind.build(ctx.seed);
         let base = demands_random_model(&topo, 0.30, 0.10, ctx.seed);
         let gammas = gamma_grid(&topo, &base, ctx);
-        let points = parallel_map(ctx, gammas, |i, gamma| {
+        let points = parallel_map(gammas, |i, gamma| {
             let demands = base.scaled(*gamma);
             let params = ctx.params.with_seed(ctx.seed.wrapping_add(97 * i as u64));
             let str_res = StrSearch::new(&topo, &demands, Objective::LoadBased, params)
@@ -128,6 +128,10 @@ mod tests {
                 // (all against the same DTR denominator).
                 assert!(p.r_l_30 <= p.r_l_5 + 1e-9, "{p:?}");
                 assert!(p.r_l_5 <= p.r_l + 1e-9, "{p:?}");
+                // §5.2: every ratio is saturated into [1e-3, 1e3].
+                for r in [p.r_l, p.r_l_5, p.r_l_30] {
+                    assert!((1e-3..=1e3).contains(&r), "{p:?}");
+                }
                 // Relaxed solutions may degrade the high class, never
                 // improve it beyond the strict optimum's Φ_H by definition.
                 assert!(p.h_degradation_30 >= 1.0 - 1e-9, "{p:?}");

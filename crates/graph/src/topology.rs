@@ -7,7 +7,7 @@
 //! (e.g. its 30-node *random* topology has 150 directed links = 75 node
 //! pairs).
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Dense node identifier, valid for a specific [`Topology`].
@@ -70,7 +70,7 @@ pub enum TopologyError {
     /// Two links share the same `(src, dst)` pair. Parallel links are not
     /// part of the paper's model (a single weight per ordered pair).
     ParallelLink { link: usize },
-    /// A link has non-positive capacity.
+    /// A link's capacity is not a positive, finite number.
     NonPositiveCapacity { link: usize },
     /// A link has negative propagation delay.
     NegativeDelay { link: usize },
@@ -92,7 +92,7 @@ impl fmt::Display for TopologyError {
                 write!(f, "link {link} duplicates an existing (src, dst) pair")
             }
             TopologyError::NonPositiveCapacity { link } => {
-                write!(f, "link {link} has non-positive capacity")
+                write!(f, "link {link} has a non-positive or non-finite capacity")
             }
             TopologyError::NegativeDelay { link } => {
                 write!(f, "link {link} has negative propagation delay")
@@ -116,7 +116,7 @@ impl std::error::Error for TopologyError {}
 /// - capacities are positive, delays non-negative,
 /// - the directed graph is strongly connected (every traffic-matrix entry
 ///   is routable).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Topology {
     node_count: usize,
     links: Vec<Link>,
@@ -127,6 +127,41 @@ pub struct Topology {
     in_links: Vec<Vec<LinkId>>,
     /// Optional display names (city names for the ISP topology).
     names: Vec<String>,
+}
+
+/// A topology file or snapshot is rebuilt through [`TopologyBuilder`],
+/// so it passes every per-link check a generated one does, and its
+/// adjacency lists must be exactly what its links imply. Connectivity is
+/// not required here: the backends answer an unreachable pair with an
+/// infinite delay, and `dtrd` checks it under the link mask in force.
+impl Deserialize for Topology {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Raw {
+            node_count: usize,
+            links: Vec<Link>,
+            out_links: Vec<Vec<LinkId>>,
+            in_links: Vec<Vec<LinkId>>,
+            names: Vec<String>,
+        }
+        let raw = Raw::from_value(v)?;
+        if raw.names.len() != raw.node_count {
+            let (names, n) = (raw.names.len(), raw.node_count);
+            return Err(DeError(format!("topology: {names} names for {n} nodes")));
+        }
+        let builder = TopologyBuilder {
+            node_names: raw.names,
+            links: raw.links,
+        };
+        let topo = builder
+            .assemble()
+            .map_err(|e| DeError(format!("topology: {e}")))?;
+        if topo.out_links != raw.out_links || topo.in_links != raw.in_links {
+            let message = "topology: out_links/in_links are not the adjacency of links";
+            return Err(DeError(message.into()));
+        }
+        Ok(topo)
+    }
 }
 
 impl Topology {
@@ -285,6 +320,16 @@ impl TopologyBuilder {
 
     /// Validates and freezes the topology.
     pub fn build(self) -> Result<Topology, TopologyError> {
+        let topo = self.assemble()?;
+        if !topo.is_strongly_connected() {
+            return Err(TopologyError::NotStronglyConnected);
+        }
+        Ok(topo)
+    }
+
+    /// Every check of [`Self::build`] that looks at one link at a time,
+    /// and the adjacency lists; connectivity is the caller's.
+    fn assemble(self) -> Result<Topology, TopologyError> {
         let node_count = self.node_names.len();
         if node_count == 0 {
             return Err(TopologyError::Empty);
@@ -300,8 +345,7 @@ impl TopologyBuilder {
             if !seen.insert((l.src, l.dst)) {
                 return Err(TopologyError::ParallelLink { link: i });
             }
-            // NaN must also be rejected, hence the negated comparison.
-            if l.capacity.is_nan() || l.capacity <= 0.0 {
+            if !(l.capacity.is_finite() && l.capacity > 0.0) {
                 return Err(TopologyError::NonPositiveCapacity { link: i });
             }
             if l.prop_delay < 0.0 {
@@ -316,18 +360,13 @@ impl TopologyBuilder {
             in_links[l.dst.index()].push(LinkId(i as u32));
         }
 
-        let topo = Topology {
+        Ok(Topology {
             node_count,
             links: self.links,
             out_links,
             in_links,
             names: self.node_names,
-        };
-
-        if !topo.is_strongly_connected() {
-            return Err(TopologyError::NotStronglyConnected);
-        }
-        Ok(topo)
+        })
     }
 }
 
@@ -506,5 +545,33 @@ mod tests {
         b.add_duplex(NodeId(0), NodeId(1), 1.0, 0.0);
         let t = b.build().unwrap();
         assert_eq!(t.node_name(NodeId(1)), "n1");
+    }
+
+    #[test]
+    fn deserialize_revalidates_links_names_and_adjacency() {
+        let t = triangle();
+        assert_eq!(Topology::from_value(&t.to_value()), Ok(t.clone()));
+        // One field of the wire form replaced at a time.
+        let with = |field: &str, value: Value| match t.to_value() {
+            Value::Map(mut entries) => {
+                entries.iter_mut().find(|e| e.0 == field).unwrap().1 = value;
+                Value::Map(entries)
+            }
+            other => panic!("{other:?}"),
+        };
+        let mut links = t.links.clone();
+        links[0].dst = NodeId(99);
+        let mut swapped = t.out_links.clone();
+        swapped.swap(0, 1);
+        for (wire, token) in [
+            (with("links", links.to_value()), "link 0 references a node"),
+            (with("out_links", swapped.to_value()), "adjacency"),
+            (with("in_links", Value::Seq(vec![])), "adjacency"),
+            (with("names", Value::Seq(vec![])), "0 names for 3 nodes"),
+            (with("node_count", Value::UInt(4)), "3 names for 4 nodes"),
+        ] {
+            let DeError(message) = Topology::from_value(&wire).unwrap_err();
+            assert!(message.contains(token), "{message}");
+        }
     }
 }

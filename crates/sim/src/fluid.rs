@@ -399,9 +399,9 @@ mod tests {
         // Two disconnected islands (0–1 and 2–3) with demand across
         // them: the pair must report ∞, and the class mean must not be
         // dragged toward zero by an undeliverable pair. The builder
-        // rejects disconnected graphs, but `Topology` deserializes
-        // unvalidated — a hand-edited topo.json reaches the backends
-        // exactly like this.
+        // rejects disconnected graphs, but `Topology`'s `Deserialize`
+        // checks links and adjacency, not connectivity — a hand-edited
+        // topo.json reaches the backends exactly like this.
         let json = r#"{
             "node_count": 4,
             "links": [

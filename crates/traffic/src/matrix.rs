@@ -1,14 +1,48 @@
 //! Dense traffic matrices.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A dense `n × n` traffic matrix; entry `(s, t)` is the offered volume
 /// from node `s` to node `t` in Mbit/s. Diagonal entries are always zero
 /// (`r(s, s) = 0`, §3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrafficMatrix {
     n: usize,
     data: Vec<f64>,
+}
+
+/// Matrices arrive from files and from `dtrd`'s wire: what [`set`]
+/// asserts entry by entry is checked here for the whole matrix, so a
+/// ragged or negative one is a parse error, not a panic at first use.
+///
+/// [`set`]: TrafficMatrix::set
+impl Deserialize for TrafficMatrix {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Raw {
+            n: usize,
+            data: Vec<f64>,
+        }
+        let Raw { n, data } = Raw::from_value(v)?;
+        if n.checked_mul(n) != Some(data.len()) {
+            let len = data.len();
+            return Err(DeError(format!(
+                "traffic matrix: n = {n} needs {n}×{n} entries, found {len}"
+            )));
+        }
+        if let Some(i) = data.iter().position(|x| !(x.is_finite() && *x >= 0.0)) {
+            let (s, t, x) = (i / n, i % n, data[i]);
+            return Err(DeError(format!(
+                "traffic matrix: demand ({s}, {t}) = {x} is not finite and ≥ 0"
+            )));
+        }
+        if let Some(s) = (0..n).find(|s| data[s * n + s] != 0.0) {
+            return Err(DeError(format!(
+                "traffic matrix: self-traffic r({s}, {s}) must be zero"
+            )));
+        }
+        Ok(TrafficMatrix { n, data })
+    }
 }
 
 impl TrafficMatrix {
@@ -162,5 +196,26 @@ mod tests {
         let s = m.scaled(0.25);
         assert_eq!(s.get(0, 1), 1.0);
         assert_eq!(m.get(0, 1), 4.0, "original untouched");
+    }
+
+    #[test]
+    fn deserialize_checks_what_set_asserts() {
+        let mut m = TrafficMatrix::zeros(2);
+        m.set(0, 1, 4.0);
+        assert_eq!(TrafficMatrix::from_value(&m.to_value()), Ok(m));
+        let wire = |n: u64, data: &[f64]| {
+            let data = Value::Seq(data.iter().map(|&x| Value::Float(x)).collect());
+            Value::Map(vec![("n".into(), Value::UInt(n)), ("data".into(), data)])
+        };
+        for (n, data, token) in [
+            (2, &[0.0, 4.0, 0.0][..], "2×2 entries, found 3"),
+            (2, &[0.0, -4.0, 0.0, 0.0], "(0, 1) = -4"),
+            (2, &[0.0, f64::INFINITY, 0.0, 0.0], "(0, 1) = inf"),
+            (2, &[0.0, 0.0, 0.0, 1.0], "r(1, 1)"),
+            (u64::MAX, &[], "found 0"),
+        ] {
+            let DeError(message) = TrafficMatrix::from_value(&wire(n, data)).unwrap_err();
+            assert!(message.contains(token), "{message}");
+        }
     }
 }

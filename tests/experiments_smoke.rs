@@ -1,6 +1,8 @@
 //! Smoke-level integration of every experiment harness: each figure
 //! module runs end to end at tiny budget and produces structurally valid
-//! output. (Full-budget shape checks live in EXPERIMENTS.md runs.)
+//! output. (The byte-exact values of the same smoke pass are frozen by
+//! `crates/experiments/tests/golden.rs`; full-budget runs are
+//! `cargo run --release -p dtr-experiments`.)
 
 use dtr::core::Objective;
 use dtr::experiments::*;
