@@ -10,7 +10,7 @@ use dtr_core::{
 };
 use dtr_daemon::DaemonCfg;
 use dtr_engine::BackendKind;
-use dtr_graph::{export, Topology};
+use dtr_graph::{export, Topology, Weight, MIN_WEIGHT};
 use dtr_mtr::{MtrNetwork, TopologyId};
 use dtr_routing::Evaluator;
 use dtr_scenario::{ScenarioSpec, TopologySpec};
@@ -85,13 +85,35 @@ fn misfit(path: &str, detail: impl fmt::Display) -> CliError {
 /// exactly this and the load calculators index weights by link id — a
 /// short file runs off the end of a slice there, a long one is silently
 /// read as if it fitted — so a mismatched file is reported here.
-fn load_incumbent(path: &str, topo: &Topology, scheme: Scheme) -> Result<DualWeights, CliError> {
+///
+/// Every weight must be at least [`MIN_WEIGHT`] (a zero-weight cycle
+/// sits inside the ECMP DAGs and traffic circulates on it), and at most
+/// `max_weight`: a command that continues a search from the file passes
+/// its [`SearchParams::max_weight`], one that only routes with it `None`.
+fn load_incumbent(
+    path: &str,
+    topo: &Topology,
+    scheme: Scheme,
+    max_weight: Option<Weight>,
+) -> Result<DualWeights, CliError> {
     let w: DualWeights = load(path)?;
     let (m, high, low) = (topo.link_count(), w.high.len(), w.low.len());
     if high != m || low != m {
         let detail =
             format!("{high} high and {low} low weights, but the topology has {m} directed links");
         return Err(misfit(path, detail));
+    }
+    let range = MIN_WEIGHT..=max_weight.unwrap_or(Weight::MAX);
+    for (class, v) in [("high", &w.high), ("low", &w.low)] {
+        let mut weights = v.as_slice().iter().enumerate();
+        if let Some((link, bad)) = weights.find(|(_, x)| !range.contains(x)) {
+            let wanted = match max_weight {
+                Some(_) => format!("in {range:?}"),
+                None => format!("at least {MIN_WEIGHT}"),
+            };
+            let detail = format!("{class} weight {bad} on link {link} must be {wanted}");
+            return Err(misfit(path, detail));
+        }
     }
     if scheme == Scheme::Str && w.high != w.low {
         let detail = format!(
@@ -108,9 +130,11 @@ fn incumbent(
     args: &Args,
     topo: &Topology,
     scheme: Scheme,
+    max_weight: Option<Weight>,
 ) -> Result<Option<DualWeights>, CliError> {
     let path = args.get(&WEIGHTS);
-    path.map(|p| load_incumbent(p, topo, scheme)).transpose()
+    path.map(|p| load_incumbent(p, topo, scheme, max_weight))
+        .transpose()
 }
 
 fn topology(args: &Args) -> Result<Topology, CliError> {
@@ -574,7 +598,7 @@ pub fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
     let objective = objective(args)?;
     let topo = topology(args)?;
     let demands = demands(args, &topo)?;
-    let weights = load_incumbent(args.require(&WEIGHTS)?, &topo, Scheme::Dtr)?;
+    let weights = load_incumbent(args.require(&WEIGHTS)?, &topo, Scheme::Dtr, None)?;
     let mut ev = Evaluator::new(&topo, &demands, objective);
     let e = ev.eval_dual(&weights);
     println!("objective         {}", e.cost);
@@ -621,7 +645,7 @@ pub fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     };
     let topo = topology(args)?;
     let demands = demands(args, &topo)?;
-    let weights = load_incumbent(args.require(&WEIGHTS)?, &topo, Scheme::Dtr)?;
+    let weights = load_incumbent(args.require(&WEIGHTS)?, &topo, Scheme::Dtr, None)?;
     let report = Simulation::new(&topo, &demands, &weights, cfg).run();
     println!(
         "simulated {:.1}s: {} packets generated, {} delivered",
@@ -658,7 +682,7 @@ pub fn cmd_simulate(args: &Args) -> Result<(), CliError> {
 
 pub fn cmd_deploy(args: &Args) -> Result<(), CliError> {
     let topo = topology(args)?;
-    let weights = load_incumbent(args.require(&WEIGHTS)?, &topo, Scheme::Dtr)?;
+    let weights = load_incumbent(args.require(&WEIGHTS)?, &topo, Scheme::Dtr, None)?;
     let fail: Option<u32> = args.num(&FAIL_LINK);
     if let Some(id) = fail.filter(|&id| id as usize >= topo.link_count()) {
         return Err(CliError::Input(format!(
@@ -740,7 +764,7 @@ pub fn cmd_estimate(args: &Args) -> Result<(), CliError> {
     };
     let topo = topology(args)?;
     let truth = demands(args, &topo)?;
-    let measure_w = match incumbent(args, &topo, Scheme::Dtr)? {
+    let measure_w = match incumbent(args, &topo, Scheme::Dtr, None)? {
         Some(w) => w.high,
         None => dtr_graph::WeightVector::uniform(&topo, 1),
     };
@@ -776,7 +800,12 @@ pub fn cmd_reopt(args: &Args) -> Result<(), CliError> {
     let h: usize = args.num_or(&CHANGES, 0);
     let topo = topology(args)?;
     let demands = demands(args, &topo)?;
-    let incumbent = load_incumbent(args.require(&WEIGHTS)?, &topo, scheme)?;
+    let incumbent = load_incumbent(
+        args.require(&WEIGHTS)?,
+        &topo,
+        scheme,
+        Some(params.max_weight),
+    )?;
     let res = ReoptSearch::new(&topo, &demands, objective, params, scheme, incumbent, h).run();
     println!(
         "reopt ({}, h={h}): cost {} using {} changes",
@@ -805,7 +834,7 @@ pub fn cmd_robust(args: &Args) -> Result<(), CliError> {
         .transpose()?;
     let topo = topology(args)?;
     let demands = demands(args, &topo)?;
-    let warm = incumbent(args, &topo, scheme)?;
+    let warm = incumbent(args, &topo, scheme, Some(params.max_weight))?;
 
     if let Some(cfg) = portfolio {
         let mut search = PortfolioSearch::new(
@@ -1278,7 +1307,7 @@ fn boot(args: &Args) -> Result<(), CliError> {
     let cfg = daemon_cfg(args)?;
     let topo = topology(args)?;
     let demands = demands(args, &topo)?;
-    let weights = incumbent(args, &topo, Scheme::Dtr)?;
+    let weights = incumbent(args, &topo, Scheme::Dtr, Some(cfg.params.max_weight))?;
     let mut daemon = dtr_daemon::Daemon::new(topo, demands, weights, cfg);
     match (args.get(&SOCKET), args.get(&TCP)) {
         #[cfg(unix)]
@@ -1351,7 +1380,7 @@ pub fn cmd_replay(args: &Args) -> Result<(), CliError> {
             _ => Ok(replay_trace(&trace, cfg, initial)),
         }
     };
-    let initial = incumbent(args, &trace.topo, Scheme::Dtr)?;
+    let initial = incumbent(args, &trace.topo, Scheme::Dtr, Some(cfg.params.max_weight))?;
     println!(
         "replay {}: {} events on {}n/{}l (budget {}, h={}, min-gain-per-churn {}, coalesce {}, \
          idle-steps {}, transport {transport})",

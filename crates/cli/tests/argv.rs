@@ -160,6 +160,21 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
     std::fs::write(&ragged, text(m).replacen("0.0,", "", 1)).unwrap();
     std::fs::write(&dangling, text(t).replacen("\"dst\": ", "\"dst\": 9", 1)).unwrap();
     let [ragged, dangling] = [ragged, dangling].map(|p| p.display().to_string());
+    // Weight files of the right length with values no search assigns: a
+    // zero on every link (zero-weight cycles inside the ECMP DAGs), and
+    // one weight above every budget's `max_weight`.
+    let [zero, heavy, trace] = ["zero.json", "heavy.json", "trace.json"].map(|f| dir.join(f));
+    let flat = |x: u32, last: u32| {
+        let v = [vec![x; 31], vec![last]].concat();
+        format!("{{\"high\":{v:?},\"low\":{v:?}}}")
+    };
+    std::fs::write(&zero, flat(0, 0)).unwrap();
+    std::fs::write(&heavy, flat(1, 31)).unwrap();
+    let [zero, heavy, trace] = [zero, heavy, trace].map(|p| p.display().to_string());
+    let churned = run_line(&format!(
+        "churn --topo {t} --traffic {m} --events 3 --out {trace}"
+    ));
+    assert!(churned.status.success(), "{churned:?}");
     for (line, code, token) in [
         // Out-of-range values that used to die in a library assert!.
         (format!("topo random --nodes 0 --out {out}"), 2, "0/150"),
@@ -204,6 +219,59 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
             format!("evaluate --topo {dangling} --traffic {m} --weights {w}"),
             1,
             "dangling.json: topology",
+        ),
+        // Weight files that used to route around zero-weight cycles and
+        // exit 0; a search that continues from the file also holds it to
+        // its own weight range.
+        (
+            format!("evaluate --topo {t} --traffic {m} --weights {zero}"),
+            1,
+            "zero.json: high weight 0 on link 0",
+        ),
+        (
+            format!("simulate --topo {t} --traffic {m} --weights {zero}"),
+            1,
+            "zero.json: high weight 0 on link 0",
+        ),
+        (
+            format!("deploy --topo {t} --weights {zero}"),
+            1,
+            "zero.json: high weight 0 on link 0",
+        ),
+        (
+            format!("estimate --topo {t} --traffic {m} --weights {zero} --out {out}"),
+            1,
+            "zero.json: high weight 0 on link 0",
+        ),
+        (
+            format!("reopt --topo {t} --traffic {m} --weights {zero} --changes 2 --out {out}"),
+            1,
+            "zero.json: high weight 0 on link 0",
+        ),
+        (
+            format!("robust --topo {t} --traffic {m} --weights {zero} --out {out}"),
+            1,
+            "zero.json: high weight 0 on link 0",
+        ),
+        (
+            format!("replay --trace {trace} --weights {zero} --out {out}"),
+            1,
+            "zero.json: high weight 0 on link 0",
+        ),
+        (
+            format!("dtrd --topo {t} --traffic {m} --weights {zero}"),
+            2,
+            "zero.json: high weight 0 on link 0",
+        ),
+        (
+            format!("reopt --topo {t} --traffic {m} --weights {heavy} --changes 2 --out {out}"),
+            1,
+            "heavy.json: high weight 31 on link 31 must be in 1..=30",
+        ),
+        (
+            format!("dtrd --topo {t} --traffic {m} --weights {heavy}"),
+            2,
+            "heavy.json: high weight 31 on link 31",
         ),
         // Typos that used to run the defaults and exit 0.
         (

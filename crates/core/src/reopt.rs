@@ -65,6 +65,9 @@ pub struct ReoptResult {
     pub eval: Evaluation,
     /// Its objective value.
     pub best_cost: Lex2,
+    /// Evaluation of the point the descent started from (the incumbent,
+    /// unless warm-started elsewhere), by the engine behind `eval`.
+    pub start_eval: Evaluation,
     /// The change budget `h` this run was allowed.
     pub max_changes: usize,
     /// Weight positions actually changed relative to the incumbent
@@ -212,8 +215,9 @@ impl<'a> ReoptSearch<'a> {
         let mut engine = MaskedEngine::new(&self);
         let w = self.start.take().unwrap_or_else(|| self.incumbent.clone());
         engine.rebase(&w);
+        let start_eval = engine.eval(&w);
         let mut walk = ReoptWalk {
-            eval: engine.eval(&w),
+            eval: start_eval.clone(),
             engine,
             search: &self,
             rng: StdRng::seed_from_u64(self.params.seed),
@@ -231,6 +235,7 @@ impl<'a> ReoptSearch<'a> {
             weights,
             eval,
             best_cost,
+            start_eval,
             max_changes: self.max_changes,
             trace,
         }
@@ -1055,6 +1060,11 @@ mod tests {
             let single =
                 Evaluator::new(&topo, &drifted, objective).eval_dual_masked(&res.weights, mask);
             assert_eq!(res.eval, single);
+            // ...and so is the start point's, which callers report as
+            // the cost before the search.
+            let before =
+                Evaluator::new(&topo, &drifted, objective).eval_dual_masked(&incumbent, mask);
+            assert_eq!(res.start_eval, before);
         }
     }
 

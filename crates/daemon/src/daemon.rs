@@ -1,13 +1,16 @@
 //! The deterministic event loop: one network, one incumbent, one
 //! decision per event.
 //!
-//! [`Daemon`] owns a [`Topology`], the current [`DemandSet`], a
-//! per-directed-link operational mask, and a [`ReoptSession`] holding
-//! the incumbent DTR weights. Each state-changing request (demand
-//! update, link down/up) triggers one warm-started, change-limited
-//! reoptimization under the current failure mask; a candidate that
-//! improves the incumbent is then *priced* through the `dtr-mtr`
-//! control-plane emulation, and deployed only when its
+//! [`Daemon`] *is* a [`Snapshot`] plus its configuration: topology,
+//! current [`DemandSet`], per-directed-link operational mask, incumbent
+//! DTR weights, search-stream position and counters live in that one
+//! record, so `Snapshot` clones it and `Restore` assigns it. Each
+//! state-changing request (demand update, link down/up) triggers one
+//! warm-started, change-limited reoptimization under the current
+//! failure mask — a [`ReoptSession`] opened at the record's
+//! `(incumbent, steps)` — and one decision (`Daemon::decide`): a
+//! candidate that improves the incumbent is *priced* through the
+//! `dtr-mtr` control-plane emulation, and deployed only when its
 //! gain-per-LSA-message clears [`DaemonCfg::min_gain_per_churn`].
 //!
 //! Everything is single-threaded and a pure function of the event
@@ -17,12 +20,12 @@
 use crate::event::{
     CostPair, EventAction, EventReport, Reply, Request, Snapshot, StatusReport, WhatIfReport,
 };
-use dtr_core::reopt::changes_between;
+use dtr_core::reopt::{changes_between, ReoptResult};
 use dtr_core::{ReoptSession, Scheme, SearchParams};
 use dtr_cost::Objective;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, Topology};
-use dtr_mtr::deployment_cost;
+use dtr_mtr::{deployment_cost, ChurnReport};
 use dtr_routing::{strongly_connected_under, Evaluation, Evaluator};
 use dtr_traffic::DemandSet;
 
@@ -93,21 +96,9 @@ impl Default for DaemonCfg {
 /// optimizing.
 #[derive(Clone)]
 pub struct Daemon {
-    topo: Topology,
-    demands: DemandSet,
-    link_up: Vec<bool>,
-    session: ReoptSession,
+    /// Every piece of mutable state, in the shape the wire carries it.
+    state: Snapshot,
     cfg: DaemonCfg,
-    seq: u64,
-    accepted: u64,
-    declined: u64,
-    refused: u64,
-    total_gain: f64,
-    total_churn_messages: u64,
-    pending: usize,
-    idle_steps_run: u64,
-    idle_accepted: u64,
-    idle_declined: u64,
     shutdown: bool,
 }
 
@@ -130,6 +121,79 @@ fn check_demands(demands: &DemandSet, n: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// What [`Daemon::decide`] did with one search result.
+struct Decision {
+    action: EventAction,
+    changes: usize,
+    gain: f64,
+    churn: Option<ChurnReport>,
+    gain_per_churn: f64,
+}
+
+impl Decision {
+    /// No candidate was priced.
+    fn unpriced(action: EventAction) -> Self {
+        Decision {
+            action,
+            changes: 0,
+            gain: 0.0,
+            churn: None,
+            gain_per_churn: 0.0,
+        }
+    }
+}
+
+impl CostPair {
+    pub(crate) fn of(eval: &Evaluation) -> Self {
+        CostPair {
+            phi_h: eval.phi_h,
+            phi_l: eval.phi_l,
+        }
+    }
+}
+
+impl Snapshot {
+    pub(crate) fn links_down(&self) -> usize {
+        self.link_up.iter().filter(|&&u| !u).count()
+    }
+
+    /// Cost of `w` on this state's demands under an explicit mask — the
+    /// one evaluation outside the search, shared by `Status`, no-change
+    /// replies, the (non-mutating) what-if probes and the replay
+    /// driver's end-state score. Links are only ever down under the
+    /// load objective (see [`DaemonCfg::objective`]).
+    pub(crate) fn cost_with_mask(
+        &self,
+        objective: Objective,
+        w: &DualWeights,
+        mask: &[bool],
+    ) -> CostPair {
+        CostPair::of(
+            &Evaluator::new(&self.topo, &self.demands, objective).eval_dual_masked(w, mask),
+        )
+    }
+
+    fn status(&self, cost: CostPair) -> StatusReport {
+        StatusReport {
+            seq: self.seq,
+            nodes: self.topo.node_count(),
+            links: self.topo.link_count(),
+            links_down: self.links_down(),
+            cost,
+            accepted: self.accepted,
+            declined: self.declined,
+            refused: self.refused,
+            total_gain: self.total_gain,
+            total_churn_messages: self.total_churn_messages,
+            steps: self.steps,
+            pending: self.pending,
+            idle_steps: self.idle_steps,
+            idle_accepted: self.idle_accepted,
+            idle_declined: self.idle_declined,
+        }
+    }
+}
+
 impl Daemon {
     /// Boots a daemon around `topo`/`demands`. When `incumbent` is
     /// `None`, a cold batch DTR search under `cfg.params` produces the
@@ -148,46 +212,49 @@ impl Daemon {
                 .weights
         });
         assert_eq!(incumbent.high.len(), topo.link_count());
-        let link_up = vec![true; topo.link_count()];
-        let session = ReoptSession::new(incumbent, cfg.objective, cfg.params, Scheme::Dtr);
-        Daemon {
-            topo,
-            demands,
-            link_up,
-            session,
-            cfg,
+        assert_eq!(incumbent.low.len(), topo.link_count());
+        let state = Snapshot {
             seq: 0,
+            steps: 0,
             accepted: 0,
             declined: 0,
             refused: 0,
             total_gain: 0.0,
             total_churn_messages: 0,
             pending: 0,
-            idle_steps_run: 0,
+            idle_steps: 0,
             idle_accepted: 0,
             idle_declined: 0,
+            link_up: vec![true; topo.link_count()],
+            demands,
+            incumbent,
+            topo,
+        };
+        Daemon {
+            state,
+            cfg,
             shutdown: false,
         }
     }
 
     /// The current incumbent weights.
     pub fn incumbent(&self) -> &DualWeights {
-        self.session.incumbent()
+        &self.state.incumbent
     }
 
     /// The managed topology.
     pub fn topo(&self) -> &Topology {
-        &self.topo
+        &self.state.topo
     }
 
     /// The demand set currently in force.
     pub fn demands(&self) -> &DemandSet {
-        &self.demands
+        &self.state.demands
     }
 
     /// Per-directed-link operational state.
     pub fn link_up(&self) -> &[bool] {
-        &self.link_up
+        &self.state.link_up
     }
 
     /// True once a [`Request::Shutdown`] was processed.
@@ -198,31 +265,9 @@ impl Daemon {
     /// Cost of arbitrary `weights` on the current demands under the
     /// current failure mask.
     pub fn cost_of(&self, weights: &DualWeights) -> CostPair {
-        assert_eq!(weights.high.len(), self.topo.link_count());
-        let eval = self.eval_under_mask(weights);
-        CostPair {
-            phi_h: eval.phi_h,
-            phi_l: eval.phi_l,
-        }
-    }
-
-    fn links_down(&self) -> usize {
-        self.link_up.iter().filter(|&&u| !u).count()
-    }
-
-    /// Evaluates `w` on the current demands under the current mask.
-    /// Links are only ever down under the load objective —
-    /// link-failure events are refused up front under the SLA objective
-    /// (see [`DaemonCfg::objective`]), so the mask never fills in.
-    fn eval_under_mask(&self, w: &DualWeights) -> Evaluation {
-        self.eval_with_mask(w, &self.link_up)
-    }
-
-    /// Evaluates `w` on the current demands under an explicit mask —
-    /// shared by state evaluation and the (non-mutating) what-if
-    /// probes, so probes can be answered from a `&self` read view.
-    fn eval_with_mask(&self, w: &DualWeights, link_up: &[bool]) -> Evaluation {
-        Evaluator::new(&self.topo, &self.demands, self.cfg.objective).eval_dual_masked(w, link_up)
+        let s = &self.state;
+        assert_eq!(weights.high.len(), s.topo.link_count());
+        s.cost_with_mask(self.cfg.objective, weights, &s.link_up)
     }
 
     /// The clear protocol error for link-failure events and probes under
@@ -239,10 +284,10 @@ impl Daemon {
 
     /// Validates a directed link index.
     fn check_link(&self, link: u32) -> Result<LinkId, String> {
-        if link as usize >= self.topo.link_count() {
+        let m = self.state.topo.link_count();
+        if link as usize >= m {
             return Err(format!(
-                "link {link} out of range (topology has {} directed links)",
-                self.topo.link_count()
+                "link {link} out of range (topology has {m} directed links)"
             ));
         }
         Ok(LinkId(link))
@@ -252,6 +297,7 @@ impl Daemon {
     fn pair(&self, link: u32) -> Result<[LinkId; 2], String> {
         let lid = self.check_link(link)?;
         let twin = self
+            .state
             .topo
             .reverse_link(lid)
             .ok_or_else(|| format!("link {link} has no reverse direction"))?;
@@ -265,138 +311,132 @@ impl Daemon {
         if self.cfg.coalesce == 0 {
             return Reply::Event(self.reoptimize(label, 1));
         }
-        self.pending += 1;
-        if self.pending >= self.cfg.coalesce {
-            let batch = self.pending;
-            self.pending = 0;
-            Reply::Event(self.reoptimize(label, batch))
+        self.state.pending += 1;
+        if self.state.pending >= self.cfg.coalesce {
+            Reply::Event(self.close_batch(label))
         } else {
             Reply::Event(self.no_change(label, EventAction::Coalesced))
         }
     }
 
-    /// The background anytime pass: up to [`DaemonCfg::idle_steps`]
-    /// cheap [`ReoptSession::idle_step`] descents, each priced through
-    /// the same churn gate as event reoptimizations. Runs at event
-    /// boundaries only (callers skip it while a batch is open), so
-    /// accepted improvements are published exactly when the protocol
-    /// allows the incumbent to move.
-    fn idle_optimize(&mut self) {
-        for _ in 0..self.cfg.idle_steps {
-            let before_eval = self.eval_under_mask(self.session.incumbent());
-            let res = self.session.idle_step(
-                &self.topo,
-                &self.demands,
-                &self.link_up,
-                self.cfg.changes_per_event,
-                IDLE_STEP_ITERS,
-            );
-            self.idle_steps_run += 1;
-            if !(res.best_cost < before_eval.cost && res.changes_used > 0) {
-                continue;
-            }
-            let gain = (before_eval.phi_h - res.eval.phi_h) + (before_eval.phi_l - res.eval.phi_l);
-            let churn = deployment_cost(&self.topo, self.session.incumbent(), &res.weights);
-            let gpc = gain / churn.lsa_messages.max(1) as f64;
-            if gpc >= self.cfg.min_gain_per_churn {
-                self.session.accept(res.weights);
-                self.idle_accepted += 1;
-                self.total_gain += gain;
-                self.total_churn_messages += churn.lsa_messages;
-            } else {
-                self.idle_declined += 1;
-            }
-        }
+    /// One search over every pending event.
+    fn close_batch(&mut self, label: String) -> EventReport {
+        let batch = std::mem::take(&mut self.state.pending);
+        self.reoptimize(label, batch)
     }
 
-    /// One warm-started reoptimization under the current state, with
-    /// churn-gated adoption. This is the daemon's core decision.
-    /// `batch` is the number of applied events the search covers
-    /// (1 outside coalescing mode).
-    fn reoptimize(&mut self, event: String, batch: usize) -> EventReport {
-        let before_eval = self.eval_under_mask(self.session.incumbent());
-        let before = CostPair {
-            phi_h: before_eval.phi_h,
-            phi_l: before_eval.phi_l,
-        };
-        let res = self.session.step_masked(
-            &self.topo,
-            &self.demands,
-            &self.link_up,
-            self.cfg.changes_per_event,
+    /// One warm-started descent of `iters` iterations from the incumbent
+    /// under the current demands and mask, on a session opened at the
+    /// record's stream position (which it advances by one).
+    fn search(&mut self, iters: usize) -> ReoptResult {
+        let (s, cfg) = (&mut self.state, &self.cfg);
+        let mut session =
+            ReoptSession::new(s.incumbent.clone(), cfg.objective, cfg.params, Scheme::Dtr);
+        session.resume_at(s.steps);
+        let res = session.idle_step(
+            &s.topo,
+            &s.demands,
+            &s.link_up,
+            cfg.changes_per_event,
+            iters,
         );
-        let reopt = CostPair {
-            phi_h: res.eval.phi_h,
-            phi_l: res.eval.phi_l,
+        s.steps = session.steps();
+        res
+    }
+
+    /// The daemon's core decision, for event searches and idle passes
+    /// alike: a result that improves on the point it started from (the
+    /// incumbent, costed by the same engine) is priced, and adopted when
+    /// its gain per LSA message clears the gate. `idle` picks which pair
+    /// of counters records the verdict.
+    fn decide(&mut self, res: ReoptResult, idle: bool) -> Decision {
+        let (s, before) = (&mut self.state, &res.start_eval);
+        if !(res.best_cost < before.cost && res.changes_used > 0) {
+            return Decision::unpriced(EventAction::NoImprovement);
+        }
+        let gain = (before.phi_h - res.eval.phi_h) + (before.phi_l - res.eval.phi_l);
+        let churn = deployment_cost(&s.topo, &s.incumbent, &res.weights);
+        let gain_per_churn = gain / churn.lsa_messages.max(1) as f64;
+        let accept = gain_per_churn >= self.cfg.min_gain_per_churn;
+        let counter = match (accept, idle) {
+            (true, false) => &mut s.accepted,
+            (false, false) => &mut s.declined,
+            (true, true) => &mut s.idle_accepted,
+            (false, true) => &mut s.idle_declined,
         };
-        let improves = res.best_cost < before_eval.cost && res.changes_used > 0;
-        let (action, cost_after, changes, gain, churn, gain_per_churn) = if improves {
-            let gain = (before.phi_h - reopt.phi_h) + (before.phi_l - reopt.phi_l);
-            let churn = deployment_cost(&self.topo, self.session.incumbent(), &res.weights);
-            let gpc = gain / churn.lsa_messages.max(1) as f64;
-            if gpc >= self.cfg.min_gain_per_churn {
-                self.session.accept(res.weights.clone());
-                self.accepted += 1;
-                self.total_gain += gain;
-                self.total_churn_messages += churn.lsa_messages;
-                (
-                    EventAction::Accepted,
-                    reopt,
-                    res.changes_used,
-                    gain,
-                    Some(churn),
-                    gpc,
-                )
+        *counter += 1;
+        if accept {
+            s.total_gain += gain;
+            s.total_churn_messages += churn.lsa_messages;
+            s.incumbent = res.weights;
+        }
+        Decision {
+            action: if accept {
+                EventAction::Accepted
             } else {
-                self.declined += 1;
-                (
-                    EventAction::Declined,
-                    before,
-                    res.changes_used,
-                    gain,
-                    Some(churn),
-                    gpc,
-                )
-            }
-        } else {
-            (EventAction::NoImprovement, before, 0, 0.0, None, 0.0)
-        };
-        EventReport {
-            seq: self.seq,
-            event,
-            action,
-            links_down: self.links_down(),
-            cost_before: before,
-            reopt_cost: reopt,
-            cost_after,
-            changes,
-            batch,
+                EventAction::Declined
+            },
+            changes: res.changes_used,
             gain,
-            churn,
+            churn: Some(churn),
             gain_per_churn,
         }
     }
 
+    /// The background anytime pass: up to [`DaemonCfg::idle_steps`]
+    /// cheap descents, each decided like an event reoptimization. Runs
+    /// at event boundaries only (callers skip it while a batch is open),
+    /// so accepted improvements are published exactly when the protocol
+    /// allows the incumbent to move.
+    fn idle_optimize(&mut self) {
+        for _ in 0..self.cfg.idle_steps {
+            let res = self.search(IDLE_STEP_ITERS);
+            self.state.idle_steps += 1;
+            self.decide(res, true);
+        }
+    }
+
+    /// One full-schedule reoptimization under the current state and its
+    /// decision. `batch` is the number of applied events the search
+    /// covers (1 outside coalescing mode).
+    fn reoptimize(&mut self, event: String, batch: usize) -> EventReport {
+        let res = self.search(self.cfg.params.str_iters());
+        let (before, reopt) = (CostPair::of(&res.start_eval), CostPair::of(&res.eval));
+        let decision = self.decide(res, false);
+        self.report(event, batch, before, reopt, decision)
+    }
+
     /// A report for an event that changed nothing (no search consumed).
     fn no_change(&self, event: String, action: EventAction) -> EventReport {
-        let eval = self.eval_under_mask(self.session.incumbent());
-        let cost = CostPair {
-            phi_h: eval.phi_h,
-            phi_l: eval.phi_l,
-        };
+        let cost = self.cost_of(&self.state.incumbent);
+        self.report(event, 0, cost, cost, Decision::unpriced(action))
+    }
+
+    fn report(
+        &self,
+        event: String,
+        batch: usize,
+        before: CostPair,
+        reopt: CostPair,
+        d: Decision,
+    ) -> EventReport {
         EventReport {
-            seq: self.seq,
+            seq: self.state.seq,
             event,
-            action,
-            links_down: self.links_down(),
-            cost_before: cost,
-            reopt_cost: cost,
-            cost_after: cost,
-            changes: 0,
-            batch: 0,
-            gain: 0.0,
-            churn: None,
-            gain_per_churn: 0.0,
+            action: d.action,
+            links_down: self.state.links_down(),
+            cost_before: before,
+            reopt_cost: reopt,
+            cost_after: if d.action == EventAction::Accepted {
+                reopt
+            } else {
+                before
+            },
+            changes: d.changes,
+            batch,
+            gain: d.gain,
+            churn: d.churn,
+            gain_per_churn: d.gain_per_churn,
         }
     }
 
@@ -408,7 +448,7 @@ impl Daemon {
     fn validate_event(&self, req: &Request) -> Result<Option<LinkEvent>, String> {
         let (link, duplex, up) = match *req {
             Request::DemandUpdate { ref demands } => {
-                return check_demands(demands, self.topo.node_count()).map(|()| None);
+                return check_demands(demands, self.state.topo.node_count()).map(|()| None);
             }
             Request::LinkDown { link } => (link, true, false),
             Request::LinkUp { link } => (link, true, true),
@@ -468,18 +508,19 @@ impl Daemon {
     /// links down would disconnect the network, otherwise the mask
     /// moves and the event is answered like any other.
     fn apply_link_event(&mut self, ev: LinkEvent) -> Reply {
-        if ev.links.iter().all(|l| self.link_up[l.index()] == ev.up) {
+        let s = &mut self.state;
+        if ev.links.iter().all(|l| s.link_up[l.index()] == ev.up) {
             return Reply::Event(self.no_change(ev.label, EventAction::NoOp));
         }
-        let mut mask = self.link_up.clone();
+        let mut mask = s.link_up.clone();
         for l in &ev.links {
             mask[l.index()] = ev.up;
         }
-        if !ev.up && !strongly_connected_under(&self.topo, &mask) {
-            self.refused += 1;
+        if !ev.up && !strongly_connected_under(&s.topo, &mask) {
+            s.refused += 1;
             return Reply::Event(self.no_change(ev.label, EventAction::Refused));
         }
-        self.link_up = mask;
+        s.link_up = mask;
         self.event_reply(ev.label)
     }
 
@@ -507,17 +548,17 @@ impl Daemon {
             // The background budget runs at event boundaries, before
             // the next event applies, and never while a coalescing
             // batch is open.
-            if self.pending == 0 {
+            if self.state.pending == 0 {
                 self.idle_optimize();
             }
-            self.seq += 1;
+            self.state.seq += 1;
         }
         if let Some(reply) = self.handle_readonly(&req) {
             return reply;
         }
         match req {
             Request::DemandUpdate { demands } => {
-                self.demands = demands;
+                self.state.demands = demands;
                 self.event_reply("demand_update".to_string())
             }
             Request::LinkDown { .. }
@@ -526,50 +567,30 @@ impl Daemon {
             | Request::DirectedLinkUp { .. } => {
                 self.apply_link_event(link_event.expect("link events validate into a LinkEvent"))
             }
-            Request::Flush => {
-                if self.pending == 0 {
-                    return Reply::Event(self.no_change("flush".to_string(), EventAction::NoOp));
-                }
-                let batch = self.pending;
-                self.pending = 0;
-                Reply::Event(self.reoptimize(format!("flush({batch})"), batch))
-            }
+            Request::Flush => Reply::Event(match self.state.pending {
+                0 => self.no_change("flush".to_string(), EventAction::NoOp),
+                batch => self.close_batch(format!("flush({batch})")),
+            }),
             Request::WhatIfLinkDown { .. }
             | Request::WhatIfWeights { .. }
             | Request::Status
             | Request::Snapshot => unreachable!("read-only requests are handled above"),
-            Request::Restore { snapshot } => {
-                if let Err(detail) = self.check_snapshot(&snapshot) {
-                    return Reply::Error {
-                        message: format!("snapshot is internally inconsistent: {detail}"),
-                    };
+            Request::Restore { snapshot } => match self.check_snapshot(&snapshot) {
+                Ok(()) => {
+                    self.state = snapshot;
+                    Reply::Restored {
+                        seq: self.state.seq,
+                    }
                 }
-                let mut session = ReoptSession::new(
-                    snapshot.incumbent,
-                    self.cfg.objective,
-                    self.cfg.params,
-                    Scheme::Dtr,
-                );
-                session.resume_at(snapshot.steps);
-                self.topo = snapshot.topo;
-                self.demands = snapshot.demands;
-                self.link_up = snapshot.link_up;
-                self.session = session;
-                self.seq = snapshot.seq;
-                self.accepted = snapshot.accepted;
-                self.declined = snapshot.declined;
-                self.refused = snapshot.refused;
-                self.total_gain = snapshot.total_gain;
-                self.total_churn_messages = snapshot.total_churn_messages;
-                self.pending = snapshot.pending;
-                self.idle_steps_run = snapshot.idle_steps;
-                self.idle_accepted = snapshot.idle_accepted;
-                self.idle_declined = snapshot.idle_declined;
-                Reply::Restored { seq: self.seq }
-            }
+                Err(detail) => Reply::Error {
+                    message: format!("snapshot is internally inconsistent: {detail}"),
+                },
+            },
             Request::Shutdown => {
                 self.shutdown = true;
-                Reply::Bye { seq: self.seq }
+                Reply::Bye {
+                    seq: self.state.seq,
+                }
             }
         }
     }
@@ -584,9 +605,9 @@ impl Daemon {
     ///
     /// [`handle`]: Self::handle
     pub fn handle_readonly(&self, req: &Request) -> Option<Reply> {
+        let s = &self.state;
         Some(match req {
             Request::WhatIfLinkDown { link } => {
-                let query = format!("whatif_link_down({link})");
                 if let Some(message) = self.reject_mask_under_sla() {
                     return Some(Reply::Error { message });
                 }
@@ -594,93 +615,39 @@ impl Daemon {
                     Ok(p) => p,
                     Err(message) => return Some(Reply::Error { message }),
                 };
-                let mut mask = self.link_up.clone();
+                let mut mask = s.link_up.clone();
                 for l in pair {
                     mask[l.index()] = false;
                 }
-                let feasible = strongly_connected_under(&self.topo, &mask);
-                let cost = feasible.then(|| {
-                    let eval = self.eval_with_mask(self.session.incumbent(), &mask);
-                    CostPair {
-                        phi_h: eval.phi_h,
-                        phi_l: eval.phi_l,
-                    }
-                });
+                let feasible = strongly_connected_under(&s.topo, &mask);
                 Reply::WhatIf(WhatIfReport {
-                    seq: self.seq,
-                    query,
+                    seq: s.seq,
+                    query: format!("whatif_link_down({link})"),
                     feasible,
-                    cost,
+                    cost: feasible
+                        .then(|| s.cost_with_mask(self.cfg.objective, &s.incumbent, &mask)),
                     changes: None,
                     churn: None,
                 })
             }
             Request::WhatIfWeights { weights } => {
-                if weights.high.len() != self.topo.link_count()
-                    || weights.low.len() != self.topo.link_count()
-                {
+                let m = s.topo.link_count();
+                if weights.high.len() != m || weights.low.len() != m {
                     return Some(Reply::Error {
-                        message: format!(
-                            "weight vectors must have {} entries",
-                            self.topo.link_count()
-                        ),
+                        message: format!("weight vectors must have {m} entries"),
                     });
                 }
-                let eval = self.eval_under_mask(weights);
-                let changes = changes_between(weights, self.session.incumbent(), Scheme::Dtr);
-                let churn = deployment_cost(&self.topo, self.session.incumbent(), weights);
                 Reply::WhatIf(WhatIfReport {
-                    seq: self.seq,
+                    seq: s.seq,
                     query: "whatif_weights".to_string(),
                     feasible: true,
-                    cost: Some(CostPair {
-                        phi_h: eval.phi_h,
-                        phi_l: eval.phi_l,
-                    }),
-                    changes: Some(changes),
-                    churn: Some(churn),
+                    cost: Some(self.cost_of(weights)),
+                    changes: Some(changes_between(weights, &s.incumbent, Scheme::Dtr)),
+                    churn: Some(deployment_cost(&s.topo, &s.incumbent, weights)),
                 })
             }
-            Request::Status => {
-                let eval = self.eval_under_mask(self.session.incumbent());
-                Reply::Status(StatusReport {
-                    seq: self.seq,
-                    nodes: self.topo.node_count(),
-                    links: self.topo.link_count(),
-                    links_down: self.links_down(),
-                    cost: CostPair {
-                        phi_h: eval.phi_h,
-                        phi_l: eval.phi_l,
-                    },
-                    accepted: self.accepted,
-                    declined: self.declined,
-                    refused: self.refused,
-                    total_gain: self.total_gain,
-                    total_churn_messages: self.total_churn_messages,
-                    steps: self.session.steps(),
-                    pending: self.pending,
-                    idle_steps: self.idle_steps_run,
-                    idle_accepted: self.idle_accepted,
-                    idle_declined: self.idle_declined,
-                })
-            }
-            Request::Snapshot => Reply::Snapshot(Snapshot {
-                seq: self.seq,
-                steps: self.session.steps(),
-                accepted: self.accepted,
-                declined: self.declined,
-                refused: self.refused,
-                total_gain: self.total_gain,
-                total_churn_messages: self.total_churn_messages,
-                pending: self.pending,
-                idle_steps: self.idle_steps_run,
-                idle_accepted: self.idle_accepted,
-                idle_declined: self.idle_declined,
-                link_up: self.link_up.clone(),
-                demands: self.demands.clone(),
-                incumbent: self.session.incumbent().clone(),
-                topo: self.topo.clone(),
-            }),
+            Request::Status => Reply::Status(s.status(self.cost_of(&s.incumbent))),
+            Request::Snapshot => Reply::Snapshot(s.clone()),
             _ => return None,
         })
     }

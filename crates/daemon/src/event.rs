@@ -94,24 +94,6 @@ impl Request {
         }
     }
 
-    /// Short human-readable label used in reports.
-    pub fn label(&self) -> String {
-        match self {
-            Request::DemandUpdate { .. } => "demand_update".to_string(),
-            Request::LinkDown { link } => format!("link_down({link})"),
-            Request::LinkUp { link } => format!("link_up({link})"),
-            Request::DirectedLinkDown { link } => format!("directed_link_down({link})"),
-            Request::DirectedLinkUp { link } => format!("directed_link_up({link})"),
-            Request::Flush => "flush".to_string(),
-            Request::WhatIfLinkDown { link } => format!("whatif_link_down({link})"),
-            Request::WhatIfWeights { .. } => "whatif_weights".to_string(),
-            Request::Status => "status".to_string(),
-            Request::Snapshot => "snapshot".to_string(),
-            Request::Restore { .. } => "restore".to_string(),
-            Request::Shutdown => "shutdown".to_string(),
-        }
-    }
-
     /// The request kind without per-link detail — the grouping key of
     /// the per-kind timing breakdown in `timing.json`.
     pub fn kind(&self) -> &'static str {

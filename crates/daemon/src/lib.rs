@@ -7,7 +7,9 @@
 //! deployed weight change floods LSAs and triggers network-wide SPF
 //! reruns. `dtrd` closes that loop:
 //!
-//! - it holds a network + current DTR incumbent in memory and processes
+//! - it holds a network + current DTR incumbent in memory — one
+//!   [`Snapshot`] record is all of its mutable state, so what
+//!   `Snapshot`/`Restore` carry is what the daemon is — and processes
 //!   an ordered event stream (demand updates, pair or single-directed
 //!   link down/up, what-if probes) over line-delimited JSON, on
 //!   stdin/stdout, a unix socket, or TCP ([`serve_stdio`],
@@ -22,7 +24,8 @@
 //!   ([`DaemonCfg::idle_steps`]) keeps improving the incumbent with
 //!   cheap [`dtr_core::ReoptSession::idle_step`] passes, published only
 //!   at event boundaries;
-//! - every improving candidate is **priced** through the `dtr-mtr`
+//! - every improving candidate — of an event search or an idle pass,
+//!   one decision for both — is **priced** through the `dtr-mtr`
 //!   control-plane emulation ([`dtr_mtr::deployment_cost`]) and only
 //!   deployed when its gain-per-LSA-message clears
 //!   [`DaemonCfg::min_gain_per_churn`];

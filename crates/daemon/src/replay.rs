@@ -344,25 +344,17 @@ fn replay_over<F: FnMut(&str) -> String>(
     }
     assert_eq!(pending, 0, "replay must end with no open batch");
 
-    // Score the end state from a snapshot, so the same code path works
-    // over any transport: rebuild a local mirror of the final daemon
-    // and compare its incumbent against a cold batch re-optimization.
+    // Score the end state from a snapshot — the daemon's whole state,
+    // over any transport: its incumbent against a cold batch
+    // re-optimization of the same network.
     let snap_line = send(&serde_json::to_string(&Request::Snapshot).expect("serialize"));
-    let Ok(Reply::Snapshot(snap)) = serde_json::from_str::<Reply>(&snap_line) else {
+    let Ok(Reply::Snapshot(end)) = serde_json::from_str::<Reply>(&snap_line) else {
         panic!("expected Snapshot reply, got: {snap_line}");
     };
-    let mut mirror = Daemon::new(
-        snap.topo.clone(),
-        snap.demands.clone(),
-        Some(snap.incumbent.clone()),
-        cfg,
-    );
-    let restored = mirror.handle(Request::Restore { snapshot: snap });
-    assert!(matches!(restored, Reply::Restored { .. }));
-
-    let final_cost = mirror.cost_of(mirror.incumbent());
-    let batch_weights = if mirror.link_up().iter().all(|&u| u) {
-        DtrSearch::new(mirror.topo(), mirror.demands(), cfg.objective, cfg.params)
+    let cost_of = |w: &DualWeights| end.cost_with_mask(cfg.objective, w, &end.link_up);
+    let final_cost = cost_of(&end.incumbent);
+    let batch_weights = if end.links_down() == 0 {
+        DtrSearch::new(&end.topo, &end.demands, cfg.objective, cfg.params)
             .run()
             .weights
     } else {
@@ -371,13 +363,13 @@ fn replay_over<F: FnMut(&str) -> String>(
         // Only reachable under the load objective — the daemon refuses
         // link-down events under the SLA objective, so the mask stays
         // all-up there.
-        let uniform = DualWeights::replicated(WeightVector::uniform(mirror.topo(), 1));
+        let uniform = DualWeights::replicated(WeightVector::uniform(&end.topo, 1));
         let mut s = ReoptSession::new(uniform, cfg.objective, cfg.params, Scheme::Dtr);
-        let h = 2 * mirror.topo().link_count();
-        s.step_masked(mirror.topo(), mirror.demands(), mirror.link_up(), h)
+        let h = 2 * end.topo.link_count();
+        s.step_masked(&end.topo, &end.demands, &end.link_up, h)
             .weights
     };
-    let batch_cost = mirror.cost_of(&batch_weights);
+    let batch_cost = cost_of(&batch_weights);
     let num = final_cost.phi_h + final_cost.phi_l;
     let den = batch_cost.phi_h + batch_cost.phi_l;
     let batch_ratio = if den > 0.0 { num / den } else { 1.0 };
@@ -395,7 +387,7 @@ fn replay_over<F: FnMut(&str) -> String>(
         coalesced,
         flushes,
         whatif,
-        final_links_down: mirror.link_up().iter().filter(|&&u| !u).count(),
+        final_links_down: end.links_down(),
         final_cost,
         batch_cost,
         batch_ratio,

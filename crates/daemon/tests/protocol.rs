@@ -8,6 +8,7 @@ use dtr_graph::weights::DualWeights;
 use dtr_graph::{NodeId, Topology, WeightVector};
 use dtr_scenario::{generate_churn, ChurnCfg, ChurnTrace};
 use dtr_traffic::{DemandSet, TrafficCfg, TrafficMatrix};
+use proptest::prelude::*;
 
 fn instance() -> (Topology, DemandSet) {
     let topo = random_topology(&RandomTopologyCfg {
@@ -451,21 +452,66 @@ fn hostile_lines() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// Every hostile line gets an `Error` reply and leaves no trace: the
-/// `Status` line after it is the `Status` line before it, byte for byte.
-#[test]
-fn hostile_lines_are_errors_and_leave_state_untouched() {
+/// A daemon on [`instance`] and the `Status` line of its untouched state.
+fn booted() -> (Daemon, String) {
     let (topo, base) = instance();
     let mut d = Daemon::new(topo.clone(), base, Some(uniform(&topo)), cfg());
-    let status = serde_json::to_string(&Request::Status).unwrap();
+    let untouched = d.handle_line("\"Status\"");
+    (d, untouched)
+}
+
+/// `line` gets exactly one reply line, an `Error`, and leaves no trace:
+/// the `Status` line after it is `untouched`, byte for byte.
+fn assert_rejected(d: &mut Daemon, untouched: &str, what: &str, line: &str) {
+    let reply = d.handle_line(line);
+    assert!(!reply.contains('\n'), "{what}: {reply:?}");
+    assert!(
+        matches!(serde_json::from_str(&reply), Ok(Reply::Error { .. })),
+        "{what}: {line:?} -> {reply}"
+    );
+    assert_eq!(d.handle_line("\"Status\""), untouched, "{what}: {line:?}");
+}
+
+/// The hand-picked hostile lines, then every request example of
+/// `docs/PROTOCOL.md` cut off at every byte.
+#[test]
+fn hostile_lines_are_errors_and_leave_state_untouched() {
+    let (mut d, untouched) = booted();
     for (what, line) in hostile_lines() {
-        let before = d.handle_line(&status);
-        let reply = d.handle_line(&line);
-        assert!(
-            matches!(serde_json::from_str(&reply), Ok(Reply::Error { .. })),
-            "{what}: {reply}"
-        );
-        assert_eq!(d.handle_line(&status), before, "{what}");
+        assert_rejected(&mut d, &untouched, what, &line);
+    }
+
+    let path = format!("{}/../../docs/PROTOCOL.md", env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let is_request = |line: &str| serde_json::from_str::<Request>(line).is_ok();
+    let examples: Vec<&str> = doc.lines().filter(|line| is_request(line)).collect();
+    assert!(examples.len() >= 12, "one example per request variant");
+    for example in examples {
+        for cut in 0..example.len() {
+            let line = String::from_utf8_lossy(&example.as_bytes()[..cut]);
+            // A cut that happens to leave a complete request is not hostile.
+            if !is_request(&line) {
+                assert_rejected(&mut d, &untouched, "truncated example", &line);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The fuzzer of ROADMAP item 5(c): any byte string is one protocol
+    /// line (lossily decoded, newlines blanked) and gets the same
+    /// treatment.
+    #[test]
+    fn arbitrary_bytes_are_errors_and_leave_state_untouched(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let line = String::from_utf8_lossy(&bytes).replace('\n', " ");
+        if serde_json::from_str::<Request>(&line).is_err() {
+            let (mut d, untouched) = booted();
+            assert_rejected(&mut d, &untouched, "arbitrary bytes", &line);
+        }
     }
 }
 
