@@ -161,16 +161,14 @@ impl<'a> AnnealSearch<'a> {
     /// Proposes a single-weight-change move away from `w` (evaluated as
     /// `at`, the engine's base) — one class in DTR mode, one link, one
     /// fresh weight value guaranteed to differ from the old one — and
-    /// costs it: only the moved class is re-routed. A walk comes back to
-    /// a setting only by drawing the exact reverse move, so the STR probe
-    /// is not kept in the engine's cache.
+    /// costs it: only the moved class is re-routed.
     fn probe(&mut self, w: &DualWeights, at: &Evaluation, rng: &mut StdRng) -> Probe {
         let change = SingleChange::draw(self.mode, w, &self.params, rng);
         let mut weights = w.clone();
         change.apply(self.mode, &mut weights);
         let class = if change.high { Class::High } else { Class::Low };
         let eval = match self.mode {
-            Scheme::Str => self.engine.eval_joint_once(&weights.high),
+            Scheme::Str => self.engine.eval_joint(&weights.high),
             Scheme::Dtr => {
                 let moved = std::slice::from_ref(class.of(&weights));
                 let mut evals = self.engine.eval_class_batch(class, moved, w, at);
@@ -198,7 +196,7 @@ impl<'a> AnnealSearch<'a> {
         // The engine's lanes start based at uniform weight 1.
         let mut cur_w = DualWeights::replicated(WeightVector::uniform(self.engine.topo(), 1));
         let mut cur = match self.mode {
-            Scheme::Str => self.engine.eval_joint_once(&cur_w.high),
+            Scheme::Str => self.engine.eval_joint(&cur_w.high),
             Scheme::Dtr => self.engine.eval_dual(&cur_w),
         };
         trace.evaluations += 1;

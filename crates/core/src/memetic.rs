@@ -122,11 +122,10 @@ impl Evolution<'_> {
     /// Costs `w`, then refines it by a greedy hill-climb: up to
     /// `local_steps` probes (fewer when the budget runs out), each a
     /// single-weight change; an improving probe is adopted immediately.
-    /// Individuals and probes are seen once, so nothing of them is kept
-    /// in the engine's cache; the joint base follows the individual
-    /// being refined, so each probe repairs one weight's worth of routes.
+    /// The joint base follows the individual being refined, so each
+    /// probe repairs one weight's worth of routes.
     fn admit(&mut self, mut w: WeightVector) -> Individual {
-        let mut cost = self.engine.eval_joint_once(&w).cost;
+        let mut cost = self.engine.eval_joint(&w).cost;
         self.trace.evaluations += 1;
         let steps = self
             .local_steps
@@ -141,7 +140,7 @@ impl Evolution<'_> {
                 lid,
                 SingleChange::draw_value(old, &self.params, &mut self.rng),
             );
-            let c = self.engine.eval_joint_once(&w).cost;
+            let c = self.engine.eval_joint(&w).cost;
             self.trace.evaluations += 1;
             if c < cost {
                 cost = c;
@@ -227,7 +226,7 @@ pub(crate) fn evolve(
         run.trace.iterations += 1;
     }
 
-    let eval = run.engine.eval_joint_once(&best.1);
+    let eval = run.engine.eval_joint(&best.1);
     SearchResult {
         weights: DualWeights::replicated(best.1),
         best_cost: best.0,

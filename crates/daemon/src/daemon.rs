@@ -24,7 +24,7 @@ use dtr_core::reopt::{changes_between, ReoptResult};
 use dtr_core::{ReoptSession, Scheme, SearchParams};
 use dtr_cost::Objective;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, Topology};
+use dtr_graph::{LinkId, Topology, WeightVector};
 use dtr_mtr::{deployment_cost, ChurnReport};
 use dtr_routing::{strongly_connected_under, Evaluation, Evaluator};
 use dtr_traffic::DemandSet;
@@ -479,14 +479,11 @@ impl Daemon {
     /// line was parsed.)
     fn check_snapshot(&self, s: &Snapshot) -> Result<(), String> {
         let (n, m) = (s.topo.node_count(), s.topo.link_count());
-        let range = self.cfg.params.min_weight..=self.cfg.params.max_weight;
         for (class, w) in [("high", &s.incumbent.high), ("low", &s.incumbent.low)] {
             if w.len() != m {
                 return Err(format!("{} {class} weights for {m} links", w.len()));
             }
-            if let Some(bad) = w.as_slice().iter().find(|w| !range.contains(w)) {
-                return Err(format!("{class} weight {bad} outside {range:?}"));
-            }
+            self.check_range(class, w)?;
         }
         check_demands(&s.demands, n)?;
         if s.link_up.len() != m {
@@ -501,6 +498,16 @@ impl Daemon {
             return Err("the links that are up do not connect the network".to_string());
         }
         Ok(())
+    }
+
+    /// Checks that every weight of one class's vector lies in the search
+    /// range — what a `Restore` and a `WhatIfWeights` probe must carry.
+    fn check_range(&self, class: &str, w: &WeightVector) -> Result<(), String> {
+        let range = self.cfg.params.min_weight..=self.cfg.params.max_weight;
+        match w.as_slice().iter().find(|w| !range.contains(w)) {
+            Some(bad) => Err(format!("{class} weight {bad} outside {range:?}")),
+            None => Ok(()),
+        }
     }
 
     /// Applies a validated link event: nothing to do when every named
@@ -636,6 +643,12 @@ impl Daemon {
                     return Some(Reply::Error {
                         message: format!("weight vectors must have {m} entries"),
                     });
+                }
+                let in_range = self
+                    .check_range("high", &weights.high)
+                    .and_then(|()| self.check_range("low", &weights.low));
+                if let Err(message) = in_range {
+                    return Some(Reply::Error { message });
                 }
                 Reply::WhatIf(WhatIfReport {
                     seq: s.seq,

@@ -390,6 +390,14 @@ fn hostile_lines() -> Vec<(&'static str, String)> {
     );
     let ragged_head = head.replace("[0.0,", "[");
     let negative_head = format!("{{\"high\":{{\"n\":{n},\"data\":[0.0,-1.0,");
+    let absurd_head = format!("{{\"high\":{{\"n\":{n},\"data\":[0.0,1e308,");
+    let probe = |high: WeightVector, low: WeightVector| {
+        json(&Request::WhatIfWeights {
+            weights: DualWeights { high, low },
+        })
+    };
+    let mut zero_on_one_link = WeightVector::uniform(&topo, 1);
+    zero_on_one_link.set(dtr_graph::LinkId(0), 0);
     let small = DemandSet {
         high: TrafficMatrix::zeros(3),
         low: TrafficMatrix::zeros(3),
@@ -423,6 +431,22 @@ fn hostile_lines() -> Vec<(&'static str, String)> {
             json(&Request::DemandUpdate {
                 demands: small.clone(),
             }),
+        ),
+        // Each entry finite, the costs not: Φ overflowed to ∞ and the
+        // reply carried `null` where a number belongs.
+        ("absurd demand update", edited(&update, &head, &absurd_head)),
+        // Priced as if it were a routing; weights, like a `Restore`'s,
+        // must lie in the search range.
+        (
+            "zero weight probe",
+            probe(zero_on_one_link, WeightVector::uniform(&topo, 1)),
+        ),
+        (
+            "weight probe above max_weight",
+            probe(
+                WeightVector::uniform(&topo, 1),
+                WeightVector::uniform(&topo, cfg().params.max_weight + 1),
+            ),
         ),
         (
             "short low weight vector",

@@ -14,7 +14,9 @@
 //!   candidate's one-or-two weight deltas can affect (see
 //!   [`crate::dynspf`]). Candidates whose delta count exceeds
 //!   [`IncrementalBackend::MAX_DELTAS`] (diversification jumps) fall
-//!   back to a full per-candidate evaluation.
+//!   back to a full per-candidate evaluation. Above
+//!   [`crate::PAR_MIN_WORK`] a batch fans out over the caller and idle
+//!   pool workers, one evaluation scratch each (see [`crate::state`]).
 //!
 //! Both produce bit-identical loads for identical inputs; the engine's
 //! equivalence proptests enforce this.
@@ -229,19 +231,14 @@ impl<'a> IncrementalBackend<'a> {
 
 impl<'a> EvalBackend for IncrementalBackend<'a> {
     fn eval_batch(&mut self, cands: &[WeightVector], want_dags: bool) -> Vec<CandidateEval> {
-        // Repairs share the mutable scratch, so the batch runs
-        // sequentially; each candidate only touches its few affected
-        // destinations, which is the whole point. (The Full backend is
-        // the parallel-throughput option for huge batches.)
-        cands
-            .iter()
-            .map(
-                |w| match self.state.eval_candidate(w, Self::MAX_DELTAS, want_dags) {
-                    Some(ev) => ev,
-                    // Diversification-sized jump: full evaluation.
-                    None => full_candidate_eval(self.topo, &self.matrices, w, want_dags),
-                },
-            )
+        let evals = self.state.eval_batch(cands, Self::MAX_DELTAS, want_dags);
+        evals
+            .into_iter()
+            .zip(cands)
+            .map(|(ev, w)| {
+                // `None`: a diversification-sized jump, evaluated in full.
+                ev.unwrap_or_else(|| full_candidate_eval(self.topo, &self.matrices, w, want_dags))
+            })
             .collect()
     }
 

@@ -20,9 +20,9 @@
 //!   exact-order fold, so patched loads are **bit-identical** to full
 //!   evaluation;
 //! - [`backend`] — the [`EvalBackend`] trait with [`FullBackend`]
-//!   (recompute everything, rayon-parallel across the batch) and
-//!   [`IncrementalBackend`] (repair only affected destinations)
-//!   implementations;
+//!   (recompute everything) and [`IncrementalBackend`] (repair only
+//!   affected destinations) implementations, both fanning a batch out
+//!   over the rayon pool with results identical to one thread;
 //! - [`cache`] — an LRU evaluation cache keyed by weight-vector hash,
 //!   short-circuiting revisited candidates entirely;
 //! - [`BatchEvaluator`] — the facade `dtr-core` drives: per-class batch
@@ -56,7 +56,7 @@ pub use dynspf::{
 };
 pub use flat::{FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
 pub use kclass::{KClassBatchEvaluator, KClassEvaluation};
-pub use state::{CandidateEval, DestState, FlowState, WorkStats};
+pub use state::{CandidateEval, DestState, FlowState, WorkStats, PAR_MIN_WORK};
 
 use dtr_cost::Objective;
 use dtr_graph::weights::DualWeights;
@@ -101,9 +101,10 @@ const DEFAULT_CACHE_CAPACITY: usize = 512;
 
 /// The batch candidate evaluator the searches drive.
 ///
-/// Owns one lane (a backend plus an LRU cache) per routed side — high
-/// class, low class, and the joint (single-topology) pairing — and the
-/// underlying [`Evaluator`] used to assemble costs. Backends track a *base* weight vector (the
+/// Owns one lane (a backend, plus an LRU cache for the per-class sides)
+/// per routed side — high class, low class, and the joint
+/// (single-topology) pairing — and the underlying [`Evaluator`] used to
+/// assemble costs. Backends track a *base* weight vector (the
 /// search's current solution); move the base with [`Self::rebase_high`]
 /// / [`Self::rebase_low`] / [`Self::rebase_joint`] whenever the search
 /// accepts a move, so the incremental backend's repairs stay small.
@@ -118,8 +119,8 @@ pub struct BatchEvaluator<'a> {
     ws: SpfWorkspace,
 }
 
-/// One routed side: the backend that routes its candidates and the LRU
-/// of the values built from what it routed.
+/// One routed side: the backend that routes its candidates and, for the
+/// per-class sides, the LRU of the values built from what it routed.
 ///
 /// The backend is constructed on first use. `DtrSearch` never touches
 /// the joint lane and `StrSearch` never touches the per-class ones;
@@ -132,7 +133,9 @@ struct Lane<'a, V> {
     /// Base tracked while the backend doesn't exist yet.
     base: WeightVector,
     backend: Option<Box<dyn EvalBackend + 'a>>,
-    cache: LruCache<V>,
+    /// `None` for a lane whose candidates are not revisited often
+    /// enough to pay for keeping them (the joint lane).
+    cache: Option<LruCache<V>>,
 }
 
 impl<'a, V: Clone> Lane<'a, V> {
@@ -140,6 +143,7 @@ impl<'a, V: Clone> Lane<'a, V> {
         kind: BackendKind,
         topo: &'a Topology,
         matrices: Vec<&'a dtr_traffic::TrafficMatrix>,
+        cached: bool,
     ) -> Self {
         Lane {
             kind,
@@ -147,7 +151,7 @@ impl<'a, V: Clone> Lane<'a, V> {
             matrices,
             base: WeightVector::uniform(topo, 1),
             backend: None,
-            cache: LruCache::new(DEFAULT_CACHE_CAPACITY),
+            cache: cached.then(|| LruCache::new(DEFAULT_CACHE_CAPACITY)),
         }
     }
 
@@ -176,21 +180,25 @@ impl<'a, V: Clone> Lane<'a, V> {
             .map_or_else(WorkStats::default, |b| b.work_stats())
     }
 
+    /// `(hits, misses)` of the lane's cache; zero without one.
+    fn cache_stats(&self) -> (u64, u64) {
+        self.cache.as_ref().map_or((0, 0), LruCache::stats)
+    }
+
     /// Evaluates a batch, preserving order: cache first, then the
     /// backend once per distinct miss, `build`ing each value from the
-    /// routed candidate and retaining it. With `retain` off the cache is
-    /// neither read nor written — the form for candidates nothing
-    /// revisits (a population's offspring), which would only push the
-    /// revisited ones out and hold their memory.
+    /// routed candidate and retaining it in the cache, if the lane has
+    /// one.
     fn eval(
         &mut self,
         cands: &[WeightVector],
         want_dags: bool,
-        retain: bool,
         mut build: impl FnMut(CandidateEval, &WeightVector) -> V,
     ) -> Vec<V> {
-        let lookup = |w| if retain { self.cache.get(w) } else { None };
-        let mut out: Vec<Option<V>> = cands.iter().map(lookup).collect();
+        let mut out: Vec<Option<V>> = match &mut self.cache {
+            Some(cache) => cands.iter().map(|w| cache.get(w)).collect(),
+            None => cands.iter().map(|_| None).collect(),
+        };
         let misses: Vec<usize> = (0..cands.len()).filter(|&i| out[i].is_none()).collect();
         if !misses.is_empty() {
             let (uniq, alias) = dedupe(cands, &misses);
@@ -199,8 +207,8 @@ impl<'a, V: Clone> Lane<'a, V> {
             let mut values: Vec<V> = Vec::with_capacity(uniq.len());
             for (&i, ev) in uniq.iter().zip(evals) {
                 let value = build(ev, &cands[i]);
-                if retain {
-                    self.cache.put(&cands[i], value.clone());
+                if let Some(cache) = &mut self.cache {
+                    cache.put(&cands[i], value.clone());
                 }
                 values.push(value);
             }
@@ -223,9 +231,9 @@ impl<'a> BatchEvaluator<'a> {
         BatchEvaluator {
             evaluator: Evaluator::new(topo, demands, objective),
             kind,
-            high: Lane::new(kind, topo, vec![&demands.high]),
-            low: Lane::new(kind, topo, vec![&demands.low]),
-            joint: Lane::new(kind, topo, vec![&demands.high, &demands.low]),
+            high: Lane::new(kind, topo, vec![&demands.high], true),
+            low: Lane::new(kind, topo, vec![&demands.low], true),
+            joint: Lane::new(kind, topo, vec![&demands.high, &demands.low], false),
             ws: SpfWorkspace::new(),
         }
     }
@@ -270,7 +278,7 @@ impl<'a> BatchEvaluator<'a> {
     /// backend for the misses), preserving order.
     pub fn eval_high_batch(&mut self, cands: &[WeightVector]) -> Vec<HighSide> {
         let (want_dags, evaluator) = (self.want_dags(), &mut self.evaluator);
-        self.high.eval(cands, want_dags, true, |mut ev, wh| {
+        self.high.eval(cands, want_dags, |mut ev, wh| {
             high_side(evaluator, ev.loads.swap_remove(0), wh, &ev.dags)
         })
     }
@@ -283,7 +291,7 @@ impl<'a> BatchEvaluator<'a> {
     /// Evaluates a batch of low-class candidates.
     pub fn eval_low_batch(&mut self, cands: &[WeightVector]) -> Vec<ClassLoads> {
         self.low
-            .eval(cands, false, true, |mut ev, _| ev.loads.swap_remove(0))
+            .eval(cands, false, |mut ev, _| ev.loads.swap_remove(0))
     }
 
     /// Evaluates one joint (single-topology) candidate.
@@ -295,25 +303,11 @@ impl<'a> BatchEvaluator<'a> {
 
     /// Evaluates a batch of joint candidates: both classes ride `w`, and
     /// the returned [`Evaluation`] matches `Evaluator::eval_str(w)`
-    /// bit-for-bit.
+    /// bit-for-bit. The joint lane keeps no cache: single-topology
+    /// searches come back to a setting too rarely to pay for one.
     pub fn eval_joint_batch(&mut self, cands: &[WeightVector]) -> Vec<Evaluation> {
-        self.joint_lane(cands, true)
-    }
-
-    /// Evaluates one joint candidate the caller will not come back to —
-    /// an individual of a population search: same result as
-    /// [`Self::eval_joint`], but the cache is neither consulted nor
-    /// filled, so a stream of them leaves it (and the memory it holds)
-    /// as it was.
-    pub fn eval_joint_once(&mut self, w: &WeightVector) -> Evaluation {
-        self.joint_lane(std::slice::from_ref(w), false)
-            .pop()
-            .unwrap()
-    }
-
-    fn joint_lane(&mut self, cands: &[WeightVector], retain: bool) -> Vec<Evaluation> {
         let (want_dags, evaluator) = (self.want_dags(), &mut self.evaluator);
-        self.joint.eval(cands, want_dags, retain, |mut ev, w| {
+        self.joint.eval(cands, want_dags, |mut ev, w| {
             let low_loads = ev.loads.swap_remove(1);
             let high = high_side(evaluator, ev.loads.swap_remove(0), w, &ev.dags);
             evaluator
@@ -553,12 +547,11 @@ impl<'a> BatchEvaluator<'a> {
         }
     }
 
-    /// `(hits, misses)` summed over the three class caches.
+    /// `(hits, misses)` summed over the two per-class caches.
     pub fn cache_stats(&self) -> (u64, u64) {
-        let (h1, m1) = self.high.cache.stats();
-        let (h2, m2) = self.low.cache.stats();
-        let (h3, m3) = self.joint.cache.stats();
-        (h1 + h2 + h3, m1 + m2 + m3)
+        let (h1, m1) = self.high.cache_stats();
+        let (h2, m2) = self.low.cache_stats();
+        (h1 + h2, m1 + m2)
     }
 
     /// Work counters summed over the three backends: how the
@@ -718,9 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn once_evaluations_leave_the_cache_as_it_was() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+    fn the_joint_lane_holds_no_entries() {
         let (topo, demands) = instance(5);
         let mut engine = BatchEvaluator::new(
             &topo,
@@ -729,31 +720,25 @@ mod tests {
             BackendKind::Incremental,
         );
         let mut reference = Evaluator::new(&topo, &demands, Objective::LoadBased);
-        let kept = WeightVector::uniform(&topo, 3);
-        let kept_eval = engine.eval_joint(&kept);
-        let before = engine.cache_stats();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut last = kept.clone();
-        for i in 0..2000 {
-            last = WeightVector::from_vec(
-                (0..topo.link_count())
-                    .map(|_| rng.random_range(1u32..=30))
-                    .collect(),
-            );
-            let ev = engine.eval_joint_once(&last);
-            if i % 250 == 0 {
-                assert_eq!(ev, reference.eval_str(&last));
-            }
-        }
-        assert_eq!(engine.eval_joint_once(&kept), kept_eval);
-        assert_eq!(engine.cache_stats(), before);
-        // None of the 2 000 became an entry: asking for the last one
-        // again misses, and the one entry from before was not evicted
-        // (four times the capacity went past it).
-        engine.eval_joint(&last);
-        assert_eq!(engine.cache_stats(), (before.0, before.1 + 1));
-        engine.eval_joint(&kept);
-        assert_eq!(engine.cache_stats(), (before.0 + 1, before.1 + 1));
+        // Every link differs from the lanes' uniform-1 base, so each
+        // routing of `w` is one full fallback.
+        let w = WeightVector::uniform(&topo, 3);
+        let first = engine.eval_joint(&w);
+        assert_eq!(first, reference.eval_str(&w));
+        assert_eq!(
+            engine.eval_joint_batch(&[w.clone(), w.clone()]),
+            [first.clone(), first]
+        );
+        // Asked three times, routed twice (in-batch duplicates still
+        // route once), and nothing counted as a lookup.
+        assert!(engine.joint.cache.is_none());
+        assert_eq!(engine.work_stats().full_fallbacks, 2);
+        assert_eq!(engine.cache_stats(), (0, 0));
+        // The per-class lanes keep theirs.
+        engine.eval_low(&w);
+        engine.eval_low(&w);
+        assert_eq!(engine.cache_stats(), (1, 1));
+        assert_eq!(engine.work_stats().full_fallbacks, 3);
     }
 
     #[test]

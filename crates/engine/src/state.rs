@@ -30,6 +30,17 @@
 //! vector per destination would interleave `+= 0.0` adds — bit-exact
 //! no-ops on the non-negative accumulators — and at 1000+ nodes be tens
 //! of megabytes of mostly zeros streamed through every candidate.)
+//!
+//! # Why fanning out cannot change a bit
+//!
+//! A candidate evaluation reads the base state and writes only a scratch
+//! (`EvalScratch`) and its own result; a per-destination rebuild or
+//! repair writes only a scratch and its own destination. A pass
+//! therefore fans out over the caller and idle pool workers — one
+//! scratch each, items handed out from one atomic index, results put
+//! back by index — while every floating-point fold runs inside one item
+//! exactly as it would sequentially. Which thread ran an item is
+//! unobservable; the work counters are per scratch and summed.
 
 use crate::dynspf::{
     apply_link_down, apply_link_up, apply_weight_delta, delta_affects_dag,
@@ -39,10 +50,21 @@ use crate::flat::{demand_column, push_demand_flat, FlatDag, FlatSpfWorkspace, Fl
 use dtr_graph::{LinkId, NodeId, ShortestPathDag, Topology, Weight, WeightVector};
 use dtr_routing::ClassLoads;
 use dtr_traffic::TrafficMatrix;
-use std::sync::Arc;
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A single weight change `(link, new_weight)`.
 pub type WeightDelta = (LinkId, Weight);
+
+/// Cached destinations × nodes below which every pass — batch, rebase,
+/// rebuild — runs on the calling thread. Waking a parked pool worker and
+/// joining it costs about 11 µs on a two-core x86 VM; a pass fans out
+/// only where a five-candidate batch costs ten of those on one thread,
+/// which it does from about 1 000 (a 32-node state). The 6-node daemon
+/// networks and the 20–30-node corpus instances stay inline.
+/// `DESIGN.md` has the measurement.
+pub const PAR_MIN_WORK: usize = 1024;
 
 /// A candidate's weight change on one link, with everything the
 /// per-destination affectedness test reads looked up once.
@@ -56,7 +78,8 @@ struct StagedDelta {
 
 /// Deterministic work counters of one [`FlowState`]: how candidate
 /// evaluation disposed of each cached destination, and how often the
-/// state moved. They depend only on the call sequence, never on timing.
+/// state moved. They depend only on the call sequence, never on timing
+/// or on how many threads took part.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkStats {
     /// Destinations whose cached contributions were replayed untouched.
@@ -123,6 +146,109 @@ pub struct DestState {
     shared: Option<Arc<ShortestPathDag>>,
 }
 
+/// Everything one participant of a pass writes: the repair scratch, the
+/// repair target, the staged weight slice, the push buffers and its
+/// share of the work counters. One per participant, so the passes read
+/// the state itself through `&self`.
+struct EvalScratch {
+    /// Scratch for DAG repairs.
+    spf: DynSpfScratch,
+    /// Scratch for fresh flat SPF computations.
+    spf_ws: FlatSpfWorkspace,
+    /// Reusable repair target for candidate evaluation (`clone_from`
+    /// recycles its buffers — four flat memcpys, no allocation).
+    dag: FlatDag,
+    /// Weight slice for sequenced delta application; equal to the base
+    /// of generation `weights_gen` between uses (users revert the
+    /// entries they set).
+    work_weights: Vec<Weight>,
+    /// The base generation `work_weights` was filled at (`None`: never).
+    weights_gen: Option<u64>,
+    /// Per-node flow buffer for load pushes.
+    node_flow: Vec<f64>,
+    /// Branch list for single-node ECMP overrides.
+    branch_buf: Vec<u32>,
+    /// The candidate work this scratch did.
+    stats: WorkStats,
+}
+
+impl EvalScratch {
+    fn new(flat: &FlatTopo) -> Self {
+        EvalScratch {
+            spf: DynSpfScratch::new(),
+            spf_ws: FlatSpfWorkspace::new(),
+            dag: FlatDag::empty(flat),
+            work_weights: Vec::new(),
+            weights_gen: None,
+            node_flow: Vec::new(),
+            branch_buf: Vec::new(),
+            stats: WorkStats::default(),
+        }
+    }
+
+    /// Makes `work_weights` equal to `base`, the base of `generation`:
+    /// a copy when the base moved since the slice was last filled,
+    /// nothing otherwise.
+    fn stage(&mut self, base: &WeightVector, generation: u64) {
+        if self.weights_gen != Some(generation) {
+            self.work_weights.clear();
+            self.work_weights.extend_from_slice(base.as_slice());
+            self.weights_gen = Some(generation);
+        }
+        debug_assert_eq!(self.work_weights, base.as_slice());
+    }
+}
+
+/// A scratch's lock. A pass that panicked holding it may have left
+/// deltas staged in `work_weights`, so a recovered scratch refills them
+/// before its next use; every other buffer is reset by each use.
+fn lock(m: &Mutex<EvalScratch>) -> MutexGuard<'_, EvalScratch> {
+    m.lock().unwrap_or_else(|poisoned| {
+        let mut s = poisoned.into_inner();
+        s.weights_gen = None;
+        s
+    })
+}
+
+/// Runs `job(i, scratch)` for every `i < items` and returns the results
+/// in index order. With `width > 1` the first `width` scratches fan out
+/// over the caller and idle pool workers, which pull indices from one
+/// atomic counter; with `width == 1` the calling thread runs every item
+/// on the first scratch.
+fn fan_out<R: Send>(
+    scratches: &[Mutex<EvalScratch>],
+    width: usize,
+    items: usize,
+    job: impl Fn(usize, &mut EvalScratch) -> R + Sync,
+) -> Vec<R> {
+    if width <= 1 {
+        let mut s = lock(&scratches[0]);
+        return (0..items).map(|i| job(i, &mut s)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let shares: Vec<Vec<(usize, R)>> = scratches[..width]
+        .par_iter()
+        .map(|s| {
+            let mut s = lock(s);
+            let mut got = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items {
+                    return got;
+                }
+                got.push((i, job(i, &mut s)));
+            }
+        })
+        .collect();
+    let mut out: Vec<Option<R>> = (0..items).map(|_| None).collect();
+    for (i, r) in shares.into_iter().flatten() {
+        out[i] = Some(r);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every index is pulled once"))
+        .collect()
+}
+
 /// The incremental evaluation state of one routed class (or of two
 /// classes sharing a weight vector, for single-topology routing).
 pub struct FlowState<'a> {
@@ -135,33 +261,24 @@ pub struct FlowState<'a> {
     matrices: Vec<&'a TrafficMatrix>,
     /// The base weight vector the cached DAGs reflect.
     base: WeightVector,
+    /// Bumped by every base move, so a scratch can tell whether its
+    /// staged weight slice still equals `base`.
+    generation: u64,
     /// Cached per-destination state, ascending destination order, only
     /// destinations with demand in at least one matrix. The set is
     /// fixed at construction (it depends only on the matrices).
     dests: Vec<DestState>,
-    /// Scratch for DAG repairs.
-    scratch: DynSpfScratch,
-    /// Scratch for fresh flat SPF computations.
-    spf_ws: FlatSpfWorkspace,
-    /// Reusable repair target for candidate evaluation (`clone_from`
-    /// recycles its buffers — four flat memcpys, no allocation).
-    scratch_dag: FlatDag,
-    /// Scratch weight slice for sequenced delta application; equal to
-    /// `base` between uses (users revert the entries they set).
-    work_weights: Vec<Weight>,
-    /// Scratch per-node flow buffer for load pushes.
-    node_flow: Vec<f64>,
-    /// Scratch branch list for single-node ECMP overrides.
-    branch_buf: Vec<u32>,
+    /// One scratch per participant of a pass, grown on first need; the
+    /// first also serves every inline pass and the failure sweep.
+    scratches: Vec<Mutex<EvalScratch>>,
     /// Scratch staged link-up mask for failure sweeps; invariantly
     /// all-up between calls (each sweep's revert loop restores it).
     mask_buf: LinkMask,
     /// Scratch down-link list for failure sweeps.
     downs_buf: Vec<u32>,
-    /// Scratch dirty flags for rebase.
-    dirty_buf: Vec<bool>,
-    /// Work counters since construction.
-    stats: WorkStats,
+    /// Base moves since construction (the one counter not kept per
+    /// scratch).
+    rebases: u64,
 }
 
 /// The outcome of evaluating one candidate against the base state:
@@ -183,7 +300,7 @@ impl<'a> FlowState<'a> {
         assert_eq!(base.len(), topo.link_count());
         let flat = FlatTopo::new(topo);
         let mask_buf = LinkMask::all_up(topo.link_count());
-        let scratch_dag = FlatDag::empty(&flat);
+        let scratches = vec![Mutex::new(EvalScratch::new(&flat))];
         let mut dests = Vec::new();
         for t in topo.nodes() {
             let demand: Vec<Vec<f64>> = matrices
@@ -204,17 +321,12 @@ impl<'a> FlowState<'a> {
             flat,
             matrices,
             base,
+            generation: 0,
             dests,
-            scratch: DynSpfScratch::new(),
-            spf_ws: FlatSpfWorkspace::new(),
-            scratch_dag,
-            work_weights: Vec::new(),
-            node_flow: Vec::new(),
-            branch_buf: Vec::new(),
+            scratches,
             mask_buf,
             downs_buf: Vec::new(),
-            dirty_buf: Vec::new(),
-            stats: WorkStats::default(),
+            rebases: 0,
         };
         state.rebuild_all();
         state
@@ -232,19 +344,60 @@ impl<'a> FlowState<'a> {
 
     /// Work counters since construction.
     pub fn work_stats(&self) -> WorkStats {
-        self.stats
+        let mut total = WorkStats {
+            rebases: self.rebases,
+            ..WorkStats::default()
+        };
+        for s in &self.scratches {
+            total += lock(s).stats;
+        }
+        total
+    }
+
+    /// How many participants a pass over `items` pieces gets: one for a
+    /// single piece or below [`PAR_MIN_WORK`], else up to the thread
+    /// count. Grows the scratch list to match.
+    fn fan_width(&mut self, items: usize) -> usize {
+        let small = self.dests.len() * self.flat.node_count() < PAR_MIN_WORK;
+        let width = if items < 2 || small {
+            1
+        } else {
+            rayon::current_num_threads().min(items)
+        };
+        while self.scratches.len() < width {
+            self.scratches
+                .push(Mutex::new(EvalScratch::new(&self.flat)));
+        }
+        width
+    }
+
+    /// Runs `job(flat, base, dest, scratch)` on every destination state,
+    /// fanned out by [`Self::fan_width`]; each destination is written by
+    /// exactly one participant.
+    fn for_each_dest(
+        &mut self,
+        job: impl Fn(&FlatTopo, &WeightVector, &mut DestState, &mut EvalScratch) + Sync,
+    ) {
+        let width = self.fan_width(self.dests.len());
+        let (flat, base) = (&self.flat, &self.base);
+        let cells: Vec<Mutex<&mut DestState>> = self.dests.iter_mut().map(Mutex::new).collect();
+        fan_out(&self.scratches, width, cells.len(), |i, s| {
+            let mut ds = cells[i]
+                .lock()
+                .expect("each destination is handed out once");
+            job(flat, base, &mut ds, s)
+        });
     }
 
     /// Full recompute of every destination state from `self.base`,
     /// reusing every existing buffer (the destination set is fixed).
     fn rebuild_all(&mut self) {
-        let weights = self.base.as_slice();
-        for ds in &mut self.dests {
+        self.for_each_dest(|flat, base, ds, s| {
             ds.dag
-                .compute_into(&self.flat, weights, ds.dest.0, None, &mut self.spf_ws);
+                .compute_into(flat, base.as_slice(), ds.dest.0, None, &mut s.spf_ws);
             ds.shared = None;
-            ds.record_contributions(&self.flat, &mut self.node_flow);
-        }
+            ds.record_contributions(flat, &mut s.node_flow);
+        });
     }
 
     /// The diff between `cand` and the base, as ordered deltas.
@@ -270,30 +423,53 @@ impl<'a> FlowState<'a> {
         }
     }
 
-    /// Evaluates `cand` against the base **without committing**.
-    /// Returns `None` when the delta count exceeds `max_deltas` — the
-    /// caller should fall back to a full evaluation (diversification
-    /// jumps perturb ~5% of all weights, where repairing link-by-link
-    /// would cost more than recomputing).
+    /// Evaluates a batch of candidates against the base **without
+    /// committing**, in input order. An entry is `None` when that
+    /// candidate's delta count exceeds `max_deltas` — the caller should
+    /// fall back to a full evaluation (diversification jumps perturb ~5%
+    /// of all weights, where repairing link-by-link would cost more than
+    /// recomputing).
+    ///
+    /// Above [`PAR_MIN_WORK`] the candidates fan out over the caller and
+    /// idle pool workers, one scratch each; every candidate's result is
+    /// computed exactly as it would be alone (see the module docs).
+    pub fn eval_batch(
+        &mut self,
+        cands: &[WeightVector],
+        max_deltas: usize,
+        want_dags: bool,
+    ) -> Vec<Option<CandidateEval>> {
+        if want_dags {
+            self.materialize_shared();
+        }
+        let width = self.fan_width(cands.len());
+        let this = &*self;
+        fan_out(&this.scratches, width, cands.len(), |i, s| {
+            this.eval_candidate(&cands[i], max_deltas, want_dags, s)
+        })
+    }
+
+    /// Evaluates one candidate on scratch `s`.
     ///
     /// The hot path is allocation-free in steady state: destinations an
-    /// affecting delta touches are repaired on one reused scratch DAG
+    /// affecting delta touches are repaired on the scratch's reused DAG
     /// (`clone_from` recycles its flat buffers) and their demand is
     /// pushed **directly into the fold accumulator** — the identical
     /// per-link add sequence the full calculator executes, so results
     /// stay bit-identical. Unaffected destinations replay their sparse
     /// cached contributions instead of an SPF run. Per-destination
     /// DAGs are materialized only when `want_dags` is set (the SLA walk
-    /// needs them).
-    pub fn eval_candidate(
-        &mut self,
+    /// needs them; the shared ones were materialized before the batch).
+    fn eval_candidate(
+        &self,
         cand: &WeightVector,
         max_deltas: usize,
         want_dags: bool,
+        s: &mut EvalScratch,
     ) -> Option<CandidateEval> {
         let diff = self.diff(cand);
         if diff.len() > max_deltas {
-            self.stats.full_fallbacks += 1;
+            s.stats.full_fallbacks += 1;
             return None;
         }
         let deltas: Vec<StagedDelta> = diff
@@ -307,21 +483,15 @@ impl<'a> FlowState<'a> {
             })
             .collect();
         let m = self.flat.link_count();
-        if want_dags {
-            self.materialize_shared();
-        }
 
         // `work_weights` tracks the delta *stage* per destination:
         // checking/applying delta k against a DAG that reflects deltas
         // 0..k needs the slice with deltas 0..=k applied (the deltas
         // touch distinct links, so the old value of link k is the base
         // value). Entries are set on the way in and reverted to base
-        // after each destination, so the buffer needs no full rebuild.
-        if self.work_weights.len() != m {
-            self.work_weights.clear();
-            self.work_weights.extend_from_slice(self.base.as_slice());
-        }
-        debug_assert_eq!(self.work_weights, self.base.as_slice());
+        // after each destination, so the buffer is refilled only when
+        // the base moves.
+        s.stage(&self.base, self.generation);
 
         let mut loads: Vec<ClassLoads> = self.matrices.iter().map(|_| vec![0.0; m]).collect();
         let mut dags: Vec<(NodeId, Arc<ShortestPathDag>)> = Vec::new();
@@ -334,10 +504,10 @@ impl<'a> FlowState<'a> {
                 .iter()
                 .position(|d| endpoints_delta_affects_dag(&ds.dag, d.src, d.dst, d.old_w, d.new_w));
             let Some(k0) = first_hit else {
-                self.stats.replayed += 1;
+                s.stats.replayed += 1;
                 ds.replay_into(&mut loads);
                 if want_dags {
-                    let shared = ds.shared.as_ref().expect("materialized above");
+                    let shared = ds.shared.as_ref().expect("materialized before the batch");
                     dags.push((ds.dest, shared.clone()));
                 }
                 continue;
@@ -358,20 +528,20 @@ impl<'a> FlowState<'a> {
                     d.link,
                     d.old_w,
                     d.new_w,
-                    &mut self.branch_buf,
+                    &mut s.branch_buf,
                 ) {
-                    self.stats.rebranched += 1;
+                    s.stats.rebranched += 1;
                     ds.push_into(
                         &self.flat,
                         &ds.dag,
-                        Some((u, &self.branch_buf)),
-                        &mut self.node_flow,
+                        Some((u, &s.branch_buf)),
+                        &mut s.node_flow,
                         &mut loads,
                     );
                     if want_dags {
                         let mut patched = ds.dag.to_dag(&self.flat);
                         patched.ecmp_out[u as usize] =
-                            self.branch_buf.iter().map(|&l| LinkId(l)).collect();
+                            s.branch_buf.iter().map(|&l| LinkId(l)).collect();
                         dags.push((ds.dest, Arc::new(patched)));
                     }
                     continue;
@@ -381,40 +551,34 @@ impl<'a> FlowState<'a> {
             // General path: clone into the reusable scratch DAG and
             // apply the delta sequence from the first hit on, each delta
             // tested against the DAG as repaired so far.
-            self.stats.repaired += 1;
-            self.scratch_dag.clone_from(&ds.dag);
+            s.stats.repaired += 1;
+            s.dag.clone_from(&ds.dag);
             for d in &deltas[..k0] {
-                self.work_weights[d.link as usize] = d.new_w;
+                s.work_weights[d.link as usize] = d.new_w;
             }
             for d in &deltas[k0..] {
-                self.work_weights[d.link as usize] = d.new_w;
-                if endpoints_delta_affects_dag(&self.scratch_dag, d.src, d.dst, d.old_w, d.new_w) {
+                s.work_weights[d.link as usize] = d.new_w;
+                if endpoints_delta_affects_dag(&s.dag, d.src, d.dst, d.old_w, d.new_w) {
                     apply_weight_delta(
                         &self.flat,
-                        &mut self.scratch_dag,
-                        &self.work_weights,
+                        &mut s.dag,
+                        &s.work_weights,
                         d.link,
                         d.old_w,
                         d.new_w,
-                        &mut self.scratch,
+                        &mut s.spf,
                     );
                 }
             }
             // Restore the stage buffer to the base for the next
             // destination (and the next call).
             for d in &deltas {
-                self.work_weights[d.link as usize] = d.old_w;
+                s.work_weights[d.link as usize] = d.old_w;
             }
 
-            ds.push_into(
-                &self.flat,
-                &self.scratch_dag,
-                None,
-                &mut self.node_flow,
-                &mut loads,
-            );
+            ds.push_into(&self.flat, &s.dag, None, &mut s.node_flow, &mut loads);
             if want_dags {
-                dags.push((ds.dest, Arc::new(self.scratch_dag.to_dag(&self.flat))));
+                dags.push((ds.dest, Arc::new(s.dag.to_dag(&self.flat))));
             }
         }
 
@@ -423,50 +587,53 @@ impl<'a> FlowState<'a> {
 
     /// Moves the base to `new_base`, repairing cached destination states
     /// incrementally when the delta is small and rebuilding from scratch
-    /// otherwise.
+    /// otherwise. Either way each destination is repaired (or rebuilt)
+    /// and re-recorded on its own, so the pass fans out like a batch.
     pub fn rebase(&mut self, new_base: &WeightVector, max_deltas: usize) {
         let deltas = self.diff(new_base);
         if deltas.is_empty() {
             return;
         }
-        self.stats.rebases += 1;
-        // Any committed weight change invalidates the staged buffer
-        // invariant (`work_weights == base`); rebuild it lazily.
-        self.work_weights.clear();
+        self.rebases += 1;
         if deltas.len() > max_deltas {
             self.base = new_base.clone();
+            self.generation += 1;
             self.rebuild_all();
             return;
         }
-        self.work_weights.extend_from_slice(self.base.as_slice());
-        self.dirty_buf.clear();
-        self.dirty_buf.resize(self.dests.len(), false);
-        for &(lid, new_w) in &deltas {
-            let old_w = self.work_weights[lid.index()];
-            self.work_weights[lid.index()] = new_w;
-            for (i, ds) in self.dests.iter_mut().enumerate() {
-                if !delta_affects_dag(&self.flat, &ds.dag, lid.0, old_w, new_w) {
-                    continue;
+        // Per destination, the deltas apply in order, delta k checked
+        // and repaired against the slice with deltas 0..=k staged — the
+        // sequence every destination saw when the loop ran delta-major.
+        let generation = self.generation;
+        self.for_each_dest(|flat, base, ds, s| {
+            s.stage(base, generation);
+            let mut dirty = false;
+            for &(lid, new_w) in &deltas {
+                let old_w = base.get(lid);
+                s.work_weights[lid.index()] = new_w;
+                if delta_affects_dag(flat, &ds.dag, lid.0, old_w, new_w) {
+                    apply_weight_delta(
+                        flat,
+                        &mut ds.dag,
+                        &s.work_weights,
+                        lid.0,
+                        old_w,
+                        new_w,
+                        &mut s.spf,
+                    );
+                    dirty = true;
                 }
-                apply_weight_delta(
-                    &self.flat,
-                    &mut ds.dag,
-                    &self.work_weights,
-                    lid.0,
-                    old_w,
-                    new_w,
-                    &mut self.scratch,
-                );
-                self.dirty_buf[i] = true;
             }
-        }
-        self.base = new_base.clone();
-        for (i, ds) in self.dests.iter_mut().enumerate() {
-            if self.dirty_buf[i] {
+            for &(lid, _) in &deltas {
+                s.work_weights[lid.index()] = base.get(lid);
+            }
+            if dirty {
                 ds.shared = None;
-                ds.record_contributions(&self.flat, &mut self.node_flow);
+                ds.record_contributions(flat, &mut s.node_flow);
             }
-        }
+        });
+        self.base = new_base.clone();
+        self.generation += 1;
     }
 
     /// Aggregate loads at the current base (exact fold, no repairs).
@@ -513,6 +680,9 @@ impl<'a> FlowState<'a> {
         // destination's revert loop restores every entry it cleared.
         debug_assert!(self.mask_buf.is_all_up());
         let weights = self.base.as_slice();
+        let s = self.scratches[0]
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         for di in 0..self.dests.len() {
             // Find the first down link that is tight on the cached DAG.
             // Removals of non-tight links are no-ops, so every check up
@@ -544,11 +714,11 @@ impl<'a> FlowState<'a> {
                         weights,
                         &self.mask_buf,
                         l,
-                        &mut self.scratch,
+                        &mut s.spf,
                     );
                 }
             }
-            ds.push_into(&self.flat, &ds.dag, None, &mut self.node_flow, &mut loads);
+            ds.push_into(&self.flat, &ds.dag, None, &mut s.node_flow, &mut loads);
             // Revert: restore the links in reverse order under the
             // matching staged masks. `apply_link_up` detects no-ops
             // itself, so no-op removals need no bookkeeping.
@@ -561,7 +731,7 @@ impl<'a> FlowState<'a> {
                     weights,
                     &self.mask_buf,
                     l,
-                    &mut self.scratch,
+                    &mut s.spf,
                 );
             }
         }
@@ -643,6 +813,96 @@ mod tests {
         (topo, demands)
     }
 
+    /// One candidate through the batch path, four deltas allowed.
+    fn eval_one(
+        state: &mut FlowState<'_>,
+        cand: &WeightVector,
+        want_dags: bool,
+    ) -> Option<CandidateEval> {
+        state
+            .eval_batch(std::slice::from_ref(cand), 4, want_dags)
+            .pop()
+            .unwrap()
+    }
+
+    fn with_threads<R>(n: usize, op: impl FnOnce() -> R) -> R {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(n).build();
+        pool.unwrap().install(op)
+    }
+
+    /// Below `PAR_MIN_WORK` nothing dispatches: under a three-thread cap
+    /// a batch, a repair rebase and a rebuild still run on the one
+    /// scratch the calling thread uses.
+    #[test]
+    fn small_states_never_fan_out() {
+        let (topo, demands) = instance(9);
+        let w = WeightVector::uniform(&topo, 5);
+        let cands: Vec<WeightVector> = (0..6u32)
+            .map(|i| {
+                let mut c = w.clone();
+                c.set(LinkId(i), 9);
+                c
+            })
+            .collect();
+        with_threads(3, || {
+            let mut state = FlowState::new(&topo, vec![&demands.high, &demands.low], w.clone());
+            assert!(state.dest_count() * topo.node_count() < PAR_MIN_WORK);
+            state.eval_batch(&cands, 4, true);
+            state.rebase(&cands[0], 4);
+            state.rebase(&WeightVector::uniform(&topo, 2), 4);
+            assert_eq!(state.scratches.len(), 1);
+        });
+    }
+
+    /// Above it, a batch takes one scratch per participant, capped by
+    /// the thread count and the batch size; loads and counters are the
+    /// one-thread run's.
+    #[test]
+    fn large_states_fan_out_one_scratch_per_participant() {
+        let topo = random_topology(&RandomTopologyCfg {
+            nodes: 40,
+            directed_links: 160,
+            seed: 3,
+        });
+        let demands = DemandSet::generate(&topo, &TrafficCfg::default());
+        let w = WeightVector::uniform(&topo, 5);
+        let cands: Vec<WeightVector> = (0..5u32)
+            .map(|i| {
+                let mut c = w.clone();
+                c.set(LinkId(3 * i), 1 + i);
+                c
+            })
+            .collect();
+        let run = |threads: usize| {
+            with_threads(threads, || {
+                let mut state = FlowState::new(&topo, vec![&demands.low], w.clone());
+                assert!(state.dest_count() * topo.node_count() >= PAR_MIN_WORK);
+                let two = state.eval_batch(&cands[..2], 4, false);
+                let all = state.eval_batch(&cands, 4, false);
+                let loads = |evs: Vec<Option<CandidateEval>>| -> Vec<ClassLoads> {
+                    evs.into_iter()
+                        .map(|e| e.unwrap().loads.swap_remove(0))
+                        .collect()
+                };
+                (
+                    state.scratches.len(),
+                    loads(two),
+                    loads(all),
+                    state.work_stats(),
+                )
+            })
+        };
+        let one = run(1);
+        assert_eq!(one.0, 1);
+        for threads in [2, 3] {
+            let fanned = run(threads);
+            assert_eq!(fanned.0, threads);
+            assert_eq!(fanned.1, one.1);
+            assert_eq!(fanned.2, one.2);
+            assert_eq!(fanned.3, one.3);
+        }
+    }
+
     #[test]
     fn base_fold_matches_full_calculator_bitwise() {
         let (topo, demands) = instance(3);
@@ -676,7 +936,7 @@ mod tests {
                 let lid = LinkId(rng.random_range(0..topo.link_count() as u32));
                 cand.set(lid, rng.random_range(1u32..=30));
             }
-            let ev = state.eval_candidate(&cand, 4, false).unwrap();
+            let ev = eval_one(&mut state, &cand, false).unwrap();
             let full = calc.class_loads(&topo, &cand, &demands.low);
             assert_eq!(ev.loads[0], full);
         }
@@ -694,7 +954,7 @@ mod tests {
                 let lid = LinkId(rng.random_range(0..topo.link_count() as u32));
                 cand.set(lid, rng.random_range(1u32..=30));
             }
-            let ev = state.eval_candidate(&cand, 4, true).unwrap();
+            let ev = eval_one(&mut state, &cand, true).unwrap();
             for (dest, dag) in &ev.dags {
                 let fresh = ShortestPathDag::compute(&topo, &cand, *dest);
                 assert_eq!(dag.dist, fresh.dist);
@@ -779,7 +1039,7 @@ mod tests {
                 let lid = LinkId(rng.random_range(0..topo.link_count() as u32));
                 cand.set(lid, rng.random_range(1u32..=30));
             }
-            evaluated += state.eval_candidate(&cand, 4, false).is_some() as u64;
+            evaluated += eval_one(&mut state, &cand, false).is_some() as u64;
         }
         let s = state.work_stats();
         assert_eq!(

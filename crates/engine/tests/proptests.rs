@@ -8,11 +8,15 @@
 //! full structures, which compares every `f64` exactly (no tolerance).
 
 use dtr_cost::{Objective, ObjectiveSpec, SlaParams};
-use dtr_engine::{BackendKind, BatchEvaluator, KClassBatchEvaluator};
+use dtr_engine::{
+    BackendKind, BatchEvaluator, CandidateEval, EvalBackend, IncrementalBackend,
+    KClassBatchEvaluator, WorkStats, PAR_MIN_WORK,
+};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
+use dtr_graph::spf::Dist;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, Topology, WeightVector, MAX_WEIGHT, MIN_WEIGHT};
-use dtr_routing::Evaluator;
+use dtr_graph::{LinkId, NodeId, Topology, WeightVector, MAX_WEIGHT, MIN_WEIGHT};
+use dtr_routing::{Evaluation, Evaluator, HighSide};
 use dtr_traffic::{DemandSet, TrafficCfg};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -64,6 +68,162 @@ fn neighbor_walk(
             w
         })
         .collect()
+}
+
+/// Runs `op` with parallel maps capped at `threads` (1: the calling
+/// thread alone).
+fn with_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+    pool.unwrap().install(op)
+}
+
+/// A batch of every shape the searches send: 1- and 2-delta neighbors,
+/// a jump past `MAX_DELTAS` (a full fallback) and in-batch duplicates.
+fn mixed_batch(topo: &Topology, base: &WeightVector, seed: u64) -> Vec<WeightVector> {
+    let mut cands = neighbor_walk(topo, base, 1, 3, seed);
+    cands.extend(neighbor_walk(topo, base, 2, 3, seed ^ 1));
+    cands.push(rand_weights(topo, seed ^ 2));
+    cands.push(cands[0].clone());
+    cands.push(cands[4].clone());
+    cands
+}
+
+/// The base walk after the first batch: one- and two-link moves, and
+/// every third step a jump that rebuilds every destination.
+fn rebase_walk(topo: &Topology, base: &WeightVector, seed: u64) -> Vec<WeightVector> {
+    let mut at = base.clone();
+    (0..6u64)
+        .map(|step| {
+            at = match step % 3 {
+                2 => rand_weights(topo, seed ^ step),
+                k => neighbor_walk(topo, &at, k as usize + 1, 1, seed ^ step).remove(0),
+            };
+            at.clone()
+        })
+        .collect()
+}
+
+/// Everything a [`CandidateEval`] says, loads as bit patterns.
+type Fingerprint = (
+    Vec<Vec<u64>>,
+    Vec<(NodeId, Vec<Dist>, Vec<Vec<LinkId>>, Vec<u32>)>,
+);
+
+fn fingerprint(ev: &CandidateEval) -> Fingerprint {
+    let loads = ev
+        .loads
+        .iter()
+        .map(|l| l.iter().map(|x| x.to_bits()).collect())
+        .collect();
+    let dags = ev
+        .dags
+        .iter()
+        .map(|(t, d)| (*t, d.dist.clone(), d.ecmp_out.clone(), d.order.clone()))
+        .collect();
+    (loads, dags)
+}
+
+/// The joint incremental backend through a mixed batch at `base`, then
+/// a mixed batch after every step of [`rebase_walk`].
+fn backend_run(
+    topo: &Topology,
+    demands: &DemandSet,
+    base: &WeightVector,
+    seed: u64,
+    want_dags: bool,
+) -> (Vec<Fingerprint>, WorkStats) {
+    let mut backend =
+        IncrementalBackend::new(topo, vec![&demands.high, &demands.low], base.clone());
+    let mut seen: Vec<Fingerprint> = Vec::new();
+    let mut eval = |backend: &mut IncrementalBackend, at: &WeightVector, salt: u64| {
+        let batch = mixed_batch(topo, at, seed ^ salt);
+        seen.extend(
+            backend
+                .eval_batch(&batch, want_dags)
+                .iter()
+                .map(fingerprint),
+        );
+    };
+    eval(&mut backend, base, 0);
+    for (i, at) in rebase_walk(topo, base, seed).iter().enumerate() {
+        backend.rebase(at);
+        eval(&mut backend, at, 1 + i as u64);
+    }
+    (seen, backend.work_stats())
+}
+
+/// Costs through the facade, with its caches in the way: per-class
+/// batches (cached lanes) and joint batches (uncached), around the
+/// same walk.
+type FacadeRun = (
+    Vec<HighSide>,
+    Vec<Vec<f64>>,
+    Vec<Evaluation>,
+    WorkStats,
+    (u64, u64),
+);
+
+fn facade_run(
+    topo: &Topology,
+    demands: &DemandSet,
+    objective: Objective,
+    base: &WeightVector,
+    seed: u64,
+) -> FacadeRun {
+    let mut engine = BatchEvaluator::new(topo, demands, objective, BackendKind::Incremental);
+    let (mut highs, mut lows, mut joints) = (Vec::new(), Vec::new(), Vec::new());
+    let walk = rebase_walk(topo, base, seed);
+    for (i, at) in std::iter::once(base).chain(&walk).enumerate() {
+        engine.rebase_high(at);
+        engine.rebase_low(at);
+        engine.rebase_joint(at);
+        // Twice: the second pass is all cache hits on the class lanes.
+        for _ in 0..2 {
+            let batch = mixed_batch(topo, at, seed ^ i as u64);
+            highs.extend(engine.eval_high_batch(&batch));
+            lows.extend(engine.eval_low_batch(&batch));
+            joints.extend(engine.eval_joint_batch(&batch));
+        }
+    }
+    (
+        highs,
+        lows,
+        joints,
+        engine.work_stats(),
+        engine.cache_stats(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The thread count is invisible: on states above the fan-out
+    /// threshold, every candidate evaluation (loads bit for bit, DAGs
+    /// structurally), the work counters and the cache counters are the
+    /// same under 1, 2 and 3 threads — for mixed batches at the start
+    /// and after every step of a rebase walk that includes rebuilds.
+    #[test]
+    fn thread_count_is_invisible(seed in 0u64..200, wseed in 0u64..200, nodes in 40usize..=48) {
+        let (topo, demands) = instance(seed, nodes);
+        let base = rand_weights(&topo, wseed);
+        let dests = (0..nodes).filter(|&t| demands.low.demands_to(t).next().is_some()).count();
+        prop_assert!(dests * nodes >= PAR_MIN_WORK, "{dests} × {nodes}");
+        for want_dags in [false, true] {
+            let one = with_threads(1, || backend_run(&topo, &demands, &base, seed, want_dags));
+            prop_assert!(one.1.full_fallbacks > 0 && one.1.repaired > 0 && one.1.rebases > 0);
+            for k in [2, 3] {
+                let many = with_threads(k, || backend_run(&topo, &demands, &base, seed, want_dags));
+                prop_assert!(one == many, "{k} threads, want_dags {want_dags}");
+            }
+        }
+        let objective = Objective::sla_default();
+        let one = with_threads(1, || facade_run(&topo, &demands, objective, &base, seed));
+        prop_assert!(one.4 .0 > 0, "the class lanes were hit");
+        for k in [2, 3] {
+            let many = with_threads(k, || facade_run(&topo, &demands, objective, &base, seed));
+            prop_assert!(one == many, "facade, {k} threads");
+        }
+    }
 }
 
 proptest! {
@@ -266,4 +426,25 @@ fn seeded_str_search_same_incumbent_under_both_backends() {
     let incr = run(BackendKind::Incremental);
     assert_eq!(full.best_cost, incr.best_cost);
     assert_eq!(full.weights, incr.weights);
+}
+
+/// Seeded searches on a 50-node instance — above the fan-out threshold,
+/// unlike every golden instance — find the same weights along the same
+/// trace on one thread and on two.
+#[test]
+fn seeded_searches_are_the_same_on_one_thread_and_two() {
+    use dtr_core::{DtrSearch, SearchParams, StrSearch};
+    let (topo, demands) = instance(44, 50);
+    let params = SearchParams::tiny().with_seed(3);
+    let run = |threads| {
+        with_threads(threads, || {
+            let dtr = DtrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
+            let str_ = StrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
+            [
+                (dtr.weights, dtr.eval, dtr.trace),
+                (DualWeights::replicated(str_.weights), str_.eval, str_.trace),
+            ]
+        })
+    };
+    assert_eq!(run(1), run(2));
 }

@@ -15,6 +15,16 @@ pub struct TrafficMatrix {
 /// asserts entry by entry is checked here for the whole matrix, so a
 /// ragged or negative one is a parse error, not a panic at first use.
 ///
+/// So is a matrix whose total exceeds [`TrafficMatrix::MAX_TOTAL`]: each
+/// entry being finite does not keep the costs finite. An ECMP DAG carries
+/// each unit of demand over a link at most once (every path in it is
+/// simple, and the splits of one unit sum to one), so every link's load
+/// is at most the matrix total. `Φ` rises with slope at most 5000, so
+/// `Φ ≤ 5000 · m · total` over `m` links, per class. With the total at
+/// most 1e15 Mbit/s that is below 5e18 · m, finite for every `m` below
+/// 1e289 — any network this workspace can build — where an entry of
+/// 1e308 alone makes `Φ` infinite, which JSON cannot write.
+///
 /// [`set`]: TrafficMatrix::set
 impl Deserialize for TrafficMatrix {
     fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -41,11 +51,24 @@ impl Deserialize for TrafficMatrix {
                 "traffic matrix: self-traffic r({s}, {s}) must be zero"
             )));
         }
-        Ok(TrafficMatrix { n, data })
+        let matrix = TrafficMatrix { n, data };
+        let total = matrix.total();
+        // Entries are finite and ≥ 0, so the sum is never NaN (at worst ∞).
+        if total > Self::MAX_TOTAL {
+            return Err(DeError(format!(
+                "traffic matrix: total demand {total:e} Mbit/s exceeds {:e}",
+                Self::MAX_TOTAL
+            )));
+        }
+        Ok(matrix)
     }
 }
 
 impl TrafficMatrix {
+    /// The largest total volume (Mbit/s) a parsed matrix may carry; see
+    /// the `Deserialize` impl for why it keeps every cost finite.
+    pub const MAX_TOTAL: f64 = 1e15;
+
     /// An all-zero `n × n` matrix.
     pub fn zeros(n: usize) -> Self {
         TrafficMatrix {
@@ -213,9 +236,14 @@ mod tests {
             (2, &[0.0, f64::INFINITY, 0.0, 0.0], "(0, 1) = inf"),
             (2, &[0.0, 0.0, 0.0, 1.0], "r(1, 1)"),
             (u64::MAX, &[], "found 0"),
+            (2, &[0.0, 1e308, 0.0, 0.0], "total demand 1e308"),
+            (2, &[0.0, 1.7e308, 1.7e308, 0.0], "total demand inf"),
+            (2, &[0.0, 6e14, 6e14, 0.0], "exceeds 1e15"),
         ] {
             let DeError(message) = TrafficMatrix::from_value(&wire(n, data)).unwrap_err();
             assert!(message.contains(token), "{message}");
         }
+        let at_bound = TrafficMatrix::from_value(&wire(2, &[0.0, 5e14, 5e14, 0.0])).unwrap();
+        assert_eq!(at_bound.total(), TrafficMatrix::MAX_TOTAL);
     }
 }
