@@ -1,9 +1,10 @@
 //! # dtr-bench — criterion benches and the bench gate
 //!
-//! Criterion benches (`cargo bench -p dtr-bench`): SPF throughput,
-//! evaluator throughput, end-to-end search cost, τ and diversification
-//! ablations, search-strategy comparison, slicing, simulator event rates,
-//! and the tomography/robustness per-candidate costs.
+//! Criterion benches (`cargo bench -p dtr-bench --bench NAME`), each
+//! writing one `BENCH_*.json` artifact at the repository root: `engine`
+//! (full vs incremental evaluation backends), `robust` (the failure
+//! sweep), `portfolio` (worker-count speedup), `fluid` (analytic vs
+//! fluid vs packet simulation) and `daemon` (`dtrd` churn replay).
 //!
 //! ```text
 //! # CI gate over the BENCH_*.json artifacts (run from the repo root):

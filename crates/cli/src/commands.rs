@@ -1308,11 +1308,11 @@ fn boot(args: &Args) -> Result<(), CliError> {
     let topo = topology(args)?;
     let demands = demands(args, &topo)?;
     let weights = incumbent(args, &topo, Scheme::Dtr, Some(cfg.params.max_weight))?;
-    let mut daemon = dtr_daemon::Daemon::new(topo, demands, weights, cfg);
+    let daemon = dtr_daemon::Daemon::new(topo, demands, weights, cfg);
     match (args.get(&SOCKET), args.get(&TCP)) {
         #[cfg(unix)]
         (Some(path), _) => {
-            dtr_daemon::serve_unix(&mut daemon, Path::new(path)).map_err(|e| misfit(path, e))
+            dtr_daemon::serve_unix(daemon, Path::new(path)).map_err(|e| misfit(path, e))
         }
         #[cfg(not(unix))]
         (Some(path), _) => Err(misfit(path, "unix sockets need a unix platform")),
@@ -1322,7 +1322,7 @@ fn boot(args: &Args) -> Result<(), CliError> {
             eprintln!("dtrd: listening on tcp://{bound}");
             dtr_daemon::serve_tcp(daemon, listener).map_err(|e| misfit(addr, e))
         }
-        (None, None) => dtr_daemon::serve_stdio(&mut daemon).map_err(|e| misfit("stdio", e)),
+        (None, None) => dtr_daemon::serve_stdio(daemon).map_err(|e| misfit("stdio", e)),
     }
 }
 

@@ -2,8 +2,7 @@
 //! of how it got there.
 //!
 //! The telemetry is used by the experiments to report convergence
-//! behaviour and by the ablation benches to compare design variants
-//! (diversification on/off, τ settings, routine 3 on/off).
+//! behaviour.
 
 use dtr_cost::{Lex2, LexCost};
 use dtr_graph::weights::DualWeights;
@@ -98,15 +97,6 @@ impl SearchTrace {
     pub fn final_cost(&self) -> Option<&LexCost> {
         self.improvements.last().map(|i| &i.cost)
     }
-
-    /// Iterations between the first and last improvement — a crude
-    /// convergence measure used by the ablation benches.
-    pub fn convergence_span(&self) -> usize {
-        match (self.improvements.first(), self.improvements.last()) {
-            (Some(a), Some(b)) => b.iteration - a.iteration,
-            _ => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -120,13 +110,11 @@ mod tests {
         t.improved(9, Phase::Refine, LexCost::two(8.0, 4.0));
         assert_eq!(t.improvements.len(), 2);
         assert_eq!(t.final_cost(), Some(&LexCost::two(8.0, 4.0)));
-        assert_eq!(t.convergence_span(), 6);
     }
 
     #[test]
     fn empty_trace_behaves() {
         let t = SearchTrace::default();
         assert_eq!(t.final_cost(), None);
-        assert_eq!(t.convergence_span(), 0);
     }
 }

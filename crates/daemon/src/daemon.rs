@@ -89,11 +89,11 @@ impl Default for DaemonCfg {
 
 /// The long-running reoptimization daemon (see module docs).
 ///
-/// `Clone` exists for the TCP transport's published read view: after
-/// each state-mutating request the server clones the daemon into an
-/// `Arc` snapshot that concurrent probe connections answer from (via
-/// [`Daemon::handle_readonly`]) while the single writer keeps
-/// optimizing.
+/// `Clone` exists for the server's published read view: after each
+/// line through the writer the server clones the daemon into an `Arc`
+/// snapshot that probes answer from (via [`Daemon::handle_readonly`])
+/// while the single writer keeps optimizing, and that the writer is
+/// rolled back to if a line panics.
 #[derive(Clone)]
 pub struct Daemon {
     /// Every piece of mutable state, in the shape the wire carries it.
@@ -539,9 +539,9 @@ impl Daemon {
     /// lines do not — and a failed (`Error`) event is a complete
     /// no-op. `seq` is therefore exactly the count of applied
     /// events — which keeps a snapshot/restore round-trip
-    /// byte-identical to a straight-through run, and lets the TCP
-    /// transport answer probes from a concurrent read view without
-    /// perturbing the writer's stream.
+    /// byte-identical to a straight-through run, and lets the server
+    /// answer probes from a concurrent read view without perturbing the
+    /// writer's stream.
     pub fn handle(&mut self, req: Request) -> Reply {
         let mut link_event = None;
         if req.is_event() {
@@ -605,10 +605,10 @@ impl Daemon {
     /// Answers a request that needs no mutable access — the what-if
     /// probes, `Status`, and `Snapshot` — or returns `None` for
     /// state-changing and management-write requests. [`handle`]
-    /// delegates here, and the TCP transport calls this directly on a
-    /// published clone so probes are served concurrently while the
-    /// writer optimizes; both paths produce identical reply bytes for
-    /// the same state.
+    /// delegates here, and the server calls this directly on a published
+    /// clone so probes are served concurrently while the writer
+    /// optimizes; both paths produce identical reply bytes for the same
+    /// state.
     ///
     /// [`handle`]: Self::handle
     pub fn handle_readonly(&self, req: &Request) -> Option<Reply> {

@@ -128,7 +128,7 @@ impl Request {
     }
 
     /// True for requests answerable from an immutable state view
-    /// (probes and management reads) — the set the TCP transport serves
+    /// (probes and management reads) — the set the server answers
     /// concurrently from a published snapshot.
     pub fn is_readonly(&self) -> bool {
         matches!(

@@ -32,9 +32,9 @@
 //! - the event loop is single-threaded and deterministic: the reply
 //!   stream is a byte-exact function of the event sequence, which
 //!   [`replay_trace`] and the CI smoke gate verify by replaying
-//!   [`dtr_scenario::ChurnTrace`]s twice. The TCP transport preserves
-//!   this for its single writer while serving read-only probes
-//!   concurrently from a published view.
+//!   [`dtr_scenario::ChurnTrace`]s twice. All three transports share
+//!   one serving path: one writer, probes answered concurrently from a
+//!   published view, and one `Error` reply for a bad line or a panic.
 //!
 //! See `crates/daemon/DESIGN.md` for the protocol, determinism
 //! contract, budget policy and churn-cost gating in full;

@@ -1,169 +1,153 @@
-//! Transport: line-delimited JSON over stdio, a unix socket, or TCP.
-//!
-//! The stdio and unix transports feed the same [`Daemon::handle_line`]
-//! loop, so the wire behavior is identical; the replay driver calls
-//! `handle_line` directly and therefore exercises exactly what a live
-//! client sees. The TCP transport ([`serve_tcp`]) accepts many clients
-//! concurrently: state-changing requests are serialized through one
-//! writer lock, while read-only probes (`Status`, `Snapshot`,
-//! `WhatIf*`) are answered from a published read view — a clone of the
-//! daemon taken at the last event boundary — so probes return
-//! immediately even while the writer is inside a slow reoptimization.
-//! Because [`Daemon::handle_readonly`] on a view taken at event
-//! boundary `seq` produces exactly the bytes the single-threaded loop
-//! would produce at that `seq`, the concurrency is observationally
-//! deterministic (see `DESIGN.md`).
+//! Transport: line-delimited JSON over stdio, a unix socket or TCP, on
+//! one serving path: one connection loop for stdio and for every unix or
+//! TCP client, one writer for state-changing lines, and a read view
+//! published at the last event boundary that answers read-only probes at
+//! once. A non-UTF-8 line or a panic costs one [`Reply::Error`] and no
+//! state, and no lock is left poisoned (`DESIGN.md`, "Serving", has the
+//! determinism and rollback arguments).
 
 use crate::daemon::Daemon;
-use std::io::{self, BufRead, ErrorKind, Write};
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use crate::event::{Reply, Request};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::time::Duration;
 
-/// The loop every transport runs until EOF or `stopped()`. Empty lines
-/// are ignored; every other line gets exactly one reply line, flushed
-/// immediately. A reader with a read timeout notices `stopped()` while
-/// idle; partial lines survive timeouts because `read_line` appends into
-/// the same buffer across retries.
-///
-/// `writeln!` on an unbuffered writer is two `write`s; over TCP with
-/// Nagle on, the newline waits for the client's ACK of the reply (the
-/// 44 ms per line of `benchmark/README.md`). ROADMAP item 1(a) has the
-/// one-`write_all` fix and why it is not here.
-fn line_loop<R: BufRead, W: Write>(
-    mut input: R,
-    output: &mut W,
-    mut handle: impl FnMut(&str) -> String,
-    stopped: impl Fn() -> bool,
-) -> io::Result<()> {
-    let mut buf = String::new();
-    loop {
-        match input.read_line(&mut buf) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {
-                if !buf.trim().is_empty() {
-                    let reply = handle(buf.trim_end());
-                    writeln!(output, "{reply}")?;
-                    output.flush()?;
-                }
-                buf.clear();
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) => return Err(e),
-        }
-        if stopped() {
-            return Ok(());
-        }
-    }
-}
+/// How long an idle client blocks in `read` before it checks for
+/// shutdown, so it cannot block the server's final join forever.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// Serves `daemon` over any line-based reader/writer pair until EOF or
-/// a `Shutdown` request.
-pub fn serve<R: BufRead, W: Write>(
-    daemon: &mut Daemon,
-    input: R,
-    output: &mut W,
-) -> io::Result<()> {
-    let shutdown = std::cell::Cell::new(false);
-    let handle = |line: &str| {
-        let reply = daemon.handle_line(line);
-        shutdown.set(daemon.is_shutdown());
-        reply
-    };
-    line_loop(input, output, handle, || shutdown.get())
-}
-
-/// Serves `daemon` on stdin/stdout (the default transport).
-pub fn serve_stdio(daemon: &mut Daemon) -> io::Result<()> {
-    let stdin = io::stdin();
-    let mut stdout = io::stdout();
-    serve(daemon, stdin.lock(), &mut stdout)
-}
-
-/// Serves `daemon` on a unix domain socket, one client at a time (the
-/// event loop is single-threaded by design — concurrency would break
-/// the determinism contract). The socket file is created fresh and
-/// removed on shutdown.
-#[cfg(unix)]
-pub fn serve_unix(daemon: &mut Daemon, path: &std::path::Path) -> io::Result<()> {
-    use std::os::unix::net::UnixListener;
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    while !daemon.is_shutdown() {
-        let (stream, _) = listener.accept()?;
-        let mut writer = stream.try_clone()?;
-        let reader = io::BufReader::new(stream);
-        serve(daemon, reader, &mut writer)?;
-    }
-    let _ = std::fs::remove_file(path);
-    Ok(())
-}
-
-/// Shared state of the TCP transport: the single writer daemon plus
-/// the read view published at the last event boundary.
+/// The state every connection shares: the one writer and the read view
+/// published after its last line.
 struct Shared {
     writer: Mutex<Daemon>,
     view: RwLock<Arc<Daemon>>,
     shutdown: AtomicBool,
+    /// [`Daemon::handle`]; a unit test substitutes one that panics.
+    handler: fn(&mut Daemon, Request) -> Reply,
+}
+
+fn to_line(reply: &Reply) -> String {
+    serde_json::to_string(reply).expect("replies always serialize")
+}
+
+fn error_line(message: String) -> String {
+    to_line(&Reply::Error { message })
+}
+
+/// `f()`, or the `Error` reply line that stands in for it when it panics.
+fn caught(f: impl FnOnce() -> String) -> Result<String, String> {
+    catch_unwind(AssertUnwindSafe(f))
+        .map_err(|_| error_line("internal error: the request was not applied".to_string()))
 }
 
 impl Shared {
-    /// Handles one line on behalf of a client. Read-only requests are
-    /// answered from the published view without touching the writer;
-    /// everything else (events, restore, shutdown, malformed lines)
-    /// goes through the writer lock, after which a fresh view is
-    /// published.
-    fn handle_line(&self, line: &str) -> String {
-        if let Ok(req) = serde_json::from_str::<crate::event::Request>(line) {
-            if req.is_readonly() {
-                let view = self.view.read().expect("view lock").clone();
-                if let Some(reply) = view.handle_readonly(&req) {
-                    return serde_json::to_string(&reply).expect("replies always serialize");
+    fn new(daemon: Daemon) -> Self {
+        Shared {
+            view: RwLock::new(Arc::new(daemon.clone())),
+            writer: Mutex::new(daemon),
+            shutdown: AtomicBool::new(false),
+            handler: Daemon::handle,
+        }
+    }
+
+    fn view(&self) -> Arc<Daemon> {
+        Arc::clone(&self.view.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Answers one line as [`Daemon::handle_line`] would, parsing it once:
+    /// a read-only probe from the view, any other request through the
+    /// writer, which then publishes a fresh view. So the view equals the
+    /// writer whenever a writer line starts, and a panicking handler is
+    /// undone by restoring the writer from it before the lock is released.
+    fn handle(&self, line: &str) -> String {
+        let req = match serde_json::from_str::<Request>(line) {
+            Ok(req) => req,
+            Err(e) => return error_line(format!("bad request: {e}")),
+        };
+        if let Some(reply) = self.view().handle_readonly(&req) {
+            return to_line(&reply);
+        }
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let reply = caught(|| to_line(&(self.handler)(&mut writer, req))).unwrap_or_else(|error| {
+            *writer = Daemon::clone(&self.view());
+            error
+        });
+        if writer.is_shutdown() {
+            self.shutdown.store(true, SeqCst);
+        }
+        *self.view.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(writer.clone());
+        reply
+    }
+
+    /// The connection loop of every transport, until EOF or shutdown:
+    /// each non-empty line gets one reply line, flushed at once. Reading
+    /// bytes makes a non-UTF-8 line an `Error` and keeps a partial line
+    /// across read timeouts. A reply is two `write`s (`writeln!`), so over
+    /// TCP the newline waits for the client's ACK (the 44 ms per line of
+    /// `benchmark/README.md`); ROADMAP item 1(a) has the one-write fix.
+    fn connection(&self, mut input: impl BufRead, output: &mut impl Write) -> io::Result<()> {
+        let mut buf = Vec::new();
+        while !self.shutdown.load(SeqCst) {
+            match input.read_until(b'\n', &mut buf) {
+                Ok(0) if buf.is_empty() => return Ok(()),
+                Ok(_) => {
+                    let reply = match std::str::from_utf8(&buf).map(str::trim_end) {
+                        Ok("") => None,
+                        Ok(line) => Some(caught(|| self.handle(line)).unwrap_or_else(|e| e)),
+                        Err(e) => Some(error_line(format!("bad request: {e}"))),
+                    };
+                    if let Some(reply) = reply {
+                        writeln!(output, "{reply}")?;
+                        output.flush()?;
+                    }
+                    buf.clear();
                 }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => return Err(e),
             }
         }
-        let mut daemon = self.writer.lock().expect("writer lock");
-        let reply = daemon.handle_line(line);
-        if daemon.is_shutdown() {
-            self.shutdown.store(true, Ordering::SeqCst);
-        }
-        *self.view.write().expect("view lock") = Arc::new(daemon.clone());
-        reply
+        Ok(())
     }
 }
 
-/// Serves `daemon` over TCP on an already-bound listener (bind to port
-/// 0 and read `listener.local_addr()` first when you need the
-/// ephemeral port). Each client connection gets its own thread;
-/// read-only probes are served concurrently from the published read
-/// view while state-changing requests serialize through the writer
-/// lock. Returns once a `Shutdown` request has been processed and all
-/// client threads have drained.
-///
-/// Determinism note: replies to the *writer* stream are a pure
-/// function of the event sequence exactly as under [`serve`]; probes
-/// observe the state as of the last published event boundary. Running
-/// several concurrent writers is allowed but makes the interleaving —
-/// and therefore the reply stream — scheduling-dependent; keep one
-/// writer when byte-reproducibility matters (see `DESIGN.md`).
-pub fn serve_tcp(daemon: Daemon, listener: TcpListener) -> io::Result<()> {
-    let shared = Arc::new(Shared {
-        view: RwLock::new(Arc::new(daemon.clone())),
-        writer: Mutex::new(daemon),
-        shutdown: AtomicBool::new(false),
-    });
-    listener.set_nonblocking(true)?;
-    let mut clients: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+/// Serves `daemon` as one connection over a reader/writer pair until EOF or `Shutdown`.
+pub fn serve<R: BufRead, W: Write>(daemon: Daemon, input: R, output: &mut W) -> io::Result<()> {
+    Shared::new(daemon).connection(input, output)
+}
+
+/// Serves `daemon` on stdin/stdout (the default transport).
+pub fn serve_stdio(daemon: Daemon) -> io::Result<()> {
+    serve(daemon, io::stdin().lock(), &mut io::stdout())
+}
+
+/// The accept loop of the unix and TCP transports: a thread per client
+/// runs the connection loop on a stream `prepare` made blocking with
+/// [`READ_TIMEOUT`], until a `Shutdown` and every client has drained.
+fn serve_clients<S: Send + 'static>(
+    daemon: Daemon,
+    accept: impl Fn() -> io::Result<S>,
+    prepare: fn(&S) -> io::Result<()>,
+) -> io::Result<()>
+where
+    for<'a> &'a S: Read + Write,
+{
+    let shared = Arc::new(Shared::new(daemon));
+    let mut clients = Vec::new();
+    while !shared.shutdown.load(SeqCst) {
+        match accept() {
+            Ok(stream) => {
                 let shared = Arc::clone(&shared);
                 clients.push(std::thread::spawn(move || {
-                    let _ = serve_tcp_client(&shared, stream);
+                    let mut output = &stream;
+                    let input = io::BufReader::new(&stream);
+                    let _ = prepare(&stream).and_then(|()| shared.connection(input, &mut output));
                 }));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(5));
+                std::thread::sleep(Duration::from_millis(5));
             }
             Err(e) => return Err(e),
         }
@@ -175,17 +159,80 @@ pub fn serve_tcp(daemon: Daemon, listener: TcpListener) -> io::Result<()> {
     Ok(())
 }
 
-/// One TCP client: the line loop over [`Shared::handle_line`]. Reads
-/// use a short timeout so an idle connection notices shutdown instead
-/// of blocking the server's final join forever.
-fn serve_tcp_client(shared: &Shared, stream: std::net::TcpStream) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_millis(50)))?;
-    let mut writer = stream.try_clone()?;
-    line_loop(
-        io::BufReader::new(stream),
-        &mut writer,
-        |line| shared.handle_line(line),
-        || shared.shutdown.load(Ordering::SeqCst),
-    )
+/// Serves `daemon` on a unix domain socket like [`serve_tcp`]; the
+/// socket file is created fresh and removed on shutdown.
+#[cfg(unix)]
+pub fn serve_unix(daemon: Daemon, path: &std::path::Path) -> io::Result<()> {
+    use std::os::unix::net::{UnixListener, UnixStream};
+    let _ = std::fs::remove_file(path);
+    let listener = UnixListener::bind(path)?;
+    listener.set_nonblocking(true)?;
+    let accept = || listener.accept().map(|(stream, _)| stream);
+    let served = serve_clients(daemon, accept, |stream: &UnixStream| {
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))
+    });
+    let _ = std::fs::remove_file(path);
+    served
+}
+
+/// Serves `daemon` over TCP on an already-bound listener (bind to port 0
+/// and read `listener.local_addr()` first for an ephemeral port), a
+/// thread per client. One writer connection gets the replies [`serve`]
+/// would; several writers make the interleaving scheduling-dependent.
+pub fn serve_tcp(daemon: Daemon, listener: TcpListener) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
+    let accept = || listener.accept().map(|(stream, _)| stream);
+    serve_clients(daemon, accept, |stream: &TcpStream| {
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DaemonCfg;
+
+    fn daemon() -> Daemon {
+        let trace = include_str!("../../../traces/smoke.json");
+        let trace: dtr_scenario::ChurnTrace = serde_json::from_str(trace).unwrap();
+        Daemon::new(trace.topo, trace.base, None, DaemonCfg::default())
+    }
+
+    /// Handles the request, then panics on a directed link event, leaving
+    /// the writer with that event applied.
+    fn panics_after_directed_events(d: &mut Daemon, req: Request) -> Reply {
+        let directed = matches!(req, Request::DirectedLinkDown { .. });
+        let reply = d.handle(req);
+        assert!(!directed, "injected panic");
+        reply
+    }
+
+    /// One connection's replies to `lines`.
+    fn replies(shared: &Shared, lines: &[&str]) -> Vec<String> {
+        let (input, mut output) = (lines.join("\n"), Vec::new());
+        shared.connection(input.as_bytes(), &mut output).unwrap();
+        output[..].lines().map(Result::unwrap).collect()
+    }
+
+    #[test]
+    fn a_panic_costs_one_error_reply_and_no_state() {
+        let shared = Shared {
+            handler: panics_after_directed_events,
+            ..Shared::new(daemon())
+        };
+        let (status, down) = ("\"Status\"", "{\"DirectedLinkDown\":{\"link\":0}}");
+        let first = replies(&shared, &[status, down, status]);
+        let error = serde_json::from_str(&first[1]);
+        assert!(matches!(error, Ok(Reply::Error { .. })), "{first:?}");
+        assert_eq!(first[2..], first[..1], "seq or state moved");
+
+        // A second connection reaches the rolled-back writer, whose next
+        // event is answered as by a daemon that never panicked.
+        let event = "{\"LinkDown\":{\"link\":0}}";
+        let mut never_panicked = daemon();
+        let expected = [event, status].map(|line| never_panicked.handle_line(line));
+        assert_eq!(replies(&shared, &[event, status]), expected);
+    }
 }

@@ -9,7 +9,7 @@
 //! `cargo test -p dtr-daemon --test golden -- --ignored bless`.
 
 use dtr_cost::{Objective, SlaParams};
-use dtr_daemon::{replay_trace, DaemonCfg};
+use dtr_daemon::{replay_trace, serve, Daemon, DaemonCfg, Request};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_scenario::{generate_churn, ChurnCfg, ChurnTrace};
 use dtr_traffic::{DemandSet, TrafficCfg};
@@ -106,6 +106,23 @@ fn regenerate() -> Vec<(PathBuf, String)> {
         ));
     }
     out
+}
+
+/// The smoke trace's requests piped through `serve` as bytes get the
+/// frozen `events.jsonl`, byte for byte: the transport adds nothing.
+#[test]
+fn serve_over_a_byte_pipe_replies_with_the_smoke_golden() {
+    let trace = checked_in("smoke");
+    let input: String = trace
+        .events
+        .iter()
+        .map(|e| serde_json::to_string(&Request::from_churn(&e.action)).unwrap() + "\n")
+        .collect();
+    let daemon = Daemon::new(trace.topo, trace.base, None, DaemonCfg::default());
+    let mut output = Vec::new();
+    serve(daemon, input.as_bytes(), &mut output).unwrap();
+    let frozen = std::fs::read(repo_file("tests/golden/replay/smoke/events.jsonl")).unwrap();
+    assert!(output == frozen, "serve's replies differ from the golden");
 }
 
 #[path = "../../../tests/support/freeze.rs"]

@@ -9,6 +9,7 @@ use dtr_graph::{NodeId, Topology, WeightVector};
 use dtr_scenario::{generate_churn, ChurnCfg, ChurnTrace};
 use dtr_traffic::{DemandSet, TrafficCfg, TrafficMatrix};
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Read, Write};
 
 fn instance() -> (Topology, DemandSet) {
     let topo = random_topology(&RandomTopologyCfg {
@@ -238,36 +239,44 @@ fn what_if_probes_do_not_mutate_state() {
 
 #[test]
 fn serve_loop_replies_per_line_and_honors_shutdown() {
-    let (topo, base) = instance();
-    let mut d = Daemon::new(topo.clone(), base, Some(uniform(&topo)), cfg());
-    let input = format!(
-        "{}\n\n{}\n{}\n{}\n",
-        serde_json::to_string(&Request::Status).unwrap(),
-        serde_json::to_string(&Request::WhatIfLinkDown { link: 2 }).unwrap(),
-        serde_json::to_string(&Request::Shutdown).unwrap(),
-        // After shutdown the loop must stop: this line gets no reply.
-        serde_json::to_string(&Request::Status).unwrap(),
-    );
+    let (d, _) = booted();
+    // An empty line is skipped, a line that is not UTF-8 is an `Error`
+    // that moves nothing, and after `Shutdown` the loop stops: the last
+    // line gets no reply.
+    let input = b"\"Status\"\n\n\xff\xfe\n\"Status\"\n{\"WhatIfLinkDown\":{\"link\":2}}\n\"Shutdown\"\n\"Status\"\n";
     let mut output = Vec::new();
-    serve(&mut d, input.as_bytes(), &mut output).unwrap();
+    serve(d, &input[..], &mut output).unwrap();
     let text = String::from_utf8(output).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 3, "empty line skipped, post-shutdown dropped");
-    assert!(matches!(
-        serde_json::from_str::<Reply>(lines[0]).unwrap(),
-        Reply::Status(_)
-    ));
-    assert!(matches!(
-        serde_json::from_str::<Reply>(lines[2]).unwrap(),
-        Reply::Bye { .. }
-    ));
-    assert!(d.is_shutdown());
+    let replies: Vec<&str> = text.lines().collect();
+    let kinds: Vec<&str> = replies
+        .iter()
+        .map(|r| r.split('"').nth(1).unwrap())
+        .collect();
+    assert_eq!(kinds, ["Status", "Error", "Status", "WhatIf", "Bye"]);
+    assert_eq!(replies[2], replies[0]);
+}
+
+/// On a live connection, `"Status"`, a line that is not UTF-8, and
+/// `"Status"` again: the bad line gets an `Error`, and the connection and
+/// the state survive it.
+fn assert_not_utf8_answered<S: Read + Write>(stream: S) {
+    let mut stream = BufReader::new(stream);
+    let input = b"\"Status\"\n\xff\xfe\n\"Status\"\n";
+    stream.get_mut().write_all(input).unwrap();
+    let replies = [(); 3].map(|()| {
+        let mut line = String::new();
+        stream.read_line(&mut line).unwrap();
+        line
+    });
+    let error = serde_json::from_str(&replies[1]);
+    assert!(matches!(error, Ok(Reply::Error { .. })), "{replies:?}");
+    assert!(replies[0].starts_with("{\"Status\""), "{replies:?}");
+    assert_eq!(replies[2], replies[0]);
 }
 
 #[cfg(unix)]
 #[test]
 fn unix_socket_serves_the_same_protocol() {
-    use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
 
     let (topo, base) = instance();
@@ -277,8 +286,8 @@ fn unix_socket_serves_the_same_protocol() {
     let server_path = path.clone();
     let w = uniform(&topo);
     let handle = std::thread::spawn(move || {
-        let mut d = Daemon::new(topo, base, Some(w), cfg());
-        dtr_daemon::serve_unix(&mut d, &server_path).unwrap();
+        let d = Daemon::new(topo, base, Some(w), cfg());
+        dtr_daemon::serve_unix(d, &server_path).unwrap();
     });
 
     // Wait for the socket to appear, then talk to it.
@@ -288,6 +297,7 @@ fn unix_socket_serves_the_same_protocol() {
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
         }
     };
+    assert_not_utf8_answered(&stream);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     for req in [Request::Status, Request::Shutdown] {
         writeln!(stream, "{}", serde_json::to_string(&req).unwrap()).unwrap();
@@ -524,27 +534,34 @@ fn hostile_lines_are_errors_and_leave_state_untouched() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The fuzzer of ROADMAP item 5(c): any byte string is one protocol
-    /// line (lossily decoded, newlines blanked) and gets the same
-    /// treatment.
+    /// The fuzzer of ROADMAP item 5(c): any byte string, raw, through
+    /// `serve`: every non-empty line of it gets one `Error` reply, and
+    /// the `Status` after them is `untouched`, byte for byte.
     #[test]
     fn arbitrary_bytes_are_errors_and_leave_state_untouched(
         bytes in proptest::collection::vec(any::<u8>(), 0..200),
     ) {
-        let line = String::from_utf8_lossy(&bytes).replace('\n', " ");
-        if serde_json::from_str::<Request>(&line).is_err() {
-            let (mut d, untouched) = booted();
-            assert_rejected(&mut d, &untouched, "arbitrary bytes", &line);
+        let (d, untouched) = booted();
+        let input = [&bytes[..], b"\n\"Status\"\n"].concat();
+        let mut output = Vec::new();
+        serve(d, input.as_slice(), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let mut replies: Vec<&str> = text.lines().collect();
+        assert_eq!(replies.pop(), Some(untouched.as_str()), "{bytes:?}");
+        let blank = |line: &[u8]| std::str::from_utf8(line).is_ok_and(|l| l.trim().is_empty());
+        let lines = bytes.split(|&b| b == b'\n').filter(|line| !blank(line)).count();
+        assert_eq!(replies.len(), lines, "{bytes:?}");
+        for reply in replies {
+            assert!(matches!(serde_json::from_str(reply), Ok(Reply::Error { .. })), "{reply}");
         }
     }
 }
 
-/// Over TCP the same ragged update used to panic under the writer lock
-/// and take every later connection down with it.
+/// Over TCP a line that is not UTF-8 used to close its connection
+/// unanswered, and the same ragged update used to panic under the writer
+/// lock and take every later connection down with it.
 #[test]
 fn a_ragged_update_over_tcp_leaves_the_server_answering() {
-    use std::io::{BufRead, BufReader, Write};
-
     let (topo, base) = instance();
     let d = Daemon::new(topo.clone(), base, Some(uniform(&topo)), cfg());
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -558,6 +575,7 @@ fn a_ragged_update_over_tcp_leaves_the_server_answering() {
         serde_json::from_str::<Reply>(reply.trim()).unwrap_or_else(|e| panic!("{reply:?}: {e}"))
     };
 
+    assert_not_utf8_answered(&std::net::TcpStream::connect(addr).unwrap());
     let (_, ragged) = hostile_lines().swap_remove(0);
     assert!(matches!(ask(&ragged), Reply::Error { .. }));
     let json = |req: &Request| serde_json::to_string(req).unwrap();

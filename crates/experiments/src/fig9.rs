@@ -12,6 +12,7 @@
 use crate::report::{fmt, Table};
 use crate::runner::{demands_random_model, run_pair, ExperimentCtx, TopologyKind};
 use dtr_core::{Objective, SlaParams};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Outcome at one SLA bound.
@@ -47,7 +48,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Fig9Point> {
     );
     let demands = base.scaled(gammas[0]);
 
-    crate::runner::parallel_map(BOUNDS_MS.to_vec(), |i, bound_ms| {
+    let job = |(i, bound_ms): (usize, &f64)| {
         let objective = Objective::SlaBased(SlaParams {
             bound_s: bound_ms * 1e-3,
             ..SlaParams::default()
@@ -67,7 +68,9 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Fig9Point> {
             max_util: (s.eval.max_utilization(&topo), d.eval.max_utilization(&topo)),
             avg_util: o.avg_util,
         }
-    })
+    };
+    let bounds: Vec<(usize, &f64)> = BOUNDS_MS.iter().enumerate().collect();
+    bounds.into_par_iter().map(job).collect()
 }
 
 /// Renders all three panels as one table.

@@ -64,6 +64,4 @@ pub mod triangle;
 
 pub use artifacts::{Artifact, Output, ARTIFACTS};
 pub use report::{write_csv, Table};
-pub use runner::{
-    cost_ratio, paper_isp, paper_powerlaw, paper_random, ExperimentCtx, PairOutcome, TopologyKind,
-};
+pub use runner::{cost_ratio, paper_random, ExperimentCtx, PairOutcome, TopologyKind};

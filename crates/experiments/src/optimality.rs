@@ -21,10 +21,11 @@
 //!   *relative to a good flow*, not to a certified optimum).
 
 use crate::report::{fmt, Table};
-use crate::runner::{demands_random_model, gamma_grid, parallel_map, ExperimentCtx, TopologyKind};
+use crate::runner::{demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
 use dtr_core::{DtrSearch, Objective, SlicedSearch, StrSearch};
 use dtr_graph::Topology;
 use dtr_routing::lower_bound::{frank_wolfe, FwParams, FwResult};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Slice counts evaluated beyond DTR (= 1 slice).
@@ -72,7 +73,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<OptimalityPoint> {
     let base = demands_random_model(&topo, 0.30, 0.10, ctx.seed);
     let gammas = gamma_grid(&topo, &base, ctx);
 
-    parallel_map(gammas, |i, gamma| {
+    let job = |(i, gamma): (usize, &f64)| {
         let demands = base.scaled(*gamma);
         let params = ctx.params.with_seed(ctx.seed.wrapping_add(53 * i as u64));
 
@@ -105,7 +106,9 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<OptimalityPoint> {
             slice_low_ratios,
             low_bracket: bracket(&dtr_ref),
         }
-    })
+    };
+    let points: Vec<(usize, &f64)> = gammas.iter().enumerate().collect();
+    points.into_par_iter().map(job).collect()
 }
 
 /// Renders the study.

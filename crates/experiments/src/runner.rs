@@ -8,6 +8,7 @@ use dtr_graph::gen::{
 use dtr_graph::{Topology, WeightVector};
 use dtr_routing::Evaluator;
 use dtr_traffic::{DemandSet, TrafficCfg};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The paper's three topology families (§5.1.1).
@@ -50,16 +51,6 @@ impl TopologyKind {
 /// The paper's 30-node / 150-link random topology.
 pub fn paper_random(seed: u64) -> Topology {
     TopologyKind::Random.build(seed)
-}
-
-/// The paper's 30-node / 162-link power-law topology.
-pub fn paper_powerlaw(seed: u64) -> Topology {
-    TopologyKind::PowerLaw.build(seed)
-}
-
-/// The paper's 16-node / 70-link ISP topology (deterministic).
-pub fn paper_isp() -> Topology {
-    TopologyKind::Isp.build(0)
 }
 
 /// Global experiment configuration shared by all figures.
@@ -169,35 +160,6 @@ pub fn gamma_grid(topo: &Topology, demands: &DemandSet, ctx: &ExperimentCtx) -> 
         .collect()
 }
 
-/// Runs `job` for every element of `inputs` on one worker per available
-/// core (at most one per input), preserving input order in the output.
-/// Jobs must be independent; each gets its index.
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, job: F) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    let n = inputs.len();
-    let mut out: Vec<Option<O>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots = std::sync::Mutex::new(&mut out);
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    std::thread::scope(|s| {
-        for _ in 0..cores.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let o = job(i, &inputs[i]);
-                slots.lock().expect("experiment worker panicked")[i] = Some(o);
-            });
-        }
-    });
-    out.into_iter().map(|o| o.expect("job completed")).collect()
-}
-
 /// Sweeps network load for one instance and objective: scales the demand
 /// set over [`gamma_grid`], runs an STR/DTR pair per point (in parallel),
 /// and returns the outcomes in increasing-load order. This is the common
@@ -209,11 +171,13 @@ pub fn sweep_load(
     objective: Objective,
 ) -> Vec<PairOutcome> {
     let gammas = gamma_grid(topo, base, ctx);
-    parallel_map(gammas, |i, gamma| {
+    let job = |(i, gamma): (usize, &f64)| {
         let demands = base.scaled(*gamma);
         let params = ctx.params.with_seed(ctx.seed.wrapping_add(7919 * i as u64));
         run_pair(topo, &demands, objective, params).2
-    })
+    };
+    let points: Vec<(usize, &f64)> = gammas.iter().enumerate().collect();
+    points.into_par_iter().map(job).collect()
 }
 
 /// Standard demand generation for the random high-priority model.
@@ -244,7 +208,7 @@ mod tests {
     #[test]
     fn gamma_grid_covers_range() {
         let ctx = ExperimentCtx::smoke();
-        let topo = paper_isp();
+        let topo = TopologyKind::Isp.build(0);
         let demands = demands_random_model(&topo, 0.3, 0.1, 1);
         let gammas = gamma_grid(&topo, &demands, &ctx);
         assert_eq!(gammas.len(), 2);
@@ -258,25 +222,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..20).collect(), |i, x: &i32| {
-            assert_eq!(i as i32, *x);
-            x * 2
-        });
-        assert_eq!(out, (0..20).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn topology_kinds_build_paper_instances() {
         assert_eq!(paper_random(1).link_count(), 150);
-        assert_eq!(paper_powerlaw(1).link_count(), 162);
-        assert_eq!(paper_isp().node_count(), 16);
+        assert_eq!(TopologyKind::PowerLaw.build(1).link_count(), 162);
+        assert_eq!(TopologyKind::Isp.build(0).node_count(), 16);
         assert_eq!(TopologyKind::Isp.name(), "isp");
     }
 
     #[test]
     fn run_pair_smoke() {
-        let topo = paper_isp();
+        let topo = TopologyKind::Isp.build(0);
         let demands = demands_random_model(&topo, 0.3, 0.1, 1).scaled(5.0);
         let (s, d, o) = run_pair(&topo, &demands, Objective::LoadBased, SearchParams::tiny());
         assert!(o.avg_util > 0.0);

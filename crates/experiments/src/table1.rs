@@ -7,10 +7,9 @@
 //! DTR it pays with real high-priority degradation.
 
 use crate::report::{fmt, Table};
-use crate::runner::{
-    cost_ratio, demands_random_model, gamma_grid, parallel_map, ExperimentCtx, TopologyKind,
-};
+use crate::runner::{cost_ratio, demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
 use dtr_core::{DtrSearch, Objective, StrSearch};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The two relaxation levels of Table 1.
@@ -54,7 +53,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table1Block> {
         let topo = kind.build(ctx.seed);
         let base = demands_random_model(&topo, 0.30, 0.10, ctx.seed);
         let gammas = gamma_grid(&topo, &base, ctx);
-        let points = parallel_map(gammas, |i, gamma| {
+        let job = |(i, gamma): (usize, &f64)| {
             let demands = base.scaled(*gamma);
             let params = ctx.params.with_seed(ctx.seed.wrapping_add(97 * i as u64));
             let str_res = StrSearch::new(&topo, &demands, Objective::LoadBased, params)
@@ -76,7 +75,9 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table1Block> {
                     1.0
                 },
             }
-        });
+        };
+        let points: Vec<(usize, &f64)> = gammas.iter().enumerate().collect();
+        let points = points.into_par_iter().map(job).collect();
         Table1Block {
             topology: kind,
             points,
