@@ -269,9 +269,10 @@ pub static COMMANDS: &[Command] = &[
                 deployment-aware weight search — cheap --probe searches steer the \
                 combinatorics, a cold portfolio at the --search budget scores each budget \
                 step definitively. Legacy (non-upgraded) routers forward both classes on \
-                the default high topology. Emits the monotone R_L-vs-budget curve with \
-                placements; byte-deterministic in --seed and the instance, whatever \
-                --workers is)",
+                the default high topology. --workers N caps the threads of both the \
+                portfolio arms and each greedy round's or swap pass's probes (0 = all \
+                cores). Emits the monotone R_L-vs-budget curve with placements; \
+                byte-deterministic in --seed and the instance, whatever --workers is)",
         run: cmd_upgrade,
     },
     Command {

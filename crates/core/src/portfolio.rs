@@ -61,7 +61,7 @@ use dtr_graph::{Topology, WeightVector};
 use dtr_routing::{Evaluation, Evaluator};
 use dtr_traffic::DemandSet;
 use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
+use rayon::{ThreadPool, ThreadPoolBuilder};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
@@ -169,6 +169,20 @@ impl PortfolioParams {
             self.prune_margin >= 0.0 && !self.prune_margin.is_nan(),
             "prune margin must be a non-negative number"
         );
+    }
+
+    /// The pool this run's parallel regions install: `workers` threads
+    /// in total (the caller included), or the caller's own count when
+    /// `workers` is 0. The upgrade planner's probe rounds share it.
+    pub(crate) fn pool(&self) -> ThreadPool {
+        let threads = match self.workers {
+            0 => rayon::current_num_threads(),
+            n => n,
+        };
+        ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool builds")
     }
 }
 
@@ -357,15 +371,8 @@ impl<'a> PortfolioSearch<'a> {
     /// Runs the portfolio and reduces deterministically.
     pub fn run(&self) -> PortfolioResult {
         let n_strats = self.cfg.strategies.len();
-        let workers = if self.cfg.workers == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.cfg.workers
-        };
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .build()
-            .expect("thread pool builds");
+        let pool = self.cfg.pool();
+        let workers = pool.current_num_threads();
         // In robust mode with a cap, the canonical scenario set (the
         // worst scenarios of the shared initial) is derived once here —
         // one uncapped sweep — and reused read-only by every arm's

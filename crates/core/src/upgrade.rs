@@ -22,7 +22,8 @@
 //!    trajectory is a pure function of seed + instance.
 //! 3. **Local swap.** Up to [`UpgradeParams::swap_passes`] passes try
 //!    exchanging one upgraded node for one legacy node, accepting the
-//!    best strictly-improving swap per pass — the cheap escape hatch
+//!    best swap that strictly improves on the probed placement (probed
+//!    only when at least one pass runs) — the cheap escape hatch
 //!    from greedy's horizon (upgrading `{a}` then `{a,b}` can miss the
 //!    better pair `{b,c}`).
 //! 4. **Definitive.** The step's placement is then scored by a **cold**
@@ -32,9 +33,17 @@
 //!    portfolio on the undeployed instance (the full set normalizes
 //!    away; enforced by proptest).
 //!
-//! Probes run sequentially and the definitive portfolio is
-//! schedule-free by construction, so the whole outcome is
-//! byte-deterministic in `(seed, spec)` for any worker count.
+//! The probes of one greedy round, and those of one swap pass, are
+//! independent: each first builds its candidate placements, then
+//! probes them on a pool of [`PortfolioParams::workers`] threads (the
+//! definitive portfolio's own cap, so `workers = 1` is one thread).
+//! Every probe is a pure function of its placement, the warm start and
+//! its stream, and engine passes nested inside a probe run inline. The
+//! round then reduces the costs in candidate order by the same
+//! `(cost, node)` and `(cost, u, v)` keys the sequential loops used, so
+//! which probe finishes first cannot reach the result. The definitive
+//! portfolio is schedule-free by construction too, so the whole outcome
+//! is byte-deterministic in `(seed, spec)` for any worker count.
 //!
 //! The reported **curve** is the running best: an operator with budget
 //! `k` can always use a cheaper placement, so
@@ -52,6 +61,8 @@ use dtr_graph::weights::DualWeights;
 use dtr_graph::Topology;
 use dtr_routing::DeploymentSet;
 use dtr_traffic::DemandSet;
+use rayon::prelude::*;
+use rayon::ThreadPool;
 use serde::{Deserialize, Serialize};
 
 /// The paper's cost ratio `R = cost(STR)/cost(DTR)` with two guards:
@@ -214,6 +225,22 @@ impl<'a> UpgradeSearch<'a> {
         s.run().best_cost
     }
 
+    /// Probes every `(key, placement)` candidate on `pool` and returns
+    /// `(cost, key)` pairs in candidate order.
+    fn probe_all<K: Copy + Send + Sync>(
+        &self,
+        pool: &ThreadPool,
+        cands: &[(K, DeploymentSet)],
+        warm: &DualWeights,
+    ) -> Vec<(Lex2, K)> {
+        pool.install(|| {
+            cands
+                .par_iter()
+                .map(|(key, dep)| (self.probe(dep, warm), *key))
+                .collect()
+        })
+    }
+
     /// The definitive score of a placement: a cold portfolio at the
     /// caller's exact params, deployment-aware end to end.
     fn definitive(&self, dep: &DeploymentSet) -> (DualWeights, Lex2) {
@@ -249,6 +276,7 @@ impl<'a> UpgradeSearch<'a> {
         let mut dep = DeploymentSet::empty(n);
         let mut steps: Vec<UpgradeStep> = Vec::with_capacity(budget + 1);
         let mut probes = 0usize;
+        let pool = self.cfg.pool();
 
         // Budget 0: the all-legacy network, definitively scored like
         // every other step so the curve starts honestly.
@@ -258,15 +286,17 @@ impl<'a> UpgradeSearch<'a> {
 
         for k in 1..=budget {
             // Phase 2: greedy — add the node whose probe scores best.
+            let grow: Vec<(usize, DeploymentSet)> = (0..n)
+                .filter(|&v| !dep.contains(v))
+                .map(|v| {
+                    let mut cand = dep.clone();
+                    cand.insert(v);
+                    (v, cand)
+                })
+                .collect();
+            probes += grow.len();
             let mut best: Option<(Lex2, usize)> = None;
-            for v in 0..n {
-                if dep.contains(v) {
-                    continue;
-                }
-                let mut cand = dep.clone();
-                cand.insert(v);
-                let cost = self.probe(&cand, &warm);
-                probes += 1;
+            for (cost, v) in self.probe_all(&pool, &grow, &warm) {
                 if best.is_none_or(|(bc, bv)| (cost, v) < (bc, bv)) {
                     best = Some((cost, v));
                 }
@@ -276,27 +306,26 @@ impl<'a> UpgradeSearch<'a> {
 
             // Phase 3: local swaps — exchange one upgraded node for one
             // legacy node while it strictly improves the probe score.
-            if dep.upgraded_count() < n {
+            if self.up.swap_passes > 0 && dep.upgraded_count() < n {
                 let mut incumbent = self.probe(&dep, &warm);
                 probes += 1;
                 for _ in 0..self.up.swap_passes {
-                    let mut best_swap: Option<(Lex2, usize, usize)> = None;
+                    let mut swaps: Vec<((usize, usize), DeploymentSet)> = Vec::new();
                     for u in dep.upgraded_nodes() {
-                        for v in 0..n {
-                            if dep.contains(v) {
-                                continue;
-                            }
+                        for v in (0..n).filter(|&v| !dep.contains(v)) {
                             let mut cand = dep.clone();
                             cand.remove(u as usize);
                             cand.insert(v);
-                            let cost = self.probe(&cand, &warm);
-                            probes += 1;
-                            if cost < incumbent
-                                && best_swap
-                                    .is_none_or(|(bc, bu, bv)| (cost, u as usize, v) < (bc, bu, bv))
-                            {
-                                best_swap = Some((cost, u as usize, v));
-                            }
+                            swaps.push(((u as usize, v), cand));
+                        }
+                    }
+                    probes += swaps.len();
+                    let mut best_swap: Option<(Lex2, usize, usize)> = None;
+                    for (cost, (u, v)) in self.probe_all(&pool, &swaps, &warm) {
+                        if cost < incumbent
+                            && best_swap.is_none_or(|(bc, bu, bv)| (cost, u, v) < (bc, bu, bv))
+                        {
+                            best_swap = Some((cost, u, v));
                         }
                     }
                     let Some((cost, u, v)) = best_swap else { break };
@@ -429,6 +458,40 @@ mod tests {
             .run()
         };
         assert_eq!(run().fingerprint(), run().fingerprint());
+    }
+
+    #[test]
+    fn probe_costs_stay_with_their_placements_on_two_threads() {
+        // Probes differ in run time (the full placement skips the
+        // deployment-aware path), so on two threads candidates often
+        // finish out of order; every cost must still come back beside
+        // its own placement. One map can finish in order by chance,
+        // hence the repeats.
+        let (topo, demands) = small_instance(24);
+        let n = topo.node_count();
+        let search = UpgradeSearch::new(
+            &topo,
+            &demands,
+            SearchParams::tiny().with_seed(5),
+            tiny_cfg(),
+            tiny_up(1),
+        );
+        let warm = DualWeights::replicated(dtr_graph::WeightVector::uniform(&topo, 1));
+        let mut cands: Vec<(usize, DeploymentSet)> = (0..n)
+            .map(|v| (v, DeploymentSet::from_upgraded(n, &[v as u32])))
+            .collect();
+        cands.push((n, DeploymentSet::full(n)));
+        let expected: Vec<(Lex2, usize)> = cands
+            .iter()
+            .map(|(key, dep)| (search.probe(dep, &warm), *key))
+            .collect();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        for _ in 0..4 {
+            assert_eq!(search.probe_all(&pool, &cands, &warm), expected);
+        }
     }
 
     #[test]

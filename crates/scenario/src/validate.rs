@@ -38,6 +38,7 @@ use dtr_multi::MultiDemand;
 use dtr_routing::{ClassLoads, DeploymentSet, Evaluator, LoadCalculator};
 use dtr_sim::{BackendReport, DesBackend, FluidSim, ForwardingState};
 use dtr_traffic::TrafficMatrix;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -554,11 +555,46 @@ fn validate_scheme(
     ))
 }
 
+/// Validates an instance's two incumbents — `(scheme, weights,
+/// deployment, DES seed)` each — side by side on the rayon pool. They
+/// read shared inputs only and each seeds its own DES stream, so neither
+/// result depends on the thread count. Results come back in input
+/// order, and so does the error: the first incumbent's wins when both
+/// trap demand.
+fn validate_schemes(
+    instance: &str,
+    topo: &Topology,
+    demands: &MultiDemand,
+    schemes: [(&str, &[WeightVector], Option<&DeploymentSet>, u64); 2],
+    packets: u64,
+    des_load_min_samples: u64,
+) -> Result<[SchemeValidation; 2], TrappedDemand> {
+    let [first, second]: [Result<SchemeValidation, TrappedDemand>; 2] = schemes
+        .par_iter()
+        .map(|&(scheme, weights, deployment, seed)| {
+            validate_scheme(
+                instance,
+                scheme,
+                topo,
+                demands,
+                weights,
+                deployment,
+                seed,
+                packets,
+                des_load_min_samples,
+            )
+        })
+        .collect::<Vec<_>>()
+        .try_into()
+        .expect("one result per scheme");
+    Ok([first?, second?])
+}
+
 /// Validates one corpus instance end-to-end: reruns the suite searches
 /// for the incumbents (without the failure-policy sweep, which
 /// validation has no use for), then pushes the STR baseline and the DTR
 /// incumbent — one weight vector per class — through the three
-/// pipelines.
+/// pipelines, the two schemes side by side.
 pub fn validate_instance(
     spec: &ScenarioSpec,
     cfg: &ValidateCfg,
@@ -583,21 +619,17 @@ pub fn validate_instance(
     } else {
         (cfg.packets(), 0)
     };
-    let scheme = |name, weights, deployment, seed| {
-        validate_scheme(
-            &spec.name,
-            name,
-            &run.topo,
-            &run.demands,
-            weights,
-            deployment,
-            seed,
-            packets,
-            des_load_min_samples,
-        )
-    };
-    let baseline = scheme("baseline", &run.str_weights, None, baseline_seed)?;
-    let dtr = scheme("dtr", &run.dtr_weights, run.deployment.as_ref(), dtr_seed)?;
+    let [baseline, dtr] = validate_schemes(
+        &spec.name,
+        &run.topo,
+        &run.demands,
+        [
+            ("baseline", &run.str_weights, None, baseline_seed),
+            ("dtr", &run.dtr_weights, run.deployment.as_ref(), dtr_seed),
+        ],
+        packets,
+        des_load_min_samples,
+    )?;
     Ok(ValidationReport {
         name: spec.name.clone(),
         topology: spec.topology.family_name().to_string(),
@@ -814,11 +846,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incumbent_that_traps_demand_is_a_typed_error() {
-        // `routing::deploy`'s canonical loop: legacy A forwards towards C
-        // on the high topology via B, upgraded B forwards towards C on
-        // the low topology via A, so A → B → A traps all low demand.
+    /// `routing::deploy`'s canonical loop: legacy A forwards towards C
+    /// on the high topology via B, upgraded B forwards towards C on the
+    /// low topology via A, so A → B → A traps all 0.75 Mbit/s of low
+    /// demand under the returned deployment.
+    fn trapping_triangle() -> (Topology, MultiDemand, [WeightVector; 2], DeploymentSet) {
         use dtr_graph::NodeId;
         let topo = dtr_graph::gen::triangle_topology(1.0);
         let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
@@ -832,13 +864,24 @@ mod tests {
         demands.classes[0].set(0, 2, 0.1);
         demands.classes[1].set(0, 2, 0.25);
         demands.classes[1].set(1, 2, 0.5);
+        (
+            topo,
+            demands,
+            [high, low],
+            DeploymentSet::from_upgraded(3, &[1]),
+        )
+    }
+
+    #[test]
+    fn incumbent_that_traps_demand_is_a_typed_error() {
+        let (topo, demands, weights, dep) = trapping_triangle();
         let err = validate_scheme(
             "loop",
             "dtr",
             &topo,
             &demands,
-            &[high, low],
-            Some(&DeploymentSet::from_upgraded(3, &[1])),
+            &weights,
+            Some(&dep),
             1,
             1_000,
             0,
@@ -850,6 +893,66 @@ mod tests {
         assert!(err
             .to_string()
             .contains("loop/dtr: incumbent traps 0.75 Mbit/s"));
+    }
+
+    /// The two schemes of an instance run side by side; on one thread or
+    /// two, every report is the same bytes with each scheme in its own
+    /// slot, and a trap returns the same error — the first scheme's.
+    #[test]
+    fn thread_count_never_changes_a_report_or_an_error() {
+        let pools = [1, 2].map(|n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+        });
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+        let cfg = ValidateCfg {
+            des_packets: 10_000,
+            ..cfg()
+        };
+        for name in [
+            "random12-smoke",
+            "random10-triclass-sla",
+            "random10-partial-sparse",
+        ] {
+            let spec = crate::load_spec(&corpus.join(format!("{name}.json"))).unwrap();
+            let report = |pool: &rayon::ThreadPool| {
+                let r = pool.install(|| validate_instance(&spec, &cfg)).unwrap();
+                assert_eq!(
+                    [r.baseline.scheme.as_str(), r.dtr.scheme.as_str()],
+                    ["baseline", "dtr"],
+                    "{name}"
+                );
+                serde_json::to_string_pretty(&r).unwrap()
+            };
+            let solo = report(&pools[0]);
+            // Which scheme finishes first on two threads varies from run
+            // to run, so one run could pass by luck.
+            for _ in 0..3 {
+                assert_eq!(report(&pools[1]), solo, "{name}");
+            }
+        }
+
+        let (topo, demands, weights, dep) = trapping_triangle();
+        let [one, two] = pools.each_ref().map(|pool| {
+            pool.install(|| {
+                validate_schemes(
+                    "loop",
+                    &topo,
+                    &demands,
+                    [
+                        ("baseline", &weights, Some(&dep), 1),
+                        ("dtr", &weights, Some(&dep), 2),
+                    ],
+                    1_000,
+                    0,
+                )
+            })
+            .unwrap_err()
+        });
+        assert_eq!(one, two);
+        assert_eq!(one.scheme, "baseline");
     }
 
     #[test]
