@@ -43,7 +43,6 @@
 //!   single duplex-pair cuts (\[5\]);
 //! - [`ReoptSearch`] — change-limited reoptimization after traffic drift
 //!   (the "changing world" problem, \[19\]);
-//! - [`SlicedSearch`] — traffic-matrix slicing (\[6\]).
 //! - [`PortfolioSearch`] — the parallel multi-start orchestrator: N
 //!   workers over rayon, each running one strategy arm
 //!   (descent/anneal/GA/memetic) with a derived seed and its own engine
@@ -68,7 +67,6 @@ pub mod portfolio;
 pub mod reopt;
 pub mod robust;
 pub mod scheme;
-pub mod slicing;
 pub mod str_search;
 pub mod streams;
 pub mod telemetry;
@@ -88,7 +86,6 @@ pub use portfolio::{
 pub use reopt::{ReoptResult, ReoptSearch, ReoptSession};
 pub use robust::{RobustCost, RobustEvaluator, RobustResult, RobustSearch, ScenarioCombine};
 pub use scheme::Scheme;
-pub use slicing::{SlicedResult, SlicedSearch};
 pub use str_search::{RelaxedBest, StrResult, StrSearch};
 pub use telemetry::{SearchResult, SearchTrace};
 pub use upgrade::{cost_ratio, UpgradeOutcome, UpgradeParams, UpgradeSearch, UpgradeStep};

@@ -16,8 +16,8 @@
 use dtr_core::portfolio::{PortfolioMode, PortfolioParams, PortfolioSearch, StrategyKind};
 use dtr_core::{
     AnnealSearch, DtrSearch, GaSearch, MemeticSearch, Objective, ReoptSearch, ReoptSession,
-    RobustSearch, ScenarioCombine, Scheme, SearchParams, SearchResult, SearchTrace, SlicedSearch,
-    StrSearch, UpgradeParams, UpgradeSearch,
+    RobustSearch, ScenarioCombine, Scheme, SearchParams, SearchResult, SearchTrace, StrSearch,
+    UpgradeParams, UpgradeSearch,
 };
 use dtr_cost::{Lex2, SlaParams};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
@@ -237,19 +237,6 @@ fn robust_case(scheme: Scheme, cap: Option<usize>) -> String {
     r.0
 }
 
-fn sliced_case() -> String {
-    let (topo, demands) = instance(12, 6, 4.0);
-    let high = WeightVector::uniform(&topo, 1);
-    let res = SlicedSearch::new(&topo, &demands, tiny(9), 3, high).run();
-    let mut r = Record::default();
-    for (s, w) in res.slice_weights.iter().enumerate() {
-        r.weights(&format!("slice[{s}]"), w);
-    }
-    r.lex2("cost", res.cost);
-    r.trace(&res.trace);
-    r.0
-}
-
 fn portfolio_case(mode: PortfolioMode, restarts: usize, prune_margin: f64) -> String {
     let (topo, demands) = instance(10, 14, 3.0);
     let mut out = PortfolioSearch::new(
@@ -424,8 +411,6 @@ fn regenerate() -> Vec<(PathBuf, String)> {
     cases.push(("robust_dtr_capped", robust_case(Scheme::Dtr, Some(5))));
     cases.push(("robust_str_full", robust_case(Scheme::Str, None)));
     cases.push(("robust_str_capped", robust_case(Scheme::Str, Some(5))));
-
-    cases.push(("sliced", sliced_case()));
 
     cases.push((
         "portfolio_nominal",

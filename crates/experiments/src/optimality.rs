@@ -22,14 +22,11 @@
 
 use crate::report::{fmt, Table};
 use crate::runner::{demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
-use dtr_core::{DtrSearch, Objective, SlicedSearch, StrSearch};
+use dtr_core::{DtrSearch, Objective, StrSearch};
 use dtr_graph::Topology;
 use dtr_routing::lower_bound::{frank_wolfe, FwParams, FwResult};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Slice counts evaluated beyond DTR (= 1 slice).
-pub const SLICE_COUNTS: [usize; 2] = [2, 4];
 
 /// One operating point of the optimality study.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,8 +41,6 @@ pub struct OptimalityPoint {
     pub str_low_ratio: f64,
     /// DTR's low ratio vs its conditional FW flow.
     pub dtr_low_ratio: f64,
-    /// Sliced multi-topology low ratios (share DTR's high placement).
-    pub slice_low_ratios: Vec<f64>,
     /// Duality bracket of DTR's conditional low reference.
     pub low_bracket: f64,
 }
@@ -86,14 +81,6 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<OptimalityPoint> {
         let str_ref = low_reference(&topo, &demands, &s.eval.high_loads);
         let dtr_ref = low_reference(&topo, &demands, &d.eval.high_loads);
 
-        let slice_low_ratios = SLICE_COUNTS
-            .iter()
-            .map(|&n| {
-                let r = SlicedSearch::new(&topo, &demands, params, n, d.weights.high.clone()).run();
-                r.cost.secondary / dtr_ref.cost.max(1e-9)
-            })
-            .collect();
-
         OptimalityPoint {
             avg_util: d.eval.avg_utilization(&topo),
             high_ratios: (
@@ -103,7 +90,6 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<OptimalityPoint> {
             high_bracket: bracket(&high_ref),
             str_low_ratio: s.eval.phi_l / str_ref.cost.max(1e-9),
             dtr_low_ratio: d.eval.phi_l / dtr_ref.cost.max(1e-9),
-            slice_low_ratios,
             low_bracket: bracket(&dtr_ref),
         }
     };
@@ -122,8 +108,6 @@ pub fn table(points: &[OptimalityPoint]) -> Table {
             "H_bracket",
             "L_str",
             "L_dtr",
-            "L_2slices",
-            "L_4slices",
             "L_bracket",
         ],
     );
@@ -135,8 +119,6 @@ pub fn table(points: &[OptimalityPoint]) -> Table {
             fmt(p.high_bracket, 2),
             fmt(p.str_low_ratio, 2),
             fmt(p.dtr_low_ratio, 2),
-            fmt(p.slice_low_ratios[0], 2),
-            fmt(p.slice_low_ratios[1], 2),
             fmt(p.low_bracket, 2),
         ]);
     }
@@ -160,8 +142,6 @@ mod tests {
             p.high_ratios.1,
             p.str_low_ratio,
             p.dtr_low_ratio,
-            p.slice_low_ratios[0],
-            p.slice_low_ratios[1],
         ] {
             assert!(v.is_finite() && v > 0.0, "{p:?}");
         }
