@@ -756,42 +756,6 @@ pub fn cmd_bound(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `estimate`: tomogravity estimation of both class matrices from the
-/// link loads they would produce under the measurement weights.
-pub fn cmd_estimate(args: &Args) -> Result<(), CliError> {
-    use dtr_routing::{
-        gravity_prior, l1_error, tomogravity, LoadCalculator, RoutingMatrix, TomoCfg,
-    };
-    let topo = topology(args)?;
-    let truth = demands(args, &topo)?;
-    let measure_w = match incumbent(args, &topo, Scheme::Dtr, None)? {
-        Some(w) => w.high,
-        None => dtr_graph::WeightVector::uniform(&topo, 1),
-    };
-    let rm = RoutingMatrix::compute(&topo, &measure_w);
-
-    let estimate_class = |m: &dtr_traffic::TrafficMatrix, label: &str| {
-        let measured = LoadCalculator::new().class_loads(&topo, &measure_w, m);
-        let out: Vec<f64> = (0..m.len()).map(|s| m.row_total(s)).collect();
-        let in_: Vec<f64> = (0..m.len()).map(|t| m.col_total(t)).collect();
-        let prior = gravity_prior(&out, &in_);
-        let fit = tomogravity(&prior, &rm, &measured, &TomoCfg::default());
-        println!(
-            "{label}: prior L1 error {:.1}%, estimate {:.1}% ({} MART epochs, residual {:.1e})",
-            100.0 * l1_error(&prior, m),
-            100.0 * l1_error(&fit.matrix, m),
-            fit.iterations,
-            fit.residual
-        );
-        fit.matrix
-    };
-    let estimated = DemandSet {
-        high: estimate_class(&truth.high, "high class"),
-        low: estimate_class(&truth.low, "low class "),
-    };
-    save(args.require(&OUT)?, &estimated)
-}
-
 /// `reopt`: change-limited reoptimization of an incumbent setting.
 pub fn cmd_reopt(args: &Args) -> Result<(), CliError> {
     let params = search_params(args, "experiment");
@@ -1569,11 +1533,10 @@ mod tests {
     }
 
     #[test]
-    fn estimate_reopt_robust_workflow() {
+    fn reopt_robust_workflow() {
         let topo_p = tmp("t3.json");
         let tm_p = tmp("m3.json");
         let w_p = tmp("w3.json");
-        let est_p = tmp("e3.json");
         let w2_p = tmp("w3b.json");
 
         run(&args(&format!(
@@ -1589,13 +1552,7 @@ mod tests {
         )))
         .unwrap();
         run(&args(&format!(
-            "estimate --topo {topo_p} --traffic {tm_p} --out {est_p}"
-        )))
-        .unwrap();
-        let est: DemandSet = load(&est_p).unwrap();
-        assert!(est.total_volume() > 0.0);
-        run(&args(&format!(
-            "reopt --topo {topo_p} --traffic {est_p} --weights {w_p} --changes 3 \
+            "reopt --topo {topo_p} --traffic {tm_p} --weights {w_p} --changes 3 \
              --budget tiny --out {w2_p}"
         )))
         .unwrap();
@@ -1608,7 +1565,7 @@ mod tests {
              --beta 0.5 --out {w2_p}"
         )))
         .unwrap();
-        for p in [topo_p, tm_p, w_p, est_p, w2_p] {
+        for p in [topo_p, tm_p, w_p, w2_p] {
             let _ = std::fs::remove_file(p);
         }
     }
@@ -2343,7 +2300,6 @@ mod tests {
                 format!("evaluate --topo {topo} --traffic {tm}"),
                 format!("simulate --topo {topo} --traffic {tm} --duration 0.01"),
                 format!("deploy --topo {topo}"),
-                format!("estimate --topo {topo} --traffic {tm} --out {out_p}"),
             ] {
                 let e = run(&args(&format!("{cmd} --weights {w}"))).unwrap_err();
                 assert_misfit(e, w, links);

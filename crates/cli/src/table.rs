@@ -219,15 +219,6 @@ pub static COMMANDS: &[Command] = &[
         run: cmd_bound,
     },
     Command {
-        name: "estimate",
-        positional: &[],
-        required: &[&TOPO, &TRAFFIC, &OUT],
-        optional: &[&[&WEIGHTS]],
-        about: "(tomogravity: gravity prior + MART fit to per-class link loads under the \
-                --weights measurement routing, unit weights by default)",
-        run: cmd_estimate,
-    },
-    Command {
         name: "reopt",
         positional: &[],
         required: &[&TOPO, &TRAFFIC, &WEIGHTS, &CHANGES, &OUT],

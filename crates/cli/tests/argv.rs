@@ -239,11 +239,6 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
             "zero.json: high weight 0 on link 0",
         ),
         (
-            format!("estimate --topo {t} --traffic {m} --weights {zero} --out {out}"),
-            1,
-            "zero.json: high weight 0 on link 0",
-        ),
-        (
             format!("reopt --topo {t} --traffic {m} --weights {zero} --changes 2 --out {out}"),
             1,
             "zero.json: high weight 0 on link 0",

@@ -103,15 +103,6 @@ pub const ARTIFACTS: &[Artifact] = &[
         "Change-limited reoptimization (extension)",
         |ctx| tables(reopt_exp::run(ctx), &[("reopt", reopt_exp::table)]),
     ),
-    ("estimation", "Tomogravity estimation (extension)", |ctx| {
-        tables(
-            estimation::run(ctx),
-            &[
-                ("estimation_quality", estimation::quality_table),
-                ("estimation_impact", estimation::impact_table),
-            ],
-        )
-    }),
     ("overhead", "Control-plane overhead (extension)", |ctx| {
         tables(overhead_exp::run(ctx), &[("overhead", overhead_exp::table)])
     }),

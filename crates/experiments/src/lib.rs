@@ -25,7 +25,6 @@
 //! | [`drift`] | Frozen weights vs perturbed demand |
 //! | [`robust_opt`] | Failure-aware vs nominal optimization |
 //! | [`reopt_exp`] | Change-limited reoptimization after drift |
-//! | [`estimation`] | Tomogravity TM estimation feeding the optimizers |
 //! | [`overhead_exp`] | Control-plane price of DTR vs plain OSPF |
 //! | [`convergence`] | Search-strategy convergence curves |
 //! | [`multiclass`] | k-class MTR vs shared routing, k = 2..4 |
@@ -42,7 +41,6 @@
 pub mod artifacts;
 pub mod convergence;
 pub mod drift;
-pub mod estimation;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;

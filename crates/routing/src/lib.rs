@@ -19,23 +19,19 @@
 
 pub mod cascade;
 pub mod deploy;
-pub mod estimate;
 pub mod eval;
 pub mod loads;
 pub mod lower_bound;
-pub mod routing_matrix;
 pub mod scenarios;
 
 pub use cascade::{cascade_classes, ClassCascade};
 pub use deploy::{hybrid_low_dag, trapped_flow, DeploymentSet};
-pub use estimate::{gravity_prior, l1_error, tomogravity, EstimateResult, TomoCfg};
 pub use eval::{
     sla_evaluation, sla_walk, EvalError, Evaluation, Evaluator, HighSide, LinkRank, PairDelay,
     SlaEvaluation,
 };
 pub use loads::{push_demand_down_dag, push_demand_down_dag_with, ClassLoads, LoadCalculator};
 pub use lower_bound::{dual_lower_bound, frank_wolfe, DualLowerBound, FwParams, FwResult};
-pub use routing_matrix::RoutingMatrix;
 pub use scenarios::{
     strongly_connected_under, survivable_duplex_failures, FailurePolicy, FailureScenario,
 };

@@ -1,6 +1,5 @@
 //! Cross-crate integration tests for the extension features:
-//! tomogravity estimation feeding weight search, change-limited
-//! reoptimization deployed onto the MT-OSPF control plane, robust
+//! change-limited reoptimization deployed onto the MT-OSPF control plane, robust
 //! optimization, and the per-flow ECMP simulator mode against the
 //! analytic load model.
 
@@ -12,9 +11,6 @@ use dtr::graph::gen::{random_topology, RandomTopologyCfg};
 use dtr::graph::weights::DualWeights;
 use dtr::graph::{LinkId, WeightVector};
 use dtr::mtr::{measure_overhead, DeployMode, MtrNetwork, TopologyId};
-use dtr::routing::{
-    gravity_prior, l1_error, tomogravity, Evaluator, LoadCalculator, RoutingMatrix, TomoCfg,
-};
 use dtr::sim::{EcmpMode, SimConfig, Simulation};
 use dtr::traffic::{DemandSet, TrafficCfg};
 
@@ -33,48 +29,6 @@ fn instance() -> (dtr::graph::Topology, DemandSet) {
     )
     .scaled(4.0);
     (topo, demands)
-}
-
-#[test]
-fn estimated_matrices_drive_a_usable_optimization() {
-    // Estimate both matrices from link loads, optimize DTR on the
-    // estimate, and verify the weights are competitive on the truth.
-    let (topo, truth) = instance();
-    let measure_w = WeightVector::uniform(&topo, 1);
-    let rm = RoutingMatrix::compute(&topo, &measure_w);
-
-    let estimate = |m: &dtr::traffic::TrafficMatrix| {
-        let y = LoadCalculator::new().class_loads(&topo, &measure_w, m);
-        let out: Vec<f64> = (0..m.len()).map(|s| m.row_total(s)).collect();
-        let in_: Vec<f64> = (0..m.len()).map(|t| m.col_total(t)).collect();
-        let cfg = TomoCfg {
-            max_iters: 1000,
-            tol: 1e-6,
-        };
-        let fit = tomogravity(&gravity_prior(&out, &in_), &rm, &y, &cfg);
-        assert!(fit.residual < 2e-2, "link residual {}", fit.residual);
-        fit.matrix
-    };
-    let estimated = DemandSet {
-        high: estimate(&truth.high),
-        low: estimate(&truth.low),
-    };
-    // The gravity-model low class is recovered nearly exactly.
-    assert!(l1_error(&estimated.low, &truth.low) < 0.05);
-
-    let params = SearchParams::tiny().with_seed(33);
-    let on_est = DtrSearch::new(&topo, &estimated, Objective::LoadBased, params).run();
-    let on_truth = DtrSearch::new(&topo, &truth, Objective::LoadBased, params).run();
-    let mut ev = Evaluator::new(&topo, &truth, Objective::LoadBased);
-    let est_on_truth = ev.eval_dual(&on_est.weights);
-    // Same ballpark: optimizing on the estimate must not be catastrophic
-    // (allow generous slack — tiny budgets are noisy).
-    assert!(
-        est_on_truth.phi_l < 5.0 * on_truth.eval.phi_l.max(1.0),
-        "estimate-driven weights collapsed: {} vs {}",
-        est_on_truth.phi_l,
-        on_truth.eval.phi_l
-    );
 }
 
 #[test]
