@@ -16,9 +16,7 @@
 //! single-weight changes inside the Hamming ball of radius `h` around
 //! the incumbent (a move that would exceed the budget becomes a
 //! *revert*, which releases budget) and whose diversification restarts
-//! at a random point of that ball. [`frontier`] sweeps `h` with warm
-//! starts to trace the cost-vs-churn curve an operator actually
-//! navigates.
+//! at a random point of that ball.
 //!
 //! [`ReoptSession`] wraps the same search in a long-lived warm-start API
 //! for callers that track a network over time (the `dtrd` daemon): it
@@ -65,8 +63,8 @@ pub struct ReoptResult {
     pub eval: Evaluation,
     /// Its objective value.
     pub best_cost: Lex2,
-    /// Evaluation of the point the descent started from (the incumbent,
-    /// unless warm-started elsewhere), by the engine behind `eval`.
+    /// Evaluation of the point the descent started from (the
+    /// incumbent), by the engine behind `eval`.
     pub start_eval: Evaluation,
     /// The change budget `h` this run was allowed.
     pub max_changes: usize,
@@ -146,7 +144,6 @@ pub struct ReoptSearch<'a> {
     scheme: Scheme,
     incumbent: DualWeights,
     max_changes: usize,
-    start: Option<DualWeights>,
     /// Per-directed-link operational state candidates are costed under
     /// (`false` removes the link). All-up unless a [`ReoptSession`]
     /// says otherwise.
@@ -184,20 +181,8 @@ impl<'a> ReoptSearch<'a> {
             scheme,
             incumbent,
             max_changes,
-            start: None,
             link_up: vec![true; topo.link_count()],
         }
-    }
-
-    /// Warm-starts from `w` instead of the incumbent itself. `w` must be
-    /// within the change budget (used by [`frontier`] to chain runs).
-    pub fn with_start(mut self, w: DualWeights) -> Self {
-        assert!(
-            changes_between(&w, &self.incumbent, self.scheme) <= self.max_changes,
-            "warm start exceeds the change budget"
-        );
-        self.start = Some(w);
-        self
     }
 
     /// Runs the constrained search for [`SearchParams::str_iters`]
@@ -211,9 +196,9 @@ impl<'a> ReoptSearch<'a> {
     /// the anytime knob behind [`ReoptSession::idle_step`]: `iters`
     /// iterations of `neighbors` candidates each, with diversification
     /// restarts inside the feasible ball.
-    pub fn run_with_iters(mut self, iters: usize) -> ReoptResult {
+    pub fn run_with_iters(self, iters: usize) -> ReoptResult {
         let mut engine = MaskedEngine::new(&self);
-        let w = self.start.take().unwrap_or_else(|| self.incumbent.clone());
+        let w = self.incumbent.clone();
         engine.rebase(&w);
         let start_eval = engine.eval(&w);
         let mut walk = ReoptWalk {
@@ -224,8 +209,7 @@ impl<'a> ReoptSearch<'a> {
             w,
         };
         let mut descent = Descent::start(&walk, self.params.diversify_after, Phase::Str, 1);
-        // With no budget nothing may move: the incumbent (or start) is
-        // the answer.
+        // With no budget nothing may move: the incumbent is the answer.
         let iters = if self.max_changes == 0 { 0 } else { iters };
         descent.stage(&mut walk, iters, Phase::Str);
 
@@ -375,42 +359,6 @@ pub fn changes_between(a: &DualWeights, b: &DualWeights, scheme: Scheme) -> usiz
         Scheme::Str => a.high.hamming(&b.high),
         Scheme::Dtr => a.high.hamming(&b.high) + a.low.hamming(&b.low),
     }
-}
-
-/// Sweeps the change budget `h` over `budgets` (must be increasing),
-/// warm-starting each run from the previous best, and returns one
-/// [`ReoptResult`] per budget. The warm start makes the frontier
-/// monotone: a larger budget never reports a worse cost.
-pub fn frontier(
-    topo: &Topology,
-    demands: &DemandSet,
-    objective: Objective,
-    params: SearchParams,
-    scheme: Scheme,
-    incumbent: &DualWeights,
-    budgets: &[usize],
-) -> Vec<ReoptResult> {
-    assert!(
-        budgets.windows(2).all(|w| w[0] < w[1]),
-        "budgets must be strictly increasing"
-    );
-    let mut out: Vec<ReoptResult> = Vec::with_capacity(budgets.len());
-    for (i, &h) in budgets.iter().enumerate() {
-        let mut search = ReoptSearch::new(
-            topo,
-            demands,
-            objective,
-            params.with_seed(params.seed.wrapping_add(i as u64)),
-            scheme,
-            incumbent.clone(),
-            h,
-        );
-        if let Some(prev) = out.last() {
-            search = search.with_start(prev.weights.clone());
-        }
-        out.push(search.run());
-    }
-    out
 }
 
 /// A long-lived warm-start reoptimization session.
@@ -613,7 +561,7 @@ mod tests {
     use crate::dtr::DtrSearch;
     use dtr_engine::BackendKind;
     use dtr_graph::gen::{random_topology, triangle_topology, RandomTopologyCfg};
-    use dtr_graph::{NodeId, WeightVector};
+    use dtr_graph::WeightVector;
     use dtr_routing::{survivable_duplex_failures, Evaluator};
     use dtr_traffic::{TrafficCfg, TrafficMatrix};
 
@@ -735,74 +683,6 @@ mod tests {
         .run();
         assert_eq!(res.weights.high, res.weights.low);
         assert!(res.changes_used <= 3);
-    }
-
-    #[test]
-    fn frontier_is_monotone_in_budget() {
-        let (topo, _, drifted) = drifted_instance();
-        let incumbent = DualWeights::replicated(WeightVector::uniform(&topo, 1));
-        let results = frontier(
-            &topo,
-            &drifted,
-            Objective::LoadBased,
-            SearchParams::tiny().with_seed(6),
-            Scheme::Dtr,
-            &incumbent,
-            &[1, 4, 16],
-        );
-        assert_eq!(results.len(), 3);
-        for w in results.windows(2) {
-            assert!(
-                w[1].best_cost <= w[0].best_cost,
-                "larger budget must not be worse: {:?} vs {:?}",
-                w[1].best_cost,
-                w[0].best_cost
-            );
-        }
-    }
-
-    #[test]
-    fn warm_start_validation() {
-        let (topo, demands) = triangle_instance();
-        let incumbent = DualWeights::replicated(WeightVector::uniform(&topo, 1));
-        let mut far = incumbent.clone();
-        far.high
-            .set(topo.find_link(NodeId(0), NodeId(1)).unwrap(), 7);
-        far.low
-            .set(topo.find_link(NodeId(0), NodeId(2)).unwrap(), 9);
-        let search = ReoptSearch::new(
-            &topo,
-            &demands,
-            Objective::LoadBased,
-            SearchParams::tiny(),
-            Scheme::Dtr,
-            incumbent,
-            2,
-        );
-        // Two changes fit the budget of 2.
-        let _ok = search.with_start(far);
-    }
-
-    #[test]
-    #[should_panic(expected = "warm start exceeds")]
-    fn warm_start_over_budget_panics() {
-        let (topo, demands) = triangle_instance();
-        let incumbent = DualWeights::replicated(WeightVector::uniform(&topo, 1));
-        let mut far = incumbent.clone();
-        far.high
-            .set(topo.find_link(NodeId(0), NodeId(1)).unwrap(), 7);
-        far.low
-            .set(topo.find_link(NodeId(0), NodeId(2)).unwrap(), 9);
-        let _ = ReoptSearch::new(
-            &topo,
-            &demands,
-            Objective::LoadBased,
-            SearchParams::tiny(),
-            Scheme::Dtr,
-            incumbent,
-            1,
-        )
-        .with_start(far);
     }
 
     #[test]
@@ -985,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn search_and_frontier_are_backend_invariant() {
+    fn search_is_backend_invariant() {
         // h = 12 lets the descent (and every diversification restart)
         // sit further from the incumbent than the incremental backend
         // repairs in one go (MAX_DELTAS = 8): the lanes follow the
@@ -995,39 +875,21 @@ mod tests {
         for scheme in [Scheme::Dtr, Scheme::Str] {
             let run = |kind: BackendKind| {
                 let params = SearchParams::tiny().with_seed(37).with_backend(kind);
-                let single: Vec<ReoptResult> = [2usize, 12]
-                    .iter()
-                    .map(|&h| {
-                        ReoptSearch::new(
-                            &topo,
-                            &drifted,
-                            Objective::LoadBased,
-                            params,
-                            scheme,
-                            incumbent.clone(),
-                            h,
-                        )
-                        .run()
-                    })
-                    .collect();
-                let swept = frontier(
-                    &topo,
-                    &drifted,
-                    Objective::LoadBased,
-                    params,
-                    scheme,
-                    &incumbent,
-                    &[2, 12],
-                );
-                (single, swept)
+                [2usize, 12].map(|h| {
+                    ReoptSearch::new(
+                        &topo,
+                        &drifted,
+                        Objective::LoadBased,
+                        params,
+                        scheme,
+                        incumbent.clone(),
+                        h,
+                    )
+                    .run()
+                })
             };
             let (full, incr) = (run(BackendKind::Full), run(BackendKind::Incremental));
-            for (a, b) in full
-                .0
-                .iter()
-                .chain(&full.1)
-                .zip(incr.0.iter().chain(&incr.1))
-            {
+            for (a, b) in full.iter().zip(&incr) {
                 assert_eq!(a.weights, b.weights, "{scheme:?} h={}", a.max_changes);
                 assert_eq!(a.eval, b.eval);
                 assert_eq!(a.changes_used, b.changes_used);

@@ -90,22 +90,11 @@ pub const ARTIFACTS: &[Artifact] = &[
     ("robustness", "Failure robustness (extension)", |ctx| {
         tables(robustness::run(ctx), &[("robustness", robustness::table)])
     }),
-    ("drift", "Traffic-drift robustness (extension)", |ctx| {
-        tables(drift::run(ctx, 10), &[("drift", drift::table)])
-    }),
     (
         "robust_opt",
         "Failure-aware optimization (extension)",
         |ctx| tables(robust_opt::run(ctx), &[("robust_opt", robust_opt::table)]),
     ),
-    (
-        "reopt",
-        "Change-limited reoptimization (extension)",
-        |ctx| tables(reopt_exp::run(ctx), &[("reopt", reopt_exp::table)]),
-    ),
-    ("overhead", "Control-plane overhead (extension)", |ctx| {
-        tables(overhead_exp::run(ctx), &[("overhead", overhead_exp::table)])
-    }),
     (
         "convergence",
         "Search-strategy convergence (extension)",

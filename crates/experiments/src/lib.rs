@@ -20,12 +20,9 @@
 //!
 //! | Module | What it shows |
 //! |---|---|
-//! | [`optimality`] | STR/DTR/slicing gaps vs the Frank–Wolfe optimum |
+//! | [`optimality`] | STR/DTR gaps vs the Frank–Wolfe optimum |
 //! | [`robustness`] | Post-failure cost of nominally optimized weights |
-//! | [`drift`] | Frozen weights vs perturbed demand |
 //! | [`robust_opt`] | Failure-aware vs nominal optimization |
-//! | [`reopt_exp`] | Change-limited reoptimization after drift |
-//! | [`overhead_exp`] | Control-plane price of DTR vs plain OSPF |
 //! | [`convergence`] | Search-strategy convergence curves |
 //! | [`multiclass`] | k-class MTR vs shared routing, k = 2..4 |
 //!
@@ -40,7 +37,6 @@
 
 pub mod artifacts;
 pub mod convergence;
-pub mod drift;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
@@ -51,8 +47,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod multiclass;
 pub mod optimality;
-pub mod overhead_exp;
-pub mod reopt_exp;
 pub mod report;
 pub mod robust_opt;
 pub mod robustness;

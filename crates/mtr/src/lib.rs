@@ -33,9 +33,6 @@ pub mod router;
 pub use config::{network_config, router_config};
 pub use lsa::{LsaLink, MtMetric, RouterLsa, TopologyId};
 pub use lsdb::Lsdb;
-pub use network::{ControlStats, DeployMode, ForwardError, MtrNetwork};
-pub use overhead::{
-    deployment_cost, lsa_wire_bytes, measure as measure_overhead, ChurnReport, OverheadReport,
-    LSA_PROCESSING_S, SPF_COMPUTE_S,
-};
+pub use network::{ControlStats, ForwardError, MtrNetwork};
+pub use overhead::{deployment_cost, lsa_wire_bytes, ChurnReport, LSA_PROCESSING_S, SPF_COMPUTE_S};
 pub use router::{Fib, Router};

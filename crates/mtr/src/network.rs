@@ -1,7 +1,7 @@
 //! The message-passing fabric: flooding, convergence, failures, and
 //! overhead accounting.
 
-use crate::lsa::{RouterLsa, TopologyId};
+use crate::lsa::{RouterLsa, TopologyId, TOPOLOGY_COUNT};
 use crate::router::{Fib, Router};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, NodeId, Topology};
@@ -22,25 +22,6 @@ pub struct ControlStats {
     pub spf_runs: u64,
     /// LSA originations (config changes, failures, restorations).
     pub originations: u64,
-}
-
-/// How the control plane is deployed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeployMode {
-    /// Plain OSPF: one topology, both classes share it (STR).
-    SingleTopology,
-    /// RFC 4915 dual configuration (DTR).
-    DualTopology,
-}
-
-impl DeployMode {
-    /// Number of configured topologies.
-    pub fn topologies(self) -> usize {
-        match self {
-            DeployMode::SingleTopology => 1,
-            DeployMode::DualTopology => 2,
-        }
-    }
 }
 
 /// Why forwarding failed.
@@ -67,7 +48,6 @@ struct Message {
 pub struct MtrNetwork<'a> {
     topo: &'a Topology,
     weights: DualWeights,
-    mode: DeployMode,
     /// Physical operational state per directed link.
     link_up: Vec<bool>,
     routers: Vec<Router>,
@@ -80,31 +60,10 @@ impl<'a> MtrNetwork<'a> {
     /// Boots every router with `weights` configured on its interfaces and
     /// floods the initial LSAs (call [`converge`](Self::converge) next).
     pub fn new(topo: &'a Topology, weights: DualWeights) -> Self {
-        Self::with_mode(topo, weights, DeployMode::DualTopology)
-    }
-
-    /// Boots a plain single-topology OSPF network (the STR deployment):
-    /// one metric per link, both classes forwarded on the same FIB.
-    pub fn new_single(topo: &'a Topology, weights: dtr_graph::WeightVector) -> Self {
-        Self::with_mode(
-            topo,
-            DualWeights::replicated(weights),
-            DeployMode::SingleTopology,
-        )
-    }
-
-    fn with_mode(topo: &'a Topology, weights: DualWeights, mode: DeployMode) -> Self {
         assert_eq!(weights.high.len(), topo.link_count());
-        if mode == DeployMode::SingleTopology {
-            assert_eq!(
-                weights.high, weights.low,
-                "single-topology deployment carries one weight per link"
-            );
-        }
         let mut net = MtrNetwork {
             topo,
             weights,
-            mode,
             link_up: vec![true; topo.link_count()],
             routers: topo
                 .nodes()
@@ -157,25 +116,17 @@ impl<'a> MtrNetwork<'a> {
         while let Some(m) = self.inflight.pop_front() {
             delivered += 1;
             self.stats.lsa_messages += 1;
-            self.stats.lsa_bytes += crate::overhead::lsa_wire_bytes(&m.lsa, self.mode.topologies());
+            self.stats.lsa_bytes += crate::overhead::lsa_wire_bytes(&m.lsa, TOPOLOGY_COUNT);
             let router = &mut self.routers[m.to.index()];
             if router.lsdb.install(m.lsa.clone()) {
                 self.flood(m.to, m.from, &m.lsa);
             }
         }
-        for n in 0..self.routers.len() {
-            match self.mode {
-                DeployMode::DualTopology => self.routers[n].recompute(self.topo),
-                DeployMode::SingleTopology => self.routers[n].recompute_single(self.topo),
-            }
-            self.stats.spf_runs += self.mode.topologies() as u64;
+        for router in &mut self.routers {
+            router.recompute(self.topo);
+            self.stats.spf_runs += TOPOLOGY_COUNT as u64;
         }
         delivered
-    }
-
-    /// The deployment mode this network was booted with.
-    pub fn mode(&self) -> DeployMode {
-        self.mode
     }
 
     /// Fails the duplex pair containing `link` (both directions, as a
@@ -219,12 +170,6 @@ impl<'a> MtrNetwork<'a> {
     /// re-originated.
     pub fn reconfigure_changed(&mut self, weights: DualWeights) -> usize {
         assert_eq!(weights.high.len(), self.topo.link_count());
-        if self.mode == DeployMode::SingleTopology {
-            assert_eq!(
-                weights.high, weights.low,
-                "single-topology deployment carries one weight per link"
-            );
-        }
         let changed: Vec<NodeId> = self
             .topo
             .nodes()

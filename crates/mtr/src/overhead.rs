@@ -1,28 +1,25 @@
-//! Quantifying the control-plane cost of DTR vs plain OSPF (§1).
+//! The control-plane price of deploying a DTR weight change (§1).
 //!
 //! The paper motivates DTR's benefits but is explicit about its costs:
 //! *"the need to configure and disseminate multiple weights for each
 //! link and run multiple SPF algorithms in the presence of network
-//! changes."* This module turns that sentence into numbers:
+//! changes."* This module prices that sentence for one deployment:
 //!
 //! - **Wire bytes** — RFC 2328 router LSAs are 24 bytes of header plus
 //!   12 bytes per advertised link; RFC 4915 adds 4 bytes per link per
 //!   *additional* topology. [`lsa_wire_bytes`] implements that format
 //!   model, and [`crate::ControlStats::lsa_bytes`] accumulates it over
-//!   every flooded message.
+//!   every flooded message of the dual-topology fabric.
 //! - **SPF executions** — one per topology per convergence per router.
-//! - **FIB entries** — `|V| − 1` per topology per router.
-//! - **Configuration lines** — one metric statement per interface per
-//!   topology (see [`crate::config`]).
 //!
-//! [`measure`] runs the full lifecycle (boot → converge → fail a link →
-//! reconverge → restore) under both deployment modes and reports the
-//! totals side by side; the expected shape is SPF and configuration
-//! exactly ×2, wire bytes ×1.33 (12 → 16 bytes per link entry), and
-//! identical message *counts* (flooding topology is unchanged).
+//! [`deployment_cost`] boots a converged network on the running
+//! configuration, applies only the changed metrics, and reports the
+//! flood, SPF and convergence-time cost of getting back to quiescence
+//! as a [`ChurnReport`] — the churn side `dtrd` weighs a reoptimization
+//! against.
 
 use crate::lsa::RouterLsa;
-use crate::network::{ControlStats, DeployMode, MtrNetwork};
+use crate::network::{ControlStats, MtrNetwork};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::Topology;
 use serde::{Deserialize, Serialize};
@@ -43,74 +40,12 @@ pub fn lsa_wire_bytes(lsa: &RouterLsa, topologies: usize) -> u64 {
     LSA_HEADER_BYTES + links * LINK_ENTRY_BYTES + links * MT_METRIC_BYTES * (topologies as u64 - 1)
 }
 
-/// Control-plane cost totals of one deployment lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OverheadReport {
-    /// `1` for plain OSPF (STR), `2` for the dual configuration.
-    pub topologies: usize,
-    /// LSA messages delivered during boot convergence.
-    pub boot_messages: u64,
-    /// LSA wire bytes delivered during boot convergence.
-    pub boot_bytes: u64,
-    /// SPF executions during boot convergence.
-    pub boot_spf_runs: u64,
-    /// LSA messages for one failure + restore cycle.
-    pub failure_messages: u64,
-    /// LSA wire bytes for one failure + restore cycle.
-    pub failure_bytes: u64,
-    /// SPF executions for one failure + restore cycle.
-    pub failure_spf_runs: u64,
-    /// FIB entries installed network-wide.
-    pub fib_entries: u64,
-    /// Per-interface metric statements in the network configuration.
-    pub config_lines: u64,
-}
-
 fn delta(after: ControlStats, before: ControlStats) -> (u64, u64, u64) {
     (
         after.lsa_messages - before.lsa_messages,
         after.lsa_bytes - before.lsa_bytes,
         after.spf_runs - before.spf_runs,
     )
-}
-
-/// Runs boot → converge → fail the first survivable duplex pair →
-/// reconverge → restore → reconverge under `mode`, and returns the cost
-/// totals. `weights` is used as-is in dual mode; in single mode its high
-/// vector is deployed as the only topology.
-pub fn measure(topo: &Topology, weights: &DualWeights, mode: DeployMode) -> OverheadReport {
-    let mut net = match mode {
-        DeployMode::SingleTopology => MtrNetwork::new_single(topo, weights.high.clone()),
-        DeployMode::DualTopology => MtrNetwork::new(topo, weights.clone()),
-    };
-    net.converge();
-    let boot = net.stats;
-
-    // Fail the first pair whose cut keeps the network connected.
-    let scenario = dtr_routing::survivable_duplex_failures(topo)
-        .into_iter()
-        .next()
-        .expect("paper topologies survive single cuts");
-    let lid = dtr_graph::LinkId(scenario.pair_id);
-    net.fail_link(lid);
-    net.converge();
-    net.restore_link(lid);
-    net.converge();
-    let (failure_messages, failure_bytes, failure_spf_runs) = delta(net.stats, boot);
-
-    let n = topo.node_count() as u64;
-    let topologies = mode.topologies() as u64;
-    OverheadReport {
-        topologies: mode.topologies(),
-        boot_messages: boot.lsa_messages,
-        boot_bytes: boot.lsa_bytes,
-        boot_spf_runs: boot.spf_runs,
-        failure_messages,
-        failure_bytes,
-        failure_spf_runs,
-        fib_entries: n * (n - 1) * topologies,
-        config_lines: topo.link_count() as u64 * topologies,
-    }
 }
 
 /// Per-delivered-LSA processing latency in the coarse convergence model
@@ -224,28 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn dual_doubles_spf_and_config_not_messages() {
-        let topo = isp_topology();
-        let w = dual_weights(&topo);
-        let single = measure(&topo, &w, DeployMode::SingleTopology);
-        let dual = measure(&topo, &w, DeployMode::DualTopology);
-
-        // Flooding topology is identical → same message counts.
-        assert_eq!(single.boot_messages, dual.boot_messages);
-        assert_eq!(single.failure_messages, dual.failure_messages);
-        // SPF, FIB and config costs double exactly.
-        assert_eq!(dual.boot_spf_runs, 2 * single.boot_spf_runs);
-        assert_eq!(dual.failure_spf_runs, 2 * single.failure_spf_runs);
-        assert_eq!(dual.fib_entries, 2 * single.fib_entries);
-        assert_eq!(dual.config_lines, 2 * single.config_lines);
-        // Bytes grow by exactly the MT metric per link entry: every
-        // message carries 4 extra bytes per advertised link, so the
-        // ratio sits strictly between 1 and 4/3.
-        assert!(dual.boot_bytes > single.boot_bytes);
-        assert!(dual.boot_bytes < single.boot_bytes * 4 / 3 + 1);
-    }
-
-    #[test]
     fn deployment_cost_of_identical_config_is_zero() {
         let topo = isp_topology();
         let w = dual_weights(&topo);
@@ -292,22 +205,5 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let back: ChurnReport = serde_json::from_str(&json).unwrap();
         assert_eq!(a, back);
-    }
-
-    #[test]
-    fn single_mode_forwards_identically_on_both_classes() {
-        let topo = triangle_topology(1.0);
-        let w = WeightVector::uniform(&topo, 1);
-        let mut net = MtrNetwork::new_single(&topo, w);
-        net.converge();
-        for (s, d) in [(0u32, 2u32), (1, 0), (2, 1)] {
-            let a = net
-                .forward_path(crate::TopologyId::DEFAULT, NodeId(s), NodeId(d))
-                .unwrap();
-            let b = net
-                .forward_path(crate::TopologyId::LOW, NodeId(s), NodeId(d))
-                .unwrap();
-            assert_eq!(a, b, "single topology must route both classes alike");
-        }
     }
 }

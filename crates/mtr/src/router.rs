@@ -98,19 +98,6 @@ impl Router {
         (WeightVector::from_vec(weights), up)
     }
 
-    /// Recomputes the default topology's FIB only and mirrors it into
-    /// the low slot — the plain-OSPF (single-topology) code path, where
-    /// both classes share one routing and one SPF.
-    pub fn recompute_single(&mut self, topo: &Topology) {
-        let (weights, up) = self.view(topo, TopologyId::DEFAULT);
-        let tree = SpfTree::compute(topo, &weights, self.id, Some(&up));
-        self.fibs[TopologyId::DEFAULT.idx()] = Fib {
-            next_hops: tree.next_hops,
-        };
-        self.fibs[TopologyId::LOW.idx()] = self.fibs[TopologyId::DEFAULT.idx()].clone();
-        self.spf_runs += 1;
-    }
-
     /// Recomputes both topologies' FIBs from the current LSDB.
     pub fn recompute(&mut self, topo: &Topology) {
         for t in [TopologyId::DEFAULT, TopologyId::LOW] {
