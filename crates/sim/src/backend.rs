@@ -101,7 +101,7 @@ impl BackendReport {
 /// and runs one [`Simulation`] and condenses its [`crate::SimReport`].
 #[derive(Debug, Clone, Copy)]
 pub struct DesBackend {
-    /// The engine configuration (seed, window, scheduler, ECMP mode).
+    /// The engine configuration (seed, window, packet sizes, buffers).
     pub cfg: SimConfig,
 }
 

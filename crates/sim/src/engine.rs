@@ -17,41 +17,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 
-/// Which discipline arbitrates between the two per-link queues.
-///
-/// The paper assumes strict priority (§3); deficit round robin is
-/// provided as a contrast — it shows what the low class would gain (and
-/// the high class lose) under a fair scheduler, i.e. why the paper's
-/// residual-capacity model needs the strict discipline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scheduler {
-    /// High-priority queue always served first (non-preemptive).
-    StrictPriority,
-    /// Deficit round robin with per-class quanta in **bits**; classes
-    /// share bandwidth roughly `quantum_high : quantum_low` when both
-    /// are backlogged.
-    DeficitRoundRobin {
-        /// Quantum added to the high-priority deficit per round.
-        quantum_high: f64,
-        /// Quantum added to the low-priority deficit per round.
-        quantum_low: f64,
-    },
-}
-
-/// How a router picks among equal-cost branches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EcmpMode {
-    /// Uniform random branch per packet — the stochastic counterpart of
-    /// the evaluator's even splitting (its load model in expectation).
-    #[default]
-    PerPacket,
-    /// Deterministic hash of (class, src, dst, router) — how real
-    /// routers do it (header hashing keeps flows in order). With few
-    /// flows the per-link loads can sit far from the analytic even
-    /// split; the `ecmp_hash_imbalance` test quantifies it.
-    PerFlow,
-}
-
 /// Simulator parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -70,10 +35,6 @@ pub struct SimConfig {
     /// Per-queue buffer limit in packets; `None` = infinite (the paper's
     /// model). Arriving packets finding a full queue are dropped.
     pub buffer_packets: Option<usize>,
-    /// Queue discipline (default strict priority, as in §3).
-    pub scheduler: Scheduler,
-    /// ECMP branch selection (default per-packet random).
-    pub ecmp: EcmpMode,
 }
 
 impl Default for SimConfig {
@@ -85,8 +46,6 @@ impl Default for SimConfig {
             duration_s: 2.0,
             seed: 1,
             buffer_packets: None,
-            scheduler: Scheduler::StrictPriority,
-            ecmp: EcmpMode::default(),
         }
     }
 }
@@ -121,12 +80,6 @@ struct LinkState {
     queues: Vec<VecDeque<usize>>,
     /// `(packet index, service start time)` while transmitting.
     current: Option<(usize, f64)>,
-    /// Deficit-round-robin counters (bits) and round pointer.
-    deficit: [f64; 2],
-    drr_turn: usize,
-    /// True while the current class's visit is open (its quantum for
-    /// this round has been granted).
-    drr_in_visit: bool,
 }
 
 impl LinkState {
@@ -134,9 +87,6 @@ impl LinkState {
         LinkState {
             queues: (0..classes).map(|_| VecDeque::new()).collect(),
             current: None,
-            deficit: [0.0; 2],
-            drr_turn: 0,
-            drr_in_visit: false,
         }
     }
 }
@@ -267,13 +217,6 @@ impl<'a> Simulation<'a> {
             }
         }
         assert!(matrices.len() <= u8::MAX as usize, "too many classes");
-        if matches!(cfg.scheduler, Scheduler::DeficitRoundRobin { .. }) {
-            assert_eq!(
-                matrices.len(),
-                2,
-                "deficit round robin is defined for exactly two classes"
-            );
-        }
         let mut flows = Vec::new();
         for (c, m) in matrices.iter().enumerate() {
             for (s, t) in m.positive_pairs() {
@@ -465,25 +408,9 @@ impl<'a> Engine<'a> {
             p.class,
             p.dst
         );
-        let link = match self.cfg.ecmp {
-            EcmpMode::PerPacket => branches[self.rng.random_range(0..branches.len())],
-            EcmpMode::PerFlow => {
-                // Splitmix-style avalanche over the flow key and router
-                // id; seeded so different runs hash differently, like
-                // per-router hash seeds in deployed gear.
-                let key = (p.class as u64) << 48
-                    | (p.src as u64) << 32
-                    | (p.dst as u64) << 16
-                    | node.index() as u64;
-                let mut h = key ^ self.cfg.seed.wrapping_mul(0x9e3779b97f4a7c15);
-                h ^= h >> 30;
-                h = h.wrapping_mul(0xbf58476d1ce4e5b9);
-                h ^= h >> 27;
-                h = h.wrapping_mul(0x94d049bb133111eb);
-                h ^= h >> 31;
-                branches[(h % branches.len() as u64) as usize]
-            }
-        };
+        // One uniform draw per hop, even with a single branch: the sim
+        // goldens freeze this RNG stream.
+        let link = branches[self.rng.random_range(0..branches.len())];
         self.enqueue(packet, link, now);
     }
 
@@ -507,64 +434,14 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Picks the next packet according to the configured scheduler.
-    fn pick_next(&mut self, link: LinkId) -> Option<usize> {
-        let state = &mut self.links[link.index()];
-        match self.cfg.scheduler {
-            // Strict priority over any class count: the first backlogged
-            // queue in priority order wins.
-            Scheduler::StrictPriority => state.queues.iter_mut().find_map(|q| q.pop_front()),
-            Scheduler::DeficitRoundRobin {
-                quantum_high,
-                quantum_low,
-            } => {
-                // Two classes by construction (asserted in
-                // `Simulation::with_classes`).
-                let quanta = [quantum_high, quantum_low];
-                if state.queues[0].is_empty() && state.queues[1].is_empty() {
-                    return None;
-                }
-                // Bounded loop: each full round grants one quantum to a
-                // backlogged queue, so its head is served within
-                // ⌈size/quantum⌉ rounds.
-                for _ in 0..100_000 {
-                    let c = state.drr_turn;
-                    match state.queues[c].front() {
-                        None => {
-                            // Idle queues forfeit their deficit.
-                            state.deficit[c] = 0.0;
-                            state.drr_in_visit = false;
-                            state.drr_turn = (c + 1) % 2;
-                        }
-                        Some(&head) => {
-                            if !state.drr_in_visit {
-                                // Grant the quantum once per visit.
-                                state.deficit[c] += quanta[c];
-                                state.drr_in_visit = true;
-                            }
-                            let size = self.packets[head].size_bits;
-                            if state.deficit[c] >= size {
-                                state.deficit[c] -= size;
-                                return state.queues[c].pop_front();
-                            }
-                            // Deficit exhausted: close the visit, move on.
-                            state.drr_in_visit = false;
-                            state.drr_turn = (c + 1) % 2;
-                        }
-                    }
-                }
-                unreachable!("DRR failed to schedule a backlogged queue");
-            }
-        }
-    }
-
-    /// Starts transmitting the next scheduled packet.
+    /// Starts transmitting the next packet under strict priority: the
+    /// first backlogged queue in priority order wins.
     fn start_tx(&mut self, link: LinkId, now: f64) {
-        debug_assert!(self.links[link.index()].current.is_none());
-        let Some(pkt) = self.pick_next(link) else {
+        let state = &mut self.links[link.index()];
+        debug_assert!(state.current.is_none());
+        let Some(pkt) = state.queues.iter_mut().find_map(|q| q.pop_front()) else {
             return;
         };
-        let state = &mut self.links[link.index()];
         state.current = Some((pkt, now));
         let cap_bps = self.topo.link(link).capacity * 1e6;
         let tx = self.packets[pkt].size_bits / cap_bps;
@@ -881,60 +758,12 @@ mod tests {
     }
 
     #[test]
-    fn drr_splits_bandwidth_by_quanta() {
-        // Same 2× overload, but deficit round robin with equal quanta:
-        // each class gets ≈ half the link.
-        let topo = two_node(10.0, 0.0);
-        let cfg = SimConfig {
-            warmup_s: 0.5,
-            duration_s: 5.0,
-            seed: 22,
-            buffer_packets: Some(16),
-            scheduler: Scheduler::DeficitRoundRobin {
-                quantum_high: 8000.0,
-                quantum_low: 8000.0,
-            },
-            ..Default::default()
-        };
-        let r = one_flow(&topo, 10.0, 10.0, cfg);
-        let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let th = r.throughput_mbps(link, HIGH);
-        let tl = r.throughput_mbps(link, LOW);
-        assert!((th - 5.0).abs() < 0.6, "high share {th}");
-        assert!((tl - 5.0).abs() < 0.6, "low share {tl}");
-    }
-
-    #[test]
-    fn drr_weighted_quanta_shift_the_split() {
-        let topo = two_node(10.0, 0.0);
-        let cfg = SimConfig {
-            warmup_s: 0.5,
-            duration_s: 5.0,
-            seed: 23,
-            buffer_packets: Some(16),
-            scheduler: Scheduler::DeficitRoundRobin {
-                quantum_high: 24_000.0,
-                quantum_low: 8000.0,
-            },
-            ..Default::default()
-        };
-        let r = one_flow(&topo, 10.0, 10.0, cfg);
-        let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let th = r.throughput_mbps(link, HIGH);
-        let tl = r.throughput_mbps(link, LOW);
-        // 3:1 quanta → ≈ 7.5 / 2.5 split.
-        assert!((th - 7.5).abs() < 0.8, "high share {th}");
-        assert!((tl - 2.5).abs() < 0.8, "low share {tl}");
-    }
-
-    #[test]
-    fn strict_priority_starves_low_where_drr_does_not() {
+    fn strict_priority_leaves_low_only_the_residual() {
         // The §3 modeling point: under strict priority the low class gets
-        // only residual capacity; under DRR it would get its fair share —
-        // which is exactly why the paper's residual-capacity cost model
-        // requires the strict discipline.
+        // only the capacity the high class leaves, which is what the
+        // paper's residual-capacity cost model assumes.
         let topo = two_node(10.0, 0.0);
-        let base = SimConfig {
+        let cfg = SimConfig {
             warmup_s: 0.5,
             duration_s: 5.0,
             seed: 24,
@@ -942,23 +771,8 @@ mod tests {
             ..Default::default()
         };
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let strict = one_flow(&topo, 9.0, 9.0, base);
-        let drr = one_flow(
-            &topo,
-            9.0,
-            9.0,
-            SimConfig {
-                scheduler: Scheduler::DeficitRoundRobin {
-                    quantum_high: 8000.0,
-                    quantum_low: 8000.0,
-                },
-                ..base
-            },
-        );
-        let strict_low = strict.throughput_mbps(link, LOW);
-        let drr_low = drr.throughput_mbps(link, LOW);
+        let strict_low = one_flow(&topo, 9.0, 9.0, cfg).throughput_mbps(link, LOW);
         assert!(strict_low < 1.6, "residual only: {strict_low}");
-        assert!(drr_low > 4.0, "fair share: {drr_low}");
     }
 
     #[test]
@@ -1004,11 +818,10 @@ mod tests {
     }
 
     #[test]
-    fn ecmp_hash_imbalance() {
-        // One flow over a diamond. Per-packet splitting spreads it
-        // ~50/50 over the two equal-cost paths (the analytic model);
-        // per-flow hashing pins ALL of it onto one path — the modeling
-        // gap between header-hash routers and the even-split assumption.
+    fn per_packet_ecmp_splits_evenly() {
+        // One flow over a diamond: per-packet splitting spreads it
+        // ~50/50 over the two equal-cost paths, the analytic model's
+        // even split.
         let topo = diamond();
         let mut high = TrafficMatrix::zeros(4);
         high.set(0, 3, 4.0);
@@ -1036,104 +849,5 @@ mod tests {
             (u - 2.0).abs() < 0.3 && (l - 2.0).abs() < 0.3,
             "per-packet: {u} / {l}"
         );
-
-        let pf = Simulation::new(
-            &topo,
-            &demands,
-            &w,
-            SimConfig {
-                ecmp: EcmpMode::PerFlow,
-                ..cfg
-            },
-        )
-        .run();
-        let (u, l) = (
-            pf.throughput_mbps(upper, HIGH),
-            pf.throughput_mbps(lower, HIGH),
-        );
-        let (hot, cold) = (u.max(l), u.min(l));
-        assert!(hot > 3.7, "per-flow must pin the flow: {u} / {l}");
-        assert!(cold < 0.1, "the other path must be idle: {u} / {l}");
-    }
-
-    #[test]
-    fn ecmp_hash_evens_out_with_many_flows() {
-        // With every node pair carrying a flow, per-flow hashing carries
-        // the same total volume as per-packet splitting (hashing only
-        // redistributes traffic; it never drops or duplicates it).
-        let topo = diamond();
-        let mut high = TrafficMatrix::zeros(4);
-        for s in 0..4usize {
-            for t in 0..4usize {
-                if s != t {
-                    high.set(s, t, 0.8);
-                }
-            }
-        }
-        let demands = DemandSet {
-            high,
-            low: TrafficMatrix::zeros(4),
-        };
-        let w = DualWeights::replicated(WeightVector::uniform(&topo, 1));
-        // Seed picked for comfortable margin under the tolerance below:
-        // how far per-flow hashing lands from per-packet splitting on 12
-        // flows is seed-dependent, and the workspace's local `rand` shim
-        // generates a different stream than the crates.io StdRng this
-        // test was originally tuned against.
-        let cfg = SimConfig {
-            warmup_s: 0.5,
-            duration_s: 5.0,
-            seed: 12,
-            ecmp: EcmpMode::PerFlow,
-            ..Default::default()
-        };
-        let r = Simulation::new(&topo, &demands, &w, cfg).run();
-        let per_packet = Simulation::new(
-            &topo,
-            &demands,
-            &w,
-            SimConfig {
-                ecmp: EcmpMode::PerPacket,
-                ..cfg
-            },
-        )
-        .run();
-        let total = |rep: &SimReport| -> f64 {
-            topo.links()
-                .map(|(lid, _)| rep.throughput_mbps(lid, HIGH))
-                .sum()
-        };
-        assert!(
-            (total(&r) - total(&per_packet)).abs() < 0.4,
-            "{} vs {}",
-            total(&r),
-            total(&per_packet)
-        );
-    }
-
-    #[test]
-    fn per_flow_is_deterministic() {
-        let topo = diamond();
-        let mut high = TrafficMatrix::zeros(4);
-        high.set(0, 3, 3.0);
-        let demands = DemandSet {
-            high,
-            low: TrafficMatrix::zeros(4),
-        };
-        let w = DualWeights::replicated(WeightVector::uniform(&topo, 1));
-        let cfg = SimConfig {
-            duration_s: 1.0,
-            ecmp: EcmpMode::PerFlow,
-            ..Default::default()
-        };
-        let a = Simulation::new(&topo, &demands, &w, cfg).run();
-        let b = Simulation::new(&topo, &demands, &w, cfg).run();
-        assert_eq!(a.generated, b.generated);
-        for (lid, _) in topo.links() {
-            assert_eq!(
-                a.link_stats[lid.index()].per_class[0].sojourn,
-                b.link_stats[lid.index()].per_class[0].sojourn
-            );
-        }
     }
 }

@@ -52,7 +52,7 @@ pub mod queueing;
 pub mod stats;
 
 pub use backend::{BackendReport, DesBackend, SimBackend};
-pub use engine::{EcmpMode, Scheduler, SimConfig, SimReport, Simulation};
+pub use engine::{SimConfig, SimReport, Simulation};
 pub use event::{Event, EventQueue};
 pub use fluid::{FluidCfg, FluidSim};
 pub use forwarding::ForwardingState;

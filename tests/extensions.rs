@@ -1,17 +1,14 @@
-//! Cross-crate integration tests for the extension features:
-//! change-limited reoptimization deployed onto the MT-OSPF control plane,
-//! robust optimization, and the per-flow ECMP simulator mode against the
-//! analytic load model.
+//! Cross-crate integration tests for the two extension searches a
+//! front end reaches: change-limited reoptimization (`dtrctl reopt`,
+//! `dtrd`) deployed onto the MT-OSPF control plane, and failure-aware
+//! optimization (`dtrctl robust`).
 
 use dtr::core::{
     DtrSearch, Objective, ReoptSearch, RobustEvaluator, RobustSearch, ScenarioCombine, Scheme,
     SearchParams,
 };
 use dtr::graph::gen::{random_topology, RandomTopologyCfg};
-use dtr::graph::weights::DualWeights;
-use dtr::graph::{LinkId, WeightVector};
 use dtr::mtr::{deployment_cost, MtrNetwork, TopologyId};
-use dtr::sim::{EcmpMode, SimConfig, Simulation};
 use dtr::traffic::{DemandSet, TrafficCfg};
 
 fn instance() -> (dtr::graph::Topology, DemandSet) {
@@ -99,52 +96,4 @@ fn robust_optimization_does_not_sacrifice_validity() {
             assert!((1..=30).contains(&v));
         }
     }
-}
-
-#[test]
-fn per_flow_ecmp_preserves_totals_but_skews_links() {
-    // The per-flow hash must deliver the same volume as per-packet
-    // splitting while loading individual links differently when ECMP
-    // splits exist.
-    let (topo, demands) = instance();
-    let weights = DualWeights::replicated(WeightVector::uniform(&topo, 1));
-    let run = |ecmp| {
-        Simulation::new(
-            &topo,
-            &demands,
-            &weights,
-            SimConfig {
-                warmup_s: 0.2,
-                duration_s: 1.0,
-                seed: 11,
-                ecmp,
-                ..Default::default()
-            },
-        )
-        .run()
-    };
-    let pp = run(EcmpMode::PerPacket);
-    let pf = run(EcmpMode::PerFlow);
-    let total = |r: &dtr::sim::SimReport| -> f64 {
-        topo.links()
-            .map(|(lid, _)| r.throughput_mbps(lid, 0) + r.throughput_mbps(lid, 1))
-            .sum()
-    };
-    let (tp, tf) = (total(&pp), total(&pf));
-    assert!((tp - tf).abs() < 0.05 * tp, "totals diverged: {tp} vs {tf}");
-    // At least one link must differ materially (ECMP splits exist on a
-    // 12-node random graph with uniform weights).
-    let max_diff = topo
-        .links()
-        .map(|(lid, _)| {
-            let a = pp.throughput_mbps(lid, 1);
-            let b = pf.throughput_mbps(lid, 1);
-            (a - b).abs()
-        })
-        .fold(0.0f64, f64::max);
-    assert!(
-        max_diff > 1.0,
-        "per-flow hashing changed nothing: {max_diff}"
-    );
-    let _ = LinkId(0);
 }
