@@ -10,7 +10,7 @@ use dtr_core::{
 };
 use dtr_daemon::DaemonCfg;
 use dtr_engine::BackendKind;
-use dtr_graph::{export, Topology, Weight, MIN_WEIGHT};
+use dtr_graph::{export, LinkId, Topology, Weight, MIN_WEIGHT};
 use dtr_mtr::{MtrNetwork, TopologyId};
 use dtr_routing::Evaluator;
 use dtr_scenario::{ScenarioSpec, TopologySpec};
@@ -139,6 +139,24 @@ fn incumbent(
 
 fn topology(args: &Args) -> Result<Topology, CliError> {
     load(args.require(&TOPO)?)
+}
+
+/// Checks that each of `links` has a reverse direction: the commands
+/// that cut a link cut its duplex pair, and the failure sweeps and the
+/// MT-OSPF fabric assume the twin exists. A one-way link in the
+/// `--topo` file is reported here instead of panicking there.
+fn check_duplex(
+    args: &Args,
+    topo: &Topology,
+    mut links: impl Iterator<Item = LinkId>,
+) -> Result<(), CliError> {
+    let Some(lid) = links.find(|&lid| topo.reverse_link(lid).is_none()) else {
+        return Ok(());
+    };
+    let l = topo.link(lid);
+    let (src, dst) = (topo.node_name(l.src), topo.node_name(l.dst));
+    let detail = format!("link {} ({src} → {dst}) has no reverse direction", lid.0);
+    Err(misfit(args.require(&TOPO)?, detail))
 }
 
 /// Loads the `--traffic` matrices a command routes on `topo`: both must
@@ -690,6 +708,7 @@ pub fn cmd_deploy(args: &Args) -> Result<(), CliError> {
             topo.link_count()
         )));
     }
+    check_duplex(args, &topo, fail.map(LinkId).into_iter())?;
     if let Some(path) = args.get(&PRINT_CONFIG) {
         std::fs::write(path, dtr_mtr::network_config(&topo, &weights))?;
         println!("[wrote] {path} (router configuration stanzas)");
@@ -702,7 +721,7 @@ pub fn cmd_deploy(args: &Args) -> Result<(), CliError> {
         net.databases_synchronized()
     );
     if let Some(id) = fail {
-        let lid = dtr_graph::LinkId(id);
+        let lid = LinkId(id);
         let l = topo.link(lid);
         println!(
             "failing {} ↔ {} ...",
@@ -797,6 +816,7 @@ pub fn cmd_robust(args: &Args) -> Result<(), CliError> {
         .then(|| portfolio_cfg(args))
         .transpose()?;
     let topo = topology(args)?;
+    check_duplex(args, &topo, topo.links().map(|(lid, _)| lid))?;
     let demands = demands(args, &topo)?;
     let warm = incumbent(args, &topo, scheme, Some(params.max_weight))?;
 
@@ -1115,6 +1135,7 @@ pub fn cmd_churn(args: &Args) -> Result<(), CliError> {
         return Err(ArgError(msg.to_string()).into());
     }
     let topo = topology(args)?;
+    check_duplex(args, &topo, topo.links().map(|(lid, _)| lid))?;
     let base = demands(args, &topo)?;
     let name = args.get(&NAME).unwrap_or("churn");
     let trace = generate_churn(name, &topo, &base, &cfg);

@@ -6,6 +6,7 @@
 
 use dtr_cli::args::{Command, Flag, Kind};
 use dtr_cli::table::{COMMANDS, DTRD};
+use dtr_graph::{Topology, TopologyBuilder};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::{Command as Process, Output, Stdio};
@@ -175,6 +176,7 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
         "churn --topo {t} --traffic {m} --events 3 --out {trace}"
     ));
     assert!(churned.status.success(), "{churned:?}");
+    let [oneway, unit] = one_way_instance(dir);
     for (line, code, token) in [
         // Out-of-range values that used to die in a library assert!.
         (format!("topo random --nodes 0 --out {out}"), 2, "0/150"),
@@ -208,6 +210,28 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
             format!("upgrade --topo {t} --traffic {m} --budget 0"),
             2,
             "--budget",
+        ),
+        // A one-way link, where the duplex-failure commands cut both
+        // directions: they used to panic on the missing twin.
+        (
+            format!("robust --topo {oneway} --traffic {m} --out {out}"),
+            1,
+            "oneway.json: link 22 (n3 → n4) has no reverse direction",
+        ),
+        (
+            format!("optimize --robust --topo {oneway} --traffic {m} --out {out}"),
+            1,
+            "oneway.json: link 22 (n3 → n4) has no reverse direction",
+        ),
+        (
+            format!("churn --topo {oneway} --traffic {m} --out {out}"),
+            1,
+            "oneway.json: link 22 (n3 → n4) has no reverse direction",
+        ),
+        (
+            format!("deploy --topo {oneway} --weights {unit} --fail-link 22"),
+            1,
+            "oneway.json: link 22 (n3 → n4) has no reverse direction",
         ),
         // Files that used to load and panic at first use.
         (
@@ -306,6 +330,29 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
         assert!(stderr.contains(token), "{line}: {stderr}");
         assert!(!Path::new(&out).exists(), "{line} wrote its --out");
     }
+}
+
+/// `dtrctl topo random --nodes 8 --links 24 --seed 3` with link 23
+/// (n4 → n3) dropped, so link 22 (n3 → n4) has no reverse direction,
+/// and a unit weight file for it: `[topology, weights]` under `dir`.
+fn one_way_instance(dir: &Path) -> [String; 2] {
+    let [full, oneway, unit] =
+        ["duplex.json", "oneway.json", "unit.json"].map(|f| dir.join(f).display().to_string());
+    let done = run_line(&format!(
+        "topo random --nodes 8 --links 24 --seed 3 --out {full}"
+    ));
+    assert!(done.status.success(), "{done:?}");
+    let full: Topology = serde_json::from_str(&std::fs::read_to_string(full).unwrap()).unwrap();
+    let mut b = TopologyBuilder::new();
+    b.add_nodes(full.node_count());
+    for (_, l) in full.links().filter(|(lid, _)| lid.index() != 23) {
+        b.add_link(l.src, l.dst, l.capacity, l.prop_delay);
+    }
+    let topo = b.build().expect("still strongly connected");
+    std::fs::write(&oneway, serde_json::to_string(&topo).unwrap()).unwrap();
+    let v = vec![1; topo.link_count()];
+    std::fs::write(&unit, format!("{{\"high\":{v:?},\"low\":{v:?}}}")).unwrap();
+    [oneway, unit]
 }
 
 /// What a perturbed flag is given instead of its value; the first entry
