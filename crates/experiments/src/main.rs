@@ -8,7 +8,7 @@
 //!
 //! Prints each artifact's rows/series and writes them as CSV under
 //! `results/` (`DTR_RESULTS` overrides). `--quick` is the tiny smoke
-//! budget ([`ExperimentCtx::smoke`]; all 19 artifacts in seconds, CI's
+//! budget ([`ExperimentCtx::smoke`]; every artifact in seconds, CI's
 //! `experiments-smoke` job), `--paper` the full published iteration
 //! budget (hours of CPU); with neither, [`ExperimentCtx::default`] —
 //! the budget the committed figures were produced with. `--points N`
