@@ -126,19 +126,6 @@ impl Request {
                 | Request::Flush
         )
     }
-
-    /// True for requests answerable from an immutable state view
-    /// (probes and management reads) — the set the server answers
-    /// concurrently from a published snapshot.
-    pub fn is_readonly(&self) -> bool {
-        matches!(
-            self,
-            Request::WhatIfLinkDown { .. }
-                | Request::WhatIfWeights { .. }
-                | Request::Status
-                | Request::Snapshot
-        )
-    }
 }
 
 /// One reply line.

@@ -1,11 +1,12 @@
-//! Search-design ablations at realistic budget (3 seeds each):
-//! the numbers EXPERIMENTS.md quotes.
+//! Search-design ablations at realistic budget (3 seeds each) on the
+//! paper's 30-node / 150-link random topology: mean DTR cost per
+//! setting of `tau`, the diversification rates and the refinement stage.
 use dtr_core::{DtrSearch, Objective, SearchParams};
-use dtr_experiments::paper_random;
+use dtr_experiments::TopologyKind;
 use dtr_traffic::{DemandSet, TrafficCfg};
 
 fn main() {
-    let topo = paper_random(1);
+    let topo = TopologyKind::Random.build(1);
     let demands = DemandSet::generate(&topo, &TrafficCfg::default()).scaled(6.0);
     let mean = |mk: &dyn Fn(u64) -> SearchParams| -> (f64, f64) {
         let (mut h, mut l) = (0.0, 0.0);

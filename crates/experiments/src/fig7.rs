@@ -61,8 +61,8 @@ pub fn table(data: &Fig7Data) -> Table {
 }
 
 /// Mean utilization of the links in the lowest- and highest-delay
-/// terciles — the summary statistic EXPERIMENTS.md reports for the
-/// paper's "short links carry more load" claim.
+/// terciles — the summary statistic for the paper's "short links carry
+/// more load" claim.
 pub fn tercile_means(points: &[(f64, f64)]) -> (f64, f64) {
     let mut sorted: Vec<(f64, f64)> = points.to_vec();
     sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());

@@ -48,11 +48,6 @@ impl TopologyKind {
     }
 }
 
-/// The paper's 30-node / 150-link random topology.
-pub fn paper_random(seed: u64) -> Topology {
-    TopologyKind::Random.build(seed)
-}
-
 /// Global experiment configuration shared by all figures.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentCtx {
@@ -223,7 +218,7 @@ mod tests {
 
     #[test]
     fn topology_kinds_build_paper_instances() {
-        assert_eq!(paper_random(1).link_count(), 150);
+        assert_eq!(TopologyKind::Random.build(1).link_count(), 150);
         assert_eq!(TopologyKind::PowerLaw.build(1).link_count(), 162);
         assert_eq!(TopologyKind::Isp.build(0).node_count(), 16);
         assert_eq!(TopologyKind::Isp.name(), "isp");

@@ -313,11 +313,6 @@ impl TopologyBuilder {
         self.add_link(b, a, capacity, prop_delay);
     }
 
-    /// Returns `true` if a directed link `src → dst` was already added.
-    pub fn has_link(&self, src: NodeId, dst: NodeId) -> bool {
-        self.links.iter().any(|l| l.src == src && l.dst == dst)
-    }
-
     /// Validates and freezes the topology.
     pub fn build(self) -> Result<Topology, TopologyError> {
         let topo = self.assemble()?;

@@ -50,13 +50,6 @@ pub fn network_config(topo: &Topology, weights: &DualWeights) -> String {
     s
 }
 
-/// Number of configuration lines DTR needs beyond single-topology
-/// routing — the §1 "configuration overhead" made concrete: exactly one
-/// extra metric line per interface.
-pub fn extra_config_lines(topo: &Topology) -> usize {
-    topo.link_count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,6 +87,5 @@ mod tests {
             .count();
         assert_eq!(routers, 3);
         assert_eq!(interfaces, 6);
-        assert_eq!(extra_config_lines(&topo), 6);
     }
 }
