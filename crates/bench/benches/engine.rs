@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dtr_core::{DtrSearch, Objective, SearchParams};
 use dtr_cost::{ObjectiveSpec, SlaParams};
-use dtr_engine::{make_backend, BackendKind, KClassBatchEvaluator};
+use dtr_engine::{make_backend, BackendKind, Class, KClassBatchEvaluator};
 use dtr_graph::datacenter::{fat_tree_topology, FatTreeCfg};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::rocketfuel::{rocketfuel_topology, RocketfuelCfg};
@@ -218,13 +218,17 @@ fn bench_kclass(c: &mut Criterion) {
     }
 }
 
-/// Deployment-aware low-class stepping cost: the 50-node instance with
-/// half the routers upgraded (every even index), batch-evaluating low
-/// weight candidates through `BatchEvaluator::eval_class_batch` — the
-/// `FindL` hot path of a partial-deployment search, where every
-/// candidate rebuilds the hybrid (legacy + upgraded) per-destination
-/// DAGs. Candidates are regenerated per iteration so caching cannot
-/// absorb the harness's repeats.
+/// Deployment-aware stepping cost: the 50-node instance with half the
+/// routers upgraded (every even index), batch-evaluating weight
+/// candidates of one class through `BatchEvaluator::eval_class_batch`
+/// with both lanes based at the current setting, as a search holds
+/// them — the `FindL` (`low_step`) and `FindH` (`high_step`) hot paths
+/// of a partial-deployment search. A low move re-routes the hybrid
+/// (legacy + upgraded) low DAGs; a high move re-routes the high class
+/// and, through the legacy nodes, the low class too. Only destinations
+/// whose moved-class DAG a candidate changes rebuild their hybrid.
+/// Candidates are regenerated per iteration so caching cannot absorb
+/// the harness's repeats.
 fn bench_deployed(c: &mut Criterion) {
     let topo = random_topology(&RandomTopologyCfg {
         nodes: 50,
@@ -250,15 +254,20 @@ fn bench_deployed(c: &mut Criterion) {
     ev.set_deployment(Some(dep))
         .expect("load-based two-class evaluator accepts a deployment");
     let base = DualWeights::replicated(WeightVector::delay_proportional(&topo, 30));
+    for class in [Class::High, Class::Low] {
+        ev.rebase(class, class.of(&base));
+    }
     let base_eval = ev.eval_dual(&base);
     let mut round: u64 = 0;
-    c.bench_function("engine/deployed/low_step/random_50n_200l", |b| {
-        b.iter(|| {
-            round += 1;
-            let cands = neighbors_seeded(&topo, &base.low, 8, "step", round);
-            ev.eval_class_batch(dtr_engine::Class::Low, &cands, &base, &base_eval)
-        })
-    });
+    for (class, label) in [(Class::Low, "low_step"), (Class::High, "high_step")] {
+        c.bench_function(format!("engine/deployed/{label}/random_50n_200l"), |b| {
+            b.iter(|| {
+                round += 1;
+                let cands = neighbors_seeded(&topo, class.of(&base), 8, "step", round);
+                ev.eval_class_batch(class, &cands, &base, &base_eval)
+            })
+        });
+    }
 }
 
 /// End-to-end seeded search under both backends: wall-clock and

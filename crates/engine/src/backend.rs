@@ -115,7 +115,8 @@ impl<'a> FullBackend<'a> {
 
 /// Shared full-evaluation walk (also the fallback path of the
 /// incremental backend): identical iteration order and arithmetic to
-/// [`dtr_routing::LoadCalculator::accumulate`].
+/// [`dtr_routing::LoadCalculator::accumulate`]. `want_dags` returns a
+/// DAG for every destination, with demand or not.
 pub fn full_candidate_eval(
     topo: &Topology,
     matrices: &[&TrafficMatrix],
@@ -147,7 +148,7 @@ pub fn full_candidate_eval_masked(
         let any = matrices
             .iter()
             .any(|m| m.demands_to(t.index()).next().is_some());
-        if !any {
+        if !any && !want_dags {
             continue;
         }
         let dag = ShortestPathDag::compute_with(topo, w, t, link_up, &mut ws);
@@ -219,10 +220,16 @@ impl<'a> IncrementalBackend<'a> {
     /// both simpler and faster. Neighborhood moves touch ≤ 2 links.
     pub const MAX_DELTAS: usize = 8;
 
-    /// Binds `matrices` routed on `base` and builds the initial DAGs.
-    pub fn new(topo: &'a Topology, matrices: Vec<&'a TrafficMatrix>, base: WeightVector) -> Self {
+    /// Binds `matrices` routed on `base` and builds the initial DAGs —
+    /// with `all_dests`, for every destination (see [`FlowState::new`]).
+    pub fn new(
+        topo: &'a Topology,
+        matrices: Vec<&'a TrafficMatrix>,
+        base: WeightVector,
+        all_dests: bool,
+    ) -> Self {
         IncrementalBackend {
-            state: FlowState::new(topo, matrices.clone(), base),
+            state: FlowState::new(topo, matrices.clone(), base, all_dests),
             topo,
             matrices,
         }
@@ -290,6 +297,6 @@ pub fn make_backend<'a>(
 ) -> Box<dyn EvalBackend + 'a> {
     match kind {
         BackendKind::Full => Box::new(FullBackend::new(topo, matrices, base)),
-        BackendKind::Incremental => Box::new(IncrementalBackend::new(topo, matrices, base)),
+        BackendKind::Incremental => Box::new(IncrementalBackend::new(topo, matrices, base, false)),
     }
 }

@@ -42,6 +42,7 @@ pub mod backend;
 pub mod cache;
 pub mod dynspf;
 pub mod flat;
+mod hybrid;
 pub mod kclass;
 pub mod state;
 
@@ -55,17 +56,18 @@ pub use dynspf::{
     DynSpfScratch,
 };
 pub use flat::{FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
+use hybrid::HybridLows;
 pub use kclass::{KClassBatchEvaluator, KClassEvaluation};
 pub use state::{CandidateEval, DestState, FlowState, WorkStats, PAR_MIN_WORK};
 
 use dtr_cost::Objective;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
+use dtr_graph::{NodeId, ShortestPathDag, Topology, WeightVector};
 use dtr_routing::{
-    hybrid_low_dag, push_demand_down_dag, sla_evaluation, trapped_flow, ClassLoads, DeploymentSet,
-    EvalError, Evaluation, Evaluator, FailureScenario, HighSide,
+    sla_evaluation, ClassLoads, DeploymentSet, EvalError, Evaluation, Evaluator, FailureScenario,
+    HighSide,
 };
-use dtr_traffic::DemandSet;
+use dtr_traffic::{DemandSet, TrafficMatrix};
 use std::sync::Arc;
 
 /// One class of a dual weight setting — which vector a
@@ -99,6 +101,13 @@ impl Class {
 /// Default LRU capacity per class cache.
 const DEFAULT_CACHE_CAPACITY: usize = 512;
 
+/// LRU capacity per moved class under a partial deployment.
+const DEPLOYED_CACHE_CAPACITY: usize = 64;
+
+/// What a candidate routes to: its [`HighSide`] when the high class
+/// moved, its low loads and its trapped volume.
+type Routed = (Option<HighSide>, ClassLoads, f64);
+
 /// The batch candidate evaluator the searches drive.
 ///
 /// Owns one lane (a backend, plus an LRU cache for the per-class sides)
@@ -114,9 +123,10 @@ pub struct BatchEvaluator<'a> {
     high: Lane<'a, HighSide>,
     low: Lane<'a, ClassLoads>,
     joint: Lane<'a, Evaluation>,
-    /// Workspace for the fresh SPFs the deployed paths need at
-    /// destinations outside a backend's coverage.
-    ws: SpfWorkspace,
+    /// Under a bound partial deployment, the hybrid low loads of the
+    /// lanes' base pair, and per moved class an LRU of routed candidates
+    /// keyed by the candidate followed by the other class's vector.
+    hybrid: Option<(HybridLows<'a>, [LruCache<Routed>; 2])>,
 }
 
 /// One routed side: the backend that routes its candidates and, for the
@@ -129,7 +139,10 @@ pub struct BatchEvaluator<'a> {
 struct Lane<'a, V> {
     kind: BackendKind,
     topo: &'a Topology,
-    matrices: Vec<&'a dtr_traffic::TrafficMatrix>,
+    matrices: Vec<&'a TrafficMatrix>,
+    /// Whether the backend keeps a DAG for every destination, not just
+    /// its demand's (the class lanes, under a partial deployment).
+    all_dests: bool,
     /// Base tracked while the backend doesn't exist yet.
     base: WeightVector,
     backend: Option<Box<dyn EvalBackend + 'a>>,
@@ -142,13 +155,14 @@ impl<'a, V: Clone> Lane<'a, V> {
     fn new(
         kind: BackendKind,
         topo: &'a Topology,
-        matrices: Vec<&'a dtr_traffic::TrafficMatrix>,
+        matrices: Vec<&'a TrafficMatrix>,
         cached: bool,
     ) -> Self {
         Lane {
             kind,
             topo,
             matrices,
+            all_dests: false,
             base: WeightVector::uniform(topo, 1),
             backend: None,
             cache: cached.then(|| LruCache::new(DEFAULT_CACHE_CAPACITY)),
@@ -157,12 +171,13 @@ impl<'a, V: Clone> Lane<'a, V> {
 
     fn backend(&mut self) -> &mut (dyn EvalBackend + 'a) {
         if self.backend.is_none() {
-            self.backend = Some(make_backend(
-                self.kind,
-                self.topo,
-                self.matrices.clone(),
-                self.base.clone(),
-            ));
+            let (topo, matrices, base) = (self.topo, self.matrices.clone(), self.base.clone());
+            self.backend = Some(match (self.kind, self.all_dests) {
+                (BackendKind::Incremental, true) => {
+                    Box::new(IncrementalBackend::new(topo, matrices, base, true))
+                }
+                (kind, _) => make_backend(kind, topo, matrices, base),
+            });
         }
         self.backend.as_mut().unwrap().as_mut()
     }
@@ -172,6 +187,15 @@ impl<'a, V: Clone> Lane<'a, V> {
             Some(b) => b.rebase(w),
             None => self.base = w.clone(),
         }
+    }
+
+    /// Sets [`Lane::all_dests`]; the backend is rebuilt at its base on
+    /// next use.
+    fn set_all_dests(&mut self, all_dests: bool) {
+        if let Some(b) = self.backend.take() {
+            self.base = b.base().clone();
+        }
+        self.all_dests = all_dests;
     }
 
     fn work_stats(&self) -> WorkStats {
@@ -234,7 +258,7 @@ impl<'a> BatchEvaluator<'a> {
             high: Lane::new(kind, topo, vec![&demands.high], true),
             low: Lane::new(kind, topo, vec![&demands.low], true),
             joint: Lane::new(kind, topo, vec![&demands.high, &demands.low], false),
-            ws: SpfWorkspace::new(),
+            hybrid: None,
         }
     }
 
@@ -318,9 +342,17 @@ impl<'a> BatchEvaluator<'a> {
 
     /// Binds a partial-deployment model on the underlying evaluator (see
     /// [`dtr_routing::deploy`]); `None` or a full set clears it and
-    /// restores the exact legacy paths.
+    /// restores the exact legacy paths. Under a partial one both class
+    /// lanes keep a DAG for every destination.
     pub fn set_deployment(&mut self, dep: Option<DeploymentSet>) -> Result<(), EvalError> {
-        self.evaluator.set_deployment(dep)
+        self.evaluator.set_deployment(dep)?;
+        let (topo, low) = (self.topo(), &self.demands().low);
+        let dep = self.evaluator.deployment().cloned();
+        let routed = || [(); 2].map(|_| LruCache::new(DEPLOYED_CACHE_CAPACITY));
+        self.hybrid = dep.map(|dep| (HybridLows::new(topo, low, dep), routed()));
+        self.high.set_all_dests(self.hybrid.is_some());
+        self.low.set_all_dests(self.hybrid.is_some());
+        Ok(())
     }
 
     /// The bound partial deployment, if any.
@@ -328,80 +360,79 @@ impl<'a> BatchEvaluator<'a> {
         self.evaluator.deployment()
     }
 
-    /// Routes a batch of candidates for one class under the bound
-    /// partial deployment, against the other class's vector in `w`.
-    /// Per candidate: its [`HighSide`] when the high class moved, the
-    /// hybrid low loads, and the trapped (undeliverable) volume.
-    ///
-    /// The moved class's per-destination DAGs come from its (possibly
-    /// incremental) backend — which tracks only destinations with that
-    /// class's demand, so a low destination outside the high backend's
-    /// coverage gets a fresh per-candidate SPF; the fixed class's DAGs
-    /// are computed once per call. Results are bit-identical to
-    /// [`Evaluator::low_loads_deployed`] because the hybrid synthesis
-    /// reads only DAG branch lists, which both paths produce identically.
-    /// Uncached: results key on the `(wh, wl)` pair, which the per-class
-    /// LRU caches cannot express.
+    /// Routes candidates for one class under the bound partial
+    /// deployment against the other class's vector in `w`: that class's
+    /// LRU first, then [`Self::route_hybrid`] for the misses.
     fn route_deployed(
         &mut self,
         class: Class,
         cands: &[WeightVector],
         w: &DualWeights,
-    ) -> Vec<(Option<HighSide>, ClassLoads, f64)> {
-        let dep = self
-            .deployment()
-            .cloned()
-            .expect("a partial deployment is bound");
-        let (topo, demands) = (self.topo(), self.demands());
-        // Destinations with low-priority demand, ascending — the hybrid
-        // push order (matches `Evaluator::low_loads_deployed`).
-        let dests: Vec<NodeId> = topo
-            .nodes()
-            .filter(|t| demands.low.demands_to(t.index()).next().is_some())
+    ) -> Vec<Routed> {
+        let fixed = [&w.low, &w.high][class as usize].as_slice();
+        let keys: Vec<WeightVector> = (cands.iter())
+            .map(|c| WeightVector::from_vec([c.as_slice(), fixed].concat()))
             .collect();
-        let (fixed_w, backend) = match class {
-            Class::High => (&w.low, self.high.backend()),
-            Class::Low => (&w.high, self.low.backend()),
-        };
-        let fixed: Vec<ShortestPathDag> = dests
-            .iter()
-            .map(|&t| ShortestPathDag::compute_with(topo, fixed_w, t, None, &mut self.ws))
+        let (_, caches) = self.hybrid.as_mut().expect("a partial deployment is bound");
+        let mut out: Vec<Option<Routed>> =
+            keys.iter().map(|k| caches[class as usize].get(k)).collect();
+        let misses: Vec<WeightVector> = (cands.iter().zip(&out))
+            .filter(|(_, o)| o.is_none())
+            .map(|(c, _)| c.clone())
             .collect();
-        let evals = backend.eval_batch(cands, true);
-        let mut by_node: Vec<Option<Arc<ShortestPathDag>>> = vec![None; topo.node_count()];
-        let mut results = Vec::with_capacity(evals.len());
-        for (mut ev, cand) in evals.into_iter().zip(cands) {
-            let high = (class == Class::High).then(|| {
-                let loads = ev.loads.swap_remove(0);
-                high_side(&mut self.evaluator, loads, cand, &ev.dags)
-            });
-            by_node.iter_mut().for_each(|s| *s = None);
-            for (t, dag) in ev.dags {
-                by_node[t.index()] = Some(dag);
+        if !misses.is_empty() {
+            let values = self.route_hybrid(class, &misses, w);
+            let (_, caches) = self.hybrid.as_mut().unwrap();
+            let slots = out.iter_mut().zip(&keys).filter(|(o, _)| o.is_none());
+            for ((slot, key), value) in slots.zip(values) {
+                caches[class as usize].put(key, value.clone());
+                *slot = Some(value);
             }
-            let mut out = vec![0.0; topo.link_count()];
-            let mut flow = Vec::new();
-            let mut undeliverable = 0.0;
-            for (t, fixed_dag) in dests.iter().zip(&fixed) {
-                let fresh;
-                let moved = match by_node[t.index()].as_deref() {
-                    Some(d) => d,
-                    None => {
-                        fresh = ShortestPathDag::compute_with(topo, cand, *t, None, &mut self.ws);
-                        &fresh
-                    }
-                };
-                let (dh, dl) = match class {
-                    Class::High => (moved, fixed_dag),
-                    Class::Low => (fixed_dag, moved),
-                };
-                let hybrid = hybrid_low_dag(topo, &dep, dh, dl);
-                push_demand_down_dag(topo, &hybrid, &demands.low, *t, &mut flow, &mut out);
-                undeliverable += trapped_flow(&hybrid, &flow);
-            }
-            results.push((high, out, undeliverable));
         }
-        results
+        out.into_iter().map(Option::unwrap).collect()
+    }
+
+    /// Routes [`Self::route_deployed`]'s misses. The other class's lane
+    /// is first rebased onto its vector of `w` (a no-op in every search,
+    /// which rebases on accept), so both classes' base DAGs — each
+    /// lane's base routed as a candidate — come from their lanes, and
+    /// the hybrid cache moves to that pair; the moved class's candidate
+    /// DAGs come from its backend. Bit-identical to
+    /// [`Evaluator::low_loads_deployed`] (see `hybrid`).
+    fn route_hybrid(
+        &mut self,
+        class: Class,
+        cands: &[WeightVector],
+        w: &DualWeights,
+    ) -> Vec<Routed> {
+        let base_dags = |lane: &mut dyn EvalBackend| {
+            let base = lane.base().clone();
+            lane.eval_batch(&[base], true).swap_remove(0).dags
+        };
+        match class {
+            Class::High => self.low.rebase(&w.low),
+            Class::Low => self.high.rebase(&w.high),
+        }
+        let high = base_dags(self.high.backend());
+        let low = base_dags(self.low.backend());
+        let (hybrid, _) = self.hybrid.as_mut().expect("a partial deployment is bound");
+        hybrid.rebase(&high, &low);
+        let backend = match class {
+            Class::High => self.high.backend(),
+            Class::Low => self.low.backend(),
+        };
+        let evals = backend.eval_batch(cands, true);
+        let evaluator = &mut self.evaluator;
+        (evals.into_iter().zip(cands))
+            .map(|(mut ev, cand)| {
+                let (low_loads, trapped) = hybrid.low_loads(class, &ev.dags);
+                let high = (class == Class::High).then(|| {
+                    let loads = ev.loads.swap_remove(0);
+                    high_side(evaluator, loads, cand, &ev.dags)
+                });
+                (high, low_loads, trapped)
+            })
+            .collect()
     }
 
     /// Full evaluation of a dual setting, bit-identical to
@@ -440,19 +471,18 @@ impl<'a> BatchEvaluator<'a> {
         w: &DualWeights,
         base: &Evaluation,
     ) -> Vec<Evaluation> {
-        let routed: Vec<(Option<HighSide>, ClassLoads, f64)> =
-            match (self.deployment().is_some(), class) {
-                (true, _) => self.route_deployed(class, cands, w),
-                (false, Class::High) => {
-                    let highs = self.eval_high_batch(cands);
-                    let with_low = |high| (Some(high), base.low_loads.clone(), 0.0);
-                    highs.into_iter().map(with_low).collect()
-                }
-                (false, Class::Low) => {
-                    let lows = self.eval_low_batch(cands);
-                    lows.into_iter().map(|loads| (None, loads, 0.0)).collect()
-                }
-            };
+        let routed: Vec<Routed> = match (self.deployment().is_some(), class) {
+            (true, _) => self.route_deployed(class, cands, w),
+            (false, Class::High) => {
+                let highs = self.eval_high_batch(cands);
+                let with_low = |high| (Some(high), base.low_loads.clone(), 0.0);
+                highs.into_iter().map(with_low).collect()
+            }
+            (false, Class::Low) => {
+                let lows = self.eval_low_batch(cands);
+                lows.into_iter().map(|loads| (None, loads, 0.0)).collect()
+            }
+        };
         routed
             .into_iter()
             .map(|(high, low_loads, undeliverable)| {
@@ -557,13 +587,18 @@ impl<'a> BatchEvaluator<'a> {
     /// Work counters summed over the three backends: how the
     /// incremental backends disposed of each destination of each
     /// candidate (replayed / rebranched / repaired), how many candidates
-    /// fell back to a full evaluation, and how many rebases ran. Exact
-    /// and repeatable for a given call sequence; all zero under
-    /// [`BackendKind::Full`].
+    /// fell back to a full evaluation, and how many rebases ran — plus,
+    /// under a partial deployment, the hybrid low DAGs rebuilt and the
+    /// destinations whose cached hybrid loads were replayed. Exact and
+    /// repeatable for a given call sequence; the backend counters are
+    /// all zero under [`BackendKind::Full`].
     pub fn work_stats(&self) -> WorkStats {
         let mut total = self.high.work_stats();
         total += self.low.work_stats();
         total += self.joint.work_stats();
+        if let Some((hybrid, _)) = &self.hybrid {
+            total += hybrid.work_stats();
+        }
         total
     }
 }
@@ -784,6 +819,62 @@ mod tests {
                     engine.rebase(class, class.of(&w));
                 }
             }
+        }
+    }
+
+    /// Under a partial deployment a candidate that repairs no
+    /// destination replays every destination's base hybrid and rebuilds
+    /// none; one that repairs some rebuilds exactly those. Both match
+    /// the evaluator.
+    #[test]
+    fn a_candidate_that_repairs_nothing_rebuilds_no_hybrid() {
+        let (topo, demands) = instance(12);
+        let n = topo.node_count();
+        let upgraded: Vec<u32> = (0..n as u32).step_by(2).collect();
+        let dep = DeploymentSet::from_upgraded(n, &upgraded);
+        let mut w = DualWeights::replicated(WeightVector::uniform(&topo, 1));
+        for (i, (lid, _)) in topo.links().enumerate() {
+            w.low.set(lid, 1 + (i as u32 * 7) % 13);
+        }
+        // Raising a link that no low-class DAG uses repairs nothing.
+        let mut on_dag = vec![false; topo.link_count()];
+        for t in topo.nodes() {
+            let dag = ShortestPathDag::compute(&topo, &w.low, t);
+            dag.ecmp_out
+                .iter()
+                .flatten()
+                .for_each(|l| on_dag[l.index()] = true);
+        }
+        let idle = dtr_graph::LinkId(on_dag.iter().position(|&on| !on).unwrap() as u32);
+        let used = dtr_graph::LinkId(on_dag.iter().position(|&on| on).unwrap() as u32);
+        let low_dests = topo
+            .nodes()
+            .filter(|t| demands.low.demands_to(t.index()).next().is_some())
+            .count() as u64;
+        let mut reference = Evaluator::new(&topo, &demands, Objective::LoadBased);
+        reference.set_deployment(Some(dep.clone())).unwrap();
+        let mut engine = BatchEvaluator::new(
+            &topo,
+            &demands,
+            Objective::LoadBased,
+            BackendKind::Incremental,
+        );
+        engine.set_deployment(Some(dep)).unwrap();
+        engine.rebase(Class::High, &w.high);
+        engine.rebase(Class::Low, &w.low);
+        let base = engine.eval_dual(&w);
+        assert_eq!(base, reference.eval_dual(&w));
+        for (link, rebuilds) in [(idle, false), (used, true)] {
+            let mut moved = w.clone();
+            moved.low.set(link, w.low.get(link) + 1);
+            let before = engine.work_stats();
+            let ev = engine.eval_class_batch(Class::Low, &[moved.low.clone()], &w, &base);
+            let after = engine.work_stats();
+            assert_eq!(ev, [reference.eval_dual(&moved)]);
+            let rebuilt = after.hybrids_rebuilt - before.hybrids_rebuilt;
+            let replayed = after.hybrids_replayed - before.hybrids_replayed;
+            assert_eq!(rebuilt + replayed, low_dests);
+            assert_eq!(rebuilt > 0, rebuilds, "{after:?}");
         }
     }
 

@@ -94,6 +94,11 @@ pub struct WorkStats {
     pub full_fallbacks: u64,
     /// Base moves, by repair or rebuild.
     pub rebases: u64,
+    /// Under a partial deployment, destinations whose low demand was
+    /// pushed down a rebuilt hybrid DAG, for the base pair or a candidate.
+    pub hybrids_rebuilt: u64,
+    /// Destinations whose base hybrid low loads a candidate replayed.
+    pub hybrids_replayed: u64,
 }
 
 impl std::ops::AddAssign for WorkStats {
@@ -103,6 +108,8 @@ impl std::ops::AddAssign for WorkStats {
         self.repaired += o.repaired;
         self.full_fallbacks += o.full_fallbacks;
         self.rebases += o.rebases;
+        self.hybrids_rebuilt += o.hybrids_rebuilt;
+        self.hybrids_replayed += o.hybrids_replayed;
     }
 }
 
@@ -264,9 +271,9 @@ pub struct FlowState<'a> {
     /// Bumped by every base move, so a scratch can tell whether its
     /// staged weight slice still equals `base`.
     generation: u64,
-    /// Cached per-destination state, ascending destination order, only
-    /// destinations with demand in at least one matrix. The set is
-    /// fixed at construction (it depends only on the matrices).
+    /// Cached per-destination state, ascending destination order: every
+    /// destination, or only those with demand in at least one matrix.
+    /// The set is fixed at construction.
     dests: Vec<DestState>,
     /// One scratch per participant of a pass, grown on first need; the
     /// first also serves every inline pass and the failure sweep.
@@ -294,8 +301,15 @@ pub struct CandidateEval {
 }
 
 impl<'a> FlowState<'a> {
-    /// Builds the full state for `matrices` routed on `base`.
-    pub fn new(topo: &'a Topology, matrices: Vec<&'a TrafficMatrix>, base: WeightVector) -> Self {
+    /// Builds the full state for `matrices` routed on `base`. With
+    /// `all_dests` it keeps a DAG for every destination; one that no
+    /// matrix sends demand to has empty demand columns and adds nothing.
+    pub fn new(
+        topo: &'a Topology,
+        matrices: Vec<&'a TrafficMatrix>,
+        base: WeightVector,
+        all_dests: bool,
+    ) -> Self {
         assert!(!matrices.is_empty());
         assert_eq!(base.len(), topo.link_count());
         let flat = FlatTopo::new(topo);
@@ -307,7 +321,7 @@ impl<'a> FlowState<'a> {
                 .iter()
                 .map(|m| demand_column(m, t.0, topo.node_count()))
                 .collect();
-            if demand.iter().any(|col| !col.is_empty()) {
+            if all_dests || demand.iter().any(|col| !col.is_empty()) {
                 dests.push(DestState {
                     dest: t,
                     dag: FlatDag::empty(&flat),
@@ -845,7 +859,8 @@ mod tests {
             })
             .collect();
         with_threads(3, || {
-            let mut state = FlowState::new(&topo, vec![&demands.high, &demands.low], w.clone());
+            let mut state =
+                FlowState::new(&topo, vec![&demands.high, &demands.low], w.clone(), false);
             assert!(state.dest_count() * topo.node_count() < PAR_MIN_WORK);
             state.eval_batch(&cands, 4, true);
             state.rebase(&cands[0], 4);
@@ -875,7 +890,7 @@ mod tests {
             .collect();
         let run = |threads: usize| {
             with_threads(threads, || {
-                let mut state = FlowState::new(&topo, vec![&demands.low], w.clone());
+                let mut state = FlowState::new(&topo, vec![&demands.low], w.clone(), false);
                 assert!(state.dest_count() * topo.node_count() >= PAR_MIN_WORK);
                 let two = state.eval_batch(&cands[..2], 4, false);
                 let all = state.eval_batch(&cands, 4, false);
@@ -907,7 +922,7 @@ mod tests {
     fn base_fold_matches_full_calculator_bitwise() {
         let (topo, demands) = instance(3);
         let w = WeightVector::uniform(&topo, 7);
-        let state = FlowState::new(&topo, vec![&demands.high], w.clone());
+        let state = FlowState::new(&topo, vec![&demands.high], w.clone(), false);
         let full = LoadCalculator::new().class_loads(&topo, &w, &demands.high);
         assert_eq!(state.base_loads()[0], full);
     }
@@ -916,7 +931,7 @@ mod tests {
     fn joint_fold_matches_joint_loads_bitwise() {
         let (topo, demands) = instance(5);
         let w = WeightVector::uniform(&topo, 3);
-        let state = FlowState::new(&topo, vec![&demands.high, &demands.low], w.clone());
+        let state = FlowState::new(&topo, vec![&demands.high, &demands.low], w.clone(), false);
         let (fh, fl) = LoadCalculator::new().joint_loads(&topo, &w, &demands.high, &demands.low);
         let loads = state.base_loads();
         assert_eq!(loads[0], fh);
@@ -928,7 +943,7 @@ mod tests {
         let (topo, demands) = instance(8);
         let mut rng = StdRng::seed_from_u64(17);
         let w = WeightVector::uniform(&topo, 5);
-        let mut state = FlowState::new(&topo, vec![&demands.low], w.clone());
+        let mut state = FlowState::new(&topo, vec![&demands.low], w.clone(), false);
         let mut calc = LoadCalculator::new();
         for _ in 0..200 {
             let mut cand = w.clone();
@@ -947,7 +962,7 @@ mod tests {
         let (topo, demands) = instance(6);
         let mut rng = StdRng::seed_from_u64(41);
         let w = WeightVector::uniform(&topo, 4);
-        let mut state = FlowState::new(&topo, vec![&demands.high], w.clone());
+        let mut state = FlowState::new(&topo, vec![&demands.high], w.clone(), false);
         for _ in 0..40 {
             let mut cand = w.clone();
             for _ in 0..rng.random_range(1usize..=2) {
@@ -968,7 +983,7 @@ mod tests {
     fn eval_mask_matches_masked_calculator_bitwise() {
         let (topo, demands) = instance(7);
         let w = WeightVector::uniform(&topo, 4);
-        let mut state = FlowState::new(&topo, vec![&demands.high, &demands.low], w.clone());
+        let mut state = FlowState::new(&topo, vec![&demands.high, &demands.low], w.clone(), false);
         let mut calc = LoadCalculator::new();
         let scenarios = dtr_routing::survivable_duplex_failures(&topo);
         assert!(!scenarios.is_empty());
@@ -988,7 +1003,7 @@ mod tests {
     fn eval_mask_all_up_is_base_fold() {
         let (topo, demands) = instance(4);
         let w = WeightVector::uniform(&topo, 2);
-        let mut state = FlowState::new(&topo, vec![&demands.low], w);
+        let mut state = FlowState::new(&topo, vec![&demands.low], w, false);
         let up = vec![true; topo.link_count()];
         assert_eq!(state.eval_mask(&up), state.base_loads());
     }
@@ -1002,7 +1017,7 @@ mod tests {
         for matrices in [vec![&demands.high], vec![&demands.high, &demands.low]] {
             let mut rng = StdRng::seed_from_u64(23);
             let mut w = WeightVector::uniform(&topo, 9);
-            let mut state = FlowState::new(&topo, matrices.clone(), w.clone());
+            let mut state = FlowState::new(&topo, matrices.clone(), w.clone(), false);
             let mut calc = LoadCalculator::new();
             for step in 0..100 {
                 let mut next = w.clone();
@@ -1029,7 +1044,7 @@ mod tests {
         let (topo, demands) = instance(8);
         let mut rng = StdRng::seed_from_u64(5);
         let w = WeightVector::uniform(&topo, 5);
-        let mut state = FlowState::new(&topo, vec![&demands.low], w.clone());
+        let mut state = FlowState::new(&topo, vec![&demands.low], w.clone(), false);
         let mut evaluated = 0;
         for i in 0..60 {
             let mut cand = w.clone();

@@ -133,7 +133,7 @@ fn backend_run(
     want_dags: bool,
 ) -> (Vec<Fingerprint>, WorkStats) {
     let mut backend =
-        IncrementalBackend::new(topo, vec![&demands.high, &demands.low], base.clone());
+        IncrementalBackend::new(topo, vec![&demands.high, &demands.low], base.clone(), false);
     let mut seen: Vec<Fingerprint> = Vec::new();
     let mut eval = |backend: &mut IncrementalBackend, at: &WeightVector, salt: u64| {
         let batch = mixed_batch(topo, at, seed ^ salt);
