@@ -18,8 +18,6 @@ use crate::Class;
 use dtr_graph::{NodeId, ShortestPathDag, Topology};
 use dtr_routing::{ClassLoads, DeploymentSet};
 use dtr_traffic::TrafficMatrix;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A DAG for every destination, ascending, as the lanes hand them out
@@ -42,12 +40,12 @@ pub(crate) struct HybridLows<'a> {
 
 /// What a hybrid push reads, and the buffers it reuses: node flow,
 /// in-degree over unpushed branches (`u32::MAX` once placed), the
-/// ready nodes.
+/// ready nodes as a bitset.
 struct Pusher<'a> {
     topo: &'a Topology,
     low: &'a TrafficMatrix,
     dep: DeploymentSet,
-    buf: (Vec<f64>, Vec<u32>, BinaryHeap<Reverse<u32>>),
+    buf: (Vec<f64>, Vec<u32>, Vec<u64>),
 }
 
 impl<'a> HybridLows<'a> {
@@ -148,9 +146,13 @@ impl Pusher<'_> {
         // A node other than `t` without branches never forwards.
         let forwards = |v: usize| v == t.index() || !governing(v).is_empty();
         let sources = (0..n).filter(|&v| indeg[v] == 0 && forwards(v));
-        ready.extend(sources.map(|v| Reverse(v as u32)));
-        while let Some(Reverse(v)) = ready.pop() {
-            let (v, f) = (v as usize, flow[v as usize]);
+        ready.clear();
+        ready.resize(n.div_ceil(64), 0);
+        sources.for_each(|v| ready[v / 64] |= 1 << (v % 64));
+        while let Some(w) = ready.iter().position(|&bits| bits != 0) {
+            let v = w * 64 + ready[w].trailing_zeros() as usize;
+            ready[w] &= ready[w] - 1;
+            let f = flow[v];
             indeg[v] = u32::MAX;
             for &l in governing(v) {
                 let u = topo.link(l).dst.index();
@@ -161,7 +163,7 @@ impl Pusher<'_> {
                 }
                 indeg[u] -= 1;
                 if indeg[u] == 0 && forwards(u) {
-                    ready.push(Reverse(u as u32));
+                    ready[u / 64] |= 1 << (u % 64);
                 }
             }
         }
