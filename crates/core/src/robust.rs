@@ -1,8 +1,8 @@
 //! Failure-aware weight optimization (in the spirit of Nucci et al. \[5\]).
 //!
 //! The DTR/STR searches of this crate optimize for the *intact* network;
-//! `dtr-experiments`' robustness study shows what happens to such weights
-//! when a link fails. This module closes the loop: it searches for
+//! the corpus's failure-policy instances show what a link failure does
+//! to such weights. This module closes the loop: it searches for
 //! weights that are good *both* intact and after any single duplex-pair
 //! failure, the robustness model of \[5\] (OSPF reroutes around the cut
 //! with unchanged weights, so the weight setting itself must leave

@@ -1,5 +1,6 @@
-//! The single list of artifacts: every figure, table and extension
-//! study, in the order the `dtr-experiments` binary runs them. The
+//! The single list of artifacts: the ten paper figures and tables, then
+//! the two extension studies, in the order the `dtr-experiments` binary
+//! runs them. The
 //! binary prints and writes each row's tables; `tests/golden.rs` freezes
 //! each row's result value and tables at [`ExperimentCtx::smoke`].
 
@@ -87,14 +88,6 @@ pub const ARTIFACTS: &[Artifact] = &[
     ("optimality", "Optimality gaps (extension)", |ctx| {
         tables(optimality::run(ctx), &[("optimality", optimality::table)])
     }),
-    ("robustness", "Failure robustness (extension)", |ctx| {
-        tables(robustness::run(ctx), &[("robustness", robustness::table)])
-    }),
-    (
-        "robust_opt",
-        "Failure-aware optimization (extension)",
-        |ctx| tables(robust_opt::run(ctx), &[("robust_opt", robust_opt::table)]),
-    ),
     (
         "convergence",
         "Search-strategy convergence (extension)",
@@ -108,7 +101,4 @@ pub const ARTIFACTS: &[Artifact] = &[
             )
         },
     ),
-    ("multiclass", "k-class MTR (extension)", |ctx| {
-        tables(multiclass::run(ctx), &[("multiclass", multiclass::table)])
-    }),
 ];

@@ -21,14 +21,11 @@
 //! | Module | What it shows |
 //! |---|---|
 //! | [`optimality`] | STR/DTR gaps vs the Frank–Wolfe optimum |
-//! | [`robustness`] | Post-failure cost of nominally optimized weights |
-//! | [`robust_opt`] | Failure-aware vs nominal optimization |
 //! | [`convergence`] | Search-strategy convergence curves |
-//! | [`multiclass`] | k-class MTR vs shared routing, k = 2..4 |
 //!
 //! The shared machinery lives in [`runner`] (instance construction, load
-//! sweeps, STR/DTR pairs, ratio conventions) and [`report`] (CSV files and
-//! fixed-width text tables). Every experiment is deterministic given the
+//! sweeps, the one STR → DTR pair protocol, ratio conventions) and
+//! [`report`] (CSV files and fixed-width text tables). Every experiment is deterministic given the
 //! seeds in its config.
 //!
 //! [`ARTIFACTS`] lists all of them once; the crate's binary runs that
@@ -45,11 +42,8 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod multiclass;
 pub mod optimality;
 pub mod report;
-pub mod robust_opt;
-pub mod robustness;
 pub mod runner;
 pub mod table1;
 pub mod triangle;

@@ -1,6 +1,6 @@
 //! The figure front end: regenerates the paper's figures and tables and
-//! the extension studies from [`ARTIFACTS`] — all of them in order, or
-//! the `--only a,b` subset.
+//! the two extension studies from [`ARTIFACTS`] — all of them in order,
+//! or the `--only a,b` subset.
 //!
 //! ```text
 //! cargo run --release -p dtr-experiments -- [--quick] [--paper] [--seed N] [--points N] [--only a,b]
@@ -15,10 +15,15 @@
 //! sets the load points per sweep (the paper's Table 1 has seven:
 //! `--only table1 --points 7`).
 //!
-//! Exit status: `0` on success, `2` on a usage error.
+//! Exit status: `0` on success, `2` on a usage error, `1` when the
+//! results directory cannot be created or written
+//! (`dtr-experiments: <path>: <error>`).
 
 use dtr_core::SearchParams;
+use dtr_experiments::report::results_dir;
 use dtr_experiments::{write_csv, ExperimentCtx, ARTIFACTS};
+use std::io;
+use std::path::Path;
 use std::time::Instant;
 
 const USAGE: &str =
@@ -82,17 +87,31 @@ fn main() {
         std::process::exit(2)
     });
     let t0 = Instant::now();
-    for &(name, heading, run) in ARTIFACTS {
+    if let Err(message) = run(&ctx, &only, &results_dir()) {
+        eprintln!("dtr-experiments: {message}");
+        std::process::exit(1)
+    }
+    println!("total wall time: {:?}", t0.elapsed());
+}
+
+/// Runs the selected artifacts in order, printing each table and writing
+/// its CSV under `dir`. The directory is created before the first
+/// artifact runs, so an unusable one costs nothing (at `--paper`, an
+/// artifact is hours).
+fn run(ctx: &ExperimentCtx, only: &[String], dir: &Path) -> Result<(), String> {
+    let unusable = |e: io::Error| format!("{}: {e}", dir.display());
+    std::fs::create_dir_all(dir).map_err(unusable)?;
+    for &(name, heading, artifact) in ARTIFACTS {
         if only.is_empty() || only.iter().any(|o| o == name) {
             println!("=== {heading} ===");
-            for (csv_name, table) in run(&ctx).tables {
+            for (csv_name, table) in artifact(ctx).tables {
                 println!("{}", table.render());
-                let path = write_csv(&csv_name, &table);
+                let path = write_csv(dir, &csv_name, &table).map_err(unusable)?;
                 println!("[csv] {}\n", path.display());
             }
         }
     }
-    println!("total wall time: {:?}", t0.elapsed());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -132,5 +151,23 @@ mod tests {
             let message = parse_line(line).unwrap_err();
             assert!(message.contains(token), "{line}: {message}");
         }
+    }
+
+    #[test]
+    fn an_unusable_results_dir_is_an_error_naming_it() {
+        let scratch = std::env::temp_dir().join(format!("dtr-main-{}", std::process::id()));
+        std::fs::create_dir_all(&scratch).unwrap();
+        let file = scratch.join("not-a-dir");
+        std::fs::write(&file, "").unwrap();
+        let (ctx, only) = parse_line("--quick --only triangle").unwrap();
+        let message = run(&ctx, &only, &file).unwrap_err();
+        assert!(
+            message.starts_with(&format!("{}: ", file.display())),
+            "{message}"
+        );
+        let dir = scratch.join("results");
+        run(&ctx, &only, &dir).unwrap();
+        assert!(dir.join("triangle.csv").is_file());
+        std::fs::remove_dir_all(scratch).unwrap();
     }
 }

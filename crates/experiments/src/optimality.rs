@@ -21,8 +21,8 @@
 //!   *relative to a good flow*, not to a certified optimum).
 
 use crate::report::{fmt, Table};
-use crate::runner::{demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
-use dtr_core::{DtrSearch, Objective, StrSearch};
+use crate::runner::{demands_random_model, gamma_grid, run_pair, ExperimentCtx, TopologyKind};
+use dtr_core::Objective;
 use dtr_graph::Topology;
 use dtr_routing::lower_bound::{frank_wolfe, FwParams, FwResult};
 use rayon::prelude::*;
@@ -75,8 +75,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<OptimalityPoint> {
         let caps: Vec<f64> = topo.links().map(|(_, l)| l.capacity).collect();
         let high_ref = frank_wolfe(&topo, &demands.high, &caps, &FwParams::default());
 
-        let s = StrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-        let d = DtrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
+        let (s, d, _) = run_pair(&topo, &demands, Objective::LoadBased, params);
 
         let str_ref = low_reference(&topo, &demands, &s.eval.high_loads);
         let dtr_ref = low_reference(&topo, &demands, &d.eval.high_loads);

@@ -4,10 +4,11 @@
 //! dtr-experiments -- [--quick] [--only …]`) prints each artifact's
 //! [`Table`]s to stdout (the same rows/series the paper's figure shows)
 //! and writes the raw data as CSV under the results directory
-//! (`DTR_RESULTS` env var, default `results/`).
+//! ([`results_dir`]: `DTR_RESULTS` env var, default `results/`).
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// A fixed-width text table.
 #[derive(Debug, Clone, Default)]
@@ -77,21 +78,18 @@ impl Table {
 }
 
 /// The directory experiment CSVs are written to (`DTR_RESULTS`, default
-/// `results/`). Created on demand.
+/// `results/`).
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("DTR_RESULTS")
+    std::env::var("DTR_RESULTS")
         .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
+        .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
-/// Writes `table` as `<name>.csv` under the results directory, returning
-/// the path.
-pub fn write_csv(name: &str, table: &Table) -> PathBuf {
-    let path = results_dir().join(format!("{name}.csv"));
-    std::fs::write(&path, table.to_csv()).expect("write csv");
-    path
+/// Writes `table` as `<name>.csv` under `dir`, returning the path.
+pub fn write_csv(dir: &Path, name: &str, table: &Table) -> io::Result<PathBuf> {
+    let path = dir.join(format!("{name}.csv"));
+    std::fs::write(&path, table.to_csv())?;
+    Ok(path)
 }
 
 /// Formats a float with `digits` decimals — the single place controlling
@@ -133,14 +131,12 @@ mod tests {
     #[test]
     fn write_csv_roundtrip() {
         let dir = std::env::temp_dir().join(format!("dtr-test-{}", std::process::id()));
-        // Isolate from the checked-in results dir.
-        unsafe { std::env::set_var("DTR_RESULTS", &dir) };
+        std::fs::create_dir_all(&dir).unwrap();
         let mut t = Table::new("demo", &["a"]);
         t.row(vec!["7".into()]);
-        let p = write_csv("unit_test_table", &t);
+        let p = write_csv(&dir, "unit_test_table", &t).unwrap();
         let content = std::fs::read_to_string(&p).unwrap();
         assert_eq!(content, "a\n7\n");
-        unsafe { std::env::remove_var("DTR_RESULTS") };
         let _ = std::fs::remove_dir_all(dir);
     }
 

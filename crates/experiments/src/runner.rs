@@ -1,7 +1,18 @@
 //! Shared experiment machinery: paper instances, load sweeps, STR/DTR
 //! pairs, and the ratio conventions of §5.2.
+//!
+//! Every STR/DTR comparison of the crate runs one protocol, [`pair_from`]:
+//! STR's search first, then Algorithm 1 with `W0` = STR's incumbent
+//! replicated on both topologies. DTR's solution space contains STR's and
+//! the lexicographic descent never accepts a worse point, so `R_H ≥ 1` at
+//! every point by construction; `R_L` is what the second topology buys on
+//! top of the single-topology optimum. The scenario suite
+//! (`dtr_scenario::search_incumbents`) starts DTR the same way.
 
-use dtr_core::{DtrSearch, Objective, SearchParams, SearchResult, StrResult, StrSearch};
+pub use dtr_core::cost_ratio;
+use dtr_core::{
+    DtrSearch, DualWeights, Objective, SearchParams, SearchResult, StrResult, StrSearch,
+};
 use dtr_graph::gen::{
     isp_topology, power_law_topology, random_topology, PowerLawTopologyCfg, RandomTopologyCfg,
 };
@@ -101,13 +112,8 @@ pub struct PairOutcome {
     pub dtr_cost: (f64, f64),
 }
 
-// The §5.2 saturated cost-ratio convention is shared with the scenario
-// corpus (`dtr-scenario`), so suite reports and paper figures read the
-// same way; re-exported here for the figure harnesses.
-pub use dtr_scenario::cost_ratio;
-
-/// Runs the STR baseline and an independent DTR search (Algorithm 1 from
-/// uniform `W0`, as in the paper) on one instance.
+/// Runs STR on one instance, then Algorithm 1 from `W0` = STR's
+/// incumbent ([`pair_from`]).
 pub fn run_pair(
     topo: &Topology,
     demands: &DemandSet,
@@ -115,22 +121,33 @@ pub fn run_pair(
     params: SearchParams,
 ) -> (StrResult, SearchResult, PairOutcome) {
     let str_res = StrSearch::new(topo, demands, objective, params).run();
-    let dtr_res = DtrSearch::new(topo, demands, objective, params).run();
-    let outcome = outcome_of(topo, &str_res, &dtr_res);
-    (str_res, dtr_res, outcome)
+    pair_from(topo, demands, objective, params, str_res)
 }
 
-/// Computes the §5.2 ratios from finished runs.
-pub fn outcome_of(topo: &Topology, str_res: &StrResult, dtr_res: &SearchResult) -> PairOutcome {
+/// The crate's one STR → DTR protocol: Algorithm 1 with `W0` = STR's
+/// incumbent `W` replicated as `(W, W)`, at the same budget, plus the §5.2
+/// ratios of the two finished runs. Takes STR's result so a caller can
+/// run STR with extras (Table 1's relaxations) and hand it over.
+pub fn pair_from(
+    topo: &Topology,
+    demands: &DemandSet,
+    objective: Objective,
+    params: SearchParams,
+    str_res: StrResult,
+) -> (StrResult, SearchResult, PairOutcome) {
+    let dtr_res = DtrSearch::new(topo, demands, objective, params)
+        .with_initial(DualWeights::replicated(str_res.weights.clone()))
+        .run();
     let str_primary = str_res.eval.cost.primary;
     let dtr_primary = dtr_res.eval.cost.primary;
-    PairOutcome {
+    let outcome = PairOutcome {
         avg_util: 0.5 * (str_res.eval.avg_utilization(topo) + dtr_res.eval.avg_utilization(topo)),
         r_h: cost_ratio(str_primary, dtr_primary),
         r_l: cost_ratio(str_res.eval.phi_l, dtr_res.eval.phi_l),
         str_cost: (str_primary, str_res.eval.phi_l),
         dtr_cost: (dtr_primary, dtr_res.eval.phi_l),
-    }
+    };
+    (str_res, dtr_res, outcome)
 }
 
 /// Chooses traffic-scale factors γ so the resulting average utilizations

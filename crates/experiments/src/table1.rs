@@ -7,8 +7,10 @@
 //! DTR it pays with real high-priority degradation.
 
 use crate::report::{fmt, Table};
-use crate::runner::{cost_ratio, demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
-use dtr_core::{DtrSearch, Objective, StrSearch};
+use crate::runner::{
+    cost_ratio, demands_random_model, gamma_grid, pair_from, ExperimentCtx, TopologyKind,
+};
+use dtr_core::{Objective, StrSearch};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -59,14 +61,14 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table1Block> {
             let str_res = StrSearch::new(&topo, &demands, Objective::LoadBased, params)
                 .with_relaxations(&EPSILONS)
                 .run();
-            let dtr_res = DtrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
+            let (str_res, dtr_res, pair) =
+                pair_from(&topo, &demands, Objective::LoadBased, params, str_res);
             let dtr_phi_l = dtr_res.eval.phi_l;
             let r5 = &str_res.relaxed[0];
             let r30 = &str_res.relaxed[1];
             Table1Point {
-                avg_util: 0.5
-                    * (str_res.eval.avg_utilization(&topo) + dtr_res.eval.avg_utilization(&topo)),
-                r_l: cost_ratio(str_res.eval.phi_l, dtr_phi_l),
+                avg_util: pair.avg_util,
+                r_l: pair.r_l,
                 r_l_5: cost_ratio(r5.phi_l, dtr_phi_l),
                 r_l_30: cost_ratio(r30.phi_l, dtr_phi_l),
                 h_degradation_30: if str_res.eval.phi_h > 0.0 {

@@ -6,9 +6,9 @@
 //! low-priority performance with **zero** high-priority degradation.
 
 use crate::report::{fmt, Table};
-use crate::ExperimentCtx;
+use crate::runner::{run_pair, ExperimentCtx};
 use dtr_core::joint::triangle_verdict;
-use dtr_core::{DtrSearch, Objective, StrSearch};
+use dtr_core::Objective;
 use dtr_graph::gen::triangle_topology;
 use dtr_traffic::{DemandSet, TrafficMatrix};
 use serde::{Deserialize, Serialize};
@@ -42,8 +42,7 @@ pub fn run(ctx: &ExperimentCtx) -> TriangleReport {
     low.set(0, 2, 2.0 / 3.0);
     let demands = DemandSet { high, low };
 
-    let s = StrSearch::new(&topo, &demands, Objective::LoadBased, ctx.params).run();
-    let d = DtrSearch::new(&topo, &demands, Objective::LoadBased, ctx.params).run();
+    let (s, d, _) = run_pair(&topo, &demands, Objective::LoadBased, ctx.params);
 
     TriangleReport {
         joint_alpha35: v.alpha_hi,

@@ -1,12 +1,11 @@
-//! Frozen outputs of every paper artifact and extension study (ROADMAP
-//! item 3a): for each row of [`ARTIFACTS`], at [`ExperimentCtx::smoke`],
+//! Frozen outputs of the ten paper artifacts and the two extension
+//! studies: for each row of [`ARTIFACTS`], at [`ExperimentCtx::smoke`],
 //! the pretty JSON of the module's result value (`<artifact>.json` —
 //! shortest-round-trip floats, so cost *bits*, not `fmt(x, 2)` strings)
 //! and, per table it emits, the rendered text (`<csv name>.txt`) and
 //! the CSV (`<csv name>.csv`) exactly as `dtr-experiments --quick`
-//! prints and writes them. Recorded before the kernel port (item 2c)
-//! rewrites the `Evaluator`/`Objective` calls in `src/fig*.rs`; a
-//! refactor must reproduce these files byte for byte.
+//! prints and writes them. A refactor must reproduce these files byte
+//! for byte.
 //!
 //! After an intended behaviour change, rewrite the files with
 //! `cargo test -p dtr-experiments --test golden -- --ignored bless`.

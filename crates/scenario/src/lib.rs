@@ -19,9 +19,9 @@
 //!   failure policy, and one machine-readable [`InstanceReport`] per
 //!   instance plus an aggregate [`SuiteSummary`].
 //!
-//! The §5.2 ratio conventions ([`cost_ratio`]) live here and are shared
-//! with `dtr-experiments`, so corpus reports and paper figures read the
-//! same way: `R > 1` means DTR beats the baseline.
+//! The §5.2 ratio convention ([`cost_ratio`]) lives in `dtr_core::upgrade`
+//! and is re-exported here; `dtr-experiments` uses it too, so corpus
+//! reports and paper figures read the same way: `R > 1` means DTR wins.
 
 pub mod churn;
 pub mod corpus;

@@ -1,6 +1,7 @@
 //! Smoke-level integration of every experiment harness: each figure
 //! module runs end to end at tiny budget and produces structurally valid
-//! output. (The byte-exact values of the same smoke pass are frozen by
+//! output, and every STR/DTR point of Figs. 2, 4, 5 and 8 on seeds 1–3
+//! reads `R_H ≥ 1`. (The byte-exact values of the same smoke pass are frozen by
 //! `crates/experiments/tests/golden.rs`; full-budget runs are
 //! `cargo run --release -p dtr-experiments`.)
 
@@ -11,23 +12,47 @@ fn ctx() -> ExperimentCtx {
     ExperimentCtx::smoke()
 }
 
+/// The smoke context at `seed`, set the way `dtr-experiments --quick
+/// --seed S` sets it.
+fn seeded(seed: u64) -> ExperimentCtx {
+    let mut ctx = ctx();
+    ctx.seed = seed;
+    ctx.params = ctx.params.with_seed(seed);
+    ctx
+}
+
+/// The seeds the paper readings are checked on.
+const SEEDS: [u64; 3] = [1, 2, 3];
+
+/// DTR starts from STR's incumbent, so it never loses on the high class:
+/// asserts `R_H ≥ 1` at every point and returns how many points read
+/// `R_L < 1` (DTR may trade `Φ_L` for a lower `Φ_H`).
+fn check_pairs(what: &str, points: &[PairOutcome]) -> usize {
+    for p in points {
+        assert!(p.r_h >= 1.0, "{what}: R_H < 1 at {p:?}");
+        assert!(p.r_l.is_finite() && p.r_l > 0.0, "{what}: {p:?}");
+    }
+    points.iter().filter(|p| p.r_l < 1.0).count()
+}
+
 #[test]
 fn fig2_all_panels() {
-    let panels = fig2::run_all(&ctx(), &fig2::Fig2Cfg::default());
-    assert_eq!(panels.len(), 6);
-    let names: Vec<String> = panels
-        .iter()
-        .map(|p| format!("{}/{}", p.topology.name(), p.objective))
-        .collect();
-    assert!(names.contains(&"random/load".to_string()));
-    assert!(names.contains(&"isp/sla".to_string()));
-    for p in &panels {
-        assert_eq!(p.points.len(), 2);
-        for pt in &p.points {
-            assert!(pt.r_h.is_finite() && pt.r_h > 0.0);
-            assert!(pt.r_l.is_finite() && pt.r_l > 0.0);
+    let mut low_losses = 0;
+    for seed in SEEDS {
+        let panels = fig2::run_all(&seeded(seed), &fig2::Fig2Cfg::default());
+        assert_eq!(panels.len(), 6);
+        let names: Vec<String> = panels
+            .iter()
+            .map(|p| format!("{}/{}", p.topology.name(), p.objective))
+            .collect();
+        assert!(names.contains(&"random/load".to_string()));
+        assert!(names.contains(&"isp/sla".to_string()));
+        for (p, name) in panels.iter().zip(&names) {
+            assert_eq!(p.points.len(), 2);
+            low_losses += check_pairs(&format!("fig2 {name} seed {seed}"), &p.points);
         }
     }
+    println!("fig2: {low_losses} of 36 points read R_L < 1");
 }
 
 #[test]
@@ -44,10 +69,23 @@ fn fig3_histograms_cover_all_links() {
 
 #[test]
 fn fig4_fig5_fig6_curves() {
-    let c4 = fig4::run_all(&ctx());
-    assert_eq!(c4.len(), 2);
-    let c5 = fig5::run_all(&ctx());
-    assert_eq!(c5.len(), 4);
+    let mut low_losses = 0;
+    for seed in SEEDS {
+        let ctx = seeded(seed);
+        let c4 = fig4::run_all(&ctx);
+        assert_eq!(c4.len(), 2);
+        for c in &c4 {
+            let what = format!("fig4 f={} seed {seed}", c.f);
+            low_losses += check_pairs(&what, &c.points);
+        }
+        let c5 = fig5::run_all(&ctx);
+        assert_eq!(c5.len(), 4);
+        for c in &c5 {
+            let what = format!("fig5 {} k={} seed {seed}", c.objective, c.k);
+            low_losses += check_pairs(&what, &c.points);
+        }
+    }
+    println!("fig4, fig5: {low_losses} of 36 points read R_L < 1");
     let c6 = fig6::run_all(&ctx());
     assert_eq!(c6.len(), 2);
     assert!(c6.iter().all(|c| c.sorted_h_utils.len() == 150));
@@ -57,8 +95,16 @@ fn fig4_fig5_fig6_curves() {
 fn fig7_fig8_fig9() {
     let d7 = fig7::run(&ctx());
     assert_eq!(d7.str_points.len(), 150);
-    let c8 = fig8::run_all(&ctx());
-    assert_eq!(c8.len(), 4);
+    let mut low_losses = 0;
+    for seed in SEEDS {
+        let c8 = fig8::run_all(&seeded(seed));
+        assert_eq!(c8.len(), 4);
+        for c in &c8 {
+            let what = format!("fig8 {} {} seed {seed}", c.objective, c.pattern);
+            low_losses += check_pairs(&what, &c.points);
+        }
+    }
+    println!("fig8: {low_losses} of 24 points read R_L < 1");
     let p9 = fig9::run(&ctx());
     assert_eq!(p9.len(), 5);
     // Violations monotone non-increasing as the bound loosens, for both
