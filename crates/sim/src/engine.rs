@@ -7,7 +7,7 @@
 //! per-class ECMP branches chosen uniformly per packet, and measured
 //! inside `[warmup, warmup + duration)`.
 
-use crate::event::{Event, EventQueue};
+use crate::event::{Pending, Source, Sources};
 use crate::forwarding::ForwardingState;
 use crate::stats::{Acc, LinkStats, PairKey};
 use dtr_graph::weights::DualWeights;
@@ -15,7 +15,7 @@ use dtr_graph::{LinkId, NodeId, Topology, WeightVector};
 use dtr_traffic::{DemandSet, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Simulator parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,34 +61,32 @@ struct Flow {
     rate_pps: f64,
 }
 
-/// An in-flight packet.
+/// A packet in a queue, in transmission or on the wire. Its class,
+/// source and destination are its flow's.
 #[derive(Debug, Clone, Copy)]
 struct Packet {
-    class: u8,
-    src: u32,
-    dst: u32,
+    flow: u32,
+    hops: u32,
     size_bits: f64,
     created_s: f64,
     enqueued_s: f64,
-    hops: u32,
 }
 
 /// Per-link transmitter state.
 #[derive(Debug)]
 struct LinkState {
     /// One FIFO per priority class, index 0 served first.
-    queues: Vec<VecDeque<usize>>,
-    /// `(packet index, service start time)` while transmitting.
-    current: Option<(usize, f64)>,
-}
-
-impl LinkState {
-    fn new(classes: usize) -> Self {
-        LinkState {
-            queues: (0..classes).map(|_| VecDeque::new()).collect(),
-            current: None,
-        }
-    }
+    queues: Vec<VecDeque<Packet>>,
+    /// The packet being transmitted and its service start time.
+    current: Option<(Packet, f64)>,
+    /// Packets on the wire: `(arrival time, seq, packet)`, in arrival
+    /// order. Only the head has a heap entry.
+    pipe: VecDeque<(f64, u64, Packet)>,
+    /// Capacity in bit/s.
+    cap_bps: f64,
+    prop_delay: f64,
+    /// The node the link delivers to.
+    dst: NodeId,
 }
 
 /// Measurement outcome of a run, for any class count: per-link rows
@@ -250,21 +248,33 @@ fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
     -(1.0 - u).ln() / rate
 }
 
-struct Engine<'a> {
-    topo: &'a Topology,
-    fwd: ForwardingState,
+/// The event loop. Events fire in `(time, seq)` order, `seq` counting
+/// the order in which they were scheduled. The heap holds one entry per
+/// source with an event pending ([`crate::event`]); a pipe's later
+/// packets wait in the pipe, which yields them in `(time, seq)` order
+/// because a transmitter completes packets at nondecreasing times, each
+/// completion is scheduled with a larger `seq` than the last, and the
+/// link's propagation delay is a constant.
+struct Engine {
     flows: Vec<Flow>,
+    /// `branch_at[(class · n + dest) · n + node]..branch_at[… + 1]` is the
+    /// range of `branch_links` holding the ECMP branches of `class` at
+    /// `node` towards `dest`.
+    branch_at: Vec<u32>,
+    branch_links: Vec<LinkId>,
+    nodes: usize,
     cfg: SimConfig,
     rng: StdRng,
-    queue: EventQueue,
-    packets: Vec<Packet>,
-    free: Vec<usize>,
+    heap: BinaryHeap<Pending>,
+    sources: Sources,
+    seq: u64,
     links: Vec<LinkState>,
     // measurement
     win_start: f64,
     win_end: f64,
     link_stats: Vec<LinkStats>,
-    pair_delays: HashMap<PairKey, Acc>,
+    /// End-to-end delay accumulators, one per flow.
+    flow_delays: Vec<Acc>,
     generated: u64,
     delivered: u64,
     dropped: u64,
@@ -272,52 +282,108 @@ struct Engine<'a> {
     hops: Acc,
 }
 
-impl<'a> Engine<'a> {
-    fn new(sim: Simulation<'a>) -> Self {
+impl Engine {
+    fn new(sim: Simulation<'_>) -> Self {
+        let n = sim.topo.node_count();
+        let mut branch_at = vec![0u32];
+        let mut branch_links = Vec::new();
+        for class in 0..sim.classes {
+            for dest in sim.topo.nodes() {
+                for node in sim.topo.nodes() {
+                    branch_links.extend_from_slice(sim.fwd.branches(class, dest, node));
+                    branch_at.push(branch_links.len() as u32);
+                }
+            }
+        }
+        let links = sim
+            .topo
+            .links()
+            .map(|(_, l)| LinkState {
+                queues: (0..sim.classes).map(|_| VecDeque::new()).collect(),
+                current: None,
+                pipe: VecDeque::new(),
+                cap_bps: l.capacity * 1e6,
+                prop_delay: l.prop_delay,
+                dst: l.dst,
+            })
+            .collect();
         let n_links = sim.topo.link_count();
-        let win_start = sim.cfg.warmup_s;
-        let win_end = sim.cfg.warmup_s + sim.cfg.duration_s;
         Engine {
             rng: StdRng::seed_from_u64(sim.cfg.seed),
-            queue: EventQueue::new(),
-            packets: Vec::with_capacity(4096),
-            free: Vec::new(),
-            links: (0..n_links).map(|_| LinkState::new(sim.classes)).collect(),
-            win_start,
-            win_end,
+            heap: BinaryHeap::new(),
+            sources: Sources::new(sim.flows.len(), n_links),
+            seq: 0,
+            links,
+            branch_at,
+            branch_links,
+            nodes: n,
+            win_start: sim.cfg.warmup_s,
+            win_end: sim.cfg.warmup_s + sim.cfg.duration_s,
             link_stats: vec![LinkStats::new(sim.classes); n_links],
-            pair_delays: HashMap::new(),
+            flow_delays: vec![Acc::default(); sim.flows.len()],
             generated: 0,
             delivered: 0,
             dropped: 0,
             live_packets: 0,
             hops: Acc::default(),
-            topo: sim.topo,
-            fwd: sim.fwd,
             flows: sim.flows,
             cfg: sim.cfg,
         }
     }
 
+    /// Schedules `source`'s next event at `time` and returns its entry.
+    fn schedule(&mut self, time: f64, source: Source) -> Pending {
+        debug_assert!(time.is_finite() && time >= 0.0, "bad event time {time}");
+        let seq = self.seq;
+        self.seq += 1;
+        Pending {
+            time,
+            seq,
+            source: self.sources.id(source),
+        }
+    }
+
     fn run(mut self) -> SimReport {
         // Seed each flow's first arrival.
-        for (i, f) in self.flows.iter().enumerate() {
-            if f.rate_pps > 0.0 {
-                let t = exp_sample(&mut self.rng, f.rate_pps);
-                self.queue.push(t, Event::FlowArrival { flow: i });
+        for i in 0..self.flows.len() {
+            let rate = self.flows[i].rate_pps;
+            if rate > 0.0 {
+                let t = exp_sample(&mut self.rng, rate);
+                let first = self.schedule(t, Source::Flow(i));
+                self.heap.push(first);
             }
         }
 
-        while let Some(s) = self.queue.pop() {
-            if s.time > self.win_end {
+        while let Some(top) = self.heap.peek() {
+            debug_assert!(self.heap.len() <= self.sources.count());
+            let (now, source) = (top.time, self.sources.decode(top.source));
+            if now > self.win_end {
                 break;
             }
-            match s.event {
-                Event::FlowArrival { flow } => self.on_flow_arrival(flow, s.time),
-                Event::NodeArrival { packet, node } => {
-                    self.on_node_arrival(packet, NodeId(node), s.time)
+            match source {
+                Source::Flow(flow) => {
+                    // Reschedule the source first (stops naturally at
+                    // win_end), in place of the event at hand.
+                    let next = now + exp_sample(&mut self.rng, self.flows[flow].rate_pps);
+                    let next = self.schedule(next, source);
+                    *self.heap.peek_mut().expect("peeked") = next;
+                    self.on_flow_arrival(flow, now);
                 }
-                Event::TxComplete { link } => self.on_tx_complete(LinkId(link), s.time),
+                Source::Tx(link) => {
+                    self.heap.pop();
+                    self.on_tx_complete(link, now);
+                }
+                Source::Pipe(link) => {
+                    let pipe = &mut self.links[link].pipe;
+                    let (_, _, packet) = pipe.pop_front().expect("a pipe in the heap is not empty");
+                    if let Some(&(time, seq, _)) = pipe.front() {
+                        let mut top = self.heap.peek_mut().expect("peeked");
+                        (top.time, top.seq) = (time, seq);
+                    } else {
+                        self.heap.pop();
+                    }
+                    self.forward(packet, self.links[link].dst, now);
+                }
             }
         }
 
@@ -329,10 +395,24 @@ impl<'a> Engine<'a> {
             }
         }
 
+        let pair_delays = self
+            .flows
+            .iter()
+            .zip(&self.flow_delays)
+            .filter(|(_, acc)| acc.count > 0)
+            .map(|(f, acc)| {
+                let key = PairKey {
+                    class: f.class,
+                    src: f.src,
+                    dst: f.dst,
+                };
+                (key, *acc)
+            })
+            .collect();
         SimReport {
             duration_s: self.cfg.duration_s,
             link_stats: self.link_stats,
-            pair_delays: self.pair_delays,
+            pair_delays,
             generated: self.generated,
             delivered: self.delivered,
             dropped: self.dropped,
@@ -341,94 +421,64 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn alloc_packet(&mut self, p: Packet) -> usize {
-        self.live_packets += 1;
-        if let Some(i) = self.free.pop() {
-            self.packets[i] = p;
-            i
-        } else {
-            self.packets.push(p);
-            self.packets.len() - 1
-        }
-    }
-
     fn on_flow_arrival(&mut self, flow: usize, now: f64) {
-        let f = self.flows[flow];
-        // Reschedule the source first (stops naturally at win_end).
-        let next = now + exp_sample(&mut self.rng, f.rate_pps);
-        self.queue.push(next, Event::FlowArrival { flow });
-
         let size = if self.cfg.deterministic_size {
             self.cfg.mean_packet_bits
         } else {
             exp_sample(&mut self.rng, 1.0 / self.cfg.mean_packet_bits)
         };
         self.generated += 1;
-        let idx = self.alloc_packet(Packet {
-            class: f.class,
-            src: f.src,
-            dst: f.dst,
+        self.live_packets += 1;
+        let packet = Packet {
+            flow: flow as u32,
+            hops: 0,
             size_bits: size,
             created_s: now,
             enqueued_s: now,
-            hops: 0,
-        });
-        self.forward(idx, NodeId(f.src), now);
+        };
+        self.forward(packet, NodeId(self.flows[flow].src), now);
     }
 
-    fn on_node_arrival(&mut self, packet: usize, node: NodeId, now: f64) {
-        self.forward(packet, node, now);
-    }
-
-    fn forward(&mut self, packet: usize, node: NodeId, now: f64) {
-        let p = self.packets[packet];
-        if node.index() as u32 == p.dst {
+    fn forward(&mut self, p: Packet, node: NodeId, now: f64) {
+        let f = self.flows[p.flow as usize];
+        if node.0 == f.dst {
             // Delivered.
             self.delivered += 1;
             self.live_packets -= 1;
-            self.free.push(packet);
             if p.created_s >= self.win_start && now <= self.win_end {
-                let key = PairKey {
-                    class: p.class,
-                    src: p.src,
-                    dst: p.dst,
-                };
-                self.pair_delays
-                    .entry(key)
-                    .or_default()
-                    .add(now - p.created_s);
+                self.flow_delays[p.flow as usize].add(now - p.created_s);
                 self.hops.add(p.hops as f64);
             }
             return;
         }
-        let branches = self.fwd.branches(p.class as usize, NodeId(p.dst), node);
+        let row = (f.class as usize * self.nodes + f.dst as usize) * self.nodes + node.index();
+        let branches =
+            &self.branch_links[self.branch_at[row] as usize..self.branch_at[row + 1] as usize];
         assert!(
             !branches.is_empty(),
             "no route for class {} from {node} to destination n{}",
-            p.class,
-            p.dst
+            f.class,
+            f.dst
         );
         // One uniform draw per hop, even with a single branch: the sim
         // goldens freeze this RNG stream.
         let link = branches[self.rng.random_range(0..branches.len())];
-        self.enqueue(packet, link, now);
+        self.enqueue(p, f.class as usize, link.index(), now);
     }
 
-    fn enqueue(&mut self, packet: usize, link: LinkId, now: f64) {
-        let state = &mut self.links[link.index()];
-        let class = self.packets[packet].class as usize;
+    fn enqueue(&mut self, mut p: Packet, class: usize, link: usize, now: f64) {
+        let state = &mut self.links[link];
         // Finite buffers: tail-drop when the class queue is full.
         if let Some(cap) = self.cfg.buffer_packets {
             if state.queues[class].len() >= cap {
                 self.dropped += 1;
                 self.live_packets -= 1;
-                self.free.push(packet);
                 return;
             }
         }
-        self.packets[packet].enqueued_s = now;
-        self.packets[packet].hops += 1;
-        state.queues[class].push_back(packet);
+        p.enqueued_s = now;
+        p.hops += 1;
+        state.queues[class].push_back(p);
         if state.current.is_none() {
             self.start_tx(link, now);
         }
@@ -436,54 +486,53 @@ impl<'a> Engine<'a> {
 
     /// Starts transmitting the next packet under strict priority: the
     /// first backlogged queue in priority order wins.
-    fn start_tx(&mut self, link: LinkId, now: f64) {
-        let state = &mut self.links[link.index()];
+    fn start_tx(&mut self, link: usize, now: f64) {
+        let state = &mut self.links[link];
         debug_assert!(state.current.is_none());
-        let Some(pkt) = state.queues.iter_mut().find_map(|q| q.pop_front()) else {
+        let Some(p) = state.queues.iter_mut().find_map(|q| q.pop_front()) else {
             return;
         };
-        state.current = Some((pkt, now));
-        let cap_bps = self.topo.link(link).capacity * 1e6;
-        let tx = self.packets[pkt].size_bits / cap_bps;
-        self.queue
-            .push(now + tx, Event::TxComplete { link: link.0 });
+        state.current = Some((p, now));
+        let tx = p.size_bits / state.cap_bps;
+        let done = self.schedule(now + tx, Source::Tx(link));
+        self.heap.push(done);
 
         // Record the wait sample at service start.
-        let p = self.packets[pkt];
         if p.enqueued_s >= self.win_start && now <= self.win_end {
-            self.link_stats[link.index()].per_class[p.class as usize]
+            let class = self.flows[p.flow as usize].class as usize;
+            self.link_stats[link].per_class[class]
                 .wait
                 .add(now - p.enqueued_s);
         }
     }
 
-    fn on_tx_complete(&mut self, link: LinkId, now: f64) {
-        let (pkt, start) = self.links[link.index()]
+    fn on_tx_complete(&mut self, link: usize, now: f64) {
+        let (p, start) = self.links[link]
             .current
             .take()
             .expect("TxComplete without a transmission");
-        let p = self.packets[pkt];
 
         // Busy time clipped to the measurement window.
         let from = start.max(self.win_start).min(self.win_end);
         let to = now.max(self.win_start).min(self.win_end);
-        let st = &mut self.link_stats[link.index()];
+        let st = &mut self.link_stats[link];
         st.busy_s += to - from;
         if p.enqueued_s >= self.win_start && now <= self.win_end {
-            let cs = &mut st.per_class[p.class as usize];
+            let cs = &mut st.per_class[self.flows[p.flow as usize].class as usize];
             cs.sojourn.add(now - p.enqueued_s);
             cs.bits += p.size_bits;
         }
 
-        // Propagate to the next node.
-        let l = self.topo.link(link);
-        self.queue.push(
-            now + l.prop_delay,
-            Event::NodeArrival {
-                packet: pkt,
-                node: l.dst.0,
-            },
-        );
+        // Put the packet on the wire to the next node.
+        let arrival = self.schedule(now + self.links[link].prop_delay, Source::Pipe(link));
+        let pipe = &mut self.links[link].pipe;
+        debug_assert!(pipe
+            .back()
+            .is_none_or(|&(t, s, _)| (t, s) < (arrival.time, arrival.seq)));
+        if pipe.is_empty() {
+            self.heap.push(arrival);
+        }
+        pipe.push_back((arrival.time, arrival.seq, p));
 
         // Serve the next queued packet.
         self.start_tx(link, now);

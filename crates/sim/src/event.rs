@@ -1,52 +1,43 @@
-//! The event queue: a time-ordered heap with deterministic tie-breaking.
+//! Event sources and the heap entry that orders them.
+//!
+//! Every pending event belongs to one *source*: a flow (its next packet
+//! arrival), a link's transmitter (the completion of the packet it is
+//! sending) or a link's propagation pipe (the packets on the wire,
+//! each arriving at the link's far end). A flow and a transmitter have
+//! at most one event pending at a time. A pipe can hold many, but they
+//! leave it in FIFO order, so only the pipe's head needs a heap entry —
+//! the heap never holds more than flows + 2·links entries.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Simulator events.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A flow source emits its next packet (and reschedules itself).
-    FlowArrival {
-        /// Index into the simulation's flow table.
-        flow: usize,
-    },
-    /// A packet arrives at a node (after propagation) and must be
-    /// forwarded or delivered.
-    NodeArrival {
-        /// Index into the in-flight packet arena.
-        packet: usize,
-        /// The node the packet just reached.
-        node: u32,
-    },
-    /// A link finishes transmitting its current packet.
-    TxComplete {
-        /// The transmitting link.
-        link: u32,
-    },
-}
-
-/// A scheduled event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scheduled {
+/// One source's earliest pending event.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pending {
     /// Simulation time in seconds.
     pub time: f64,
-    /// Monotone sequence number: equal-time events fire in scheduling
-    /// order, making runs reproducible.
+    /// Monotone sequence number, assigned when the event was scheduled:
+    /// equal-time events fire in scheduling order, making runs
+    /// reproducible.
     pub seq: u64,
-    /// The event payload.
-    pub event: Event,
+    /// The source's id (see [`Sources`]).
+    pub source: u32,
 }
 
-impl Eq for Scheduled {}
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
 
-impl PartialOrd for Scheduled {
+impl Eq for Pending {}
+
+impl PartialOrd for Pending {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Scheduled {
+impl Ord for Pending {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
         other
@@ -56,81 +47,101 @@ impl Ord for Scheduled {
     }
 }
 
-/// Earliest-first event queue.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
+/// A decoded source id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// Flow `i` emits its next packet.
+    Flow(usize),
+    /// Link `l` finishes transmitting its current packet.
+    Tx(usize),
+    /// The packet at the head of link `l`'s pipe reaches the link's far
+    /// end.
+    Pipe(usize),
 }
 
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
+/// The id space of a run's sources: flows first, then one transmitter
+/// and one pipe per link.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sources {
+    flows: u32,
+    links: u32,
+}
+
+impl Sources {
+    pub fn new(flows: usize, links: usize) -> Self {
+        assert!(
+            u32::try_from(flows + 2 * links).is_ok(),
+            "too many event sources"
+        );
+        Sources {
+            flows: flows as u32,
+            links: links as u32,
+        }
     }
 
-    /// Schedules `event` at absolute `time` (seconds).
-    pub fn push(&mut self, time: f64, event: Event) {
-        debug_assert!(time.is_finite() && time >= 0.0, "bad event time {time}");
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+    /// How many sources there are: the heap's size bound.
+    pub fn count(&self) -> usize {
+        (self.flows + 2 * self.links) as usize
     }
 
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<Scheduled> {
-        self.heap.pop()
+    pub fn id(&self, source: Source) -> u32 {
+        match source {
+            Source::Flow(i) => i as u32,
+            Source::Tx(l) => self.flows + l as u32,
+            Source::Pipe(l) => self.flows + self.links + l as u32,
+        }
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    pub fn decode(&self, id: u32) -> Source {
+        if id < self.flows {
+            Source::Flow(id as usize)
+        } else if id < self.flows + self.links {
+            Source::Tx((id - self.flows) as usize)
+        } else {
+            Source::Pipe((id - self.flows - self.links) as usize)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BinaryHeap;
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(3.0, Event::TxComplete { link: 3 });
-        q.push(1.0, Event::TxComplete { link: 1 });
-        q.push(2.0, Event::TxComplete { link: 2 });
-        let order: Vec<f64> = std::iter::from_fn(|| q.pop().map(|s| s.time)).collect();
-        assert_eq!(order, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn equal_times_fire_in_scheduling_order() {
-        let mut q = EventQueue::new();
-        for i in 0..10u32 {
-            q.push(1.0, Event::TxComplete { link: i });
+    fn pending(time: f64, seq: u64) -> Pending {
+        Pending {
+            time,
+            seq,
+            source: 0,
         }
-        let links: Vec<u32> = std::iter::from_fn(|| {
-            q.pop().map(|s| match s.event {
-                Event::TxComplete { link } => link,
-                _ => unreachable!(),
-            })
-        })
-        .collect();
-        assert_eq!(links, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn len_tracks_pushes_and_pops() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(1.0, Event::FlowArrival { flow: 0 });
-        q.push(2.0, Event::FlowArrival { flow: 1 });
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
+    fn pops_earliest_time_then_lowest_seq() {
+        let mut heap: BinaryHeap<Pending> = [(3.0, 0), (1.0, 4), (2.0, 1), (1.0, 2), (1.0, 3)]
+            .map(|(t, s)| pending(t, s))
+            .into();
+        let order: Vec<(f64, u64)> =
+            std::iter::from_fn(|| heap.pop().map(|p| (p.time, p.seq))).collect();
+        assert_eq!(order, [(1.0, 2), (1.0, 3), (1.0, 4), (2.0, 1), (3.0, 0)]);
+    }
+
+    #[test]
+    fn source_ids_round_trip() {
+        let s = Sources::new(3, 2);
+        assert_eq!(s.count(), 7);
+        let all = [
+            Source::Flow(0),
+            Source::Flow(2),
+            Source::Tx(0),
+            Source::Tx(1),
+            Source::Pipe(0),
+            Source::Pipe(1),
+        ];
+        for src in all {
+            assert_eq!(s.decode(s.id(src)), src);
+        }
+        let ids: Vec<u32> = all.iter().map(|&src| s.id(src)).collect();
+        assert_eq!(ids, [0, 2, 3, 4, 5, 6]);
     }
 }

@@ -45,7 +45,7 @@
 
 pub mod backend;
 pub mod engine;
-pub mod event;
+mod event;
 pub mod fluid;
 pub mod forwarding;
 pub mod queueing;
@@ -53,7 +53,6 @@ pub mod stats;
 
 pub use backend::{BackendReport, DesBackend, SimBackend};
 pub use engine::{SimConfig, SimReport, Simulation};
-pub use event::{Event, EventQueue};
 pub use fluid::{FluidCfg, FluidSim};
 pub use forwarding::ForwardingState;
 pub use queueing::{
