@@ -31,7 +31,7 @@
 //! the same corpus — `tests/validation.rs` asserts it.
 
 use crate::spec::ScenarioSpec;
-use crate::suite::{demand_pair, dual_weights, search_incumbents, SuiteCfg};
+use crate::suite::{demand_pair, dual_weights, search_incumbents, SearchedInstance, SuiteCfg};
 use dtr_core::{derive_stream_seed, streams, Objective};
 use dtr_graph::{Topology, WeightVector};
 use dtr_multi::MultiDemand;
@@ -498,44 +498,49 @@ fn compare_pipelines(
     }
 }
 
-/// Validates one incumbent (one weight vector per class) on one
-/// instance. The analytic side is each class's matrix routed on its own
-/// vector — all the comparison needs of the objective is its loads.
+/// One incumbent (one weight vector per class) to validate on one
+/// instance: a task of the corpus schedule.
+struct SchemeTask<'a> {
+    instance: &'a str,
+    /// `"baseline"` or `"dtr"`.
+    scheme: &'static str,
+    topo: &'a Topology,
+    demands: &'a MultiDemand,
+    weights: &'a [WeightVector],
+    deployment: Option<&'a DeploymentSet>,
+    des_seed: u64,
+    packets: u64,
+    des_load_min_samples: u64,
+}
+
+/// Validates one incumbent. The analytic side is each class's matrix
+/// routed on its own vector — all the comparison needs of the objective
+/// is its loads.
 ///
 /// Under a partial `deployment` (two classes, by the manifest fence) the
 /// analytic loads and both simulation backends all route the low class
 /// on the **hybrid** DAGs (legacy routers forward on the high table);
 /// the incumbent must be loop-free, so one that traps demand is refused
 /// up front with the undeliverable volume.
-#[allow(clippy::too_many_arguments)]
-fn validate_scheme(
-    instance: &str,
-    scheme: &str,
-    topo: &Topology,
-    demands: &MultiDemand,
-    weights: &[WeightVector],
-    deployment: Option<&DeploymentSet>,
-    des_seed: u64,
-    packets: u64,
-    des_load_min_samples: u64,
-) -> Result<SchemeValidation, TrappedDemand> {
-    let matrices: Vec<&TrafficMatrix> = demands.classes.iter().collect();
+fn validate_scheme(task: &SchemeTask) -> Result<SchemeValidation, TrappedDemand> {
+    let (topo, weights) = (task.topo, task.weights);
+    let matrices: Vec<&TrafficMatrix> = task.demands.classes.iter().collect();
     let mut calc = LoadCalculator::new();
     let mut analytic: Vec<ClassLoads> = matrices
         .iter()
         .zip(weights)
         .map(|(m, w)| calc.class_loads(topo, w, m))
         .collect();
-    let fwd = match deployment {
+    let fwd = match task.deployment {
         None => ForwardingState::with_class_weights(topo, weights),
         Some(dep) => {
-            let pair = demand_pair(demands);
+            let pair = demand_pair(task.demands);
             let (low, undeliverable) = Evaluator::new(topo, &pair, Objective::LoadBased)
                 .low_loads_deployed(dep, &weights[0], &weights[1]);
             if undeliverable > 0.0 {
                 return Err(TrappedDemand {
-                    instance: instance.to_string(),
-                    scheme: scheme.to_string(),
+                    instance: task.instance.to_string(),
+                    scheme: task.scheme.to_string(),
                     undeliverable_mbps: undeliverable,
                 });
             }
@@ -544,101 +549,117 @@ fn validate_scheme(
         }
     };
     Ok(compare_pipelines(
-        scheme,
+        task.scheme,
         topo,
         &matrices,
         &analytic,
         &fwd,
-        des_seed,
-        packets,
-        des_load_min_samples,
+        task.des_seed,
+        task.packets,
+        task.des_load_min_samples,
     ))
 }
 
-/// Validates an instance's two incumbents — `(scheme, weights,
-/// deployment, DES seed)` each — side by side on the rayon pool. They
-/// read shared inputs only and each seeds its own DES stream, so neither
-/// result depends on the thread count. Results come back in input
-/// order, and so does the error: the first incumbent's wins when both
-/// trap demand.
-fn validate_schemes(
-    instance: &str,
-    topo: &Topology,
-    demands: &MultiDemand,
-    schemes: [(&str, &[WeightVector], Option<&DeploymentSet>, u64); 2],
-    packets: u64,
-    des_load_min_samples: u64,
-) -> Result<[SchemeValidation; 2], TrappedDemand> {
-    let [first, second]: [Result<SchemeValidation, TrappedDemand>; 2] = schemes
+/// Runs every task on the rayon pool. Tasks read shared inputs only and
+/// each seeds its own DES stream, so no result depends on the thread
+/// count. Results come back in task order, and so does the error: the
+/// first task that traps demand wins, as in a sequential loop.
+fn validate_tasks(tasks: &[SchemeTask]) -> Result<Vec<SchemeValidation>, TrappedDemand> {
+    tasks
         .par_iter()
-        .map(|&(scheme, weights, deployment, seed)| {
-            validate_scheme(
-                instance,
-                scheme,
-                topo,
-                demands,
-                weights,
-                deployment,
-                seed,
-                packets,
-                des_load_min_samples,
-            )
-        })
+        .map(validate_scheme)
         .collect::<Vec<_>>()
-        .try_into()
-        .expect("one result per scheme");
-    Ok([first?, second?])
+        .into_iter()
+        .collect()
 }
 
-/// Validates one corpus instance end-to-end: reruns the suite searches
-/// for the incumbents (without the failure-policy sweep, which
-/// validation has no use for), then pushes the STR baseline and the DTR
-/// incumbent — one weight vector per class — through the three
-/// pipelines, the two schemes side by side.
+/// The validation schedule behind [`run_validation`] and
+/// [`validate_instance`]: one pool map reruns every instance's suite
+/// searches for its incumbents (without the failure-policy sweep, which
+/// validation has no use for), a second one pushes every `(instance,
+/// scheme)` incumbent through the three pipelines, and the results fold
+/// into reports in corpus order. The reports, and the first error, are
+/// the ones a loop over the instances would give.
+fn validate_all(
+    specs: &[&ScenarioSpec],
+    cfg: &ValidateCfg,
+) -> Result<Vec<ValidationReport>, TrappedDemand> {
+    let runs: Vec<SearchedInstance> = specs
+        .par_iter()
+        .map(|spec| search_incumbents(spec, cfg.smoke))
+        .collect();
+    let mut tasks = Vec::with_capacity(2 * runs.len());
+    for (spec, run) in specs.iter().zip(&runs) {
+        let base_seed = spec.search().seed.unwrap_or(1);
+        // The DES budget policy. The envelopes are calibrated against
+        // the two-class corpus, where the load floor tracks the
+        // aggregate volume and gives every compared link significance
+        // without a sample floor. The binding statistic is the
+        // *per-class* load error and the thinnest class in a k-class
+        // split carries a small fraction of the volume, so k ≥ 3 scales
+        // the packet budget with the class count to keep that class's
+        // sample size in the regime the envelopes were tuned for, and
+        // requires a sample floor per compared link.
+        let k = run.demands.class_count();
+        let (packets, des_load_min_samples) = if k > 2 {
+            (cfg.packets() * k as u64, DES_LOAD_MIN_SAMPLES)
+        } else {
+            (cfg.packets(), 0)
+        };
+        // Stream tags from the central registry's DES window, so
+        // validation never shares an RNG stream with a search arm or a
+        // reopt step.
+        for (scheme, weights, deployment, stream) in [
+            ("baseline", &run.str_weights, None, streams::DES_BASELINE),
+            (
+                "dtr",
+                &run.dtr_weights,
+                run.deployment.as_ref(),
+                streams::DES_DTR,
+            ),
+        ] {
+            tasks.push(SchemeTask {
+                instance: &spec.name,
+                scheme,
+                topo: &run.topo,
+                demands: &run.demands,
+                weights,
+                deployment,
+                des_seed: derive_stream_seed(base_seed, stream),
+                packets,
+                des_load_min_samples,
+            });
+        }
+    }
+    let mut schemes = validate_tasks(&tasks)?.into_iter();
+    Ok(specs
+        .iter()
+        .zip(runs)
+        .map(|(spec, run)| ValidationReport {
+            name: spec.name.clone(),
+            topology: spec.topology.family_name().to_string(),
+            nodes: run.topo.node_count(),
+            links: run.topo.link_count(),
+            budget: run.budget,
+            baseline: schemes.next().expect("two schemes per instance"),
+            dtr: schemes.next().expect("two schemes per instance"),
+        })
+        .collect())
+}
+
+/// Validates one corpus instance end-to-end, through the same schedule
+/// as [`run_validation`]: reruns the suite searches for the incumbents,
+/// then pushes the STR baseline and the DTR incumbent — one weight
+/// vector per class — through the three pipelines, the two schemes side
+/// by side.
 pub fn validate_instance(
     spec: &ScenarioSpec,
     cfg: &ValidateCfg,
 ) -> Result<ValidationReport, TrappedDemand> {
-    let base_seed = spec.search().seed.unwrap_or(1);
-    // Stream tags from the central registry's DES window, so validation
-    // never shares an RNG stream with a search arm or a reopt step.
-    let baseline_seed = derive_stream_seed(base_seed, streams::DES_BASELINE);
-    let dtr_seed = derive_stream_seed(base_seed, streams::DES_DTR);
-    let run = search_incumbents(spec, cfg.smoke);
-    // The DES budget policy. The envelopes are calibrated against the
-    // two-class corpus, where the load floor tracks the aggregate volume
-    // and gives every compared link significance without a sample
-    // floor. The binding statistic is the *per-class* load error and the
-    // thinnest class in a k-class split carries a small fraction of the
-    // volume, so k ≥ 3 scales the packet budget with the class count to
-    // keep that class's sample size in the regime the envelopes were
-    // tuned for, and requires a sample floor per compared link.
-    let k = run.demands.class_count();
-    let (packets, des_load_min_samples) = if k > 2 {
-        (cfg.packets() * k as u64, DES_LOAD_MIN_SAMPLES)
-    } else {
-        (cfg.packets(), 0)
-    };
-    let [baseline, dtr] = validate_schemes(
-        &spec.name,
-        &run.topo,
-        &run.demands,
-        [
-            ("baseline", &run.str_weights, None, baseline_seed),
-            ("dtr", &run.dtr_weights, run.deployment.as_ref(), dtr_seed),
-        ],
-        packets,
-        des_load_min_samples,
-    )?;
-    Ok(ValidationReport {
-        name: spec.name.clone(),
-        topology: spec.topology.family_name().to_string(),
-        nodes: run.topo.node_count(),
-        links: run.topo.link_count(),
-        budget: run.budget,
-        baseline,
-        dtr,
-    })
+    let [report] = validate_all(&[spec], cfg)?
+        .try_into()
+        .expect("one report per instance");
+    Ok(report)
 }
 
 /// Folds per-instance reports into the aggregate summary with gate
@@ -713,10 +734,7 @@ pub fn run_validation(
         cfg.smoke,
         cfg.only
     );
-    let reports = selected
-        .iter()
-        .map(|spec| validate_instance(spec, cfg))
-        .collect::<Result<Vec<_>, _>>()?;
+    let reports = validate_all(&selected, cfg)?;
     let summary = summarize(&reports, cfg);
     Ok((reports, summary))
 }
@@ -872,21 +890,35 @@ mod tests {
         )
     }
 
+    /// A task on the trapping triangle: the baseline slot routes without
+    /// the deployment and delivers everything, the DTR slot traps.
+    fn triangle_task<'a>(
+        instance: &'a str,
+        scheme: &'static str,
+        (topo, demands, weights, dep): &'a (
+            Topology,
+            MultiDemand,
+            [WeightVector; 2],
+            DeploymentSet,
+        ),
+    ) -> SchemeTask<'a> {
+        SchemeTask {
+            instance,
+            scheme,
+            topo,
+            demands,
+            weights,
+            deployment: (scheme == "dtr").then_some(dep),
+            des_seed: 1,
+            packets: 1_000,
+            des_load_min_samples: 0,
+        }
+    }
+
     #[test]
     fn incumbent_that_traps_demand_is_a_typed_error() {
-        let (topo, demands, weights, dep) = trapping_triangle();
-        let err = validate_scheme(
-            "loop",
-            "dtr",
-            &topo,
-            &demands,
-            &weights,
-            Some(&dep),
-            1,
-            1_000,
-            0,
-        )
-        .unwrap_err();
+        let triangle = trapping_triangle();
+        let err = validate_scheme(&triangle_task("loop", "dtr", &triangle)).unwrap_err();
         assert_eq!(err.instance, "loop");
         assert_eq!(err.scheme, "dtr");
         assert!((err.undeliverable_mbps - 0.75).abs() < 1e-12);
@@ -895,9 +927,10 @@ mod tests {
             .contains("loop/dtr: incumbent traps 0.75 Mbit/s"));
     }
 
-    /// The two schemes of an instance run side by side; on one thread or
-    /// two, every report is the same bytes with each scheme in its own
-    /// slot, and a trap returns the same error — the first scheme's.
+    /// Every search and every scheme runs on the pool; on one thread or
+    /// two, a multi-instance run gives the same report and summary bytes,
+    /// and a trap returns the same error — the first in `(instance,
+    /// scheme)` order.
     #[test]
     fn thread_count_never_changes_a_report_or_an_error() {
         let pools = [1, 2].map(|n| {
@@ -911,48 +944,62 @@ mod tests {
             des_packets: 10_000,
             ..cfg()
         };
-        for name in [
+        let specs: Vec<ScenarioSpec> = [
             "random12-smoke",
             "random10-triclass-sla",
             "random10-partial-sparse",
-        ] {
-            let spec = crate::load_spec(&corpus.join(format!("{name}.json"))).unwrap();
-            let report = |pool: &rayon::ThreadPool| {
-                let r = pool.install(|| validate_instance(&spec, &cfg)).unwrap();
+            "xpander20-portfolio",
+        ]
+        .iter()
+        .map(|name| {
+            let mut spec = crate::load_spec(&corpus.join(format!("{name}.json"))).unwrap();
+            // Selected by the smoke run, at its tiny search budget.
+            spec.smoke = Some(true);
+            spec
+        })
+        .collect();
+        let run = |pool: &rayon::ThreadPool| {
+            let (reports, summary) = pool.install(|| run_validation(&specs, &cfg)).unwrap();
+            let names: Vec<&str> = reports.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(
+                names,
+                specs.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
+            );
+            for r in &reports {
                 assert_eq!(
                     [r.baseline.scheme.as_str(), r.dtr.scheme.as_str()],
                     ["baseline", "dtr"],
-                    "{name}"
+                    "{}",
+                    r.name
                 );
-                serde_json::to_string_pretty(&r).unwrap()
-            };
-            let solo = report(&pools[0]);
-            // Which scheme finishes first on two threads varies from run
-            // to run, so one run could pass by luck.
-            for _ in 0..3 {
-                assert_eq!(report(&pools[1]), solo, "{name}");
             }
+            (
+                serde_json::to_string_pretty(&reports).unwrap(),
+                serde_json::to_string_pretty(&summary).unwrap(),
+            )
+        };
+        let solo = run(&pools[0]);
+        // Which task finishes first on two threads varies from run to
+        // run, so one run could pass by luck.
+        for _ in 0..3 {
+            assert_eq!(run(&pools[1]), solo);
         }
 
-        let (topo, demands, weights, dep) = trapping_triangle();
-        let [one, two] = pools.each_ref().map(|pool| {
-            pool.install(|| {
-                validate_schemes(
-                    "loop",
-                    &topo,
-                    &demands,
-                    [
-                        ("baseline", &weights, Some(&dep), 1),
-                        ("dtr", &weights, Some(&dep), 2),
-                    ],
-                    1_000,
-                    0,
-                )
-            })
-            .unwrap_err()
-        });
+        let triangle = trapping_triangle();
+        let tasks = [
+            triangle_task("first", "baseline", &triangle),
+            triangle_task("second", "baseline", &triangle),
+            triangle_task("second", "dtr", &triangle),
+            triangle_task("third", "dtr", &triangle),
+        ];
+        let [one, two] = pools
+            .each_ref()
+            .map(|pool| pool.install(|| validate_tasks(&tasks)).unwrap_err());
         assert_eq!(one, two);
-        assert_eq!(one.scheme, "baseline");
+        assert_eq!(
+            (one.instance.as_str(), one.scheme.as_str()),
+            ("second", "dtr")
+        );
     }
 
     #[test]
