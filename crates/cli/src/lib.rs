@@ -25,6 +25,37 @@ pub mod table;
 pub use args::{ArgError, Args};
 pub use commands::{run, run_row, CliError};
 
+/// The exit code of a binary whose stdout or stderr reader went away:
+/// the status a shell reports for a process that SIGPIPE ended, as it
+/// ends coreutils.
+pub const CLOSED_PIPE_EXIT: i32 = 128 + 13;
+
+/// Makes a closed stdout or stderr end the process quietly with
+/// [`CLOSED_PIPE_EXIT`]. Rust ignores SIGPIPE, so `println!` and
+/// `eprintln!` panic on a reader that has gone (`dtrctl help | head
+/// -1`); this panic hook exits on that panic instead of reporting it,
+/// and leaves every other panic to the default hook. SIGPIPE itself
+/// stays ignored, so a socket write to a closed peer is still an
+/// `io::Error` the command handles.
+pub fn exit_quietly_on_closed_pipe() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        let closed = std::io::Error::from(std::io::ErrorKind::BrokenPipe).to_string();
+        if msg.starts_with("failed printing to std")
+            && (msg.contains("Broken pipe") || msg.ends_with(&closed))
+        {
+            std::process::exit(CLOSED_PIPE_EXIT);
+        }
+        default(info)
+    }));
+}
+
 /// A binary's exit code, after reporting a failure on stderr under
 /// `prefix`: 2 for what argv alone decides (the message ends with the
 /// command's usage), 1 for file and run-time errors.

@@ -129,6 +129,36 @@ fn every_row_rejects_unknown_repeated_and_stray_tokens_before_touching_a_file() 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A reader that goes away ends `dtrctl` quietly, as it ends coreutils
+/// (`dtrctl help | head -1`): no panic report and no exit 101, whether
+/// the closed pipe is stdout (`help`) or stderr (a usage error).
+#[test]
+fn a_closed_stdout_or_stderr_ends_dtrctl_quietly() {
+    for (word, on_stdout) in [("help", true), ("no-such-command", false)] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        // Closed before the child writes a byte.
+        drop(reader);
+        let mut dtrctl = Process::new(env!("CARGO_BIN_EXE_dtrctl"));
+        dtrctl.arg(word).stdin(Stdio::null());
+        if on_stdout {
+            dtrctl.stdout(writer).stderr(Stdio::piped());
+        } else {
+            dtrctl.stdout(Stdio::null()).stderr(writer);
+        }
+        let done = dtrctl.output().expect("spawn dtrctl");
+        assert_eq!(
+            done.status.code(),
+            Some(dtr_cli::CLOSED_PIPE_EXIT),
+            "dtrctl {word}: {done:?}"
+        );
+        assert!(
+            done.stderr.is_empty(),
+            "dtrctl {word}: {}",
+            String::from_utf8_lossy(&done.stderr)
+        );
+    }
+}
+
 /// A seeded 8-node instance with a `tiny` DTR optimum, built once:
 /// `[topo, traffic, weights]` under one directory.
 fn instance() -> &'static (PathBuf, [String; 3]) {
