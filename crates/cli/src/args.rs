@@ -66,10 +66,31 @@ impl Flag {
             },
             Kind::Float(lo, hi) => match value.parse::<f64>().map_err(|_| bad())? {
                 v if (lo, hi).contains(&v) => Ok(()),
-                v => Err(need(format!("{v} — need a number in {lo:?}..{hi:?}"))),
+                v => Err(need(format!("{v} — need a number {}", range_text(lo, hi)))),
             },
             Kind::Parsed(check) => check(value).map_err(need),
         }
+    }
+}
+
+/// A float range as a reader writes it: `in (0, 1000000]`, or, with no
+/// finite top (`f64::MAX` or ∞), just its floor: `> 0`, `≥ 0`.
+fn range_text(lo: Bound<f64>, hi: Bound<f64>) -> String {
+    let floor = match lo {
+        Bound::Included(l) => Some(('[', "≥", l)),
+        Bound::Excluded(l) => Some(('(', ">", l)),
+        Bound::Unbounded => None,
+    };
+    let top = match hi {
+        Bound::Included(h) if h < f64::MAX => Some((h, ']')),
+        Bound::Excluded(h) if h < f64::MAX => Some((h, ')')),
+        _ => None,
+    };
+    match (floor, top) {
+        (Some((open, _, l)), Some((h, close))) => format!("in {open}{l}, {h}{close}"),
+        (None, Some((h, close))) => format!("in (-∞, {h}{close}"),
+        (Some((_, cmp, l)), None) => format!("{cmp} {l}"),
+        (None, None) => "at all".to_string(),
     }
 }
 
@@ -428,8 +449,25 @@ mod tests {
         parse("--out x --share 1 --delta -10").unwrap();
         assert_eq!(
             error("--out x --share 2"),
-            "invalid value for --share: 2 — need a number in Excluded(0.0)..Included(1.0)"
+            "invalid value for --share: 2 — need a number in (0, 1]"
         );
+        assert_eq!(
+            error("--out x --delta 11"),
+            "invalid value for --delta: 11 — need a number in [-10, 10]"
+        );
+    }
+
+    #[test]
+    fn float_ranges_read_as_intervals_or_floors() {
+        use Bound::{Excluded, Included};
+        for (lo, hi, text) in [
+            (Excluded(0.0), Included(1e6), "in (0, 1000000]"),
+            (Included(0.0), Excluded(1.0), "in [0, 1)"),
+            (Excluded(0.0), Included(f64::MAX), "> 0"),
+            (Included(0.0), Included(f64::INFINITY), "≥ 0"),
+        ] {
+            assert_eq!(range_text(lo, hi), text);
+        }
     }
 
     #[test]
