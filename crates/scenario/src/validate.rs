@@ -26,9 +26,16 @@
 //! measurably waits longer than the low class, which the §3 strict
 //! non-preemptive discipline forbids in steady state.
 //!
-//! Reports carry no wall-clock fields and every aggregation iterates
-//! sorted structures, so a validation run is **byte-identical** given
-//! the same corpus — `tests/validation.rs` asserts it.
+//! [`run_validation`] is one schedule on the rayon pool: a map over
+//! every selected instance's suite searches, then a map over every
+//! `(instance, scheme)` incumbent's fluid and DES runs, folded in corpus
+//! order. [`validate_instance`] is the same schedule over one instance.
+//!
+//! Reports carry no wall-clock fields, every aggregation iterates
+//! sorted structures and every task seeds its own DES stream, so a
+//! validation run is **byte-identical** given the same corpus, on any
+//! number of threads — `tests/validation.rs` and
+//! `thread_count_never_changes_a_report_or_an_error` assert it.
 
 use crate::spec::ScenarioSpec;
 use crate::suite::{demand_pair, dual_weights, search_incumbents, SearchedInstance, SuiteCfg};
@@ -715,10 +722,13 @@ pub fn summarize(reports: &[ValidationReport], cfg: &ValidateCfg) -> ValidationS
     }
 }
 
-/// Runs differential validation over the corpus selection.
+/// Runs differential validation over the corpus selection, every
+/// instance's searches and every scheme's pipelines side by side on the
+/// rayon pool; reports come back in corpus order.
 ///
 /// # Errors
-/// The first incumbent that traps demand under its partial deployment.
+/// The first incumbent, in `(instance, scheme)` order, that traps demand
+/// under its partial deployment.
 ///
 /// # Panics
 /// If `cfg` selects no instances — check with [`crate::select`] first
