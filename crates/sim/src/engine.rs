@@ -7,7 +7,7 @@
 //! per-class ECMP branches chosen uniformly per packet, and measured
 //! inside `[warmup, warmup + duration)`.
 
-use crate::event::{Pending, Source, Sources};
+use crate::event::{Pending, Source};
 use crate::forwarding::ForwardingState;
 use crate::stats::{Acc, LinkStats, PairKey};
 use dtr_graph::weights::DualWeights;
@@ -266,7 +266,6 @@ struct Engine {
     cfg: SimConfig,
     rng: StdRng,
     heap: BinaryHeap<Pending>,
-    sources: Sources,
     seq: u64,
     links: Vec<LinkState>,
     // measurement
@@ -311,7 +310,6 @@ impl Engine {
         Engine {
             rng: StdRng::seed_from_u64(sim.cfg.seed),
             heap: BinaryHeap::new(),
-            sources: Sources::new(sim.flows.len(), n_links),
             seq: 0,
             links,
             branch_at,
@@ -336,11 +334,7 @@ impl Engine {
         debug_assert!(time.is_finite() && time >= 0.0, "bad event time {time}");
         let seq = self.seq;
         self.seq += 1;
-        Pending {
-            time,
-            seq,
-            source: self.sources.id(source),
-        }
+        Pending { time, seq, source }
     }
 
     fn run(mut self) -> SimReport {
@@ -349,19 +343,20 @@ impl Engine {
             let rate = self.flows[i].rate_pps;
             if rate > 0.0 {
                 let t = exp_sample(&mut self.rng, rate);
-                let first = self.schedule(t, Source::Flow(i));
+                let first = self.schedule(t, Source::Flow(i as u32));
                 self.heap.push(first);
             }
         }
 
         while let Some(top) = self.heap.peek() {
-            debug_assert!(self.heap.len() <= self.sources.count());
-            let (now, source) = (top.time, self.sources.decode(top.source));
+            debug_assert!(self.heap.len() <= self.flows.len() + 2 * self.links.len());
+            let (now, source) = (top.time, top.source);
             if now > self.win_end {
                 break;
             }
             match source {
                 Source::Flow(flow) => {
+                    let flow = flow as usize;
                     // Reschedule the source first (stops naturally at
                     // win_end), in place of the event at hand.
                     let next = now + exp_sample(&mut self.rng, self.flows[flow].rate_pps);
@@ -371,9 +366,10 @@ impl Engine {
                 }
                 Source::Tx(link) => {
                     self.heap.pop();
-                    self.on_tx_complete(link, now);
+                    self.on_tx_complete(link as usize, now);
                 }
                 Source::Pipe(link) => {
+                    let link = link as usize;
                     let pipe = &mut self.links[link].pipe;
                     let (_, _, packet) = pipe.pop_front().expect("a pipe in the heap is not empty");
                     if let Some(&(time, seq, _)) = pipe.front() {
@@ -494,7 +490,7 @@ impl Engine {
         };
         state.current = Some((p, now));
         let tx = p.size_bits / state.cap_bps;
-        let done = self.schedule(now + tx, Source::Tx(link));
+        let done = self.schedule(now + tx, Source::Tx(link as u32));
         self.heap.push(done);
 
         // Record the wait sample at service start.
@@ -524,7 +520,7 @@ impl Engine {
         }
 
         // Put the packet on the wire to the next node.
-        let arrival = self.schedule(now + self.links[link].prop_delay, Source::Pipe(link));
+        let arrival = self.schedule(now + self.links[link].prop_delay, Source::Pipe(link as u32));
         let pipe = &mut self.links[link].pipe;
         debug_assert!(pipe
             .back()

@@ -19,8 +19,7 @@ pub(crate) struct Pending {
     /// equal-time events fire in scheduling order, making runs
     /// reproducible.
     pub seq: u64,
-    /// The source's id (see [`Sources`]).
-    pub source: u32,
+    pub source: Source,
 }
 
 impl PartialEq for Pending {
@@ -47,60 +46,16 @@ impl Ord for Pending {
     }
 }
 
-/// A decoded source id.
+/// Where a pending event comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Source {
     /// Flow `i` emits its next packet.
-    Flow(usize),
+    Flow(u32),
     /// Link `l` finishes transmitting its current packet.
-    Tx(usize),
+    Tx(u32),
     /// The packet at the head of link `l`'s pipe reaches the link's far
     /// end.
-    Pipe(usize),
-}
-
-/// The id space of a run's sources: flows first, then one transmitter
-/// and one pipe per link.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Sources {
-    flows: u32,
-    links: u32,
-}
-
-impl Sources {
-    pub fn new(flows: usize, links: usize) -> Self {
-        assert!(
-            u32::try_from(flows + 2 * links).is_ok(),
-            "too many event sources"
-        );
-        Sources {
-            flows: flows as u32,
-            links: links as u32,
-        }
-    }
-
-    /// How many sources there are: the heap's size bound.
-    pub fn count(&self) -> usize {
-        (self.flows + 2 * self.links) as usize
-    }
-
-    pub fn id(&self, source: Source) -> u32 {
-        match source {
-            Source::Flow(i) => i as u32,
-            Source::Tx(l) => self.flows + l as u32,
-            Source::Pipe(l) => self.flows + self.links + l as u32,
-        }
-    }
-
-    pub fn decode(&self, id: u32) -> Source {
-        if id < self.flows {
-            Source::Flow(id as usize)
-        } else if id < self.flows + self.links {
-            Source::Tx((id - self.flows) as usize)
-        } else {
-            Source::Pipe((id - self.flows - self.links) as usize)
-        }
-    }
+    Pipe(u32),
 }
 
 #[cfg(test)]
@@ -112,7 +67,7 @@ mod tests {
         Pending {
             time,
             seq,
-            source: 0,
+            source: Source::Flow(0),
         }
     }
 
@@ -124,24 +79,5 @@ mod tests {
         let order: Vec<(f64, u64)> =
             std::iter::from_fn(|| heap.pop().map(|p| (p.time, p.seq))).collect();
         assert_eq!(order, [(1.0, 2), (1.0, 3), (1.0, 4), (2.0, 1), (3.0, 0)]);
-    }
-
-    #[test]
-    fn source_ids_round_trip() {
-        let s = Sources::new(3, 2);
-        assert_eq!(s.count(), 7);
-        let all = [
-            Source::Flow(0),
-            Source::Flow(2),
-            Source::Tx(0),
-            Source::Tx(1),
-            Source::Pipe(0),
-            Source::Pipe(1),
-        ];
-        for src in all {
-            assert_eq!(s.decode(s.id(src)), src);
-        }
-        let ids: Vec<u32> = all.iter().map(|&src| s.id(src)).collect();
-        assert_eq!(ids, [0, 2, 3, 4, 5, 6]);
     }
 }
