@@ -40,16 +40,8 @@ pub const CLOSED_PIPE_EXIT: i32 = 128 + 13;
 pub fn exit_quietly_on_closed_pipe() {
     let default = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        let closed = std::io::Error::from(std::io::ErrorKind::BrokenPipe).to_string();
-        if msg.starts_with("failed printing to std")
-            && (msg.contains("Broken pipe") || msg.ends_with(&closed))
-        {
+        let msg = info.payload_as_str().unwrap_or("");
+        if msg.starts_with("failed printing to std") && msg.contains("Broken pipe") {
             std::process::exit(CLOSED_PIPE_EXIT);
         }
         default(info)
