@@ -199,6 +199,12 @@ fn bench_kclass(c: &mut Criterion) {
     for kind in [BackendKind::Full, BackendKind::Incremental] {
         let mut kc = KClassBatchEvaluator::new(&topo, matrices.clone(), &spec, kind)
             .expect("three matrices match the three-class spec");
+        // Based where the search holds it: at the setting it steps from,
+        // so a candidate is its one- or two-link move, not a full
+        // fallback from the uniform construction base.
+        for (class, w) in weights.iter().enumerate() {
+            kc.rebase(class, w);
+        }
         let label = match kind {
             BackendKind::Full => "full",
             BackendKind::Incremental => "incremental",
