@@ -21,6 +21,7 @@
 //! Both produce bit-identical loads for identical inputs; the engine's
 //! equivalence proptests enforce this.
 
+use crate::flat::{FlatDag, FlatTopo};
 use crate::state::{CandidateEval, FlowState, WorkStats};
 use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
 use dtr_routing::{push_demand_down_dag, ClassLoads, FailureScenario};
@@ -55,9 +56,8 @@ pub trait EvalBackend {
     /// Evaluates a batch of candidates against the current base,
     /// returning per-candidate [`CandidateEval`]s in input order.
     /// `want_dags` asks for per-destination DAGs of each candidate (the
-    /// SLA walk needs them); backends may return an empty DAG list when
-    /// `false` or when providing them would require extra work that the
-    /// caller can redo more cheaply ([`FullBackend`] does this).
+    /// SLA walk and the hybrid low push read them); without it the DAG
+    /// lists are empty.
     fn eval_batch(&mut self, cands: &[WeightVector], want_dags: bool) -> Vec<CandidateEval>;
 
     /// Evaluates `cand` under every failure scenario's link-up mask,
@@ -93,6 +93,8 @@ pub trait EvalBackend {
 /// Full recomputation per candidate, parallel over the batch.
 pub struct FullBackend<'a> {
     topo: &'a Topology,
+    /// The mirror the handed-out DAGs are flattened onto.
+    flat: FlatTopo,
     matrices: Vec<&'a TrafficMatrix>,
     base: WeightVector,
 }
@@ -102,6 +104,7 @@ impl<'a> FullBackend<'a> {
     pub fn new(topo: &'a Topology, matrices: Vec<&'a TrafficMatrix>, base: WeightVector) -> Self {
         FullBackend {
             topo,
+            flat: FlatTopo::new(topo),
             matrices,
             base,
         }
@@ -109,21 +112,23 @@ impl<'a> FullBackend<'a> {
 
     /// One full evaluation: the exact `LoadCalculator::accumulate` walk.
     fn eval_one(&self, w: &WeightVector, want_dags: bool) -> CandidateEval {
-        full_candidate_eval(self.topo, &self.matrices, w, want_dags)
+        let flat = want_dags.then_some(&self.flat);
+        full_candidate_eval(self.topo, &self.matrices, w, flat)
     }
 }
 
 /// Shared full-evaluation walk (also the fallback path of the
 /// incremental backend): identical iteration order and arithmetic to
-/// [`dtr_routing::LoadCalculator::accumulate`]. `want_dags` returns a
-/// DAG for every destination, with demand or not.
+/// [`dtr_routing::LoadCalculator::accumulate`]. With `dags_on`, a DAG
+/// for every destination, with demand or not, flattened onto that
+/// mirror of `topo`.
 pub fn full_candidate_eval(
     topo: &Topology,
     matrices: &[&TrafficMatrix],
     w: &WeightVector,
-    want_dags: bool,
+    dags_on: Option<&FlatTopo>,
 ) -> CandidateEval {
-    full_candidate_eval_masked(topo, matrices, w, None, want_dags)
+    full_candidate_eval_masked(topo, matrices, w, None, dags_on)
 }
 
 /// [`full_candidate_eval`] with down links masked out (`link_up[l] ==
@@ -135,7 +140,7 @@ pub fn full_candidate_eval_masked(
     matrices: &[&TrafficMatrix],
     w: &WeightVector,
     link_up: Option<&[bool]>,
-    want_dags: bool,
+    dags_on: Option<&FlatTopo>,
 ) -> CandidateEval {
     let mut ws = SpfWorkspace::new();
     let mut node_flow: Vec<f64> = Vec::new();
@@ -143,12 +148,12 @@ pub fn full_candidate_eval_masked(
         .iter()
         .map(|_| vec![0.0; topo.link_count()])
         .collect();
-    let mut dags: Vec<(NodeId, Arc<ShortestPathDag>)> = Vec::new();
+    let mut dags: Vec<(NodeId, Arc<FlatDag>)> = Vec::new();
     for t in topo.nodes() {
         let any = matrices
             .iter()
             .any(|m| m.demands_to(t.index()).next().is_some());
-        if !any && !want_dags {
+        if !any && dags_on.is_none() {
             continue;
         }
         let dag = ShortestPathDag::compute_with(topo, w, t, link_up, &mut ws);
@@ -158,8 +163,8 @@ pub fn full_candidate_eval_masked(
             }
             push_demand_down_dag(topo, &dag, m, t, &mut node_flow, out);
         }
-        if want_dags {
-            dags.push((t, Arc::new(dag)));
+        if let Some(flat) = dags_on {
+            dags.push((t, Arc::new(FlatDag::from_dag(flat, &dag))));
         }
     }
     CandidateEval { loads, dags }
@@ -183,13 +188,7 @@ impl<'a> EvalBackend for FullBackend<'a> {
         scenarios
             .par_iter()
             .map(|sc| {
-                full_candidate_eval_masked(
-                    self.topo,
-                    &self.matrices,
-                    cand,
-                    Some(&sc.link_up),
-                    false,
-                )
+                full_candidate_eval_masked(self.topo, &self.matrices, cand, Some(&sc.link_up), None)
             })
             .collect()
     }
@@ -244,7 +243,10 @@ impl<'a> EvalBackend for IncrementalBackend<'a> {
             .zip(cands)
             .map(|(ev, w)| {
                 // `None`: a diversification-sized jump, evaluated in full.
-                ev.unwrap_or_else(|| full_candidate_eval(self.topo, &self.matrices, w, want_dags))
+                ev.unwrap_or_else(|| {
+                    let flat = want_dags.then(|| self.state.flat());
+                    full_candidate_eval(self.topo, &self.matrices, w, flat)
+                })
             })
             .collect()
     }

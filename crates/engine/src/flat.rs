@@ -27,12 +27,16 @@
 //!   the full calculator's.
 //!
 //! The flat structures are engine-internal: `Topology` keeps its
-//! serialized form (daemon snapshots and churn traces embed it), and
-//! consumers that want a [`ShortestPathDag`] (the SLA walk) get one
-//! materialized on demand via [`FlatDag::to_dag`].
+//! serialized form (daemon snapshots and churn traces embed it). The
+//! engine hands its DAGs out flat, as `Arc<FlatDag>`s, and its consumers
+//! read them in place: the SLA walk through [`FlatView`] (the
+//! [`DagView`] of a DAG and its mirror), the hybrid low push through
+//! [`FlatDag::branches`]. Only the full backend builds a
+//! [`ShortestPathDag`], and converts the ones it hands out
+//! ([`FlatDag::from_dag`]).
 
 use dtr_graph::spf::{Dist, UNREACHABLE};
-use dtr_graph::{LinkId, NodeId, ShortestPathDag, Topology, Weight};
+use dtr_graph::{DagView, LinkId, ShortestPathDag, Topology, Weight};
 use dtr_traffic::TrafficMatrix;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -370,11 +374,19 @@ impl FlatDag {
             && (0..ft.node_count() as u32).all(|v| self.branches(ft, v) == other.branches(ft, v))
     }
 
-    /// Materializes the pointer-y [`ShortestPathDag`] equivalent (the
-    /// SLA walk and the structural tests consume that form). The result
-    /// is structurally identical to what a fresh
+    /// Replaces `v`'s branches with `branches`, a subset of its
+    /// out-links in scan order (so they fit its arena slot).
+    pub fn set_branches(&mut self, ft: &FlatTopo, v: u32, branches: &[u32]) {
+        let slot = ft.ecmp_slot(v);
+        self.ecmp[slot..slot + branches.len()].copy_from_slice(branches);
+        self.ecmp_len[v as usize] = branches.len() as u32;
+    }
+
+    /// Materializes the pointer-y [`ShortestPathDag`] equivalent, for
+    /// the structural tests: what a fresh
     /// [`ShortestPathDag::compute_with`] under the same weights and mask
-    /// would return.
+    /// returns.
+    #[cfg(test)]
     pub fn to_dag(&self, ft: &FlatTopo) -> ShortestPathDag {
         let n = ft.node_count();
         let mut ecmp_out: Vec<Vec<LinkId>> = Vec::with_capacity(n);
@@ -382,15 +394,15 @@ impl FlatDag {
             ecmp_out.push(self.branches(ft, v).iter().map(|&l| LinkId(l)).collect());
         }
         ShortestPathDag {
-            dest: NodeId(self.dest),
+            dest: dtr_graph::NodeId(self.dest),
             dist: self.dist.clone(),
             ecmp_out,
             order: self.order.clone(),
         }
     }
 
-    /// Flattens an existing [`ShortestPathDag`] (test utility; the
-    /// engine computes flat-natively).
+    /// Flattens a [`ShortestPathDag`] — how the full backend hands out
+    /// the DAGs it routed on.
     pub fn from_dag(ft: &FlatTopo, dag: &ShortestPathDag) -> Self {
         let mut flat = FlatDag::empty(ft);
         flat.dest = dag.dest.0;
@@ -404,6 +416,25 @@ impl FlatDag {
             flat.ecmp_len[v] = branches.len() as u32;
         }
         flat
+    }
+}
+
+/// A [`FlatDag`] read through the [`FlatTopo`] its branch slots index —
+/// the [`DagView`] the SLA walk reads the engine's DAGs by.
+#[derive(Clone, Copy)]
+pub struct FlatView<'a>(pub &'a FlatTopo, pub &'a FlatDag);
+
+impl DagView for FlatView<'_> {
+    fn order(&self) -> &[u32] {
+        &self.1.order
+    }
+
+    fn reachable(&self, v: u32) -> bool {
+        self.1.dist[v as usize] != UNREACHABLE
+    }
+
+    fn branches(&self, v: u32) -> impl ExactSizeIterator<Item = LinkId> + '_ {
+        self.1.branches(self.0, v).iter().map(|&l| LinkId(l))
     }
 }
 
@@ -470,7 +501,7 @@ pub fn push_demand_flat(
 mod tests {
     use super::*;
     use dtr_graph::gen::{random_topology, RandomTopologyCfg};
-    use dtr_graph::{SpfWorkspace, TopologyBuilder, WeightVector};
+    use dtr_graph::{NodeId, SpfWorkspace, TopologyBuilder, WeightVector};
 
     fn diamond() -> Topology {
         let mut b = TopologyBuilder::new();

@@ -13,21 +13,23 @@
 //! replaying the stored share is that add (`DESIGN.md`, "Bit-identical
 //! loads").
 
+use crate::flat::{FlatDag, FlatTopo};
 use crate::state::WorkStats;
 use crate::Class;
-use dtr_graph::{NodeId, ShortestPathDag, Topology};
+use dtr_graph::{NodeId, Topology};
 use dtr_routing::{ClassLoads, DeploymentSet};
 use dtr_traffic::TrafficMatrix;
 use std::sync::Arc;
 
-/// A DAG for every destination, ascending, as the lanes hand them out
-/// under a deployment.
-type Dags = [(NodeId, Arc<ShortestPathDag>)];
+/// A flat DAG for every destination, ascending, as the lanes hand them
+/// out under a deployment: a destination the backend left untouched
+/// shares its lane's base `Arc`.
+type Dags = [(NodeId, Arc<FlatDag>)];
 
 /// A destination's push down the hybrid of the base pair: the `[high,
 /// low]` DAGs it was built from, the `(link, share)` adds and the
 /// trapped volume.
-type Base = ([Arc<ShortestPathDag>; 2], Vec<(u32, f64)>, f64);
+type Base = ([Arc<FlatDag>; 2], Vec<(u32, f64)>, f64);
 
 /// Per low-demand destination, the hybrid low loads of the base pair.
 pub(crate) struct HybridLows<'a> {
@@ -42,7 +44,8 @@ pub(crate) struct HybridLows<'a> {
 /// in-degree over unpushed branches (`u32::MAX` once placed), the
 /// ready nodes as a bitset.
 struct Pusher<'a> {
-    topo: &'a Topology,
+    /// The mirror the DAGs' branch slots index.
+    flat: FlatTopo,
     low: &'a TrafficMatrix,
     dep: DeploymentSet,
     buf: (Vec<f64>, Vec<u32>, Vec<u64>),
@@ -53,7 +56,7 @@ impl<'a> HybridLows<'a> {
         let sends = |t: &NodeId| low.demands_to(t.index()).next().is_some();
         HybridLows {
             pusher: Pusher {
-                topo,
+                flat: FlatTopo::new(topo),
                 low,
                 dep,
                 buf: Default::default(),
@@ -73,7 +76,7 @@ impl<'a> HybridLows<'a> {
     /// rebuilt. A lane rebase re-materializes exactly the destinations
     /// it repaired (all of them after a rebuild), so only those change.
     pub(crate) fn rebase(&mut self, high: &Dags, low: &Dags) {
-        debug_assert!(high.len() == self.pusher.topo.node_count() && low.len() == high.len());
+        debug_assert!(high.len() == self.pusher.flat.node_count() && low.len() == high.len());
         for (t, slot) in &mut self.base {
             let (h, l) = (&high[t.index()].1, &low[t.index()].1);
             let same = |(d, ..): &Base| Arc::ptr_eq(&d[0], h) && Arc::ptr_eq(&d[1], l);
@@ -89,7 +92,7 @@ impl<'a> HybridLows<'a> {
     /// Low loads and trapped volume with `class` on a candidate's
     /// per-destination DAGs `moved` and the other class at the base.
     pub(crate) fn low_loads(&mut self, class: Class, moved: &Dags) -> (ClassLoads, f64) {
-        let mut out = vec![0.0; self.pusher.topo.link_count()];
+        let mut out = vec![0.0; self.pusher.flat.link_count()];
         let mut trapped = 0.0;
         for (t, slot) in &self.base {
             let dag = &moved[t.index()].1;
@@ -125,13 +128,14 @@ impl Pusher<'_> {
     fn push(
         &mut self,
         t: NodeId,
-        high: &ShortestPathDag,
-        low: &ShortestPathDag,
+        high: &FlatDag,
+        low: &FlatDag,
         mut add: impl FnMut(u32, f64),
     ) -> f64 {
-        let (topo, dep, n) = (self.topo, &self.dep, self.topo.node_count());
+        let (flat, dep, n) = (&self.flat, &self.dep, self.flat.node_count());
         // Neither DAG gives the destination branches.
-        let governing = |v: usize| &(if dep.contains(v) { low } else { high }).ecmp_out[v];
+        let governing =
+            |v: usize| (if dep.contains(v) { low } else { high }).branches(flat, v as u32);
         let (flow, indeg, ready) = &mut self.buf;
         flow.clear();
         flow.resize(n, 0.0);
@@ -140,8 +144,8 @@ impl Pusher<'_> {
         for (s, v) in self.low.demands_to(t.index()) {
             flow[s] += v;
         }
-        for l in (0..n).flat_map(governing) {
-            indeg[topo.link(*l).dst.index()] += 1;
+        for &l in (0..n).flat_map(governing) {
+            indeg[flat.dst(l) as usize] += 1;
         }
         // A node other than `t` without branches never forwards.
         let forwards = |v: usize| v == t.index() || !governing(v).is_empty();
@@ -155,10 +159,10 @@ impl Pusher<'_> {
             let f = flow[v];
             indeg[v] = u32::MAX;
             for &l in governing(v) {
-                let u = topo.link(l).dst.index();
+                let u = flat.dst(l) as usize;
                 if f > 0.0 {
                     let share = f / governing(v).len() as f64;
-                    add(l.0, share);
+                    add(l, share);
                     flow[u] += share;
                 }
                 indeg[u] -= 1;

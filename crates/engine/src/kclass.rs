@@ -23,8 +23,9 @@
 
 use crate::backend::{make_backend, BackendKind, EvalBackend};
 use crate::cache::LruCache;
+use crate::flat::{FlatDag, FlatTopo, FlatView};
 use dtr_cost::{link_delay, ClassMode, LexCost, ObjectiveError, ObjectiveSpec};
-use dtr_graph::{NodeId, ShortestPathDag, Topology, WeightVector};
+use dtr_graph::{NodeId, Topology, WeightVector};
 use dtr_routing::{cascade_classes, sla_walk, ClassLoads, SlaEvaluation};
 use dtr_traffic::TrafficMatrix;
 use std::sync::Arc;
@@ -81,12 +82,13 @@ const SIDE_CACHE_CAPACITY: usize = 16;
 #[derive(Clone)]
 struct ClassSide {
     loads: ClassLoads,
-    dags: Vec<(NodeId, Arc<ShortestPathDag>)>,
+    dags: Vec<(NodeId, Arc<FlatDag>)>,
 }
 
 /// The k-class batch evaluator.
 pub struct KClassBatchEvaluator<'a> {
     topo: &'a Topology,
+    flat: FlatTopo,
     matrices: Vec<&'a TrafficMatrix>,
     spec: ObjectiveSpec,
     backends: Vec<Box<dyn EvalBackend + 'a>>,
@@ -136,6 +138,7 @@ impl<'a> KClassBatchEvaluator<'a> {
             .collect();
         Ok(KClassBatchEvaluator {
             topo,
+            flat: FlatTopo::new(topo),
             matrices,
             spec: spec.clone(),
             backends,
@@ -248,11 +251,7 @@ impl<'a> KClassBatchEvaluator<'a> {
                         )
                     })
                     .collect();
-                let mut by_node: Vec<Option<&Arc<ShortestPathDag>>> =
-                    vec![None; self.topo.node_count()];
-                for (t, dag) in &sides[c].dags {
-                    by_node[t.index()] = Some(dag);
-                }
+                let by_node = crate::dags_by_node(self.topo.node_count(), &sides[c].dags);
                 let s = sla_walk(
                     self.topo,
                     self.matrices[c],
@@ -260,9 +259,11 @@ impl<'a> KClassBatchEvaluator<'a> {
                     link_delays,
                     &params,
                     |t| {
-                        by_node[t.index()]
-                            .expect("backend DAGs cover every SLA-class destination")
-                            .clone()
+                        let dag = by_node[t.index()];
+                        FlatView(
+                            &self.flat,
+                            dag.expect("backend DAGs cover every SLA destination"),
+                        )
                     },
                 );
                 components[c] = s.lambda;

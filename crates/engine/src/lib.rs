@@ -55,14 +55,14 @@ pub use dynspf::{
     apply_link_down, apply_link_up, apply_weight_delta, delta_affects_dag, link_down_affects_dag,
     DynSpfScratch,
 };
-pub use flat::{FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
+pub use flat::{FlatDag, FlatSpfWorkspace, FlatTopo, FlatView, LinkMask};
 use hybrid::HybridLows;
 pub use kclass::{KClassBatchEvaluator, KClassEvaluation};
 pub use state::{CandidateEval, DestState, FlowState, WorkStats, PAR_MIN_WORK};
 
 use dtr_cost::Objective;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{NodeId, ShortestPathDag, Topology, WeightVector};
+use dtr_graph::{NodeId, Topology, WeightVector};
 use dtr_routing::{
     sla_evaluation, ClassLoads, DeploymentSet, EvalError, Evaluation, Evaluator, FailureScenario,
     HighSide,
@@ -119,6 +119,8 @@ type Routed = (Option<HighSide>, ClassLoads, f64);
 /// accepts a move, so the incremental backend's repairs stay small.
 pub struct BatchEvaluator<'a> {
     evaluator: Evaluator<'a>,
+    /// The mirror the lanes' handed-out DAGs index, for the SLA walk.
+    flat: FlatTopo,
     kind: BackendKind,
     high: Lane<'a, HighSide>,
     low: Lane<'a, ClassLoads>,
@@ -136,7 +138,7 @@ pub struct BatchEvaluator<'a> {
 /// the joint lane and `StrSearch` never touches the per-class ones;
 /// building eagerly would pay a full SPF sweep per unused side at every
 /// search construction (experiments build searches in tight loops).
-struct Lane<'a, V> {
+pub(crate) struct Lane<'a, V> {
     kind: BackendKind,
     topo: &'a Topology,
     matrices: Vec<&'a TrafficMatrix>,
@@ -152,11 +154,13 @@ struct Lane<'a, V> {
 }
 
 impl<'a, V: Clone> Lane<'a, V> {
-    fn new(
+    /// A lane keeping up to `cached` values in its LRU (`None`: no
+    /// cache).
+    pub(crate) fn new(
         kind: BackendKind,
         topo: &'a Topology,
         matrices: Vec<&'a TrafficMatrix>,
-        cached: bool,
+        cached: Option<usize>,
     ) -> Self {
         Lane {
             kind,
@@ -165,7 +169,7 @@ impl<'a, V: Clone> Lane<'a, V> {
             all_dests: false,
             base: WeightVector::uniform(topo, 1),
             backend: None,
-            cache: cached.then(|| LruCache::new(DEFAULT_CACHE_CAPACITY)),
+            cache: cached.map(LruCache::new),
         }
     }
 
@@ -182,7 +186,7 @@ impl<'a, V: Clone> Lane<'a, V> {
         self.backend.as_mut().unwrap().as_mut()
     }
 
-    fn rebase(&mut self, w: &WeightVector) {
+    pub(crate) fn rebase(&mut self, w: &WeightVector) {
         match &mut self.backend {
             Some(b) => b.rebase(w),
             None => self.base = w.clone(),
@@ -198,14 +202,14 @@ impl<'a, V: Clone> Lane<'a, V> {
         self.all_dests = all_dests;
     }
 
-    fn work_stats(&self) -> WorkStats {
+    pub(crate) fn work_stats(&self) -> WorkStats {
         self.backend
             .as_ref()
             .map_or_else(WorkStats::default, |b| b.work_stats())
     }
 
     /// `(hits, misses)` of the lane's cache; zero without one.
-    fn cache_stats(&self) -> (u64, u64) {
+    pub(crate) fn cache_stats(&self) -> (u64, u64) {
         self.cache.as_ref().map_or((0, 0), LruCache::stats)
     }
 
@@ -213,7 +217,7 @@ impl<'a, V: Clone> Lane<'a, V> {
     /// backend once per distinct miss, `build`ing each value from the
     /// routed candidate and retaining it in the cache, if the lane has
     /// one.
-    fn eval(
+    pub(crate) fn eval(
         &mut self,
         cands: &[WeightVector],
         want_dags: bool,
@@ -252,12 +256,14 @@ impl<'a> BatchEvaluator<'a> {
         objective: Objective,
         kind: BackendKind,
     ) -> Self {
+        let cached = Some(DEFAULT_CACHE_CAPACITY);
         BatchEvaluator {
             evaluator: Evaluator::new(topo, demands, objective),
+            flat: FlatTopo::new(topo),
             kind,
-            high: Lane::new(kind, topo, vec![&demands.high], true),
-            low: Lane::new(kind, topo, vec![&demands.low], true),
-            joint: Lane::new(kind, topo, vec![&demands.high, &demands.low], false),
+            high: Lane::new(kind, topo, vec![&demands.high], cached),
+            low: Lane::new(kind, topo, vec![&demands.low], cached),
+            joint: Lane::new(kind, topo, vec![&demands.high, &demands.low], None),
             hybrid: None,
         }
     }
@@ -301,9 +307,9 @@ impl<'a> BatchEvaluator<'a> {
     /// Evaluates a batch of high-class candidates (cache first, then the
     /// backend for the misses), preserving order.
     pub fn eval_high_batch(&mut self, cands: &[WeightVector]) -> Vec<HighSide> {
-        let (want_dags, evaluator) = (self.want_dags(), &mut self.evaluator);
+        let (want_dags, evaluator, flat) = (self.want_dags(), &mut self.evaluator, &self.flat);
         self.high.eval(cands, want_dags, |mut ev, wh| {
-            high_side(evaluator, ev.loads.swap_remove(0), wh, &ev.dags)
+            high_side(evaluator, flat, ev.loads.swap_remove(0), wh, &ev.dags)
         })
     }
 
@@ -330,10 +336,10 @@ impl<'a> BatchEvaluator<'a> {
     /// bit-for-bit. The joint lane keeps no cache: single-topology
     /// searches come back to a setting too rarely to pay for one.
     pub fn eval_joint_batch(&mut self, cands: &[WeightVector]) -> Vec<Evaluation> {
-        let (want_dags, evaluator) = (self.want_dags(), &mut self.evaluator);
+        let (want_dags, evaluator, flat) = (self.want_dags(), &mut self.evaluator, &self.flat);
         self.joint.eval(cands, want_dags, |mut ev, w| {
             let low_loads = ev.loads.swap_remove(1);
-            let high = high_side(evaluator, ev.loads.swap_remove(0), w, &ev.dags);
+            let high = high_side(evaluator, flat, ev.loads.swap_remove(0), w, &ev.dags);
             evaluator
                 .finish(high, low_loads)
                 .expect("high_side fills the SLA walk under SLA objectives")
@@ -422,13 +428,13 @@ impl<'a> BatchEvaluator<'a> {
             Class::Low => self.low.backend(),
         };
         let evals = backend.eval_batch(cands, true);
-        let evaluator = &mut self.evaluator;
+        let (evaluator, flat) = (&mut self.evaluator, &self.flat);
         (evals.into_iter().zip(cands))
             .map(|(mut ev, cand)| {
                 let (low_loads, trapped) = hybrid.low_loads(class, &ev.dags);
                 let high = (class == Class::High).then(|| {
                     let loads = ev.loads.swap_remove(0);
-                    high_side(evaluator, loads, cand, &ev.dags)
+                    high_side(evaluator, flat, loads, cand, &ev.dags)
                 });
                 (high, low_loads, trapped)
             })
@@ -613,21 +619,20 @@ fn high_side_of(ev: &Evaluation) -> HighSide {
     }
 }
 
-/// Assembles a [`HighSide`] from candidate loads, reusing candidate DAGs
-/// for the SLA walk when the backend provided them.
+/// Assembles a [`HighSide`] from candidate loads, walking the
+/// candidate's DAGs (flat, indexed by `flat`) for the SLA objective when
+/// the backend provided them.
 fn high_side(
     evaluator: &mut Evaluator<'_>,
+    flat: &FlatTopo,
     loads: ClassLoads,
     wh: &WeightVector,
-    dags: &[(NodeId, Arc<ShortestPathDag>)],
+    dags: &[(NodeId, Arc<FlatDag>)],
 ) -> HighSide {
     match evaluator.objective() {
         Objective::SlaBased(params) if !dags.is_empty() => {
             let topo = evaluator.topo();
-            let mut by_node: Vec<Option<&Arc<ShortestPathDag>>> = vec![None; topo.node_count()];
-            for (t, dag) in dags {
-                by_node[t.index()] = Some(dag);
-            }
+            let by_node = dags_by_node(topo.node_count(), dags);
             let sla = sla_evaluation(
                 topo,
                 &evaluator.demands().high,
@@ -635,15 +640,25 @@ fn high_side(
                 &loads,
                 &params,
                 |t| {
-                    by_node[t.index()]
-                        .expect("backend DAGs cover every high destination")
-                        .clone()
+                    FlatView(
+                        flat,
+                        by_node[t.index()].expect("backend DAGs cover every high destination"),
+                    )
                 },
             );
             evaluator.high_side_with_sla(loads, Some(sla))
         }
         _ => evaluator.high_side_from_loads(loads, wh),
     }
+}
+
+/// A candidate's DAGs indexed by destination node.
+fn dags_by_node(n: usize, dags: &[(NodeId, Arc<FlatDag>)]) -> Vec<Option<&FlatDag>> {
+    let mut by_node = vec![None; n];
+    for (t, dag) in dags {
+        by_node[t.index()] = Some(&**dag);
+    }
+    by_node
 }
 
 /// Deduplicates cache misses within one batch: the neighborhood sampler
@@ -691,6 +706,7 @@ fn scatter<V: Clone>(
 mod tests {
     use super::*;
     use dtr_graph::gen::{random_topology, RandomTopologyCfg};
+    use dtr_graph::ShortestPathDag;
     use dtr_traffic::TrafficCfg;
 
     fn instance(seed: u64) -> (Topology, DemandSet) {

@@ -47,7 +47,7 @@ use crate::dynspf::{
     endpoints_delta_affects_dag, fast_rebranch, link_down_affects_dag, DynSpfScratch,
 };
 use crate::flat::{demand_column, push_demand_flat, FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
-use dtr_graph::{LinkId, NodeId, ShortestPathDag, Topology, Weight, WeightVector};
+use dtr_graph::{LinkId, NodeId, Topology, Weight, WeightVector};
 use dtr_routing::ClassLoads;
 use dtr_traffic::TrafficMatrix;
 use rayon::prelude::*;
@@ -139,18 +139,16 @@ impl SparseLoads {
 pub struct DestState {
     /// The destination node.
     pub dest: NodeId,
-    /// The flat ECMP DAG towards `dest` under the current base weights.
-    dag: FlatDag,
+    /// The flat ECMP DAG towards `dest` under the current base weights,
+    /// shared with the candidates that leave it untouched. Repairs write
+    /// through [`Arc::make_mut`], so a consumer still holding the `Arc`
+    /// keeps the DAG it was given.
+    dag: Arc<FlatDag>,
     /// Per-matrix dense demand column towards `dest` (empty = that
     /// matrix sends nothing here); fixed at construction.
     demand: Vec<Vec<f64>>,
     /// Per-matrix sparse load contribution of this destination.
     contrib: Vec<SparseLoads>,
-    /// Lazily materialized [`ShortestPathDag`] form of `dag`, shared
-    /// with consumers that need it (the SLA walk). Invalidated whenever
-    /// `dag` is repaired in place — except by `eval_mask`, whose
-    /// apply/revert sweep provably restores the identical structure.
-    shared: Option<Arc<ShortestPathDag>>,
 }
 
 /// Everything one participant of a pass writes: the repair scratch, the
@@ -290,14 +288,15 @@ pub struct FlowState<'a> {
 
 /// The outcome of evaluating one candidate against the base state:
 /// per-matrix aggregate loads plus (shared or repaired) per-destination
-/// DAGs for consumers that need them (the SLA walk).
+/// DAGs for consumers that need them (the SLA walk, the hybrid low push).
 pub struct CandidateEval {
     /// Aggregate loads per bound matrix, bit-identical to a full
     /// evaluation of the candidate weights.
     pub loads: Vec<ClassLoads>,
     /// `(dest, dag)` for every destination in the state, ascending;
-    /// unaffected destinations share the cached base `Arc`.
-    pub dags: Vec<(NodeId, Arc<ShortestPathDag>)>,
+    /// unaffected destinations share the cached base `Arc`, repaired or
+    /// rebranched ones get a flat copy.
+    pub dags: Vec<(NodeId, Arc<FlatDag>)>,
 }
 
 impl<'a> FlowState<'a> {
@@ -324,10 +323,9 @@ impl<'a> FlowState<'a> {
             if all_dests || demand.iter().any(|col| !col.is_empty()) {
                 dests.push(DestState {
                     dest: t,
-                    dag: FlatDag::empty(&flat),
+                    dag: Arc::new(FlatDag::empty(&flat)),
                     demand,
                     contrib: Vec::new(),
-                    shared: None,
                 });
             }
         }
@@ -349,6 +347,12 @@ impl<'a> FlowState<'a> {
     /// The base weight vector.
     pub fn base(&self) -> &WeightVector {
         &self.base
+    }
+
+    /// The flat mirror of the bound topology, which the handed-out DAGs'
+    /// branch slots index.
+    pub fn flat(&self) -> &FlatTopo {
+        &self.flat
     }
 
     /// Number of cached destinations.
@@ -407,9 +411,13 @@ impl<'a> FlowState<'a> {
     /// reusing every existing buffer (the destination set is fixed).
     fn rebuild_all(&mut self) {
         self.for_each_dest(|flat, base, ds, s| {
-            ds.dag
-                .compute_into(flat, base.as_slice(), ds.dest.0, None, &mut s.spf_ws);
-            ds.shared = None;
+            Arc::make_mut(&mut ds.dag).compute_into(
+                flat,
+                base.as_slice(),
+                ds.dest.0,
+                None,
+                &mut s.spf_ws,
+            );
             ds.record_contributions(flat, &mut s.node_flow);
         });
     }
@@ -424,17 +432,6 @@ impl<'a> FlowState<'a> {
             }
         }
         deltas
-    }
-
-    /// Ensures every destination's shared [`ShortestPathDag`] is
-    /// materialized (the `want_dags` path hands these out).
-    fn materialize_shared(&mut self) {
-        let flat = &self.flat;
-        for ds in &mut self.dests {
-            if ds.shared.is_none() {
-                ds.shared = Some(Arc::new(ds.dag.to_dag(flat)));
-            }
-        }
     }
 
     /// Evaluates a batch of candidates against the base **without
@@ -453,9 +450,6 @@ impl<'a> FlowState<'a> {
         max_deltas: usize,
         want_dags: bool,
     ) -> Vec<Option<CandidateEval>> {
-        if want_dags {
-            self.materialize_shared();
-        }
         let width = self.fan_width(cands.len());
         let this = &*self;
         fan_out(&this.scratches, width, cands.len(), |i, s| {
@@ -471,9 +465,9 @@ impl<'a> FlowState<'a> {
     /// pushed **directly into the fold accumulator** — the identical
     /// per-link add sequence the full calculator executes, so results
     /// stay bit-identical. Unaffected destinations replay their sparse
-    /// cached contributions instead of an SPF run. Per-destination
-    /// DAGs are materialized only when `want_dags` is set (the SLA walk
-    /// needs them; the shared ones were materialized before the batch).
+    /// cached contributions instead of an SPF run. With `want_dags` an
+    /// unaffected destination hands out its base `Arc` and a repaired or
+    /// rebranched one a flat copy (four memcpys).
     fn eval_candidate(
         &self,
         cand: &WeightVector,
@@ -508,7 +502,7 @@ impl<'a> FlowState<'a> {
         s.stage(&self.base, self.generation);
 
         let mut loads: Vec<ClassLoads> = self.matrices.iter().map(|_| vec![0.0; m]).collect();
-        let mut dags: Vec<(NodeId, Arc<ShortestPathDag>)> = Vec::new();
+        let mut dags: Vec<(NodeId, Arc<FlatDag>)> = Vec::new();
 
         for ds in &self.dests {
             // Find the first delta that affects this destination. All
@@ -521,8 +515,7 @@ impl<'a> FlowState<'a> {
                 s.stats.replayed += 1;
                 ds.replay_into(&mut loads);
                 if want_dags {
-                    let shared = ds.shared.as_ref().expect("materialized before the batch");
-                    dags.push((ds.dest, shared.clone()));
+                    dags.push((ds.dest, ds.dag.clone()));
                 }
                 continue;
             };
@@ -553,9 +546,8 @@ impl<'a> FlowState<'a> {
                         &mut loads,
                     );
                     if want_dags {
-                        let mut patched = ds.dag.to_dag(&self.flat);
-                        patched.ecmp_out[u as usize] =
-                            s.branch_buf.iter().map(|&l| LinkId(l)).collect();
+                        let mut patched = FlatDag::clone(&ds.dag);
+                        patched.set_branches(&self.flat, u, &s.branch_buf);
                         dags.push((ds.dest, Arc::new(patched)));
                     }
                     continue;
@@ -592,7 +584,7 @@ impl<'a> FlowState<'a> {
 
             ds.push_into(&self.flat, &s.dag, None, &mut s.node_flow, &mut loads);
             if want_dags {
-                dags.push((ds.dest, Arc::new(s.dag.to_dag(&self.flat))));
+                dags.push((ds.dest, Arc::new(s.dag.clone())));
             }
         }
 
@@ -628,7 +620,7 @@ impl<'a> FlowState<'a> {
                 if delta_affects_dag(flat, &ds.dag, lid.0, old_w, new_w) {
                     apply_weight_delta(
                         flat,
-                        &mut ds.dag,
+                        Arc::make_mut(&mut ds.dag),
                         &s.work_weights,
                         lid.0,
                         old_w,
@@ -642,7 +634,6 @@ impl<'a> FlowState<'a> {
                 s.work_weights[lid.index()] = base.get(lid);
             }
             if dirty {
-                ds.shared = None;
                 ds.record_contributions(flat, &mut s.node_flow);
             }
         });
@@ -674,9 +665,9 @@ impl<'a> FlowState<'a> {
     /// link), their demand pushed straight into the fold accumulators,
     /// and the DAG **reverted** with the matching [`apply_link_up`]
     /// sequence — repairs are exact on integer distances, so the
-    /// restored state is structurally identical to the cached one (any
-    /// cached shared `Arc` stays valid) and the next scenario starts
-    /// from the same intact state.
+    /// restored state is structurally identical to the cached one (a DAG
+    /// a consumer still holds is copied first) and the next scenario
+    /// starts from the same intact state.
     pub fn eval_mask(&mut self, link_up: &[bool]) -> Vec<ClassLoads> {
         let m = self.flat.link_count();
         assert_eq!(link_up.len(), m);
@@ -712,6 +703,7 @@ impl<'a> FlowState<'a> {
                 continue;
             };
             let ds = &mut self.dests[di];
+            let dag = Arc::make_mut(&mut ds.dag);
             // Deltas before the first hit are no-op removals, but their
             // links must still be masked before any repair runs — a
             // repair may otherwise route the affected region through a
@@ -721,32 +713,20 @@ impl<'a> FlowState<'a> {
             }
             for &l in &self.downs_buf[k0..] {
                 self.mask_buf.set_down(l);
-                if link_down_affects_dag(&self.flat, &ds.dag, weights, l) {
-                    apply_link_down(
-                        &self.flat,
-                        &mut ds.dag,
-                        weights,
-                        &self.mask_buf,
-                        l,
-                        &mut s.spf,
-                    );
+                if link_down_affects_dag(&self.flat, dag, weights, l) {
+                    apply_link_down(&self.flat, dag, weights, &self.mask_buf, l, &mut s.spf);
                 }
             }
+            let ds = &self.dests[di];
             ds.push_into(&self.flat, &ds.dag, None, &mut s.node_flow, &mut loads);
             // Revert: restore the links in reverse order under the
             // matching staged masks. `apply_link_up` detects no-ops
             // itself, so no-op removals need no bookkeeping.
+            let dag = Arc::make_mut(&mut self.dests[di].dag);
             for i in (0..self.downs_buf.len()).rev() {
                 let l = self.downs_buf[i];
                 self.mask_buf.set_up(l);
-                apply_link_up(
-                    &self.flat,
-                    &mut ds.dag,
-                    weights,
-                    &self.mask_buf,
-                    l,
-                    &mut s.spf,
-                );
+                apply_link_up(&self.flat, dag, weights, &self.mask_buf, l, &mut s.spf);
             }
         }
         loads
@@ -806,6 +786,7 @@ impl DestState {
 mod tests {
     use super::*;
     use dtr_graph::gen::{random_topology, RandomTopologyCfg};
+    use dtr_graph::ShortestPathDag;
     use dtr_routing::LoadCalculator;
     use dtr_traffic::{DemandSet, TrafficCfg};
     use rand::rngs::StdRng;
@@ -972,9 +953,10 @@ mod tests {
             let ev = eval_one(&mut state, &cand, true).unwrap();
             for (dest, dag) in &ev.dags {
                 let fresh = ShortestPathDag::compute(&topo, &cand, *dest);
-                assert_eq!(dag.dist, fresh.dist);
-                assert_eq!(dag.ecmp_out, fresh.ecmp_out);
-                assert_eq!(dag.order, fresh.order);
+                let got = dag.to_dag(state.flat());
+                assert_eq!(got.dist, fresh.dist);
+                assert_eq!(got.ecmp_out, fresh.ecmp_out);
+                assert_eq!(got.order, fresh.order);
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use dtr_cost::{Objective, ObjectiveSpec, SlaParams};
 use dtr_engine::{
-    BackendKind, BatchEvaluator, CandidateEval, EvalBackend, IncrementalBackend,
+    BackendKind, BatchEvaluator, CandidateEval, EvalBackend, FlatDag, FlatTopo, IncrementalBackend,
     KClassBatchEvaluator, WorkStats, PAR_MIN_WORK,
 };
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
@@ -103,22 +103,27 @@ fn rebase_walk(topo: &Topology, base: &WeightVector, seed: u64) -> Vec<WeightVec
         .collect()
 }
 
-/// Everything a [`CandidateEval`] says, loads as bit patterns.
+/// Everything a [`CandidateEval`] says, loads as bit patterns and each
+/// DAG as its distances, every node's full branch list and its order.
 type Fingerprint = (
     Vec<Vec<u64>>,
-    Vec<(NodeId, Vec<Dist>, Vec<Vec<LinkId>>, Vec<u32>)>,
+    Vec<(NodeId, Vec<Dist>, Vec<Vec<u32>>, Vec<u32>)>,
 );
 
-fn fingerprint(ev: &CandidateEval) -> Fingerprint {
+fn fingerprint(flat: &FlatTopo, ev: &CandidateEval) -> Fingerprint {
     let loads = ev
         .loads
         .iter()
         .map(|l| l.iter().map(|x| x.to_bits()).collect())
         .collect();
+    let branches = |d: &FlatDag| {
+        let n = flat.node_count() as u32;
+        (0..n).map(|v| d.branches(flat, v).to_vec()).collect()
+    };
     let dags = ev
         .dags
         .iter()
-        .map(|(t, d)| (*t, d.dist.clone(), d.ecmp_out.clone(), d.order.clone()))
+        .map(|(t, d)| (*t, d.dist.clone(), branches(d), d.order.clone()))
         .collect();
     (loads, dags)
 }
@@ -135,14 +140,11 @@ fn backend_run(
     let mut backend =
         IncrementalBackend::new(topo, vec![&demands.high, &demands.low], base.clone(), false);
     let mut seen: Vec<Fingerprint> = Vec::new();
+    let flat = FlatTopo::new(topo);
     let mut eval = |backend: &mut IncrementalBackend, at: &WeightVector, salt: u64| {
         let batch = mixed_batch(topo, at, seed ^ salt);
-        seen.extend(
-            backend
-                .eval_batch(&batch, want_dags)
-                .iter()
-                .map(fingerprint),
-        );
+        let evals = backend.eval_batch(&batch, want_dags);
+        seen.extend(evals.iter().map(|ev| fingerprint(&flat, ev)));
     };
     eval(&mut backend, base, 0);
     for (i, at) in rebase_walk(topo, base, seed).iter().enumerate() {

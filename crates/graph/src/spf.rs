@@ -50,6 +50,33 @@ impl SpfWorkspace {
     }
 }
 
+/// Read access to the ECMP shortest-path DAG towards one destination:
+/// what a walk over the DAG's nodes reads. Implemented by
+/// [`ShortestPathDag`] and by `dtr-engine`'s flat DAGs, so one walk
+/// (`dtr_routing::sla_walk`) serves both.
+pub trait DagView {
+    /// Node indices by decreasing distance to the destination.
+    fn order(&self) -> &[u32];
+    /// True if node `v` can reach the destination.
+    fn reachable(&self, v: u32) -> bool;
+    /// `v`'s ECMP out-links, in out-link scan order.
+    fn branches(&self, v: u32) -> impl ExactSizeIterator<Item = LinkId> + '_;
+}
+
+impl DagView for ShortestPathDag {
+    fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    fn reachable(&self, v: u32) -> bool {
+        self.dist[v as usize] != UNREACHABLE
+    }
+
+    fn branches(&self, v: u32) -> impl ExactSizeIterator<Item = LinkId> + '_ {
+        self.ecmp_out[v as usize].iter().copied()
+    }
+}
+
 /// The ECMP shortest-path DAG *towards* one destination.
 #[derive(Debug, Clone)]
 pub struct ShortestPathDag {

@@ -4,7 +4,8 @@
 //! higher-priority classes, `C̃_c = max(C_l − Σ_{j<c} load_j, 0)`, and is
 //! charged the Fortz–Thorup `Φ(load_c, C̃_c)`. This module owns the one
 //! canonical loop (link-major, classes in priority order, running
-//! `used` accumulator); its one caller outside this crate is
+//! `used` accumulator), restartable below an already priced prefix of
+//! classes ([`cascade_below`]); its one caller outside this crate is
 //! `dtr-engine`'s k-class kernel, which every k-class search and report
 //! evaluates through.
 //!
@@ -32,6 +33,16 @@ pub struct ClassCascade {
 /// Runs the strict-priority cascade over `loads` (class 0 = highest
 /// priority, each `ClassLoads` indexed by link).
 pub fn cascade_classes(topo: &Topology, loads: &[ClassLoads]) -> ClassCascade {
+    cascade_below(topo, loads, &mut vec![0.0; topo.link_count()])
+}
+
+/// The cascade restarted below classes already priced: `loads` are
+/// classes `j..` and `used[l]` is the load of classes `..j` on link `l`
+/// (all zero for `j = 0`), summed in priority order. Returns the rows of
+/// `loads` and leaves their loads added to `used`, so pricing a prefix
+/// once and each suffix on a copy of its `used` is bit-identical to
+/// [`cascade_classes`] over the whole.
+pub fn cascade_below(topo: &Topology, loads: &[ClassLoads], used: &mut [f64]) -> ClassCascade {
     let k = loads.len();
     let m = topo.link_count();
     let mut phis = vec![0.0; k];
@@ -39,14 +50,13 @@ pub fn cascade_classes(topo: &Topology, loads: &[ClassLoads]) -> ClassCascade {
     let mut residuals = vec![vec![0.0; m]; k];
     for (lid, link) in topo.links() {
         let i = lid.index();
-        let mut used = 0.0;
         for c in 0..k {
-            let residual = (link.capacity - used).max(0.0);
+            let residual = (link.capacity - used[i]).max(0.0);
             residuals[c][i] = residual;
             let p = phi(loads[c][i], residual);
             phi_per_link[c][i] = p;
             phis[c] += p;
-            used += loads[c][i];
+            used[i] += loads[c][i];
         }
     }
     ClassCascade {

@@ -20,7 +20,7 @@ use crate::loads::{
 };
 use dtr_cost::{link_delay, phi, sla_penalty, Lex2, Objective, SlaParams};
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
+use dtr_graph::{DagView, NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
 use dtr_traffic::DemandSet;
 use std::fmt;
 
@@ -537,11 +537,12 @@ impl<'a> Evaluator<'a> {
 /// The SLA walk (Eq. 3 link delays + Eq. 4 pair penalties), generic over
 /// where the per-destination shortest-path DAGs come from.
 ///
-/// [`Evaluator`] computes DAGs on the fly with one reverse-Dijkstra per
-/// destination; the `dtr-engine` incremental backend hands in DAGs it
-/// maintains dynamically. Both paths execute the identical arithmetic in
-/// the identical order (destinations ascending, `dag.order` reversed for
-/// the ξ dynamic program), so results are bit-identical.
+/// [`Evaluator`] computes a [`ShortestPathDag`] per destination with one
+/// reverse-Dijkstra; `dtr-engine` hands in the flat DAGs its backends
+/// maintain, through the same [`DagView`]. Both execute the identical
+/// arithmetic in the identical order (destinations ascending, the DAG's
+/// order reversed for the ξ dynamic program), so results are
+/// bit-identical.
 ///
 /// `dests` must be the destinations with high-priority demand in
 /// ascending node order (see [`Evaluator::high_dests`]); `dag_for` is
@@ -555,7 +556,7 @@ pub fn sla_evaluation<D, F>(
     dag_for: F,
 ) -> SlaEvaluation
 where
-    D: std::borrow::Borrow<ShortestPathDag>,
+    D: DagView,
     F: FnMut(NodeId) -> D,
 {
     let link_delays: Vec<f64> = topo
@@ -581,7 +582,7 @@ where
 /// compute each class's delays against its **residual** capacity
 /// `C̃_c = max(C − Σ_{j<c} load_j, 0)` and call this directly. The walk
 /// itself is identical either way: destinations in ascending order,
-/// `dag.order` reversed for the ξ recursion — so the two-class path
+/// the DAG's order reversed for the ξ recursion — so the two-class path
 /// stays bit-identical to the pre-split code.
 pub fn sla_walk<D, F>(
     topo: &Topology,
@@ -592,7 +593,7 @@ pub fn sla_walk<D, F>(
     mut dag_for: F,
 ) -> SlaEvaluation
 where
-    D: std::borrow::Borrow<ShortestPathDag>,
+    D: DagView,
     F: FnMut(NodeId) -> D,
 {
     let mut pair_delays = Vec::new();
@@ -603,20 +604,19 @@ where
     let mut xi = vec![0.0f64; topo.node_count()];
     for &t in dests {
         let dag = dag_for(t);
-        let dag = dag.borrow();
         xi.fill(0.0);
-        // `dag.order` is decreasing distance; walk it backwards.
-        for &v in dag.order.iter().rev() {
-            let vi = v as usize;
-            if NodeId(v) == t || !dag.reachable(NodeId(v)) {
+        // `dag.order()` is decreasing distance; walk it backwards.
+        for &v in dag.order().iter().rev() {
+            if v == t.0 || !dag.reachable(v) {
                 continue;
             }
-            let branches = &dag.ecmp_out[vi];
+            let branches = dag.branches(v);
+            let len = branches.len();
             let mut acc = 0.0;
-            for &lid in branches {
+            for lid in branches {
                 acc += link_delays[lid.index()] + xi[topo.link(lid).dst.index()];
             }
-            xi[vi] = acc / branches.len() as f64;
+            xi[v as usize] = acc / len as f64;
         }
         for (s, _vol) in matrix.demands_to(t.index()) {
             let delay_s = xi[s];
