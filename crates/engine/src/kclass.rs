@@ -4,29 +4,32 @@
 //! vectors into a k-class cost — `dtr-multi`'s search, the scenario
 //! suite and the experiments all evaluate through it. It generalizes the
 //! two-class [`BatchEvaluator`](crate::BatchEvaluator) to `k`
-//! strict-priority classes: one [`EvalBackend`] per class (each binding
-//! that class's traffic matrix), a small per-class side cache over
-//! (loads, DAGs), and an assembly step that runs the shared
-//! residual-capacity cascade ([`dtr_routing::cascade_classes`]) and, for
-//! SLA-mode classes, the shared SLA walk ([`dtr_routing::sla_walk`])
-//! over link delays evaluated against each class's **residual**
+//! strict-priority classes: one lane per class (a backend binding that
+//! class's traffic matrix, behind a small cache of (loads, flat DAGs)
+//! sides), and a pricing step that runs the shared residual-capacity
+//! cascade ([`dtr_routing::cascade_below`]) and, for SLA-mode classes,
+//! the shared SLA walk ([`dtr_routing::sla_walk`]) over the lanes' flat
+//! DAGs, with link delays evaluated against each class's **residual**
 //! capacity `C̃_c = max(C − Σ_{j<c} load_j, 0)`.
 //!
 //! Because every class routes independently on its own weight vector,
 //! the incremental backend's dynamic-SPF repair applies per class
 //! unchanged: a candidate that moves one class's weights repairs only
 //! that class's affected destinations, and the other classes' sides come
-//! straight from cache. Full and incremental backends remain
+//! straight from cache. Priority couples a class only to the classes
+//! above it, so a batch moving class `c` prices classes `..c` once and
+//! each candidate from `c` down. Full and incremental backends remain
 //! bit-identical (enforced by `tests/proptests.rs`), and a two-class
 //! load spec reproduces the legacy evaluator exactly — class 0's
 //! residual is the raw capacity bit-for-bit.
 
-use crate::backend::{make_backend, BackendKind, EvalBackend};
-use crate::cache::LruCache;
+use crate::backend::BackendKind;
 use crate::flat::{FlatDag, FlatTopo, FlatView};
+use crate::state::WorkStats;
+use crate::{dags_by_node, Lane};
 use dtr_cost::{link_delay, ClassMode, LexCost, ObjectiveError, ObjectiveSpec};
 use dtr_graph::{NodeId, Topology, WeightVector};
-use dtr_routing::{cascade_classes, sla_walk, ClassLoads, SlaEvaluation};
+use dtr_routing::{cascade_below, sla_walk, ClassLoads, SlaEvaluation};
 use dtr_traffic::TrafficMatrix;
 use std::sync::Arc;
 
@@ -71,28 +74,39 @@ impl KClassEvaluation {
 /// Entries per class in the side cache. A search step re-reads the `k`
 /// current sides and its own last few candidates (the accepted one
 /// becomes current); nothing older is revisited often enough to matter.
-/// Every entry of an SLA class pins one `Arc<ShortestPathDag>` per
-/// destination, so the capacity bounds resident DAGs: at the two-class
-/// evaluator's 512 entries a 30-node k = 3 suite run held 24 MB, at 16
-/// it holds 11 MB at the same speed.
+/// An SLA-class entry holds one `Arc<FlatDag>` per destination: the
+/// backend's base `Arc` where the candidate left the destination alone,
+/// its own flat copy where it repaired it. At the two-class evaluator's
+/// 512 entries a 30-node k = 3 suite run held 24 MB, at 16 it held
+/// 11 MB at the same speed (with a materialized DAG per destination).
 const SIDE_CACHE_CAPACITY: usize = 16;
 
-/// What the per-class backends produce and the caches hold: loads plus
-/// (for SLA classes) the candidate's per-destination DAGs.
+/// What the per-class lanes produce and their caches hold: loads plus
+/// (for SLA classes) the candidate's per-destination flat DAGs.
 #[derive(Clone)]
 struct ClassSide {
     loads: ClassLoads,
     dags: Vec<(NodeId, Arc<FlatDag>)>,
 }
 
+/// The priced rows of a run of consecutive classes: what
+/// [`KClassEvaluation`] holds per class.
+#[derive(Clone)]
+struct Rows {
+    loads: Vec<ClassLoads>,
+    phis: Vec<f64>,
+    phi_per_link: Vec<Vec<f64>>,
+    sla: Vec<Option<SlaEvaluation>>,
+}
+
 /// The k-class batch evaluator.
 pub struct KClassBatchEvaluator<'a> {
     topo: &'a Topology,
+    /// The mirror the lanes' handed-out DAGs index.
     flat: FlatTopo,
     matrices: Vec<&'a TrafficMatrix>,
     spec: ObjectiveSpec,
-    backends: Vec<Box<dyn EvalBackend + 'a>>,
-    caches: Vec<LruCache<ClassSide>>,
+    lanes: Vec<Lane<'a, ClassSide>>,
     /// Per-class destinations with demand, ascending — nonempty only for
     /// SLA classes (the iteration order of their SLA walks).
     dests: Vec<Vec<NodeId>>,
@@ -100,8 +114,8 @@ pub struct KClassBatchEvaluator<'a> {
 
 impl<'a> KClassBatchEvaluator<'a> {
     /// Binds one traffic matrix per class (highest priority first) under
-    /// `spec`, building one backend of `kind` per class, all based at
-    /// uniform weight 1.
+    /// `spec`, with one lane of `kind` per class, all based at uniform
+    /// weight 1.
     pub fn new(
         topo: &'a Topology,
         matrices: Vec<&'a TrafficMatrix>,
@@ -115,14 +129,9 @@ impl<'a> KClassBatchEvaluator<'a> {
                 demands: matrices.len(),
             });
         }
-        let w0 = WeightVector::uniform(topo, 1);
-        let backends = matrices
+        let lanes = matrices
             .iter()
-            .map(|m| make_backend(kind, topo, vec![*m], w0.clone()))
-            .collect();
-        let caches = matrices
-            .iter()
-            .map(|_| LruCache::new(SIDE_CACHE_CAPACITY))
+            .map(|m| Lane::new(kind, topo, vec![*m], Some(SIDE_CACHE_CAPACITY)))
             .collect();
         let dests = spec
             .classes
@@ -141,8 +150,7 @@ impl<'a> KClassBatchEvaluator<'a> {
             flat: FlatTopo::new(topo),
             matrices,
             spec: spec.clone(),
-            backends,
-            caches,
+            lanes,
             dests,
         })
     }
@@ -157,61 +165,49 @@ impl<'a> KClassBatchEvaluator<'a> {
         self.matrices.len()
     }
 
-    /// SLA classes need their candidates' DAGs for the delay walk.
-    fn want_dags(&self, class: usize) -> bool {
-        matches!(self.spec.mode(class), ClassMode::Sla(_))
-    }
-
-    /// One class side (loads + DAGs), cache first, then the backend.
-    fn class_side(&mut self, class: usize, w: &WeightVector) -> ClassSide {
-        if let Some(side) = self.caches[class].get(w) {
-            return side;
-        }
-        let want_dags = self.want_dags(class);
-        let mut ev = self.backends[class]
-            .eval_batch(std::slice::from_ref(w), want_dags)
-            .pop()
-            .unwrap();
-        let side = ClassSide {
+    /// Class `class`'s sides of `cands`: its cache first, then one
+    /// backend batch over the distinct misses. SLA classes keep DAGs.
+    fn sides(&mut self, class: usize, cands: &[WeightVector]) -> Vec<ClassSide> {
+        let want_dags = matches!(self.spec.mode(class), ClassMode::Sla(_));
+        self.lanes[class].eval(cands, want_dags, |mut ev, _| ClassSide {
             loads: ev.loads.swap_remove(0),
             dags: ev.dags,
-        };
-        self.caches[class].put(w, side.clone());
-        side
-    }
-
-    /// Every class's side at `weights` (one vector per class).
-    fn sides(&mut self, weights: &[WeightVector]) -> Vec<ClassSide> {
-        assert_eq!(weights.len(), self.class_count(), "one vector per class");
-        weights
-            .iter()
-            .enumerate()
-            .map(|(c, w)| self.class_side(c, w))
-            .collect()
+        })
     }
 
     /// Full evaluation of one weight vector per class (highest first).
     pub fn eval(&mut self, weights: &[WeightVector]) -> KClassEvaluation {
-        let sides = self.sides(weights);
-        self.assemble(&sides)
+        self.eval_class_batch(0, &weights[..1], weights).remove(0)
     }
 
     /// Evaluates a batch of candidates for one class with every other
     /// class held at `weights`. This is the search stepping pattern: the
-    /// moved class repairs incrementally from its base, the fixed
-    /// classes come from cache.
+    /// moved class's distinct misses go to its backend as one batch,
+    /// repaired incrementally from its base; the fixed classes come from
+    /// cache; the classes above `class` are priced once for the batch,
+    /// and each candidate from `class` down.
     pub fn eval_class_batch(
         &mut self,
         class: usize,
         cands: &[WeightVector],
         weights: &[WeightVector],
     ) -> Vec<KClassEvaluation> {
-        let mut sides = self.sides(weights);
-        cands
+        assert_eq!(weights.len(), self.class_count(), "one vector per class");
+        let moved = self.sides(class, cands);
+        let fixed: Vec<ClassSide> = (0..self.class_count())
+            .filter(|&c| c != class)
+            .map(|c| self.sides(c, std::slice::from_ref(&weights[c])).remove(0))
+            .collect();
+        let (above, below) = fixed.split_at(class);
+        let mut used = vec![0.0; self.topo.link_count()];
+        let head = self.price(0, &above.iter().collect::<Vec<_>>(), &mut used);
+        moved
             .iter()
-            .map(|w| {
-                sides[class] = self.class_side(class, w);
-                self.assemble(&sides)
+            .map(|side| {
+                let tail: Vec<&ClassSide> = std::iter::once(side).chain(below).collect();
+                let mut rows = head.clone();
+                rows.append(self.price(class, &tail, &mut used.clone()));
+                rows.into_evaluation()
             })
             .collect()
     }
@@ -219,64 +215,97 @@ impl<'a> KClassBatchEvaluator<'a> {
     /// Moves one class's base weight vector (the search accepted a move),
     /// keeping that class's incremental repairs small.
     pub fn rebase(&mut self, class: usize, w: &WeightVector) {
-        self.backends[class].rebase(w);
+        self.lanes[class].rebase(w);
     }
 
     /// `(hits, misses)` summed over the per-class caches.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.caches.iter().fold((0, 0), |(h, m), c| {
-            let (ch, cm) = c.stats();
-            (h + ch, m + cm)
+        self.lanes.iter().fold((0, 0), |(h, m), lane| {
+            let (lh, lm) = lane.cache_stats();
+            (h + lh, m + lm)
         })
     }
 
-    /// Cascade + per-class cost components from assembled sides.
-    fn assemble(&self, sides: &[ClassSide]) -> KClassEvaluation {
-        let k = sides.len();
+    /// Work counters summed over the per-class backends, like
+    /// [`BatchEvaluator::work_stats`](crate::BatchEvaluator::work_stats):
+    /// how each candidate's destinations were disposed of, the full
+    /// fallbacks and the rebases. All zero under [`BackendKind::Full`].
+    pub fn work_stats(&self) -> WorkStats {
+        let mut total = WorkStats::default();
+        for lane in &self.lanes {
+            total += lane.work_stats();
+        }
+        total
+    }
+
+    /// Prices classes `from..from + sides.len()` below the classes
+    /// whose per-link load `used` holds, and adds theirs to it: their
+    /// cascade rows, and for SLA classes the walk over their DAGs with
+    /// link delays against their residual capacity.
+    fn price(&self, from: usize, sides: &[&ClassSide], used: &mut [f64]) -> Rows {
         let loads: Vec<ClassLoads> = sides.iter().map(|s| s.loads.clone()).collect();
-        let cascade = cascade_classes(self.topo, &loads);
-        let mut components = cascade.phis.clone();
-        let mut sla: Vec<Option<SlaEvaluation>> = vec![None; k];
-        for c in 0..k {
-            if let ClassMode::Sla(params) = self.spec.mode(c) {
-                let link_delays: Vec<f64> = self
-                    .topo
-                    .links()
+        let cascade = cascade_below(self.topo, &loads, used);
+        let sla = (sides.iter().enumerate())
+            .map(|(i, side)| {
+                let ClassMode::Sla(params) = self.spec.mode(from + i) else {
+                    return None;
+                };
+                let link_delays: Vec<f64> = (self.topo.links())
                     .map(|(lid, link)| {
-                        link_delay(
-                            &params.delay,
-                            loads[c][lid.index()],
-                            cascade.residuals[c][lid.index()],
-                            link.prop_delay,
-                        )
+                        let (load, residual) =
+                            (loads[i][lid.index()], cascade.residuals[i][lid.index()]);
+                        link_delay(&params.delay, load, residual, link.prop_delay)
                     })
                     .collect();
-                let by_node = crate::dags_by_node(self.topo.node_count(), &sides[c].dags);
-                let s = sla_walk(
+                let by_node = dags_by_node(self.topo.node_count(), &side.dags);
+                let dag = |t: NodeId| {
+                    let dag = by_node[t.index()];
+                    FlatView(
+                        &self.flat,
+                        dag.expect("backend DAGs cover every SLA destination"),
+                    )
+                };
+                let (matrix, dests) = (self.matrices[from + i], &self.dests[from + i]);
+                Some(sla_walk(
                     self.topo,
-                    self.matrices[c],
-                    &self.dests[c],
+                    matrix,
+                    dests,
                     link_delays,
                     &params,
-                    |t| {
-                        let dag = by_node[t.index()];
-                        FlatView(
-                            &self.flat,
-                            dag.expect("backend DAGs cover every SLA destination"),
-                        )
-                    },
-                );
-                components[c] = s.lambda;
-                sla[c] = Some(s);
-            }
-        }
-        let cost = LexCost::new(components);
-        KClassEvaluation {
+                    dag,
+                ))
+            })
+            .collect();
+        Rows {
             loads,
             phis: cascade.phis,
             phi_per_link: cascade.phi_per_link,
             sla,
-            cost,
+        }
+    }
+}
+
+impl Rows {
+    /// Appends the rows of the classes below these.
+    fn append(&mut self, below: Rows) {
+        self.loads.extend(below.loads);
+        self.phis.extend(below.phis);
+        self.phi_per_link.extend(below.phi_per_link);
+        self.sla.extend(below.sla);
+    }
+
+    /// The evaluation of every class's rows: class `c` contributes its
+    /// `Λ` (SLA mode) or `Φ` (load mode) to the cost.
+    fn into_evaluation(self) -> KClassEvaluation {
+        let components = (self.phis.iter().zip(&self.sla))
+            .map(|(&phi, sla)| sla.as_ref().map_or(phi, |s| s.lambda))
+            .collect();
+        KClassEvaluation {
+            loads: self.loads,
+            phis: self.phis,
+            phi_per_link: self.phi_per_link,
+            sla: self.sla,
+            cost: LexCost::new(components),
         }
     }
 }
@@ -386,6 +415,91 @@ mod tests {
         let ba = full.eval_class_batch(1, &cands, &weights);
         let bb = incr.eval_class_batch(1, &cands, &weights);
         assert_eq!(ba, bb);
+    }
+
+    /// One- and two-link moves of `w` (links picked by `salt`), then an
+    /// in-batch duplicate of the first and `w` itself.
+    fn step_batch(topo: &Topology, w: &WeightVector, salt: u32) -> Vec<WeightVector> {
+        let m = topo.link_count() as u32;
+        let mut cands: Vec<WeightVector> = (0..4u32)
+            .map(|i| {
+                let mut c = w.clone();
+                let lid = dtr_graph::LinkId((salt * 7 + i * 11) % m);
+                c.set(lid, c.get(lid) % 30 + 1);
+                if i % 2 == 1 {
+                    c.set(dtr_graph::LinkId((salt * 13 + i * 5 + 1) % m), 2 + i);
+                }
+                c
+            })
+            .collect();
+        cands.push(cands[0].clone());
+        cands.push(w.clone());
+        cands
+    }
+
+    #[test]
+    fn class_batches_match_eval_of_each_moved_setting() {
+        let (topo, demands) = instance(27);
+        let matrices = vec![&demands.high, &demands.low, &demands.high];
+        let sla = ClassMode::Sla(SlaParams::default());
+        let spec = ObjectiveSpec {
+            classes: vec![sla, ClassMode::Load, sla],
+        };
+        let mut weights = vec![WeightVector::delay_proportional(&topo, 30); 3];
+        weights[1] = WeightVector::uniform(&topo, 3);
+        let reference = |w: &[WeightVector]| {
+            KClassBatchEvaluator::new(&topo, matrices.clone(), &spec, BackendKind::Full)
+                .unwrap()
+                .eval(w)
+        };
+        for kind in KINDS {
+            let mut kc = KClassBatchEvaluator::new(&topo, matrices.clone(), &spec, kind).unwrap();
+            for (c, w) in weights.iter().enumerate() {
+                kc.rebase(c, w);
+            }
+            assert_eq!(kc.eval(&weights), reference(&weights));
+            for class in 0..3 {
+                let cands = step_batch(&topo, &weights[class], class as u32);
+                let (hits, _) = kc.cache_stats();
+                let evals = kc.eval_class_batch(class, &cands, &weights);
+                // The last candidate is the current side: a cache hit.
+                assert!(kc.cache_stats().0 > hits, "{kind:?} class {class}");
+                assert_eq!(evals[0], evals[4]);
+                for (cand, ev) in cands.iter().zip(&evals) {
+                    let mut moved = weights.clone();
+                    moved[class] = cand.clone();
+                    assert_eq!(ev, &reference(&moved), "{kind:?} class {class}");
+                }
+            }
+        }
+    }
+
+    /// A kernel rebased onto the setting it steps from repairs its
+    /// candidates; one left at its uniform construction base hands every
+    /// candidate back for a full evaluation.
+    #[test]
+    fn a_rebased_kernel_steps_without_full_fallbacks() {
+        let (topo, demands) = instance(28);
+        let matrices = vec![&demands.high, &demands.low, &demands.high];
+        let spec = ObjectiveSpec::uniform_sla(3, SlaParams::default());
+        let weights = vec![WeightVector::delay_proportional(&topo, 30); 3];
+        let cands = step_batch(&topo, &weights[1], 1);
+        let kind = BackendKind::Incremental;
+        let mut kc = KClassBatchEvaluator::new(&topo, matrices.clone(), &spec, kind).unwrap();
+        for (c, w) in weights.iter().enumerate() {
+            kc.rebase(c, w);
+        }
+        let stepped = kc.eval_class_batch(1, &cands, &weights);
+        let stats = kc.work_stats();
+        assert_eq!(stats.full_fallbacks, 0, "{stats:?}");
+        assert!(stats.replayed > 0, "{stats:?}");
+
+        let mut cold = KClassBatchEvaluator::new(&topo, matrices, &spec, kind).unwrap();
+        assert_eq!(cold.eval_class_batch(1, &cands, &weights), stepped);
+        assert!(cold.work_stats().full_fallbacks > 0);
+        let full = BackendKind::Full;
+        let full = KClassBatchEvaluator::new(&topo, vec![&demands.high; 3], &spec, full).unwrap();
+        assert_eq!(full.work_stats(), WorkStats::default());
     }
 
     /// 3 classes on the unit triangle, all A→C, 1/3 each.

@@ -10,7 +10,7 @@
 use dtr_cost::{Objective, ObjectiveSpec, SlaParams};
 use dtr_engine::{
     BackendKind, BatchEvaluator, CandidateEval, EvalBackend, FlatDag, FlatTopo, IncrementalBackend,
-    KClassBatchEvaluator, WorkStats, PAR_MIN_WORK,
+    KClassBatchEvaluator, KClassEvaluation, WorkStats, PAR_MIN_WORK,
 };
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::spf::Dist;
@@ -196,6 +196,33 @@ fn facade_run(
     )
 }
 
+/// A three-class SLA kernel stepping every class in turn: a mixed batch
+/// per class, then a rebase onto that batch's second candidate (an
+/// accepted move) and the step after it. Every evaluation, with the work
+/// and cache counters at the end.
+type KClassRun = (Vec<KClassEvaluation>, WorkStats, (u64, u64));
+
+fn kclass_run(topo: &Topology, demands: &DemandSet, base: &WeightVector, seed: u64) -> KClassRun {
+    let matrices = vec![&demands.high, &demands.low, &demands.high];
+    let spec = ObjectiveSpec::uniform_sla(3, SlaParams::default());
+    let kind = BackendKind::Incremental;
+    let mut kc = KClassBatchEvaluator::new(topo, matrices, &spec, kind).unwrap();
+    let mut weights = vec![base.clone(); 3];
+    for (c, w) in weights.iter().enumerate() {
+        kc.rebase(c, w);
+    }
+    let mut seen = vec![kc.eval(&weights)];
+    for class in 0..3 {
+        let batch = mixed_batch(topo, &weights[class], seed ^ class as u64);
+        seen.extend(kc.eval_class_batch(class, &batch, &weights));
+        weights[class] = batch[1].clone();
+        kc.rebase(class, &weights[class]);
+        let next = neighbor_walk(topo, &weights[class], 1, 4, seed ^ 0x5eed);
+        seen.extend(kc.eval_class_batch(class, &next, &weights));
+    }
+    (seen, kc.work_stats(), kc.cache_stats())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -224,6 +251,35 @@ proptest! {
         for k in [2, 3] {
             let many = with_threads(k, || facade_run(&topo, &demands, objective, &base, seed));
             prop_assert!(one == many, "facade, {k} threads");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The k-class kernel fans its batches out above the threshold too:
+    /// on a 40-node three-class SLA instance every evaluation (loads,
+    /// costs and SLA walks bit for bit), the work counters and the cache
+    /// counters are the same under 1, 2 and 3 threads.
+    #[test]
+    fn kclass_thread_count_is_invisible(seed in 0u64..200, wseed in 0u64..200) {
+        let nodes = 40;
+        // Light enough that class 0 leaves every link some residual for
+        // class 1's delay model.
+        let (topo, demands) = instance(seed, nodes);
+        let demands = demands.scaled(0.1);
+        let base = rand_weights(&topo, wseed);
+        for m in [&demands.high, &demands.low] {
+            let dests = (0..nodes).filter(|&t| m.demands_to(t).next().is_some()).count();
+            prop_assert!(dests * nodes >= PAR_MIN_WORK, "{dests} × {nodes}");
+        }
+        let one = with_threads(1, || kclass_run(&topo, &demands, &base, seed));
+        prop_assert!(one.1.full_fallbacks > 0 && one.1.repaired > 0 && one.1.rebases > 0);
+        prop_assert!(one.2 .0 > 0, "the side caches were hit");
+        for k in [2, 3] {
+            let many = with_threads(k, || kclass_run(&topo, &demands, &base, seed));
+            prop_assert!(one == many, "k-class, {k} threads");
         }
     }
 }
