@@ -88,7 +88,7 @@ flags! {
     // suite, validate
     SMOKE: "smoke", "", Kind::Switch;
     ONLY: "only", "A,B", Kind::Text;
-    DES_PACKETS: "des-packets", "N", Kind::Int(0, 1_000_000_000);
+    DES_PACKETS: "des-packets", "N", Kind::Int(1, 1_000_000_000);
     // churn
     EVENTS: "events", "100", Kind::Int(0, 10_000_000);
     FLAP_RATE: "flap-rate", "0.3", RATE;

@@ -241,6 +241,12 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
             2,
             "--budget",
         ),
+        // Used to run the default packet budget and exit 0.
+        (
+            "validate --des-packets 0".to_string(),
+            2,
+            "--des-packets: 0 — need an integer in 1..=1000000000",
+        ),
         // A one-way link, where the duplex-failure commands cut both
         // directions: they used to panic on the missing twin.
         (
