@@ -7,8 +7,9 @@
 //!
 //! - [`FullBackend`] recomputes every destination's reverse-Dijkstra and
 //!   load push per candidate, exactly like
-//!   [`dtr_routing::LoadCalculator`]; batches fan out across cores with
-//!   rayon (each candidate is independent).
+//!   [`dtr_routing::LoadCalculator`] (on `ShortestPathDag`s, flattened
+//!   only when handed out); batches fan out across cores with rayon
+//!   (each candidate is independent). It is the equivalence reference.
 //! - [`IncrementalBackend`] maintains per-destination DAGs and load
 //!   contributions at the base and repairs only the destinations a
 //!   candidate's one-or-two weight deltas can affect (see

@@ -24,9 +24,9 @@
 //! residual is the raw capacity bit-for-bit.
 
 use crate::backend::BackendKind;
-use crate::flat::{FlatDag, FlatTopo, FlatView};
+use crate::flat::{FlatDag, FlatTopo};
 use crate::state::WorkStats;
-use crate::{dags_by_node, Lane};
+use crate::{dag_views, Lane};
 use dtr_cost::{link_delay, ClassMode, LexCost, ObjectiveError, ObjectiveSpec};
 use dtr_graph::{NodeId, Topology, WeightVector};
 use dtr_routing::{cascade_below, sla_walk, ClassLoads, SlaEvaluation};
@@ -257,22 +257,15 @@ impl<'a> KClassBatchEvaluator<'a> {
                         link_delay(&params.delay, load, residual, link.prop_delay)
                     })
                     .collect();
-                let by_node = dags_by_node(self.topo.node_count(), &side.dags);
-                let dag = |t: NodeId| {
-                    let dag = by_node[t.index()];
-                    FlatView(
-                        &self.flat,
-                        dag.expect("backend DAGs cover every SLA destination"),
-                    )
-                };
                 let (matrix, dests) = (self.matrices[from + i], &self.dests[from + i]);
+                let dags = dag_views(&self.flat, &side.dags);
                 Some(sla_walk(
                     self.topo,
                     matrix,
                     dests,
                     link_delays,
                     &params,
-                    dag,
+                    dags,
                 ))
             })
             .collect();

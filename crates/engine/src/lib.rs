@@ -631,34 +631,30 @@ fn high_side(
 ) -> HighSide {
     match evaluator.objective() {
         Objective::SlaBased(params) if !dags.is_empty() => {
-            let topo = evaluator.topo();
-            let by_node = dags_by_node(topo.node_count(), dags);
-            let sla = sla_evaluation(
-                topo,
-                &evaluator.demands().high,
-                evaluator.high_dests(),
-                &loads,
-                &params,
-                |t| {
-                    FlatView(
-                        flat,
-                        by_node[t.index()].expect("backend DAGs cover every high destination"),
-                    )
-                },
-            );
+            let (topo, high) = (evaluator.topo(), &evaluator.demands().high);
+            let dests = evaluator.high_dests();
+            let sla = sla_evaluation(topo, high, dests, &loads, &params, dag_views(flat, dags));
             evaluator.high_side_with_sla(loads, Some(sla))
         }
         _ => evaluator.high_side_from_loads(loads, wh),
     }
 }
 
-/// A candidate's DAGs indexed by destination node.
-fn dags_by_node(n: usize, dags: &[(NodeId, Arc<FlatDag>)]) -> Vec<Option<&FlatDag>> {
-    let mut by_node = vec![None; n];
+/// The SLA walk's view of a candidate's DAG towards each destination.
+fn dag_views<'d>(
+    flat: &'d FlatTopo,
+    dags: &'d [(NodeId, Arc<FlatDag>)],
+) -> impl Fn(NodeId) -> FlatView<'d> {
+    let mut by_node = vec![None; flat.node_count()];
     for (t, dag) in dags {
         by_node[t.index()] = Some(&**dag);
     }
-    by_node
+    move |t| {
+        FlatView(
+            flat,
+            by_node[t.index()].expect("backend DAGs cover every walked destination"),
+        )
+    }
 }
 
 /// Deduplicates cache misses within one batch: the neighborhood sampler
