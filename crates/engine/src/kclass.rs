@@ -7,7 +7,7 @@
 //! strict-priority classes: one lane per class (a backend binding that
 //! class's traffic matrix, behind a small cache of (loads, flat DAGs)
 //! sides), and a pricing step that runs the shared residual-capacity
-//! cascade ([`dtr_routing::cascade_below`]) and, for SLA-mode classes,
+//! cascade ([`dtr_routing::cascade_classes`]) and, for SLA-mode classes,
 //! the shared SLA walk ([`dtr_routing::sla_walk`]) over the lanes' flat
 //! DAGs, with link delays evaluated against each class's **residual**
 //! capacity `C̃_c = max(C − Σ_{j<c} load_j, 0)`.
@@ -29,7 +29,7 @@ use crate::state::WorkStats;
 use crate::{dag_views, Lane};
 use dtr_cost::{link_delay, ClassMode, LexCost, ObjectiveError, ObjectiveSpec};
 use dtr_graph::{NodeId, Topology, WeightVector};
-use dtr_routing::{cascade_below, sla_walk, ClassLoads, SlaEvaluation};
+use dtr_routing::{cascade_classes, sla_walk, ClassLoads, SlaEvaluation};
 use dtr_traffic::TrafficMatrix;
 use std::sync::Arc;
 
@@ -76,9 +76,10 @@ impl KClassEvaluation {
 /// becomes current); nothing older is revisited often enough to matter.
 /// An SLA-class entry holds one `Arc<FlatDag>` per destination: the
 /// backend's base `Arc` where the candidate left the destination alone,
-/// its own flat copy where it repaired it. At the two-class evaluator's
-/// 512 entries a 30-node k = 3 suite run held 24 MB, at 16 it held
-/// 11 MB at the same speed (with a materialized DAG per destination).
+/// its own flat copy where it repaired it. Measured when every entry
+/// held a materialized DAG per destination: at the two-class
+/// evaluator's 512 entries a 30-node k = 3 suite run held 24 MB, at 16
+/// it held 11 MB at the same speed.
 const SIDE_CACHE_CAPACITY: usize = 16;
 
 /// What the per-class lanes produce and their caches hold: loads plus
@@ -244,7 +245,7 @@ impl<'a> KClassBatchEvaluator<'a> {
     /// link delays against their residual capacity.
     fn price(&self, from: usize, sides: &[&ClassSide], used: &mut [f64]) -> Rows {
         let loads: Vec<ClassLoads> = sides.iter().map(|s| s.loads.clone()).collect();
-        let cascade = cascade_below(self.topo, &loads, used);
+        let cascade = cascade_classes(self.topo, &loads, used);
         let sla = (sides.iter().enumerate())
             .map(|(i, side)| {
                 let ClassMode::Sla(params) = self.spec.mode(from + i) else {

@@ -5,7 +5,7 @@
 //! charged the Fortz–Thorup `Φ(load_c, C̃_c)`. This module owns the one
 //! canonical loop (link-major, classes in priority order, running
 //! `used` accumulator), restartable below an already priced prefix of
-//! classes ([`cascade_below`]); its one caller outside this crate is
+//! classes; its one caller outside this crate is
 //! `dtr-engine`'s k-class kernel, which every k-class search and report
 //! evaluates through.
 //!
@@ -30,19 +30,14 @@ pub struct ClassCascade {
     pub residuals: Vec<Vec<f64>>,
 }
 
-/// Runs the strict-priority cascade over `loads` (class 0 = highest
-/// priority, each `ClassLoads` indexed by link).
-pub fn cascade_classes(topo: &Topology, loads: &[ClassLoads]) -> ClassCascade {
-    cascade_below(topo, loads, &mut vec![0.0; topo.link_count()])
-}
-
-/// The cascade restarted below classes already priced: `loads` are
-/// classes `j..` and `used[l]` is the load of classes `..j` on link `l`
-/// (all zero for `j = 0`), summed in priority order. Returns the rows of
-/// `loads` and leaves their loads added to `used`, so pricing a prefix
-/// once and each suffix on a copy of its `used` is bit-identical to
-/// [`cascade_classes`] over the whole.
-pub fn cascade_below(topo: &Topology, loads: &[ClassLoads], used: &mut [f64]) -> ClassCascade {
+/// Runs the strict-priority cascade over `loads` (highest priority
+/// first, each `ClassLoads` indexed by link) below the classes already
+/// priced: `used[l]` is their load on link `l`, summed in priority order
+/// (all zeros when `loads` starts at class 0). Returns the rows of
+/// `loads` and adds their loads to `used`, so pricing a prefix of the
+/// classes once and each suffix on a copy of its `used` is bit-identical
+/// to one pass over all of them.
+pub fn cascade_classes(topo: &Topology, loads: &[ClassLoads], used: &mut [f64]) -> ClassCascade {
     let k = loads.len();
     let m = topo.link_count();
     let mut phis = vec![0.0; k];
@@ -91,7 +86,8 @@ mod tests {
         let mut ev = Evaluator::new(&topo, &demands, Objective::LoadBased);
         let w = WeightVector::uniform(&topo, 1);
         let e = ev.eval_dual(&DualWeights::replicated(w));
-        let cascade = cascade_classes(&topo, &[e.high_loads.clone(), e.low_loads.clone()]);
+        let loads = [e.high_loads.clone(), e.low_loads.clone()];
+        let cascade = cascade_classes(&topo, &loads, &mut vec![0.0; topo.link_count()]);
         assert_eq!(cascade.phis[0], e.phi_h);
         assert_eq!(cascade.phis[1], e.phi_l);
         assert_eq!(cascade.phi_per_link[0], e.phi_h_per_link);
@@ -105,7 +101,7 @@ mod tests {
         let w = WeightVector::uniform(&topo, 1);
         let h = ev.high_loads(&w);
         let l = ev.low_loads(&w);
-        let cascade = cascade_classes(&topo, &[h.clone(), l]);
+        let cascade = cascade_classes(&topo, &[h.clone(), l], &mut vec![0.0; topo.link_count()]);
         for (lid, link) in topo.links() {
             assert_eq!(cascade.residuals[0][lid.index()], link.capacity);
             let expect = (link.capacity - h[lid.index()]).max(0.0);
@@ -122,10 +118,22 @@ mod tests {
         c0[ac.index()] = 1.5; // over unit capacity
         let c1 = vec![0.1; m];
         let c2 = vec![0.0; m];
-        let cascade = cascade_classes(&topo, &[c0, c1, c2]);
+        let mut used = vec![0.0; m];
+        let cascade = cascade_classes(&topo, &[c0.clone(), c1.clone(), c2.clone()], &mut used);
         assert_eq!(cascade.residuals[1][ac.index()], 0.0);
         assert_eq!(cascade.residuals[2][ac.index()], 0.0);
         // Φ at zero residual uses the steepest slope: 5000·load.
         assert!((cascade.phi_per_link[1][ac.index()] - 500.0).abs() < 1e-9);
+
+        // Restarted below class 0, the cascade gives classes 1 and 2 the
+        // same rows bit for bit and leaves the same `used`.
+        let mut below = vec![0.0; m];
+        let head = cascade_classes(&topo, &[c0], &mut below);
+        let tail = cascade_classes(&topo, &[c1, c2], &mut below);
+        assert_eq!(head.phis[..], cascade.phis[..1]);
+        assert_eq!(tail.phis[..], cascade.phis[1..]);
+        assert_eq!(tail.phi_per_link[..], cascade.phi_per_link[1..]);
+        assert_eq!(tail.residuals[..], cascade.residuals[1..]);
+        assert_eq!(below, used);
     }
 }

@@ -24,7 +24,7 @@ pub mod loads;
 pub mod lower_bound;
 pub mod scenarios;
 
-pub use cascade::{cascade_below, cascade_classes, ClassCascade};
+pub use cascade::{cascade_classes, ClassCascade};
 pub use deploy::{hybrid_low_dag, trapped_flow, DeploymentSet};
 pub use eval::{
     sla_evaluation, sla_walk, EvalError, Evaluation, Evaluator, HighSide, LinkRank, PairDelay,
