@@ -4,10 +4,11 @@
 //! `RobustSearch` comparison.
 //!
 //! The full backend pays one masked SPF evaluation per scenario; the
-//! incremental backend applies and reverts each scenario's two
-//! link-mask deltas against one intact SPF state, so most destinations
-//! contribute cached load vectors. Both are asserted bit-identical
-//! before timing starts.
+//! incremental backend repairs a scratch copy of each destination the
+//! candidate's weight delta or the scenario's two down links touch, so
+//! most destinations contribute cached load vectors, and fans the
+//! scenarios out over the pool. Both are asserted bit-identical before
+//! timing starts.
 //!
 //! Emits `BENCH_robust.json` at the repository root. Schema:
 //! `{ "benches": [ { id, mean_s } … ],

@@ -389,7 +389,9 @@ impl<'a> PortfolioSearch<'a> {
                     combine,
                     self.params.backend,
                 );
-                Some(ev.cap_to_worst(&self.initial_or_uniform(), cap))
+                let w0 = self.initial_or_uniform();
+                ev.rebase(&w0);
+                Some(ev.cap_to_worst(&w0, cap))
             }
             _ => None,
         };
@@ -466,10 +468,10 @@ impl<'a> PortfolioSearch<'a> {
                 let mut ev = self.canonical_evaluator();
                 (Some(ev.eval_dual(&winner.weights)), None)
             }
-            PortfolioMode::Robust { .. } => {
-                let mut ev = self.canonical_robust_evaluator(capped_ids.as_deref());
-                (None, Some(ev.eval(&winner.weights)))
-            }
+            PortfolioMode::Robust { .. } => (
+                None,
+                Some(self.canonical_robust_cost(capped_ids.as_deref(), &winner.weights)),
+            ),
         };
         PortfolioResult {
             weights: winner.weights.clone(),
@@ -483,12 +485,14 @@ impl<'a> PortfolioSearch<'a> {
         }
     }
 
-    /// The canonical robust evaluator all arms are scored against: the
-    /// full scenario set, or — when a cap is configured — the
-    /// `capped_ids` precomputed once in [`Self::run`] from the *shared*
-    /// initial setting, so every arm is measured on the same set without
-    /// re-paying the capping sweep per arm.
-    fn canonical_robust_evaluator(&self, capped_ids: Option<&[u32]>) -> RobustEvaluator<'a> {
+    /// `w`'s cost under the canonical robust evaluator all arms are
+    /// scored against: the full scenario set, or — when a cap is
+    /// configured — the `capped_ids` precomputed once in [`Self::run`]
+    /// from the *shared* initial setting, so every arm is measured on
+    /// the same set without re-paying the capping sweep per arm. The
+    /// evaluator's base is moved onto `w` first, so its sweeps repair
+    /// from `w` instead of evaluating every scenario in full.
+    fn canonical_robust_cost(&self, capped_ids: Option<&[u32]>, w: &DualWeights) -> RobustCost {
         let PortfolioMode::Robust { combine, .. } = self.mode else {
             unreachable!("canonical robust evaluator outside robust mode")
         };
@@ -497,7 +501,8 @@ impl<'a> PortfolioSearch<'a> {
         if let Some(ids) = capped_ids {
             ev.retain_pairs(ids);
         }
-        ev
+        ev.rebase(w);
+        ev.eval(w)
     }
 
     fn initial_or_uniform(&self) -> DualWeights {
@@ -535,9 +540,7 @@ impl<'a> PortfolioSearch<'a> {
                 ev.eval_dual(&weights).cost
             }
             PortfolioMode::Robust { .. } => {
-                self.canonical_robust_evaluator(capped_ids)
-                    .eval(&weights)
-                    .combined
+                self.canonical_robust_cost(capped_ids, &weights).combined
             }
         };
         TaskOutcome {

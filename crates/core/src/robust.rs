@@ -30,8 +30,9 @@
 //! [`dtr_engine::BatchEvaluator`], whose **failure-sweep backend**
 //! ([`SearchParams::backend`] `= Incremental`, the default) evaluates
 //! all scenarios of one candidate against a single intact SPF state — a
-//! failed duplex pair is two link-mask deltas repaired and reverted in
-//! place. Both backends produce bit-identical costs, so backend choice
+//! failed duplex pair is two link-mask deltas, repaired after the
+//! candidate's weight delta on a scratch copy of each destination they
+//! touch. Both backends produce bit-identical costs, so backend choice
 //! never changes the incumbent, only wall-clock time.
 //!
 //! [`RobustSearch::with_scenario_cap`] trades fidelity for speed by

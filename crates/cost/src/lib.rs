@@ -47,7 +47,7 @@ pub mod objective;
 pub mod sla;
 pub mod spec;
 
-pub use delay::{link_delay, DelayParams};
+pub use delay::{link_delay, DelayParams, MAX_QUEUEING_DELAY_S};
 pub use lex::{Lex2, LexCost};
 pub use load::{phi, phi_derivative, phi_segment, PHI_BREAKPOINTS, PHI_SLOPES};
 pub use objective::{Objective, SlaParams};

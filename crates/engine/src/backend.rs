@@ -18,6 +18,9 @@
 //!   back to a full per-candidate evaluation. Above
 //!   [`crate::PAR_MIN_WORK`] a batch fans out over the caller and idle
 //!   pool workers, one evaluation scratch each (see [`crate::state`]).
+//!   A failure sweep is the same repair with each scenario's down links
+//!   removed after the weight deltas, fanned out over the scenarios; it
+//!   never moves the base.
 //!
 //! Both produce bit-identical loads for identical inputs; the engine's
 //! equivalence proptests enforce this.
@@ -171,6 +174,21 @@ pub fn full_candidate_eval_masked(
     CandidateEval { loads, dags }
 }
 
+/// One [`full_candidate_eval_masked`] of `w` per scenario, fanned out
+/// like a candidate batch (the scenarios are independent): the full
+/// backend's sweep and the incremental backend's fallback.
+fn full_scenarios_eval(
+    topo: &Topology,
+    matrices: &[&TrafficMatrix],
+    w: &WeightVector,
+    scenarios: &[FailureScenario],
+) -> Vec<CandidateEval> {
+    scenarios
+        .par_iter()
+        .map(|sc| full_candidate_eval_masked(topo, matrices, w, Some(&sc.link_up), None))
+        .collect()
+}
+
 impl<'a> EvalBackend for FullBackend<'a> {
     fn eval_batch(&mut self, cands: &[WeightVector], want_dags: bool) -> Vec<CandidateEval> {
         cands
@@ -184,14 +202,7 @@ impl<'a> EvalBackend for FullBackend<'a> {
         cand: &WeightVector,
         scenarios: &[FailureScenario],
     ) -> Vec<CandidateEval> {
-        // Scenarios are independent full evaluations; fan out like a
-        // candidate batch.
-        scenarios
-            .par_iter()
-            .map(|sc| {
-                full_candidate_eval_masked(self.topo, &self.matrices, cand, Some(&sc.link_up), None)
-            })
-            .collect()
+        full_scenarios_eval(self.topo, &self.matrices, cand, scenarios)
     }
 
     fn rebase(&mut self, new_base: &WeightVector) {
@@ -257,21 +268,18 @@ impl<'a> EvalBackend for IncrementalBackend<'a> {
         cand: &WeightVector,
         scenarios: &[FailureScenario],
     ) -> Vec<CandidateEval> {
-        // Move the state onto the candidate (a 1–2 link repair on the
-        // search's hot path), sweep every scenario against that one
-        // intact state, then move back. Rebases are exact, so the
-        // round trip leaves the base state structurally identical.
-        let saved = self.state.base().clone();
-        self.state.rebase(cand, Self::MAX_DELTAS);
-        let out = scenarios
-            .iter()
-            .map(|sc| CandidateEval {
-                loads: self.state.eval_mask(&sc.link_up),
-                dags: Vec::new(),
-            })
-            .collect();
-        self.state.rebase(&saved, Self::MAX_DELTAS);
-        out
+        let masks: Vec<&[bool]> = scenarios.iter().map(|sc| &sc.link_up[..]).collect();
+        match self.state.eval_masked(cand, &masks, Self::MAX_DELTAS) {
+            Some(per_mask) => per_mask
+                .into_iter()
+                .map(|loads| CandidateEval {
+                    loads,
+                    dags: Vec::new(),
+                })
+                .collect(),
+            // A diversification-sized jump, evaluated in full.
+            None => full_scenarios_eval(self.topo, &self.matrices, cand, scenarios),
+        }
     }
 
     fn rebase(&mut self, new_base: &WeightVector) {

@@ -11,14 +11,13 @@
 //!   lets the engine skip most destinations outright);
 //! - [`apply_weight_delta`] — in-place repair of a [`FlatDag`] after
 //!   one weight change, touching only the affected region;
-//! - [`link_down_affects_dag`] / [`apply_link_down`] /
-//!   [`apply_link_up`] — the same affected-region machinery for
-//!   **link-up-mask deltas**: removing a link from the topology (a
-//!   failed duplex pair is two such removals) behaves like a weight
-//!   increase to ∞ on a tight link, and restoring it behaves like a
-//!   decrease from ∞. The failure-sweep backend uses apply + revert
-//!   pairs of these to evaluate every single-pair failure scenario of a
-//!   candidate against one intact SPF state.
+//! - [`link_down_affects_dag`] / [`apply_link_down`] — the same
+//!   affected-region machinery for **link removals**: removing a link
+//!   from the topology (a failed duplex pair is two such removals)
+//!   behaves like a weight increase to ∞ on a tight link. The engine
+//!   repairs a copy of a destination's DAG for a candidate's weight
+//!   deltas and then its down links in one pass, so a masked evaluation
+//!   never touches the cached DAG and nothing has to be restored.
 //!
 //! # Exactness
 //!
@@ -116,32 +115,14 @@ impl DynSpfScratch {
     }
 }
 
-/// O(1) test: can changing `link`'s weight from `old_w` to `new_w` alter
-/// `dag` (distances **or** ECMP membership)? `false` guarantees the DAG
-/// is unaffected; `true` means the repair must run (it may still turn
-/// out to be a no-op for equal-distance corner cases).
+/// O(1) test: can changing the weight of link `(u, v)` from `old_w` to
+/// `new_w` alter `dag` (distances **or** ECMP membership)? `false`
+/// guarantees the DAG is unaffected; `true` means the repair must run
+/// (it may still turn out to be a no-op for equal-distance corner
+/// cases). The caller passes the endpoints: candidate evaluation asks
+/// this of every destination for the same one or two links.
 #[inline]
-pub fn delta_affects_dag(
-    ft: &FlatTopo,
-    dag: &FlatDag,
-    link: u32,
-    old_w: Weight,
-    new_w: Weight,
-) -> bool {
-    endpoints_delta_affects_dag(dag, ft.src(link), ft.dst(link), old_w, new_w)
-}
-
-/// [`delta_affects_dag`] for a link `(u, v)` whose endpoints the caller
-/// already holds — candidate evaluation asks this of every destination
-/// for the same one or two links.
-#[inline]
-pub(crate) fn endpoints_delta_affects_dag(
-    dag: &FlatDag,
-    u: u32,
-    v: u32,
-    old_w: Weight,
-    new_w: Weight,
-) -> bool {
+pub fn delta_affects_dag(dag: &FlatDag, u: u32, v: u32, old_w: Weight, new_w: Weight) -> bool {
     if old_w == new_w {
         return false;
     }
@@ -315,7 +296,7 @@ pub fn apply_weight_delta(
             rebuild_ecmp(ft, dag, weights, None, u);
             return true;
         }
-        repair_decrease(ft, dag, weights, None, u, cand, scratch);
+        repair_decrease(ft, dag, weights, u, cand, scratch);
     }
 
     finish_repair(ft, dag, weights, None, u, scratch)
@@ -324,9 +305,6 @@ pub fn apply_weight_delta(
 /// Returns true iff **removing** `link` can alter `dag`: a removal
 /// matters exactly when the link is currently tight (on the DAG).
 /// `weights` holds the link's weight (masks never change weights).
-/// Restorations have a different condition (`dist(v) + w ≤ dist(u)`,
-/// tie *or* improvement) — [`apply_link_up`] checks it itself, so there
-/// is no separate filter to misuse.
 #[inline]
 pub fn link_down_affects_dag(ft: &FlatTopo, dag: &FlatDag, weights: &[Weight], link: u32) -> bool {
     let du = dag.dist[ft.src(link) as usize];
@@ -368,46 +346,6 @@ pub fn apply_link_down(
         return true;
     }
     repair_increase(ft, dag, weights, Some(mask), u, scratch);
-    finish_repair(ft, dag, weights, Some(mask), u, scratch)
-}
-
-/// Repairs `dag` in place after `link` came back **up**. `mask` must be
-/// the post-change link-up mask (`mask.is_up(link) == true`). Returns
-/// `true` if the DAG changed. Semantically [`apply_weight_delta`] with
-/// `old_w = ∞`: the only new candidate paths enter through the restored
-/// link, so a seeded decrease-repair propagates any improvement
-/// upstream. Applying [`apply_link_down`] and then `apply_link_up` for
-/// the same link (under matching staged masks) restores the DAG to a
-/// structure identical to a fresh computation — the failure sweep's
-/// revert step.
-pub fn apply_link_up(
-    ft: &FlatTopo,
-    dag: &mut FlatDag,
-    weights: &[Weight],
-    mask: &LinkMask,
-    link: u32,
-    scratch: &mut DynSpfScratch,
-) -> bool {
-    debug_assert!(mask.is_up(link));
-    let n = ft.node_count();
-    let (u, v) = (ft.src(link), ft.dst(link));
-    let dv = dag.dist[v as usize];
-    if dv == UNREACHABLE {
-        // The link still leads nowhere useful.
-        return false;
-    }
-    let du = dag.dist[u as usize];
-    let cand = dv + weights[link as usize] as Dist;
-    if du != UNREACHABLE && cand > du {
-        return false;
-    }
-    scratch.reset(n);
-    if du != UNREACHABLE && cand == du {
-        // Distances unchanged; the link merely joins the DAG at `u`.
-        rebuild_ecmp(ft, dag, weights, Some(mask), u);
-        return true;
-    }
-    repair_decrease(ft, dag, weights, Some(mask), u, cand, scratch);
     finish_repair(ft, dag, weights, Some(mask), u, scratch)
 }
 
@@ -621,7 +559,6 @@ fn repair_decrease(
     ft: &FlatTopo,
     dag: &mut FlatDag,
     weights: &[Weight],
-    mask: Option<&LinkMask>,
     u: u32,
     cand: Dist,
     scratch: &mut DynSpfScratch,
@@ -635,9 +572,6 @@ fn repair_decrease(
             continue;
         }
         for &lid in ft.in_links(x) {
-            if !link_usable(mask, lid) {
-                continue;
-            }
             let p = ft.src(lid);
             let nd = d + weights[lid as usize] as Dist;
             if nd < dag.dist[p as usize] {
@@ -711,14 +645,11 @@ mod tests {
         let dag = flat_compute(&ft, &w, 3);
         // The reverse link 3→0-side weights never matter for paths *to* 3
         // from 0 unless tight; check a non-tight increase is filtered.
-        let l31 = topo.find_link(NodeId(3), NodeId(1)).unwrap();
-        assert!(!delta_affects_dag(&ft, &dag, l31.0, 1, 9));
+        assert!(!delta_affects_dag(&dag, 3, 1, 1, 9));
         // A tight link increase is flagged.
-        let l13 = topo.find_link(NodeId(1), NodeId(3)).unwrap();
-        assert!(delta_affects_dag(&ft, &dag, l13.0, 1, 2));
-        // A decrease creating a tie is flagged (ECMP membership change).
-        let l02 = topo.find_link(NodeId(0), NodeId(2)).unwrap();
-        assert!(!delta_affects_dag(&ft, &dag, l02.0, 1, 1));
+        assert!(delta_affects_dag(&dag, 1, 3, 1, 2));
+        // An unchanged weight is never flagged.
+        assert!(!delta_affects_dag(&dag, 0, 2, 1, 1));
     }
 
     /// Structural equality against a fresh masked computation.
@@ -737,44 +668,41 @@ mod tests {
         assert_eq!(got.order, fresh.order, "masked order mismatch");
     }
 
+    /// Applies the staged removals of `downs` to `dag` the way the
+    /// engine's repair does: each link goes down just before it is
+    /// considered.
+    fn remove_links(ft: &FlatTopo, dag: &mut FlatDag, w: &WeightVector, downs: &[u32]) {
+        let mut mask = LinkMask::all_up(ft.link_count());
+        let mut scratch = DynSpfScratch::new();
+        for &l in downs {
+            mask.set_down(l);
+            if link_down_affects_dag(ft, dag, w.as_slice(), l) {
+                apply_link_down(ft, dag, w.as_slice(), &mask, l, &mut scratch);
+            }
+        }
+    }
+
     #[test]
-    fn duplex_down_then_up_roundtrips() {
+    fn duplex_down_matches_fresh() {
         let topo = diamond();
         let ft = FlatTopo::new(&topo);
         let w = WeightVector::uniform(&topo, 1);
         let mut dag = flat_compute(&ft, &w, 3);
-        let original = dag.clone();
-        let mut scratch = DynSpfScratch::new();
 
-        // Fail duplex 0↔1: apply the two directed removals staged.
+        // Fail duplex 0↔1: the two directed removals, staged.
         let a = topo.find_link(NodeId(0), NodeId(1)).unwrap().0;
         let b = topo.find_link(NodeId(1), NodeId(0)).unwrap().0;
         let mut up = vec![true; topo.link_count()];
-        let mut mask = LinkMask::all_up(topo.link_count());
         up[a as usize] = false;
-        mask.set_down(a);
-        if link_down_affects_dag(&ft, &dag, w.as_slice(), a) {
-            apply_link_down(&ft, &mut dag, w.as_slice(), &mask, a, &mut scratch);
-        }
         up[b as usize] = false;
-        mask.set_down(b);
-        if link_down_affects_dag(&ft, &dag, w.as_slice(), b) {
-            apply_link_down(&ft, &mut dag, w.as_slice(), &mask, b, &mut scratch);
-        }
+        remove_links(&ft, &mut dag, &w, &[a, b]);
         assert_matches_fresh_masked(&topo, &ft, &dag, &w, &up);
         // Node 0 lost its ECMP split towards 3.
         assert_eq!(dag.ecmp_len[0], 1);
-
-        // Revert in reverse order under staged masks.
-        mask.set_up(b);
-        apply_link_up(&ft, &mut dag, w.as_slice(), &mask, b, &mut scratch);
-        mask.set_up(a);
-        apply_link_up(&ft, &mut dag, w.as_slice(), &mask, a, &mut scratch);
-        assert!(dag.same_structure(&ft, &original));
     }
 
     #[test]
-    fn isolating_removal_marks_unreachable_and_recovers() {
+    fn isolating_removal_marks_unreachable() {
         // A 2-node duplex: cutting it makes node 1 unreachable from 0.
         let mut b = TopologyBuilder::new();
         b.add_nodes(2);
@@ -783,33 +711,15 @@ mod tests {
         let ft = FlatTopo::new(&topo);
         let w = WeightVector::uniform(&topo, 1);
         let mut dag = flat_compute(&ft, &w, 1);
-        let original = dag.clone();
-        let mut scratch = DynSpfScratch::new();
         let l01 = topo.find_link(NodeId(0), NodeId(1)).unwrap().0;
         let l10 = topo.find_link(NodeId(1), NodeId(0)).unwrap().0;
-        let mut up = vec![true; topo.link_count()];
-        let mut mask = LinkMask::all_up(topo.link_count());
-        up[l01 as usize] = false;
-        mask.set_down(l01);
-        if link_down_affects_dag(&ft, &dag, w.as_slice(), l01) {
-            apply_link_down(&ft, &mut dag, w.as_slice(), &mask, l01, &mut scratch);
-        }
-        up[l10 as usize] = false;
-        mask.set_down(l10);
-        if link_down_affects_dag(&ft, &dag, w.as_slice(), l10) {
-            apply_link_down(&ft, &mut dag, w.as_slice(), &mask, l10, &mut scratch);
-        }
+        remove_links(&ft, &mut dag, &w, &[l01, l10]);
         assert_eq!(dag.dist[0], UNREACHABLE);
-        assert_matches_fresh_masked(&topo, &ft, &dag, &w, &up);
-        mask.set_up(l10);
-        apply_link_up(&ft, &mut dag, w.as_slice(), &mask, l10, &mut scratch);
-        mask.set_up(l01);
-        apply_link_up(&ft, &mut dag, w.as_slice(), &mask, l01, &mut scratch);
-        assert!(dag.same_structure(&ft, &original));
+        assert_matches_fresh_masked(&topo, &ft, &dag, &w, &[false, false]);
     }
 
     #[test]
-    fn randomized_duplex_mask_roundtrips_match_fresh() {
+    fn randomized_duplex_masks_match_fresh() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let topo = dtr_graph::gen::random_topology(&dtr_graph::gen::RandomTopologyCfg {
@@ -823,29 +733,19 @@ mod tests {
         for (lid, _) in topo.links() {
             w.set(lid, rng.random_range(1u32..=8));
         }
-        let mut scratch = DynSpfScratch::new();
         for dest_seed in 0..4u32 {
             let dest = dest_seed * 3 % topo.node_count() as u32;
-            let mut dag = flat_compute(&ft, &w, dest);
-            let original = dag.clone();
+            let intact = flat_compute(&ft, &w, dest);
+            let mut dag = intact.clone();
             for _ in 0..60 {
                 let a = rng.random_range(0..topo.link_count() as u32);
                 let b = topo.reverse_link(dtr_graph::LinkId(a)).unwrap().0;
                 let mut up = vec![true; topo.link_count()];
-                let mut mask = LinkMask::all_up(topo.link_count());
-                for l in [a, b] {
-                    up[l as usize] = false;
-                    mask.set_down(l);
-                    if link_down_affects_dag(&ft, &dag, w.as_slice(), l) {
-                        apply_link_down(&ft, &mut dag, w.as_slice(), &mask, l, &mut scratch);
-                    }
-                }
+                up[a as usize] = false;
+                up[b as usize] = false;
+                dag.clone_from(&intact);
+                remove_links(&ft, &mut dag, &w, &[a, b]);
                 assert_matches_fresh_masked(&topo, &ft, &dag, &w, &up);
-                for l in [b, a] {
-                    mask.set_up(l);
-                    apply_link_up(&ft, &mut dag, w.as_slice(), &mask, l, &mut scratch);
-                }
-                assert!(dag.same_structure(&ft, &original));
             }
         }
     }
@@ -869,7 +769,7 @@ mod tests {
             let old = w.get(dtr_graph::LinkId(lid));
             let new = rng.random_range(1u32..=10);
             w.set(dtr_graph::LinkId(lid), new);
-            if delta_affects_dag(&ft, &dag, lid, old, new) {
+            if delta_affects_dag(&dag, ft.src(lid), ft.dst(lid), old, new) {
                 apply_weight_delta(&ft, &mut dag, w.as_slice(), lid, old, new, &mut scratch);
             }
             assert_matches_fresh(&topo, &ft, &dag, &w);
@@ -879,8 +779,8 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(12))]
 
         /// Long in-place walks where ties are everywhere (weights from
-        /// 1..=3) and, in between, every out-link of some node goes down
-        /// and comes back, which cuts that node (and whatever hangs off
+        /// 1..=3) and, in between, a copy of the DAG loses every out-link
+        /// of some node, which cuts that node (and whatever hangs off
         /// it) from the destination. After every single repair the DAG
         /// (`dist`, `order`, every branch list) equals a fresh one.
         #[test]
@@ -913,23 +813,21 @@ mod tests {
                 if step % 8 == 7 {
                     let x = rng.random_range(0..nodes as u32);
                     let downs = ft.out_links(x).to_vec();
+                    let mut cut = dag.clone();
                     for &l in &downs {
                         mask.set_down(l);
-                        if link_down_affects_dag(&ft, &dag, &w, l) {
-                            apply_link_down(&ft, &mut dag, &w, &mask, l, &mut scratch);
+                        if link_down_affects_dag(&ft, &cut, &w, l) {
+                            apply_link_down(&ft, &mut cut, &w, &mask, l, &mut scratch);
                         }
                         fresh.compute_into(&ft, &w, dest, Some(&mask), &mut ws);
-                        prop_assert!(dag.same_structure(&ft, &fresh), "step {}", step);
+                        prop_assert!(cut.same_structure(&ft, &fresh), "step {}", step);
                     }
                     if x != dest {
-                        prop_assert_eq!(dag.dist[x as usize], UNREACHABLE);
+                        prop_assert_eq!(cut.dist[x as usize], UNREACHABLE);
                         cut_nodes += 1;
                     }
-                    for &l in downs.iter().rev() {
+                    for &l in &downs {
                         mask.set_up(l);
-                        apply_link_up(&ft, &mut dag, &w, &mask, l, &mut scratch);
-                        fresh.compute_into(&ft, &w, dest, Some(&mask), &mut ws);
-                        prop_assert!(dag.same_structure(&ft, &fresh), "step {}", step);
                     }
                     continue;
                 }
@@ -937,7 +835,7 @@ mod tests {
                 let old = w[lid as usize];
                 let new = rng.random_range(1u32..=3);
                 w[lid as usize] = new;
-                if delta_affects_dag(&ft, &dag, lid, old, new) {
+                if delta_affects_dag(&dag, ft.src(lid), ft.dst(lid), old, new) {
                     apply_weight_delta(&ft, &mut dag, &w, lid, old, new, &mut scratch);
                 }
                 fresh.compute_into(&ft, &w, dest, None, &mut ws);

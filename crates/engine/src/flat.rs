@@ -204,7 +204,8 @@ impl LinkMask {
         self.len == 0
     }
 
-    /// Are all covered links up? (Debug invariant of the staged sweep.)
+    /// Are all covered links up? (Debug invariant of a scratch's mask
+    /// between repairs.)
     pub fn is_all_up(&self) -> bool {
         *self == LinkMask::all_up(self.len)
     }

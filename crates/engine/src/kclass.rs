@@ -549,6 +549,43 @@ mod tests {
         }
     }
 
+    /// Class 0 saturates the shared link, leaving class 1 no residual
+    /// there: class 1's delay on it is the finite cap, and its SLA cost
+    /// grows monotonically as class 0's load squeezes the residual to 0.
+    #[test]
+    fn a_saturated_link_costs_the_lower_class_the_delay_cap() {
+        let (topo, mut classes) = stacked_triangle();
+        let ac = topo.find_link(NodeId(0), NodeId(2)).unwrap();
+        let prop = topo.link(ac).prop_delay;
+        let spec = ObjectiveSpec::uniform_sla(3, SlaParams::default());
+        let w = vec![WeightVector::uniform(&topo, 1); 3];
+        for kind in KINDS {
+            let mut prev = (0.0, 0.0);
+            for high in [0.5, 0.9, 0.99, 1.0, 1.5] {
+                classes[0].set(0, 2, high);
+                let mut kc =
+                    KClassBatchEvaluator::new(&topo, classes.iter().collect(), &spec, kind)
+                        .unwrap();
+                let e = kc.eval(&w);
+                let sla = e.sla[1].as_ref().unwrap();
+                let (delay, lambda) = (sla.link_delays[ac.index()], sla.lambda);
+                assert!(
+                    delay.is_finite() && lambda.is_finite(),
+                    "{high}: {delay}, {lambda}"
+                );
+                assert!(
+                    delay >= prev.0 && lambda >= prev.1,
+                    "{high}: {delay}, {lambda}"
+                );
+                if high >= 1.0 {
+                    assert_eq!(e.residuals(&topo, 1)[ac.index()], 0.0);
+                    assert_eq!(delay, dtr_cost::MAX_QUEUEING_DELAY_S + prop);
+                }
+                prev = (delay, lambda);
+            }
+        }
+    }
+
     #[test]
     fn higher_class_immune_to_lower_weights() {
         let (topo, demands) = instance(25);

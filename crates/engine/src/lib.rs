@@ -52,8 +52,7 @@ pub use backend::{
 };
 pub use cache::{weight_hash, LruCache};
 pub use dynspf::{
-    apply_link_down, apply_link_up, apply_weight_delta, delta_affects_dag, link_down_affects_dag,
-    DynSpfScratch,
+    apply_link_down, apply_weight_delta, delta_affects_dag, link_down_affects_dag, DynSpfScratch,
 };
 pub use flat::{FlatDag, FlatSpfWorkspace, FlatTopo, FlatView, LinkMask};
 use hybrid::HybridLows;

@@ -31,11 +31,23 @@
 //! no-ops on the non-negative accumulators — and at 1000+ nodes be tens
 //! of megabytes of mostly zeros streamed through every candidate.)
 //!
+//! # One repair path
+//!
+//! A candidate's weight deltas and a failure scenario's down links are
+//! both deltas to a destination's DAG. One routine, `EvalScratch::repair`,
+//! applies the weight deltas and then removes the down links on a copy
+//! of the DAG in the scratch; candidate evaluation, masked evaluation
+//! and [`FlowState::rebase`] (which swaps the repaired copy into the
+//! destination) all run it, so the cached DAGs are never written during
+//! an evaluation and a sweep leaves nothing to revert. A sweep over
+//! several masks repairs the weight deltas once, not once per mask.
+//!
 //! # Why fanning out cannot change a bit
 //!
-//! A candidate evaluation reads the base state and writes only a scratch
-//! (`EvalScratch`) and its own result; a per-destination rebuild or
-//! repair writes only a scratch and its own destination. A pass
+//! A candidate evaluation, masked or not, reads the base state and
+//! writes only a scratch (`EvalScratch`) and its own result; a
+//! per-destination rebuild or repair writes only a scratch and its own
+//! destination. A pass
 //! therefore fans out over the caller and idle pool workers — one
 //! scratch each, items handed out from one atomic index, results put
 //! back by index — while every floating-point fold runs inside one item
@@ -43,19 +55,16 @@
 //! unobservable; the work counters are per scratch and summed.
 
 use crate::dynspf::{
-    apply_link_down, apply_link_up, apply_weight_delta, delta_affects_dag,
-    endpoints_delta_affects_dag, fast_rebranch, link_down_affects_dag, DynSpfScratch,
+    apply_link_down, apply_weight_delta, delta_affects_dag, fast_rebranch, link_down_affects_dag,
+    DynSpfScratch,
 };
 use crate::flat::{demand_column, push_demand_flat, FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
-use dtr_graph::{LinkId, NodeId, Topology, Weight, WeightVector};
+use dtr_graph::{NodeId, Topology, Weight, WeightVector};
 use dtr_routing::ClassLoads;
 use dtr_traffic::TrafficMatrix;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// A single weight change `(link, new_weight)`.
-pub type WeightDelta = (LinkId, Weight);
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cached destinations × nodes below which every pass — batch, rebase,
 /// rebuild — runs on the calling thread. Waking a parked pool worker and
@@ -76,10 +85,28 @@ struct StagedDelta {
     new_w: Weight,
 }
 
-/// Deterministic work counters of one [`FlowState`]: how candidate
-/// evaluation disposed of each cached destination, and how often the
-/// state moved. They depend only on the call sequence, never on timing
-/// or on how many threads took part.
+/// How [`EvalScratch::repair`] left one destination.
+enum Repair {
+    /// No delta touches it: the cached DAG and contributions stand.
+    Unchanged,
+    /// Only node `u`'s branch list changed; the new list is in the
+    /// scratch's `branch_buf`.
+    Rebranched(u32),
+    /// The repaired DAG is in the scratch's `dag`.
+    Repaired,
+}
+
+/// A destination's DAG and contributions under a swept candidate's
+/// weights, where its weight deltas moved them off the base.
+struct Moved {
+    dag: FlatDag,
+    contrib: Vec<SparseLoads>,
+}
+
+/// Deterministic work counters of one [`FlowState`]: how candidate and
+/// masked evaluations disposed of each cached destination (once per
+/// mask), and how often the state moved. They depend only on the call
+/// sequence, never on timing or on how many threads took part.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkStats {
     /// Destinations whose cached contributions were replayed untouched.
@@ -152,21 +179,23 @@ pub struct DestState {
 }
 
 /// Everything one participant of a pass writes: the repair scratch, the
-/// repair target, the staged weight slice, the push buffers and its
-/// share of the work counters. One per participant, so the passes read
-/// the state itself through `&self`.
+/// repair target, the staged weight slice and link mask, the push
+/// buffers and its share of the work counters. One per participant, so
+/// the passes read the state itself through `&self`.
 struct EvalScratch {
     /// Scratch for DAG repairs.
     spf: DynSpfScratch,
     /// Scratch for fresh flat SPF computations.
     spf_ws: FlatSpfWorkspace,
-    /// Reusable repair target for candidate evaluation (`clone_from`
-    /// recycles its buffers — four flat memcpys, no allocation).
+    /// Reusable repair target (`clone_from` recycles its buffers — four
+    /// flat memcpys, no allocation).
     dag: FlatDag,
     /// Weight slice for sequenced delta application; equal to the base
     /// of generation `weights_gen` between uses (users revert the
     /// entries they set).
     work_weights: Vec<Weight>,
+    /// Link mask for sequenced link removals; all up between uses.
+    mask: LinkMask,
     /// The base generation `work_weights` was filled at (`None`: never).
     weights_gen: Option<u64>,
     /// Per-node flow buffer for load pushes.
@@ -184,6 +213,7 @@ impl EvalScratch {
             spf_ws: FlatSpfWorkspace::new(),
             dag: FlatDag::empty(flat),
             work_weights: Vec::new(),
+            mask: LinkMask::all_up(flat.link_count()),
             weights_gen: None,
             node_flow: Vec::new(),
             branch_buf: Vec::new(),
@@ -205,12 +235,14 @@ impl EvalScratch {
 }
 
 /// A scratch's lock. A pass that panicked holding it may have left
-/// deltas staged in `work_weights`, so a recovered scratch refills them
-/// before its next use; every other buffer is reset by each use.
+/// deltas staged in `work_weights` and links down in `mask`, so a
+/// recovered scratch refills the one before its next use and resets the
+/// other; every other buffer is reset by each use.
 fn lock(m: &Mutex<EvalScratch>) -> MutexGuard<'_, EvalScratch> {
     m.lock().unwrap_or_else(|poisoned| {
         let mut s = poisoned.into_inner();
         s.weights_gen = None;
+        s.mask = LinkMask::all_up(s.mask.len());
         s
     })
 }
@@ -274,13 +306,8 @@ pub struct FlowState<'a> {
     /// The set is fixed at construction.
     dests: Vec<DestState>,
     /// One scratch per participant of a pass, grown on first need; the
-    /// first also serves every inline pass and the failure sweep.
+    /// first also serves every inline pass.
     scratches: Vec<Mutex<EvalScratch>>,
-    /// Scratch staged link-up mask for failure sweeps; invariantly
-    /// all-up between calls (each sweep's revert loop restores it).
-    mask_buf: LinkMask,
-    /// Scratch down-link list for failure sweeps.
-    downs_buf: Vec<u32>,
     /// Base moves since construction (the one counter not kept per
     /// scratch).
     rebases: u64,
@@ -312,7 +339,6 @@ impl<'a> FlowState<'a> {
         assert!(!matrices.is_empty());
         assert_eq!(base.len(), topo.link_count());
         let flat = FlatTopo::new(topo);
-        let mask_buf = LinkMask::all_up(topo.link_count());
         let scratches = vec![Mutex::new(EvalScratch::new(&flat))];
         let mut dests = Vec::new();
         for t in topo.nodes() {
@@ -336,8 +362,6 @@ impl<'a> FlowState<'a> {
             generation: 0,
             dests,
             scratches,
-            mask_buf,
-            downs_buf: Vec::new(),
             rebases: 0,
         };
         state.rebuild_all();
@@ -418,20 +442,8 @@ impl<'a> FlowState<'a> {
                 None,
                 &mut s.spf_ws,
             );
-            ds.record_contributions(flat, &mut s.node_flow);
+            record_contributions(flat, &ds.demand, &ds.dag, &mut ds.contrib, &mut s.node_flow);
         });
-    }
-
-    /// The diff between `cand` and the base, as ordered deltas.
-    pub fn diff(&self, cand: &WeightVector) -> Vec<WeightDelta> {
-        let mut deltas = Vec::new();
-        for i in 0..self.base.len() {
-            let lid = LinkId(i as u32);
-            if cand.get(lid) != self.base.get(lid) {
-                deltas.push((lid, cand.get(lid)));
-            }
-        }
-        deltas
     }
 
     /// Evaluates a batch of candidates against the base **without
@@ -453,189 +465,129 @@ impl<'a> FlowState<'a> {
         let width = self.fan_width(cands.len());
         let this = &*self;
         fan_out(&this.scratches, width, cands.len(), |i, s| {
-            this.eval_candidate(&cands[i], max_deltas, want_dags, s)
+            let Some(deltas) = this.stage_deltas(&cands[i], max_deltas) else {
+                s.stats.full_fallbacks += 1;
+                return None;
+            };
+            Some(this.eval_repaired(&deltas, &[], &[], &cands[i], want_dags, s))
         })
     }
 
-    /// Evaluates one candidate on scratch `s`.
+    /// The links where `cand` differs from the base, ascending, as
+    /// staged deltas, or `None` when there are more than `max_deltas`.
+    fn stage_deltas(&self, cand: &WeightVector, max_deltas: usize) -> Option<Vec<StagedDelta>> {
+        let mut deltas = Vec::new();
+        let pairs = cand.as_slice().iter().zip(self.base.as_slice());
+        for (link, (&new_w, &old_w)) in (0u32..).zip(pairs) {
+            if new_w != old_w {
+                if deltas.len() == max_deltas {
+                    return None;
+                }
+                let (src, dst) = (self.flat.src(link), self.flat.dst(link));
+                deltas.push(StagedDelta {
+                    link,
+                    src,
+                    dst,
+                    old_w,
+                    new_w,
+                });
+            }
+        }
+        Some(deltas)
+    }
+
+    /// Evaluates `cand` — the base with `deltas` applied, or, where
+    /// `moved` has an entry, that entry — with the links `downs` removed,
+    /// on scratch `s`.
     ///
-    /// The hot path is allocation-free in steady state: destinations an
-    /// affecting delta touches are repaired on the scratch's reused DAG
-    /// (`clone_from` recycles its flat buffers) and their demand is
-    /// pushed **directly into the fold accumulator** — the identical
-    /// per-link add sequence the full calculator executes, so results
-    /// stay bit-identical. Unaffected destinations replay their sparse
-    /// cached contributions instead of an SPF run. With `want_dags` an
+    /// The hot path is allocation-free in steady state: destinations a
+    /// delta touches are repaired on the scratch's reused DAG (see
+    /// [`EvalScratch::repair`]) and their demand is pushed **directly
+    /// into the fold accumulator** — the identical per-link add sequence
+    /// the full calculator executes, so results stay bit-identical.
+    /// Unaffected destinations replay their sparse cached contributions
+    /// instead of an SPF run. With `want_dags` (never with `moved`) an
     /// unaffected destination hands out its base `Arc` and a repaired or
     /// rebranched one a flat copy (four memcpys).
-    fn eval_candidate(
+    fn eval_repaired(
         &self,
+        deltas: &[StagedDelta],
+        downs: &[u32],
+        moved: &[Option<Moved>],
         cand: &WeightVector,
-        max_deltas: usize,
         want_dags: bool,
         s: &mut EvalScratch,
-    ) -> Option<CandidateEval> {
-        let diff = self.diff(cand);
-        if diff.len() > max_deltas {
-            s.stats.full_fallbacks += 1;
-            return None;
-        }
-        let deltas: Vec<StagedDelta> = diff
-            .into_iter()
-            .map(|(lid, new_w)| StagedDelta {
-                link: lid.0,
-                src: self.flat.src(lid.0),
-                dst: self.flat.dst(lid.0),
-                old_w: self.base.get(lid),
-                new_w,
-            })
-            .collect();
-        let m = self.flat.link_count();
-
-        // `work_weights` tracks the delta *stage* per destination:
-        // checking/applying delta k against a DAG that reflects deltas
-        // 0..k needs the slice with deltas 0..=k applied (the deltas
-        // touch distinct links, so the old value of link k is the base
-        // value). Entries are set on the way in and reverted to base
-        // after each destination, so the buffer is refilled only when
-        // the base moves.
+    ) -> CandidateEval {
+        debug_assert!(moved.is_empty() || !want_dags);
         s.stage(&self.base, self.generation);
-
+        let m = self.flat.link_count();
         let mut loads: Vec<ClassLoads> = self.matrices.iter().map(|_| vec![0.0; m]).collect();
         let mut dags: Vec<(NodeId, Arc<FlatDag>)> = Vec::new();
-
-        for ds in &self.dests {
-            // Find the first delta that affects this destination. All
-            // checks up to that point run against the still-valid cached
-            // DAG.
-            let first_hit = deltas
-                .iter()
-                .position(|d| endpoints_delta_affects_dag(&ds.dag, d.src, d.dst, d.old_w, d.new_w));
-            let Some(k0) = first_hit else {
-                s.stats.replayed += 1;
-                ds.replay_into(&mut loads);
-                if want_dags {
-                    dags.push((ds.dest, ds.dag.clone()));
-                }
-                continue;
+        for (i, ds) in self.dests.iter().enumerate() {
+            let (dag, contrib) = match moved.get(i) {
+                Some(Some(mv)) => (&mv.dag, &mv.contrib),
+                _ => (&*ds.dag, &ds.contrib),
             };
-
-            // Fast path: exactly one delta can affect this destination
-            // (the first hit is the last delta) and its entire effect is
-            // an ECMP-membership change at the link's tail — push down
-            // the *cached* DAG with a one-node branch override, no copy.
-            // Tightness under the final weights is unchanged for the
-            // non-affecting deltas, so the final slice is valid here.
-            if k0 + 1 == deltas.len() {
-                let d = &deltas[k0];
-                if let Some(u) = fast_rebranch(
-                    &self.flat,
-                    &ds.dag,
-                    cand.as_slice(),
-                    d.link,
-                    d.old_w,
-                    d.new_w,
-                    &mut s.branch_buf,
-                ) {
-                    s.stats.rebranched += 1;
-                    ds.push_into(
-                        &self.flat,
-                        &ds.dag,
-                        Some((u, &s.branch_buf)),
-                        &mut s.node_flow,
-                        &mut loads,
-                    );
+            match s.repair(&self.flat, dag, deltas, downs, cand.as_slice()) {
+                Repair::Unchanged => {
+                    s.stats.replayed += 1;
+                    replay_into(contrib, &mut loads);
                     if want_dags {
-                        let mut patched = FlatDag::clone(&ds.dag);
+                        dags.push((ds.dest, ds.dag.clone()));
+                    }
+                }
+                Repair::Rebranched(u) => {
+                    s.stats.rebranched += 1;
+                    let branches = Some((u, &s.branch_buf[..]));
+                    ds.push_into(&self.flat, dag, branches, &mut s.node_flow, &mut loads);
+                    if want_dags {
+                        let mut patched = dag.clone();
                         patched.set_branches(&self.flat, u, &s.branch_buf);
                         dags.push((ds.dest, Arc::new(patched)));
                     }
-                    continue;
                 }
-            }
-
-            // General path: clone into the reusable scratch DAG and
-            // apply the delta sequence from the first hit on, each delta
-            // tested against the DAG as repaired so far.
-            s.stats.repaired += 1;
-            s.dag.clone_from(&ds.dag);
-            for d in &deltas[..k0] {
-                s.work_weights[d.link as usize] = d.new_w;
-            }
-            for d in &deltas[k0..] {
-                s.work_weights[d.link as usize] = d.new_w;
-                if endpoints_delta_affects_dag(&s.dag, d.src, d.dst, d.old_w, d.new_w) {
-                    apply_weight_delta(
-                        &self.flat,
-                        &mut s.dag,
-                        &s.work_weights,
-                        d.link,
-                        d.old_w,
-                        d.new_w,
-                        &mut s.spf,
-                    );
+                Repair::Repaired => {
+                    s.stats.repaired += 1;
+                    ds.push_into(&self.flat, &s.dag, None, &mut s.node_flow, &mut loads);
+                    if want_dags {
+                        dags.push((ds.dest, Arc::new(s.dag.clone())));
+                    }
                 }
-            }
-            // Restore the stage buffer to the base for the next
-            // destination (and the next call).
-            for d in &deltas {
-                s.work_weights[d.link as usize] = d.old_w;
-            }
-
-            ds.push_into(&self.flat, &s.dag, None, &mut s.node_flow, &mut loads);
-            if want_dags {
-                dags.push((ds.dest, Arc::new(s.dag.clone())));
             }
         }
-
-        Some(CandidateEval { loads, dags })
+        CandidateEval { loads, dags }
     }
 
     /// Moves the base to `new_base`, repairing cached destination states
     /// incrementally when the delta is small and rebuilding from scratch
     /// otherwise. Either way each destination is repaired (or rebuilt)
-    /// and re-recorded on its own, so the pass fans out like a batch.
+    /// and re-recorded on its own, so the pass fans out like a batch. A
+    /// repair runs on the scratch like a candidate's and is swapped into
+    /// the destination's `Arc` (a consumer still holding the old one
+    /// keeps it).
     pub fn rebase(&mut self, new_base: &WeightVector, max_deltas: usize) {
-        let deltas = self.diff(new_base);
-        if deltas.is_empty() {
+        let staged = self.stage_deltas(new_base, max_deltas);
+        if staged.as_ref().is_some_and(Vec::is_empty) {
             return;
         }
         self.rebases += 1;
-        if deltas.len() > max_deltas {
+        let Some(deltas) = staged else {
             self.base = new_base.clone();
             self.generation += 1;
             self.rebuild_all();
             return;
-        }
-        // Per destination, the deltas apply in order, delta k checked
-        // and repaired against the slice with deltas 0..=k staged — the
-        // sequence every destination saw when the loop ran delta-major.
+        };
         let generation = self.generation;
         self.for_each_dest(|flat, base, ds, s| {
             s.stage(base, generation);
-            let mut dirty = false;
-            for &(lid, new_w) in &deltas {
-                let old_w = base.get(lid);
-                s.work_weights[lid.index()] = new_w;
-                if delta_affects_dag(flat, &ds.dag, lid.0, old_w, new_w) {
-                    apply_weight_delta(
-                        flat,
-                        Arc::make_mut(&mut ds.dag),
-                        &s.work_weights,
-                        lid.0,
-                        old_w,
-                        new_w,
-                        &mut s.spf,
-                    );
-                    dirty = true;
+            match s.repair(flat, &ds.dag, &deltas, &[], new_base.as_slice()) {
+                Repair::Unchanged => return,
+                Repair::Rebranched(u) => {
+                    Arc::make_mut(&mut ds.dag).set_branches(flat, u, &s.branch_buf)
                 }
+                Repair::Repaired => std::mem::swap(Arc::make_mut(&mut ds.dag), &mut s.dag),
             }
-            for &(lid, _) in &deltas {
-                s.work_weights[lid.index()] = base.get(lid);
-            }
-            if dirty {
-                ds.record_contributions(flat, &mut s.node_flow);
-            }
+            record_contributions(flat, &ds.demand, &ds.dag, &mut ds.contrib, &mut s.node_flow);
         });
         self.base = new_base.clone();
         self.generation += 1;
@@ -646,112 +598,193 @@ impl<'a> FlowState<'a> {
         let m = self.flat.link_count();
         let mut out: Vec<ClassLoads> = self.matrices.iter().map(|_| vec![0.0; m]).collect();
         for ds in &self.dests {
-            ds.replay_into(&mut out);
+            replay_into(&ds.contrib, &mut out);
         }
         out
     }
 
-    /// Evaluates the **base** weights under a link-up mask
-    /// (`link_up[l] == false` removes link `l`), bit-identical to
-    /// [`dtr_routing::LoadCalculator::class_loads_masked`] of the base
-    /// on that mask.
+    /// Evaluates `cand` under every link-up mask of `masks`
+    /// (`link_up[l] == false` removes link `l`), in input order, each
+    /// bit-identical to [`dtr_routing::LoadCalculator::class_loads_masked`]
+    /// of `cand` on that mask. `None` when `cand` is more than
+    /// `max_deltas` from the base: the caller should fall back to full
+    /// masked evaluations, as for [`Self::eval_batch`].
     ///
-    /// This is the failure-sweep hot path: for a single duplex-pair
-    /// failure, a down link matters to a destination only if it is
-    /// *tight* on that destination's intact DAG, so most destinations
-    /// replay their cached contributions untouched. Affected
-    /// destinations have the down links **applied** to their cached DAG
-    /// in place (staged bitset masks, one [`apply_link_down`] per tight
-    /// link), their demand pushed straight into the fold accumulators,
-    /// and the DAG **reverted** with the matching [`apply_link_up`]
-    /// sequence — repairs are exact on integer distances, so the
-    /// restored state is structurally identical to the cached one (a DAG
-    /// a consumer still holds is copied first) and the next scenario
-    /// starts from the same intact state.
-    pub fn eval_mask(&mut self, link_up: &[bool]) -> Vec<ClassLoads> {
+    /// The base never moves. One mask is one repair pass that applies
+    /// the weight deltas and then removes the down links. With several,
+    /// the destinations the weight deltas touch are repaired once, in a
+    /// pass over destinations, into DAGs and contributions every mask
+    /// starts from, and each mask's pass only removes its down links;
+    /// above [`PAR_MIN_WORK`] the masks fan out like a batch.
+    pub fn eval_masked(
+        &mut self,
+        cand: &WeightVector,
+        masks: &[&[bool]],
+        max_deltas: usize,
+    ) -> Option<Vec<Vec<ClassLoads>>> {
+        let Some(deltas) = self.stage_deltas(cand, max_deltas) else {
+            lock(&self.scratches[0]).stats.full_fallbacks += 1;
+            return None;
+        };
         let m = self.flat.link_count();
-        assert_eq!(link_up.len(), m);
-        self.downs_buf.clear();
-        self.downs_buf
-            .extend((0..m as u32).filter(|&i| !link_up[i as usize]));
-        let mut loads: Vec<ClassLoads> = self.matrices.iter().map(|_| vec![0.0; m]).collect();
-        if self.downs_buf.is_empty() {
-            return self.base_loads();
-        }
-        // Staged working mask: entry `k` of the down list is cleared
-        // just before delta `k` is considered, so every repair sees
-        // exactly the links available in its intermediate state. The
-        // buffer is invariantly all-up between calls — each
-        // destination's revert loop restores every entry it cleared.
-        debug_assert!(self.mask_buf.is_all_up());
-        let weights = self.base.as_slice();
-        let s = self.scratches[0]
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        for di in 0..self.dests.len() {
-            // Find the first down link that is tight on the cached DAG.
-            // Removals of non-tight links are no-ops, so every check up
-            // to that point is valid against the intact state.
-            let first = {
-                let dag = &self.dests[di].dag;
-                self.downs_buf
-                    .iter()
-                    .position(|&l| link_down_affects_dag(&self.flat, dag, weights, l))
-            };
-            let Some(k0) = first else {
-                self.dests[di].replay_into(&mut loads);
-                continue;
-            };
-            let ds = &mut self.dests[di];
-            let dag = Arc::make_mut(&mut ds.dag);
-            // Deltas before the first hit are no-op removals, but their
-            // links must still be masked before any repair runs — a
-            // repair may otherwise route the affected region through a
-            // link the scenario removed.
-            for &l in &self.downs_buf[..k0] {
-                self.mask_buf.set_down(l);
-            }
-            for &l in &self.downs_buf[k0..] {
-                self.mask_buf.set_down(l);
-                if link_down_affects_dag(&self.flat, dag, weights, l) {
-                    apply_link_down(&self.flat, dag, weights, &self.mask_buf, l, &mut s.spf);
+        let downs: Vec<Vec<u32>> = masks
+            .iter()
+            .map(|up| {
+                assert_eq!(up.len(), m);
+                (0..m as u32).filter(|&l| !up[l as usize]).collect()
+            })
+            .collect();
+        let (deltas, moved) = if masks.len() > 1 {
+            (Vec::new(), self.moved(&deltas, cand))
+        } else {
+            (deltas, Vec::new())
+        };
+        let width = self.fan_width(masks.len());
+        let this = &*self;
+        Some(fan_out(&this.scratches, width, masks.len(), |i, s| {
+            this.eval_repaired(&deltas, &downs[i], &moved, cand, false, s)
+                .loads
+        }))
+    }
+
+    /// Per destination, its DAG and contributions under `cand` (the
+    /// base with `deltas` applied) where they differ from the base.
+    fn moved(&mut self, deltas: &[StagedDelta], cand: &WeightVector) -> Vec<Option<Moved>> {
+        let width = self.fan_width(self.dests.len());
+        let this = &*self;
+        fan_out(&this.scratches, width, this.dests.len(), |i, s| {
+            let ds = &this.dests[i];
+            s.stage(&this.base, this.generation);
+            let dag = match s.repair(&this.flat, &ds.dag, deltas, &[], cand.as_slice()) {
+                Repair::Unchanged => return None,
+                Repair::Rebranched(u) => {
+                    let mut dag = FlatDag::clone(&ds.dag);
+                    dag.set_branches(&this.flat, u, &s.branch_buf);
+                    dag
                 }
-            }
-            let ds = &self.dests[di];
-            ds.push_into(&self.flat, &ds.dag, None, &mut s.node_flow, &mut loads);
-            // Revert: restore the links in reverse order under the
-            // matching staged masks. `apply_link_up` detects no-ops
-            // itself, so no-op removals need no bookkeeping.
-            let dag = Arc::make_mut(&mut self.dests[di].dag);
-            for i in (0..self.downs_buf.len()).rev() {
-                let l = self.downs_buf[i];
-                self.mask_buf.set_up(l);
-                apply_link_up(&self.flat, dag, weights, &self.mask_buf, l, &mut s.spf);
+                Repair::Repaired => s.dag.clone(),
+            };
+            let mut contrib = Vec::new();
+            record_contributions(&this.flat, &ds.demand, &dag, &mut contrib, &mut s.node_flow);
+            Some(Moved { dag, contrib })
+        })
+    }
+}
+
+impl EvalScratch {
+    /// The one per-destination repair behind candidate evaluation,
+    /// masked evaluation and rebase: `dag` (a destination's DAG at the
+    /// base) with the staged weight `deltas` applied in order, then the
+    /// links `downs` removed in order under the scratch's mask. Expects
+    /// the base staged in `work_weights`, and leaves it (and the all-up
+    /// mask) as it found them; `cand` holds the final weights, which the
+    /// removals run under (with no deltas, `dag` may already be at
+    /// `cand`).
+    ///
+    /// The deltas before the first one that affects `dag` are no-ops,
+    /// so every check up to it runs against the cached DAG, and a
+    /// destination no delta and no tight down link touches is
+    /// [`Repair::Unchanged`]. Without down links, when the first hit is
+    /// the last delta and changes only its tail's branch list, the
+    /// cached DAG is reused with a one-node override. Otherwise the DAG
+    /// is copied into `self.dag` and repaired there, delta by delta,
+    /// each tested against the DAG as repaired so far.
+    fn repair(
+        &mut self,
+        flat: &FlatTopo,
+        dag: &FlatDag,
+        deltas: &[StagedDelta],
+        downs: &[u32],
+        cand: &[Weight],
+    ) -> Repair {
+        let hit = |d: &StagedDelta| delta_affects_dag(dag, d.src, d.dst, d.old_w, d.new_w);
+        let k0 = deltas.iter().position(hit).unwrap_or(deltas.len());
+        if k0 == deltas.len()
+            && !downs
+                .iter()
+                .any(|&l| link_down_affects_dag(flat, dag, cand, l))
+        {
+            return Repair::Unchanged;
+        }
+        if downs.is_empty() && k0 + 1 == deltas.len() {
+            // Tightness under the final weights is unchanged for the
+            // non-affecting deltas, so `cand` is valid here.
+            let d = &deltas[k0];
+            let rebranched = fast_rebranch(
+                flat,
+                dag,
+                cand,
+                d.link,
+                d.old_w,
+                d.new_w,
+                &mut self.branch_buf,
+            );
+            if let Some(u) = rebranched {
+                return Repair::Rebranched(u);
             }
         }
-        loads
+        self.dag.clone_from(dag);
+        // Delta k is checked and repaired against the slice with deltas
+        // 0..=k staged (the deltas touch distinct links, so the old
+        // value of link k is the base value).
+        for d in deltas {
+            self.work_weights[d.link as usize] = d.new_w;
+            if delta_affects_dag(&self.dag, d.src, d.dst, d.old_w, d.new_w) {
+                let (w, old_w, new_w) = (&self.work_weights, d.old_w, d.new_w);
+                apply_weight_delta(flat, &mut self.dag, w, d.link, old_w, new_w, &mut self.spf);
+            }
+        }
+        // Link k goes down just before it is considered, so each repair
+        // sees exactly the links of its intermediate state; a removal
+        // that is a no-op still masks its link for the later repairs.
+        debug_assert!(self.mask.is_all_up());
+        for &l in downs {
+            self.mask.set_down(l);
+            if link_down_affects_dag(flat, &self.dag, cand, l) {
+                apply_link_down(flat, &mut self.dag, cand, &self.mask, l, &mut self.spf);
+            }
+        }
+        for &l in downs {
+            self.mask.set_up(l);
+        }
+        for d in deltas {
+            self.work_weights[d.link as usize] = d.old_w;
+        }
+        Repair::Repaired
+    }
+}
+
+/// (Re)records `contrib` from a push of each matrix's `demand` column
+/// down `dag`: the pairs are the push's own adds.
+fn record_contributions(
+    flat: &FlatTopo,
+    demand: &[Vec<f64>],
+    dag: &FlatDag,
+    contrib: &mut Vec<SparseLoads>,
+    node_flow: &mut Vec<f64>,
+) {
+    contrib.resize_with(demand.len(), SparseLoads::default);
+    for (col, sl) in demand.iter().zip(contrib) {
+        sl.links.clear();
+        sl.vals.clear();
+        if col.is_empty() {
+            continue;
+        }
+        push_demand_flat(flat, dag, col, node_flow, None, |l, share| {
+            sl.links.push(l);
+            sl.vals.push(share);
+        });
+    }
+}
+
+/// Replays recorded contributions into the fold accumulators.
+fn replay_into(contrib: &[SparseLoads], loads: &mut [ClassLoads]) {
+    for (sl, out) in contrib.iter().zip(loads) {
+        sl.add_into(out);
     }
 }
 
 impl DestState {
-    /// (Re)records `contrib` from a push of each matrix's demand down
-    /// the current DAG: the pairs are the push's own adds.
-    fn record_contributions(&mut self, flat: &FlatTopo, node_flow: &mut Vec<f64>) {
-        self.contrib
-            .resize_with(self.demand.len(), SparseLoads::default);
-        for (col, sl) in self.demand.iter().zip(&mut self.contrib) {
-            sl.links.clear();
-            sl.vals.clear();
-            if col.is_empty() {
-                continue;
-            }
-            push_demand_flat(flat, &self.dag, col, node_flow, None, |l, share| {
-                sl.links.push(l);
-                sl.vals.push(share);
-            });
-        }
-    }
-
     /// Pushes each matrix's demand down `dag` (this destination's DAG,
     /// possibly repaired) straight into the fold accumulators — the same
     /// add sequence the full calculator performs at this destination's
@@ -773,20 +806,13 @@ impl DestState {
             });
         }
     }
-
-    /// Replays the cached contributions into the fold accumulators.
-    fn replay_into(&self, loads: &mut [ClassLoads]) {
-        for (contrib, out) in self.contrib.iter().zip(loads) {
-            contrib.add_into(out);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dtr_graph::gen::{random_topology, RandomTopologyCfg};
-    use dtr_graph::ShortestPathDag;
+    use dtr_graph::{LinkId, ShortestPathDag};
     use dtr_routing::LoadCalculator;
     use dtr_traffic::{DemandSet, TrafficCfg};
     use rand::rngs::StdRng;
@@ -962,32 +988,75 @@ mod tests {
     }
 
     #[test]
-    fn eval_mask_matches_masked_calculator_bitwise() {
+    fn eval_masked_matches_masked_calculator_bitwise() {
         let (topo, demands) = instance(7);
         let w = WeightVector::uniform(&topo, 4);
         let mut state = FlowState::new(&topo, vec![&demands.high, &demands.low], w.clone(), false);
         let mut calc = LoadCalculator::new();
         let scenarios = dtr_routing::survivable_duplex_failures(&topo);
         assert!(!scenarios.is_empty());
-        for sc in &scenarios {
-            let loads = state.eval_mask(&sc.link_up);
-            let fh = calc.class_loads_masked(&topo, &w, &sc.link_up, &demands.high);
-            let fl = calc.class_loads_masked(&topo, &w, &sc.link_up, &demands.low);
-            assert_eq!(loads[0], fh, "pair {}", sc.pair_id);
-            assert_eq!(loads[1], fl, "pair {}", sc.pair_id);
+        let mut cand = w.clone();
+        cand.set(LinkId(3), 9);
+        cand.set(LinkId(20), 1);
+        for at in [&w, &cand] {
+            let masks: Vec<&[bool]> = scenarios.iter().map(|sc| &sc.link_up[..]).collect();
+            let swept = state.eval_masked(at, &masks, 4).unwrap();
+            for (sc, loads) in scenarios.iter().zip(&swept) {
+                let fh = calc.class_loads_masked(&topo, at, &sc.link_up, &demands.high);
+                let fl = calc.class_loads_masked(&topo, at, &sc.link_up, &demands.low);
+                assert_eq!(loads[0], fh, "pair {}", sc.pair_id);
+                assert_eq!(loads[1], fl, "pair {}", sc.pair_id);
+            }
         }
-        // The apply/revert sweep left the intact state untouched.
+        // The sweeps left the base state untouched.
         let full = LoadCalculator::new().class_loads(&topo, &w, &demands.high);
         assert_eq!(state.base_loads()[0], full);
+        assert_eq!(state.work_stats().rebases, 0);
+        // Too far: handed back, counted once.
+        let far = WeightVector::uniform(&topo, 2);
+        assert!(state
+            .eval_masked(&far, &[&scenarios[0].link_up], 4)
+            .is_none());
+        assert_eq!(state.work_stats().full_fallbacks, 1);
     }
 
     #[test]
-    fn eval_mask_all_up_is_base_fold() {
+    fn eval_masked_all_up_is_base_fold() {
         let (topo, demands) = instance(4);
         let w = WeightVector::uniform(&topo, 2);
-        let mut state = FlowState::new(&topo, vec![&demands.low], w, false);
+        let mut state = FlowState::new(&topo, vec![&demands.low], w.clone(), false);
         let up = vec![true; topo.link_count()];
-        assert_eq!(state.eval_mask(&up), state.base_loads());
+        let swept = state.eval_masked(&w, &[&up], 4).unwrap();
+        assert_eq!(swept, [state.base_loads()]);
+    }
+
+    /// A scratch whose holder panicked mid-repair comes back with its
+    /// weight slice refilled and every link up again.
+    #[test]
+    fn a_poisoned_scratch_comes_back_clean() {
+        let (topo, demands) = instance(7);
+        let w = WeightVector::uniform(&topo, 4);
+        let mut state = FlowState::new(&topo, vec![&demands.high], w.clone(), false);
+        let scratch = &state.scratches[0];
+        let _ = std::panic::catch_unwind(|| {
+            let mut s = scratch.lock().unwrap();
+            s.work_weights[0] = 30;
+            s.mask.set_down(0);
+            panic!("mid-repair");
+        });
+        assert!(scratch.is_poisoned());
+        let s = lock(scratch);
+        assert!(s.weights_gen.is_none() && s.mask.is_all_up());
+        drop(s);
+        let scenarios = dtr_routing::survivable_duplex_failures(&topo);
+        let swept = state.eval_masked(&w, &[&scenarios[0].link_up], 4).unwrap();
+        let full = LoadCalculator::new().class_loads_masked(
+            &topo,
+            &w,
+            &scenarios[0].link_up,
+            &demands.high,
+        );
+        assert_eq!(swept[0][0], full);
     }
 
     /// After every rebase — by repair and, every tenth step, by rebuild

@@ -16,7 +16,7 @@ use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::spf::Dist;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, NodeId, Topology, WeightVector, MAX_WEIGHT, MIN_WEIGHT};
-use dtr_routing::{Evaluation, Evaluator, HighSide};
+use dtr_routing::{survivable_duplex_failures, Evaluation, Evaluator, HighSide};
 use dtr_traffic::{DemandSet, TrafficCfg};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -154,6 +154,38 @@ fn backend_run(
     (seen, backend.work_stats())
 }
 
+/// Every survivable duplex cut swept by the joint incremental backend:
+/// at the base, after a rebase (for the new base and one of its
+/// neighbors), and for a candidate beyond `MAX_DELTAS` (the full
+/// fallback).
+fn sweep_run(
+    topo: &Topology,
+    demands: &DemandSet,
+    base: &WeightVector,
+    seed: u64,
+) -> (Vec<Fingerprint>, WorkStats) {
+    let scenarios = survivable_duplex_failures(topo);
+    let mut backend =
+        IncrementalBackend::new(topo, vec![&demands.high, &demands.low], base.clone(), false);
+    let flat = FlatTopo::new(topo);
+    let mut seen: Vec<Fingerprint> = Vec::new();
+    let mut sweep = |backend: &mut IncrementalBackend, cand: &WeightVector| {
+        let evals = backend.eval_scenarios(cand, &scenarios);
+        seen.extend(evals.iter().map(|ev| fingerprint(&flat, ev)));
+    };
+    sweep(&mut backend, base);
+    let moved = neighbor_walk(topo, base, 2, 1, seed).remove(0);
+    backend.rebase(&moved);
+    sweep(&mut backend, &moved);
+    sweep(
+        &mut backend,
+        &neighbor_walk(topo, &moved, 1, 1, seed ^ 1).remove(0),
+    );
+    let far = moved.as_slice().iter().map(|&w| w % MAX_WEIGHT + 1);
+    sweep(&mut backend, &WeightVector::from_vec(far.collect()));
+    (seen, backend.work_stats())
+}
+
 /// Costs through the facade, with its caches in the way: per-class
 /// batches (cached lanes) and joint batches (uncached), around the
 /// same walk.
@@ -258,6 +290,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
+    /// Failure sweeps fan their scenarios out above the threshold: every
+    /// scenario's loads, bit for bit, and the work counters are the same
+    /// under 1, 2 and 3 threads, at the base, after a rebase and for a
+    /// full fallback.
+    #[test]
+    fn sweep_thread_count_is_invisible(seed in 0u64..200, wseed in 0u64..200, nodes in 40usize..=48) {
+        let (topo, demands) = instance(seed, nodes);
+        let base = rand_weights(&topo, wseed);
+        let dests = (0..nodes).filter(|&t| demands.low.demands_to(t).next().is_some()).count();
+        prop_assert!(dests * nodes >= PAR_MIN_WORK, "{dests} × {nodes}");
+        let one = with_threads(1, || sweep_run(&topo, &demands, &base, seed));
+        prop_assert!(one.1.full_fallbacks == 1 && one.1.repaired > 0 && one.1.rebases == 1, "{:?}", one.1);
+        for k in [2, 3] {
+            let many = with_threads(k, || sweep_run(&topo, &demands, &base, seed));
+            prop_assert!(one == many, "sweeps, {k} threads");
+        }
+    }
+
     /// The k-class kernel fans its batches out above the threshold too:
     /// on a 40-node three-class SLA instance every evaluation (loads,
     /// costs and SLA walks bit for bit), the work counters and the cache
@@ -265,10 +315,7 @@ proptest! {
     #[test]
     fn kclass_thread_count_is_invisible(seed in 0u64..200, wseed in 0u64..200) {
         let nodes = 40;
-        // Light enough that class 0 leaves every link some residual for
-        // class 1's delay model.
         let (topo, demands) = instance(seed, nodes);
-        let demands = demands.scaled(0.1);
         let base = rand_weights(&topo, wseed);
         for m in [&demands.high, &demands.low] {
             let dests = (0..nodes).filter(|&t| m.demands_to(t).next().is_some()).count();

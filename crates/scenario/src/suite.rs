@@ -40,7 +40,7 @@
 
 use crate::spec::ScenarioSpec;
 use dtr_core::{
-    DtrSearch, Objective, ObjectiveSpec, PortfolioMode, PortfolioParams, PortfolioSearch,
+    run_strategy, Objective, ObjectiveSpec, PortfolioMode, PortfolioParams, PortfolioSearch,
     RobustCost, RobustEvaluator, ScenarioCombine, Scheme, StrSearch, StrategyKind,
 };
 use dtr_engine::{BackendKind, KClassBatchEvaluator};
@@ -272,12 +272,7 @@ fn run_scheme(
             objective,
             params,
             PortfolioMode::Nominal(scheme),
-            PortfolioParams {
-                strategies: StrategyKind::ALL.to_vec(),
-                restarts: 1,
-                workers: 0,
-                prune_margin: f64::INFINITY,
-            },
+            PortfolioParams::default(),
         );
         if let Some(dep) = deployment {
             folio = folio.with_deployment(dep.clone());
@@ -291,23 +286,9 @@ fn run_scheme(
         let evals = res.tasks.iter().map(|t| t.evaluations).sum();
         (res.weights, evals)
     } else {
-        match scheme {
-            Scheme::Dtr => {
-                let mut s = DtrSearch::new(topo, demands, objective, params);
-                if let Some(dep) = deployment {
-                    s = s.with_deployment(dep.clone());
-                }
-                if let Some(w0) = initial {
-                    s = s.with_initial(w0.clone());
-                }
-                let res = s.run();
-                (res.weights, res.trace.evaluations)
-            }
-            Scheme::Str => {
-                let res = StrSearch::new(topo, demands, objective, params).run();
-                (DualWeights::replicated(res.weights), res.trace.evaluations)
-            }
-        }
+        let row = (StrategyKind::Descent, scheme);
+        let res = run_strategy(row, topo, demands, objective, params, initial, deployment);
+        (res.weights, res.trace.evaluations)
     };
     (vec![weights.high, weights.low], evaluations)
 }
@@ -518,8 +499,14 @@ pub fn run_instance(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
                 let reference = DualWeights::replicated(WeightVector::uniform(&run.topo, 1));
                 rev.cap_to_worst(&reference, k);
             }
-            let rc_dtr = rev.eval(&dual_weights(&run.dtr_weights));
-            let rc_str = rev.eval(&dual_weights(&run.str_weights));
+            // Each incumbent is swept from a base moved onto it: one
+            // rebuild, then every scenario repairs only what it cuts.
+            let mut price = |w: DualWeights| {
+                rev.rebase(&w);
+                rev.eval(&w)
+            };
+            let rc_dtr = price(dual_weights(&run.dtr_weights));
+            let rc_str = price(dual_weights(&run.str_weights));
             Some(RobustReport {
                 scenarios: rev.scenario_count(),
                 beta,
