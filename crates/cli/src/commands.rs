@@ -587,11 +587,6 @@ pub fn cmd_optimize(args: &Args) -> Result<(), CliError> {
     let detail = match strategy {
         StrategyKind::Descent => format!("{} improvements", t.improvements.len()),
         StrategyKind::Anneal => format!("{} uphill moves", t.uphill_accepted),
-        StrategyKind::Ga => format!("{} generations", t.generations),
-        StrategyKind::Memetic => format!(
-            "{} generations, {} local improvements",
-            t.generations, t.local_improvements
-        ),
     };
     println!(
         "{scheme}: cost {} after {} evaluations ({detail})",
@@ -600,14 +595,11 @@ pub fn cmd_optimize(args: &Args) -> Result<(), CliError> {
     save(args.require(&OUT)?, &r.weights)
 }
 
-/// `optimize --scheme` values: the six valid rows of
-/// [`run_strategy`]'s table (the GA and memetic rows are scheme-blind,
-/// so each has one name).
-const OPTIMIZE_SCHEMES: [(&str, StrategyKind, Scheme); 6] = [
+/// `optimize --scheme` values: the four cells of [`run_strategy`]'s
+/// table.
+const OPTIMIZE_SCHEMES: [(&str, StrategyKind, Scheme); 4] = [
     ("dtr", StrategyKind::Descent, Scheme::Dtr),
     ("str", StrategyKind::Descent, Scheme::Str),
-    ("ga", StrategyKind::Ga, Scheme::Str),
-    ("memetic", StrategyKind::Memetic, Scheme::Str),
     ("anneal-str", StrategyKind::Anneal, Scheme::Str),
     ("anneal-dtr", StrategyKind::Anneal, Scheme::Dtr),
 ];
@@ -1440,7 +1432,6 @@ pub fn cmd_replay(args: &Args) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -1628,7 +1619,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_schemes_are_the_six_rows_of_the_strategy_table() {
+    fn optimize_schemes_are_the_cells_of_the_strategy_table() {
         let crate::args::Kind::Choice(names) = OPTIMIZE_SCHEME.kind else {
             panic!("--scheme is a choice");
         };
@@ -1639,29 +1630,8 @@ mod tests {
                 assert_ne!((a.1, a.2), (b.1, b.2), "{} and {} name one row", a.0, b.0);
             }
         }
-        // Four strategies × two schemes is eight rows; the two missing
-        // names are the GA and memetic rows under the other scheme,
-        // which are the same runs.
-        let topo = random_topology(&RandomTopologyCfg {
-            nodes: 8,
-            directed_links: 32,
-            seed: 2,
-        });
-        let demands = DemandSet::generate(&topo, &TrafficCfg::default()).scaled(3.0);
-        for strategy in [StrategyKind::Ga, StrategyKind::Memetic] {
-            let [a, b] = [Scheme::Str, Scheme::Dtr].map(|scheme| {
-                run_strategy(
-                    (strategy, scheme),
-                    &topo,
-                    &demands,
-                    Objective::LoadBased,
-                    SearchParams::tiny(),
-                    None,
-                    None,
-                )
-            });
-            assert_eq!((a.weights, a.trace), (b.weights, b.trace));
-        }
+        // Every strategy × scheme cell has a name.
+        assert_eq!(OPTIMIZE_SCHEMES.len(), StrategyKind::ALL.len() * 2);
     }
 
     #[test]
@@ -1672,7 +1642,7 @@ mod tests {
         let [topo_p, _, w_p, _, small_tm_p, out_p] = &f;
         for cmd in [
             format!("optimize --scheme dtr --budget tiny --out {out_p}"),
-            format!("optimize --scheme ga --budget tiny --out {out_p}"),
+            format!("optimize --scheme anneal-str --budget tiny --out {out_p}"),
             format!("evaluate --weights {w_p}"),
         ] {
             let e = run(&args(&format!(
@@ -1704,12 +1674,12 @@ mod tests {
         .unwrap();
         run(&args(&format!(
             "optimize --topo {topo_p} --traffic {tm_p} --budget tiny --seed 5 \
-             --workers 1 --portfolio descent,anneal,ga,memetic --out {w1_p}"
+             --workers 1 --portfolio descent,anneal --restarts 2 --out {w1_p}"
         )))
         .unwrap();
         run(&args(&format!(
             "optimize --topo {topo_p} --traffic {tm_p} --budget tiny --seed 5 \
-             --workers 4 --portfolio descent,anneal,ga,memetic --out {w4_p}"
+             --workers 4 --portfolio descent,anneal --restarts 2 --out {w4_p}"
         )))
         .unwrap();
         let a = std::fs::read(&w1_p).unwrap();
@@ -1732,10 +1702,10 @@ mod tests {
 
     #[test]
     fn portfolio_rejects_bad_specs() {
-        // All four are decided by argv alone, before t.json is opened.
+        // All of them are decided by argv alone, before t.json is opened.
         for (flags, flag) in [
             ("--workers 2 --portfolio tabu", "--portfolio"),
-            ("--workers 2 --scheme ga", "--scheme"),
+            ("--workers 2 --scheme anneal-str", "--scheme"),
             ("--restarts 0", "--restarts"),
             ("--workers 2 --prune-margin -0.5", "--prune-margin"),
             ("--workers 2 --prune-margin nan", "--prune-margin"),
@@ -1950,7 +1920,7 @@ mod tests {
             "traffic --topo {topo_p} --seed 5 --out {tm_p}"
         )))
         .unwrap();
-        for scheme in ["memetic", "anneal-str", "anneal-dtr"] {
+        for scheme in ["anneal-str", "anneal-dtr"] {
             run(&args(&format!(
                 "optimize --topo {topo_p} --traffic {tm_p} --scheme {scheme} --budget tiny --out {w_p}"
             )))
@@ -2426,7 +2396,7 @@ mod tests {
     }
 
     #[test]
-    fn str_and_ga_schemes_produce_replicated_weights() {
+    fn single_vector_schemes_produce_replicated_weights() {
         let topo_p = tmp("t2.json");
         let tm_p = tmp("m2.json");
         let w_p = tmp("w2.json");
@@ -2438,7 +2408,7 @@ mod tests {
             "traffic --topo {topo_p} --seed 4 --out {tm_p}"
         )))
         .unwrap();
-        for scheme in ["str", "ga"] {
+        for scheme in ["str", "anneal-str"] {
             run(&args(&format!(
                 "optimize --topo {topo_p} --traffic {tm_p} --scheme {scheme} --budget tiny --out {w_p}"
             )))

@@ -57,8 +57,7 @@ flags! {
     SINKS: "sinks", "3", Kind::Int(1, COUNT_MAX);
     SCALE: "scale", "1.0", RATE;
     // searches
-    OPTIMIZE_SCHEME: "scheme", "",
-        Kind::Choice(&["dtr", "str", "ga", "memetic", "anneal-str", "anneal-dtr"]);
+    OPTIMIZE_SCHEME: "scheme", "", Kind::Choice(&["dtr", "str", "anneal-str", "anneal-dtr"]);
     SCHEME: "scheme", "", Kind::Choice(&["dtr", "str"]);
     OBJECTIVE: "objective", "load|sla[:BOUND_MS]", Kind::Parsed(check_objective);
     SLA_BOUND_MS: "sla-bound-ms", "25", Kind::Float(Excluded(0.0), Included(f64::MAX));
@@ -66,7 +65,7 @@ flags! {
     BUDGET: "budget", "", PRESETS;
     BACKEND: "backend", "", Kind::Choice(&["incremental", "incr", "full"]);
     WORKERS: "workers", "N", Kind::Int(0, 1024);
-    PORTFOLIO: "portfolio", "descent,anneal,ga,memetic", Kind::Parsed(check_portfolio);
+    PORTFOLIO: "portfolio", "descent,anneal", Kind::Parsed(check_portfolio);
     RESTARTS: "restarts", "1", Kind::Int(1, 10_000);
     PRUNE_MARGIN: "prune-margin", "F", Kind::Float(Included(0.0), Included(f64::INFINITY));
     ROBUST: "robust", "", Kind::Switch;

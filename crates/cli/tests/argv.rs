@@ -368,6 +368,40 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
     }
 }
 
+/// The search names are the strategy table's and nothing else: a
+/// removed or misspelt scheme, and an empty `--portfolio` name (a
+/// trailing, leading or doubled comma), are usage errors naming what
+/// remains, decided before the missing files are opened.
+#[test]
+fn search_names_outside_the_strategy_table_are_usage_errors() {
+    let out = scratch("names").join("w.json").display().to_string();
+    let optimize = format!("optimize --topo t.json --traffic m.json --out {out}");
+    let schemes = "(expected dtr|str|anneal-str|anneal-dtr)";
+    let arms = "(descent|anneal)";
+    for (flags, token) in [
+        ("--scheme ga", format!("\"ga\" {schemes}")),
+        ("--scheme memetic", format!("\"memetic\" {schemes}")),
+        ("--portfolio ga", format!("\"ga\" {arms}")),
+        ("--portfolio descent,memetic", format!("\"memetic\" {arms}")),
+        ("--portfolio descent,", format!("\"\" {arms}")),
+        ("--portfolio ,anneal", format!("\"\" {arms}")),
+        ("--portfolio descent,,anneal", format!("\"\" {arms}")),
+        ("--portfolio ,", format!("\"\" {arms}")),
+    ] {
+        for line in [
+            format!("{optimize} {flags}"),
+            format!("{optimize} --robust {flags}"),
+        ] {
+            let done = run_line(&line);
+            let stderr = String::from_utf8_lossy(&done.stderr);
+            assert_eq!(done.status.code(), Some(2), "{line}: {stderr}");
+            assert!(stderr.contains(&token), "{line}: {stderr}");
+            assert!(stderr.contains("usage: dtrctl optimize"), "{line}: {stderr}");
+            assert!(!Path::new(&out).exists(), "{line} wrote its --out");
+        }
+    }
+}
+
 /// `dtrctl topo random --nodes 8 --links 24 --seed 3` with link 23
 /// (n4 → n3) dropped, so link 22 (n3 → n4) has no reverse direction,
 /// and a unit weight file for it: `[topology, weights]` under `dir`.

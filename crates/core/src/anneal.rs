@@ -1,14 +1,14 @@
 //! Simulated-annealing weight search — a search-strategy ablation.
 //!
 //! Fortz–Thorup-style local search (our STR baseline) and genetic
-//! algorithms (\[3\], [`crate::ga`]) are two of the classic heuristic
-//! families for the OSPF weight-setting problem; simulated annealing is
-//! the third. [`AnnealSearch`] implements it for both routing schemes —
+//! algorithms (\[3\]) are two of the classic heuristic families for the
+//! OSPF weight-setting problem; simulated annealing is the third.
+//! [`AnnealSearch`] implements it for both routing schemes —
 //! [`Scheme::Str`] anneals a single weight vector, [`Scheme::Dtr`]
 //! anneals the dual vector `{W^H, W^L}`, costing a move through the same
 //! [`BatchEvaluator::eval_class_batch`] call as Algorithm 1's passes
-//! (partial deployment included) — so all three strategies can be
-//! compared at an identical evaluation budget
+//! (partial deployment included) — so it can be compared with the
+//! descents at an identical evaluation budget
 //! ([`SearchParams::dtr_eval_budget`]).
 //!
 //! ## Annealing a lexicographic objective

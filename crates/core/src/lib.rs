@@ -10,11 +10,11 @@
 //! - `descent` — the loop all of Algorithm 1's stages and the STR
 //!   baseline share (move to the best of ≤ `m` candidates if it
 //!   improves, *diversify* after `M` non-improving iterations, keep the
-//!   incumbent), written once; every search below except the GA,
-//!   memetic and annealing walks is a stage table over it. Descent or
-//!   not, every search costs its candidates through
-//!   [`BatchEvaluator`], so [`SearchParams::backend`] reaches all of
-//!   them and changes none of their results.
+//!   incumbent), written once; every search below except the annealing
+//!   walk is a stage table over it. Descent or not, every search costs
+//!   its candidates through [`BatchEvaluator`], so
+//!   [`SearchParams::backend`] reaches all of them and changes none of
+//!   their results.
 //! - [`neighborhood`] — **Algorithm 2** (`FindH`/`FindL` neighborhoods):
 //!   rank links by lexicographic link cost, draw window offsets `k₁, k₂`
 //!   from the heavy-tailed distribution `P(k) ∝ k^{−τ}`, pick `m`
@@ -33,20 +33,18 @@
 //! Beyond the paper's two schemes, the crate carries the neighboring
 //! search problems an operator meets in practice:
 //!
-//! - [`GaSearch`] / [`MemeticSearch`] / [`AnnealSearch`] — the other
-//!   classic heuristic families (\[3\], \[4\], simulated annealing) at
-//!   identical evaluation budgets, for search-strategy ablations (the GA
-//!   is the memetic generation loop with no hill-climb); with the two
-//!   descents they are the rows of [`run_strategy`]'s table, and all
-//!   return one [`SearchResult`];
+//! - [`AnnealSearch`] — simulated annealing at the descents' evaluation
+//!   budget, for search-strategy ablations; with the two descents it
+//!   makes the rows of [`run_strategy`]'s table, and all return one
+//!   [`SearchResult`];
 //! - [`RobustSearch`] — failure-aware optimization over all survivable
 //!   single duplex-pair cuts (\[5\]);
 //! - [`ReoptSearch`] — change-limited reoptimization after traffic drift
 //!   (the "changing world" problem, \[19\]);
 //! - [`PortfolioSearch`] — the parallel multi-start orchestrator: N
-//!   workers over rayon, each running one strategy arm
-//!   (descent/anneal/GA/memetic) with a derived seed and its own engine
-//!   state, reduced deterministically so `--workers N` never changes the result.
+//!   workers over rayon, each running one strategy arm (descent or
+//!   annealing) with a derived seed and its own engine state, reduced
+//!   deterministically so `--workers N` never changes the result.
 //!
 //! The evaluation budget is controlled by [`SearchParams`]; the paper's
 //! full budget (`N = 300 000`, `K = 800 000`) is available as
@@ -58,9 +56,7 @@ pub mod anneal;
 #[doc(hidden)]
 pub mod descent;
 pub mod dtr;
-pub mod ga;
 pub mod joint;
-pub mod memetic;
 pub mod neighborhood;
 pub mod params;
 pub mod portfolio;
@@ -74,9 +70,7 @@ pub mod upgrade;
 
 pub use anneal::{AnnealParams, AnnealSearch};
 pub use dtr::DtrSearch;
-pub use ga::{GaParams, GaSearch};
 pub use joint::{joint_cost, JointCostExplorer, TriangleVerdict};
-pub use memetic::{MemeticParams, MemeticSearch};
 pub use neighborhood::{NeighborhoodSampler, RankTable};
 pub use params::{derive_stream_seed, SearchParams};
 pub use portfolio::{

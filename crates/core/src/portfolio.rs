@@ -40,16 +40,14 @@
 //! ## Robust mode
 //!
 //! Only the descent strategy natively searches under failure scenarios
-//! ([`RobustSearch`]). The other arms contribute what they are good at:
-//! their *nominal* optimum, which then warm-starts a robust descent —
-//! the "robustify the incumbent" deployment pattern from the robust
-//! module docs. Every arm therefore ends in a `RobustSearch`, and arms
-//! differ by initialization and seed.
+//! ([`RobustSearch`]). The annealing arm contributes what it is good at:
+//! its *nominal* optimum, which then warm-starts a robust descent — the
+//! "robustify the incumbent" deployment pattern from the robust module
+//! docs. Every arm therefore ends in a `RobustSearch`, and arms differ
+//! by initialization and seed.
 
 use crate::anneal::AnnealSearch;
 use crate::dtr::DtrSearch;
-use crate::ga::GaSearch;
-use crate::memetic::MemeticSearch;
 use crate::params::SearchParams;
 use crate::robust::{RobustCost, RobustEvaluator, RobustSearch, ScenarioCombine};
 use crate::scheme::Scheme;
@@ -74,29 +72,17 @@ pub enum StrategyKind {
     Descent,
     /// Simulated annealing ([`AnnealSearch`]) in the matching scheme.
     Anneal,
-    /// The genetic algorithm ([`GaSearch`]; replicated weights).
-    Ga,
-    /// The memetic GA + hill-climb hybrid ([`MemeticSearch`];
-    /// replicated weights).
-    Memetic,
 }
 
 impl StrategyKind {
     /// Every strategy, in the canonical portfolio order.
-    pub const ALL: [StrategyKind; 4] = [
-        StrategyKind::Descent,
-        StrategyKind::Anneal,
-        StrategyKind::Ga,
-        StrategyKind::Memetic,
-    ];
+    pub const ALL: [StrategyKind; 2] = [StrategyKind::Descent, StrategyKind::Anneal];
 
     /// Machine-readable name (CLI `--portfolio` tokens, bench ids).
     pub fn name(self) -> &'static str {
         match self {
             StrategyKind::Descent => "descent",
             StrategyKind::Anneal => "anneal",
-            StrategyKind::Ga => "ga",
-            StrategyKind::Memetic => "memetic",
         }
     }
 }
@@ -107,28 +93,19 @@ impl std::str::FromStr for StrategyKind {
         match s {
             "descent" => Ok(StrategyKind::Descent),
             "anneal" => Ok(StrategyKind::Anneal),
-            "ga" => Ok(StrategyKind::Ga),
-            "memetic" => Ok(StrategyKind::Memetic),
             other => Err(format!(
-                "unknown portfolio strategy {other:?} (descent|anneal|ga|memetic)"
+                "unknown portfolio strategy {other:?} (descent|anneal)"
             )),
         }
     }
 }
 
 /// Parses a `--portfolio` spec: comma-separated strategy names, e.g.
-/// `"descent,anneal,ga,memetic"`. Duplicates are allowed (two descent
-/// arms get different derived seeds); empty specs are an error.
+/// `"descent,anneal"`. Duplicates are allowed (two descent arms get
+/// different derived seeds); an empty name anywhere — an empty spec, a
+/// trailing or a doubled comma — is an unknown strategy.
 pub fn parse_portfolio(spec: &str) -> Result<Vec<StrategyKind>, String> {
-    let strategies: Vec<StrategyKind> = spec
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::parse)
-        .collect::<Result<_, _>>()?;
-    if strategies.is_empty() {
-        return Err("empty portfolio spec".to_string());
-    }
-    Ok(strategies)
+    spec.split(',').map(str::parse).collect()
 }
 
 /// Orchestration knobs, distinct from the per-arm [`SearchParams`].
@@ -326,14 +303,12 @@ impl<'a> PortfolioSearch<'a> {
         }
     }
 
-    /// Binds a partial-deployment model: the deployment-aware arms
-    /// (descent, anneal) search the mixed network directly, the
-    /// replicated-subspace arms (GA, memetic) keep exploring shared
-    /// vectors — which are deployment-invariant by construction — and
-    /// **every** arm is scored by the canonical deployment-aware
-    /// `eval_dual`, so the reduction compares all arms on the network
-    /// they will actually run on. A full set is normalized away and the
-    /// portfolio stays bit-identical to the undeployed path.
+    /// Binds a partial-deployment model: both arms (descent, anneal)
+    /// search the mixed network directly, and **every** arm is scored by
+    /// the canonical deployment-aware `eval_dual`, so the reduction
+    /// compares all arms on the network they will actually run on. A
+    /// full set is normalized away and the portfolio stays bit-identical
+    /// to the undeployed path.
     ///
     /// Nominal DTR mode with the load-based objective only.
     pub fn with_deployment(mut self, dep: dtr_routing::DeploymentSet) -> Self {
@@ -359,8 +334,8 @@ impl<'a> PortfolioSearch<'a> {
 
     /// Warm-starts the arms that accept an initial setting (descent arms
     /// in every mode; the robust descent phase of every robust arm). The
-    /// population/walk strategies keep their own initialization — their
-    /// diversity is the point of the portfolio.
+    /// annealing walk keeps its own initialization — its diversity is the
+    /// point of the portfolio.
     pub fn with_initial(mut self, w0: DualWeights) -> Self {
         assert_eq!(w0.high.len(), self.topo.link_count());
         assert_eq!(w0.low.len(), self.topo.link_count());
@@ -554,7 +529,7 @@ impl<'a> PortfolioSearch<'a> {
         }
     }
 
-    /// One robust arm: non-descent strategies first find their nominal
+    /// One robust arm: the annealing arm first finds its nominal
     /// optimum, which warm-starts the failure-aware descent (see the
     /// module docs). Evaluations count both phases.
     fn run_robust(
@@ -567,7 +542,7 @@ impl<'a> PortfolioSearch<'a> {
     ) -> (DualWeights, usize) {
         let (warm, warm_evals) = match strategy {
             StrategyKind::Descent => (self.initial.clone(), 0),
-            _ => {
+            StrategyKind::Anneal => {
                 let r = self.run_nominal(strategy, scheme, params);
                 (Some(r.weights), r.trace.evaluations)
             }
@@ -609,19 +584,13 @@ impl<'a> PortfolioSearch<'a> {
 /// |---|---|---|
 /// | [`Descent`](StrategyKind::Descent) | [`StrSearch`] | [`DtrSearch`] |
 /// | [`Anneal`](StrategyKind::Anneal) | [`AnnealSearch`] on one vector | [`AnnealSearch`] on both |
-/// | [`Ga`](StrategyKind::Ga) | [`GaSearch`] | the same run |
-/// | [`Memetic`](StrategyKind::Memetic) | [`MemeticSearch`] | the same run |
 ///
-/// The GA and memetic rows ignore the scheme: they explore the
-/// shared-vector subspace, whose settings are valid under both. Every
-/// row costs its candidates through the engine backend `params` names,
-/// and every single-vector run returns its vector written twice.
+/// Every row costs its candidates through the engine backend `params`
+/// names, and every single-vector run returns its vector written twice.
 ///
-/// `initial` warm-starts the descent rows (the population and walk
-/// strategies keep their own initialization); a partial `deployment`
-/// (DTR scheme, load-based objective) is searched directly by the
-/// deployment-aware rows — descent and annealing — and is invisible to
-/// the shared-vector ones.
+/// `initial` warm-starts the descent rows (the annealing walk keeps its
+/// own initialization); a partial `deployment` (DTR scheme, load-based
+/// objective) is searched directly.
 pub fn run_strategy(
     (strategy, scheme): (StrategyKind, Scheme),
     topo: &Topology,
@@ -662,8 +631,6 @@ pub fn run_strategy(
             }
             s.run()
         }
-        (StrategyKind::Ga, _) => GaSearch::new(topo, demands, objective, params).run(),
-        (StrategyKind::Memetic, _) => MemeticSearch::new(topo, demands, objective, params).run(),
     }
 }
 
@@ -701,15 +668,19 @@ mod tests {
     #[test]
     fn parse_portfolio_specs() {
         assert_eq!(
-            parse_portfolio("descent,anneal,ga,memetic").unwrap(),
+            parse_portfolio("descent,anneal").unwrap(),
             StrategyKind::ALL.to_vec()
         );
         assert_eq!(
             parse_portfolio("descent,descent").unwrap(),
             vec![StrategyKind::Descent, StrategyKind::Descent]
         );
-        assert!(parse_portfolio("").is_err());
         assert!(parse_portfolio("descent,tabu").is_err());
+        // An empty name is an unknown strategy wherever it appears.
+        for spec in ["", ",", "descent,", ",anneal", "descent,,anneal"] {
+            let err = parse_portfolio(spec).unwrap_err();
+            assert!(err.contains("\"\"") && err.contains("descent|anneal"), "{spec}: {err}");
+        }
         for s in StrategyKind::ALL {
             assert_eq!(s.name().parse::<StrategyKind>().unwrap(), s);
         }
@@ -750,7 +721,7 @@ mod tests {
             cfg(2, 1),
         )
         .run();
-        assert_eq!(res.tasks.len(), 4);
+        assert_eq!(res.tasks.len(), 2);
         let min = res.tasks.iter().map(|t| t.cost).min().unwrap();
         assert_eq!(res.cost, min);
         assert!(res.tasks.iter().any(|t| t.weights == res.weights));
@@ -807,9 +778,9 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         // With a zero margin every strictly-worse arm is dropped after
         // wave 0, so later waves run fewer tasks than the full grid...
-        assert!(a.tasks.len() < 3 * 4);
+        assert!(a.tasks.len() < 3 * 2);
         // ...but the winner's arm always survives to the last wave.
-        let winner_si = a.tasks.iter().find(|t| t.cost == a.cost).unwrap().task % 4;
+        let winner_si = a.tasks.iter().find(|t| t.cost == a.cost).unwrap().task % 2;
         assert!(a.pruned.iter().all(|&(si, _)| si != winner_si));
         assert!(a.tasks.iter().any(|t| t.wave == 2));
     }
@@ -831,7 +802,7 @@ mod tests {
             cfg(2, 1),
         )
         .run();
-        assert_eq!(res.tasks.len(), 4);
+        assert_eq!(res.tasks.len(), 2);
         let rc = res.robust.as_ref().unwrap();
         assert_eq!(rc.combined, res.cost);
         let mut ev = RobustEvaluator::new(&topo, &demands, combine);

@@ -44,8 +44,7 @@ pub struct Improvement {
     pub iteration: usize,
     /// Candidate evaluations spent when the improvement was found — the
     /// strategy-independent x-axis for convergence curves (iterations
-    /// mean different things to a local search, a GA generation, and an
-    /// annealing step).
+    /// mean different things to a descent and to an annealing step).
     pub evaluations: usize,
     /// Routine that found it.
     pub phase: Phase,
@@ -76,10 +75,6 @@ pub struct SearchTrace {
     /// Annealing: moves accepted while degrading (how much the walk
     /// actually explored).
     pub uphill_accepted: usize,
-    /// GA / memetic: generations executed.
-    pub generations: usize,
-    /// Memetic: hill-climb probes that improved their individual.
-    pub local_improvements: usize,
 }
 
 impl SearchTrace {

@@ -5,19 +5,18 @@
 //! per mode and one upgrade fingerprint. Recorded before the searches
 //! moved onto one descent driver; the RNG draw order of every search is
 //! part of what these files pin, so a refactor of the search stack must
-//! reproduce them byte for byte. The annealing, GA and memetic runs
-//! (`anneal_*`, `ga_*`, `memetic_*`) were recorded while those three
-//! still costed candidates through the full-recompute `Evaluator`, so
-//! they also pin the engine's bit-identity to it along whole runs.
+//! reproduce them byte for byte. The annealing runs (`anneal_*`) were
+//! recorded while annealing still costed candidates through the
+//! full-recompute `Evaluator`, so they also pin the engine's
+//! bit-identity to it along whole runs.
 //!
 //! After an intended behaviour change, rewrite the files with
 //! `cargo test -p dtr-core --test golden -- --ignored bless`.
 
 use dtr_core::portfolio::{PortfolioMode, PortfolioParams, PortfolioSearch, StrategyKind};
 use dtr_core::{
-    AnnealSearch, DtrSearch, GaSearch, MemeticSearch, Objective, ReoptSearch, ReoptSession,
-    RobustSearch, ScenarioCombine, Scheme, SearchParams, SearchResult, SearchTrace, StrSearch,
-    UpgradeParams, UpgradeSearch,
+    AnnealSearch, DtrSearch, Objective, ReoptSearch, ReoptSession, RobustSearch, ScenarioCombine,
+    Scheme, SearchParams, SearchResult, SearchTrace, StrSearch, UpgradeParams, UpgradeSearch,
 };
 use dtr_cost::{Lex2, SlaParams};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
@@ -126,16 +125,6 @@ fn anneal_case(search: AnnealSearch<'_>) -> String {
     let res = search.run();
     let mut r = search_record(&res);
     r.line("uphill_accepted", res.trace.uphill_accepted);
-    r.0
-}
-
-/// A [`GaSearch`] or [`MemeticSearch`] run.
-fn population_case(res: SearchResult, hill_climbs: bool) -> String {
-    let mut r = search_record(&res);
-    r.line("generations", res.trace.generations);
-    if hill_climbs {
-        r.line("local_improvements", res.trace.local_improvements);
-    }
     r.0
 }
 
@@ -356,17 +345,6 @@ fn regenerate() -> Vec<(PathBuf, String)> {
             Scheme::Dtr,
         )),
     ));
-    cases.push((
-        "ga_load",
-        population_case(GaSearch::new(&topo, &demands, load, tiny(7)).run(), false),
-    ));
-    cases.push((
-        "memetic_load",
-        population_case(
-            MemeticSearch::new(&topo, &demands, load, tiny(7)).run(),
-            true,
-        ),
-    ));
     let (topo, demands) = instance(12, 11, 3.0);
     cases.push((
         "anneal_dtr_deployed",
@@ -385,20 +363,6 @@ fn regenerate() -> Vec<(PathBuf, String)> {
             tiny(1),
             Scheme::Dtr,
         )),
-    ));
-    cases.push((
-        "ga_sla",
-        population_case(
-            GaSearch::new(&topo, &demands, tight_sla(), tiny(1)).run(),
-            false,
-        ),
-    ));
-    cases.push((
-        "memetic_sla",
-        population_case(
-            MemeticSearch::new(&topo, &demands, tight_sla(), tiny(1)).run(),
-            true,
-        ),
     ));
 
     cases.push(("reopt_dtr_h2", reopt_case(Scheme::Dtr, 2)));

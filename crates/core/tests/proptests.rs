@@ -7,8 +7,8 @@
 
 use dtr_core::reopt::changes_between;
 use dtr_core::{
-    AnnealSearch, DtrSearch, DualWeights, MemeticSearch, Objective, ReoptSearch, RobustEvaluator,
-    ScenarioCombine, Scheme, SearchParams, StrSearch,
+    AnnealSearch, DtrSearch, DualWeights, Objective, ReoptSearch, RobustEvaluator, ScenarioCombine,
+    Scheme, SearchParams, StrSearch,
 };
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::{LinkId, Topology, WeightVector};
@@ -122,17 +122,14 @@ proptest! {
 
     #[test]
     fn every_strategy_beats_or_matches_uniform(seed in 0u64..200, scale in 2.0f64..5.0) {
-        // All four STR-space strategies start from (or seed their
-        // population with) the uniform setting, so none may end worse.
+        // Annealing starts from the uniform setting and keeps its best,
+        // so it may not end worse (the descents' case is
+        // `searches_never_regress_from_initial`).
         let (topo, demands) = instance(seed, scale);
         let params = SearchParams::tiny().with_seed(seed);
         let mut ev = Evaluator::new(&topo, &demands, Objective::LoadBased);
         let uniform = ev.eval_str(&WeightVector::uniform(&topo, 1)).cost;
 
-        let ga = dtr_core::GaSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-        prop_assert!(ga.best_cost <= uniform);
-        let mem = MemeticSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-        prop_assert!(mem.best_cost <= uniform);
         let sa = AnnealSearch::new(&topo, &demands, Objective::LoadBased, params, Scheme::Str)
             .run();
         prop_assert!(sa.best_cost <= uniform);

@@ -1,18 +1,16 @@
-//! Extension experiment: convergence of the four search strategies at
-//! an identical evaluation budget.
+//! Extension experiment: convergence of the search strategies at an
+//! identical evaluation budget.
 //!
 //! §5.1.3 fixes a large iteration budget (N = 300 000, K = 800 000) but
 //! the paper never shows *how fast* the heuristic approaches its final
 //! cost — which matters to anyone re-running the search on every traffic
 //! shift. This experiment records the incumbent-improvement trace of
-//! each strategy (Fortz–Thorup local search, genetic \[3\], memetic
-//! \[4\], simulated annealing) on the same STR instance, plus the DTR
-//! search (whose larger solution space is the paper's point), and emits
-//! cost-vs-evaluations curves.
+//! each strategy (Fortz–Thorup local search, simulated annealing) on the
+//! same STR instance, plus the two DTR searches (whose larger solution
+//! space is the paper's point), and emits cost-vs-evaluations curves.
 //!
 //! Expected shape: the local search wins early (first-improvement moves
-//! are cheap), population methods catch up late, and DTR's Φ_L floor
-//! sits far below every STR strategy's.
+//! are cheap), and DTR's Φ_L floor sits far below every STR strategy's.
 
 use crate::report::{fmt, Table};
 use crate::runner::{demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
@@ -70,7 +68,7 @@ impl StrategyCurve {
     }
 }
 
-/// Runs all six searches on the paper's random topology at moderate
+/// Runs all four searches on the paper's random topology at moderate
 /// load and returns their curves.
 pub fn run(ctx: &ExperimentCtx) -> Vec<StrategyCurve> {
     let topo = TopologyKind::Random.build(ctx.seed);
@@ -87,11 +85,9 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<StrategyCurve> {
     let demands = base.scaled(gammas[0]);
     let params: SearchParams = ctx.params.with_seed(ctx.seed);
 
-    use StrategyKind::{Anneal, Descent, Ga, Memetic};
+    use StrategyKind::{Anneal, Descent};
     [
         ("local-search", Descent, Scheme::Str),
-        ("genetic", Ga, Scheme::Str),
-        ("memetic", Memetic, Scheme::Str),
         ("annealing", Anneal, Scheme::Str),
         ("annealing-dtr", Anneal, Scheme::Dtr),
         ("dtr", Descent, Scheme::Dtr),

@@ -492,7 +492,7 @@ pub struct SearchSpec {
     /// cost (`(1−β)·intact + β·worst`).
     pub beta: Option<f64>,
     /// Run each scheme through the parallel portfolio orchestrator
-    /// (descent/anneal/GA/memetic arms) instead of a single search.
+    /// (descent and annealing arms) instead of a single search.
     pub portfolio: Option<bool>,
 }
 
