@@ -6,6 +6,7 @@
 //! and writes the raw data as CSV under the results directory
 //! ([`results_dir`]: `DTR_RESULTS` env var, default `results/`).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -66,14 +67,24 @@ impl Table {
         s
     }
 
-    /// Renders as CSV (header + rows).
+    /// Renders as CSV (header + rows) with RFC 4180 quoting: a field
+    /// holding a comma, a double quote or a line break is enclosed in
+    /// double quotes, and its own double quotes are doubled.
     pub fn to_csv(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "{}", self.columns.join(","));
-        for row in &self.rows {
-            let _ = writeln!(s, "{}", row.join(","));
+        for line in std::iter::once(&self.columns).chain(&self.rows) {
+            let fields: Vec<Cow<'_, str>> = line.iter().map(|f| csv_field(f)).collect();
+            let _ = writeln!(s, "{}", fields.join(","));
         }
         s
+    }
+}
+
+fn csv_field(field: &str) -> Cow<'_, str> {
+    if field.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", field.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(field)
     }
 }
 
@@ -119,6 +130,17 @@ mod tests {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into(), "x".into()]);
         assert_eq!(t.to_csv(), "a,b\n1,x\n");
+    }
+
+    #[test]
+    fn csv_quotes_fields_with_separators_quotes_and_line_breaks() {
+        let mut t = Table::new("demo", &["metric", "a,b"]);
+        t.row(vec!["R_L,5%".into(), "1.50".into()]);
+        t.row(vec!["say \"hi\"".into(), "two\nlines".into()]);
+        assert_eq!(
+            t.to_csv(),
+            "metric,\"a,b\"\n\"R_L,5%\",1.50\n\"say \"\"hi\"\"\",\"two\nlines\"\n"
+        );
     }
 
     #[test]
