@@ -165,7 +165,7 @@ mod tests {
         let mut ctx = ExperimentCtx::smoke();
         ctx.params = SearchParams::tiny();
         let curves = run(&ctx);
-        assert_eq!(curves.len(), 6);
+        assert_eq!(curves.len(), 4);
         for c in &curves {
             assert!(!c.points.is_empty(), "{} has no improvements", c.strategy);
             // Lexicographic cost must be non-increasing along the curve.
@@ -189,7 +189,7 @@ mod tests {
             .unwrap();
         assert!(dtr.final_cost().1 <= ls.final_cost().1 * 1.5);
 
-        assert_eq!(table(&curves).rows.len(), 6);
-        assert!(curves_table(&curves).rows.len() >= 6);
+        assert_eq!(table(&curves).rows.len(), 4);
+        assert!(curves_table(&curves).rows.len() >= 4);
     }
 }
