@@ -396,7 +396,10 @@ fn search_names_outside_the_strategy_table_are_usage_errors() {
             let stderr = String::from_utf8_lossy(&done.stderr);
             assert_eq!(done.status.code(), Some(2), "{line}: {stderr}");
             assert!(stderr.contains(&token), "{line}: {stderr}");
-            assert!(stderr.contains("usage: dtrctl optimize"), "{line}: {stderr}");
+            assert!(
+                stderr.contains("usage: dtrctl optimize"),
+                "{line}: {stderr}"
+            );
             assert!(!Path::new(&out).exists(), "{line} wrote its --out");
         }
     }

@@ -679,7 +679,10 @@ mod tests {
         // An empty name is an unknown strategy wherever it appears.
         for spec in ["", ",", "descent,", ",anneal", "descent,,anneal"] {
             let err = parse_portfolio(spec).unwrap_err();
-            assert!(err.contains("\"\"") && err.contains("descent|anneal"), "{spec}: {err}");
+            assert!(
+                err.contains("\"\"") && err.contains("descent|anneal"),
+                "{spec}: {err}"
+            );
         }
         for s in StrategyKind::ALL {
             assert_eq!(s.name().parse::<StrategyKind>().unwrap(), s);
