@@ -232,7 +232,7 @@ impl Args {
                 return Err(ArgError(format!("flag --{name} is given twice")));
             }
             let value = match (flag.kind, inline) {
-                // `--robust=false` would otherwise read as "robust
+                // `--smoke=false` would otherwise read as "smoke
                 // requested", so the form is rejected outright.
                 (Kind::Switch, Some(value)) => {
                     return Err(ArgError(format!(
@@ -316,8 +316,8 @@ mod tests {
         value: "",
         kind: Kind::Choice(&["incremental", "full"]),
     };
-    static ROBUST: Flag = Flag {
-        name: "robust",
+    static SMOKE: Flag = Flag {
+        name: "smoke",
         value: "",
         kind: Kind::Switch,
     };
@@ -330,7 +330,7 @@ mod tests {
         name: "make",
         positional: &["random", "grid"],
         required: &[&OUT],
-        optional: &[&[&NODES, &DELTA], &[&SHARE, &BACKEND, &ROBUST]],
+        optional: &[&[&NODES, &DELTA], &[&SHARE, &BACKEND, &SMOKE]],
         about: "",
         run: |_| Ok(()),
     };
@@ -346,37 +346,33 @@ mod tests {
 
     #[test]
     fn parses_positional_flags_and_switches() {
-        let a = parse("random --nodes 30 --out t.json --robust --backend full").unwrap();
+        let a = parse("random --nodes 30 --out t.json --smoke --backend full").unwrap();
         assert_eq!(a.positional.as_deref(), Some("random"));
         assert_eq!(a.num::<usize>(&NODES), Some(30));
         assert_eq!(a.num_or(&DELTA, 2.5), 2.5);
         assert_eq!(a.get(&OUT), Some("t.json"));
-        assert!(a.on(&ROBUST));
+        assert!(a.on(&SMOKE));
         assert_eq!(a.get(&BACKEND), Some("full"));
         // A trailing bare switch, and negative numbers as values.
-        let b = parse("--out x --delta -3 --robust").unwrap();
+        let b = parse("--out x --delta -3 --smoke").unwrap();
         assert_eq!(b.num::<f64>(&DELTA), Some(-3.0));
-        assert!(b.on(&ROBUST) && b.positional.is_none());
-        assert!(!parse("--out x").unwrap().on(&ROBUST));
+        assert!(b.on(&SMOKE) && b.positional.is_none());
+        assert!(!parse("--out x").unwrap().on(&SMOKE));
     }
 
     #[test]
     fn switch_with_eq_value_is_rejected_with_a_clear_error() {
-        // `--robust=false` must not silently mean true (or anything).
-        for spec in [
-            "--robust=false",
-            "--robust=true --out x",
-            "--out x --robust=0",
-        ] {
+        // `--smoke=false` must not silently mean true (or anything).
+        for spec in ["--smoke=false", "--smoke=true --out x", "--out x --smoke=0"] {
             let msg = error(spec);
             assert!(
-                msg.contains("--robust") && msg.contains("takes no value"),
+                msg.contains("--smoke") && msg.contains("takes no value"),
                 "{msg}"
             );
         }
         // Nor does a switch swallow the next word.
         assert_eq!(
-            error("--out x --robust true"),
+            error("--out x --smoke true"),
             "unexpected argument \"true\""
         );
     }
@@ -394,10 +390,7 @@ mod tests {
     fn missing_values_and_required_flags_are_errors() {
         // A forgotten value must not silently become the next flag.
         assert_eq!(error("--out x --nodes"), "flag --nodes needs a value");
-        assert_eq!(
-            error("--robust --out --nodes 3"),
-            "flag --out needs a value"
-        );
+        assert_eq!(error("--smoke --out --nodes 3"), "flag --out needs a value");
         assert_eq!(error("--nodes 3"), "required flag --out is missing");
     }
 
@@ -436,7 +429,7 @@ mod tests {
             "--delta 1e308",
             // An open end excludes its bound.
             "--share 0",
-            "--backend incr",
+            "--backend fast",
         ] {
             let flag = spec.split(' ').next().unwrap();
             let msg = error(&format!("--out x {spec}"));
@@ -475,7 +468,7 @@ mod tests {
         assert_eq!(
             ROW.usage(),
             "dtrctl make [random|grid] --out PATH [--nodes 30] [--delta D] [--share 0.3]\n      \
-             \x20[--backend incremental|full] [--robust]"
+             \x20[--backend incremental|full] [--smoke]"
         );
     }
 }

@@ -60,15 +60,13 @@ flags! {
     OPTIMIZE_SCHEME: "scheme", "", Kind::Choice(&["dtr", "str", "anneal-str", "anneal-dtr"]);
     SCHEME: "scheme", "", Kind::Choice(&["dtr", "str"]);
     OBJECTIVE: "objective", "load|sla[:BOUND_MS]", Kind::Parsed(check_objective);
-    SLA_BOUND_MS: "sla-bound-ms", "25", Kind::Float(Excluded(0.0), Included(f64::MAX));
     CLASSES: "classes", "2", Kind::Int(2, dtr_core::MAX_CLASSES as u64);
     BUDGET: "budget", "", PRESETS;
-    BACKEND: "backend", "", Kind::Choice(&["incremental", "incr", "full"]);
+    BACKEND: "backend", "", Kind::Choice(&["incremental", "full"]);
     WORKERS: "workers", "N", Kind::Int(0, 1024);
     PORTFOLIO: "portfolio", "descent,anneal", Kind::Parsed(check_portfolio);
     RESTARTS: "restarts", "1", Kind::Int(1, 10_000);
     PRUNE_MARGIN: "prune-margin", "F", Kind::Float(Included(0.0), Included(f64::INFINITY));
-    ROBUST: "robust", "", Kind::Switch;
     BETA: "beta", "0.5", Kind::Float(Included(0.0), Included(1.0));
     CAP: "cap", "N", Kind::Int(1, COUNT_MAX);
     CHANGES: "changes", "H", Kind::Int(0, COUNT_MAX);
@@ -105,12 +103,11 @@ flags! {
     COALESCE: "coalesce", "N", Kind::Int(0, COUNT_MAX);
     IDLE_STEPS: "idle-steps", "N", Kind::Int(0, COUNT_MAX);
     TRANSPORT: "transport", "", Kind::Choice(&["inproc", "tcp"]);
-    SOCKET: "socket", "PATH", Kind::Text;
     TCP: "tcp", "ADDR", Kind::Text;
 }
 
 /// Read by `commands::objective_spec`.
-static OBJECTIVE_FLAGS: &[&Flag] = &[&OBJECTIVE, &SLA_BOUND_MS, &CLASSES];
+static OBJECTIVE_FLAGS: &[&Flag] = &[&OBJECTIVE, &CLASSES];
 /// Read by `commands::search_params`.
 static SEARCH_FLAGS: &[&Flag] = &[&BUDGET, &SEED, &BACKEND];
 /// Read by `commands::portfolio_cfg`; giving any of them switches the parallel
@@ -118,8 +115,6 @@ static SEARCH_FLAGS: &[&Flag] = &[&BUDGET, &SEED, &BACKEND];
 pub static PORTFOLIO_FLAGS: &[&Flag] = &[&WORKERS, &PORTFOLIO, &RESTARTS, &PRUNE_MARGIN];
 /// Read by `commands::daemon_cfg`, with the two groups above it.
 static DAEMON_FLAGS: &[&Flag] = &[&CHANGES, &MIN_GAIN_PER_CHURN, &COALESCE, &IDLE_STEPS];
-/// Read by the failure-aware search (`robust` and `optimize --robust`).
-static ROBUST_FLAGS: &[&Flag] = &[&BETA, &CAP, &WEIGHTS];
 
 /// The `dtrctl` subcommands, in `help` order.
 pub static COMMANDS: &[Command] = &[
@@ -166,23 +161,16 @@ pub static COMMANDS: &[Command] = &[
             OBJECTIVE_FLAGS,
             SEARCH_FLAGS,
             PORTFOLIO_FLAGS,
-            &[&ROBUST],
-            ROBUST_FLAGS,
         ],
         about: "(--backend selects the candidate-evaluation engine: incremental dynamic-SPF \
-                repair (default) or full per-candidate recomputation — identical results; \
-                --robust optimizes against all single duplex-pair failures, sweeping \
-                scenarios through the same engine, reads --beta/--cap/--weights as `robust` \
-                does and supports --scheme str|dtr and --objective load only. \
+                repair (default) or full per-candidate recomputation — identical results. \
                 --workers/--portfolio/--restarts switch on the parallel portfolio \
                 orchestrator: restarts×|portfolio| independent arms with derived seeds fan \
                 out over N worker threads (0 = all cores), each arm owning its own engine \
                 state; arms share nothing and reduce deterministically, so the result \
                 depends only on --seed and the spec, never on N. --prune-margin F drops \
                 arms worse than the incumbent by more than fraction F at restart barriers. \
-                With the orchestrator, --scheme selects the routing scheme (str|dtr) only; \
-                in --robust runs non-descent arms warm-start a failure-aware descent from \
-                their nominal optimum)",
+                With the orchestrator, --scheme selects the routing scheme (str|dtr) only)",
         run: cmd_optimize,
     },
     Command {
@@ -230,14 +218,15 @@ pub static COMMANDS: &[Command] = &[
         positional: &[],
         required: &[&TOPO, &TRAFFIC, &OUT],
         optional: &[
-            &[&SCHEME],
-            ROBUST_FLAGS,
+            &[&SCHEME, &BETA, &CAP, &WEIGHTS],
             SEARCH_FLAGS,
             PORTFOLIO_FLAGS,
             OBJECTIVE_FLAGS,
         ],
-        about: "(failure-aware optimization over all single duplex-pair cuts; alias of \
-                `optimize --robust`. --weights warm-starts the search. --cap optimizes \
+        about: "(failure-aware optimization over all single duplex-pair cuts, sweeping \
+                scenarios through the search engine. --weights warm-starts the search. With \
+                the orchestrator, non-descent arms warm-start a failure-aware descent from \
+                their nominal optimum. --cap optimizes \
                 against only the N worst scenarios of the initial solution — an \
                 approximation; the dropped pairs are reported. Only --objective load is \
                 supported)",
@@ -334,8 +323,7 @@ pub static COMMANDS: &[Command] = &[
                 (default replay-out). --coalesce batches same-timestamp events (the driver \
                 injects Flush at every timestamp change), --idle-steps spends a background \
                 anytime budget at event boundaries, --transport tcp replays over a real \
-                loopback serve_tcp server. --objective sla needs a demand-only trace: the \
-                daemon's masked evaluation is load-only. --smoke replays twice and asserts \
+                loopback serve_tcp server. --smoke replays twice and asserts \
                 events.jsonl and report.json are byte-identical — timing.json is wall-clock \
                 and explicitly outside the gate — plus report shape and the batch ratio; \
                 the trace defaults to traces/smoke.json — the CI gate)",
@@ -356,15 +344,10 @@ pub static DTRD: Command = Command {
     name: "dtrd",
     positional: &[],
     required: &[&TOPO, &TRAFFIC],
-    optional: &[
-        &[&WEIGHTS],
-        SEARCH_FLAGS,
-        DAEMON_FLAGS,
-        &[&OBJECTIVE, &SOCKET, &TCP],
-    ],
+    optional: &[&[&WEIGHTS], SEARCH_FLAGS, DAEMON_FLAGS, &[&OBJECTIVE, &TCP]],
     about: "(the reoptimization daemon, a binary of its own: serves the line-delimited JSON \
-            protocol of docs/PROTOCOL.md on stdin/stdout, on a unix socket with --socket, or \
-            on TCP with --tcp ADDR, e.g. 127.0.0.1:7700. Without --weights, boot runs a cold \
+            protocol of docs/PROTOCOL.md on stdin/stdout, or on TCP with --tcp ADDR, e.g. \
+            127.0.0.1:7700. Without --weights, boot runs a cold \
             DTR search at --budget. --coalesce N batches state-changing events (send \"Flush\" \
             to close a batch early); --idle-steps N spends a background anytime budget at each \
             event boundary)",

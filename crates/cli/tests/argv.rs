@@ -255,11 +255,6 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
             "oneway.json: link 22 (n3 → n4) has no reverse direction",
         ),
         (
-            format!("optimize --robust --topo {oneway} --traffic {m} --out {out}"),
-            1,
-            "oneway.json: link 22 (n3 → n4) has no reverse direction",
-        ),
-        (
             format!("churn --topo {oneway} --traffic {m} --out {out}"),
             1,
             "oneway.json: link 22 (n3 → n4) has no reverse direction",
@@ -369,9 +364,10 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
 }
 
 /// The search names are the strategy table's and nothing else: a
-/// removed or misspelt scheme, and an empty `--portfolio` name (a
-/// trailing, leading or doubled comma), are usage errors naming what
-/// remains, decided before the missing files are opened.
+/// removed or misspelt scheme, an empty `--portfolio` name (a trailing,
+/// leading or doubled comma), and a removed second spelling of an input
+/// are usage errors naming what remains, decided before the missing
+/// files are opened.
 #[test]
 fn search_names_outside_the_strategy_table_are_usage_errors() {
     let out = scratch("names").join("w.json").display().to_string();
@@ -387,21 +383,28 @@ fn search_names_outside_the_strategy_table_are_usage_errors() {
         ("--portfolio ,anneal", format!("\"\" {arms}")),
         ("--portfolio descent,,anneal", format!("\"\" {arms}")),
         ("--portfolio ,", format!("\"\" {arms}")),
+        // `robust`, `--objective sla:MS` and `--backend incremental` are
+        // the one spelling of each.
+        ("--robust", "unknown flag --robust".to_string()),
+        (
+            "--objective sla --sla-bound-ms 25",
+            "unknown flag --sla-bound-ms".to_string(),
+        ),
+        (
+            "--backend incr",
+            "\"incr\" (expected incremental|full)".to_string(),
+        ),
     ] {
-        for line in [
-            format!("{optimize} {flags}"),
-            format!("{optimize} --robust {flags}"),
-        ] {
-            let done = run_line(&line);
-            let stderr = String::from_utf8_lossy(&done.stderr);
-            assert_eq!(done.status.code(), Some(2), "{line}: {stderr}");
-            assert!(stderr.contains(&token), "{line}: {stderr}");
-            assert!(
-                stderr.contains("usage: dtrctl optimize"),
-                "{line}: {stderr}"
-            );
-            assert!(!Path::new(&out).exists(), "{line} wrote its --out");
-        }
+        let line = format!("{optimize} {flags}");
+        let done = run_line(&line);
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert_eq!(done.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains(&token), "{line}: {stderr}");
+        assert!(
+            stderr.contains("usage: dtrctl optimize"),
+            "{line}: {stderr}"
+        );
+        assert!(!Path::new(&out).exists(), "{line} wrote its --out");
     }
 }
 
@@ -456,10 +459,7 @@ fn cheap_lines() -> Vec<String> {
              --demand-rate 1 --whatif-rate 0.2 --directed-flap-rate 0.1 --burst-rate 0.5 \
              --burst-max 3 --drift 0.08 --out {out}"
         ),
-        format!(
-            "evaluate --topo {t} --traffic {m} --weights {w} --objective sla --sla-bound-ms 25 \
-             --classes 2"
-        ),
+        format!("evaluate --topo {t} --traffic {m} --weights {w} --objective sla:25 --classes 2"),
         format!("deploy --topo {t} --weights {w} --fail-link 3"),
         format!(
             "simulate --topo {t} --traffic {m} --weights {w} --duration 0.05 --warmup 0.01 \

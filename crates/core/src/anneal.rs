@@ -113,10 +113,10 @@ impl<'a> AnnealSearch<'a> {
         }
     }
 
-    /// Binds a partial-deployment model (DTR mode, load-based objective
-    /// only): candidate evaluations route the low class down the hybrid
-    /// DAGs with trapped demand penalized, so the walk optimizes the
-    /// mixed network it will actually run on. A full set is a no-op.
+    /// Binds a partial-deployment model (DTR mode only): candidate
+    /// evaluations route the low class down the hybrid DAGs with trapped
+    /// demand penalized, so the walk optimizes the mixed network it will
+    /// actually run on. A full set is a no-op.
     pub fn with_deployment(mut self, dep: dtr_routing::DeploymentSet) -> Self {
         assert!(
             matches!(self.mode, Scheme::Dtr) || dep.is_full(),
@@ -124,7 +124,7 @@ impl<'a> AnnealSearch<'a> {
         );
         self.engine
             .set_deployment(Some(dep))
-            .expect("anneal deployment: load-based objective and matching node count required");
+            .expect("anneal deployment: matching node count required");
         self
     }
 

@@ -175,11 +175,11 @@ impl<'a> DtrSearch<'a> {
     /// class on the high topology, trapped demand is penalized, and
     /// `FindH` moves re-route the low class too (legacy next-hops follow
     /// the high DAGs). A full set is a no-op — the search stays
-    /// bit-identical to the undeployed path. Load-based objective only.
+    /// bit-identical to the undeployed path.
     pub fn with_deployment(mut self, dep: dtr_routing::DeploymentSet) -> Self {
         self.engine
             .set_deployment(Some(dep))
-            .expect("DtrSearch deployment: load-based objective and matching node count required");
+            .expect("DtrSearch deployment: matching node count required");
         self
     }
 

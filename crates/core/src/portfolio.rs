@@ -310,15 +310,11 @@ impl<'a> PortfolioSearch<'a> {
     /// full set is normalized away and the portfolio stays bit-identical
     /// to the undeployed path.
     ///
-    /// Nominal DTR mode with the load-based objective only.
+    /// Nominal DTR mode only.
     pub fn with_deployment(mut self, dep: dtr_routing::DeploymentSet) -> Self {
         assert!(
             dep.is_full() || matches!(self.mode, PortfolioMode::Nominal(Scheme::Dtr)),
             "partial deployment requires nominal DTR mode"
-        );
-        assert!(
-            dep.is_full() || matches!(self.objective, Objective::LoadBased),
-            "partial deployment requires the load-based objective"
         );
         self.deployment = if dep.is_full() { None } else { Some(dep) };
         self
@@ -589,8 +585,8 @@ impl<'a> PortfolioSearch<'a> {
 /// names, and every single-vector run returns its vector written twice.
 ///
 /// `initial` warm-starts the descent rows (the annealing walk keeps its
-/// own initialization); a partial `deployment` (DTR scheme, load-based
-/// objective) is searched directly.
+/// own initialization); a partial `deployment` (DTR scheme) is searched
+/// directly.
 pub fn run_strategy(
     (strategy, scheme): (StrategyKind, Scheme),
     topo: &Topology,

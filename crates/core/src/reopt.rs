@@ -88,12 +88,6 @@ struct MaskedEngine<'a> {
 
 impl<'a> MaskedEngine<'a> {
     fn new(search: &ReoptSearch<'a>) -> Self {
-        // The sweeps cost a failed network by its loads alone; an SLA
-        // walk over the surviving DAGs does not exist yet.
-        assert!(
-            matches!(search.objective, Objective::LoadBased) || search.link_up.iter().all(|&up| up),
-            "masked reoptimization supports Objective::LoadBased only"
-        );
         MaskedEngine {
             batch: BatchEvaluator::new(
                 search.topo,
@@ -129,7 +123,8 @@ impl<'a> MaskedEngine<'a> {
         let hl = self.batch.sweep_high(&w.high, &self.scenario).pop();
         let ll = self.batch.sweep_low(wl, &self.scenario).pop();
         let ev = self.batch.evaluator();
-        let high = ev.high_side_from_loads(hl.expect("one scenario"), &w.high);
+        let mask = Some(&self.scenario[0].link_up[..]);
+        let high = ev.high_side_from_loads(hl.expect("one scenario"), &w.high, mask);
         ev.finish(high, ll.expect("one scenario"))
             .expect("high side built by this evaluator carries the SLA walk")
     }
@@ -514,11 +509,8 @@ impl ReoptSession {
     /// the search optimizes for the network as it currently stands.
     /// The caller must ensure the surviving topology is still strongly
     /// connected — demand towards unreachable destinations would be
-    /// dropped silently otherwise.
-    ///
-    /// A failed network is costed by its loads alone, so a mask with a
-    /// link down panics under [`Objective::SlaBased`]; an all-up mask is
-    /// exactly [`step`](Self::step).
+    /// dropped silently otherwise. An all-up mask is exactly
+    /// [`step`](Self::step).
     pub fn step_masked(
         &mut self,
         topo: &Topology,
@@ -911,6 +903,7 @@ mod tests {
             (Objective::LoadBased, &cut),
             (Objective::LoadBased, &all_up),
             (Objective::sla_default(), &all_up),
+            (Objective::sla_default(), &cut),
         ] {
             let mut s = ReoptSession::new(
                 incumbent.clone(),
@@ -928,19 +921,5 @@ mod tests {
                 Evaluator::new(&topo, &drifted, objective).eval_dual_masked(&incumbent, mask);
             assert_eq!(res.start_eval, before);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "LoadBased only")]
-    fn masked_step_rejects_the_sla_objective() {
-        let (topo, _, drifted) = drifted_instance();
-        let cut = survivable_duplex_failures(&topo)[0].link_up.clone();
-        let mut s = ReoptSession::new(
-            DualWeights::replicated(WeightVector::uniform(&topo, 1)),
-            Objective::sla_default(),
-            SearchParams::tiny(),
-            Scheme::Dtr,
-        );
-        s.step_masked(&topo, &drifted, &cut, 4);
     }
 }

@@ -175,9 +175,9 @@ impl UpgradeOutcome {
 
 /// The placement search, bound to one problem instance.
 ///
-/// Load-based objective only (the deployment model's fence); `params`
-/// and `cfg` are the **definitive** per-budget budget — the same
-/// arguments a plain [`PortfolioSearch`] would take.
+/// Every probe runs under the load-based objective; `params` and `cfg`
+/// are the **definitive** per-budget budget — the same arguments a plain
+/// [`PortfolioSearch`] would take.
 pub struct UpgradeSearch<'a> {
     topo: &'a Topology,
     demands: &'a DemandSet,

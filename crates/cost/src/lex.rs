@@ -35,21 +35,6 @@ impl Lex2 {
         primary: f64::MAX,
         secondary: f64::MAX,
     };
-
-    /// True if `self` improves on (is strictly lexicographically smaller
-    /// than) `other`.
-    #[inline]
-    pub fn improves_on(&self, other: &Lex2) -> bool {
-        self < other
-    }
-
-    /// Relaxed comparison used by ε-relaxed STR (§3.3.2 / §5.3.1): `self`
-    /// is acceptable relative to a best-known `other` if its primary
-    /// component is within a factor `(1 + eps)` of `other`'s.
-    #[inline]
-    pub fn primary_within(&self, other: &Lex2, eps: f64) -> bool {
-        self.primary <= (1.0 + eps) * other.primary
-    }
 }
 
 impl PartialEq for Lex2 {
@@ -124,13 +109,6 @@ impl LexCost {
     pub fn worst(len: usize) -> Self {
         LexCost(vec![f64::MAX; len])
     }
-
-    /// The two-class view `⟨component 0, Σ components 1..⟩` used when a
-    /// k-class cost has to be reported through a two-tuple interface.
-    pub fn two_view(&self) -> Lex2 {
-        let rest = self.0[1..].iter().sum();
-        Lex2::new(self.0[0], rest)
-    }
 }
 
 impl From<Lex2> for LexCost {
@@ -192,17 +170,6 @@ mod tests {
     #[test]
     fn max_is_worst() {
         assert!(Lex2::new(1e300, 1e300) < Lex2::MAX);
-        assert!(Lex2::new(0.0, 0.0).improves_on(&Lex2::MAX));
-    }
-
-    #[test]
-    fn within_eps_relaxation() {
-        let best = Lex2::new(100.0, 5.0);
-        assert!(Lex2::new(104.0, 1.0).primary_within(&best, 0.05));
-        assert!(!Lex2::new(106.0, 1.0).primary_within(&best, 0.05));
-        // ε = 0 degenerates to the strict rule.
-        assert!(Lex2::new(100.0, 9.0).primary_within(&best, 0.0));
-        assert!(!Lex2::new(100.1, 9.0).primary_within(&best, 0.0));
     }
 
     #[test]
@@ -258,9 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn lexcost_two_view_folds_the_tail() {
-        let c = LexCost::new(vec![3.0, 1.0, 2.0]);
-        assert_eq!(c.two_view(), Lex2::new(3.0, 3.0));
+    fn lexcost_from_lex2_keeps_both_components() {
         assert_eq!(LexCost::from(Lex2::new(5.0, 7.0)).as_slice(), &[5.0, 7.0]);
     }
 

@@ -42,14 +42,9 @@ pub struct DaemonCfg {
     /// must offer to be deployed. `0.0` accepts every improvement.
     pub min_gain_per_churn: f64,
     /// The two-class objective every search and evaluation runs under.
-    /// Masked evaluation (re-optimizing while links are down) is only
-    /// defined for [`Objective::LoadBased`], so under
-    /// [`Objective::SlaBased`] the daemon answers link-failure events
-    /// and probes with a protocol `Error` instead of wrong numbers;
-    /// demand updates and weight what-ifs work under both. The churn
-    /// gate (`min_gain_per_churn`) always meters the `(Φ_H + Φ_L)` gain
-    /// — under the SLA objective the *acceptance* test still compares
-    /// the lexicographic `⟨Λ, Φ_L⟩` cost.
+    /// The churn gate (`min_gain_per_churn`) always meters the
+    /// `(Φ_H + Φ_L)` gain — under the SLA objective the *acceptance*
+    /// test still compares the lexicographic `⟨Λ, Φ_L⟩` cost.
     pub objective: Objective,
     /// Event-coalescing batch cap. `0` (the default) reoptimizes after
     /// every state-changing event. `N ≥ 1` *applies* each event
@@ -160,8 +155,7 @@ impl Snapshot {
     /// Cost of `w` on this state's demands under an explicit mask — the
     /// one evaluation outside the search, shared by `Status`, no-change
     /// replies, the (non-mutating) what-if probes and the replay
-    /// driver's end-state score. Links are only ever down under the
-    /// load objective (see [`DaemonCfg::objective`]).
+    /// driver's end-state score.
     pub(crate) fn cost_with_mask(
         &self,
         objective: Objective,
@@ -268,18 +262,6 @@ impl Daemon {
         let s = &self.state;
         assert_eq!(weights.high.len(), s.topo.link_count());
         s.cost_with_mask(self.cfg.objective, weights, &s.link_up)
-    }
-
-    /// The clear protocol error for link-failure events and probes under
-    /// the SLA objective (`None` under the load objective, where masks
-    /// are supported). See [`DaemonCfg::objective`].
-    fn reject_mask_under_sla(&self) -> Option<String> {
-        matches!(self.cfg.objective, Objective::SlaBased(_)).then(|| {
-            "link-failure events are not supported under the SLA objective: \
-             masked evaluation is only defined for the load-based cost \
-             (run the daemon with --objective load to manage failures)"
-                .to_string()
-        })
     }
 
     /// Validates a directed link index.
@@ -456,11 +438,6 @@ impl Daemon {
             Request::DirectedLinkUp { link } => (link, false, true),
             _ => return Ok(None),
         };
-        if !up {
-            if let Some(message) = self.reject_mask_under_sla() {
-                return Err(message);
-            }
-        }
         let links = if duplex {
             self.pair(link)?.to_vec()
         } else {
@@ -488,11 +465,6 @@ impl Daemon {
         check_demands(&s.demands, n)?;
         if s.link_up.len() != m {
             return Err(format!("{} link states for {m} links", s.link_up.len()));
-        }
-        if s.link_up.contains(&false) {
-            if let Some(message) = self.reject_mask_under_sla() {
-                return Err(message);
-            }
         }
         if !strongly_connected_under(&s.topo, &s.link_up) {
             return Err("the links that are up do not connect the network".to_string());
@@ -615,9 +587,6 @@ impl Daemon {
         let s = &self.state;
         Some(match req {
             Request::WhatIfLinkDown { link } => {
-                if let Some(message) = self.reject_mask_under_sla() {
-                    return Some(Reply::Error { message });
-                }
                 let pair = match self.pair(*link) {
                     Ok(p) => p,
                     Err(message) => return Some(Reply::Error { message }),

@@ -12,8 +12,7 @@
 //!   `Snapshot`/`Restore` carry is what the daemon is — and processes
 //!   an ordered event stream (demand updates, pair or single-directed
 //!   link down/up, what-if probes) over line-delimited JSON, on
-//!   stdin/stdout, a unix socket, or TCP ([`serve_stdio`],
-//!   [`serve_unix`], [`serve_tcp`]);
+//!   stdin/stdout or TCP ([`serve_stdio`], [`serve_tcp`]);
 //! - each topology or demand event triggers an **incremental
 //!   reoptimization** warm-started from the incumbent
 //!   ([`dtr_core::ReoptSession`], every candidate costed on the engine
@@ -32,7 +31,7 @@
 //! - the event loop is single-threaded and deterministic: the reply
 //!   stream is a byte-exact function of the event sequence, which
 //!   [`replay_trace`] and the CI smoke gate verify by replaying
-//!   [`dtr_scenario::ChurnTrace`]s twice. All three transports share
+//!   [`dtr_scenario::ChurnTrace`]s twice. Both transports share
 //!   one serving path: one writer, probes answered concurrently from a
 //!   published view, and one `Error` reply for a bad line or a panic.
 //!
@@ -53,6 +52,4 @@ pub use event::{
 pub use replay::{
     replay_trace, replay_trace_tcp, KindTiming, ReplayOutcome, ReplayReport, TimingSummary,
 };
-#[cfg(unix)]
-pub use server::serve_unix;
 pub use server::{serve, serve_stdio, serve_tcp};

@@ -360,9 +360,6 @@ fn replay_over<F: FnMut(&str) -> String>(
     } else {
         // Links still down (hand-written trace): cold masked search from
         // uniform weights with an effectively unlimited change budget.
-        // Only reachable under the load objective — the daemon refuses
-        // link-down events under the SLA objective, so the mask stays
-        // all-up there.
         let uniform = DualWeights::replicated(WeightVector::uniform(&end.topo, 1));
         let mut s = ReoptSession::new(uniform, cfg.objective, cfg.params, Scheme::Dtr);
         let h = 2 * end.topo.link_count();

@@ -1,15 +1,15 @@
-//! Transport: line-delimited JSON over stdio, a unix socket or TCP, on
-//! one serving path: one connection loop for stdio and for every unix or
-//! TCP client, one writer for state-changing lines, and a read view
-//! published at the last event boundary that answers read-only probes at
-//! once. A non-UTF-8 line or a panic costs one [`Reply::Error`] and no
-//! state, and no lock is left poisoned (`DESIGN.md`, "Serving", has the
+//! Transport: line-delimited JSON over stdio or TCP, on one serving
+//! path: one connection loop for stdio and for every TCP client, one
+//! writer for state-changing lines, and a read view published at the
+//! last event boundary that answers read-only probes at once. A
+//! non-UTF-8 line or a panic costs one [`Reply::Error`] and no state,
+//! and no lock is left poisoned (`DESIGN.md`, "Serving", has the
 //! determinism and rollback arguments).
 
 use crate::daemon::Daemon;
 use crate::event::{Reply, Request};
-use std::io::{self, BufRead, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, ErrorKind, Write};
+use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -123,27 +123,27 @@ pub fn serve_stdio(daemon: Daemon) -> io::Result<()> {
     serve(daemon, io::stdin().lock(), &mut io::stdout())
 }
 
-/// The accept loop of the unix and TCP transports: a thread per client
-/// runs the connection loop on a stream `prepare` made blocking with
-/// [`READ_TIMEOUT`], until a `Shutdown` and every client has drained.
-fn serve_clients<S: Send + 'static>(
-    daemon: Daemon,
-    accept: impl Fn() -> io::Result<S>,
-    prepare: fn(&S) -> io::Result<()>,
-) -> io::Result<()>
-where
-    for<'a> &'a S: Read + Write,
-{
+/// Serves `daemon` over TCP on an already-bound listener (bind to port 0
+/// and read `listener.local_addr()` first for an ephemeral port): a
+/// thread per client runs the connection loop on a blocking stream with
+/// a short read timeout, until a `Shutdown` and every client has drained.
+/// One writer connection gets the replies [`serve`] would; several
+/// writers make the interleaving scheduling-dependent.
+pub fn serve_tcp(daemon: Daemon, listener: TcpListener) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
     let shared = Arc::new(Shared::new(daemon));
     let mut clients = Vec::new();
     while !shared.shutdown.load(SeqCst) {
-        match accept() {
-            Ok(stream) => {
+        match listener.accept() {
+            Ok((stream, _)) => {
                 let shared = Arc::clone(&shared);
                 clients.push(std::thread::spawn(move || {
                     let mut output = &stream;
                     let input = io::BufReader::new(&stream);
-                    let _ = prepare(&stream).and_then(|()| shared.connection(input, &mut output));
+                    let _ = stream
+                        .set_nonblocking(false)
+                        .and_then(|()| stream.set_read_timeout(Some(READ_TIMEOUT)))
+                        .and_then(|()| shared.connection(input, &mut output));
                 }));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -157,36 +157,6 @@ where
         let _ = h.join();
     }
     Ok(())
-}
-
-/// Serves `daemon` on a unix domain socket like [`serve_tcp`]; the
-/// socket file is created fresh and removed on shutdown.
-#[cfg(unix)]
-pub fn serve_unix(daemon: Daemon, path: &std::path::Path) -> io::Result<()> {
-    use std::os::unix::net::{UnixListener, UnixStream};
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    let accept = || listener.accept().map(|(stream, _)| stream);
-    let served = serve_clients(daemon, accept, |stream: &UnixStream| {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(READ_TIMEOUT))
-    });
-    let _ = std::fs::remove_file(path);
-    served
-}
-
-/// Serves `daemon` over TCP on an already-bound listener (bind to port 0
-/// and read `listener.local_addr()` first for an ephemeral port), a
-/// thread per client. One writer connection gets the replies [`serve`]
-/// would; several writers make the interleaving scheduling-dependent.
-pub fn serve_tcp(daemon: Daemon, listener: TcpListener) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let accept = || listener.accept().map(|(stream, _)| stream);
-    serve_clients(daemon, accept, |stream: &TcpStream| {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(READ_TIMEOUT))
-    })
 }
 
 #[cfg(test)]

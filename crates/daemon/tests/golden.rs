@@ -1,8 +1,9 @@
 //! Frozen replay artifacts (ROADMAP item 1a): the `events.jsonl` and
 //! `report.json` that `dtrctl replay` writes for the two checked-in
-//! traces and one generated demand-only trace under the SLA objective,
-//! recorded before `ReoptSearch`/`ReoptSession` moved onto one
-//! engine-backed evaluation. Refactors of the reoptimization or daemon
+//! traces, one generated demand-only trace under the SLA objective
+//! (all three recorded before `ReoptSearch`/`ReoptSession` moved onto
+//! one engine-backed evaluation), and the smoke trace's link failures
+//! under the SLA objective. Refactors of the reoptimization or daemon
 //! evaluation stack must reproduce these files byte for byte.
 //!
 //! After an intended behaviour change, rewrite the files with
@@ -24,8 +25,7 @@ fn checked_in(name: &str) -> ChurnTrace {
     serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
 }
 
-/// Demand drift and bursts only: masked evaluation is load-only, so an
-/// SLA daemon never sees a link event.
+/// Demand drift and bursts only.
 fn sla_drift_trace() -> ChurnTrace {
     let topo = random_topology(&RandomTopologyCfg {
         nodes: 10,
@@ -55,9 +55,19 @@ fn sla_drift_trace() -> ChurnTrace {
     )
 }
 
+/// 20 ms: tight enough that two pairs of `sla_drift`'s base matrix
+/// violate it, so Λ (not only Φ_L) steers.
+fn sla_20ms() -> Objective {
+    Objective::SlaBased(SlaParams {
+        bound_s: 0.020,
+        ..Default::default()
+    })
+}
+
 /// One replay per evaluation path the daemon has: per-event searches
 /// with link failures and probes, coalesced batches with idle passes,
-/// and `step`/`idle_step` under [`Objective::SlaBased`].
+/// and `step`/`idle_step` under [`Objective::SlaBased`], unmasked and
+/// masked.
 fn cases() -> Vec<(&'static str, ChurnTrace, DaemonCfg)> {
     vec![
         ("smoke", checked_in("smoke"), DaemonCfg::default()),
@@ -74,14 +84,17 @@ fn cases() -> Vec<(&'static str, ChurnTrace, DaemonCfg)> {
             "sla_drift",
             sla_drift_trace(),
             DaemonCfg {
-                // 20 ms: tight enough that two pairs of the base
-                // matrix violate it, so Λ (not only Φ_L) steers.
-                objective: Objective::SlaBased(SlaParams {
-                    bound_s: 0.020,
-                    ..Default::default()
-                }),
+                objective: sla_20ms(),
                 coalesce: 2,
                 idle_steps: 1,
+                ..Default::default()
+            },
+        ),
+        (
+            "sla_smoke",
+            checked_in("smoke"),
+            DaemonCfg {
+                objective: sla_20ms(),
                 ..Default::default()
             },
         ),

@@ -274,97 +274,64 @@ fn assert_not_utf8_answered<S: Read + Write>(stream: S) {
     assert_eq!(replies[2], replies[0]);
 }
 
-#[cfg(unix)]
 #[test]
-fn unix_socket_serves_the_same_protocol() {
-    use std::os::unix::net::UnixStream;
-
-    let (topo, base) = instance();
-    let dir = std::env::temp_dir().join(format!("dtrd-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("dtrd.sock");
-    let server_path = path.clone();
-    let w = uniform(&topo);
-    let handle = std::thread::spawn(move || {
-        let d = Daemon::new(topo, base, Some(w), cfg());
-        dtr_daemon::serve_unix(d, &server_path).unwrap();
-    });
-
-    // Wait for the socket to appear, then talk to it.
-    let mut stream = loop {
-        match UnixStream::connect(&path) {
-            Ok(s) => break s,
-            Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-        }
-    };
-    assert_not_utf8_answered(&stream);
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    for req in [Request::Status, Request::Shutdown] {
-        writeln!(stream, "{}", serde_json::to_string(&req).unwrap()).unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let _: Reply = serde_json::from_str(line.trim()).unwrap();
-    }
-    handle.join().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn sla_objective_daemon_optimizes_but_refuses_failure_masks() {
+fn sla_objective_daemon_manages_failure_masks() {
     use dtr_cost::{Objective, SlaParams};
+    use dtr_graph::LinkId;
+    use dtr_routing::Evaluator;
 
     let (topo, base) = instance();
-    let sla_cfg = DaemonCfg {
-        objective: Objective::SlaBased(SlaParams::default()),
-        ..cfg()
-    };
+    let objective = Objective::SlaBased(SlaParams::default());
+    let sla_cfg = DaemonCfg { objective, ..cfg() };
     let mut d = Daemon::new(topo.clone(), base.clone(), Some(uniform(&topo)), sla_cfg);
-
-    // Demand updates (and their warm reoptimizations) work under SLA.
-    let drifted = base.scaled(1.1);
-    let reply = d.handle(Request::DemandUpdate { demands: drifted });
-    assert!(matches!(reply, Reply::Event(_)), "{reply:?}");
-
-    // Link-failure events and probes — and a snapshot that carries a
-    // failure in — get the clear protocol error instead of numbers from
-    // an undefined masked SLA evaluation.
     let Reply::Snapshot(mut snapshot) = d.handle(Request::Snapshot) else {
         panic!("expected a snapshot");
     };
-    snapshot.link_up[0] = false;
-    for req in [
-        Request::LinkDown { link: 0 },
-        Request::WhatIfLinkDown { link: 0 },
-        Request::Restore { snapshot },
-    ] {
-        match d.handle(req) {
-            Reply::Error { message } => {
-                assert!(message.contains("SLA objective"), "{message}");
-                assert!(message.contains("--objective load"), "{message}");
-            }
-            other => panic!("expected an error reply, got {other:?}"),
-        }
-    }
-    assert!(d.link_up().iter().all(|&u| u), "mask must stay untouched");
+    // `Status` costs the incumbent on the surviving network.
+    let status_is_the_masked_evaluation = |d: &mut Daemon| {
+        let Reply::Status(status) = d.handle(Request::Status) else {
+            panic!("expected a status");
+        };
+        let ev = Evaluator::new(&topo, d.demands(), objective)
+            .eval_dual_masked(d.incumbent(), d.link_up());
+        assert_eq!((status.cost.phi_h, status.cost.phi_l), (ev.phi_h, ev.phi_l));
+        assert_eq!(status.links_down, 2);
+    };
 
-    // Weight what-ifs stay available (all-up evaluation is defined).
-    let probe = d.handle(Request::WhatIfWeights {
-        weights: uniform(&topo),
-    });
-    assert!(matches!(probe, Reply::WhatIf(_)), "{probe:?}");
+    // The SLA walk follows the surviving DAGs: a failure reoptimizes,
+    // a probe answers with numbers, and a snapshot may carry a cut pair.
+    let reply = d.handle(Request::LinkDown { link: 0 });
+    assert!(
+        matches!(&reply, Reply::Event(e) if e.links_down == 2),
+        "{reply:?}"
+    );
+    status_is_the_masked_evaluation(&mut d);
+    let probe = d.handle(Request::WhatIfLinkDown { link: 2 });
+    assert!(
+        matches!(&probe, Reply::WhatIf(w) if w.cost.is_some()),
+        "{probe:?}"
+    );
+    let twin = topo.reverse_link(LinkId(2)).expect("duplex topology");
+    snapshot.link_up[2] = false;
+    snapshot.link_up[twin.index()] = false;
+    let restored = d.handle(Request::Restore { snapshot });
+    assert!(matches!(restored, Reply::Restored { .. }), "{restored:?}");
+    assert!(!d.link_up()[2] && !d.link_up()[twin.index()]);
+    status_is_the_masked_evaluation(&mut d);
 }
 
 #[test]
-fn sla_objective_replays_a_demand_only_trace() {
+fn sla_objective_replays_a_trace_with_link_events() {
     use dtr_cost::{Objective, SlaParams};
     use dtr_scenario::ChurnAction;
 
-    // Strip a generated trace down to demand walks so no failure mask
-    // is ever requested — the supported SLA regime.
-    let mut t = trace(30, 6);
-    t.events
-        .retain(|e| matches!(e.action, ChurnAction::Demand { .. }));
-    assert!(!t.events.is_empty(), "trace must keep demand events");
+    let t = trace(30, 6);
+    assert!(
+        t.events
+            .iter()
+            .any(|e| matches!(e.action, ChurnAction::LinkDown { .. })),
+        "trace must hold link failures"
+    );
     let sla_cfg = DaemonCfg {
         objective: Objective::SlaBased(SlaParams::default()),
         ..cfg()
@@ -373,7 +340,10 @@ fn sla_objective_replays_a_demand_only_trace() {
     let b = replay_trace(&t, sla_cfg, Some(uniform(&t.topo)));
     assert_eq!(a.lines, b.lines, "SLA replay must stay deterministic");
     assert_eq!(a.report.events, t.events.len());
-    assert_eq!(a.report.final_links_down, 0);
+    for line in &a.lines {
+        let reply: Reply = serde_json::from_str(line).expect("reply parses");
+        assert!(!matches!(reply, Reply::Error { .. }), "{line}");
+    }
 }
 
 /// `line` with the one occurrence of `from` replaced by `to`.

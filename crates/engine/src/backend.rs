@@ -49,7 +49,7 @@ impl std::str::FromStr for BackendKind {
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "full" => Ok(BackendKind::Full),
-            "incremental" | "incr" => Ok(BackendKind::Incremental),
+            "incremental" => Ok(BackendKind::Incremental),
             other => Err(format!("unknown backend {other:?} (full|incremental)")),
         }
     }

@@ -635,7 +635,7 @@ fn high_side(
             let sla = sla_evaluation(topo, high, dests, &loads, &params, dag_views(flat, dags));
             evaluator.high_side_with_sla(loads, Some(sla))
         }
-        _ => evaluator.high_side_from_loads(loads, wh),
+        _ => evaluator.high_side_from_loads(loads, wh, None),
     }
 }
 

@@ -7,7 +7,7 @@
 //! rebuilds only what a candidate or a rebase changed; these walks
 //! mix every way a base moves (accepted moves on both classes, jumps
 //! past `MAX_DELTAS` that rebuild every destination, and an
-//! `eval_dual` away from the lanes' bases).
+//! `eval_dual` away from the lanes' bases), under both objectives.
 
 use dtr_cost::Objective;
 use dtr_engine::{BackendKind, BatchEvaluator, Class};
@@ -69,19 +69,20 @@ fn looping(topo: &Topology) -> (DualWeights, DeploymentSet) {
     (w, DeploymentSet::from_upgraded(topo.node_count(), &[b.0]))
 }
 
-/// One walk on `kind`: every evaluation against the evaluator.
+/// One walk on `kind` under `objective`: every evaluation against the
+/// evaluator.
 fn walk(
     topo: &Topology,
     demands: &DemandSet,
     dep: &DeploymentSet,
     w0: &DualWeights,
-    kind: BackendKind,
+    (objective, kind): (Objective, BackendKind),
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut reference = Evaluator::new(topo, demands, Objective::LoadBased);
+    let mut reference = Evaluator::new(topo, demands, objective);
     reference.set_deployment(Some(dep.clone())).unwrap();
-    let mut engine = BatchEvaluator::new(topo, demands, Objective::LoadBased, kind);
+    let mut engine = BatchEvaluator::new(topo, demands, objective, kind);
     engine.set_deployment(Some(dep.clone())).unwrap();
     let mut w = w0.clone();
     for class in [Class::High, Class::Low] {
@@ -148,7 +149,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Empty, one-node, half and loop-trapping deployments on 8–30-node
-    /// instances, on both backends.
+    /// instances, under both objectives on both backends. Legacy routers
+    /// forward the high class on `W^H` too, so a deployment leaves the
+    /// SLA walk alone: the SLA evaluation's Λ is the undeployed one and
+    /// its `Φ_L` the load objective's deployed one.
     #[test]
     fn deployed_evaluations_match_the_evaluator(seed in 0u64..500, nodes in 8usize..=30, shape in 0usize..4) {
         let (topo, demands) = instance(seed, nodes);
@@ -171,8 +175,21 @@ proptest! {
                 dep
             }
         };
-        for kind in [BackendKind::Full, BackendKind::Incremental] {
-            walk(&topo, &demands, &dep, &w0, kind, seed)?;
+        let sla = Objective::sla_default();
+        let eval = |objective, dep: Option<&DeploymentSet>| {
+            let mut ev = Evaluator::new(&topo, &demands, objective);
+            ev.set_deployment(dep.cloned()).unwrap();
+            ev.eval_dual(&w0)
+        };
+        let deployed = eval(sla, Some(&dep));
+        let undeployed = eval(sla, None);
+        prop_assert_eq!(&deployed.sla, &undeployed.sla);
+        prop_assert_eq!(deployed.cost.primary, undeployed.cost.primary);
+        prop_assert_eq!(deployed.phi_l, eval(Objective::LoadBased, Some(&dep)).phi_l);
+        for objective in [Objective::LoadBased, sla] {
+            for kind in [BackendKind::Full, BackendKind::Incremental] {
+                walk(&topo, &demands, &dep, &w0, (objective, kind), seed)?;
+            }
         }
     }
 }

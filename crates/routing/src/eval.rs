@@ -34,12 +34,6 @@ pub enum EvalError {
     /// The objective is SLA-based but the high side carries no
     /// [`SlaEvaluation`] — the `Λ` component cannot be formed.
     MissingSlaEvaluation,
-    /// A partial [`DeploymentSet`] was combined with the SLA objective.
-    /// The Eq. 3/4 delay model assumes the high class rides dedicated
-    /// shortest paths; under a hybrid low DAG with trapped demand the
-    /// per-pair delay walk is undefined, so the combination is fenced
-    /// off rather than silently mis-modeled.
-    DeploymentWithSla,
     /// A [`DeploymentSet`] was built over a different node universe than
     /// the evaluator's topology.
     DeploymentSizeMismatch {
@@ -57,11 +51,6 @@ impl fmt::Display for EvalError {
                 f,
                 "SLA objective needs a high side with an SLA evaluation \
                  (build it via eval_high_side or high_side_with_sla(.., Some(..)))"
-            ),
-            EvalError::DeploymentWithSla => write!(
-                f,
-                "partial deployment is only supported under the load-based \
-                 objective (the SLA delay model is undefined over hybrid DAGs)"
             ),
             EvalError::DeploymentSizeMismatch {
                 deployment_nodes,
@@ -251,9 +240,10 @@ impl<'a> Evaluator<'a> {
     /// every downstream branch takes the exact legacy code path and
     /// full-deployment results stay bit-identical.
     ///
-    /// Partial deployment composes with the load-based objective only
-    /// ([`EvalError::DeploymentWithSla`]); the set must cover the bound
-    /// topology's nodes ([`EvalError::DeploymentSizeMismatch`]).
+    /// The set must cover the bound topology's nodes
+    /// ([`EvalError::DeploymentSizeMismatch`]). Legacy routers forward
+    /// the high class on `W^H` too, so the SLA walk is the same with or
+    /// without a deployment.
     pub fn set_deployment(&mut self, dep: Option<DeploymentSet>) -> Result<(), EvalError> {
         let dep = match dep {
             Some(d) if !d.is_full() => d,
@@ -262,9 +252,6 @@ impl<'a> Evaluator<'a> {
                 return Ok(());
             }
         };
-        if matches!(self.objective, Objective::SlaBased(_)) {
-            return Err(EvalError::DeploymentWithSla);
-        }
         if dep.node_count() != self.topo.node_count() {
             return Err(EvalError::DeploymentSizeMismatch {
                 deployment_nodes: dep.node_count(),
@@ -357,17 +344,17 @@ impl<'a> Evaluator<'a> {
     /// [`Self::eval_dual`] on the network that `link_up` leaves
     /// (`link_up[l] == false` removes link `l`): both classes route
     /// around the down links and the costs are assembled from those
-    /// loads. An all-up mask is exactly [`Self::eval_dual`]. With a
-    /// link down only the load-based objective on a full deployment is
-    /// defined — the SLA walk and the hybrid low DAGs have no masked
-    /// form — and the caller must keep the survivors strongly connected.
+    /// loads, and the SLA walk follows the surviving DAGs. An all-up
+    /// mask is exactly [`Self::eval_dual`]. With a link down only a full
+    /// deployment is defined — the hybrid low DAGs have no masked form —
+    /// and the caller must keep the survivors strongly connected.
     pub fn eval_dual_masked(&mut self, w: &DualWeights, link_up: &[bool]) -> Evaluation {
         if link_up.iter().all(|&up| up) {
             return self.eval_dual(w);
         }
         debug_assert!(
-            matches!(self.objective, Objective::LoadBased) && self.deployment.is_none(),
-            "links can only be down under the load objective on a full deployment"
+            self.deployment.is_none(),
+            "links can only be down on a full deployment"
         );
         let hl = self
             .calc
@@ -375,7 +362,9 @@ impl<'a> Evaluator<'a> {
         let ll = self
             .calc
             .class_loads_masked(self.topo, &w.low, link_up, &self.demands.low);
-        self.assemble(hl, ll, &w.high)
+        let high = self.high_side_from_loads(hl, &w.high, Some(link_up));
+        self.finish(high, ll)
+            .expect("high side built by this evaluator carries the SLA walk")
     }
 
     /// Single-topology evaluation (both classes share `w`); one SPF pass
@@ -393,15 +382,21 @@ impl<'a> Evaluator<'a> {
     /// cache this and re-evaluate only the cheap low side.
     pub fn eval_high_side(&mut self, wh: &WeightVector) -> HighSide {
         let loads = self.high_loads(wh);
-        self.high_side_from_loads(loads, wh)
+        self.high_side_from_loads(loads, wh, None)
     }
 
     /// Builds a [`HighSide`] from precomputed high-class loads (which must
-    /// have been routed on `wh`).
-    pub fn high_side_from_loads(&mut self, loads: ClassLoads, wh: &WeightVector) -> HighSide {
+    /// have been routed on `wh` under the mask `link_up`; `None` keeps
+    /// every link up).
+    pub fn high_side_from_loads(
+        &mut self,
+        loads: ClassLoads,
+        wh: &WeightVector,
+        link_up: Option<&[bool]>,
+    ) -> HighSide {
         let sla = match self.objective {
             Objective::LoadBased => None,
-            Objective::SlaBased(params) => Some(self.eval_sla(&loads, wh, &params)),
+            Objective::SlaBased(params) => Some(self.eval_sla(&loads, wh, link_up, &params)),
         };
         self.high_side_with_sla(loads, sla)
     }
@@ -451,7 +446,7 @@ impl<'a> Evaluator<'a> {
         low_loads: ClassLoads,
         high_weights: &WeightVector,
     ) -> Evaluation {
-        let high = self.high_side_from_loads(high_loads, high_weights);
+        let high = self.high_side_from_loads(high_loads, high_weights, None);
         self.finish(high, low_loads)
             .expect("high side built by this evaluator carries the SLA walk")
     }
@@ -492,11 +487,12 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Computes Eq. 3 link delays and Eq. 4 pair penalties for the high
-    /// class routed on `wh`.
+    /// class routed on `wh` under the mask `link_up`.
     fn eval_sla(
         &mut self,
         high_loads: &[f64],
         wh: &WeightVector,
+        link_up: Option<&[bool]>,
         params: &SlaParams,
     ) -> SlaEvaluation {
         let topo = self.topo;
@@ -507,7 +503,7 @@ impl<'a> Evaluator<'a> {
             &self.high_dests,
             high_loads,
             params,
-            |t| ShortestPathDag::compute_with(topo, wh, t, None, ws),
+            |t| ShortestPathDag::compute_with(topo, wh, t, link_up, ws),
         )
     }
 
@@ -848,15 +844,8 @@ mod tests {
     }
 
     #[test]
-    fn deployment_fences_reject_sla_and_size_mismatch() {
+    fn deployment_fence_rejects_a_size_mismatch() {
         let (topo, demands) = triangle_instance();
-        let mut ev = Evaluator::new(&topo, &demands, Objective::SlaBased(SlaParams::default()));
-        assert_eq!(
-            ev.set_deployment(Some(DeploymentSet::empty(3))),
-            Err(EvalError::DeploymentWithSla)
-        );
-        // A FULL set is fine even under SLA — it normalizes away.
-        assert_eq!(ev.set_deployment(Some(DeploymentSet::full(3))), Ok(()));
         let mut ev = Evaluator::new(&topo, &demands, Objective::LoadBased);
         assert_eq!(
             ev.set_deployment(Some(DeploymentSet::empty(5))),

@@ -739,16 +739,6 @@ impl ScenarioSpec {
                     "deployment requires the two-class pipeline, got {classes} classes"
                 ));
             }
-            if !matches!(
-                objective.as_two_class(),
-                Some(dtr_cost::Objective::LoadBased)
-            ) {
-                return Err(
-                    "deployment requires the load-based objective (the legacy-forwarding \
-                     model has no SLA delay semantics)"
-                        .into(),
-                );
-            }
             if !self.failures().is_none() {
                 return Err(
                     "deployment does not combine with failure sweeps (the robustness \

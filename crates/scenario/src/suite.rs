@@ -397,7 +397,7 @@ fn price(
         let mut report = |dep: Option<&DeploymentSet>, f: &Found| {
             evaluator
                 .set_deployment(dep.cloned())
-                .expect("manifest validation fences deployment to load-based two-class");
+                .expect("manifest validation checks the deployment's node count");
             let eval = evaluator.eval_dual(&dual_weights(&f.weights));
             let loads = [eval.high_loads, eval.low_loads];
             scheme_report(topo, eval.phi_h, eval.phi_l, &loads, f)

@@ -13,10 +13,10 @@ use std::path::PathBuf;
 
 /// One manifest per path the suite has: two k-class SLA instances, a
 /// failure-sweep instance, a partial-deployment instance, the portfolio
-/// branch of `run_scheme`, a `WorstK` cap on a non-gravity family, and a
-/// two-class SLA objective. The last lives beside the goldens; the rest
-/// are corpus instances.
-const INSTANCES: [&str; 7] = [
+/// branch of `run_scheme`, a `WorstK` cap on a non-gravity family, a
+/// two-class SLA objective, and that objective on a partial deployment.
+/// The last two live beside the goldens; the rest are corpus instances.
+const INSTANCES: [&str; 8] = [
     "../../corpus/random10-triclass-sla",
     "../../corpus/grid9-quadclass-sla",
     "../../corpus/random12-smoke",
@@ -24,6 +24,7 @@ const INSTANCES: [&str; 7] = [
     "../../corpus/xpander20-portfolio",
     "../../corpus/vl2-hotspot",
     "tests/golden/specs/random10-dual-sla",
+    "tests/golden/specs/random10-partial-sla",
 ];
 
 fn repo_file(rel: &str) -> PathBuf {
