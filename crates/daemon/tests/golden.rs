@@ -56,7 +56,10 @@ fn sla_drift_trace() -> ChurnTrace {
 }
 
 /// 20 ms: tight enough that two pairs of `sla_drift`'s base matrix
-/// violate it, so Λ (not only Φ_L) steers.
+/// violate it, so Λ (not only Φ_L) steers there. On the smoke trace
+/// the frozen decisions depend on the SLA walk following the surviving
+/// DAGs: walking the intact DAGs instead accepts the search after
+/// `link_down(26)` that this replay declines.
 fn sla_20ms() -> Objective {
     Objective::SlaBased(SlaParams {
         bound_s: 0.020,

@@ -298,6 +298,20 @@ fn sla_objective_daemon_manages_failure_masks() {
         assert_eq!(status.links_down, 2);
     };
 
+    // Demand updates (and their warm reoptimizations) and weight
+    // what-ifs work on the intact network.
+    let reply = d.handle(Request::DemandUpdate {
+        demands: base.scaled(1.1),
+    });
+    assert!(matches!(reply, Reply::Event(_)), "{reply:?}");
+    let probe = d.handle(Request::WhatIfWeights {
+        weights: uniform(&topo),
+    });
+    assert!(
+        matches!(&probe, Reply::WhatIf(w) if w.cost.is_some()),
+        "{probe:?}"
+    );
+
     // The SLA walk follows the surviving DAGs: a failure reoptimizes,
     // a probe answers with numbers, and a snapshot may carry a cut pair.
     let reply = d.handle(Request::LinkDown { link: 0 });

@@ -898,8 +898,41 @@ mod tests {
         let mut calc = LoadCalculator::new();
         let hl = calc.class_loads_masked(&topo, &w.high, cut, &demands.high);
         let ll = calc.class_loads_masked(&topo, &w.low, cut, &demands.low);
-        let by_hand = ev.assemble(hl, ll, &w.high);
+        let by_hand = ev.assemble(hl.clone(), ll, &w.high);
         assert_eq!(ev.eval_dual_masked(&w, cut), by_hand);
         assert_ne!(by_hand.cost, ev.eval_dual(&w).cost, "the cut must matter");
+
+        // Under the SLA objective the walk follows the surviving DAGs: it
+        // is the walk on a topology rebuilt without the cut links, not the
+        // walk over the intact DAGs on the same loads.
+        let mut ev = Evaluator::new(&topo, &demands, Objective::sla_default());
+        let masked = ev.eval_dual_masked(&w, cut).sla.unwrap();
+        let intact_dags = ev.high_side_from_loads(hl, &w.high, None).sla.unwrap();
+        assert_ne!(masked.pair_delays, intact_dags.pair_delays);
+        let survivors: Vec<_> = topo.links().filter(|(l, _)| cut[l.index()]).collect();
+        let mut b = dtr_graph::TopologyBuilder::new();
+        b.add_nodes(topo.node_count());
+        for (_, link) in &survivors {
+            b.add_link(link.src, link.dst, link.capacity, link.prop_delay);
+        }
+        let rebuilt = b.build().unwrap();
+        let wh = WeightVector::from_vec(survivors.iter().map(|(l, _)| w.high.get(*l)).collect());
+        let mut ev = Evaluator::new(&rebuilt, &demands, Objective::sla_default());
+        let cut_free = ev.eval_high_side(&wh).sla.unwrap();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + b.abs());
+        assert_eq!(masked.violations, cut_free.violations);
+        assert!(close(masked.lambda, cut_free.lambda));
+        assert_eq!(masked.pair_delays.len(), cut_free.pair_delays.len());
+        for (a, b) in masked.pair_delays.iter().zip(&cut_free.pair_delays) {
+            assert_eq!((a.src, a.dst), (b.src, b.dst));
+            assert!(close(a.delay_s, b.delay_s), "{a:?} vs {b:?}");
+            assert!(close(a.penalty, b.penalty), "{a:?} vs {b:?}");
+        }
+        for (i, (l, _)) in survivors.iter().enumerate() {
+            assert!(close(
+                masked.link_delays[l.index()],
+                cut_free.link_delays[i]
+            ));
+        }
     }
 }
