@@ -7,9 +7,9 @@
 //!
 //! - [`FullBackend`] recomputes every destination's reverse-Dijkstra and
 //!   load push per candidate, exactly like
-//!   [`dtr_routing::LoadCalculator`] (on `ShortestPathDag`s, flattened
-//!   only when handed out); batches fan out across cores with rayon
-//!   (each candidate is independent). It is the equivalence reference.
+//!   [`dtr_routing::LoadCalculator`]; batches fan out across cores with
+//!   rayon (each candidate is independent). It is the equivalence
+//!   reference for the incremental backend's repair.
 //! - [`IncrementalBackend`] maintains per-destination DAGs and load
 //!   contributions at the base and repairs only the destinations a
 //!   candidate's one-or-two weight deltas can affect (see
@@ -25,10 +25,11 @@
 //! Both produce bit-identical loads for identical inputs; the engine's
 //! equivalence proptests enforce this.
 
-use crate::flat::{FlatDag, FlatTopo};
 use crate::state::{CandidateEval, FlowState, WorkStats};
-use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
-use dtr_routing::{push_demand_down_dag, ClassLoads, FailureScenario};
+use dtr_graph::{
+    FlatTopo, LinkMask, NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector,
+};
+use dtr_routing::{demand_column, push_demand_flat, ClassLoads, FailureScenario};
 use dtr_traffic::TrafficMatrix;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -96,8 +97,6 @@ pub trait EvalBackend {
 
 /// Full recomputation per candidate, parallel over the batch.
 pub struct FullBackend<'a> {
-    topo: &'a Topology,
-    /// The mirror the handed-out DAGs are flattened onto.
     flat: FlatTopo,
     matrices: Vec<&'a TrafficMatrix>,
     base: WeightVector,
@@ -107,68 +106,62 @@ impl<'a> FullBackend<'a> {
     /// Binds `matrices` routed on `base`.
     pub fn new(topo: &'a Topology, matrices: Vec<&'a TrafficMatrix>, base: WeightVector) -> Self {
         FullBackend {
-            topo,
             flat: FlatTopo::new(topo),
             matrices,
             base,
         }
     }
-
-    /// One full evaluation: the exact `LoadCalculator::accumulate` walk.
-    fn eval_one(&self, w: &WeightVector, want_dags: bool) -> CandidateEval {
-        let flat = want_dags.then_some(&self.flat);
-        full_candidate_eval(self.topo, &self.matrices, w, flat)
-    }
 }
 
 /// Shared full-evaluation walk (also the fallback path of the
 /// incremental backend): identical iteration order and arithmetic to
-/// [`dtr_routing::LoadCalculator::accumulate`]. With `dags_on`, a DAG
-/// for every destination, with demand or not, flattened onto that
-/// mirror of `topo`.
+/// [`dtr_routing::LoadCalculator`]. With `want_dags`, a DAG for every
+/// destination, with demand or not.
 pub fn full_candidate_eval(
-    topo: &Topology,
+    flat: &FlatTopo,
     matrices: &[&TrafficMatrix],
     w: &WeightVector,
-    dags_on: Option<&FlatTopo>,
+    want_dags: bool,
 ) -> CandidateEval {
-    full_candidate_eval_masked(topo, matrices, w, None, dags_on)
+    full_candidate_eval_masked(flat, matrices, w, None, want_dags)
 }
 
-/// [`full_candidate_eval`] with down links masked out (`link_up[l] ==
-/// false` removes link `l`) — identical iteration order and arithmetic
-/// to [`dtr_routing::LoadCalculator::class_loads_masked`]. The full
+/// [`full_candidate_eval`] with the links `mask` marks down removed —
+/// identical iteration order and arithmetic to
+/// [`dtr_routing::LoadCalculator::class_loads_masked`]. The full
 /// backend's per-scenario path.
 pub fn full_candidate_eval_masked(
-    topo: &Topology,
+    flat: &FlatTopo,
     matrices: &[&TrafficMatrix],
     w: &WeightVector,
-    link_up: Option<&[bool]>,
-    dags_on: Option<&FlatTopo>,
+    mask: Option<&LinkMask>,
+    want_dags: bool,
 ) -> CandidateEval {
+    let n = flat.node_count();
     let mut ws = SpfWorkspace::new();
     let mut node_flow: Vec<f64> = Vec::new();
     let mut loads: Vec<ClassLoads> = matrices
         .iter()
-        .map(|_| vec![0.0; topo.link_count()])
+        .map(|_| vec![0.0; flat.link_count()])
         .collect();
-    let mut dags: Vec<(NodeId, Arc<FlatDag>)> = Vec::new();
-    for t in topo.nodes() {
-        let any = matrices
-            .iter()
-            .any(|m| m.demands_to(t.index()).next().is_some());
-        if !any && dags_on.is_none() {
+    let mut dags: Vec<(NodeId, Arc<ShortestPathDag>)> = Vec::new();
+    let mut dag = ShortestPathDag::empty(flat);
+    for t in 0..n as u32 {
+        let cols: Vec<Vec<f64>> = matrices.iter().map(|m| demand_column(m, t, n)).collect();
+        if cols.iter().all(Vec::is_empty) && !want_dags {
             continue;
         }
-        let dag = ShortestPathDag::compute_with(topo, w, t, link_up, &mut ws);
-        for (m, out) in matrices.iter().zip(loads.iter_mut()) {
-            if m.demands_to(t.index()).next().is_none() {
+        dag.compute_into(flat, w.as_slice(), t, mask, &mut ws);
+        for (col, out) in cols.iter().zip(loads.iter_mut()) {
+            if col.is_empty() {
                 continue;
             }
-            push_demand_down_dag(topo, &dag, m, t, &mut node_flow, out);
+            push_demand_flat(flat, &dag, col, &mut node_flow, None, |l, share| {
+                out[l as usize] += share
+            });
         }
-        if let Some(flat) = dags_on {
-            dags.push((t, Arc::new(FlatDag::from_dag(flat, &dag))));
+        if want_dags {
+            dags.push((NodeId(t), Arc::new(dag.clone())));
         }
     }
     CandidateEval { loads, dags }
@@ -178,14 +171,17 @@ pub fn full_candidate_eval_masked(
 /// like a candidate batch (the scenarios are independent): the full
 /// backend's sweep and the incremental backend's fallback.
 fn full_scenarios_eval(
-    topo: &Topology,
+    flat: &FlatTopo,
     matrices: &[&TrafficMatrix],
     w: &WeightVector,
     scenarios: &[FailureScenario],
 ) -> Vec<CandidateEval> {
     scenarios
         .par_iter()
-        .map(|sc| full_candidate_eval_masked(topo, matrices, w, Some(&sc.link_up), None))
+        .map(|sc| {
+            let mask = LinkMask::from_up_slice(&sc.link_up);
+            full_candidate_eval_masked(flat, matrices, w, Some(&mask), false)
+        })
         .collect()
 }
 
@@ -193,7 +189,7 @@ impl<'a> EvalBackend for FullBackend<'a> {
     fn eval_batch(&mut self, cands: &[WeightVector], want_dags: bool) -> Vec<CandidateEval> {
         cands
             .par_iter()
-            .map(|w| self.eval_one(w, want_dags))
+            .map(|w| full_candidate_eval(&self.flat, &self.matrices, w, want_dags))
             .collect()
     }
 
@@ -202,7 +198,7 @@ impl<'a> EvalBackend for FullBackend<'a> {
         cand: &WeightVector,
         scenarios: &[FailureScenario],
     ) -> Vec<CandidateEval> {
-        full_scenarios_eval(self.topo, &self.matrices, cand, scenarios)
+        full_scenarios_eval(&self.flat, &self.matrices, cand, scenarios)
     }
 
     fn rebase(&mut self, new_base: &WeightVector) {
@@ -221,7 +217,6 @@ impl<'a> EvalBackend for FullBackend<'a> {
 /// Dynamic-SPF incremental evaluation.
 pub struct IncrementalBackend<'a> {
     state: FlowState<'a>,
-    topo: &'a Topology,
     matrices: Vec<&'a TrafficMatrix>,
 }
 
@@ -241,7 +236,6 @@ impl<'a> IncrementalBackend<'a> {
     ) -> Self {
         IncrementalBackend {
             state: FlowState::new(topo, matrices.clone(), base, all_dests),
-            topo,
             matrices,
         }
     }
@@ -256,8 +250,7 @@ impl<'a> EvalBackend for IncrementalBackend<'a> {
             .map(|(ev, w)| {
                 // `None`: a diversification-sized jump, evaluated in full.
                 ev.unwrap_or_else(|| {
-                    let flat = want_dags.then(|| self.state.flat());
-                    full_candidate_eval(self.topo, &self.matrices, w, flat)
+                    full_candidate_eval(self.state.flat(), &self.matrices, w, want_dags)
                 })
             })
             .collect()
@@ -278,7 +271,7 @@ impl<'a> EvalBackend for IncrementalBackend<'a> {
                 })
                 .collect(),
             // A diversification-sized jump, evaluated in full.
-            None => full_scenarios_eval(self.topo, &self.matrices, cand, scenarios),
+            None => full_scenarios_eval(self.state.flat(), &self.matrices, cand, scenarios),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Dynamic maintenance of per-destination ECMP shortest-path DAGs under
 //! single-link weight changes (Ramalingam–Reps-style dynamic Dijkstra),
-//! operating on the flat arena storage of [`crate::flat`].
+//! repairing [`dtr_graph::ShortestPathDag`]'s flat arena storage in place.
 //!
 //! The weight search's neighborhood moves perturb one or two link
 //! weights, so most destinations' DAGs are untouched and the affected
@@ -9,7 +9,7 @@
 //! - [`delta_affects_dag`] — an O(1) test of whether a single-weight
 //!   delta can change a given destination's DAG at all (the filter that
 //!   lets the engine skip most destinations outright);
-//! - [`apply_weight_delta`] — in-place repair of a [`FlatDag`] after
+//! - [`apply_weight_delta`] — in-place repair of a [`ShortestPathDag`] after
 //!   one weight change, touching only the affected region;
 //! - [`link_down_affects_dag`] / [`apply_link_down`] — the same
 //!   affected-region machinery for **link removals**: removing a link
@@ -53,9 +53,8 @@
 //! and its weight) — an invalidated ancestor that re-settles at its old
 //! distance costs nothing further.
 
-use crate::flat::{FlatDag, FlatTopo, LinkMask};
 use dtr_graph::spf::{Dist, UNREACHABLE};
-use dtr_graph::Weight;
+use dtr_graph::{FlatTopo, LinkMask, ShortestPathDag, Weight};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -122,7 +121,13 @@ impl DynSpfScratch {
 /// cases). The caller passes the endpoints: candidate evaluation asks
 /// this of every destination for the same one or two links.
 #[inline]
-pub fn delta_affects_dag(dag: &FlatDag, u: u32, v: u32, old_w: Weight, new_w: Weight) -> bool {
+pub fn delta_affects_dag(
+    dag: &ShortestPathDag,
+    u: u32,
+    v: u32,
+    old_w: Weight,
+    new_w: Weight,
+) -> bool {
     if old_w == new_w {
         return false;
     }
@@ -151,7 +156,7 @@ pub fn delta_affects_dag(dag: &FlatDag, u: u32, v: u32, old_w: Weight, new_w: We
 /// ties abound: a tight link's weight rises but the tail keeps its
 /// distance through a sibling branch, or a decrease exactly ties the
 /// current distance. The caller can then reuse the cached DAG with a
-/// one-node override (see [`crate::flat::push_demand_flat`]) instead of
+/// one-node override (see [`dtr_routing::push_demand_flat`]) instead of
 /// cloning and repairing it.
 ///
 /// `weights` must hold the new weight vector values (as in
@@ -159,7 +164,7 @@ pub fn delta_affects_dag(dag: &FlatDag, u: u32, v: u32, old_w: Weight, new_w: We
 /// that the delta affects the DAG ([`delta_affects_dag`]).
 pub fn fast_rebranch(
     ft: &FlatTopo,
-    dag: &FlatDag,
+    dag: &ShortestPathDag,
     weights: &[Weight],
     link: u32,
     old_w: Weight,
@@ -218,9 +223,8 @@ fn has_alternate_tight_branch(
 /// Feeds `u`'s tight up out-links to `sink` — the **single** scan (same
 /// order, same predicate) behind both [`rebuild_ecmp`] and
 /// [`fast_rebranch`], and the masked counterpart of the scan
-/// [`FlatDag::compute_into`] / `ShortestPathDag::compute_with` run; the
-/// engine's bit-identical contract depends on these never drifting
-/// apart.
+/// [`ShortestPathDag::compute_into`] runs; the engine's bit-identical
+/// contract depends on these never drifting apart.
 #[inline]
 fn scan_tight_branches(
     ft: &FlatTopo,
@@ -250,7 +254,7 @@ fn scan_tight_branches(
 /// membership changes, which also return `true`).
 pub fn apply_weight_delta(
     ft: &FlatTopo,
-    dag: &mut FlatDag,
+    dag: &mut ShortestPathDag,
     weights: &[Weight],
     link: u32,
     old_w: Weight,
@@ -306,7 +310,12 @@ pub fn apply_weight_delta(
 /// matters exactly when the link is currently tight (on the DAG).
 /// `weights` holds the link's weight (masks never change weights).
 #[inline]
-pub fn link_down_affects_dag(ft: &FlatTopo, dag: &FlatDag, weights: &[Weight], link: u32) -> bool {
+pub fn link_down_affects_dag(
+    ft: &FlatTopo,
+    dag: &ShortestPathDag,
+    weights: &[Weight],
+    link: u32,
+) -> bool {
     let du = dag.dist[ft.src(link) as usize];
     let dv = dag.dist[ft.dst(link) as usize];
     du != UNREACHABLE && dv != UNREACHABLE && du == dv + weights[link as usize] as Dist
@@ -321,7 +330,7 @@ pub fn link_down_affects_dag(ft: &FlatTopo, dag: &FlatDag, weights: &[Weight], l
 /// DAG-ancestors of its tail and re-settles them from the boundary.
 pub fn apply_link_down(
     ft: &FlatTopo,
-    dag: &mut FlatDag,
+    dag: &mut ShortestPathDag,
     weights: &[Weight],
     mask: &LinkMask,
     link: u32,
@@ -357,7 +366,7 @@ pub fn apply_link_down(
 /// repair ran).
 fn finish_repair(
     ft: &FlatTopo,
-    dag: &mut FlatDag,
+    dag: &mut ShortestPathDag,
     weights: &[Weight],
     mask: Option<&LinkMask>,
     u: u32,
@@ -392,8 +401,8 @@ fn finish_repair(
 /// the changed ones by the same key, and merge backward into the freed
 /// tail. Once the changed nodes run out, the unchanged ones that remain
 /// are already in place.
-fn reorder_changed(dag: &mut FlatDag, scratch: &mut DynSpfScratch) {
-    let FlatDag { dist, order, .. } = dag;
+fn reorder_changed(dag: &mut ShortestPathDag, scratch: &mut DynSpfScratch) {
+    let ShortestPathDag { dist, order, .. } = dag;
     let key = |x: u32| (Reverse(dist[x as usize]), x);
     let mut kept = 0;
     for i in 0..order.len() {
@@ -422,12 +431,12 @@ fn reorder_changed(dag: &mut FlatDag, scratch: &mut DynSpfScratch) {
 /// out-link scan the full SPF uses.
 fn rebuild_ecmp(
     ft: &FlatTopo,
-    dag: &mut FlatDag,
+    dag: &mut ShortestPathDag,
     weights: &[Weight],
     mask: Option<&LinkMask>,
     x: u32,
 ) {
-    let FlatDag {
+    let ShortestPathDag {
         dest,
         dist,
         ecmp,
@@ -452,7 +461,7 @@ fn rebuild_ecmp(
 /// return `scratch.touched` (and `in_set`) is narrowed to those.
 fn repair_increase(
     ft: &FlatTopo,
-    dag: &mut FlatDag,
+    dag: &mut ShortestPathDag,
     weights: &[Weight],
     mask: Option<&LinkMask>,
     u: u32,
@@ -557,7 +566,7 @@ fn repair_increase(
 /// Marks the improved nodes in `scratch.touched`.
 fn repair_decrease(
     ft: &FlatTopo,
-    dag: &mut FlatDag,
+    dag: &mut ShortestPathDag,
     weights: &[Weight],
     u: u32,
     cand: Dist,
@@ -586,8 +595,7 @@ fn repair_decrease(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::FlatSpfWorkspace;
-    use dtr_graph::{NodeId, ShortestPathDag, Topology, TopologyBuilder, WeightVector};
+    use dtr_graph::{NodeId, SpfWorkspace, Topology, TopologyBuilder, WeightVector};
 
     fn diamond() -> Topology {
         let mut b = TopologyBuilder::new();
@@ -599,20 +607,26 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn flat_compute(ft: &FlatTopo, w: &WeightVector, dest: u32) -> FlatDag {
-        let mut ws = FlatSpfWorkspace::new();
-        let mut dag = FlatDag::empty(ft);
+    fn flat_compute(ft: &FlatTopo, w: &WeightVector, dest: u32) -> ShortestPathDag {
+        let mut ws = SpfWorkspace::new();
+        let mut dag = ShortestPathDag::empty(ft);
         dag.compute_into(ft, w.as_slice(), dest, None, &mut ws);
         dag
     }
 
+    /// Structural equality of a repaired DAG and a fresh computation.
+    fn assert_same(ft: &FlatTopo, got: &ShortestPathDag, fresh: &ShortestPathDag, what: &str) {
+        assert_eq!(got.dist, fresh.dist, "{what}dist mismatch");
+        for v in 0..ft.node_count() as u32 {
+            let (g, f) = (got.branches(ft, v), fresh.branches(ft, v));
+            assert_eq!(g, f, "{what}ecmp mismatch at node {v}");
+        }
+        assert_eq!(got.order, fresh.order, "{what}order mismatch");
+    }
+
     /// Structural equality against a fresh computation.
-    fn assert_matches_fresh(topo: &Topology, ft: &FlatTopo, dag: &FlatDag, w: &WeightVector) {
-        let fresh = ShortestPathDag::compute(topo, w, NodeId(dag.dest));
-        let got = dag.to_dag(ft);
-        assert_eq!(got.dist, fresh.dist, "dist mismatch");
-        assert_eq!(got.ecmp_out, fresh.ecmp_out, "ecmp mismatch");
-        assert_eq!(got.order, fresh.order, "order mismatch");
+    fn assert_matches_fresh(ft: &FlatTopo, dag: &ShortestPathDag, w: &WeightVector) {
+        assert_same(ft, dag, &flat_compute(ft, w, dag.dest), "");
     }
 
     #[test]
@@ -627,13 +641,13 @@ mod tests {
         // Increase 0→1 from 1 to 5: path via 2 only.
         w.set(l01, 5);
         apply_weight_delta(&ft, &mut dag, w.as_slice(), l01.0, 1, 5, &mut scratch);
-        assert_matches_fresh(&topo, &ft, &dag, &w);
+        assert_matches_fresh(&ft, &dag, &w);
         assert_eq!(dag.ecmp_len[0], 1);
 
         // Decrease back to 1: ECMP split returns.
         w.set(l01, 1);
         apply_weight_delta(&ft, &mut dag, w.as_slice(), l01.0, 5, 1, &mut scratch);
-        assert_matches_fresh(&topo, &ft, &dag, &w);
+        assert_matches_fresh(&ft, &dag, &w);
         assert_eq!(dag.ecmp_len[0], 2);
     }
 
@@ -654,24 +668,22 @@ mod tests {
 
     /// Structural equality against a fresh masked computation.
     fn assert_matches_fresh_masked(
-        topo: &Topology,
         ft: &FlatTopo,
-        dag: &FlatDag,
+        dag: &ShortestPathDag,
         w: &WeightVector,
         up: &[bool],
     ) {
-        let mut ws = dtr_graph::SpfWorkspace::new();
-        let fresh = ShortestPathDag::compute_with(topo, w, NodeId(dag.dest), Some(up), &mut ws);
-        let got = dag.to_dag(ft);
-        assert_eq!(got.dist, fresh.dist, "masked dist mismatch");
-        assert_eq!(got.ecmp_out, fresh.ecmp_out, "masked ecmp mismatch");
-        assert_eq!(got.order, fresh.order, "masked order mismatch");
+        let mut fresh = ShortestPathDag::empty(ft);
+        let mask = LinkMask::from_up_slice(up);
+        let mut ws = SpfWorkspace::new();
+        fresh.compute_into(ft, w.as_slice(), dag.dest, Some(&mask), &mut ws);
+        assert_same(ft, dag, &fresh, "masked ");
     }
 
     /// Applies the staged removals of `downs` to `dag` the way the
     /// engine's repair does: each link goes down just before it is
     /// considered.
-    fn remove_links(ft: &FlatTopo, dag: &mut FlatDag, w: &WeightVector, downs: &[u32]) {
+    fn remove_links(ft: &FlatTopo, dag: &mut ShortestPathDag, w: &WeightVector, downs: &[u32]) {
         let mut mask = LinkMask::all_up(ft.link_count());
         let mut scratch = DynSpfScratch::new();
         for &l in downs {
@@ -696,7 +708,7 @@ mod tests {
         up[a as usize] = false;
         up[b as usize] = false;
         remove_links(&ft, &mut dag, &w, &[a, b]);
-        assert_matches_fresh_masked(&topo, &ft, &dag, &w, &up);
+        assert_matches_fresh_masked(&ft, &dag, &w, &up);
         // Node 0 lost its ECMP split towards 3.
         assert_eq!(dag.ecmp_len[0], 1);
     }
@@ -715,7 +727,7 @@ mod tests {
         let l10 = topo.find_link(NodeId(1), NodeId(0)).unwrap().0;
         remove_links(&ft, &mut dag, &w, &[l01, l10]);
         assert_eq!(dag.dist[0], UNREACHABLE);
-        assert_matches_fresh_masked(&topo, &ft, &dag, &w, &[false, false]);
+        assert_matches_fresh_masked(&ft, &dag, &w, &[false, false]);
     }
 
     #[test]
@@ -745,7 +757,7 @@ mod tests {
                 up[b as usize] = false;
                 dag.clone_from(&intact);
                 remove_links(&ft, &mut dag, &w, &[a, b]);
-                assert_matches_fresh_masked(&topo, &ft, &dag, &w, &up);
+                assert_matches_fresh_masked(&ft, &dag, &w, &up);
             }
         }
     }
@@ -772,7 +784,7 @@ mod tests {
             if delta_affects_dag(&dag, ft.src(lid), ft.dst(lid), old, new) {
                 apply_weight_delta(&ft, &mut dag, w.as_slice(), lid, old, new, &mut scratch);
             }
-            assert_matches_fresh(&topo, &ft, &dag, &w);
+            assert_matches_fresh(&ft, &dag, &w);
         }
     }
     proptest::proptest! {
@@ -801,10 +813,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
             let mut w: Vec<Weight> = (0..m).map(|_| rng.random_range(1u32..=3)).collect();
             let dest = rng.random_range(0..nodes as u32);
-            let mut ws = FlatSpfWorkspace::new();
-            let mut dag = FlatDag::empty(&ft);
+            let mut ws = SpfWorkspace::new();
+            let mut dag = ShortestPathDag::empty(&ft);
             dag.compute_into(&ft, &w, dest, None, &mut ws);
-            let mut fresh = FlatDag::empty(&ft);
+            let mut fresh = ShortestPathDag::empty(&ft);
             let mut scratch = DynSpfScratch::new();
             let mut mask = LinkMask::all_up(m as usize);
             let mut cut_nodes = 0usize;

@@ -13,10 +13,9 @@
 //! replaying the stored share is that add (`DESIGN.md`, "Bit-identical
 //! loads").
 
-use crate::flat::{FlatDag, FlatTopo};
 use crate::state::WorkStats;
 use crate::Class;
-use dtr_graph::{NodeId, Topology};
+use dtr_graph::{FlatTopo, NodeId, ShortestPathDag, Topology};
 use dtr_routing::{ClassLoads, DeploymentSet};
 use dtr_traffic::TrafficMatrix;
 use std::sync::Arc;
@@ -24,12 +23,12 @@ use std::sync::Arc;
 /// A flat DAG for every destination, ascending, as the lanes hand them
 /// out under a deployment: a destination the backend left untouched
 /// shares its lane's base `Arc`.
-type Dags = [(NodeId, Arc<FlatDag>)];
+type Dags = [(NodeId, Arc<ShortestPathDag>)];
 
 /// A destination's push down the hybrid of the base pair: the `[high,
 /// low]` DAGs it was built from, the `(link, share)` adds and the
 /// trapped volume.
-type Base = ([Arc<FlatDag>; 2], Vec<(u32, f64)>, f64);
+type Base = ([Arc<ShortestPathDag>; 2], Vec<(u32, f64)>, f64);
 
 /// Per low-demand destination, the hybrid low loads of the base pair.
 pub(crate) struct HybridLows<'a> {
@@ -117,8 +116,9 @@ impl<'a> HybridLows<'a> {
 impl Pusher<'_> {
     /// Pushes the low demand towards `t` down the hybrid of `high` and
     /// `low`, reporting each `+= share` to `add`, and returns the
-    /// trapped volume — operation for operation `push_demand_down_dag`
-    /// over [`dtr_routing::hybrid_low_dag`], then
+    /// trapped volume — operation for operation
+    /// [`dtr_routing::push_demand_flat`] over
+    /// [`dtr_routing::hybrid_low_dag`], then
     /// [`dtr_routing::trapped_flow`]. That DAG's `order` lists the nodes
     /// its Kahn sort leaves out, which never forward, then the placed
     /// ones (ready nodes by ascending index). A node is placed only
@@ -128,8 +128,8 @@ impl Pusher<'_> {
     fn push(
         &mut self,
         t: NodeId,
-        high: &FlatDag,
-        low: &FlatDag,
+        high: &ShortestPathDag,
+        low: &ShortestPathDag,
         mut add: impl FnMut(u32, f64),
     ) -> f64 {
         let (flat, dep, n) = (&self.flat, &self.dep, self.flat.node_count());

@@ -24,11 +24,10 @@
 //! residual is the raw capacity bit-for-bit.
 
 use crate::backend::BackendKind;
-use crate::flat::{FlatDag, FlatTopo};
 use crate::state::WorkStats;
-use crate::{dag_views, Lane};
+use crate::{dag_cursor, Lane};
 use dtr_cost::{link_delay, ClassMode, LexCost, ObjectiveError, ObjectiveSpec};
-use dtr_graph::{NodeId, Topology, WeightVector};
+use dtr_graph::{FlatTopo, NodeId, ShortestPathDag, Topology, WeightVector};
 use dtr_routing::{cascade_classes, sla_walk, ClassLoads, SlaEvaluation};
 use dtr_traffic::TrafficMatrix;
 use std::sync::Arc;
@@ -74,7 +73,7 @@ impl KClassEvaluation {
 /// Entries per class in the side cache. A search step re-reads the `k`
 /// current sides and its own last few candidates (the accepted one
 /// becomes current); nothing older is revisited often enough to matter.
-/// An SLA-class entry holds one `Arc<FlatDag>` per destination: the
+/// An SLA-class entry holds one `Arc<ShortestPathDag>` per destination: the
 /// backend's base `Arc` where the candidate left the destination alone,
 /// its own flat copy where it repaired it. Measured when every entry
 /// held a materialized DAG per destination: at the two-class
@@ -87,7 +86,7 @@ const SIDE_CACHE_CAPACITY: usize = 16;
 #[derive(Clone)]
 struct ClassSide {
     loads: ClassLoads,
-    dags: Vec<(NodeId, Arc<FlatDag>)>,
+    dags: Vec<(NodeId, Arc<ShortestPathDag>)>,
 }
 
 /// The priced rows of a run of consecutive classes: what
@@ -259,9 +258,9 @@ impl<'a> KClassBatchEvaluator<'a> {
                     })
                     .collect();
                 let (matrix, dests) = (self.matrices[from + i], &self.dests[from + i]);
-                let dags = dag_views(&self.flat, &side.dags);
+                let dags = dag_cursor(&side.dags);
                 Some(sla_walk(
-                    self.topo,
+                    &self.flat,
                     matrix,
                     dests,
                     link_delays,

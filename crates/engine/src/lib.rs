@@ -7,11 +7,6 @@
 //! paid a full reverse-Dijkstra per destination per candidate. This
 //! crate is the engine that removes that cost:
 //!
-//! - [`flat`] — arena-indexed structure-of-arrays storage for the hot
-//!   path: CSR adjacency ([`flat::FlatTopo`]), flat per-destination
-//!   ECMP DAGs ([`flat::FlatDag`]) and `u64`-word bitset link masks
-//!   ([`flat::LinkMask`]), keeping candidate evaluation cache-resident
-//!   at 1000+ nodes;
 //! - [`dynspf`] — Ramalingam–Reps-style dynamic maintenance of the
 //!   per-destination ECMP shortest-path DAGs: an O(1) per-destination
 //!   filter ([`dynspf::delta_affects_dag`]) plus an affected-region-only
@@ -41,7 +36,6 @@
 pub mod backend;
 pub mod cache;
 pub mod dynspf;
-pub mod flat;
 mod hybrid;
 pub mod kclass;
 pub mod state;
@@ -54,14 +48,13 @@ pub use cache::{weight_hash, LruCache};
 pub use dynspf::{
     apply_link_down, apply_weight_delta, delta_affects_dag, link_down_affects_dag, DynSpfScratch,
 };
-pub use flat::{FlatDag, FlatSpfWorkspace, FlatTopo, FlatView, LinkMask};
 use hybrid::HybridLows;
 pub use kclass::{KClassBatchEvaluator, KClassEvaluation};
 pub use state::{CandidateEval, DestState, FlowState, WorkStats, PAR_MIN_WORK};
 
 use dtr_cost::Objective;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{NodeId, Topology, WeightVector};
+use dtr_graph::{FlatTopo, NodeId, ShortestPathDag, Topology, WeightVector};
 use dtr_routing::{
     sla_evaluation, ClassLoads, DeploymentSet, EvalError, Evaluation, Evaluator, FailureScenario,
     HighSide,
@@ -619,40 +612,38 @@ fn high_side_of(ev: &Evaluation) -> HighSide {
 }
 
 /// Assembles a [`HighSide`] from candidate loads, walking the
-/// candidate's DAGs (flat, indexed by `flat`) for the SLA objective when
-/// the backend provided them.
+/// candidate's DAGs (computed on the topology `flat` views) for the SLA
+/// objective when the backend provided them.
 fn high_side(
     evaluator: &mut Evaluator<'_>,
     flat: &FlatTopo,
     loads: ClassLoads,
     wh: &WeightVector,
-    dags: &[(NodeId, Arc<FlatDag>)],
+    dags: &[(NodeId, Arc<ShortestPathDag>)],
 ) -> HighSide {
     match evaluator.objective() {
         Objective::SlaBased(params) if !dags.is_empty() => {
             let (topo, high) = (evaluator.topo(), &evaluator.demands().high);
             let dests = evaluator.high_dests();
-            let sla = sla_evaluation(topo, high, dests, &loads, &params, dag_views(flat, dags));
+            let sla = sla_evaluation(topo, flat, high, dests, &loads, &params, dag_cursor(dags));
             evaluator.high_side_with_sla(loads, Some(sla))
         }
         _ => evaluator.high_side_from_loads(loads, wh, None),
     }
 }
 
-/// The SLA walk's view of a candidate's DAG towards each destination.
-fn dag_views<'d>(
-    flat: &'d FlatTopo,
-    dags: &'d [(NodeId, Arc<FlatDag>)],
-) -> impl Fn(NodeId) -> FlatView<'d> {
-    let mut by_node = vec![None; flat.node_count()];
-    for (t, dag) in dags {
-        by_node[t.index()] = Some(&**dag);
-    }
+/// The SLA walk's source of DAGs: called with ascending destinations,
+/// it finds each one's DAG in `dags` (ascending too, as every backend
+/// hands them out) by moving forward only.
+fn dag_cursor<'d>(
+    dags: &'d [(NodeId, Arc<ShortestPathDag>)],
+) -> impl FnMut(NodeId) -> &'d ShortestPathDag {
+    let mut rest = dags.iter();
     move |t| {
-        FlatView(
-            flat,
-            by_node[t.index()].expect("backend DAGs cover every walked destination"),
-        )
+        let (_, dag) = rest
+            .find(|(d, _)| *d == t)
+            .expect("backend DAGs cover every walked destination");
+        dag
     }
 }
 
@@ -849,12 +840,14 @@ mod tests {
         }
         // Raising a link that no low-class DAG uses repairs nothing.
         let mut on_dag = vec![false; topo.link_count()];
+        let ft = FlatTopo::new(&topo);
         for t in topo.nodes() {
             let dag = ShortestPathDag::compute(&topo, &w.low, t);
-            dag.ecmp_out
-                .iter()
-                .flatten()
-                .for_each(|l| on_dag[l.index()] = true);
+            for v in 0..n as u32 {
+                dag.branches(&ft, v)
+                    .iter()
+                    .for_each(|&l| on_dag[l as usize] = true);
+            }
         }
         let idle = dtr_graph::LinkId(on_dag.iter().position(|&on| !on).unwrap() as u32);
         let used = dtr_graph::LinkId(on_dag.iter().position(|&on| on).unwrap() as u32);

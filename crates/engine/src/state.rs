@@ -58,9 +58,10 @@ use crate::dynspf::{
     apply_link_down, apply_weight_delta, delta_affects_dag, fast_rebranch, link_down_affects_dag,
     DynSpfScratch,
 };
-use crate::flat::{demand_column, push_demand_flat, FlatDag, FlatSpfWorkspace, FlatTopo, LinkMask};
-use dtr_graph::{NodeId, Topology, Weight, WeightVector};
-use dtr_routing::ClassLoads;
+use dtr_graph::{
+    FlatTopo, LinkMask, NodeId, ShortestPathDag, SpfWorkspace, Topology, Weight, WeightVector,
+};
+use dtr_routing::{demand_column, push_demand_flat, ClassLoads};
 use dtr_traffic::TrafficMatrix;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,7 +100,7 @@ enum Repair {
 /// A destination's DAG and contributions under a swept candidate's
 /// weights, where its weight deltas moved them off the base.
 struct Moved {
-    dag: FlatDag,
+    dag: ShortestPathDag,
     contrib: Vec<SparseLoads>,
 }
 
@@ -170,7 +171,7 @@ pub struct DestState {
     /// shared with the candidates that leave it untouched. Repairs write
     /// through [`Arc::make_mut`], so a consumer still holding the `Arc`
     /// keeps the DAG it was given.
-    dag: Arc<FlatDag>,
+    dag: Arc<ShortestPathDag>,
     /// Per-matrix dense demand column towards `dest` (empty = that
     /// matrix sends nothing here); fixed at construction.
     demand: Vec<Vec<f64>>,
@@ -186,10 +187,10 @@ struct EvalScratch {
     /// Scratch for DAG repairs.
     spf: DynSpfScratch,
     /// Scratch for fresh flat SPF computations.
-    spf_ws: FlatSpfWorkspace,
+    spf_ws: SpfWorkspace,
     /// Reusable repair target (`clone_from` recycles its buffers — four
     /// flat memcpys, no allocation).
-    dag: FlatDag,
+    dag: ShortestPathDag,
     /// Weight slice for sequenced delta application; equal to the base
     /// of generation `weights_gen` between uses (users revert the
     /// entries they set).
@@ -210,8 +211,8 @@ impl EvalScratch {
     fn new(flat: &FlatTopo) -> Self {
         EvalScratch {
             spf: DynSpfScratch::new(),
-            spf_ws: FlatSpfWorkspace::new(),
-            dag: FlatDag::empty(flat),
+            spf_ws: SpfWorkspace::new(),
+            dag: ShortestPathDag::empty(flat),
             work_weights: Vec::new(),
             mask: LinkMask::all_up(flat.link_count()),
             weights_gen: None,
@@ -323,7 +324,7 @@ pub struct CandidateEval {
     /// `(dest, dag)` for every destination in the state, ascending;
     /// unaffected destinations share the cached base `Arc`, repaired or
     /// rebranched ones get a flat copy.
-    pub dags: Vec<(NodeId, Arc<FlatDag>)>,
+    pub dags: Vec<(NodeId, Arc<ShortestPathDag>)>,
 }
 
 impl<'a> FlowState<'a> {
@@ -349,7 +350,7 @@ impl<'a> FlowState<'a> {
             if all_dests || demand.iter().any(|col| !col.is_empty()) {
                 dests.push(DestState {
                     dest: t,
-                    dag: Arc::new(FlatDag::empty(&flat)),
+                    dag: Arc::new(ShortestPathDag::empty(&flat)),
                     demand,
                     contrib: Vec::new(),
                 });
@@ -522,7 +523,7 @@ impl<'a> FlowState<'a> {
         s.stage(&self.base, self.generation);
         let m = self.flat.link_count();
         let mut loads: Vec<ClassLoads> = self.matrices.iter().map(|_| vec![0.0; m]).collect();
-        let mut dags: Vec<(NodeId, Arc<FlatDag>)> = Vec::new();
+        let mut dags: Vec<(NodeId, Arc<ShortestPathDag>)> = Vec::new();
         for (i, ds) in self.dests.iter().enumerate() {
             let (dag, contrib) = match moved.get(i) {
                 Some(Some(mv)) => (&mv.dag, &mv.contrib),
@@ -658,7 +659,7 @@ impl<'a> FlowState<'a> {
             let dag = match s.repair(&this.flat, &ds.dag, deltas, &[], cand.as_slice()) {
                 Repair::Unchanged => return None,
                 Repair::Rebranched(u) => {
-                    let mut dag = FlatDag::clone(&ds.dag);
+                    let mut dag = ShortestPathDag::clone(&ds.dag);
                     dag.set_branches(&this.flat, u, &s.branch_buf);
                     dag
                 }
@@ -692,7 +693,7 @@ impl EvalScratch {
     fn repair(
         &mut self,
         flat: &FlatTopo,
-        dag: &FlatDag,
+        dag: &ShortestPathDag,
         deltas: &[StagedDelta],
         downs: &[u32],
         cand: &[Weight],
@@ -759,7 +760,7 @@ impl EvalScratch {
 fn record_contributions(
     flat: &FlatTopo,
     demand: &[Vec<f64>],
-    dag: &FlatDag,
+    dag: &ShortestPathDag,
     contrib: &mut Vec<SparseLoads>,
     node_flow: &mut Vec<f64>,
 ) {
@@ -792,7 +793,7 @@ impl DestState {
     fn push_into(
         &self,
         flat: &FlatTopo,
-        dag: &FlatDag,
+        dag: &ShortestPathDag,
         override_branches: Option<(u32, &[u32])>,
         node_flow: &mut Vec<f64>,
         loads: &mut [ClassLoads],
@@ -979,10 +980,7 @@ mod tests {
             let ev = eval_one(&mut state, &cand, true).unwrap();
             for (dest, dag) in &ev.dags {
                 let fresh = ShortestPathDag::compute(&topo, &cand, *dest);
-                let got = dag.to_dag(state.flat());
-                assert_eq!(got.dist, fresh.dist);
-                assert_eq!(got.ecmp_out, fresh.ecmp_out);
-                assert_eq!(got.order, fresh.order);
+                assert!(dag.same_structure(state.flat(), &fresh));
             }
         }
     }

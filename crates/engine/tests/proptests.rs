@@ -9,13 +9,15 @@
 
 use dtr_cost::{Objective, ObjectiveSpec, SlaParams};
 use dtr_engine::{
-    BackendKind, BatchEvaluator, CandidateEval, EvalBackend, FlatDag, FlatTopo, IncrementalBackend,
+    BackendKind, BatchEvaluator, CandidateEval, EvalBackend, IncrementalBackend,
     KClassBatchEvaluator, KClassEvaluation, WorkStats, PAR_MIN_WORK,
 };
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::spf::Dist;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, NodeId, Topology, WeightVector, MAX_WEIGHT, MIN_WEIGHT};
+use dtr_graph::{
+    FlatTopo, LinkId, NodeId, ShortestPathDag, Topology, WeightVector, MAX_WEIGHT, MIN_WEIGHT,
+};
 use dtr_routing::{survivable_duplex_failures, Evaluation, Evaluator, HighSide};
 use dtr_traffic::{DemandSet, TrafficCfg};
 use proptest::prelude::*;
@@ -116,7 +118,7 @@ fn fingerprint(flat: &FlatTopo, ev: &CandidateEval) -> Fingerprint {
         .iter()
         .map(|l| l.iter().map(|x| x.to_bits()).collect())
         .collect();
-    let branches = |d: &FlatDag| {
+    let branches = |d: &ShortestPathDag| {
         let n = flat.node_count() as u32;
         (0..n).map(|v| d.branches(flat, v).to_vec()).collect()
     };

@@ -393,13 +393,11 @@ mod tests {
             up[twin.index()] = false;
             // Cheap reachability probe via SPF from node 0.
             let w = crate::WeightVector::uniform(&t, 1);
-            let dag = crate::ShortestPathDag::compute_with(
-                &t,
-                &w,
-                NodeId(0),
-                Some(&up),
-                &mut crate::SpfWorkspace::new(),
-            );
+            let ft = crate::FlatTopo::new(&t);
+            let mut dag = crate::ShortestPathDag::empty(&ft);
+            let mask = crate::LinkMask::from_up_slice(&up);
+            let mut ws = crate::SpfWorkspace::new();
+            dag.compute_into(&ft, w.as_slice(), 0, Some(&mask), &mut ws);
             if dag.dist.iter().all(|&d| d != crate::spf::UNREACHABLE) {
                 survivable += 1;
             }

@@ -47,6 +47,6 @@ pub use families::{
     grid_topology, hierarchical_topology, waxman_topology, GridCfg, HierarchicalCfg, WaxmanCfg,
 };
 pub use rocketfuel::{rocketfuel_topology, RocketfuelCfg};
-pub use spf::{DagView, ShortestPathDag, SpfTree, SpfWorkspace};
+pub use spf::{FlatTopo, LinkMask, ShortestPathDag, SpfTree, SpfWorkspace};
 pub use topology::{Link, LinkId, NodeId, Topology, TopologyBuilder, TopologyError};
 pub use weights::{Weight, WeightVector, MAX_WEIGHT, MIN_WEIGHT};

@@ -8,7 +8,7 @@ use dtr_graph::families::{
     grid_topology, hierarchical_topology, waxman_topology, GridCfg, HierarchicalCfg, WaxmanCfg,
 };
 use dtr_graph::gen::{power_law_topology, random_topology, PowerLawTopologyCfg, RandomTopologyCfg};
-use dtr_graph::spf::{bellman_ford_to_dest, ShortestPathDag, SpfTree};
+use dtr_graph::spf::{bellman_ford_to_dest, FlatTopo, ShortestPathDag, SpfTree};
 use dtr_graph::{NodeId, Topology, WeightVector, MAX_WEIGHT, MIN_WEIGHT};
 use proptest::prelude::*;
 
@@ -85,10 +85,12 @@ proptest! {
         let weights = WeightVector::from_vec(
             (0..topo.link_count()).map(|_| rng.random_range(MIN_WEIGHT..=MAX_WEIGHT)).collect(),
         );
+        let ft = FlatTopo::new(&topo);
         for dest in topo.nodes() {
             let dag = ShortestPathDag::compute(&topo, &weights, dest);
             for v in topo.nodes() {
-                for &lid in &dag.ecmp_out[v.index()] {
+                for &l in dag.branches(&ft, v.0) {
+                    let lid = dtr_graph::LinkId(l);
                     let link = topo.link(lid);
                     // Every DAG hop strictly decreases distance (weights ≥ 1).
                     prop_assert!(dag.dist[link.dst.index()] < dag.dist[v.index()]);
@@ -99,22 +101,9 @@ proptest! {
                 }
                 // Strong connectivity: every non-dest node has a way out.
                 if v != dest {
-                    prop_assert!(!dag.ecmp_out[v.index()].is_empty());
+                    prop_assert!(!dag.branches(&ft, v.0).is_empty());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sample_path_length_equals_distance(topo in arb_topology()) {
-        let weights = WeightVector::uniform(&topo, 1);
-        let dest = NodeId(0);
-        let dag = ShortestPathDag::compute(&topo, &weights, dest);
-        for v in topo.nodes() {
-            if v == dest { continue; }
-            let path = dag.sample_path(&topo, v).unwrap();
-            prop_assert_eq!(path.len() as u64, dag.dist_from(v));
-            prop_assert_eq!(topo.link(*path.last().unwrap()).dst, dest);
         }
     }
 
@@ -127,6 +116,7 @@ proptest! {
         );
         let src = NodeId(0);
         let tree = SpfTree::compute(&topo, &weights, src, None);
+        let ft = FlatTopo::new(&topo);
         for dest in topo.nodes() {
             let dag = ShortestPathDag::compute(&topo, &weights, dest);
             prop_assert_eq!(tree.dist[dest.index()], dag.dist_from(src));
@@ -135,7 +125,7 @@ proptest! {
                 // hop must be a DAG edge of the per-destination view.
                 prop_assert!(!tree.next_hops[dest.index()].is_empty());
                 for &h in &tree.next_hops[dest.index()] {
-                    prop_assert!(dag.ecmp_out[src.index()].contains(&h));
+                    prop_assert!(dag.branches(&ft, src.0).contains(&h.0));
                 }
             }
         }

@@ -10,7 +10,9 @@
 
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, NodeId, ShortestPathDag, Topology, WeightVector};
+use dtr_graph::{
+    FlatTopo, LinkId, LinkMask, NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector,
+};
 use dtr_mtr::{ForwardError, MtrNetwork, TopologyId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -102,11 +104,14 @@ proptest! {
         }
 
         // Ground truth vs the converged control plane, both topologies.
+        let ft = FlatTopo::new(&topo);
+        let mask = LinkMask::from_up_slice(&up);
         for tid in [TopologyId::DEFAULT, TopologyId::LOW] {
             let wv = if tid == TopologyId::DEFAULT { &weights.high } else { &weights.low };
             for dst in topo.nodes() {
-                let dag = ShortestPathDag::compute_with(
-                    &topo, wv, dst, Some(&up), &mut dtr_graph::SpfWorkspace::new());
+                let mut dag = ShortestPathDag::empty(&ft);
+                let mut ws = SpfWorkspace::new();
+                dag.compute_into(&ft, wv.as_slice(), dst.0, Some(&mask), &mut ws);
                 for src in topo.nodes() {
                     if src == dst { continue; }
                     match net.forward_path(tid, src, dst) {

@@ -14,11 +14,12 @@
 //! topology. The low class follows a **hybrid** forwarding graph: at an
 //! upgraded node its next-hops come from the low-topology DAG, at a
 //! legacy node from the high-topology DAG. [`hybrid_low_dag`] folds the
-//! two per-destination DAGs into one [`ShortestPathDag`]-shaped object
-//! so every downstream consumer — the analytic load push
-//! ([`crate::loads::push_demand_down_dag`]), the fluid solver, the DES —
-//! walks the mixed network with the *identical* primitives (and
-//! therefore bit-identical arithmetic) it uses at full deployment.
+//! two per-destination DAGs into one [`ShortestPathDag`], so the one
+//! demand push ([`crate::loads::push_demand_flat`]), the fluid solver and
+//! the DES walk the mixed network exactly as they walk a full
+//! deployment. `tests/oracle.rs` checks the loads and trapped volume it
+//! yields against a path enumeration that implements the rule below on
+//! its own.
 //!
 //! ## Loops and trapped demand
 //!
@@ -36,7 +37,10 @@
 //! - nodes caught in a loop — and nodes downstream of one, whose
 //!   position relative to the loop is undefined — are marked
 //!   [`UNREACHABLE`] with **cleared** branch lists, as are non-
-//!   destination nodes whose governing DAG gave them no out-branches;
+//!   destination nodes whose governing DAG gave them no out-branches.
+//!   Put the other way: a node forwards only if no node with a path
+//!   into it lies on a cycle. This covers the destination too: when a
+//!   loop feeds into it, what reaches it counts as trapped;
 //! - demand that reaches an `UNREACHABLE` node parks there: the load
 //!   push never forwards out of such a node, so after a push the flow
 //!   sitting on excluded nodes *is* the trapped volume, summed exactly
@@ -49,7 +53,7 @@
 //! traffic.
 
 use dtr_graph::spf::{Dist, UNREACHABLE};
-use dtr_graph::{LinkId, NodeId, ShortestPathDag, Topology};
+use dtr_graph::{FlatTopo, ShortestPathDag};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -154,38 +158,39 @@ impl DeploymentSet {
 /// Folds the per-destination high and low DAGs into the hybrid
 /// forwarding DAG the low class actually follows under `dep` (see the
 /// module docs). `high` and `low` must both target the same
-/// destination.
+/// destination, and `ft` must be the view of the topology they were
+/// computed on.
 ///
 /// The result is a structurally valid [`ShortestPathDag`]: `order` is a
 /// topological order of the forwarding edges (sources first), `dist`
 /// decreases along it (synthetic ranks — only the relative order and
-/// the [`UNREACHABLE`] marker are meaningful), and `ecmp_out` is empty
-/// exactly for the destination and every `UNREACHABLE` node. All
-/// existing DAG consumers work on it unchanged.
+/// the [`UNREACHABLE`] marker are meaningful), and a node's branches are
+/// empty exactly for the destination and every `UNREACHABLE` node. All
+/// DAG consumers work on it unchanged.
 ///
 /// Determinism: the Kahn sort breaks ties by ascending node index, so
 /// the hybrid DAG is a pure function of `(dep, high, low)` — no
 /// iteration-order or scheduling dependence.
 pub fn hybrid_low_dag(
-    topo: &Topology,
+    ft: &FlatTopo,
     dep: &DeploymentSet,
     high: &ShortestPathDag,
     low: &ShortestPathDag,
 ) -> ShortestPathDag {
     debug_assert_eq!(high.dest, low.dest);
-    debug_assert_eq!(dep.node_count(), topo.node_count());
-    let n = topo.node_count();
+    debug_assert_eq!(dep.node_count(), ft.node_count());
+    let n = ft.node_count();
     let dest = high.dest;
 
     // Governing branch list per node: low DAG at upgraded nodes, high
     // DAG at legacy nodes; nothing at the destination.
-    let governing = |v: usize| -> &[LinkId] {
-        if NodeId(v as u32) == dest {
+    let governing = |v: usize| -> &[u32] {
+        if v as u32 == dest {
             &[]
         } else if dep.contains(v) {
-            &low.ecmp_out[v]
+            low.branches(ft, v as u32)
         } else {
-            &high.ecmp_out[v]
+            high.branches(ft, v as u32)
         }
     };
 
@@ -194,7 +199,7 @@ pub fn hybrid_low_dag(
     // them unreachable, or a link mask emptied them).
     let mut excluded = vec![false; n];
     for (v, ex) in excluded.iter_mut().enumerate() {
-        if NodeId(v as u32) != dest && governing(v).is_empty() {
+        if v as u32 != dest && governing(v).is_empty() {
             *ex = true;
         }
     }
@@ -209,7 +214,7 @@ pub fn hybrid_low_dag(
             continue;
         }
         for &lid in governing(v) {
-            indeg[topo.link(lid).dst.index()] += 1;
+            indeg[ft.dst(lid) as usize] += 1;
         }
     }
     let mut heap: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
@@ -222,7 +227,7 @@ pub fn hybrid_low_dag(
     while let Some(Reverse(v)) = heap.pop() {
         processed.push(v);
         for &lid in governing(v as usize) {
-            let u = topo.link(lid).dst.index();
+            let u = ft.dst(lid) as usize;
             indeg[u] -= 1;
             if indeg[u] == 0 && !excluded[u] {
                 heap.push(Reverse(u as u32));
@@ -233,23 +238,17 @@ pub fn hybrid_low_dag(
     // Assemble: excluded (and loop-stuck) nodes first in `order` with
     // UNREACHABLE rank and no branches, then the processed nodes with
     // strictly decreasing synthetic ranks.
-    let mut dist = vec![UNREACHABLE; n];
-    let mut ecmp_out: Vec<Vec<LinkId>> = vec![Vec::new(); n];
+    let mut hybrid = ShortestPathDag::empty(ft);
+    hybrid.dest = dest;
     for (i, &v) in processed.iter().enumerate() {
-        dist[v as usize] = (processed.len() - 1 - i) as Dist;
-        ecmp_out[v as usize] = governing(v as usize).to_vec();
+        hybrid.dist[v as usize] = (processed.len() - 1 - i) as Dist;
+        hybrid.set_branches(ft, v, governing(v as usize));
     }
-    let mut order: Vec<u32> = (0..n as u32)
-        .filter(|&v| dist[v as usize] == UNREACHABLE)
+    hybrid.order = (0..n as u32)
+        .filter(|&v| hybrid.dist[v as usize] == UNREACHABLE)
         .collect();
-    order.extend_from_slice(&processed);
-
-    ShortestPathDag {
-        dest,
-        dist,
-        ecmp_out,
-        order,
-    }
+    hybrid.order.extend_from_slice(&processed);
+    hybrid
 }
 
 /// Sums the flow parked on `UNREACHABLE` nodes of `dag` after a demand
@@ -268,9 +267,9 @@ pub fn trapped_flow(dag: &ShortestPathDag, node_flow: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loads::push_demand_down_dag;
+    use crate::loads::{demand_column, push_demand_flat};
     use dtr_graph::gen::triangle_topology;
-    use dtr_graph::WeightVector;
+    use dtr_graph::{NodeId, Topology, WeightVector};
     use dtr_traffic::TrafficMatrix;
 
     fn dags_for(
@@ -283,6 +282,18 @@ mod tests {
             ShortestPathDag::compute(topo, wh, t),
             ShortestPathDag::compute(topo, wl, t),
         )
+    }
+
+    /// Pushes `m`'s demand towards `dag.dest` down `dag`: the per-link
+    /// loads and the per-node flow left after the push.
+    fn push(ft: &FlatTopo, dag: &ShortestPathDag, m: &TrafficMatrix) -> (Vec<f64>, Vec<f64>) {
+        let mut out = vec![0.0; ft.link_count()];
+        let mut flow = Vec::new();
+        let col = demand_column(m, dag.dest, ft.node_count());
+        push_demand_flat(ft, dag, &col, &mut flow, None, |l, share| {
+            out[l as usize] += share
+        });
+        (out, flow)
     }
 
     #[test]
@@ -317,16 +328,14 @@ mod tests {
         let wh = WeightVector::uniform(&topo, 1);
         let t = NodeId(2);
         let (dh, dl) = dags_for(&topo, &wh, &wl, t);
-        let hybrid = hybrid_low_dag(&topo, &DeploymentSet::full(3), &dh, &dl);
+        let ft = FlatTopo::new(&topo);
+        let hybrid = hybrid_low_dag(&ft, &DeploymentSet::full(3), &dh, &dl);
 
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 2, 2.0 / 3.0);
-        let mut flow = Vec::new();
-        let mut out_h = vec![0.0; topo.link_count()];
-        push_demand_down_dag(&topo, &hybrid, &m, t, &mut flow, &mut out_h);
+        let (out_h, flow) = push(&ft, &hybrid, &m);
         assert_eq!(trapped_flow(&hybrid, &flow), 0.0);
-        let mut out_l = vec![0.0; topo.link_count()];
-        push_demand_down_dag(&topo, &dl, &m, t, &mut flow, &mut out_l);
+        let (out_l, _) = push(&ft, &dl, &m);
         assert_eq!(out_h, out_l, "full deployment must match the low DAG");
     }
 
@@ -338,16 +347,14 @@ mod tests {
         let wh = WeightVector::uniform(&topo, 1);
         let t = NodeId(2);
         let (dh, dl) = dags_for(&topo, &wh, &wl, t);
-        let hybrid = hybrid_low_dag(&topo, &DeploymentSet::empty(3), &dh, &dl);
+        let ft = FlatTopo::new(&topo);
+        let hybrid = hybrid_low_dag(&ft, &DeploymentSet::empty(3), &dh, &dl);
 
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 2, 1.0);
-        let mut flow = Vec::new();
-        let mut out_h = vec![0.0; topo.link_count()];
-        push_demand_down_dag(&topo, &hybrid, &m, t, &mut flow, &mut out_h);
+        let (out_h, flow) = push(&ft, &hybrid, &m);
         assert_eq!(trapped_flow(&hybrid, &flow), 0.0);
-        let mut out_high = vec![0.0; topo.link_count()];
-        push_demand_down_dag(&topo, &dh, &m, t, &mut flow, &mut out_high);
+        let (out_high, _) = push(&ft, &dh, &m);
         assert_eq!(out_h, out_high, "all-legacy must match the high DAG");
     }
 
@@ -368,19 +375,18 @@ mod tests {
         let (dh, dl) = dags_for(&topo, &wh, &wl, c);
         // B upgraded, A legacy.
         let dep = DeploymentSet::from_upgraded(3, &[1]);
-        let hybrid = hybrid_low_dag(&topo, &dep, &dh, &dl);
+        let ft = FlatTopo::new(&topo);
+        let hybrid = hybrid_low_dag(&ft, &dep, &dh, &dl);
         assert_eq!(hybrid.dist[a.index()], UNREACHABLE);
         assert_eq!(hybrid.dist[b.index()], UNREACHABLE);
-        assert!(hybrid.ecmp_out[a.index()].is_empty());
-        assert!(hybrid.ecmp_out[b.index()].is_empty());
+        assert!(hybrid.branches(&ft, a.0).is_empty());
+        assert!(hybrid.branches(&ft, b.0).is_empty());
         assert_ne!(hybrid.dist[c.index()], UNREACHABLE);
 
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 2, 0.25);
         m.set(1, 2, 0.5);
-        let mut flow = Vec::new();
-        let mut out = vec![0.0; topo.link_count()];
-        push_demand_down_dag(&topo, &hybrid, &m, c, &mut flow, &mut out);
+        let (out, flow) = push(&ft, &hybrid, &m);
         assert!((trapped_flow(&hybrid, &flow) - 0.75).abs() < 1e-15);
         assert!(out.iter().all(|&x| x == 0.0), "trapped flow moves nowhere");
     }
@@ -400,14 +406,13 @@ mod tests {
         wl.set(topo.find_link(b, c).unwrap(), 10);
         let (dh, dl) = dags_for(&topo, &wh, &wl, c);
         let dep = DeploymentSet::from_upgraded(3, &[0]);
-        let hybrid = hybrid_low_dag(&topo, &dep, &dh, &dl);
+        let ft = FlatTopo::new(&topo);
+        let hybrid = hybrid_low_dag(&ft, &dep, &dh, &dl);
 
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 2, 1.0);
         m.set(1, 2, 1.0);
-        let mut flow = Vec::new();
-        let mut out = vec![0.0; topo.link_count()];
-        push_demand_down_dag(&topo, &hybrid, &m, c, &mut flow, &mut out);
+        let (out, flow) = push(&ft, &hybrid, &m);
         assert_eq!(trapped_flow(&hybrid, &flow), 0.0);
         // A's unit goes A→C (low DAG, upgraded); B's goes B→C (high
         // DAG, legacy). flow[c] accumulates both.
@@ -425,9 +430,10 @@ mod tests {
         let mut wl = WeightVector::uniform(&topo, 1);
         wl.set(topo.find_link(NodeId(0), NodeId(2)).unwrap(), 30);
         let (dh, dl) = dags_for(&topo, &wh, &wl, NodeId(2));
+        let ft = FlatTopo::new(&topo);
         for upgraded in [vec![], vec![0], vec![1], vec![0, 1], vec![0, 1, 2]] {
             let dep = DeploymentSet::from_upgraded(3, &upgraded);
-            let hybrid = hybrid_low_dag(&topo, &dep, &dh, &dl);
+            let hybrid = hybrid_low_dag(&ft, &dep, &dh, &dl);
             // dist never increases along `order`.
             for w in hybrid.order.windows(2) {
                 assert!(hybrid.dist[w[0] as usize] >= hybrid.dist[w[1] as usize]);
@@ -437,8 +443,8 @@ mod tests {
                 .map(|v| hybrid.order.iter().position(|&o| o == v as u32).unwrap())
                 .collect();
             for v in 0..3usize {
-                for &lid in &hybrid.ecmp_out[v] {
-                    let u = topo.link(lid).dst.index();
+                for &lid in hybrid.branches(&ft, v as u32) {
+                    let u = ft.dst(lid) as usize;
                     assert!(pos[v] < pos[u], "edge {v}→{u} must respect order");
                 }
             }

@@ -16,12 +16,15 @@
 
 use crate::deploy::{hybrid_low_dag, trapped_flow, DeploymentSet};
 use crate::loads::{
-    avg_utilization, max_utilization, push_demand_down_dag, ClassLoads, LoadCalculator,
+    avg_utilization, demand_column, max_utilization, push_demand_flat, ClassLoads, LoadCalculator,
 };
 use dtr_cost::{link_delay, phi, sla_penalty, Lex2, Objective, SlaParams};
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{DagView, NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
+use dtr_graph::{
+    FlatTopo, LinkMask, NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector,
+};
 use dtr_traffic::DemandSet;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Structured evaluation errors. The only way to hit one is to compose
@@ -176,6 +179,8 @@ pub struct LinkRank {
 /// Evaluator bound to one problem instance.
 pub struct Evaluator<'a> {
     topo: &'a Topology,
+    /// The view of `topo` every DAG here is computed on.
+    ft: FlatTopo,
     demands: &'a DemandSet,
     objective: Objective,
     calc: LoadCalculator,
@@ -200,6 +205,7 @@ impl<'a> Evaluator<'a> {
             .collect();
         Evaluator {
             topo,
+            ft: FlatTopo::new(topo),
             demands,
             objective,
             calc: LoadCalculator::new(),
@@ -227,12 +233,15 @@ impl<'a> Evaluator<'a> {
     /// Routes the high class on `wh` (one SPF per destination with
     /// high-priority demand).
     pub fn high_loads(&mut self, wh: &WeightVector) -> ClassLoads {
-        self.calc.class_loads(self.topo, wh, &self.demands.high)
+        let high = &self.demands.high;
+        self.calc
+            .class_loads_on(&self.ft, wh.as_slice(), None, high)
     }
 
     /// Routes the low class on `wl`.
     pub fn low_loads(&mut self, wl: &WeightVector) -> ClassLoads {
-        self.calc.class_loads(self.topo, wl, &self.demands.low)
+        let low = &self.demands.low;
+        self.calc.class_loads_on(&self.ft, wl.as_slice(), None, low)
     }
 
     /// Binds a partial-deployment model (see [`crate::deploy`]), or
@@ -285,18 +294,22 @@ impl<'a> Evaluator<'a> {
         wh: &WeightVector,
         wl: &WeightVector,
     ) -> (ClassLoads, f64) {
-        let topo = self.topo;
-        let mut out = vec![0.0; topo.link_count()];
+        let (ft, n) = (&self.ft, self.ft.node_count());
+        let mut out = vec![0.0; ft.link_count()];
         let mut flow = Vec::new();
         let mut undeliverable = 0.0;
-        for t in topo.nodes() {
-            if self.demands.low.demands_to(t.index()).next().is_none() {
+        let (mut dh, mut dl) = (ShortestPathDag::empty(ft), ShortestPathDag::empty(ft));
+        for t in 0..n as u32 {
+            let col = demand_column(&self.demands.low, t, n);
+            if col.is_empty() {
                 continue;
             }
-            let dh = ShortestPathDag::compute_with(topo, wh, t, None, &mut self.ws);
-            let dl = ShortestPathDag::compute_with(topo, wl, t, None, &mut self.ws);
-            let hybrid = hybrid_low_dag(topo, dep, &dh, &dl);
-            push_demand_down_dag(topo, &hybrid, &self.demands.low, t, &mut flow, &mut out);
+            dh.compute_into(ft, wh.as_slice(), t, None, &mut self.ws);
+            dl.compute_into(ft, wl.as_slice(), t, None, &mut self.ws);
+            let hybrid = hybrid_low_dag(ft, dep, &dh, &dl);
+            push_demand_flat(ft, &hybrid, &col, &mut flow, None, |l, share| {
+                out[l as usize] += share
+            });
             undeliverable += trapped_flow(&hybrid, &flow);
         }
         (out, undeliverable)
@@ -356,13 +369,15 @@ impl<'a> Evaluator<'a> {
             self.deployment.is_none(),
             "links can only be down on a full deployment"
         );
+        let mask = LinkMask::from_up_slice(link_up);
+        let (ft, d) = (&self.ft, self.demands);
         let hl = self
             .calc
-            .class_loads_masked(self.topo, &w.high, link_up, &self.demands.high);
+            .class_loads_on(ft, w.high.as_slice(), Some(&mask), &d.high);
         let ll = self
             .calc
-            .class_loads_masked(self.topo, &w.low, link_up, &self.demands.low);
-        let high = self.high_side_from_loads(hl, &w.high, Some(link_up));
+            .class_loads_on(ft, w.low.as_slice(), Some(&mask), &d.low);
+        let high = self.high_side_on(hl, &w.high, Some(&mask));
         self.finish(high, ll)
             .expect("high side built by this evaluator carries the SLA walk")
     }
@@ -394,9 +409,20 @@ impl<'a> Evaluator<'a> {
         wh: &WeightVector,
         link_up: Option<&[bool]>,
     ) -> HighSide {
+        let mask = link_up.map(LinkMask::from_up_slice);
+        self.high_side_on(loads, wh, mask.as_ref())
+    }
+
+    /// [`Self::high_side_from_loads`] under a mask already converted.
+    fn high_side_on(
+        &mut self,
+        loads: ClassLoads,
+        wh: &WeightVector,
+        mask: Option<&LinkMask>,
+    ) -> HighSide {
         let sla = match self.objective {
             Objective::LoadBased => None,
-            Objective::SlaBased(params) => Some(self.eval_sla(&loads, wh, link_up, &params)),
+            Objective::SlaBased(params) => Some(self.eval_sla(&loads, wh, mask, &params)),
         };
         self.high_side_with_sla(loads, sla)
     }
@@ -487,23 +513,28 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Computes Eq. 3 link delays and Eq. 4 pair penalties for the high
-    /// class routed on `wh` under the mask `link_up`.
+    /// class routed on `wh` under `mask`.
     fn eval_sla(
         &mut self,
         high_loads: &[f64],
         wh: &WeightVector,
-        link_up: Option<&[bool]>,
+        mask: Option<&LinkMask>,
         params: &SlaParams,
     ) -> SlaEvaluation {
-        let topo = self.topo;
-        let ws = &mut self.ws;
+        let (ft, ws) = (&self.ft, &mut self.ws);
+        let dests = &self.high_dests;
         sla_evaluation(
-            topo,
+            self.topo,
+            ft,
             &self.demands.high,
-            &self.high_dests,
+            dests,
             high_loads,
             params,
-            |t| ShortestPathDag::compute_with(topo, wh, t, link_up, ws),
+            |t| {
+                let mut dag = ShortestPathDag::empty(ft);
+                dag.compute_into(ft, wh.as_slice(), t.0, mask, ws);
+                dag
+            },
         )
     }
 
@@ -530,21 +561,22 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// The SLA walk (Eq. 3 link delays + Eq. 4 pair penalties), generic over
-/// where the per-destination shortest-path DAGs come from.
+/// The SLA walk (Eq. 3 link delays + Eq. 4 pair penalties), over
+/// per-destination shortest-path DAGs from wherever the caller has them.
 ///
 /// [`Evaluator`] computes a [`ShortestPathDag`] per destination with one
-/// reverse-Dijkstra; `dtr-engine` hands in the flat DAGs its backends
-/// maintain, through the same [`DagView`]. Both execute the identical
-/// arithmetic in the identical order (destinations ascending, the DAG's
-/// order reversed for the ξ dynamic program), so results are
-/// bit-identical.
+/// reverse-Dijkstra; `dtr-engine` hands in the DAGs its backends
+/// maintain. Both run the identical arithmetic in the identical order
+/// (destinations ascending, the DAG's order reversed for the ξ dynamic
+/// program), so results are bit-identical.
 ///
 /// `dests` must be the destinations with high-priority demand in
 /// ascending node order (see [`Evaluator::high_dests`]); `dag_for` is
-/// called once per destination, in that order.
+/// called once per destination, in that order, and its DAGs must be
+/// computed on the topology `ft` views.
 pub fn sla_evaluation<D, F>(
     topo: &Topology,
+    ft: &FlatTopo,
     high: &dtr_traffic::TrafficMatrix,
     dests: &[NodeId],
     high_loads: &[f64],
@@ -552,7 +584,7 @@ pub fn sla_evaluation<D, F>(
     dag_for: F,
 ) -> SlaEvaluation
 where
-    D: DagView,
+    D: Borrow<ShortestPathDag>,
     F: FnMut(NodeId) -> D,
 {
     let link_delays: Vec<f64> = topo
@@ -566,7 +598,7 @@ where
             )
         })
         .collect();
-    sla_walk(topo, high, dests, link_delays, params, dag_for)
+    sla_walk(ft, high, dests, link_delays, params, dag_for)
 }
 
 /// The ξ dynamic program and Eq. 4 penalty accumulation over
@@ -581,7 +613,7 @@ where
 /// the DAG's order reversed for the ξ recursion — so the two-class path
 /// stays bit-identical to the pre-split code.
 pub fn sla_walk<D, F>(
-    topo: &Topology,
+    ft: &FlatTopo,
     matrix: &dtr_traffic::TrafficMatrix,
     dests: &[NodeId],
     link_delays: Vec<f64>,
@@ -589,7 +621,7 @@ pub fn sla_walk<D, F>(
     mut dag_for: F,
 ) -> SlaEvaluation
 where
-    D: DagView,
+    D: Borrow<ShortestPathDag>,
     F: FnMut(NodeId) -> D,
 {
     let mut pair_delays = Vec::new();
@@ -597,22 +629,22 @@ where
     let mut violations = 0;
     // ξ(v → t): expected delay over even ECMP splitting, computed by
     // dynamic programming in increasing-distance order.
-    let mut xi = vec![0.0f64; topo.node_count()];
+    let mut xi = vec![0.0f64; ft.node_count()];
     for &t in dests {
         let dag = dag_for(t);
+        let dag = dag.borrow();
         xi.fill(0.0);
-        // `dag.order()` is decreasing distance; walk it backwards.
-        for &v in dag.order().iter().rev() {
-            if v == t.0 || !dag.reachable(v) {
+        // `dag.order` is decreasing distance; walk it backwards.
+        for &v in dag.order.iter().rev() {
+            if v == t.0 || !dag.reachable(NodeId(v)) {
                 continue;
             }
-            let branches = dag.branches(v);
-            let len = branches.len();
+            let branches = dag.branches(ft, v);
             let mut acc = 0.0;
-            for lid in branches {
-                acc += link_delays[lid.index()] + xi[topo.link(lid).dst.index()];
+            for &lid in branches {
+                acc += link_delays[lid as usize] + xi[ft.dst(lid) as usize];
             }
-            xi[v as usize] = acc / len as f64;
+            xi[v as usize] = acc / branches.len() as f64;
         }
         for (s, _vol) in matrix.demands_to(t.index()) {
             let delay_s = xi[s];

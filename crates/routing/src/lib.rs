@@ -30,7 +30,7 @@ pub use eval::{
     sla_evaluation, sla_walk, EvalError, Evaluation, Evaluator, HighSide, LinkRank, PairDelay,
     SlaEvaluation,
 };
-pub use loads::{push_demand_down_dag, push_demand_down_dag_with, ClassLoads, LoadCalculator};
+pub use loads::{demand_column, push_demand_flat, ClassLoads, LoadCalculator};
 pub use lower_bound::{dual_lower_bound, frank_wolfe, DualLowerBound, FwParams, FwResult};
 pub use scenarios::{
     strongly_connected_under, survivable_duplex_failures, FailurePolicy, FailureScenario,

@@ -6,19 +6,28 @@
 //! per-link load vector of a traffic class. This is the standard
 //! destination-based SPF forwarding model of OSPF/IS-IS with ECMP
 //! (Fortz–Thorup \[2\], §2).
+//!
+//! [`push_demand_flat`] is the one implementation of that split in the
+//! workspace: [`LoadCalculator`], the evaluator's hybrid low push under
+//! partial deployment, the incremental engine and the fluid simulator
+//! all route through it, and `tests/oracle.rs` checks it against an
+//! independent path enumeration.
 
-use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
+use dtr_graph::{
+    FlatTopo, LinkMask, ShortestPathDag, SpfWorkspace, Topology, Weight, WeightVector,
+};
 use dtr_traffic::TrafficMatrix;
 
 /// Per-link load of one traffic class, in the traffic matrix's units
 /// (Mbit/s), indexed by `LinkId`.
 pub type ClassLoads = Vec<f64>;
 
-/// Reusable calculator; owns the SPF scratch space and the per-node flow
-/// buffer so repeated evaluations don't allocate.
+/// Reusable calculator; owns the SPF scratch space, the DAG and the
+/// per-node flow buffer so repeated evaluations allocate little.
 #[derive(Debug, Default)]
 pub struct LoadCalculator {
     ws: SpfWorkspace,
+    dag: ShortestPathDag,
     node_flow: Vec<f64>,
 }
 
@@ -35,9 +44,7 @@ impl LoadCalculator {
         weights: &WeightVector,
         demands: &TrafficMatrix,
     ) -> ClassLoads {
-        let mut loads = vec![0.0; topo.link_count()];
-        self.accumulate(topo, weights, None, &[demands], &mut [&mut loads]);
-        loads
+        self.class_loads_on(&FlatTopo::new(topo), weights.as_slice(), None, demands)
     }
 
     /// Like [`Self::class_loads`] but with down links masked out
@@ -52,8 +59,26 @@ impl LoadCalculator {
         link_up: &[bool],
         demands: &TrafficMatrix,
     ) -> ClassLoads {
-        let mut loads = vec![0.0; topo.link_count()];
-        self.accumulate(topo, weights, Some(link_up), &[demands], &mut [&mut loads]);
+        let mask = LinkMask::from_up_slice(link_up);
+        self.class_loads_on(
+            &FlatTopo::new(topo),
+            weights.as_slice(),
+            Some(&mask),
+            demands,
+        )
+    }
+
+    /// The loads of one class on a prebuilt view of the topology, with
+    /// the links `mask` marks down removed (`None` keeps all).
+    pub(crate) fn class_loads_on(
+        &mut self,
+        ft: &FlatTopo,
+        weights: &[Weight],
+        mask: Option<&LinkMask>,
+        demands: &TrafficMatrix,
+    ) -> ClassLoads {
+        let mut loads = vec![0.0; ft.link_count()];
+        self.accumulate(ft, weights, mask, &[demands], &mut [&mut loads]);
         loads
     }
 
@@ -68,120 +93,108 @@ impl LoadCalculator {
     ) -> (ClassLoads, ClassLoads) {
         let mut h = vec![0.0; topo.link_count()];
         let mut l = vec![0.0; topo.link_count()];
-        self.accumulate(topo, weights, None, &[high, low], &mut [&mut h, &mut l]);
+        let ft = FlatTopo::new(topo);
+        self.accumulate(
+            &ft,
+            weights.as_slice(),
+            None,
+            &[high, low],
+            &mut [&mut h, &mut l],
+        );
         (h, l)
     }
 
     /// Shared inner loop: routes each matrix in `demands` on `weights`,
-    /// accumulating into the parallel `outs` slot. All matrices share the
-    /// per-destination DAG, so passing both classes at once halves SPF
-    /// work for STR evaluation.
+    /// accumulating into the parallel `outs` slot, destinations in
+    /// ascending order. All matrices share the per-destination DAG, so
+    /// passing both classes at once halves SPF work for STR evaluation.
     fn accumulate(
         &mut self,
-        topo: &Topology,
-        weights: &WeightVector,
-        link_up: Option<&[bool]>,
+        ft: &FlatTopo,
+        weights: &[Weight],
+        mask: Option<&LinkMask>,
         demands: &[&TrafficMatrix],
         outs: &mut [&mut ClassLoads],
     ) {
         debug_assert_eq!(demands.len(), outs.len());
-        let n = topo.node_count();
-        self.node_flow.resize(n, 0.0);
-
-        for t in topo.nodes() {
+        let n = ft.node_count();
+        for t in 0..n as u32 {
+            let cols: Vec<Vec<f64>> = demands.iter().map(|m| demand_column(m, t, n)).collect();
             // Skip destinations with no demand in any class.
-            let any = demands
-                .iter()
-                .any(|m| m.demands_to(t.index()).next().is_some());
-            if !any {
+            if cols.iter().all(Vec::is_empty) {
                 continue;
             }
-            let dag = ShortestPathDag::compute_with(topo, weights, t, link_up, &mut self.ws);
-            for (m, out) in demands.iter().zip(outs.iter_mut()) {
-                if m.demands_to(t.index()).next().is_none() {
+            self.dag.compute_into(ft, weights, t, mask, &mut self.ws);
+            for (col, out) in cols.iter().zip(outs.iter_mut()) {
+                if col.is_empty() {
                     continue;
                 }
-                self.push_down_dag(topo, &dag, m, t, out);
+                push_demand_flat(ft, &self.dag, col, &mut self.node_flow, None, |l, share| {
+                    out[l as usize] += share
+                });
             }
         }
     }
-
-    /// Pushes all of `m`'s demand towards `t` down `dag`, adding to `out`.
-    fn push_down_dag(
-        &mut self,
-        topo: &Topology,
-        dag: &ShortestPathDag,
-        m: &TrafficMatrix,
-        t: NodeId,
-        out: &mut ClassLoads,
-    ) {
-        push_demand_down_dag(topo, dag, m, t, &mut self.node_flow, out);
-    }
 }
 
-/// Pushes all of `m`'s demand towards `t` down `dag`, **adding** into
-/// `out` (indexed by link id). `flow` is caller-provided scratch of at
-/// least `node_count` entries; its prior contents are overwritten.
+/// The demand `m` carries towards `t` as a dense per-source column of
+/// length `n` — what [`push_demand_flat`] seeds its per-node flow from.
+/// Empty when no source sends anything to `t`.
+pub fn demand_column(m: &TrafficMatrix, t: u32, n: usize) -> Vec<f64> {
+    let mut col = Vec::new();
+    for (s, v) in m.demands_to(t as usize) {
+        col.resize(n, 0.0);
+        col[s] += v;
+    }
+    col
+}
+
+/// Pushes the demand column `demand` (see [`demand_column`]) down `dag`
+/// towards `dag.dest`, reporting every `+= share` a link receives to
+/// `add(link, share)`. Each node's accumulated flow splits evenly over
+/// its branches, nodes taken in `dag.order`; an `add` that accumulates
+/// into a per-link vector therefore yields bit-identical loads for
+/// structurally identical DAGs, whoever calls it. Each DAG link is
+/// reported at most once (it is a branch of its unique tail node).
 ///
-/// This is the single forwarding-model primitive shared by
-/// [`LoadCalculator`] and the incremental evaluation engine
-/// (`dtr-engine`), so both produce bit-identical loads for identical
-/// DAGs.
-pub fn push_demand_down_dag(
-    topo: &Topology,
+/// Flow that reaches a node without branches other than the destination
+/// (unreachable under a link mask, or excluded from a hybrid DAG) parks
+/// there: afterwards `flow` holds every node's parked or delivered
+/// volume, which is how [`crate::trapped_flow`] measures it.
+/// `override_branches` substitutes one node's branch list for this walk
+/// (the engine's fast-rebranch path). `flow` is caller scratch,
+/// overwritten.
+pub fn push_demand_flat(
+    ft: &FlatTopo,
     dag: &ShortestPathDag,
-    m: &TrafficMatrix,
-    t: NodeId,
+    demand: &[f64],
     flow: &mut Vec<f64>,
-    out: &mut [f64],
+    override_branches: Option<(u32, &[u32])>,
+    mut add: impl FnMut(u32, f64),
 ) {
-    push_demand_down_dag_with(topo, dag, m, t, flow, out, None)
-}
-
-/// Like [`push_demand_down_dag`], but with one node's ECMP branch list
-/// optionally **overridden** (`Some((node, branches))` replaces
-/// `dag.ecmp_out[node]` for this walk only). The incremental engine
-/// uses this for the common weight deltas whose entire effect is an
-/// ECMP-membership change at a single node: the walk runs on the cached
-/// DAG without copying it, and because the shares are computed by the
-/// identical expressions, the result is bit-identical to pushing down a
-/// repaired DAG.
-pub fn push_demand_down_dag_with(
-    topo: &Topology,
-    dag: &ShortestPathDag,
-    m: &TrafficMatrix,
-    t: NodeId,
-    flow: &mut Vec<f64>,
-    out: &mut [f64],
-    override_branches: Option<(u32, &[dtr_graph::LinkId])>,
-) {
-    flow.resize(topo.node_count(), 0.0);
-    flow.fill(0.0);
-    for (s, v) in m.demands_to(t.index()) {
-        flow[s] += v;
-    }
+    debug_assert_eq!(demand.len(), ft.node_count());
+    flow.clear();
+    flow.extend_from_slice(demand);
     // Decreasing-distance order guarantees every contributor to a
     // node's flow is processed before the node itself.
     for &v in &dag.order {
         let vi = v as usize;
         let f = flow[vi];
-        if f <= 0.0 || NodeId(v) == t {
+        if f <= 0.0 || v == dag.dest {
             continue;
         }
-        let branches: &[dtr_graph::LinkId] = match override_branches {
+        let branches: &[u32] = match override_branches {
             Some((ov, b)) if ov == v => b,
-            _ => &dag.ecmp_out[vi],
+            _ => dag.branches(ft, v),
         };
         if branches.is_empty() {
-            // Unreachable under a link mask: the demand is dropped
-            // (validated topologies are strongly connected, so this
-            // only happens in failure scenarios).
+            // Unreachable: the demand stays at this node.
             continue;
         }
         let share = f / branches.len() as f64;
         for &lid in branches {
-            out[lid.index()] += share;
-            flow[topo.link(lid).dst.index()] += share;
+            add(lid, share);
+            flow[ft.dst(lid) as usize] += share;
         }
     }
 }

@@ -94,17 +94,18 @@ proptest! {
         // expected hop count over even ECMP splitting. Compute it with an
         // independent DP over the DAG.
         let mut expect = 0.0;
+        let ft = dtr_graph::FlatTopo::new(&topo);
         for t in topo.nodes() {
             let dag = dtr_graph::ShortestPathDag::compute(&topo, &weights, t);
             let mut hops = vec![0.0f64; topo.node_count()];
             for &v in dag.order.iter().rev() {
                 let vi = v as usize;
                 if NodeId(v) == t { continue; }
-                let branches = &dag.ecmp_out[vi];
+                let branches = dag.branches(&ft, v);
                 if branches.is_empty() { continue; }
                 let mut acc = 0.0;
                 for &lid in branches {
-                    acc += 1.0 + hops[topo.link(lid).dst.index()];
+                    acc += 1.0 + hops[ft.dst(lid) as usize];
                 }
                 hops[vi] = acc / branches.len() as f64;
             }

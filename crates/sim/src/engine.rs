@@ -261,7 +261,7 @@ struct Engine {
     /// range of `branch_links` holding the ECMP branches of `class` at
     /// `node` towards `dest`.
     branch_at: Vec<u32>,
-    branch_links: Vec<LinkId>,
+    branch_links: Vec<u32>,
     nodes: usize,
     cfg: SimConfig,
     rng: StdRng,
@@ -459,7 +459,7 @@ impl Engine {
         // One uniform draw per hop, even with a single branch: the sim
         // goldens freeze this RNG stream.
         let link = branches[self.rng.random_range(0..branches.len())];
-        self.enqueue(p, f.class as usize, link.index(), now);
+        self.enqueue(p, f.class as usize, link as usize, now);
     }
 
     fn enqueue(&mut self, mut p: Packet, class: usize, link: usize, now: f64) {

@@ -8,7 +8,7 @@
 //! 1. **Loads** — each class's demand is routed exactly like the
 //!    analytic evaluator routes it: one shortest-path DAG per
 //!    destination, even splitting over equal-cost branches, implemented
-//!    by the *same* primitive (`dtr_routing::push_demand_down_dag`) on
+//!    by the *same* primitive (`dtr_routing::push_demand_flat`) on
 //!    DAGs from the *same* [`ForwardingState`] the DES forwards on.
 //!    Identical DAGs + identical arithmetic ⇒ the loads are
 //!    bit-identical to `Evaluator::eval_dual`'s — the structural
@@ -31,8 +31,8 @@ use crate::forwarding::ForwardingState;
 use crate::queueing::{cobham_k, PriorityLink};
 use crate::stats::PairKey;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{NodeId, Topology, WeightVector};
-use dtr_routing::push_demand_down_dag;
+use dtr_graph::{LinkId, NodeId, Topology, WeightVector};
+use dtr_routing::{demand_column, push_demand_flat};
 use dtr_traffic::{DemandSet, TrafficMatrix};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -88,12 +88,16 @@ impl FluidSim {
         m: &TrafficMatrix,
         flow: &mut Vec<f64>,
     ) -> Vec<f64> {
+        let (flat, n) = (fwd.flat(), topo.node_count());
         let mut loads = vec![0.0; topo.link_count()];
         for t in topo.nodes() {
-            if m.demands_to(t.index()).next().is_none() {
+            let col = demand_column(m, t.0, n);
+            if col.is_empty() {
                 continue;
             }
-            push_demand_down_dag(topo, fwd.dag(class, t), m, t, flow, &mut loads);
+            push_demand_flat(flat, fwd.dag(class, t), &col, flow, None, |l, share| {
+                loads[l as usize] += share
+            });
         }
         loads
     }
@@ -189,12 +193,12 @@ impl FluidSim {
                     if NodeId(v) == t || !dag.reachable(NodeId(v)) {
                         continue;
                     }
-                    let branches = &dag.ecmp_out[vi];
+                    let branches = dag.branches(fwd.flat(), v);
                     let mut acc = 0.0;
                     for &lid in branches {
-                        let link = topo.link(lid);
-                        acc += sojourn[c][lid.index()] + link.prop_delay + xi[link.dst.index()];
-                        hot[vi] |= link_hot[lid.index()] || hot[link.dst.index()];
+                        let link = topo.link(LinkId(lid));
+                        acc += sojourn[c][lid as usize] + link.prop_delay + xi[link.dst.index()];
+                        hot[vi] |= link_hot[lid as usize] || hot[link.dst.index()];
                     }
                     xi[vi] = acc / branches.len() as f64;
                 }

@@ -6,21 +6,35 @@
 //! evaluator's even splitting in expectation.
 
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, NodeId, ShortestPathDag, Topology, WeightVector};
+use dtr_graph::{FlatTopo, NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
 use dtr_routing::{hybrid_low_dag, DeploymentSet};
 
 /// Per-class, per-destination shortest-path DAGs.
 ///
 /// The full [`ShortestPathDag`] is retained (not just the branch lists):
-/// the discrete-event engine only reads `ecmp_out`, but the fluid
+/// the discrete-event engine only reads the branches, but the fluid
 /// backend ([`crate::FluidSim`]) also needs `order` for its
 /// decreasing-distance load pushing and delay dynamic program — sharing
 /// one structure guarantees both backends route on identical DAGs.
 #[derive(Debug, Clone)]
 pub struct ForwardingState {
+    /// The view of the topology the DAGs were computed on.
+    flat: FlatTopo,
     /// `dags[class][dest]` = the ECMP DAG towards `dest`, one row per
     /// priority class (0 = served first).
     dags: Vec<Vec<ShortestPathDag>>,
+}
+
+/// The DAG towards every destination, ascending, on `w`.
+fn dags_on(flat: &FlatTopo, w: &WeightVector) -> Vec<ShortestPathDag> {
+    let mut ws = SpfWorkspace::new();
+    (0..flat.node_count() as u32)
+        .map(|dest| {
+            let mut dag = ShortestPathDag::empty(flat);
+            dag.compute_into(flat, w.as_slice(), dest, None, &mut ws);
+            dag
+        })
+        .collect()
 }
 
 impl ForwardingState {
@@ -35,16 +49,9 @@ impl ForwardingState {
     /// unified objective spec plumbs through the backends).
     pub fn with_class_weights(topo: &Topology, weights: &[WeightVector]) -> Self {
         assert!(!weights.is_empty(), "need at least one class");
-        ForwardingState {
-            dags: weights
-                .iter()
-                .map(|w| {
-                    topo.nodes()
-                        .map(|dest| ShortestPathDag::compute(topo, w, dest))
-                        .collect()
-                })
-                .collect(),
-        }
+        let flat = FlatTopo::new(topo);
+        let dags = weights.iter().map(|w| dags_on(&flat, w)).collect();
+        ForwardingState { flat, dags }
     }
 
     /// Builds the tables for a **partially deployed** network: class 0
@@ -63,18 +70,15 @@ impl ForwardingState {
         if dep.is_full() {
             return Self::new(topo, weights);
         }
-        let high: Vec<ShortestPathDag> = topo
-            .nodes()
-            .map(|dest| ShortestPathDag::compute(topo, &weights.high, dest))
-            .collect();
-        let low = topo
-            .nodes()
-            .map(|dest| {
-                let pure = ShortestPathDag::compute(topo, &weights.low, dest);
-                hybrid_low_dag(topo, dep, &high[dest.index()], &pure)
-            })
+        let flat = FlatTopo::new(topo);
+        let high = dags_on(&flat, &weights.high);
+        let low = dags_on(&flat, &weights.low)
+            .iter()
+            .zip(&high)
+            .map(|(pure, high)| hybrid_low_dag(&flat, dep, high, pure))
             .collect();
         ForwardingState {
+            flat,
             dags: vec![high, low],
         }
     }
@@ -85,11 +89,13 @@ impl ForwardingState {
         self.dags.len()
     }
 
-    /// The ECMP branches for priority class `class` at `node` towards
-    /// `dest`. Empty exactly when `node == dest`.
+    /// The ECMP branches (link indices) for priority class `class` at
+    /// `node` towards `dest`. Empty when `node == dest`, and for a node
+    /// that cannot forward: one that cannot reach `dest`, or one a
+    /// partial deployment's forwarding loop traps.
     #[inline]
-    pub fn branches(&self, class: usize, dest: NodeId, node: NodeId) -> &[LinkId] {
-        &self.dags[class][dest.index()].ecmp_out[node.index()]
+    pub fn branches(&self, class: usize, dest: NodeId, node: NodeId) -> &[u32] {
+        self.dags[class][dest.index()].branches(&self.flat, node.0)
     }
 
     /// The full shortest-path DAG of priority class `class` towards
@@ -98,13 +104,20 @@ impl ForwardingState {
     pub fn dag(&self, class: usize, dest: NodeId) -> &ShortestPathDag {
         &self.dags[class][dest.index()]
     }
+
+    /// The view of the topology the DAGs were computed on, which
+    /// [`ShortestPathDag::branches`] reads.
+    #[inline]
+    pub fn flat(&self) -> &FlatTopo {
+        &self.flat
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dtr_graph::gen::triangle_topology;
-    use dtr_graph::WeightVector;
+    use dtr_graph::{LinkId, WeightVector};
 
     #[test]
     fn classes_can_diverge() {
@@ -117,11 +130,19 @@ mod tests {
 
         let high = fwd.branches(0, NodeId(2), NodeId(0));
         assert_eq!(high.len(), 1);
-        assert_eq!(topo.link(high[0]).dst, NodeId(2), "high goes direct");
+        assert_eq!(
+            topo.link(LinkId(high[0])).dst,
+            NodeId(2),
+            "high goes direct"
+        );
 
         let low = fwd.branches(1, NodeId(2), NodeId(0));
         assert_eq!(low.len(), 1);
-        assert_eq!(topo.link(low[0]).dst, NodeId(1), "low detours via B");
+        assert_eq!(
+            topo.link(LinkId(low[0])).dst,
+            NodeId(1),
+            "low detours via B"
+        );
     }
 
     #[test]
@@ -183,10 +204,14 @@ mod tests {
         let fwd = ForwardingState::with_deployment(&topo, &w, &dep);
         let low = fwd.branches(1, NodeId(2), NodeId(0));
         assert_eq!(low.len(), 1);
-        assert_eq!(topo.link(low[0]).dst, NodeId(2), "legacy A goes direct");
+        assert_eq!(
+            topo.link(LinkId(low[0])).dst,
+            NodeId(2),
+            "legacy A goes direct"
+        );
         // High forwarding is untouched by the deployment.
         let high = fwd.branches(0, NodeId(2), NodeId(0));
-        assert_eq!(topo.link(high[0]).dst, NodeId(2));
+        assert_eq!(topo.link(LinkId(high[0])).dst, NodeId(2));
     }
 
     #[test]

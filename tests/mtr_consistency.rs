@@ -5,7 +5,7 @@
 use dtr::core::{DtrSearch, Objective, SearchParams};
 use dtr::graph::gen::{random_topology, RandomTopologyCfg};
 use dtr::graph::spf::path_weight;
-use dtr::graph::{NodeId, ShortestPathDag};
+use dtr::graph::{FlatTopo, LinkId, NodeId, ShortestPathDag};
 use dtr::mtr::{MtrNetwork, TopologyId};
 use dtr::traffic::{DemandSet, TrafficCfg};
 
@@ -37,6 +37,7 @@ fn fibs_match_evaluator_dags_for_optimized_weights() {
     let mut net = MtrNetwork::new(&topo, res.weights.clone());
     net.converge();
     assert!(net.databases_synchronized());
+    let ft = FlatTopo::new(&topo);
 
     for (tid, wv) in [
         (TopologyId::DEFAULT, &res.weights.high),
@@ -49,7 +50,8 @@ fn fibs_match_evaluator_dags_for_optimized_weights() {
                     continue;
                 }
                 let mut fib_hops = net.fib(router, tid).lookup(dest).to_vec();
-                let mut dag_hops = dag.ecmp_out[router.index()].clone();
+                let branches = dag.branches(&ft, router.0).iter();
+                let mut dag_hops: Vec<LinkId> = branches.map(|&l| LinkId(l)).collect();
                 fib_hops.sort();
                 dag_hops.sort();
                 assert_eq!(
