@@ -12,7 +12,7 @@ use dtr_daemon::DaemonCfg;
 use dtr_engine::BackendKind;
 use dtr_graph::{export, LinkId, Topology, Weight, MIN_WEIGHT};
 use dtr_mtr::{MtrNetwork, TopologyId};
-use dtr_routing::Evaluator;
+use dtr_routing::{strongly_connected_under, Evaluator};
 use dtr_scenario::{ScenarioSpec, TopologySpec};
 use dtr_sim::{SimConfig, Simulation};
 use dtr_traffic::{DemandSet, HighPriModel, SinkPattern, TrafficCfg};
@@ -137,8 +137,20 @@ fn incumbent(
         .transpose()
 }
 
+/// Loads the `--topo` file. Its `Deserialize` checks each link but not
+/// connectivity, and every command routes demand between every pair: a
+/// network some node cannot reach would drop that demand silently or
+/// panic in the simulator, so it is reported here.
 fn topology(args: &Args) -> Result<Topology, CliError> {
-    load(args.require(&TOPO)?)
+    let path = args.require(&TOPO)?;
+    let topo: Topology = load(path)?;
+    if !strongly_connected_under(&topo, &vec![true; topo.link_count()]) {
+        return Err(misfit(
+            path,
+            "the links do not connect every node to every other",
+        ));
+    }
+    Ok(topo)
 }
 
 /// Checks that each of `links` has a reverse direction: the commands

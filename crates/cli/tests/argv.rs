@@ -207,6 +207,7 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
     ));
     assert!(churned.status.success(), "{churned:?}");
     let [oneway, unit] = one_way_instance(dir);
+    let [cut, cut_m, cut_w] = disconnected_instance(dir);
     for (line, code, token) in [
         // Out-of-range values that used to die in a library assert!.
         (format!("topo random --nodes 0 --out {out}"), 2, "0/150"),
@@ -263,6 +264,24 @@ fn probed_panics_and_silent_typos_are_usage_or_input_errors() {
             format!("deploy --topo {oneway} --weights {unit} --fail-link 22"),
             1,
             "oneway.json: link 22 (n3 → n4) has no reverse direction",
+        ),
+        // A network node c cannot be reached in, with demand a → c:
+        // `simulate` used to panic, `evaluate` to drop the demand and
+        // exit 0, `dtrd` to boot and then refuse its own snapshot.
+        (
+            format!("evaluate --topo {cut} --traffic {cut_m} --weights {cut_w}"),
+            1,
+            "cut.json: the links do not connect every node to every other",
+        ),
+        (
+            format!("simulate --topo {cut} --traffic {cut_m} --weights {cut_w}"),
+            1,
+            "cut.json: the links do not connect every node to every other",
+        ),
+        (
+            format!("dtrd --topo {cut} --traffic {cut_m} --weights {cut_w}"),
+            2,
+            "cut.json: the links do not connect every node to every other",
         ),
         // Files that used to load and panic at first use.
         (
@@ -429,6 +448,29 @@ fn one_way_instance(dir: &Path) -> [String; 2] {
     let v = vec![1; topo.link_count()];
     std::fs::write(&unit, format!("{{\"high\":{v:?},\"low\":{v:?}}}")).unwrap();
     [oneway, unit]
+}
+
+/// A 3-node network with a ↔ b and a one-way c → b, so nothing reaches
+/// c, a high demand a → c, and unit weights: `[topology, traffic,
+/// weights]` under `dir`. Written by hand, because `TopologyBuilder`
+/// refuses to build it.
+fn disconnected_instance(dir: &Path) -> [String; 3] {
+    let [topo, traffic, weights] =
+        ["cut.json", "cut-m.json", "cut-w.json"].map(|f| dir.join(f).display().to_string());
+    let link = |src: u32, dst: u32| {
+        format!("{{\"src\":{src},\"dst\":{dst},\"capacity\":100.0,\"prop_delay\":0.001}}")
+    };
+    let links = [link(0, 1), link(1, 0), link(2, 1)].join(",");
+    let text = format!(
+        "{{\"node_count\":3,\"links\":[{links}],\"out_links\":[[0],[1],[2]],\
+         \"in_links\":[[1],[0,2],[]],\"names\":[\"a\",\"b\",\"c\"]}}"
+    );
+    std::fs::write(&topo, text).unwrap();
+    let matrix = |ac: f64| format!("{{\"n\":3,\"data\":[0.0,0.0,{ac:?},0.0,0.0,0.0,0.0,0.0,0.0]}}");
+    let demands = format!("{{\"high\":{},\"low\":{}}}", matrix(10.0), matrix(0.0));
+    std::fs::write(&traffic, demands).unwrap();
+    std::fs::write(&weights, "{\"high\":[1,1,1],\"low\":[1,1,1]}").unwrap();
+    [topo, traffic, weights]
 }
 
 /// What a perturbed flag is given instead of its value; the first entry

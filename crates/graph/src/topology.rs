@@ -132,8 +132,11 @@ pub struct Topology {
 /// A topology file or snapshot is rebuilt through [`TopologyBuilder`],
 /// so it passes every per-link check a generated one does, and its
 /// adjacency lists must be exactly what its links imply. Connectivity is
-/// not required here: the backends answer an unreachable pair with an
-/// infinite delay, and `dtrd` checks it under the link mask in force.
+/// not checked here, because only some readers need it: the fluid
+/// backend answers an unreachable pair with an infinite delay, while
+/// the evaluators drop its demand and the packet simulator refuses it.
+/// So `dtrctl` and `dtrd` check a `--topo` file when they load it, and
+/// `dtrd` checks a snapshot under the link mask in force.
 impl Deserialize for Topology {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         #[derive(Deserialize)]
