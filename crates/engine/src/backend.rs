@@ -115,22 +115,11 @@ impl<'a> FullBackend<'a> {
 
 /// Shared full-evaluation walk (also the fallback path of the
 /// incremental backend): identical iteration order and arithmetic to
-/// [`dtr_routing::LoadCalculator`]. With `want_dags`, a DAG for every
-/// destination, with demand or not.
+/// [`dtr_routing::LoadCalculator`], with the links `mask` marks down
+/// removed (`None` keeps all; the full backend's per-scenario path
+/// matches [`dtr_routing::LoadCalculator::class_loads_masked`]). With
+/// `want_dags`, a DAG for every destination, with demand or not.
 pub fn full_candidate_eval(
-    flat: &FlatTopo,
-    matrices: &[&TrafficMatrix],
-    w: &WeightVector,
-    want_dags: bool,
-) -> CandidateEval {
-    full_candidate_eval_masked(flat, matrices, w, None, want_dags)
-}
-
-/// [`full_candidate_eval`] with the links `mask` marks down removed —
-/// identical iteration order and arithmetic to
-/// [`dtr_routing::LoadCalculator::class_loads_masked`]. The full
-/// backend's per-scenario path.
-pub fn full_candidate_eval_masked(
     flat: &FlatTopo,
     matrices: &[&TrafficMatrix],
     w: &WeightVector,
@@ -167,7 +156,7 @@ pub fn full_candidate_eval_masked(
     CandidateEval { loads, dags }
 }
 
-/// One [`full_candidate_eval_masked`] of `w` per scenario, fanned out
+/// One masked [`full_candidate_eval`] of `w` per scenario, fanned out
 /// like a candidate batch (the scenarios are independent): the full
 /// backend's sweep and the incremental backend's fallback.
 fn full_scenarios_eval(
@@ -180,7 +169,7 @@ fn full_scenarios_eval(
         .par_iter()
         .map(|sc| {
             let mask = LinkMask::from_up_slice(&sc.link_up);
-            full_candidate_eval_masked(flat, matrices, w, Some(&mask), false)
+            full_candidate_eval(flat, matrices, w, Some(&mask), false)
         })
         .collect()
 }
@@ -189,7 +178,7 @@ impl<'a> EvalBackend for FullBackend<'a> {
     fn eval_batch(&mut self, cands: &[WeightVector], want_dags: bool) -> Vec<CandidateEval> {
         cands
             .par_iter()
-            .map(|w| full_candidate_eval(&self.flat, &self.matrices, w, want_dags))
+            .map(|w| full_candidate_eval(&self.flat, &self.matrices, w, None, want_dags))
             .collect()
     }
 
@@ -250,7 +239,7 @@ impl<'a> EvalBackend for IncrementalBackend<'a> {
             .map(|(ev, w)| {
                 // `None`: a diversification-sized jump, evaluated in full.
                 ev.unwrap_or_else(|| {
-                    full_candidate_eval(self.state.flat(), &self.matrices, w, want_dags)
+                    full_candidate_eval(self.state.flat(), &self.matrices, w, None, want_dags)
                 })
             })
             .collect()

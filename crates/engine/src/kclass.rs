@@ -73,9 +73,9 @@ impl KClassEvaluation {
 /// Entries per class in the side cache. A search step re-reads the `k`
 /// current sides and its own last few candidates (the accepted one
 /// becomes current); nothing older is revisited often enough to matter.
-/// An SLA-class entry holds one `Arc<ShortestPathDag>` per destination: the
-/// backend's base `Arc` where the candidate left the destination alone,
-/// its own flat copy where it repaired it. Measured when every entry
+/// An SLA-class entry holds one `Arc<ShortestPathDag>` per destination:
+/// the backend's base `Arc` where the candidate left the destination
+/// alone, its own copy where it repaired it. Measured when every entry
 /// held a materialized DAG per destination: at the two-class
 /// evaluator's 512 entries a 30-node k = 3 suite run held 24 MB, at 16
 /// it held 11 MB at the same speed.

@@ -41,8 +41,7 @@ pub mod kclass;
 pub mod state;
 
 pub use backend::{
-    full_candidate_eval, full_candidate_eval_masked, make_backend, BackendKind, EvalBackend,
-    FullBackend, IncrementalBackend,
+    full_candidate_eval, make_backend, BackendKind, EvalBackend, FullBackend, IncrementalBackend,
 };
 pub use cache::{weight_hash, LruCache};
 pub use dynspf::{
