@@ -233,15 +233,14 @@ impl<'a> Evaluator<'a> {
     /// Routes the high class on `wh` (one SPF per destination with
     /// high-priority demand).
     pub fn high_loads(&mut self, wh: &WeightVector) -> ClassLoads {
-        let high = &self.demands.high;
-        self.calc
-            .class_loads_on(&self.ft, wh.as_slice(), None, high)
+        let (ft, high) = (&self.ft, &self.demands.high);
+        self.calc.class_loads_on(ft, wh.as_slice(), None, high)
     }
 
     /// Routes the low class on `wl`.
     pub fn low_loads(&mut self, wl: &WeightVector) -> ClassLoads {
-        let low = &self.demands.low;
-        self.calc.class_loads_on(&self.ft, wl.as_slice(), None, low)
+        let (ft, low) = (&self.ft, &self.demands.low);
+        self.calc.class_loads_on(ft, wl.as_slice(), None, low)
     }
 
     /// Binds a partial-deployment model (see [`crate::deploy`]), or

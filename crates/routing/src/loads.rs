@@ -59,13 +59,8 @@ impl LoadCalculator {
         link_up: &[bool],
         demands: &TrafficMatrix,
     ) -> ClassLoads {
-        let mask = LinkMask::from_up_slice(link_up);
-        self.class_loads_on(
-            &FlatTopo::new(topo),
-            weights.as_slice(),
-            Some(&mask),
-            demands,
-        )
+        let (ft, mask) = (FlatTopo::new(topo), LinkMask::from_up_slice(link_up));
+        self.class_loads_on(&ft, weights.as_slice(), Some(&mask), demands)
     }
 
     /// The loads of one class on a prebuilt view of the topology, with
@@ -93,14 +88,8 @@ impl LoadCalculator {
     ) -> (ClassLoads, ClassLoads) {
         let mut h = vec![0.0; topo.link_count()];
         let mut l = vec![0.0; topo.link_count()];
-        let ft = FlatTopo::new(topo);
-        self.accumulate(
-            &ft,
-            weights.as_slice(),
-            None,
-            &[high, low],
-            &mut [&mut h, &mut l],
-        );
+        let (ft, w) = (FlatTopo::new(topo), weights.as_slice());
+        self.accumulate(&ft, w, None, &[high, low], &mut [&mut h, &mut l]);
         (h, l)
     }
 
