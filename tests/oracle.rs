@@ -218,12 +218,7 @@ fn oracle_phi_l(topo: &Topology, high: &[f64], low: &[f64], trapped: f64) -> f64
             phi(low[i], (link.capacity - high[i]).max(0.0))
         })
         .sum();
-    links
-        + if trapped > 0.0 {
-            phi(trapped, 0.0)
-        } else {
-            0.0
-        }
+    links + phi(trapped, 0.0)
 }
 
 /// Checks the deployed low loads, the trapped volume and the engine's
