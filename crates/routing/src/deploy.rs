@@ -12,40 +12,40 @@
 //! [`DeploymentSet`] is the bitset of upgraded nodes. The high class is
 //! untouched by deployment — every node forwards it on the high
 //! topology. The low class follows a **hybrid** forwarding graph: at an
-//! upgraded node its next-hops come from the low-topology DAG, at a
-//! legacy node from the high-topology DAG. [`hybrid_low_dag`] folds the
-//! two per-destination DAGs into one [`ShortestPathDag`], so the one
-//! demand push ([`crate::loads::push_demand_flat`]), the fluid solver and
-//! the DES walk the mixed network exactly as they walk a full
-//! deployment. `tests/oracle.rs` checks the loads and trapped volume it
-//! yields against a path enumeration that implements the rule below on
-//! its own.
+//! upgraded node its next hops come from the low-topology DAG, at a
+//! legacy node from the high-topology DAG.
 //!
-//! ## Loops and trapped demand
+//! ## The walk, and trapped demand
 //!
 //! Mixing two per-destination DAGs can create forwarding loops: each
 //! DAG is acyclic on its own, but a legacy hop "towards t on the high
 //! topology" can point back at an upgraded hop "towards t on the low
 //! topology". Real mixed networks hit exactly this failure mode
 //! (packets ping-pong until TTL expiry), so it must be *modeled*, not
-//! assumed away. The hybrid DAG is built by a deterministic Kahn
-//! topological sort over the hybrid next-hop edges:
+//! assumed away. One deterministic Kahn walk over the hybrid next hops
+//! decides who forwards: a node is placed once every hybrid edge into
+//! it comes from a placed node, ready nodes by ascending index. A node
+//! forwards only if the walk places it and it has next hops. Put the
+//! other way: a node forwards only if no node with a path into it lies
+//! on a cycle. This covers the destination too: when a loop feeds into
+//! it, what reaches it counts as trapped. Demand parks on the first
+//! node that does not forward, and the parked volume is the **trapped**
+//! volume.
 //!
-//! - nodes the sort orders are **forwarding** nodes: they get a
-//!   synthetic rank distance (decreasing along `order`) and keep their
-//!   governing branch lists;
-//! - nodes caught in a loop — and nodes downstream of one, whose
-//!   position relative to the loop is undefined — are marked
-//!   [`UNREACHABLE`] with **cleared** branch lists, as are non-
-//!   destination nodes whose governing DAG gave them no out-branches.
-//!   Put the other way: a node forwards only if no node with a path
-//!   into it lies on a cycle. This covers the destination too: when a
-//!   loop feeds into it, what reaches it counts as trapped;
-//! - demand that reaches an `UNREACHABLE` node parks there: the load
-//!   push never forwards out of such a node, so after a push the flow
-//!   sitting on excluded nodes *is* the trapped volume, summed exactly
-//!   by [`trapped_flow`] (an empty exclusion set sums to exactly
-//!   `0.0` — no float subtraction involved).
+//! The walk has two callers:
+//!
+//! - [`push_hybrid`] pushes one destination's demand as it places each
+//!   node and returns the trapped volume, building no DAG.
+//!   `Evaluator::low_loads_deployed` and `dtr-engine`'s cached hybrid
+//!   loads both call it.
+//! - [`hybrid_low_dag`] folds the placement into a [`ShortestPathDag`]
+//!   for the fluid solver and the DES: nodes the walk leaves out are
+//!   [`UNREACHABLE`] with no branches. The one demand push
+//!   ([`crate::loads::push_demand_flat`]) over it makes `push_hybrid`'s
+//!   adds in the same order.
+//!
+//! `tests/oracle.rs` checks the loads and trapped volume against a path
+//! enumeration that implements the rule above on its own.
 //!
 //! The evaluator charges trapped demand at `Φ`'s steepest slope
 //! (`phi(u, 0) = 5000·u`), so weight searches under partial deployment
@@ -54,8 +54,6 @@
 
 use dtr_graph::spf::{Dist, UNREACHABLE};
 use dtr_graph::{FlatTopo, ShortestPathDag};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The set of multi-topology-capable (upgraded) routers, as a bitset
 /// over node indices. Nodes outside the set are legacy single-topology
@@ -155,113 +153,140 @@ impl DeploymentSet {
     }
 }
 
+/// Buffers the hybrid walk reuses from one destination to the next:
+/// node flow, in-degree over unplaced branches (`u32::MAX` once
+/// placed), the ready nodes as a bitset.
+#[derive(Debug, Clone, Default)]
+pub struct HybridScratch {
+    flow: Vec<f64>,
+    indeg: Vec<u32>,
+    ready: Vec<u64>,
+}
+
+/// The one Kahn walk over the hybrid next hops of `high` and `low`
+/// towards their destination (see the module docs). Calls `place(v,
+/// branches)` for every node it places, in placement order: the ready
+/// node of lowest index first. Afterwards `indeg[v] == u32::MAX`
+/// exactly for the placed nodes.
+fn walk(
+    ft: &FlatTopo,
+    dep: &DeploymentSet,
+    [high, low]: [&ShortestPathDag; 2],
+    indeg: &mut Vec<u32>,
+    ready: &mut Vec<u64>,
+    mut place: impl FnMut(usize, &[u32]),
+) {
+    debug_assert_eq!(high.dest, low.dest);
+    debug_assert_eq!(dep.node_count(), ft.node_count());
+    let (n, t) = (ft.node_count(), high.dest as usize);
+    // Low branches at upgraded nodes, high ones at legacy nodes; neither
+    // DAG gives the destination any.
+    let governing = |v: usize| (if dep.contains(v) { low } else { high }).branches(ft, v as u32);
+    indeg.clear();
+    indeg.resize(n, 0);
+    for &l in (0..n).flat_map(governing) {
+        indeg[ft.dst(l) as usize] += 1;
+    }
+    // A node other than `t` without branches never forwards.
+    let forwards = |v: usize| v == t || !governing(v).is_empty();
+    ready.clear();
+    ready.resize(n.div_ceil(64), 0);
+    for v in (0..n).filter(|&v| indeg[v] == 0 && forwards(v)) {
+        ready[v / 64] |= 1 << (v % 64);
+    }
+    while let Some(w) = ready.iter().position(|&bits| bits != 0) {
+        let v = w * 64 + ready[w].trailing_zeros() as usize;
+        ready[w] &= ready[w] - 1;
+        indeg[v] = u32::MAX;
+        place(v, governing(v));
+        for &l in governing(v) {
+            let u = ft.dst(l) as usize;
+            indeg[u] -= 1;
+            if indeg[u] == 0 && forwards(u) {
+                ready[u / 64] |= 1 << (u % 64);
+            }
+        }
+    }
+}
+
+/// Pushes `demand`'s `(source, volume)` pairs towards the common
+/// destination of `high` and `low` down their hybrid under `dep`,
+/// reporting every `+= share` a link receives to `add(link, share)`,
+/// and returns the trapped volume (see the module docs). Each node's
+/// flow splits evenly over its branches as the walk places it, so the
+/// adds come in [`push_demand_flat`](crate::push_demand_flat)'s order
+/// over [`hybrid_low_dag`]'s DAG, without building it. The flow left on
+/// unplaced nodes, summed in index order, is the trapped volume:
+/// exactly `0.0` when every node is placed.
+pub fn push_hybrid(
+    ft: &FlatTopo,
+    dep: &DeploymentSet,
+    dags: [&ShortestPathDag; 2],
+    demand: impl IntoIterator<Item = (usize, f64)>,
+    scratch: &mut HybridScratch,
+    mut add: impl FnMut(u32, f64),
+) -> f64 {
+    let HybridScratch { flow, indeg, ready } = scratch;
+    flow.clear();
+    flow.resize(ft.node_count(), 0.0);
+    for (s, v) in demand {
+        flow[s] += v;
+    }
+    walk(ft, dep, dags, indeg, ready, |v, branches| {
+        let f = flow[v];
+        if f > 0.0 {
+            let share = f / branches.len() as f64;
+            for &l in branches {
+                add(l, share);
+                flow[ft.dst(l) as usize] += share;
+            }
+        }
+    });
+    let unplaced = (0..flow.len()).filter(|&v| indeg[v] != u32::MAX);
+    unplaced.map(|v| flow[v]).sum()
+}
+
 /// Folds the per-destination high and low DAGs into the hybrid
-/// forwarding DAG the low class actually follows under `dep` (see the
-/// module docs). `high` and `low` must both target the same
-/// destination, and `ft` must be the view of the topology they were
-/// computed on.
+/// forwarding DAG the low class follows under `dep` (see the module
+/// docs), for the consumers that need the DAG itself: the fluid solver
+/// and the DES. `high` and `low` must both target the same destination,
+/// and `ft` must be the view of the topology they were computed on.
 ///
-/// The result is a structurally valid [`ShortestPathDag`]: `order` is a
-/// topological order of the forwarding edges (sources first), `dist`
-/// decreases along it (synthetic ranks — only the relative order and
-/// the [`UNREACHABLE`] marker are meaningful), and a node's branches are
-/// empty exactly for the destination and every `UNREACHABLE` node. All
-/// DAG consumers work on it unchanged.
-///
-/// Determinism: the Kahn sort breaks ties by ascending node index, so
-/// the hybrid DAG is a pure function of `(dep, high, low)` — no
-/// iteration-order or scheduling dependence.
+/// The result is a structurally valid [`ShortestPathDag`]: `order`
+/// lists the nodes the walk leaves out ([`UNREACHABLE`], no branches),
+/// then the placed ones in placement order with strictly decreasing
+/// synthetic ranks (only their relative order is meaningful). All DAG
+/// consumers work on it unchanged, and it is a pure function of `(dep,
+/// high, low)`.
 pub fn hybrid_low_dag(
     ft: &FlatTopo,
     dep: &DeploymentSet,
     high: &ShortestPathDag,
     low: &ShortestPathDag,
 ) -> ShortestPathDag {
-    debug_assert_eq!(high.dest, low.dest);
-    debug_assert_eq!(dep.node_count(), ft.node_count());
-    let n = ft.node_count();
-    let dest = high.dest;
-
-    // Governing branch list per node: low DAG at upgraded nodes, high
-    // DAG at legacy nodes; nothing at the destination.
-    let governing = |v: usize| -> &[u32] {
-        if v as u32 == dest {
-            &[]
-        } else if dep.contains(v) {
-            low.branches(ft, v as u32)
-        } else {
-            high.branches(ft, v as u32)
-        }
-    };
-
-    // Non-destination nodes with no governing branches can never
-    // forward: excluded up front (their governing DAG already marked
-    // them unreachable, or a link mask emptied them).
-    let mut excluded = vec![false; n];
-    for (v, ex) in excluded.iter_mut().enumerate() {
-        if v as u32 != dest && governing(v).is_empty() {
-            *ex = true;
-        }
-    }
-
-    // Kahn over the hybrid edges. In-degrees count every governing
-    // edge; a node is orderable once all its upstream contributors are
-    // placed. Loop members never reach in-degree zero; neither do
-    // nodes downstream of a loop — both stay excluded.
-    let mut indeg = vec![0u32; n];
-    for (v, &ex) in excluded.iter().enumerate() {
-        if ex {
-            continue;
-        }
-        for &lid in governing(v) {
-            indeg[ft.dst(lid) as usize] += 1;
-        }
-    }
-    let mut heap: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
-    for v in 0..n {
-        if !excluded[v] && indeg[v] == 0 {
-            heap.push(Reverse(v as u32));
-        }
-    }
-    let mut processed: Vec<u32> = Vec::with_capacity(n);
-    while let Some(Reverse(v)) = heap.pop() {
-        processed.push(v);
-        for &lid in governing(v as usize) {
-            let u = ft.dst(lid) as usize;
-            indeg[u] -= 1;
-            if indeg[u] == 0 && !excluded[u] {
-                heap.push(Reverse(u as u32));
-            }
-        }
-    }
-
-    // Assemble: excluded (and loop-stuck) nodes first in `order` with
-    // UNREACHABLE rank and no branches, then the processed nodes with
-    // strictly decreasing synthetic ranks.
     let mut hybrid = ShortestPathDag::empty(ft);
-    hybrid.dest = dest;
-    for (i, &v) in processed.iter().enumerate() {
-        hybrid.dist[v as usize] = (processed.len() - 1 - i) as Dist;
-        hybrid.set_branches(ft, v, governing(v as usize));
+    hybrid.dest = high.dest;
+    let mut placed = Vec::with_capacity(ft.node_count());
+    let (mut indeg, mut ready) = (Vec::new(), Vec::new());
+    walk(
+        ft,
+        dep,
+        [high, low],
+        &mut indeg,
+        &mut ready,
+        |v, branches| {
+            hybrid.set_branches(ft, v as u32, branches);
+            placed.push(v as u32);
+        },
+    );
+    for (rank, &v) in placed.iter().rev().enumerate() {
+        hybrid.dist[v as usize] = rank as Dist;
     }
-    hybrid.order = (0..n as u32)
-        .filter(|&v| hybrid.dist[v as usize] == UNREACHABLE)
-        .collect();
-    hybrid.order.extend_from_slice(&processed);
     hybrid
-}
-
-/// Sums the flow parked on `UNREACHABLE` nodes of `dag` after a demand
-/// push — exactly the volume the hybrid forwarding graph cannot
-/// deliver (see the module docs). With no excluded nodes the sum is
-/// empty and therefore exactly `0.0`.
-pub fn trapped_flow(dag: &ShortestPathDag, node_flow: &[f64]) -> f64 {
-    dag.dist
-        .iter()
-        .zip(node_flow)
-        .filter(|(&d, _)| d == UNREACHABLE)
-        .map(|(_, &f)| f)
-        .sum()
+        .order
+        .retain(|&v| hybrid.dist[v as usize] == UNREACHABLE);
+    hybrid.order.extend_from_slice(&placed);
+    hybrid
 }
 
 #[cfg(test)]
@@ -294,6 +319,24 @@ mod tests {
             out[l as usize] += share
         });
         (out, flow)
+    }
+
+    /// [`push_hybrid`] of `m`'s demand towards `dh.dest`: the per-link
+    /// loads and the trapped volume.
+    fn push_mixed(
+        ft: &FlatTopo,
+        dep: &DeploymentSet,
+        dh: &ShortestPathDag,
+        dl: &ShortestPathDag,
+        m: &TrafficMatrix,
+    ) -> (Vec<f64>, f64) {
+        let mut out = vec![0.0; ft.link_count()];
+        let demand = m.demands_to(dh.dest as usize);
+        let mut scratch = HybridScratch::default();
+        let trapped = push_hybrid(ft, dep, [dh, dl], demand, &mut scratch, |l, share| {
+            out[l as usize] += share
+        });
+        (out, trapped)
     }
 
     #[test]
@@ -329,12 +372,11 @@ mod tests {
         let t = NodeId(2);
         let (dh, dl) = dags_for(&topo, &wh, &wl, t);
         let ft = FlatTopo::new(&topo);
-        let hybrid = hybrid_low_dag(&ft, &DeploymentSet::full(3), &dh, &dl);
 
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 2, 2.0 / 3.0);
-        let (out_h, flow) = push(&ft, &hybrid, &m);
-        assert_eq!(trapped_flow(&hybrid, &flow), 0.0);
+        let (out_h, trapped) = push_mixed(&ft, &DeploymentSet::full(3), &dh, &dl, &m);
+        assert_eq!(trapped, 0.0);
         let (out_l, _) = push(&ft, &dl, &m);
         assert_eq!(out_h, out_l, "full deployment must match the low DAG");
     }
@@ -348,12 +390,11 @@ mod tests {
         let t = NodeId(2);
         let (dh, dl) = dags_for(&topo, &wh, &wl, t);
         let ft = FlatTopo::new(&topo);
-        let hybrid = hybrid_low_dag(&ft, &DeploymentSet::empty(3), &dh, &dl);
 
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 2, 1.0);
-        let (out_h, flow) = push(&ft, &hybrid, &m);
-        assert_eq!(trapped_flow(&hybrid, &flow), 0.0);
+        let (out_h, trapped) = push_mixed(&ft, &DeploymentSet::empty(3), &dh, &dl, &m);
+        assert_eq!(trapped, 0.0);
         let (out_high, _) = push(&ft, &dh, &m);
         assert_eq!(out_h, out_high, "all-legacy must match the high DAG");
     }
@@ -386,8 +427,8 @@ mod tests {
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 2, 0.25);
         m.set(1, 2, 0.5);
-        let (out, flow) = push(&ft, &hybrid, &m);
-        assert!((trapped_flow(&hybrid, &flow) - 0.75).abs() < 1e-15);
+        let (out, trapped) = push_mixed(&ft, &dep, &dh, &dl, &m);
+        assert!((trapped - 0.75).abs() < 1e-15);
         assert!(out.iter().all(|&x| x == 0.0), "trapped flow moves nowhere");
     }
 
@@ -407,15 +448,16 @@ mod tests {
         let (dh, dl) = dags_for(&topo, &wh, &wl, c);
         let dep = DeploymentSet::from_upgraded(3, &[0]);
         let ft = FlatTopo::new(&topo);
-        let hybrid = hybrid_low_dag(&ft, &dep, &dh, &dl);
 
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 2, 1.0);
         m.set(1, 2, 1.0);
-        let (out, flow) = push(&ft, &hybrid, &m);
-        assert_eq!(trapped_flow(&hybrid, &flow), 0.0);
+        let (out, trapped) = push_mixed(&ft, &dep, &dh, &dl, &m);
+        assert_eq!(trapped, 0.0);
         // A's unit goes A→C (low DAG, upgraded); B's goes B→C (high
-        // DAG, legacy). flow[c] accumulates both.
+        // DAG, legacy). Pushed down the hybrid DAG, flow[c] accumulates
+        // both.
+        let (_, flow) = push(&ft, &hybrid_low_dag(&ft, &dep, &dh, &dl), &m);
         assert!((flow[c.index()] - 2.0).abs() < 1e-15);
         let ac = topo.find_link(a, c).unwrap();
         let bc = topo.find_link(b, c).unwrap();

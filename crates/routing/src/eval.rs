@@ -14,10 +14,8 @@
 //! The per-class entry points (`high_loads` / `low_loads` / `assemble`)
 //! let the heuristics re-route only the class whose weights changed.
 
-use crate::deploy::{hybrid_low_dag, trapped_flow, DeploymentSet};
-use crate::loads::{
-    avg_utilization, demand_column, max_utilization, push_demand_flat, ClassLoads, LoadCalculator,
-};
+use crate::deploy::{push_hybrid, DeploymentSet, HybridScratch};
+use crate::loads::{avg_utilization, max_utilization, ClassLoads, LoadCalculator};
 use dtr_cost::{link_delay, phi, sla_penalty, Lex2, Objective, SlaParams};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{
@@ -282,8 +280,8 @@ impl<'a> Evaluator<'a> {
     /// per-link loads plus the total demand volume trapped by hybrid
     /// forwarding loops — exactly `0.0` when nothing loops.
     ///
-    /// Destinations are processed in ascending node order with the same
-    /// push primitive as [`Self::low_loads`]. (Full-deployment
+    /// Destinations are processed in ascending node order, each by one
+    /// [`push_hybrid`] down its high and low DAGs. (Full-deployment
     /// bit-identity is guaranteed one level up: [`Self::set_deployment`]
     /// normalizes a full set to `None`, so the legacy path runs — this
     /// method is only ever invoked for genuinely partial sets.)
@@ -293,23 +291,21 @@ impl<'a> Evaluator<'a> {
         wh: &WeightVector,
         wl: &WeightVector,
     ) -> (ClassLoads, f64) {
-        let (ft, n) = (&self.ft, self.ft.node_count());
+        let (ft, low) = (&self.ft, &self.demands.low);
         let mut out = vec![0.0; ft.link_count()];
-        let mut flow = Vec::new();
+        let mut scratch = HybridScratch::default();
         let mut undeliverable = 0.0;
         let (mut dh, mut dl) = (ShortestPathDag::empty(ft), ShortestPathDag::empty(ft));
-        for t in 0..n as u32 {
-            let col = demand_column(&self.demands.low, t, n);
-            if col.is_empty() {
+        for t in 0..ft.node_count() as u32 {
+            if low.demands_to(t as usize).next().is_none() {
                 continue;
             }
             dh.compute_into(ft, wh.as_slice(), t, None, &mut self.ws);
             dl.compute_into(ft, wl.as_slice(), t, None, &mut self.ws);
-            let hybrid = hybrid_low_dag(ft, dep, &dh, &dl);
-            push_demand_flat(ft, &hybrid, &col, &mut flow, None, |l, share| {
+            let demand = low.demands_to(t as usize);
+            undeliverable += push_hybrid(ft, dep, [&dh, &dl], demand, &mut scratch, |l, share| {
                 out[l as usize] += share
             });
-            undeliverable += trapped_flow(&hybrid, &flow);
         }
         (out, undeliverable)
     }

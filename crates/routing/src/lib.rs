@@ -25,7 +25,7 @@ pub mod lower_bound;
 pub mod scenarios;
 
 pub use cascade::{cascade_classes, ClassCascade};
-pub use deploy::{hybrid_low_dag, trapped_flow, DeploymentSet};
+pub use deploy::{hybrid_low_dag, push_hybrid, DeploymentSet, HybridScratch};
 pub use eval::{
     sla_evaluation, sla_walk, EvalError, Evaluation, Evaluator, HighSide, LinkRank, PairDelay,
     SlaEvaluation,

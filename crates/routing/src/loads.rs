@@ -147,9 +147,11 @@ pub fn demand_column(m: &TrafficMatrix, t: u32, n: usize) -> Vec<f64> {
 /// reported at most once (it is a branch of its unique tail node).
 ///
 /// Flow that reaches a node without branches other than the destination
-/// (unreachable under a link mask, or excluded from a hybrid DAG) parks
+/// (unreachable under a link mask, or left out of a hybrid DAG) parks
 /// there: afterwards `flow` holds every node's parked or delivered
-/// volume, which is how [`crate::trapped_flow`] measures it.
+/// volume. Over [`crate::hybrid_low_dag`]'s DAG the adds are
+/// [`crate::push_hybrid`]'s, and the flow parked on `UNREACHABLE` nodes
+/// is its trapped volume.
 /// `override_branches` substitutes one node's branch list for this walk
 /// (the engine's fast-rebranch path). `flow` is caller scratch,
 /// overwritten.

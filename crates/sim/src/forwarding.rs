@@ -58,7 +58,10 @@ impl ForwardingState {
     /// (high) routes on `weights.high` everywhere, while class 1's DAGs
     /// are the hybrid low DAGs of [`dtr_routing::hybrid_low_dag`] —
     /// legacy (non-upgraded) routers forward low traffic on the high
-    /// topology because they only install one table.
+    /// topology because they only install one table. That DAG is the
+    /// placement of the walk [`dtr_routing::push_hybrid`] runs for the
+    /// evaluator and the engine, so both simulators route the low class
+    /// exactly where those push it.
     ///
     /// A full deployment degenerates to [`ForwardingState::new`]
     /// bit-for-bit (the hybrid is skipped entirely, mirroring the
