@@ -23,14 +23,23 @@
 //! topology". Real mixed networks hit exactly this failure mode
 //! (packets ping-pong until TTL expiry), so it must be *modeled*, not
 //! assumed away. One deterministic Kahn walk over the hybrid next hops
-//! decides who forwards: a node is placed once every hybrid edge into
-//! it comes from a placed node, ready nodes by ascending index. A node
-//! forwards only if the walk places it and it has next hops. Put the
-//! other way: a node forwards only if no node with a path into it lies
-//! on a cycle. This covers the destination too: when a loop feeds into
-//! it, what reaches it counts as trapped. Demand parks on the first
-//! node that does not forward, and the parked volume is the **trapped**
-//! volume.
+//! decides who forwards. A node other than the destination is placed
+//! once every hybrid edge into it comes from a placed node, ready nodes
+//! by ascending index, and only if it has next hops; the destination
+//! waits for no one and is placed last. Put the other way, the rule
+//! is:
+//!
+//! - a node other than the destination forwards only if it has next
+//!   hops and no node with a path into it (itself included) lies on a
+//!   cycle;
+//! - demand parks on the first node that does not forward, and the
+//!   parked volume is the **trapped** volume;
+//! - the destination absorbs whatever reaches it: flow there is
+//!   delivered, never trapped, even when a loop feeds into it.
+//!
+//! The second clause is conservative: a node downstream of a loop
+//! traps flow that reaches it from elsewhere, although that flow itself
+//! never loops.
 //!
 //! The walk has two callers:
 //!
@@ -166,8 +175,8 @@ pub struct HybridScratch {
 /// The one Kahn walk over the hybrid next hops of `high` and `low`
 /// towards their destination (see the module docs). Calls `place(v,
 /// branches)` for every node it places, in placement order: the ready
-/// node of lowest index first. Afterwards `indeg[v] == u32::MAX`
-/// exactly for the placed nodes.
+/// node of lowest index first, the destination last. Afterwards
+/// `indeg[v] == u32::MAX` exactly for the placed nodes.
 fn walk(
     ft: &FlatTopo,
     dep: &DeploymentSet,
@@ -187,8 +196,9 @@ fn walk(
     for &l in (0..n).flat_map(governing) {
         indeg[ft.dst(l) as usize] += 1;
     }
-    // A node other than `t` without branches never forwards.
-    let forwards = |v: usize| v == t || !governing(v).is_empty();
+    // A node without branches never forwards; `t`, which has none,
+    // waits for no one and is placed last.
+    let forwards = |v: usize| !governing(v).is_empty();
     ready.clear();
     ready.resize(n.div_ceil(64), 0);
     for v in (0..n).filter(|&v| indeg[v] == 0 && forwards(v)) {
@@ -207,6 +217,8 @@ fn walk(
             }
         }
     }
+    indeg[t] = u32::MAX;
+    place(t, &[]);
 }
 
 /// Pushes `demand`'s `(source, volume)` pairs towards the common
@@ -217,7 +229,8 @@ fn walk(
 /// adds come in [`push_demand_flat`](crate::push_demand_flat)'s order
 /// over [`hybrid_low_dag`]'s DAG, without building it. The flow left on
 /// unplaced nodes, summed in index order, is the trapped volume:
-/// exactly `0.0` when every node is placed.
+/// exactly `0.0` when every node is placed. Flow at the destination is
+/// never part of it.
 pub fn push_hybrid(
     ft: &FlatTopo,
     dep: &DeploymentSet,
@@ -255,7 +268,8 @@ pub fn push_hybrid(
 /// The result is a structurally valid [`ShortestPathDag`]: `order`
 /// lists the nodes the walk leaves out ([`UNREACHABLE`], no branches),
 /// then the placed ones in placement order with strictly decreasing
-/// synthetic ranks (only their relative order is meaningful). All DAG
+/// synthetic ranks, down to the destination at rank 0 (only their
+/// relative order is meaningful). All DAG
 /// consumers work on it unchanged, and it is a pure function of `(dep,
 /// high, low)`.
 pub fn hybrid_low_dag(

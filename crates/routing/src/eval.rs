@@ -847,6 +847,79 @@ mod tests {
         assert_eq!(e.cost.secondary, e.phi_l);
     }
 
+    /// Low loads and undeliverable volume of a unit low demand `s → t`
+    /// on `n` nodes and duplex `links` of capacity 10, all weights 1 but
+    /// the `(high, low)` overrides, under the deployment `upgraded`.
+    fn deployed_unit_demand(
+        n: usize,
+        links: &[(u32, u32)],
+        high: &[(u32, u32, u32)],
+        low: &[(u32, u32, u32)],
+        upgraded: &[u32],
+        (s, t): (usize, usize),
+    ) -> (ClassLoads, f64) {
+        let mut b = dtr_graph::TopologyBuilder::new();
+        b.add_nodes(n);
+        for &(u, v) in links {
+            b.add_link(NodeId(u), NodeId(v), 10.0, 0.001);
+            b.add_link(NodeId(v), NodeId(u), 10.0, 0.001);
+        }
+        let topo = b.build().unwrap();
+        let weights = |overrides: &[(u32, u32, u32)]| {
+            let mut w = WeightVector::uniform(&topo, 1);
+            for &(u, v, x) in overrides {
+                w.set(topo.find_link(NodeId(u), NodeId(v)).unwrap(), x);
+            }
+            w
+        };
+        let mut demands = DemandSet {
+            high: TrafficMatrix::zeros(n),
+            low: TrafficMatrix::zeros(n),
+        };
+        demands.low.set(s, t, 1.0);
+        let mut ev = Evaluator::new(&topo, &demands, Objective::LoadBased);
+        let dep = DeploymentSet::from_upgraded(n, upgraded);
+        ev.low_loads_deployed(&dep, &weights(high), &weights(low))
+    }
+
+    #[test]
+    fn the_destination_absorbs_what_reaches_it_beside_a_loop() {
+        // a, b, c, t = 0, 1, 2, 3. Legacy a
+        // splits the high class over t and b (weight 2 on a→t); upgraded
+        // b's low route goes back via a (weight 5 on b→t): a ↔ b loops
+        // beside t. c's demand goes straight c→t and never touches the
+        // loop, so all of it is delivered.
+        let (loads, undeliverable) = deployed_unit_demand(
+            4,
+            &[(0, 1), (0, 3), (1, 3), (2, 3)],
+            &[(0, 3, 2)],
+            &[(1, 3, 5)],
+            &[1],
+            (2, 3),
+        );
+        assert_eq!(undeliverable, 0.0);
+        assert_eq!(loads.iter().sum::<f64>(), 1.0, "one hop, c→t");
+    }
+
+    #[test]
+    fn a_node_below_a_loop_still_traps_clean_flow() {
+        // The open remainder of ROADMAP item 18. a, b, c, t, x = 0..5:
+        // legacy a splits over b and x, upgraded b goes back via a
+        // (weight 5 on b→t), so a ↔ b loops and feeds x. c's demand goes
+        // c→x→t without touching the loop, yet x, downstream of the
+        // loop, is never placed and the unit parks there.
+        let (loads, undeliverable) = deployed_unit_demand(
+            5,
+            &[(0, 1), (0, 4), (1, 3), (2, 4), (4, 3)],
+            &[],
+            &[(1, 3, 5)],
+            &[1],
+            (2, 3),
+        );
+        assert_eq!(undeliverable, 1.0);
+        assert_eq!(loads.iter().sum::<f64>(), 1.0, "c→x only");
+    }
+
     #[test]
     fn loop_free_partial_deployment_blends_the_two_topologies() {
         // A upgraded: A's low traffic takes the low DAG detour via B;

@@ -18,8 +18,7 @@
 //! lies on a cycle of those next hops. A node forwards only if it is
 //! clear, is not the destination and has a next hop; a path stops at the
 //! first node that does not forward, and its volume counts as trapped.
-//! It also counts as trapped when it reaches a destination that is not
-//! clear.
+//! Volume that reaches the destination is delivered.
 //!
 //! Exponential in the worst case; meant for networks of a handful of
 //! nodes.
@@ -37,8 +36,6 @@ pub struct Hops {
     next: Vec<Vec<usize>>,
     /// `forwards[x]`: whether `x` passes flow on at all.
     forwards: Vec<bool>,
-    /// Whether flow that reaches `dest` is delivered.
-    delivers: bool,
 }
 
 /// Shortest distance from every node to `t` over the links with
@@ -137,7 +134,6 @@ impl Hops {
             dest: t,
             next,
             forwards,
-            delivers: clear[t],
         }
     }
 
@@ -157,7 +153,7 @@ impl Hops {
         f: &mut impl FnMut(&[usize], f64, bool),
     ) {
         if x == self.dest {
-            return f(links, weight, self.delivers);
+            return f(links, weight, true);
         }
         if !self.forwards[x] {
             return f(links, weight, false);
