@@ -11,12 +11,20 @@
 //! 4. **Cost sanity**: Φ values are finite and non-negative, the
 //!    lexicographic cost matches its components, and SLA pair delays are
 //!    bounded below by the shortest-path propagation delay.
+//! 5. **One hybrid rule**: under a partial deployment the hybrid DAG is
+//!    a valid DAG, and pushing demand down it is `push_hybrid`.
 
 use dtr_cost::Objective;
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
+use dtr_graph::spf::UNREACHABLE;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{NodeId, Topology, WeightVector, MAX_WEIGHT, MIN_WEIGHT};
-use dtr_routing::{Evaluator, LoadCalculator};
+use dtr_graph::{
+    FlatTopo, NodeId, ShortestPathDag, Topology, WeightVector, MAX_WEIGHT, MIN_WEIGHT,
+};
+use dtr_routing::{
+    demand_column, hybrid_low_dag, push_demand_flat, push_hybrid, DeploymentSet, Evaluator,
+    HybridScratch, LoadCalculator,
+};
 use dtr_traffic::{DemandSet, TrafficCfg, TrafficMatrix};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -287,4 +295,88 @@ proptest! {
         prop_assert!(plain.phi_h == dep.phi_h);
         prop_assert!(dep.phi_l.is_finite() && dep.phi_l >= 0.0);
     }
+}
+
+/// The hybrid DAG of random small partial deployments is what the fluid
+/// solver and the DES need — the destination last at rank 0, the nodes
+/// the walk leaves out first and without branches, every other branch
+/// pointing later in `order` — and the one demand push over it makes
+/// exactly `push_hybrid`'s adds and trapped volume. A plain loop rather than
+/// `proptest!`, so that it can also check that loops were among the
+/// cases.
+#[test]
+fn hybrid_dag_is_valid_and_pushes_like_the_walk() {
+    let mut trapping = 0;
+    for seed in 0..200u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.random_range(4..=8usize);
+        let topo = random_topology(&RandomTopologyCfg {
+            nodes: n,
+            directed_links: 2 * (n + rng.random_range(0..=n * (n - 3) / 2)),
+            seed,
+        });
+        let ft = FlatTopo::new(&topo);
+        let mut weights = || {
+            let w = (0..topo.link_count()).map(|_| rng.random_range(1..=4));
+            WeightVector::from_vec(w.collect())
+        };
+        let (wh, wl) = (weights(), weights());
+        let upgraded: Vec<u32> = (0..n as u32).filter(|_| rng.random_bool(0.5)).collect();
+        let dep = DeploymentSet::from_upgraded(n, &upgraded);
+        let mut m = TrafficMatrix::zeros(n);
+        for s in 0..n {
+            for t in (0..n).filter(|&t| t != s) {
+                m.set(s, t, rng.random_range(0.5..2.0));
+            }
+        }
+        let mut scratch = HybridScratch::default();
+        for t in topo.nodes() {
+            let dh = ShortestPathDag::compute(&topo, &wh, t);
+            let dl = ShortestPathDag::compute(&topo, &wl, t);
+            let dag = hybrid_low_dag(&ft, &dep, &dh, &dl);
+            let case = format!("seed {seed}, destination {t}");
+            assert_eq!(dag.order.last(), Some(&t.0), "{case}");
+            assert_eq!(dag.dist[t.index()], 0, "{case}");
+            let out = dag
+                .order
+                .iter()
+                .take_while(|&&v| dag.dist[v as usize] == UNREACHABLE);
+            for &v in out.clone() {
+                assert!(dag.branches(&ft, v).is_empty(), "{case}: node {v}");
+            }
+            let placed = &dag.order[out.count()..];
+            assert!(placed.iter().all(|&v| dag.dist[v as usize] != UNREACHABLE));
+            let mut pos = vec![0; n];
+            for (i, &v) in dag.order.iter().enumerate() {
+                pos[v as usize] = i;
+            }
+            // A branch into a node the walk left out (one downstream of a
+            // loop) parks its flow there, wherever that node sits.
+            for v in 0..n as u32 {
+                for &l in dag.branches(&ft, v) {
+                    let u = ft.dst(l);
+                    let parks = dag.dist[u as usize] == UNREACHABLE;
+                    assert!(parks || pos[v as usize] < pos[u as usize], "{case}: {v}→{u}");
+                }
+            }
+
+            let mut by_dag = vec![0.0; ft.link_count()];
+            let mut flow = Vec::new();
+            let col = demand_column(&m, t.0, n);
+            push_demand_flat(&ft, &dag, &col, &mut flow, None, |l, share| {
+                by_dag[l as usize] += share
+            });
+            let parked = (0..n).filter(|&v| dag.dist[v] == UNREACHABLE);
+            let parked: f64 = parked.map(|v| flow[v]).sum();
+            let mut by_walk = vec![0.0; ft.link_count()];
+            let demand = m.demands_to(t.index());
+            let trapped = push_hybrid(&ft, &dep, [&dh, &dl], demand, &mut scratch, |l, share| {
+                by_walk[l as usize] += share
+            });
+            assert_eq!(by_dag, by_walk, "{case}");
+            assert_eq!(parked.to_bits(), trapped.to_bits(), "{case}");
+            trapping += usize::from(trapped > 0.0);
+        }
+    }
+    assert!(trapping > 0, "no random deployment trapped any demand");
 }
