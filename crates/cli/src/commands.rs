@@ -2121,8 +2121,8 @@ mod tests {
 
     #[test]
     fn objective_override_rejects_incompatible_instances_by_name() {
-        // vl2-hotspot is not gravity-family, so a 3-class override must
-        // fail fast and name the instance.
+        // vl2-hotspot carries a WorstK failure policy, so a 3-class
+        // override must fail fast and name the instance.
         let corpus = format!("{}/../../corpus", env!("CARGO_MANIFEST_DIR"));
         let out = tmp("suite-override-err");
         let e = run(&args(&format!(

@@ -1,7 +1,9 @@
 //! k-class demand sets.
 //!
-//! Generation generalizes §5.1.2: the lowest class carries the gravity
-//! matrix, and every higher class `i` is a random-pair matrix whose
+//! Generation generalizes §5.1.2: the lowest class carries a base
+//! matrix (gravity by default, any traffic family's low matrix through
+//! [`MultiDemand::coupled`]), and every higher class `i` is a
+//! random-pair matrix whose
 //! volume is a configured fraction `f_i` of the total, with per-pair
 //! multipliers `m ~ U[1, 4]` — the same coupling rule as the paper's
 //! high-priority generator, applied per class.
@@ -31,7 +33,7 @@ impl MultiTrafficCfg {
 }
 
 /// Demands for `k` strictly ordered classes; index 0 is the highest
-/// priority, the last entry the base (gravity) class.
+/// priority, the last entry the base class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiDemand {
     /// Per-class matrices, highest priority first.
@@ -39,8 +41,15 @@ pub struct MultiDemand {
 }
 
 impl MultiDemand {
-    /// Generates a k-class demand set for `topo`.
+    /// Generates a k-class demand set for `topo` over the gravity base.
     pub fn generate(topo: &Topology, cfg: &MultiTrafficCfg) -> MultiDemand {
+        let base = gravity_matrix(topo.node_count(), &GravityCfg::default(), cfg.seed);
+        Self::coupled(base, cfg)
+    }
+
+    /// Couples `cfg`'s priority classes to the given `base` (lowest)
+    /// class matrix.
+    pub fn coupled(base: TrafficMatrix, cfg: &MultiTrafficCfg) -> MultiDemand {
         assert_eq!(
             cfg.fractions.len(),
             cfg.densities.len(),
@@ -51,8 +60,6 @@ impl MultiDemand {
             cfg.fractions.iter().all(|&f| f > 0.0) && fsum < 1.0,
             "priority fractions must be positive and sum below 1"
         );
-
-        let base = gravity_matrix(topo.node_count(), &GravityCfg::default(), cfg.seed);
         // `random_highpri(low, f, k, seed)` produces volume f/(1−f)·η_low.
         // To make class i's share of the *grand* total equal fᵢ with the
         // base at 1 − Σf, generate against the base with the adjusted

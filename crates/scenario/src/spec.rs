@@ -386,7 +386,7 @@ impl TopologySpec {
 ///
 /// Instances whose objective carries more than two classes use the
 /// k-class generator ([`TrafficSpec::build_multi`]): `fractions` and
-/// `densities` configure the priority classes above the (gravity) base
+/// `densities` configure the priority classes above the base
 /// class; omitted, the two-class `f`/`k` defaults are split evenly
 /// across the upper classes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -463,19 +463,19 @@ impl TrafficSpec {
         }
     }
 
-    /// Generates the `k`-class demand set for `topo` (gravity base plus
-    /// `k − 1` coupled priority classes; see [`MultiDemand::generate`]).
+    /// Generates the `k`-class demand set for `topo`: the family's low
+    /// matrix as the base class plus `k − 1` priority classes coupled to
+    /// it (see [`MultiDemand::coupled`]).
     pub fn build_multi(&self, topo: &Topology, k: usize) -> MultiDemand {
         assert!(k >= 3, "build_multi is the k ≥ 3 generator; use build");
-        MultiDemand::generate(
-            topo,
-            &MultiTrafficCfg {
-                fractions: self.class_fractions(k),
-                densities: self.class_densities(k),
-                seed: self.seed.unwrap_or(1),
-            },
-        )
-        .scaled(self.scale())
+        let seed = self.seed.unwrap_or(1);
+        let cfg = MultiTrafficCfg {
+            fractions: self.class_fractions(k),
+            densities: self.class_densities(k),
+            seed,
+        };
+        let base = self.family.low_matrix(topo.node_count(), seed);
+        MultiDemand::coupled(base, &cfg).scaled(self.scale())
     }
 }
 
@@ -712,14 +712,6 @@ impl ScenarioSpec {
             }
         }
         if classes > 2 {
-            if self.traffic.family != TrafficFamily::Gravity {
-                return Err(format!(
-                    "k-class instances ({classes} classes) need the Gravity traffic \
-                     family (the k-class generator couples priority classes to a \
-                     gravity base), got {:?}",
-                    self.traffic.family
-                ));
-            }
             if !self.failures().is_none() {
                 return Err(format!(
                     "k-class instances ({classes} classes) do not support failure \
@@ -899,10 +891,9 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("densities"));
         s.traffic.densities = None;
         s.validate().unwrap();
-        // k-class instances reject non-gravity families and failures.
+        // k-class instances take any traffic family, but no failures.
         s.traffic.family = TrafficFamily::SkewedGravity { alpha: 1.0 };
-        assert!(s.validate().unwrap_err().contains("Gravity"));
-        s.traffic.family = TrafficFamily::Gravity;
+        s.validate().unwrap();
         s.failures = Some(FailurePolicy::AllSingleDuplex);
         assert!(s.validate().unwrap_err().contains("failure"));
         // And a structurally bad objective is reported with context.

@@ -72,26 +72,19 @@ pub struct DemandSet {
 }
 
 impl DemandSet {
-    /// Generates a demand set per §5.1.2 for `topo` under `cfg`.
+    /// Generates a demand set per §5.1.2 for `topo` under `cfg`: the
+    /// [`TrafficFamily::Gravity`] instance of [`family_demands`].
     pub fn generate(topo: &Topology, cfg: &TrafficCfg) -> DemandSet {
-        assert!(cfg.f > 0.0 && cfg.f < 1.0, "f must be in (0,1)");
-        assert!(cfg.k > 0.0 && cfg.k <= 1.0, "k must be in (0,1]");
-        let low = gravity_matrix(topo.node_count(), &GravityCfg::default(), cfg.seed);
-        let high = match cfg.model {
-            HighPriModel::Random => {
-                random_highpri(&low, cfg.f, cfg.k, cfg.seed ^ 0x9e3779b97f4a7c15)
-            }
-            HighPriModel::Sink { sinks, pattern } => sink_highpri(
-                topo,
-                &low,
-                cfg.f,
-                cfg.k,
-                sinks,
-                pattern,
-                cfg.seed ^ 0x9e3779b97f4a7c15,
-            ),
-        };
-        DemandSet { high, low }
+        family_demands(
+            topo,
+            &FamilyTrafficCfg {
+                family: TrafficFamily::Gravity,
+                f: cfg.f,
+                k: cfg.k,
+                model: cfg.model,
+                seed: cfg.seed,
+            },
+        )
     }
 
     /// Total volume of both classes.
