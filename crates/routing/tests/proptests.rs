@@ -356,7 +356,10 @@ fn hybrid_dag_is_valid_and_pushes_like_the_walk() {
                 for &l in dag.branches(&ft, v) {
                     let u = ft.dst(l);
                     let parks = dag.dist[u as usize] == UNREACHABLE;
-                    assert!(parks || pos[v as usize] < pos[u as usize], "{case}: {v}→{u}");
+                    assert!(
+                        parks || pos[v as usize] < pos[u as usize],
+                        "{case}: {v}→{u}"
+                    );
                 }
             }
 
