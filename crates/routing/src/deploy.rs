@@ -191,6 +191,7 @@ fn walk(
     // Low branches at upgraded nodes, high ones at legacy nodes; neither
     // DAG gives the destination any.
     let governing = |v: usize| (if dep.contains(v) { low } else { high }).branches(ft, v as u32);
+    debug_assert!(governing(t).is_empty(), "the destination forwards nothing");
     indeg.clear();
     indeg.resize(n, 0);
     for &l in (0..n).flat_map(governing) {
