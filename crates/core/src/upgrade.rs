@@ -38,7 +38,8 @@
 //! probes them on a pool of [`PortfolioParams::workers`] threads (the
 //! definitive portfolio's own cap, so `workers = 1` is one thread).
 //! Every probe is a pure function of its placement, the warm start and
-//! its stream, and engine passes nested inside a probe run inline. The
+//! its stream, and engine passes nested inside a probe borrow whichever
+//! of the pool's threads are idle without reaching a result. The
 //! round then reduces the costs in candidate order by the same
 //! `(cost, node)` and `(cost, u, v)` keys the sequential loops used, so
 //! which probe finishes first cannot reach the result. The definitive

@@ -21,31 +21,32 @@
 //!   and results are reassembled in input order, so `collect` is
 //!   deterministic and order-preserving exactly like rayon's indexed
 //!   parallel iterators. Owned-item maps run on the same primitive.
-//! - At most [`current_num_threads`] threads take part: the installed
-//!   pool's size inside [`ThreadPool::install`], the machine's otherwise
-//!   (read once). Under `install(1)` — and for zero- or one-item maps —
-//!   everything runs on the calling thread and no worker is started.
-//! - Inside a map every participant, the caller included, sees one
-//!   thread, so nested maps run inline instead of oversubscribing.
-//! - A caller that finds no idle worker (two threads mapping at once,
-//!   say `dtrd`'s connections) runs inline rather than waiting for one.
-//! - A panic in `f` is re-raised in the caller once every participant
-//!   has stopped; the workers stay parked and usable.
+//! - Every map runs inside a thread budget. [`ThreadPool::install`]
+//!   opens one of its pool's size (never more than the enclosing
+//!   one's); outside any, a map opens one of the machine's size. A
+//!   budget bounds every thread working on its behalf at once, the
+//!   caller and nested maps included, so under `install(1)` — and for
+//!   zero- or one-item maps — everything runs on the calling thread and
+//!   no worker is started. [`current_num_threads`] is the budget's size,
+//!   inside a map as outside it.
+//! - Nested maps take part like any other: a map claims idle workers
+//!   while its budget has room, so nothing is ever oversubscribed. A
+//!   caller that finds no idle worker (two threads mapping at once, say
+//!   `dtrd`'s connections) runs inline rather than waiting for one.
+//! - A caller that has run its own share and waits for its helpers lends
+//!   itself to maps nested in that map's shares — and to no other map —
+//!   so when the outer map's long item lands on a worker, the caller
+//!   that finished first still works on it.
+//! - A panic in `f` is re-raised in the map that ran it once every
+//!   participant has stopped; the workers stay parked and usable.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-
-std::thread_local! {
-    /// Thread cap installed on this thread by [`ThreadPool::install`],
-    /// or `Some(1)` while the thread takes part in a map; `None` means
-    /// the machine's count.
-    static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-}
 
 /// The machine's available parallelism, asked once (it may read a
 /// cgroup file, which a hot path must not pay per call).
@@ -58,33 +59,113 @@ fn machine_threads() -> usize {
     })
 }
 
-/// Number of threads parallel operations will use: the installed pool's
-/// size inside [`ThreadPool::install`], 1 inside a parallel map, the
-/// machine's available parallelism otherwise.
+/// Number of threads parallel operations will use: the size of the
+/// innermost [`ThreadPool::install`] scope this thread works for (inside
+/// a map too), the machine's available parallelism otherwise.
 pub fn current_num_threads() -> usize {
-    POOL_THREADS.with(Cell::get).unwrap_or_else(machine_threads)
-}
-
-/// Sets this thread's cap for the guard's lifetime; dropping it (also
-/// while unwinding) restores the previous one.
-struct Cap(Option<usize>);
-
-impl Cap {
-    fn set(threads: usize) -> Cap {
-        Cap(POOL_THREADS.with(|c| c.replace(Some(threads))))
-    }
-}
-
-impl Drop for Cap {
-    fn drop(&mut self) {
-        POOL_THREADS.with(|c| c.set(self.0));
-    }
+    CTX.with(|c| c.borrow().budget.as_ref().map(|b| b.limit))
+        .unwrap_or_else(machine_threads)
 }
 
 /// No lock of this module is held across user code, so a poisoned one
 /// still guards consistent data.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How many threads may work for one scope at once.
+struct Budget {
+    /// The scope's size, capped by the enclosing scope's.
+    limit: usize,
+    /// Threads working for this scope now; the one that opened it is
+    /// counted from the start. A bound only, it publishes no data, so
+    /// its updates are `Relaxed`.
+    live: AtomicUsize,
+    /// The enclosing scope: every thread counted here is counted there.
+    parent: Option<Arc<Budget>>,
+}
+
+impl Budget {
+    fn open(threads: usize, parent: Option<Arc<Budget>>) -> Arc<Budget> {
+        Arc::new(Budget {
+            limit: parent.as_ref().map_or(threads, |p| threads.min(p.limit)),
+            live: AtomicUsize::new(1),
+            parent,
+        })
+    }
+
+    /// The scopes from this one outwards, up to but not including
+    /// `stop` (a scope that already counts the thread in question).
+    fn chain<'a>(
+        self: &'a Arc<Self>,
+        stop: Option<&'a Arc<Budget>>,
+    ) -> impl Iterator<Item = &'a Arc<Budget>> {
+        std::iter::successors(Some(self), |b| b.parent.as_ref())
+            .take_while(move |b| !stop.is_some_and(|s| Arc::ptr_eq(s, b)))
+    }
+
+    /// Counts one more thread in every scope of the chain, or in none
+    /// when one of them is full.
+    fn take(self: &Arc<Self>, stop: Option<&Arc<Budget>>) -> bool {
+        for b in self.chain(stop) {
+            let room = b
+                .live
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    (n < b.limit).then_some(n + 1)
+                });
+            if room.is_err() {
+                self.give(Some(b));
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Undoes one [`Budget::take`] with the same `stop`.
+    fn give(self: &Arc<Self>, stop: Option<&Arc<Budget>>) {
+        for b in self.chain(stop) {
+            b.live.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// What a thread works for: its innermost scope and the map whose share
+/// it is running.
+#[derive(Clone, Default)]
+struct Ctx {
+    /// `None` outside every scope: a map there opens a machine-sized one.
+    budget: Option<Arc<Budget>>,
+    /// A map started here is nested in this one.
+    job: Option<Arc<Job>>,
+}
+
+std::thread_local! {
+    static CTX: RefCell<Ctx> = const {
+        RefCell::new(Ctx {
+            budget: None,
+            job: None,
+        })
+    };
+    /// Where this thread, waiting out its own map, receives shares of
+    /// maps nested in it.
+    static SLOT: Arc<Slot> = Arc::default();
+}
+
+/// Makes a context this thread's until dropped; dropping it (also while
+/// unwinding) restores the previous one.
+struct Enter(Ctx);
+
+impl Enter {
+    fn new(ctx: Ctx) -> Enter {
+        Enter(CTX.with(|c| c.replace(ctx)))
+    }
+}
+
+impl Drop for Enter {
+    fn drop(&mut self) {
+        let prev = std::mem::take(&mut self.0);
+        CTX.with(|c| *c.borrow_mut() = prev);
+    }
 }
 
 /// Error building a [`ThreadPool`] (the shim never actually fails; the
@@ -129,10 +210,10 @@ impl ThreadPoolBuilder {
     }
 }
 
-/// A thread-count cap over the one global pool. Unlike upstream rayon
+/// A thread budget over the one global pool. Unlike upstream rayon
 /// every `ThreadPool` shares the same parked workers; `install` merely
-/// bounds how many threads (the caller included) a map may use, which is
-/// all this workspace needs.
+/// bounds how many threads (the caller included) work for it at once,
+/// which is all this workspace needs.
 #[derive(Debug)]
 pub struct ThreadPool {
     threads: usize,
@@ -144,13 +225,18 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Runs `op` with parallel operations on this thread capped at the
-    /// pool's thread count. The closure runs on the calling thread.
+    /// Runs `op` on the calling thread in a scope of the pool's size:
+    /// every thread working for `op`, in maps nested at any depth, counts
+    /// against it (and against the enclosing scope's).
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R,
     {
-        let _cap = Cap::set(self.threads);
+        let outer = CTX.with(|c| c.borrow().clone());
+        let _scope = Enter::new(Ctx {
+            budget: Some(Budget::open(self.threads, outer.budget)),
+            job: outer.job,
+        });
         op()
     }
 }
@@ -161,9 +247,19 @@ struct Job {
     /// `pending` reaches zero: the caller waits for that before its
     /// stack frame — which owns the closure — can go away.
     share: SharePtr,
-    /// Helpers that have not finished their share yet.
-    pending: Mutex<usize>,
-    finished: Condvar,
+    budget: Arc<Budget>,
+    /// The map whose share started this one.
+    parent: Option<Arc<Job>>,
+    /// The thread that started the map.
+    caller: Arc<Slot>,
+    /// Set while the caller waits with its own share done: a map nested
+    /// in this one may claim it (a compare-exchange to `false`). The
+    /// share it is lent for travels through its mailbox's lock.
+    lendable: AtomicBool,
+    /// Helpers that have not finished their share yet. A helper's
+    /// decrement (`AcqRel`) pairs with the caller's `Acquire` load, so a
+    /// caller that reads zero sees everything the helpers wrote.
+    pending: AtomicUsize,
     /// The first panic a helper's share raised.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
@@ -175,28 +271,69 @@ struct SharePtr(*const (dyn Fn() + Sync + 'static));
 unsafe impl Send for SharePtr {}
 unsafe impl Sync for SharePtr {}
 
+/// A share handed to a claimed thread, with how far up the scopes it
+/// was counted for it.
+struct Grant {
+    job: Arc<Job>,
+    stop: Option<Arc<Budget>>,
+}
+
+impl Grant {
+    /// Runs the share working for its map, then gives back the thread's
+    /// count, calls `release` and reports the share done.
+    fn run(self, release: impl FnOnce()) {
+        let Grant { job, stop } = self;
+        {
+            let _ctx = Enter::new(Ctx {
+                budget: Some(Arc::clone(&job.budget)),
+                job: Some(Arc::clone(&job)),
+            });
+            // SAFETY: the map's caller waits until this share reports
+            // done below, so the closure is alive.
+            let share = unsafe { &*job.share.0 };
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(share)) {
+                lock(&job.panic).get_or_insert(payload);
+            }
+        }
+        job.budget.give(stop.as_ref());
+        release();
+        if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Under the caller's lock, so it cannot miss the wake-up
+            // between checking `pending` and waiting.
+            let _mailbox = lock(&job.caller.mailbox);
+            job.caller.wake.notify_one();
+        }
+    }
+}
+
+/// Where a thread receives a share to run.
+#[derive(Default)]
+struct Slot {
+    mailbox: Mutex<Option<Grant>>,
+    wake: Condvar,
+}
+
 /// A parked pool thread.
 struct Worker {
-    /// Free to be claimed; the claiming caller clears it (an `Acquire`
+    /// Free to be claimed; the claiming map clears it (an `Acquire`
     /// compare-exchange), the worker sets it again (`Release`) once it
-    /// has dropped every borrow of its last share. The job itself
-    /// travels through `mailbox`'s lock.
+    /// has dropped every borrow of its last share. The share itself
+    /// travels through `slot`'s lock.
     idle: AtomicBool,
-    mailbox: Mutex<Option<Arc<Job>>>,
-    wake: Condvar,
+    slot: Slot,
 }
 
 impl Worker {
     fn run(&self) {
-        POOL_THREADS.with(|c| c.set(Some(1)));
         loop {
-            let job = {
-                let mut mailbox = lock(&self.mailbox);
+            let grant = {
+                let mut mailbox = lock(&self.slot.mailbox);
                 loop {
                     match mailbox.take() {
-                        Some(job) => break job,
+                        Some(grant) => break grant,
                         None => {
                             mailbox = self
+                                .slot
                                 .wake
                                 .wait(mailbox)
                                 .unwrap_or_else(PoisonError::into_inner)
@@ -204,20 +341,9 @@ impl Worker {
                     }
                 }
             };
-            // SAFETY: the caller is blocked in `broadcast` until this
-            // share reports done below, so the closure is alive.
-            let share = unsafe { &*job.share.0 };
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(share)) {
-                lock(&job.panic).get_or_insert(payload);
-            }
             // Idle before done: a caller that returns and maps again at
             // once must find this worker free, not run inline.
-            self.idle.store(true, Ordering::Release);
-            let mut pending = lock(&job.pending);
-            *pending -= 1;
-            if *pending == 0 {
-                job.finished.notify_one();
-            }
+            grant.run(|| self.idle.store(true, Ordering::Release));
         }
     }
 }
@@ -233,8 +359,7 @@ fn workers() -> &'static [Arc<Worker>] {
             .filter_map(|i| {
                 let worker = Arc::new(Worker {
                     idle: AtomicBool::new(true),
-                    mailbox: Mutex::new(None),
-                    wake: Condvar::new(),
+                    slot: Slot::default(),
                 });
                 let parked = Arc::clone(&worker);
                 std::thread::Builder::new()
@@ -247,25 +372,60 @@ fn workers() -> &'static [Arc<Worker>] {
     })
 }
 
-/// Runs `share` on the calling thread and on up to `helpers` idle pool
-/// workers at once, and returns when every one of them has finished.
-/// Each participant runs with a thread cap of 1. A panic of any share is
-/// re-raised here after all of them have stopped.
+/// Runs `share` on the calling thread and on up to `helpers` claimed
+/// threads at once, and returns when every one of them has finished.
+/// Claimed first are the waiting callers of the maps this one is nested
+/// in, then idle pool workers while the budget has room. A panic of any
+/// share is re-raised here after all of them have stopped.
 fn broadcast(helpers: usize, share: &(dyn Fn() + Sync)) {
-    let mut claimed: Vec<&Worker> = Vec::new();
+    let ctx = CTX.with(|c| c.borrow().clone());
+    let budget = match &ctx.budget {
+        Some(b) => Arc::clone(b),
+        None => Budget::open(machine_threads(), None),
+    };
+    let mut claimed: Vec<(&Slot, Option<Arc<Budget>>)> = Vec::new();
+    // A waiting caller is already counted in its own map's scope.
+    for outer in std::iter::successors(ctx.job.as_ref(), |j| j.parent.as_ref()) {
+        if claimed.len() == helpers {
+            break;
+        }
+        if !outer.lendable.load(Ordering::Relaxed) || !budget.take(Some(&outer.budget)) {
+            continue;
+        }
+        let free =
+            outer
+                .lendable
+                .compare_exchange(true, false, Ordering::Acquire, Ordering::Relaxed);
+        if free.is_ok() {
+            claimed.push((&outer.caller, Some(Arc::clone(&outer.budget))));
+        } else {
+            budget.give(Some(&outer.budget));
+        }
+    }
     for w in workers() {
         if claimed.len() == helpers {
+            break;
+        }
+        if !w.idle.load(Ordering::Relaxed) {
+            continue;
+        }
+        if !budget.take(None) {
             break;
         }
         let free = w
             .idle
             .compare_exchange(true, false, Ordering::Acquire, Ordering::Relaxed);
         if free.is_ok() {
-            claimed.push(w);
+            claimed.push((&w.slot, None));
+        } else {
+            budget.give(None);
         }
     }
-    let _cap = Cap::set(1);
     if claimed.is_empty() {
+        let _ctx = Enter::new(Ctx {
+            budget: Some(budget),
+            job: ctx.job,
+        });
         return share();
     }
     // SAFETY: only the lifetime is erased; this function does not return
@@ -274,29 +434,65 @@ fn broadcast(helpers: usize, share: &(dyn Fn() + Sync)) {
     let erased: *const (dyn Fn() + Sync + 'static) = unsafe { std::mem::transmute(share) };
     let job = Arc::new(Job {
         share: SharePtr(erased),
-        pending: Mutex::new(claimed.len()),
-        finished: Condvar::new(),
+        budget: Arc::clone(&budget),
+        parent: ctx.job.clone(),
+        caller: SLOT.with(Arc::clone),
+        lendable: AtomicBool::new(false),
+        pending: AtomicUsize::new(claimed.len()),
         panic: Mutex::new(None),
     });
-    for w in &claimed {
-        *lock(&w.mailbox) = Some(Arc::clone(&job));
-        w.wake.notify_one();
+    for (slot, stop) in claimed {
+        let job = Arc::clone(&job);
+        *lock(&slot.mailbox) = Some(Grant { job, stop });
+        slot.wake.notify_one();
     }
-    let mine = panic::catch_unwind(AssertUnwindSafe(share));
-    let mut pending = lock(&job.pending);
-    while *pending > 0 {
-        pending = job
-            .finished
-            .wait(pending)
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-    drop(pending);
+    let mine = {
+        let _ctx = Enter::new(Ctx {
+            budget: Some(budget),
+            job: Some(Arc::clone(&job)),
+        });
+        panic::catch_unwind(AssertUnwindSafe(share))
+    };
+    job.wait_lending();
     if let Err(payload) = mine {
         panic::resume_unwind(payload);
     }
     let helper_panic = lock(&job.panic).take();
     if let Some(payload) = helper_panic {
         panic::resume_unwind(payload);
+    }
+}
+
+impl Job {
+    /// Blocks the caller until every helper is done, running meanwhile
+    /// any share a map nested in this one hands it.
+    fn wait_lending(&self) {
+        let slot = &self.caller;
+        let mut mailbox = lock(&slot.mailbox);
+        self.lendable.store(true, Ordering::Release);
+        loop {
+            if let Some(grant) = mailbox.take() {
+                drop(mailbox);
+                grant.run(|| {});
+                mailbox = lock(&slot.mailbox);
+                self.lendable.store(true, Ordering::Release);
+                continue;
+            }
+            // A failed withdrawal means a nested map has just claimed
+            // this thread: its share is on the way.
+            if self.pending.load(Ordering::Acquire) == 0
+                && self
+                    .lendable
+                    .compare_exchange(true, false, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                return;
+            }
+            mailbox = slot
+                .wake
+                .wait(mailbox)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -465,9 +661,11 @@ impl<R> FromParMapped<R> for Vec<R> {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::collections::HashSet;
-    use std::sync::atomic::Ordering;
+    use std::collections::{HashMap, HashSet};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     fn pool(n: usize) -> crate::ThreadPool {
         crate::ThreadPoolBuilder::new()
@@ -476,8 +674,93 @@ mod tests {
             .unwrap()
     }
 
+    /// The tests share one process-wide pool and several need its
+    /// workers free, so they run one at a time.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static POOL: Mutex<()> = Mutex::new(());
+        POOL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn me() -> ThreadId {
+        std::thread::current().id()
+    }
+
+    /// Spins until `cond` holds or `patience` runs out; whether it held.
+    fn wait_for(patience: Duration, cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + patience;
+        while !cond() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    /// A two-item map whose items each wait up to `patience` for the
+    /// other to start, so a second thread that can join does: the
+    /// threads the two items ran on.
+    fn pair_map(patience: Duration) -> [ThreadId; 2] {
+        let started = AtomicUsize::new(0);
+        let ran_on: Vec<ThreadId> = [0, 1]
+            .par_iter()
+            .map(|_| {
+                started.fetch_add(1, Ordering::SeqCst);
+                wait_for(patience, || started.load(Ordering::SeqCst) == 2);
+                me()
+            })
+            .collect();
+        [ran_on[0], ran_on[1]]
+    }
+
+    /// The map whose share this thread is running.
+    fn outer_job() -> std::sync::Arc<super::Job> {
+        super::CTX
+            .with(|c| c.borrow().job.clone())
+            .expect("inside a map")
+    }
+
+    /// Runs a two-item map under `install(2)` on the caller and a pool
+    /// worker. One takes a short item; the other runs `long` once the
+    /// short item's participant is free again: the caller waiting for
+    /// the map, or the worker parked. `long_on_caller` picks which
+    /// participant runs it.
+    fn short_and_long<R: Send>(long_on_caller: bool, long: impl Fn() -> R + Sync) -> R {
+        let caller = me();
+        let started = AtomicUsize::new(0);
+        let ran: Vec<(ThreadId, Option<R>)> = pool(2).install(|| {
+            [0, 1]
+                .par_iter()
+                .map(|_| {
+                    // Neither item ends before both are taken, so each
+                    // participant holds one.
+                    started.fetch_add(1, Ordering::SeqCst);
+                    assert!(wait_for(LONG, || started.load(Ordering::SeqCst) == 2));
+                    if (me() == caller) != long_on_caller {
+                        return (me(), None);
+                    }
+                    assert!(wait_for(LONG, || if long_on_caller {
+                        super::workers()
+                            .iter()
+                            .all(|w| w.idle.load(Ordering::SeqCst))
+                    } else {
+                        outer_job().lendable.load(Ordering::SeqCst)
+                    }));
+                    (me(), Some(long()))
+                })
+                .collect()
+        });
+        assert_ne!(ran[0].0, ran[1].0);
+        ran.into_iter()
+            .find_map(|(_, r)| r)
+            .expect("one item is long")
+    }
+
     #[test]
     fn par_iter_preserves_order() {
+        let _pool = exclusive();
         let xs: Vec<u64> = (0..1000).collect();
         let ys: Vec<u64> = xs.par_iter().map(|&x| x * 2).collect();
         assert_eq!(ys, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
@@ -485,6 +768,7 @@ mod tests {
 
     #[test]
     fn into_par_iter_moves_values() {
+        let _pool = exclusive();
         let xs: Vec<String> = (0..100).map(|i| i.to_string()).collect();
         let ys: Vec<usize> = xs.into_par_iter().map(|s| s.len()).collect();
         assert_eq!(ys.len(), 100);
@@ -494,6 +778,7 @@ mod tests {
 
     #[test]
     fn pool_install_pins_thread_count() {
+        let _pool = exclusive();
         let outer = crate::current_num_threads();
         let pool3 = pool(3);
         assert_eq!(pool3.current_num_threads(), 3);
@@ -511,6 +796,7 @@ mod tests {
 
     #[test]
     fn pool_results_are_order_preserving_and_complete() {
+        let _pool = exclusive();
         let xs: Vec<u64> = (0..257).collect();
         for n in [1usize, 2, 4, 7] {
             let ys: Vec<u64> = pool(n).install(|| xs.par_iter().map(|&x| x * 3).collect());
@@ -519,21 +805,8 @@ mod tests {
     }
 
     #[test]
-    fn nested_parallelism_is_pinned_inside_workers() {
-        // Inside a parallel region every participant reports 1 thread, so
-        // nested par_iter calls run inline instead of oversubscribing
-        // past the installed pool's bound.
-        let xs: Vec<u32> = (0..8).collect();
-        let inner: Vec<usize> = pool(2).install(|| {
-            xs.par_iter()
-                .map(|_| crate::current_num_threads())
-                .collect()
-        });
-        assert!(inner.iter().all(|&n| n == 1), "{inner:?}");
-    }
-
-    #[test]
     fn one_item_map_runs_on_the_calling_thread() {
+        let _pool = exclusive();
         // No worker is woken (and the thread count never consulted) for
         // a single item, whatever pool is installed.
         let caller = std::thread::current().id();
@@ -547,6 +820,7 @@ mod tests {
 
     #[test]
     fn install_one_keeps_every_item_on_the_calling_thread() {
+        let _pool = exclusive();
         let caller = std::thread::current().id();
         let xs: Vec<u32> = (0..64).collect();
         let ran_on: Vec<ThreadId> =
@@ -556,6 +830,7 @@ mod tests {
 
     #[test]
     fn maps_run_on_a_fixed_set_of_threads() {
+        let _pool = exclusive();
         // The pool is persistent: fifty maps see no more distinct threads
         // than the caller plus the pool's workers. (Per-call spawning
         // would show a fresh thread id every time.)
@@ -575,6 +850,7 @@ mod tests {
 
     #[test]
     fn a_panicking_task_re_panics_in_the_caller_and_the_pool_survives() {
+        let _pool = exclusive();
         let outer = crate::current_num_threads();
         let xs: Vec<u32> = (0..32).collect();
         for _ in 0..3 {
@@ -606,6 +882,7 @@ mod tests {
 
     #[test]
     fn concurrent_callers_both_get_complete_ordered_results() {
+        let _pool = exclusive();
         let xs: Vec<u64> = (0..500).collect();
         // Both callers start every round together.
         let start = std::sync::Barrier::new(2);
@@ -631,6 +908,7 @@ mod tests {
 
     #[test]
     fn a_caller_that_finds_no_idle_worker_runs_inline() {
+        let _pool = exclusive();
         // Hold every worker as another caller would (waiting out any
         // map another test has it in), then map: nothing to wait for,
         // so every item runs here.
@@ -656,12 +934,14 @@ mod tests {
 
     #[test]
     fn zero_threads_means_machine_default() {
+        let _pool = exclusive();
         assert!(pool(0).current_num_threads() >= 1);
         assert_eq!(pool(0).current_num_threads(), super::machine_threads());
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
+        let _pool = exclusive();
         let empty: Vec<u32> = Vec::new();
         let out: Vec<u32> = empty.par_iter().map(|&x| x).collect();
         assert!(out.is_empty());
@@ -670,5 +950,169 @@ mod tests {
         assert_eq!(out, vec![8]);
         let owned: Vec<u32> = Vec::<u32>::new().into_par_iter().map(|x| x).collect();
         assert!(owned.is_empty());
+    }
+
+    #[test]
+    fn install_one_keeps_nested_maps_on_the_caller() {
+        let _pool = exclusive();
+        let caller = me();
+        let xs: Vec<u32> = (0..16).collect();
+        let ran_on: Vec<Vec<ThreadId>> = pool(1).install(|| {
+            xs.par_iter()
+                .map(|_| xs.par_iter().map(|_| me()).collect())
+                .collect()
+        });
+        assert!(ran_on.iter().flatten().all(|&t| t == caller));
+        // `install(1)` inside a participant of a wider map keeps that
+        // participant's nested maps on it.
+        let ran_on: Vec<(ThreadId, Vec<ThreadId>)> = pool(2).install(|| {
+            xs.par_iter()
+                .map(|_| {
+                    (
+                        me(),
+                        pool(1).install(|| xs.par_iter().map(|_| me()).collect()),
+                    )
+                })
+                .collect()
+        });
+        for (outer, inner) in ran_on {
+            assert!(inner.iter().all(|&t| t == outer));
+        }
+    }
+
+    /// Threads inside a map's items at once, nested maps included.
+    #[derive(Default)]
+    struct Live {
+        inside: Mutex<HashMap<ThreadId, usize>>,
+        peak: AtomicUsize,
+    }
+
+    impl Live {
+        /// Three levels of four-item maps, each item 100 µs long.
+        fn nest(&self, depth: u32) {
+            let _: Vec<()> = [0, 1, 2, 3]
+                .par_iter()
+                .map(|_| {
+                    {
+                        let mut inside = super::lock(&self.inside);
+                        *inside.entry(me()).or_default() += 1;
+                        self.peak.fetch_max(inside.len(), Ordering::SeqCst);
+                    }
+                    std::thread::sleep(Duration::from_micros(100));
+                    if depth > 0 {
+                        self.nest(depth - 1);
+                    }
+                    let mut inside = super::lock(&self.inside);
+                    let n = inside.get_mut(&me()).expect("entered above");
+                    *n -= 1;
+                    if *n == 0 {
+                        inside.remove(&me());
+                    }
+                })
+                .collect();
+        }
+    }
+
+    #[test]
+    fn live_threads_never_exceed_the_installed_budget() {
+        let _pool = exclusive();
+        for n in [1, 2, 3] {
+            let live = Live::default();
+            pool(n).install(|| live.nest(2));
+            let peak = live.peak.load(Ordering::SeqCst);
+            assert!((1..=n).contains(&peak), "install({n}): {peak} threads");
+        }
+        // A wider scope nested in a narrower one gets the narrower size.
+        for (outer, inner) in [(1, 2), (2, 8)] {
+            let live = Live::default();
+            let sizes: Vec<usize> = pool(outer).install(|| {
+                [0, 1, 2, 3]
+                    .par_iter()
+                    .map(|_| {
+                        pool(inner).install(|| {
+                            live.nest(1);
+                            crate::current_num_threads()
+                        })
+                    })
+                    .collect()
+            });
+            assert_eq!(sizes, [outer; 4]);
+            let peak = live.peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= outer,
+                "install({inner}) in install({outer}): {peak} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn the_long_outer_item_spreads_once_the_other_participant_is_done() {
+        let _pool = exclusive();
+        if super::machine_threads() < 2 {
+            return;
+        }
+        // On the worker, the long item borrows the caller waiting for it;
+        // on the caller, it claims the worker that went idle.
+        for long_on_caller in [false, true] {
+            let [a, b] = short_and_long(long_on_caller, || pair_map(LONG));
+            assert_ne!(a, b, "long item on the caller: {long_on_caller}");
+        }
+    }
+
+    #[test]
+    fn a_waiting_caller_is_not_lent_to_an_unrelated_map() {
+        let _pool = exclusive();
+        if super::machine_threads() < 2 {
+            return;
+        }
+        let caller = me();
+        let (stranger, still_lendable, nested) = short_and_long(false, || {
+            // The caller waits, lendable, for this item all along. A
+            // map on another thread gives it 200 ms to join.
+            let stranger = std::thread::scope(|s| {
+                s.spawn(|| pair_map(Duration::from_millis(200)))
+                    .join()
+                    .unwrap()
+            });
+            let still_lendable = outer_job().lendable.load(Ordering::SeqCst);
+            // The control: a map nested here does reach the caller.
+            (stranger, still_lendable, pair_map(LONG))
+        });
+        assert!(!stranger.contains(&caller));
+        assert!(still_lendable);
+        assert!(nested.contains(&caller));
+    }
+
+    #[test]
+    fn a_panic_in_a_borrowed_share_stays_in_its_own_map() {
+        let _pool = exclusive();
+        if super::machine_threads() < 2 {
+            return;
+        }
+        let outer = crate::current_num_threads();
+        let caller = me();
+        let caught = short_and_long(false, || {
+            std::panic::catch_unwind(|| {
+                let started = AtomicUsize::new(0);
+                [0, 1]
+                    .par_iter()
+                    .map(|_| {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        wait_for(LONG, || started.load(Ordering::SeqCst) == 2);
+                        if me() == caller {
+                            panic!("borrowed share failed");
+                        }
+                    })
+                    .collect::<Vec<()>>()
+            })
+            .map_err(|payload| payload.downcast_ref::<&str>().copied())
+        });
+        // The outer map returned normally: the panic re-raised in the
+        // worker's nested map.
+        assert_eq!(caught, Err(Some("borrowed share failed")));
+        assert_eq!(crate::current_num_threads(), outer);
+        let xs: Vec<u32> = (0..32).collect();
+        let ys: Vec<u32> = pool(2).install(|| xs.par_iter().map(|&x| x + 1).collect());
+        assert_eq!(ys, (1..33).collect::<Vec<u32>>());
     }
 }
