@@ -76,9 +76,8 @@ impl KClassEvaluation {
 /// An SLA-class entry holds one `Arc<ShortestPathDag>` per destination:
 /// the backend's base `Arc` where the candidate left the destination
 /// alone, its own copy where it repaired it. Measured when every entry
-/// held a materialized DAG per destination: at the two-class
-/// evaluator's 512 entries a 30-node k = 3 suite run held 24 MB, at 16
-/// it held 11 MB at the same speed.
+/// held a materialized DAG per destination: at 512 entries a 30-node
+/// k = 3 suite run held 24 MB, at 16 it held 11 MB at the same speed.
 const SIDE_CACHE_CAPACITY: usize = 16;
 
 /// What the per-class lanes produce and their caches hold: loads plus
