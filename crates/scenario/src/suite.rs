@@ -49,6 +49,7 @@ use dtr_graph::{Topology, WeightVector};
 use dtr_multi::{MultiDemand, MultiSearch};
 use dtr_routing::{ClassLoads, DeploymentSet, Evaluator, FailurePolicy};
 use dtr_traffic::DemandSet;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -615,6 +616,16 @@ pub fn select<'a>(specs: &'a [ScenarioSpec], cfg: &SuiteCfg) -> Vec<&'a Scenario
 /// Runs the whole corpus under `cfg`; returns per-instance reports (in
 /// corpus order) and the aggregate summary.
 ///
+/// The instances run side by side, one pool map over the selection:
+/// each participant takes the next instance in corpus order, and an
+/// instance's engine borrows whichever threads are idle. Every report
+/// is the same bytes on one thread as on many, apart from `elapsed_s`,
+/// which is wall time shared with the instances in flight beside it.
+/// Peak memory grows with the number of instances in flight, at most
+/// one per thread. Under `--smoke` each report's shape is asserted
+/// after the map, in corpus order, so the first failing instance is
+/// the one named.
+///
 /// # Panics
 /// If `cfg` selects no instances — check with [`select`] first when the
 /// selection comes from user input.
@@ -628,13 +639,12 @@ pub fn run_suite(specs: &[ScenarioSpec], cfg: &SuiteCfg) -> (Vec<InstanceReport>
         cfg.only
     );
 
-    let mut reports = Vec::with_capacity(selected.len());
-    for spec in &selected {
-        let report = run_instance(spec, cfg.smoke);
-        if cfg.smoke {
-            assert_report_shape(&report);
-        }
-        reports.push(report);
+    let reports: Vec<InstanceReport> = selected
+        .par_iter()
+        .map(|spec| run_instance(spec, cfg.smoke))
+        .collect();
+    if cfg.smoke {
+        reports.iter().for_each(assert_report_shape);
     }
 
     let geomean = |f: fn(&InstanceReport) -> f64| -> f64 {
@@ -656,6 +666,7 @@ mod tests {
     use super::*;
     use crate::spec::{SearchSpec, TopologySpec, TrafficSpec};
     use dtr_traffic::TrafficFamily;
+    use std::panic::AssertUnwindSafe;
 
     fn spec(name: &str, smoke: bool) -> ScenarioSpec {
         ScenarioSpec {
@@ -749,6 +760,85 @@ mod tests {
             r
         };
         assert_eq!(strip(rf), strip(rp));
+    }
+
+    /// Zeroes the wall-clock fields, then the reports' and the
+    /// summary's JSON.
+    fn suite_bytes((mut reports, mut summary): (Vec<InstanceReport>, SuiteSummary)) -> [String; 2] {
+        for r in &mut reports {
+            r.baseline.elapsed_s = 0.0;
+            r.dtr.elapsed_s = 0.0;
+        }
+        summary.elapsed_s = 0.0;
+        [
+            serde_json::to_string_pretty(&reports).unwrap(),
+            serde_json::to_string_pretty(&summary).unwrap(),
+        ]
+    }
+
+    /// The instances run side by side on the pool; on one thread or on
+    /// the machine's, the reports and the summary are the same bytes
+    /// apart from `elapsed_s`, and a shape failure names the first
+    /// failing instance in corpus order.
+    #[test]
+    fn thread_count_never_changes_a_report_or_the_failing_instance() {
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+        let specs: Vec<ScenarioSpec> = [
+            // Two-class load, above the engine's fan-out threshold.
+            "waxman50-gravity",
+            "random10-triclass-sla",
+            "random10-partial-sparse",
+            // A failure policy.
+            "vl2-hotspot",
+            "xpander20-portfolio",
+        ]
+        .iter()
+        .map(|name| {
+            let mut spec = crate::load_spec(&corpus.join(format!("{name}.json"))).unwrap();
+            spec.smoke = Some(true);
+            spec
+        })
+        .collect();
+        let cfg = SuiteCfg {
+            smoke: true,
+            only: None,
+        };
+        let solo = suite_bytes(one.install(|| run_suite(&specs, &cfg)));
+        // Which instance finishes first varies from run to run, so one
+        // run could pass by luck.
+        for _ in 0..2 {
+            assert_eq!(suite_bytes(run_suite(&specs, &cfg)), solo);
+        }
+
+        // A failure sweep that selects no scenario fails the shape
+        // check. The first such instance is also the slowest to run.
+        let empty_sweep = |name: &str, nodes: usize| {
+            let mut s = spec(name, true);
+            s.topology = TopologySpec::Random {
+                nodes,
+                links: 4 * nodes,
+                seed: 3,
+            };
+            s.failures = Some(dtr_routing::FailurePolicy::WorstK { k: 0 });
+            s
+        };
+        let specs = vec![
+            spec("fine", true),
+            empty_sweep("first-bad", 16),
+            empty_sweep("second-bad", 8),
+            spec("also-fine", true),
+        ];
+        let failure = |run: &dyn Fn() -> (Vec<InstanceReport>, SuiteSummary)| {
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_err();
+            payload.downcast_ref::<String>().cloned().unwrap()
+        };
+        let solo = failure(&|| one.install(|| run_suite(&specs, &cfg)));
+        assert_eq!(solo, "first-bad: failure policy selected no scenarios");
+        assert_eq!(failure(&|| run_suite(&specs, &cfg)), solo);
     }
 
     #[test]
