@@ -821,11 +821,29 @@ mod tests {
     #[test]
     fn install_one_keeps_every_item_on_the_calling_thread() {
         let _pool = exclusive();
-        let caller = std::thread::current().id();
-        let xs: Vec<u32> = (0..64).collect();
-        let ran_on: Vec<ThreadId> =
-            pool(1).install(|| xs.par_iter().map(|_| std::thread::current().id()).collect());
-        assert!(ran_on.iter().all(|&t| t == caller));
+        let caller = me();
+        let xs: Vec<u32> = (0..16).collect();
+        let ran_on: Vec<Vec<ThreadId>> = pool(1).install(|| {
+            xs.par_iter()
+                .map(|_| xs.par_iter().map(|_| me()).collect())
+                .collect()
+        });
+        assert!(ran_on.iter().flatten().all(|&t| t == caller));
+        // `install(1)` inside a participant of a wider map keeps that
+        // participant's nested maps on it.
+        let ran_on: Vec<(ThreadId, Vec<ThreadId>)> = pool(2).install(|| {
+            xs.par_iter()
+                .map(|_| {
+                    (
+                        me(),
+                        pool(1).install(|| xs.par_iter().map(|_| me()).collect()),
+                    )
+                })
+                .collect()
+        });
+        for (outer, inner) in ran_on {
+            assert!(inner.iter().all(|&t| t == outer));
+        }
     }
 
     #[test]
@@ -950,34 +968,6 @@ mod tests {
         assert_eq!(out, vec![8]);
         let owned: Vec<u32> = Vec::<u32>::new().into_par_iter().map(|x| x).collect();
         assert!(owned.is_empty());
-    }
-
-    #[test]
-    fn install_one_keeps_nested_maps_on_the_caller() {
-        let _pool = exclusive();
-        let caller = me();
-        let xs: Vec<u32> = (0..16).collect();
-        let ran_on: Vec<Vec<ThreadId>> = pool(1).install(|| {
-            xs.par_iter()
-                .map(|_| xs.par_iter().map(|_| me()).collect())
-                .collect()
-        });
-        assert!(ran_on.iter().flatten().all(|&t| t == caller));
-        // `install(1)` inside a participant of a wider map keeps that
-        // participant's nested maps on it.
-        let ran_on: Vec<(ThreadId, Vec<ThreadId>)> = pool(2).install(|| {
-            xs.par_iter()
-                .map(|_| {
-                    (
-                        me(),
-                        pool(1).install(|| xs.par_iter().map(|_| me()).collect()),
-                    )
-                })
-                .collect()
-        });
-        for (outer, inner) in ran_on {
-            assert!(inner.iter().all(|&t| t == outer));
-        }
     }
 
     /// Threads inside a map's items at once, nested maps included.
