@@ -160,7 +160,7 @@ impl DesBackend {
         matrices: &[&TrafficMatrix],
         fwd: &ForwardingState,
     ) -> BackendReport {
-        let report = Simulation::with_forwarding(topo, matrices, fwd.clone(), self.cfg).run();
+        let report = Simulation::with_forwarding(topo, matrices, fwd, self.cfg).run();
         let k = matrices.len();
         let m = topo.link_count();
         let mut class_loads = vec![vec![0.0; m]; k];
@@ -331,7 +331,7 @@ mod tests {
         };
         let dep = DeploymentSet::from_upgraded(3, &[1]);
         let fwd = crate::ForwardingState::with_deployment(&topo, &w, &dep);
-        let _ = Simulation::with_forwarding(&topo, &[&d.high, &d.low], fwd, SimConfig::default());
+        let _ = Simulation::with_forwarding(&topo, &[&d.high, &d.low], &fwd, SimConfig::default());
     }
 
     #[test]

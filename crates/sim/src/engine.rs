@@ -7,7 +7,7 @@
 //! per-class ECMP branches chosen uniformly per packet, and measured
 //! inside `[warmup, warmup + duration)`.
 
-use crate::event::{Pending, Source};
+use crate::event::{Calendar, Pending, Source};
 use crate::forwarding::ForwardingState;
 use crate::stats::{Acc, LinkStats, PairKey};
 use dtr_graph::weights::DualWeights;
@@ -15,7 +15,7 @@ use dtr_graph::{LinkId, NodeId, Topology, WeightVector};
 use dtr_traffic::{DemandSet, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Simulator parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,7 +80,7 @@ struct LinkState {
     /// The packet being transmitted and its service start time.
     current: Option<(Packet, f64)>,
     /// Packets on the wire: `(arrival time, seq, packet)`, in arrival
-    /// order. Only the head has a heap entry.
+    /// order. Only the head has a queue entry.
     pipe: VecDeque<(f64, u64, Packet)>,
     /// Capacity in bit/s.
     cap_bps: f64,
@@ -145,10 +145,34 @@ impl SimReport {
 /// A configured simulation, ready to [`run`](Simulation::run).
 pub struct Simulation<'a> {
     topo: &'a Topology,
-    fwd: ForwardingState,
+    branches: BranchTable,
     flows: Vec<Flow>,
     cfg: SimConfig,
     classes: usize,
+}
+
+/// Every class's ECMP branches, flattened: `at[(class · n + dest) · n +
+/// node]..at[… + 1]` is the range of `links` holding the branches of
+/// `class` at `node` towards `dest`.
+struct BranchTable {
+    at: Vec<u32>,
+    links: Vec<u32>,
+}
+
+impl BranchTable {
+    fn new(topo: &Topology, fwd: &ForwardingState) -> Self {
+        let mut at = vec![0u32];
+        let mut links = Vec::new();
+        for class in 0..fwd.classes() {
+            for dest in topo.nodes() {
+                for node in topo.nodes() {
+                    links.extend_from_slice(fwd.branches(class, dest, node));
+                    at.push(links.len() as u32);
+                }
+            }
+        }
+        BranchTable { at, links }
+    }
 }
 
 impl<'a> Simulation<'a> {
@@ -182,7 +206,7 @@ impl<'a> Simulation<'a> {
         Self::with_forwarding(
             topo,
             matrices,
-            ForwardingState::with_class_weights(topo, weights),
+            &ForwardingState::with_class_weights(topo, weights),
             cfg,
         )
     }
@@ -194,11 +218,12 @@ impl<'a> Simulation<'a> {
     /// be able to reach its destination in its class's DAG: a packet at
     /// a branchless non-destination node has nowhere to go, so the
     /// constructor rejects such flows up front (callers gate on the
-    /// evaluator's undeliverable volume before simulating).
+    /// evaluator's undeliverable volume before simulating). The
+    /// simulation keeps only the tables' branch lists, not `fwd`.
     pub fn with_forwarding(
         topo: &'a Topology,
         matrices: &[&TrafficMatrix],
-        fwd: ForwardingState,
+        fwd: &ForwardingState,
         cfg: SimConfig,
     ) -> Self {
         assert!(cfg.mean_packet_bits > 0.0);
@@ -228,7 +253,7 @@ impl<'a> Simulation<'a> {
         }
         Simulation {
             topo,
-            fwd,
+            branches: BranchTable::new(topo, fwd),
             flows,
             cfg,
             classes: matrices.len(),
@@ -248,24 +273,30 @@ fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
     -(1.0 - u).ln() / rate
 }
 
+/// Calendar buckets per queue entry the run can hold (flows + 2·links),
+/// before rounding up to a power of two. Set by the sweep in
+/// `DESIGN.md`, as is [`BUCKETS_PER_PACKET`].
+const BUCKETS_PER_ENTRY: usize = 4;
+
+/// Calendar buckets per mean packet interarrival time of the whole run
+/// (`1 / Σ rate_pps`): a packet costs ~6 events (an arrival and two per
+/// hop), so ~1.7 events fall in a bucket's width.
+const BUCKETS_PER_PACKET: f64 = 3.5;
+
 /// The event loop. Events fire in `(time, seq)` order, `seq` counting
-/// the order in which they were scheduled. The heap holds one entry per
-/// source with an event pending ([`crate::event`]); a pipe's later
+/// the order in which they were scheduled. The calendar holds one entry
+/// per source with an event pending ([`crate::event`]); a pipe's later
 /// packets wait in the pipe, which yields them in `(time, seq)` order
 /// because a transmitter completes packets at nondecreasing times, each
 /// completion is scheduled with a larger `seq` than the last, and the
 /// link's propagation delay is a constant.
 struct Engine {
     flows: Vec<Flow>,
-    /// `branch_at[(class · n + dest) · n + node]..branch_at[… + 1]` is the
-    /// range of `branch_links` holding the ECMP branches of `class` at
-    /// `node` towards `dest`.
-    branch_at: Vec<u32>,
-    branch_links: Vec<u32>,
+    branches: BranchTable,
     nodes: usize,
     cfg: SimConfig,
     rng: StdRng,
-    heap: BinaryHeap<Pending>,
+    queue: Calendar,
     seq: u64,
     links: Vec<LinkState>,
     // measurement
@@ -283,17 +314,6 @@ struct Engine {
 
 impl Engine {
     fn new(sim: Simulation<'_>) -> Self {
-        let n = sim.topo.node_count();
-        let mut branch_at = vec![0u32];
-        let mut branch_links = Vec::new();
-        for class in 0..sim.classes {
-            for dest in sim.topo.nodes() {
-                for node in sim.topo.nodes() {
-                    branch_links.extend_from_slice(sim.fwd.branches(class, dest, node));
-                    branch_at.push(branch_links.len() as u32);
-                }
-            }
-        }
         let links = sim
             .topo
             .links()
@@ -307,14 +327,28 @@ impl Engine {
             })
             .collect();
         let n_links = sim.topo.link_count();
+        // Sized from the run: a bucket count proportional to the entry
+        // bound, a width proportional to the mean interarrival time.
+        // Sizing moves only the speed, never the pop order.
+        let bound = sim.flows.len() + 2 * n_links;
+        let total_pps: f64 = sim.flows.iter().map(|f| f.rate_pps).sum();
+        let inv_width = BUCKETS_PER_PACKET * total_pps;
+        let queue = Calendar::new(
+            bound,
+            bound * BUCKETS_PER_ENTRY,
+            if inv_width.is_finite() && inv_width > 0.0 {
+                inv_width
+            } else {
+                1.0
+            },
+        );
         Engine {
             rng: StdRng::seed_from_u64(sim.cfg.seed),
-            heap: BinaryHeap::new(),
+            queue,
             seq: 0,
             links,
-            branch_at,
-            branch_links,
-            nodes: n,
+            branches: sim.branches,
+            nodes: sim.topo.node_count(),
             win_start: sim.cfg.warmup_s,
             win_end: sim.cfg.warmup_s + sim.cfg.duration_s,
             link_stats: vec![LinkStats::new(sim.classes); n_links],
@@ -344,13 +378,12 @@ impl Engine {
             if rate > 0.0 {
                 let t = exp_sample(&mut self.rng, rate);
                 let first = self.schedule(t, Source::Flow(i as u32));
-                self.heap.push(first);
+                self.queue.push(first);
             }
         }
 
-        while let Some(top) = self.heap.peek() {
-            debug_assert!(self.heap.len() <= self.flows.len() + 2 * self.links.len());
-            let (now, source) = (top.time, top.source);
+        while let Some(event) = self.queue.pop() {
+            let (now, source) = (event.time, event.source);
             if now > self.win_end {
                 break;
             }
@@ -358,25 +391,19 @@ impl Engine {
                 Source::Flow(flow) => {
                     let flow = flow as usize;
                     // Reschedule the source first (stops naturally at
-                    // win_end), in place of the event at hand.
+                    // win_end).
                     let next = now + exp_sample(&mut self.rng, self.flows[flow].rate_pps);
                     let next = self.schedule(next, source);
-                    *self.heap.peek_mut().expect("peeked") = next;
+                    self.queue.push(next);
                     self.on_flow_arrival(flow, now);
                 }
-                Source::Tx(link) => {
-                    self.heap.pop();
-                    self.on_tx_complete(link as usize, now);
-                }
+                Source::Tx(link) => self.on_tx_complete(link as usize, now),
                 Source::Pipe(link) => {
                     let link = link as usize;
                     let pipe = &mut self.links[link].pipe;
-                    let (_, _, packet) = pipe.pop_front().expect("a pipe in the heap is not empty");
+                    let (_, _, packet) = pipe.pop_front().expect("a queued pipe is not empty");
                     if let Some(&(time, seq, _)) = pipe.front() {
-                        let mut top = self.heap.peek_mut().expect("peeked");
-                        (top.time, top.seq) = (time, seq);
-                    } else {
-                        self.heap.pop();
+                        self.queue.push(Pending { time, seq, source });
                     }
                     self.forward(packet, self.links[link].dst, now);
                 }
@@ -448,8 +475,8 @@ impl Engine {
             return;
         }
         let row = (f.class as usize * self.nodes + f.dst as usize) * self.nodes + node.index();
-        let branches =
-            &self.branch_links[self.branch_at[row] as usize..self.branch_at[row + 1] as usize];
+        let table = &self.branches;
+        let branches = &table.links[table.at[row] as usize..table.at[row + 1] as usize];
         assert!(
             !branches.is_empty(),
             "no route for class {} from {node} to destination n{}",
@@ -491,7 +518,7 @@ impl Engine {
         state.current = Some((p, now));
         let tx = p.size_bits / state.cap_bps;
         let done = self.schedule(now + tx, Source::Tx(link as u32));
-        self.heap.push(done);
+        self.queue.push(done);
 
         // Record the wait sample at service start.
         if p.enqueued_s >= self.win_start && now <= self.win_end {
@@ -526,7 +553,7 @@ impl Engine {
             .back()
             .is_none_or(|&(t, s, _)| (t, s) < (arrival.time, arrival.seq)));
         if pipe.is_empty() {
-            self.heap.push(arrival);
+            self.queue.push(arrival);
         }
         pipe.push_back((arrival.time, arrival.seq, p));
 
