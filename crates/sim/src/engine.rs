@@ -276,7 +276,7 @@ fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
 /// Calendar buckets per queue entry the run can hold (flows + 2·links),
 /// before rounding up to a power of two. Set by the sweep in
 /// `DESIGN.md`, as is [`BUCKETS_PER_PACKET`].
-const BUCKETS_PER_ENTRY: usize = 4;
+const BUCKETS_PER_ENTRY: usize = 2;
 
 /// Calendar buckets per mean packet interarrival time of the whole run
 /// (`1 / Σ rate_pps`): a packet costs ~6 events (an arrival and two per
