@@ -49,37 +49,22 @@ use dtr_routing::Evaluation;
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Annealing-specific knobs; the evaluation budget and weight range come
-/// from [`SearchParams`] so runs are comparable with the other searches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AnnealParams {
-    /// Acceptance probability targeted for the median degradation when
-    /// calibrating the initial temperature (0.8 is standard).
-    pub initial_acceptance: f64,
-    /// Fraction of the initial temperature reached at the end of the
-    /// budget (the geometric decay rate follows from this and the
-    /// budget).
-    pub final_temp_frac: f64,
-    /// Weight of the primary (high-priority) component in the scalar
-    /// degradation surrogate.
-    pub primary_emphasis: f64,
-    /// Moves sampled up-front to calibrate the temperature (spent from
-    /// the same evaluation budget).
-    pub calibration_samples: usize,
-}
+/// Acceptance probability targeted for the median degradation when
+/// calibrating the initial temperature (0.8 is standard).
+const INITIAL_ACCEPTANCE: f64 = 0.8;
 
-impl Default for AnnealParams {
-    fn default() -> Self {
-        AnnealParams {
-            initial_acceptance: 0.8,
-            final_temp_frac: 1e-3,
-            primary_emphasis: 10.0,
-            calibration_samples: 30,
-        }
-    }
-}
+/// Fraction of the initial temperature reached at the end of the budget
+/// (the geometric decay rate follows from this and the budget).
+const FINAL_TEMP_FRAC: f64 = 1e-3;
+
+/// Weight of the primary (high-priority) component in the scalar
+/// degradation surrogate.
+const PRIMARY_EMPHASIS: f64 = 10.0;
+
+/// Moves sampled up-front to calibrate the temperature (spent from the
+/// same evaluation budget).
+const CALIBRATION_SAMPLES: usize = 30;
 
 /// Simulated annealing over link weights. Under [`Scheme::Str`] the
 /// result's two vectors are identical replicas;
@@ -88,7 +73,6 @@ impl Default for AnnealParams {
 pub struct AnnealSearch<'a> {
     engine: BatchEvaluator<'a>,
     params: SearchParams,
-    anneal: AnnealParams,
     mode: Scheme,
 }
 
@@ -96,7 +80,7 @@ pub struct AnnealSearch<'a> {
 const DELTA_FLOOR: f64 = 1e-9;
 
 impl<'a> AnnealSearch<'a> {
-    /// Prepares an annealer with default [`AnnealParams`].
+    /// Prepares an annealer.
     pub fn new(
         topo: &'a Topology,
         demands: &'a DemandSet,
@@ -108,7 +92,6 @@ impl<'a> AnnealSearch<'a> {
         AnnealSearch {
             engine: BatchEvaluator::new(topo, demands, objective, params.backend),
             params,
-            anneal: AnnealParams::default(),
             mode,
         }
     }
@@ -128,25 +111,6 @@ impl<'a> AnnealSearch<'a> {
         self
     }
 
-    /// Overrides the annealing knobs.
-    pub fn with_anneal_params(mut self, anneal: AnnealParams) -> Self {
-        assert!(
-            (0.0..1.0).contains(&anneal.initial_acceptance) && anneal.initial_acceptance > 0.0,
-            "initial acceptance must be in (0,1)"
-        );
-        assert!(
-            anneal.final_temp_frac > 0.0 && anneal.final_temp_frac < 1.0,
-            "final temperature fraction must be in (0,1)"
-        );
-        assert!(
-            anneal.primary_emphasis >= 1.0,
-            "primary emphasis must be ≥ 1"
-        );
-        assert!(anneal.calibration_samples >= 1, "need calibration samples");
-        self.anneal = anneal;
-        self
-    }
-
     /// Scalar degradation surrogate `δ` for a move from `from` to `to`
     /// (0 when the move improves lexicographically).
     fn degradation(&self, from: Lex2, to: Lex2) -> f64 {
@@ -154,8 +118,7 @@ impl<'a> AnnealSearch<'a> {
             return 0.0;
         }
         let rel = |new: f64, old: f64| ((new - old) / old.max(DELTA_FLOOR)).max(0.0);
-        self.anneal.primary_emphasis * rel(to.primary, from.primary)
-            + rel(to.secondary, from.secondary)
+        PRIMARY_EMPHASIS * rel(to.primary, from.primary) + rel(to.secondary, from.secondary)
     }
 
     /// Proposes a single-weight-change move away from `w` (evaluated as
@@ -186,7 +149,6 @@ impl<'a> AnnealSearch<'a> {
     /// ([`SearchParams::dtr_eval_budget`]) is spent.
     pub fn run(mut self) -> SearchResult {
         let params = self.params;
-        let anneal = self.anneal;
         let budget = params.dtr_eval_budget();
         // Salted so strategy ablations with a shared `seed` explore
         // independent candidate streams (see DESIGN.md fair-budget notes).
@@ -206,8 +168,8 @@ impl<'a> AnnealSearch<'a> {
 
         // --- Temperature calibration: sample random moves, set T₀ so the
         // median degradation is accepted with the target probability. ---
-        let mut degradations = Vec::with_capacity(anneal.calibration_samples);
-        while degradations.len() < anneal.calibration_samples && trace.evaluations < budget {
+        let mut degradations = Vec::with_capacity(CALIBRATION_SAMPLES);
+        while degradations.len() < CALIBRATION_SAMPLES && trace.evaluations < budget {
             let cand = self.probe(&cur_w, &cur, &mut rng);
             trace.evaluations += 1;
             let d = self.degradation(cur.cost, cand.eval.cost);
@@ -225,11 +187,11 @@ impl<'a> AnnealSearch<'a> {
             .get(degradations.len() / 2)
             .copied()
             .unwrap_or(1.0);
-        // exp(−median/T₀) = initial_acceptance  ⇒  T₀ = −median/ln(p₀).
-        let t0 = (-median / anneal.initial_acceptance.ln()).max(DELTA_FLOOR);
+        // exp(−median/T₀) = INITIAL_ACCEPTANCE  ⇒  T₀ = −median/ln(p₀).
+        let t0 = (-median / INITIAL_ACCEPTANCE.ln()).max(DELTA_FLOOR);
         let remaining = budget.saturating_sub(trace.evaluations).max(1);
-        // Geometric decay hitting `final_temp_frac·T₀` on the last move.
-        let decay = anneal.final_temp_frac.powf(1.0 / remaining as f64);
+        // Geometric decay hitting `FINAL_TEMP_FRAC·T₀` on the last move.
+        let decay = FINAL_TEMP_FRAC.powf(1.0 / remaining as f64);
 
         // --- The walk. ---
         let mut temp = t0;
@@ -261,7 +223,7 @@ impl<'a> AnnealSearch<'a> {
                     trace.improved(trace.evaluations, Phase::Str, best.cost);
                 }
             }
-            temp = (temp * decay).max(t0 * anneal.final_temp_frac);
+            temp = (temp * decay).max(t0 * FINAL_TEMP_FRAC);
         }
 
         SearchResult {
@@ -460,19 +422,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "primary emphasis")]
-    fn rejects_bad_anneal_params() {
-        let (topo, demands) = triangle_instance();
-        let _ = AnnealSearch::new(
-            &topo,
-            &demands,
-            Objective::LoadBased,
-            SearchParams::tiny(),
-            Scheme::Str,
-        )
-        .with_anneal_params(AnnealParams {
-            primary_emphasis: 0.5,
-            ..Default::default()
-        });
+    fn annealing_constants_lie_in_their_ranges() {
+        // T₀ = −median/ln(p₀) is positive only for p₀ in (0, 1); the decay
+        // must cool; the surrogate must not under-weight the primary.
+        const {
+            assert!(INITIAL_ACCEPTANCE > 0.0 && INITIAL_ACCEPTANCE < 1.0);
+            assert!(FINAL_TEMP_FRAC > 0.0 && FINAL_TEMP_FRAC < 1.0);
+            assert!(PRIMARY_EMPHASIS >= 1.0);
+            assert!(CALIBRATION_SAMPLES >= 1);
+        }
     }
 }

@@ -68,7 +68,7 @@ pub mod streams;
 pub mod telemetry;
 pub mod upgrade;
 
-pub use anneal::{AnnealParams, AnnealSearch};
+pub use anneal::AnnealSearch;
 pub use dtr::DtrSearch;
 pub use joint::{joint_cost, JointCostExplorer, TriangleVerdict};
 pub use neighborhood::{NeighborhoodSampler, RankTable};

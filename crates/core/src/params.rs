@@ -47,7 +47,10 @@ pub struct SearchParams {
     /// loops. Both backends produce bit-identical evaluations (enforced
     /// by `dtr-engine`'s equivalence proptests), so this only changes
     /// wall-clock time; `Incremental` repairs only the destinations a
-    /// move's one-or-two weight deltas affect and is the default.
+    /// move's one-or-two weight deltas affect and is the default. Kept
+    /// settable because `tests/engine_equivalence.rs` runs every search
+    /// on both backends, as does `dtrctl --backend full`, the end-to-end
+    /// cross-check.
     pub backend: BackendKind,
 }
 

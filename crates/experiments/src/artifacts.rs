@@ -50,7 +50,7 @@ pub const ARTIFACTS: &[Artifact] = &[
         tables(triangle::run(ctx), &[("triangle", triangle::table)])
     }),
     ("fig2", "Fig. 2", |ctx| {
-        output(fig2::run_all(ctx, &fig2::Fig2Cfg::default()), |panels| {
+        output(fig2::run_all(ctx), |panels| {
             let name = |p: &fig2::Fig2Panel| format!("fig2_{}_{}", p.topology.name(), p.objective);
             panels.iter().map(|p| (name(p), fig2::table(p))).collect()
         })

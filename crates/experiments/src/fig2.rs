@@ -11,20 +11,11 @@ use crate::runner::{demands_random_model, sweep_load, ExperimentCtx, PairOutcome
 use dtr_core::Objective;
 use serde::{Deserialize, Serialize};
 
-/// Traffic parameters of Fig. 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Fig2Cfg {
-    /// High-priority volume fraction (paper: 30 %).
-    pub f: f64,
-    /// High-priority SD-pair density (paper: 10 %).
-    pub k: f64,
-}
+/// High-priority volume fraction `f` of Fig. 2 (paper: 30 %).
+const F: f64 = 0.30;
 
-impl Default for Fig2Cfg {
-    fn default() -> Self {
-        Fig2Cfg { f: 0.30, k: 0.10 }
-    }
-}
+/// High-priority SD-pair density `k` of Fig. 2 (paper: 10 %).
+const K: f64 = 0.10;
 
 /// One of the six panels.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -38,14 +29,9 @@ pub struct Fig2Panel {
 }
 
 /// Runs one panel.
-pub fn run_panel(
-    ctx: &ExperimentCtx,
-    kind: TopologyKind,
-    objective: Objective,
-    cfg: &Fig2Cfg,
-) -> Fig2Panel {
+pub fn run_panel(ctx: &ExperimentCtx, kind: TopologyKind, objective: Objective) -> Fig2Panel {
     let topo = kind.build(ctx.seed);
-    let base = demands_random_model(&topo, cfg.f, cfg.k, ctx.seed);
+    let base = demands_random_model(&topo, F, K, ctx.seed);
     let points = sweep_load(ctx, &topo, &base, objective);
     Fig2Panel {
         topology: kind,
@@ -55,7 +41,7 @@ pub fn run_panel(
 }
 
 /// Runs all six panels (a–f).
-pub fn run_all(ctx: &ExperimentCtx, cfg: &Fig2Cfg) -> Vec<Fig2Panel> {
+pub fn run_all(ctx: &ExperimentCtx) -> Vec<Fig2Panel> {
     let mut panels = Vec::with_capacity(6);
     for objective in [Objective::LoadBased, Objective::sla_default()] {
         for kind in [
@@ -63,7 +49,7 @@ pub fn run_all(ctx: &ExperimentCtx, cfg: &Fig2Cfg) -> Vec<Fig2Panel> {
             TopologyKind::PowerLaw,
             TopologyKind::Isp,
         ] {
-            panels.push(run_panel(ctx, kind, objective, cfg));
+            panels.push(run_panel(ctx, kind, objective));
         }
     }
     panels
@@ -108,12 +94,7 @@ mod tests {
     #[test]
     fn smoke_panel_runs_and_renders() {
         let ctx = ExperimentCtx::smoke();
-        let panel = run_panel(
-            &ctx,
-            TopologyKind::Isp,
-            Objective::LoadBased,
-            &Fig2Cfg::default(),
-        );
+        let panel = run_panel(&ctx, TopologyKind::Isp, Objective::LoadBased);
         assert_eq!(panel.points.len(), 2);
         // Load increases across the sweep.
         assert!(panel.points[0].avg_util < panel.points[1].avg_util);
@@ -130,12 +111,7 @@ mod tests {
     #[test]
     fn ratios_are_positive() {
         let ctx = ExperimentCtx::smoke();
-        let panel = run_panel(
-            &ctx,
-            TopologyKind::Isp,
-            Objective::sla_default(),
-            &Fig2Cfg::default(),
-        );
+        let panel = run_panel(&ctx, TopologyKind::Isp, Objective::sla_default());
         for p in &panel.points {
             assert!(p.r_h > 0.0 && p.r_h.is_finite());
             assert!(p.r_l > 0.0 && p.r_l.is_finite());

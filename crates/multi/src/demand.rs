@@ -9,7 +9,7 @@
 //! high-priority generator, applied per class.
 
 use dtr_graph::Topology;
-use dtr_traffic::{gravity_matrix, random_highpri, GravityCfg, TrafficMatrix};
+use dtr_traffic::{gravity_matrix, random_highpri, TrafficMatrix};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for a k-class demand set.
@@ -43,7 +43,7 @@ pub struct MultiDemand {
 impl MultiDemand {
     /// Generates a k-class demand set for `topo` over the gravity base.
     pub fn generate(topo: &Topology, cfg: &MultiTrafficCfg) -> MultiDemand {
-        let base = gravity_matrix(topo.node_count(), &GravityCfg::default(), cfg.seed);
+        let base = gravity_matrix(topo.node_count(), cfg.seed);
         Self::coupled(base, cfg)
     }
 

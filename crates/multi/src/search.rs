@@ -273,11 +273,7 @@ mod tests {
             seed: 6,
         });
         let demands = MultiDemand {
-            classes: vec![dtr_traffic::gravity_matrix(
-                10,
-                &dtr_traffic::GravityCfg::default(),
-                6,
-            )],
+            classes: vec![dtr_traffic::gravity_matrix(10, 6)],
         };
         let err = MultiSearch::with_spec(
             &topo,

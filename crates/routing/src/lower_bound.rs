@@ -29,24 +29,25 @@ use dtr_cost::phi;
 use dtr_graph::{Topology, WeightVector};
 use dtr_traffic::{DemandSet, TrafficMatrix};
 
+/// [`frank_wolfe`] stops when the relative cost improvement of a step
+/// falls below this.
+const TOLERANCE: f64 = 1e-6;
+
+/// Golden-section line-search iterations per Frank–Wolfe step.
+const LINE_SEARCH_ITERS: usize = 40;
+
 /// Convergence controls for [`frank_wolfe`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FwParams {
-    /// Maximum Frank–Wolfe iterations.
+    /// Maximum Frank–Wolfe iterations (default 200). Kept settable for
+    /// `tests::fw_cost_decreases_monotonically_in_iterations`, which
+    /// runs 2 and 50 iterations on one instance.
     pub max_iters: usize,
-    /// Stop when the relative cost improvement falls below this.
-    pub tolerance: f64,
-    /// Golden-section line-search iterations per step.
-    pub line_search_iters: usize,
 }
 
 impl Default for FwParams {
     fn default() -> Self {
-        FwParams {
-            max_iters: 200,
-            tolerance: 1e-6,
-            line_search_iters: 40,
-        }
+        FwParams { max_iters: 200 }
     }
 }
 
@@ -144,7 +145,7 @@ pub fn frank_wolfe(
         let mut x1 = hi - inv_phi_ratio * (hi - lo);
         let mut x2 = lo + inv_phi_ratio * (hi - lo);
         let (mut f1, mut f2) = (blend_cost(x1), blend_cost(x2));
-        for _ in 0..params.line_search_iters {
+        for _ in 0..LINE_SEARCH_ITERS {
             if f1 <= f2 {
                 hi = x2;
                 x2 = x1;
@@ -162,7 +163,7 @@ pub fn frank_wolfe(
         let theta = 0.5 * (lo + hi);
         let new_cost = blend_cost(theta);
 
-        if new_cost >= cost * (1.0 - params.tolerance) {
+        if new_cost >= cost * (1.0 - TOLERANCE) {
             // No meaningful progress; converged.
             if new_cost < cost {
                 for (l, &a) in loads.iter_mut().zip(&aon) {
@@ -315,24 +316,8 @@ mod tests {
         )
         .scaled(5.0);
         let caps: Vec<f64> = topo.links().map(|(_, l)| l.capacity).collect();
-        let short = frank_wolfe(
-            &topo,
-            &demands.low,
-            &caps,
-            &FwParams {
-                max_iters: 2,
-                ..Default::default()
-            },
-        );
-        let long = frank_wolfe(
-            &topo,
-            &demands.low,
-            &caps,
-            &FwParams {
-                max_iters: 50,
-                ..Default::default()
-            },
-        );
+        let short = frank_wolfe(&topo, &demands.low, &caps, &FwParams { max_iters: 2 });
+        let long = frank_wolfe(&topo, &demands.low, &caps, &FwParams { max_iters: 50 });
         assert!(long.cost <= short.cost + 1e-9);
     }
 

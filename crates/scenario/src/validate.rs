@@ -88,9 +88,10 @@ pub const DES_DELAY_ENVELOPE: f64 = 0.25;
 pub const DES_DELAY_ENVELOPE_SATURATED: f64 = 0.5;
 
 /// Total-utilization threshold above which a link (for the load check)
-/// or a pair's path (for the delay check) leaves the comparable region.
-/// Matches the fluid backend's default `hot_util`.
-pub const HOT_UTIL: f64 = 0.95;
+/// or a pair's path (for the delay check) leaves the comparable region:
+/// the fluid backend's own constant, so the two exclusion sets cannot
+/// drift apart.
+pub use dtr_sim::HOT_UTIL;
 
 /// Links whose analytic class load is below this fraction of the
 /// instance's largest class-link load are excluded from the DES load
@@ -461,16 +462,9 @@ fn compare_pipelines(
     packets: u64,
     des_load_min_samples: u64,
 ) -> SchemeValidation {
-    // The same threshold classifies links here (load gate) and pairs
-    // inside the fluid backend (delay gate) — passing it explicitly
-    // keeps the two exclusion sets from drifting apart.
-    let fluid_backend = FluidSim {
-        cfg: dtr_sim::FluidCfg {
-            hot_util: HOT_UTIL,
-            ..Default::default()
-        },
-    };
-    let fluid = fluid_backend.run_classes_on(topo, matrices, fwd);
+    // One threshold, `HOT_UTIL`, classifies links here (load gate) and
+    // pairs inside the fluid backend (delay gate).
+    let fluid = FluidSim::new().run_classes_on(topo, matrices, fwd);
     let des = DesBackend::budgeted_classes(matrices, packets, des_seed)
         .run_classes_on(topo, matrices, fwd);
 

@@ -18,6 +18,7 @@
 
 use crate::engine::{SimConfig, Simulation};
 use crate::forwarding::ForwardingState;
+use crate::queueing::MEAN_PACKET_BITS;
 use crate::stats::PairKey;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
@@ -59,10 +60,10 @@ pub struct BackendReport {
     /// Sorted map so aggregation order is deterministic.
     pub pair_delays: BTreeMap<PairKey, f64>,
     /// Pairs whose expected forwarding path crosses a near-saturated
-    /// link (total utilization ≥ the fluid backend's `hot_util`
-    /// threshold). Finite-horizon measurements of such pairs are not
-    /// steady-state; differential comparisons exclude them. Always
-    /// empty for the DES backend (it measures, it doesn't predict).
+    /// link (total utilization ≥ [`crate::HOT_UTIL`]). Finite-horizon
+    /// measurements of such pairs are not steady-state; differential
+    /// comparisons exclude them. Always empty for the DES backend (it
+    /// measures, it doesn't predict).
     pub hot_pairs: BTreeSet<PairKey>,
     /// Packets generated (0 for the fluid backend).
     pub packets: u64,
@@ -118,9 +119,8 @@ impl DesBackend {
     /// [`DesBackend::budgeted`] for k priority classes: the packet
     /// budget is shared across all classes' offered volume.
     pub fn budgeted_classes(matrices: &[&TrafficMatrix], packets: u64, seed: u64) -> Self {
-        let cfg = SimConfig::default();
         let volume: f64 = matrices.iter().map(|m| m.total()).sum();
-        let total_pps = volume * 1e6 / cfg.mean_packet_bits;
+        let total_pps = volume * 1e6 / MEAN_PACKET_BITS;
         assert!(total_pps > 0.0, "budgeted DES needs positive demand");
         let duration_s = packets as f64 / total_pps;
         DesBackend {
@@ -128,7 +128,7 @@ impl DesBackend {
                 warmup_s: 0.1 * duration_s,
                 duration_s,
                 seed,
-                ..cfg
+                ..SimConfig::default()
             },
         }
     }

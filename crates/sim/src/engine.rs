@@ -1,7 +1,7 @@
 //! The discrete-event engine.
 //!
-//! Each directed link is a transmitter with two FIFO queues; the
-//! high-priority queue is always served first and service is
+//! Each directed link is a transmitter with one FIFO queue per priority
+//! class; a higher-priority queue is always served first and service is
 //! non-preemptive (§3's contention model). Packets are generated by
 //! Poisson flow sources (one per SD pair per class), forwarded along
 //! per-class ECMP branches chosen uniformly per packet, and measured
@@ -9,6 +9,7 @@
 
 use crate::event::{Calendar, Pending, Source};
 use crate::forwarding::ForwardingState;
+use crate::queueing::MEAN_PACKET_BITS;
 use crate::stats::{Acc, LinkStats, PairKey};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, NodeId, Topology, WeightVector};
@@ -20,11 +21,13 @@ use std::collections::{HashMap, VecDeque};
 /// Simulator parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// Mean packet size in bits (default 8000 = 1000 bytes, matching the
-    /// analytic Eq. 3 default).
-    pub mean_packet_bits: f64,
-    /// `false` → exponential sizes (M/M/1 links); `true` → all packets
-    /// exactly `mean_packet_bits` (M/D/1).
+    /// `false` → exponential sizes of mean [`MEAN_PACKET_BITS`] (M/M/1
+    /// links); `true` → every packet exactly [`MEAN_PACKET_BITS`]
+    /// (M/D/1). Kept settable for the tie-heavy sim golden
+    /// (`tests/golden.rs`, `tied_run`): only fixed sizes on zero-delay
+    /// links make the many-way time ties that pin the event queue's
+    /// exact pop order; `md1_waits_are_shorter_than_mm1` below also
+    /// sets it.
     pub deterministic_size: bool,
     /// Transient discarded before measurement (seconds).
     pub warmup_s: f64,
@@ -33,14 +36,16 @@ pub struct SimConfig {
     /// RNG seed.
     pub seed: u64,
     /// Per-queue buffer limit in packets; `None` = infinite (the paper's
-    /// model). Arriving packets finding a full queue are dropped.
+    /// model). Arriving packets finding a full queue are dropped. Kept
+    /// settable for the tie-heavy sim golden (`tests/golden.rs`,
+    /// `tied_run`), whose drops it pins, and the finite-buffer unit
+    /// tests below.
     pub buffer_packets: Option<usize>,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            mean_packet_bits: 8000.0,
             deterministic_size: false,
             warmup_s: 0.5,
             duration_s: 2.0,
@@ -226,7 +231,6 @@ impl<'a> Simulation<'a> {
         fwd: &ForwardingState,
         cfg: SimConfig,
     ) -> Self {
-        assert!(cfg.mean_packet_bits > 0.0);
         assert!(cfg.duration_s > 0.0);
         assert!(!matrices.is_empty(), "need at least one class");
         assert_eq!(matrices.len(), fwd.classes(), "one DAG table per class");
@@ -247,7 +251,7 @@ impl<'a> Simulation<'a> {
                     class: c as u8,
                     src: s as u32,
                     dst: t as u32,
-                    rate_pps: m.get(s, t) * 1e6 / cfg.mean_packet_bits,
+                    rate_pps: m.get(s, t) * 1e6 / MEAN_PACKET_BITS,
                 });
             }
         }
@@ -446,9 +450,9 @@ impl Engine {
 
     fn on_flow_arrival(&mut self, flow: usize, now: f64) {
         let size = if self.cfg.deterministic_size {
-            self.cfg.mean_packet_bits
+            MEAN_PACKET_BITS
         } else {
-            exp_sample(&mut self.rng, 1.0 / self.cfg.mean_packet_bits)
+            exp_sample(&mut self.rng, 1.0 / MEAN_PACKET_BITS)
         };
         self.generated += 1;
         self.live_packets += 1;
@@ -760,7 +764,7 @@ mod tests {
 
     #[test]
     fn three_class_strict_priority_matches_cobham_k() {
-        use crate::queueing::{cobham_k, PriorityLink};
+        use crate::queueing::cobham_k;
         let topo = two_node(10.0, 0.0);
         let mut mats = Vec::new();
         for mbps in [2.0, 3.0, 3.0] {
@@ -783,14 +787,7 @@ mod tests {
         )
         .run();
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let theory = cobham_k(
-            &PriorityLink {
-                capacity_mbps: 10.0,
-                mean_packet_bits: 8000.0,
-                deterministic: false,
-            },
-            &[2.0, 3.0, 3.0],
-        );
+        let theory = cobham_k(10.0, &[2.0, 3.0, 3.0]);
         for (c, th) in theory.iter().enumerate() {
             let sim = r.link_stats[link.index()].per_class[c].wait.mean();
             let th = th.wait_s;

@@ -14,8 +14,8 @@
 //!    bit-identical to `Evaluator::eval_dual`'s — the structural
 //!    agreement the validation harness asserts at 1e-9.
 //! 2. **Per-link delays** — Cobham's closed-form mean waits for the
-//!    k-priority M/M/1 (or M/D/1) link at those loads; no event loop,
-//!    no sampling noise, unstable links report infinity.
+//!    k-priority M/M/1 link at those loads; no event loop, no sampling
+//!    noise, unstable links report infinity.
 //! 3. **End-to-end delays** — a dynamic program over each destination
 //!    DAG: ξ(v→t) averages branch sojourn + propagation + downstream ξ
 //!    over the ECMP branches, mirroring the evaluator's SLA walk but
@@ -28,7 +28,7 @@
 
 use crate::backend::{BackendReport, SimBackend};
 use crate::forwarding::ForwardingState;
-use crate::queueing::{cobham_k, PriorityLink};
+use crate::queueing::cobham_k;
 use crate::stats::PairKey;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, NodeId, Topology, WeightVector};
@@ -36,44 +36,21 @@ use dtr_routing::{demand_column, push_demand_flat};
 use dtr_traffic::{DemandSet, TrafficMatrix};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Fluid-model parameters — the packet-size model the closed-form link
-/// delays assume (loads don't depend on it).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FluidCfg {
-    /// Mean packet size in bits (default 8000, matching [`crate::SimConfig`]).
-    pub mean_packet_bits: f64,
-    /// `false` → exponential sizes (M/M/1), `true` → constant (M/D/1).
-    pub deterministic_size: bool,
-    /// Total-utilization threshold above which a link is considered
-    /// **near-saturated**: pairs whose expected path crosses one are
-    /// flagged in [`BackendReport::hot_pairs`], because closed-form
-    /// steady-state delays there diverge while any finite-horizon
-    /// measurement stays finite — the two are incomparable by
-    /// construction. Default 0.95.
-    pub hot_util: f64,
-}
-
-impl Default for FluidCfg {
-    fn default() -> Self {
-        FluidCfg {
-            mean_packet_bits: 8000.0,
-            deterministic_size: false,
-            hot_util: 0.95,
-        }
-    }
-}
+/// Total-utilization threshold at or above which a link is
+/// **near-saturated**: pairs whose expected path crosses one are flagged
+/// in [`BackendReport::hot_pairs`], because closed-form steady-state
+/// delays there diverge while any finite-horizon measurement stays
+/// finite — the two are incomparable by construction.
+pub const HOT_UTIL: f64 = 0.95;
 
 /// The fluid backend. Stateless between runs; construct once and reuse.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FluidSim {
-    /// Packet-size model for the closed-form delays.
-    pub cfg: FluidCfg,
-}
+pub struct FluidSim;
 
 impl FluidSim {
-    /// A fluid backend with the default packet-size model.
+    /// The fluid backend.
     pub fn new() -> Self {
-        Self::default()
+        FluidSim
     }
 
     /// Routes one class's demand down its DAGs, accumulating loads in
@@ -145,22 +122,17 @@ impl FluidSim {
         let mut offered = vec![0.0; k];
         for (lid, link) in topo.links() {
             let i = lid.index();
-            let pl = PriorityLink {
-                capacity_mbps: link.capacity,
-                mean_packet_bits: self.cfg.mean_packet_bits,
-                deterministic: self.cfg.deterministic_size,
-            };
             let mut total = 0.0;
             for c in 0..k {
                 offered[c] = loads[c][i];
                 total += loads[c][i];
             }
-            let delays = cobham_k(&pl, &offered);
+            let delays = cobham_k(link.capacity, &offered);
             for c in 0..k {
                 wait[c][i] = delays[c].wait_s;
                 sojourn[c][i] = delays[c].sojourn_s;
             }
-            link_hot[i] = total / link.capacity >= self.cfg.hot_util;
+            link_hot[i] = total / link.capacity >= HOT_UTIL;
         }
 
         // End-to-end expected delays: ξ dynamic program per destination
@@ -279,12 +251,7 @@ mod tests {
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(r.class_loads[0][link.index()], 3.0);
         assert_eq!(r.class_loads[1][link.index()], 4.0);
-        let pl = PriorityLink {
-            capacity_mbps: 10.0,
-            mean_packet_bits: 8000.0,
-            deterministic: false,
-        };
-        let (dh, dl) = cobham(&pl, 3.0, 4.0);
+        let (dh, dl) = cobham(10.0, 3.0, 4.0);
         let key = |class| PairKey {
             class,
             src: 0,
@@ -347,12 +314,7 @@ mod tests {
             let l = topo.find_link(NodeId(a), NodeId(z)).unwrap();
             assert!((r.class_loads[0][l.index()] - 2.0).abs() < 1e-12);
         }
-        let pl = PriorityLink {
-            capacity_mbps: 10.0,
-            mean_packet_bits: 8000.0,
-            deterministic: false,
-        };
-        let (dh, _) = cobham(&pl, 2.0, 0.0);
+        let (dh, _) = cobham(10.0, 2.0, 0.0);
         let key = PairKey {
             class: 0,
             src: 0,
@@ -462,12 +424,7 @@ mod tests {
         );
         assert_eq!(r.classes(), 3);
         let link = topo.find_link(NodeId(0), NodeId(1)).unwrap();
-        let pl = PriorityLink {
-            capacity_mbps: 10.0,
-            mean_packet_bits: 8000.0,
-            deterministic: false,
-        };
-        let theory = cobham_k(&pl, &[2.0, 3.0, 3.0]);
+        let theory = cobham_k(10.0, &[2.0, 3.0, 3.0]);
         for c in 0..3 {
             assert_eq!(r.class_loads[c][link.index()], [2.0, 3.0, 3.0][c]);
             assert_eq!(r.link_wait_s[c][link.index()], theory[c].wait_s);

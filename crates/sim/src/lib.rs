@@ -10,7 +10,8 @@
 //!   high-priority queue is always served first") with infinite buffers
 //!   and one FIFO per class — the paper's two classes, or any `k`;
 //! - packets of each class arrive as Poisson streams per SD pair with
-//!   exponential (M/M/1) or deterministic sizes;
+//!   exponential (M/M/1) sizes of mean [`MEAN_PACKET_BITS`], or that size
+//!   exactly;
 //! - forwarding follows the per-class ECMP shortest-path DAGs, choosing
 //!   uniformly among equal-cost branches per packet — the stochastic
 //!   counterpart of the evaluator's even splitting.
@@ -53,10 +54,10 @@ pub mod stats;
 
 pub use backend::{BackendReport, DesBackend, SimBackend};
 pub use engine::{SimConfig, SimReport, Simulation};
-pub use fluid::{FluidCfg, FluidSim};
+pub use fluid::{FluidSim, HOT_UTIL};
 pub use forwarding::ForwardingState;
 pub use queueing::{
     cobham, cobham_k, mm1_sojourn, paper_high_sojourn, residual_approx_error, residual_low_sojourn,
-    ClassDelays, PriorityLink,
+    ClassDelays, MEAN_PACKET_BITS,
 };
 pub use stats::{ClassStats, LinkStats, PairKey};

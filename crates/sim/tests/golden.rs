@@ -142,7 +142,6 @@ fn tied_run() -> SimReport {
         duration_s: 0.2,
         seed: 13,
         buffer_packets: Some(4),
-        ..Default::default()
     };
     Simulation::with_classes(
         &topo,

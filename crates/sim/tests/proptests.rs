@@ -98,17 +98,16 @@ proptest! {
         // For any stable operating point: the high class waits no longer
         // than the low class, and adding load to either class never
         // shortens anyone's wait.
-        use dtr_sim::{cobham, PriorityLink};
+        use dtr_sim::cobham;
         prop_assume!(h + l < 0.95 * cap);
-        let link = PriorityLink { capacity_mbps: cap, mean_packet_bits: 8000.0, deterministic: false };
-        let (wh, wl) = cobham(&link, h, l);
+        let (wh, wl) = cobham(cap, h, l);
         prop_assert!(wh.wait_s <= wl.wait_s + 1e-15);
         prop_assert!(wh.wait_s.is_finite() && wl.wait_s.is_finite());
 
-        let (wh2, wl2) = cobham(&link, h + bump, l);
+        let (wh2, wl2) = cobham(cap, h + bump, l);
         prop_assert!(wh2.wait_s >= wh.wait_s - 1e-15);
         prop_assert!(wl2.wait_s >= wl.wait_s - 1e-15 || !wl2.wait_s.is_finite());
-        let (wh3, wl3) = cobham(&link, h, l + bump);
+        let (wh3, wl3) = cobham(cap, h, l + bump);
         // Low-class load raises both waits (residual work grows) but
         // raises the low class far more.
         prop_assert!(wh3.wait_s >= wh.wait_s - 1e-15);
@@ -120,11 +119,10 @@ proptest! {
         // The paper's low-class model (M/M/1 over residual capacity) is
         // exact at ρ_H = 0 and an underestimate otherwise — for every
         // stable operating point.
-        use dtr_sim::{cobham, residual_low_sojourn, PriorityLink};
+        use dtr_sim::{cobham, residual_low_sojourn};
         prop_assume!(h + l < 0.95 * cap);
-        let link = PriorityLink { capacity_mbps: cap, mean_packet_bits: 8000.0, deterministic: false };
-        let exact = cobham(&link, h, l).1.sojourn_s;
-        let approx = residual_low_sojourn(&link, h, l);
+        let exact = cobham(cap, h, l).1.sojourn_s;
+        let approx = residual_low_sojourn(cap, h, l);
         prop_assert!(approx <= exact + 1e-12, "approx {approx} > exact {exact}");
     }
 

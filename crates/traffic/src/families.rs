@@ -21,7 +21,7 @@
 //! from it, so every family gets the same high/low split semantics
 //! (`f` volume fraction, `k` pair density, random or sink placement).
 
-use crate::gravity::{gravity_matrix, GravityCfg};
+use crate::gravity::gravity_matrix;
 use crate::highpri::{random_highpri, sink_highpri, HighPriModel};
 use crate::matrix::TrafficMatrix;
 use crate::DemandSet;
@@ -108,7 +108,7 @@ pub fn hotspot_matrix(n: usize, cfg: &HotspotCfg, seed: u64) -> TrafficMatrix {
     let hot: Vec<usize> = perm[..cfg.hotspots].to_vec();
     // Reuse the gravity mixture for row volumes so load levels stay
     // comparable across families.
-    let base = gravity_matrix(n, &GravityCfg::default(), seed);
+    let base = gravity_matrix(n, seed);
 
     let mut m = TrafficMatrix::zeros(n);
     for s in 0..n {
@@ -177,7 +177,7 @@ pub fn skewed_gravity_matrix(n: usize, cfg: &SkewedGravityCfg, seed: u64) -> Tra
         weight[node] = ((j + 1) as f64).powf(-cfg.alpha);
     }
     let total_weight: f64 = weight.iter().sum();
-    let base = gravity_matrix(n, &GravityCfg::default(), seed);
+    let base = gravity_matrix(n, seed);
 
     let mut m = TrafficMatrix::zeros(n);
     for s in 0..n {
@@ -234,7 +234,7 @@ impl TrafficFamily {
     /// Builds the family's low-priority matrix for `n` nodes.
     pub fn low_matrix(&self, n: usize, seed: u64) -> TrafficMatrix {
         match *self {
-            TrafficFamily::Gravity => gravity_matrix(n, &GravityCfg::default(), seed),
+            TrafficFamily::Gravity => gravity_matrix(n, seed),
             TrafficFamily::SkewedGravity { alpha } => {
                 skewed_gravity_matrix(n, &SkewedGravityCfg { alpha }, seed)
             }
@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn skewed_gravity_is_heavier_tailed_than_gravity() {
         let skew = skewed_gravity_matrix(30, &SkewedGravityCfg { alpha: 1.2 }, 7);
-        let base = gravity_matrix(30, &GravityCfg::default(), 7);
+        let base = gravity_matrix(30, 7);
         let spread = |m: &TrafficMatrix| {
             let cols: Vec<f64> = (0..30).map(|t| m.col_total(t)).collect();
             let max = cols.iter().cloned().fold(f64::MIN, f64::max);

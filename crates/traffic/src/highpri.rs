@@ -156,11 +156,11 @@ pub fn sink_highpri(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gravity::{gravity_matrix, GravityCfg};
+    use crate::gravity::gravity_matrix;
     use dtr_graph::gen::{power_law_topology, PowerLawTopologyCfg};
 
     fn low(n: usize) -> TrafficMatrix {
-        gravity_matrix(n, &GravityCfg::default(), 3)
+        gravity_matrix(n, 3)
     }
 
     #[test]

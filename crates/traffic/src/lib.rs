@@ -29,7 +29,7 @@ pub use families::{
     family_demands, hotspot_matrix, skewed_gravity_matrix, stride_matrix, FamilyTrafficCfg,
     HotspotCfg, SkewedGravityCfg, StrideCfg, TrafficFamily,
 };
-pub use gravity::{gravity_matrix, GravityCfg};
+pub use gravity::gravity_matrix;
 pub use highpri::{random_highpri, sink_highpri, HighPriModel, SinkPattern};
 pub use matrix::TrafficMatrix;
 

@@ -39,7 +39,7 @@ fn check_pairs(what: &str, points: &[PairOutcome]) -> usize {
 fn fig2_all_panels() {
     let mut low_losses = 0;
     for seed in SEEDS {
-        let panels = fig2::run_all(&seeded(seed), &fig2::Fig2Cfg::default());
+        let panels = fig2::run_all(&seeded(seed));
         assert_eq!(panels.len(), 6);
         let names: Vec<String> = panels
             .iter()
