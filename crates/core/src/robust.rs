@@ -53,11 +53,11 @@ use crate::neighborhood::perturb_weights;
 use crate::params::SearchParams;
 use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
-use dtr_cost::{phi, Lex2, Objective};
+use dtr_cost::{Lex2, Objective};
 use dtr_engine::{BackendKind, BatchEvaluator};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_routing::{survivable_duplex_failures, FailureScenario};
+use dtr_routing::{cascade_each, survivable_duplex_failures, FailureScenario};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -203,22 +203,27 @@ impl<'a> RobustEvaluator<'a> {
     }
 
     /// Per-scenario costs of `w`, in scenario order: one class sweep per
-    /// side, folded link-wise into `⟨Φ_H, Φ_L⟩` with the low class
-    /// charged against the post-failure residual capacity.
+    /// side, each scenario's loads priced by [`Self::price`].
     fn scenario_costs(&mut self, w: &DualWeights) -> Vec<Lex2> {
         let h = self.engine.sweep_high(&w.high, &self.scenarios);
         let l = self.engine.sweep_low(&w.low, &self.scenarios);
-        h.iter()
-            .zip(&l)
-            .map(|(h, l)| cost_from_loads(self.topo, h, l))
-            .collect()
+        h.iter().zip(&l).map(|(h, l)| self.price(h, l)).collect()
+    }
+
+    /// `⟨Φ_H, Φ_L⟩` of one scenario's class loads: the strict-priority
+    /// cascade, which charges the low class against the residual
+    /// capacity the high class leaves (§3's priority-queueing model).
+    fn price(&self, h: &[f64], l: &[f64]) -> Lex2 {
+        let mut phis = [0.0; 2];
+        cascade_each(self.topo, &[h, l], 0, |c, _, _, p| phis[c] += p);
+        Lex2::new(phis[0], phis[1])
     }
 
     /// Full robust evaluation of one setting.
     pub fn eval(&mut self, w: &DualWeights) -> RobustCost {
         let h = self.engine.high_loads(&w.high);
         let l = self.engine.low_loads(&w.low);
-        let intact = cost_from_loads(self.topo, &h, &l);
+        let intact = self.price(&h, &l);
 
         let mut worst_h = intact.primary;
         let mut worst_l = intact.secondary;
@@ -249,21 +254,6 @@ impl<'a> RobustEvaluator<'a> {
             combined,
         }
     }
-}
-
-/// `⟨Φ_H, Φ_L⟩` of one scenario's class loads, with the low class
-/// charged against the residual capacity the high class leaves (§3's
-/// priority-queueing model) — the same link iteration order for every
-/// scenario and backend, so costs are bit-identical whenever loads are.
-fn cost_from_loads(topo: &Topology, h: &[f64], l: &[f64]) -> Lex2 {
-    let mut phi_h = 0.0;
-    let mut phi_l = 0.0;
-    for (lid, link) in topo.links() {
-        let i = lid.index();
-        phi_h += phi(h[i], link.capacity);
-        phi_l += phi(l[i], (link.capacity - h[i]).max(0.0));
-    }
-    Lex2::new(phi_h, phi_l)
 }
 
 /// The failure-aware local search.
@@ -491,8 +481,8 @@ mod tests {
         let mut nom = dtr_routing::Evaluator::new(&topo, &demands, dtr_cost::Objective::LoadBased);
         let rc = rob.eval(&w);
         let ne = nom.eval_dual(&w);
-        assert!((rc.intact.primary - ne.phi_h).abs() < 1e-9);
-        assert!((rc.intact.secondary - ne.phi_l).abs() < 1e-9);
+        assert_eq!(rc.intact.primary.to_bits(), ne.phi_h.to_bits());
+        assert_eq!(rc.intact.secondary.to_bits(), ne.phi_l.to_bits());
     }
 
     #[test]

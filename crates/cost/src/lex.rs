@@ -70,7 +70,7 @@ impl fmt::Display for Lex2 {
 /// a two-component `LexCost` orders exactly like the `Lex2` built from
 /// the same values.
 /// Comparisons require equal lengths (same class count).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LexCost(Vec<f64>);
 
 impl LexCost {
@@ -114,6 +114,14 @@ impl LexCost {
 impl From<Lex2> for LexCost {
     fn from(l: Lex2) -> Self {
         LexCost::two(l.primary, l.secondary)
+    }
+}
+
+/// Equal exactly when [`Ord`] says so (`-0.0` and `0.0` differ, as
+/// for [`Lex2`]); tuples of different lengths are unequal.
+impl PartialEq for LexCost {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len() && self.cmp(other) == Ordering::Equal
     }
 }
 
@@ -165,6 +173,20 @@ mod tests {
     fn secondary_breaks_ties() {
         assert!(Lex2::new(1.0, 1.0) < Lex2::new(1.0, 2.0));
         assert_eq!(Lex2::new(1.0, 1.0), Lex2::new(1.0, 1.0));
+    }
+
+    #[test]
+    fn equality_agrees_with_the_order_on_signed_zeros() {
+        for (a, b) in [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)] {
+            let (x, y) = (LexCost::two(1.0, a), LexCost::two(1.0, b));
+            assert_eq!(x == y, x.cmp(&y) == Ordering::Equal, "{a:?} vs {b:?}");
+            let (x, y) = (LexCost::two(a, 1.0), LexCost::two(b, 1.0));
+            assert_eq!(x == y, x.cmp(&y) == Ordering::Equal, "{a:?} vs {b:?}");
+            let (x, y) = (Lex2::new(a, 1.0), Lex2::new(b, 1.0));
+            assert_eq!(x == y, x.cmp(&y) == Ordering::Equal, "{a:?} vs {b:?}");
+        }
+        assert_ne!(LexCost::two(0.0, 0.0), LexCost::two(-0.0, 0.0));
+        assert_ne!(LexCost::two(0.0, 0.0), LexCost::new(vec![0.0]));
     }
 
     #[test]

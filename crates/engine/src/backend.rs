@@ -5,11 +5,11 @@
 //! weight vector `w` produce?* — always relative to a **base** weight
 //! vector that tracks the search's current solution.
 //!
-//! - [`FullBackend`] recomputes every destination's reverse-Dijkstra and
-//!   load push per candidate, exactly like
-//!   [`dtr_routing::LoadCalculator`]; batches fan out across cores with
-//!   rayon (each candidate is independent). It is the equivalence
-//!   reference for the incremental backend's repair.
+//! - [`FullBackend`] runs [`LoadCalculator::route`], the evaluator's
+//!   routing pass (one reverse Dijkstra and load push per destination),
+//!   per candidate; batches fan out across cores with rayon (each
+//!   candidate is independent). It is the equivalence reference for
+//!   the incremental backend's repair.
 //! - [`IncrementalBackend`] maintains per-destination DAGs and load
 //!   contributions at the base and repairs only the destinations a
 //!   candidate's one-or-two weight deltas can affect (see
@@ -26,10 +26,8 @@
 //! equivalence proptests enforce this.
 
 use crate::state::{CandidateEval, FlowState, WorkStats};
-use dtr_graph::{
-    FlatTopo, LinkMask, NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector,
-};
-use dtr_routing::{demand_column, push_demand_flat, ClassLoads, FailureScenario};
+use dtr_graph::{FlatTopo, LinkMask, NodeId, Topology, WeightVector};
+use dtr_routing::{DagSource, FailureScenario, LoadCalculator};
 use dtr_traffic::TrafficMatrix;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -113,12 +111,11 @@ impl<'a> FullBackend<'a> {
     }
 }
 
-/// Shared full-evaluation walk (also the fallback path of the
-/// incremental backend): identical iteration order and arithmetic to
-/// [`dtr_routing::LoadCalculator`], with the links `mask` marks down
-/// removed (`None` keeps all; the full backend's per-scenario path
-/// matches [`dtr_routing::LoadCalculator::class_loads_masked`]). With
-/// `want_dags`, a DAG for every destination, with demand or not.
+/// Full evaluation of one candidate (also the fallback path of the
+/// incremental backend): [`LoadCalculator::route`], the routing pass
+/// every full load computation runs, on `w` with the links `mask` marks
+/// down removed (`None` keeps all). With `want_dags`, a DAG for every
+/// destination, with demand or not.
 pub fn full_candidate_eval(
     flat: &FlatTopo,
     matrices: &[&TrafficMatrix],
@@ -126,33 +123,11 @@ pub fn full_candidate_eval(
     mask: Option<&LinkMask>,
     want_dags: bool,
 ) -> CandidateEval {
-    let n = flat.node_count();
-    let mut ws = SpfWorkspace::new();
-    let mut node_flow: Vec<f64> = Vec::new();
-    let mut loads: Vec<ClassLoads> = matrices
-        .iter()
-        .map(|_| vec![0.0; flat.link_count()])
+    let (spf, mut dags) = (DagSource::Spf(w.as_slice(), mask), Vec::new());
+    let loads = LoadCalculator::new().route(flat, spf, matrices, want_dags.then_some(&mut dags));
+    let dags = (dags.into_iter().enumerate())
+        .map(|(t, dag)| (NodeId(t as u32), Arc::new(dag)))
         .collect();
-    let mut dags: Vec<(NodeId, Arc<ShortestPathDag>)> = Vec::new();
-    let mut dag = ShortestPathDag::empty(flat);
-    for t in 0..n as u32 {
-        let cols: Vec<Vec<f64>> = matrices.iter().map(|m| demand_column(m, t, n)).collect();
-        if cols.iter().all(Vec::is_empty) && !want_dags {
-            continue;
-        }
-        dag.compute_into(flat, w.as_slice(), t, mask, &mut ws);
-        for (col, out) in cols.iter().zip(loads.iter_mut()) {
-            if col.is_empty() {
-                continue;
-            }
-            push_demand_flat(flat, &dag, col, &mut node_flow, None, |l, share| {
-                out[l as usize] += share
-            });
-        }
-        if want_dags {
-            dags.push((NodeId(t), Arc::new(dag.clone())));
-        }
-    }
     CandidateEval { loads, dags }
 }
 

@@ -2,17 +2,17 @@
 //!
 //! Class `c` on link `l` sees the residual capacity left by all
 //! higher-priority classes, `C̃_c = max(C_l − Σ_{j<c} load_j, 0)`, and is
-//! charged the Fortz–Thorup `Φ(load_c, C̃_c)`. This module owns the one
-//! canonical loop (link-major, classes in priority order, running
-//! `used` accumulator), restartable below an already priced prefix of
-//! classes; its one caller outside this crate is
-//! `dtr-engine`'s k-class kernel, which every k-class search and report
-//! evaluates through.
+//! charged the Fortz–Thorup `Φ(load_c, C̃_c)`. [`cascade_each`] is the
+//! one loop that prices it (link-major, classes in priority order,
+//! running `used` sum), and every Φ of an ECMP class load in the
+//! workspace is charged through it: the evaluator's `Φ_H` and `Φ_L`,
+//! the robust search's per-scenario costs and, through
+//! [`cascade_classes`], `dtr-engine`'s k-class kernel, which every
+//! k-class search and report evaluates through.
 //!
-//! For `k = 2` the cascade reproduces the two-class
-//! [`Evaluator`](crate::Evaluator) exactly: class 0 sees `(C − 0).max(0) = C`
-//! bitwise, class 1 sees `(C − H).max(0)` — the same expressions the
-//! legacy high/low code paths evaluate.
+//! For `k = 2` the cascade is the two-class
+//! [`Evaluator`](crate::Evaluator)'s pricing: class 0 sees
+//! `(C − 0).max(0) = C` bitwise, class 1 sees `(C − H).max(0)`.
 
 use crate::loads::ClassLoads;
 use dtr_cost::phi;
@@ -31,33 +31,58 @@ pub struct ClassCascade {
 }
 
 /// Runs the strict-priority cascade over `loads` (highest priority
-/// first, each `ClassLoads` indexed by link) below the classes already
-/// priced: `used[l]` is their load on link `l`, summed in priority order
-/// (all zeros when `loads` starts at class 0). Returns the rows of
-/// `loads` and adds their loads to `used`, so pricing a prefix of the
-/// classes once and each suffix on a copy of its `used` is bit-identical
-/// to one pass over all of them.
+/// first, each row indexed by link) below the classes already priced:
+/// `used[l]` is their load on link `l`, summed in priority order (all
+/// zeros when `loads` starts at class 0). Returns the rows of `loads`
+/// and adds their loads to `used`, so pricing a prefix of the classes
+/// once and each suffix on a copy of its `used` is bit-identical to one
+/// pass over all of them.
 pub fn cascade_classes(topo: &Topology, loads: &[ClassLoads], used: &mut [f64]) -> ClassCascade {
     let k = loads.len();
     let m = topo.link_count();
-    let mut phis = vec![0.0; k];
-    let mut phi_per_link = vec![vec![0.0; m]; k];
-    let mut residuals = vec![vec![0.0; m]; k];
-    for (lid, link) in topo.links() {
-        let i = lid.index();
-        for c in 0..k {
-            let residual = (link.capacity - used[i]).max(0.0);
-            residuals[c][i] = residual;
-            let p = phi(loads[c][i], residual);
-            phi_per_link[c][i] = p;
-            phis[c] += p;
-            used[i] += loads[c][i];
+    let mut out = ClassCascade {
+        phis: vec![0.0; k],
+        phi_per_link: vec![vec![0.0; m]; k],
+        residuals: vec![vec![0.0; m]; k],
+    };
+    let rows: Vec<&[f64]> = std::iter::once(&*used)
+        .chain(loads.iter().map(Vec::as_slice))
+        .collect();
+    cascade_each(topo, &rows, 1, |c, i, residual, p| {
+        out.residuals[c - 1][i] = residual;
+        out.phi_per_link[c - 1][i] = p;
+        out.phis[c - 1] += p;
+    });
+    for row in loads {
+        for (u, l) in used.iter_mut().zip(row) {
+            *u += l;
         }
     }
-    ClassCascade {
-        phis,
-        phi_per_link,
-        residuals,
+    out
+}
+
+/// The cascade's one loop. On every link, in link order, walks the
+/// classes of `loads` (highest priority first, each row indexed by
+/// link) with the running sum `used` of the loads above, and charges
+/// each class from `priced` on: `charge(c, l, C̃, Φ)` gets its residual
+/// capacity `C̃ = max(C_l − used, 0)` and `Φ(load_c,l, C̃)`. The first
+/// `priced` rows are priced elsewhere and only fill the capacity.
+pub fn cascade_each(
+    topo: &Topology,
+    loads: &[&[f64]],
+    priced: usize,
+    mut charge: impl FnMut(usize, usize, f64, f64),
+) {
+    for (lid, link) in topo.links() {
+        let i = lid.index();
+        let mut used = 0.0;
+        for (c, row) in loads.iter().enumerate() {
+            if c >= priced {
+                let residual = (link.capacity - used).max(0.0);
+                charge(c, i, residual, phi(row[i], residual));
+            }
+            used += row[i];
+        }
     }
 }
 

@@ -14,8 +14,9 @@
 //! The per-class entry points (`high_loads` / `low_loads` / `assemble`)
 //! let the heuristics re-route only the class whose weights changed.
 
+use crate::cascade::cascade_each;
 use crate::deploy::{push_hybrid, DeploymentSet, HybridScratch};
-use crate::loads::{avg_utilization, max_utilization, ClassLoads, LoadCalculator};
+use crate::loads::{avg_utilization, max_utilization, ClassLoads, DagSource, LoadCalculator};
 use dtr_cost::{link_delay, phi, sla_penalty, Lex2, Objective, SlaParams};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{
@@ -231,14 +232,18 @@ impl<'a> Evaluator<'a> {
     /// Routes the high class on `wh` (one SPF per destination with
     /// high-priority demand).
     pub fn high_loads(&mut self, wh: &WeightVector) -> ClassLoads {
-        let (ft, high) = (&self.ft, &self.demands.high);
-        self.calc.class_loads_on(ft, wh.as_slice(), None, high)
+        let spf = DagSource::Spf(wh.as_slice(), None);
+        self.calc
+            .route(&self.ft, spf, &[&self.demands.high], None)
+            .swap_remove(0)
     }
 
     /// Routes the low class on `wl`.
     pub fn low_loads(&mut self, wl: &WeightVector) -> ClassLoads {
-        let (ft, low) = (&self.ft, &self.demands.low);
-        self.calc.class_loads_on(ft, wl.as_slice(), None, low)
+        let spf = DagSource::Spf(wl.as_slice(), None);
+        self.calc
+            .route(&self.ft, spf, &[&self.demands.low], None)
+            .swap_remove(0)
     }
 
     /// Binds a partial-deployment model (see [`crate::deploy`]), or
@@ -366,12 +371,10 @@ impl<'a> Evaluator<'a> {
         );
         let mask = LinkMask::from_up_slice(link_up);
         let (ft, d) = (&self.ft, self.demands);
-        let hl = self
-            .calc
-            .class_loads_on(ft, w.high.as_slice(), Some(&mask), &d.high);
-        let ll = self
-            .calc
-            .class_loads_on(ft, w.low.as_slice(), Some(&mask), &d.low);
+        let [hl, ll] = [(&w.high, &d.high), (&w.low, &d.low)].map(|(w, m)| {
+            let spf = DagSource::Spf(w.as_slice(), Some(&mask));
+            self.calc.route(ft, spf, &[m], None).swap_remove(0)
+        });
         let high = self.high_side_on(hl, &w.high, Some(&mask));
         self.finish(high, ll)
             .expect("high side built by this evaluator carries the SLA walk")
@@ -422,25 +425,22 @@ impl<'a> Evaluator<'a> {
         self.high_side_with_sla(loads, sla)
     }
 
-    /// Combines a (possibly cached) high side with fresh low-class loads.
-    /// Costs `O(|E|)` — this is the hot path of `FindL`.
+    /// Combines a (possibly cached) high side with fresh low-class loads,
+    /// pricing the low class as class 1 of the strict-priority cascade
+    /// ([`crate::cascade_each`]) against the residual capacity the high
+    /// class leaves. Costs `O(|E|)` — this is the hot path of `FindL`.
     ///
     /// Under the SLA objective the high side must carry its
     /// [`SlaEvaluation`] (every `HighSide` this evaluator builds does);
     /// a high side assembled externally without one yields
     /// [`EvalError::MissingSlaEvaluation`] instead of a panic.
     pub fn finish(&self, high: HighSide, low_loads: ClassLoads) -> Result<Evaluation, EvalError> {
-        let topo = self.topo;
-        let m = topo.link_count();
-        let mut phi_l_per_link = vec![0.0; m];
+        let mut phi_l_per_link = vec![0.0; self.topo.link_count()];
         let mut phi_l = 0.0;
-        for (lid, link) in topo.links() {
-            let i = lid.index();
-            let residual = (link.capacity - high.loads[i]).max(0.0);
-            let pl = phi(low_loads[i], residual);
-            phi_l_per_link[i] = pl;
-            phi_l += pl;
-        }
+        cascade_each(self.topo, &[&high.loads, &low_loads], 1, |_, i, _, p| {
+            phi_l_per_link[i] = p;
+            phi_l += p;
+        });
         let cost = match (&self.objective, &high.sla) {
             (Objective::LoadBased, _) => Lex2::new(high.phi, phi_l),
             (Objective::SlaBased(_), Some(sla)) => Lex2::new(sla.lambda, phi_l),
@@ -483,17 +483,15 @@ impl<'a> Evaluator<'a> {
     /// objective). This is the entry point for callers that maintain
     /// their own shortest-path DAGs (the `dtr-engine` incremental
     /// backend) and therefore evaluate the SLA walk without re-running
-    /// Dijkstra; the per-link Φ loop is identical to
-    /// [`Self::high_side_from_loads`].
+    /// Dijkstra. `Φ_H` is class 0 of the strict-priority cascade
+    /// ([`crate::cascade_each`]), priced against raw capacity.
     pub fn high_side_with_sla(&self, loads: ClassLoads, sla: Option<SlaEvaluation>) -> HighSide {
-        let topo = self.topo;
-        let mut phi_per_link = vec![0.0; topo.link_count()];
+        let mut phi_per_link = vec![0.0; self.topo.link_count()];
         let mut phi_sum = 0.0;
-        for (lid, link) in topo.links() {
-            let p = phi(loads[lid.index()], link.capacity);
-            phi_per_link[lid.index()] = p;
+        cascade_each(self.topo, &[&loads], 0, |_, i, _, p| {
+            phi_per_link[i] = p;
             phi_sum += p;
-        }
+        });
         debug_assert_eq!(
             matches!(self.objective, Objective::SlaBased(_)),
             sla.is_some(),
@@ -596,8 +594,8 @@ where
     sla_walk(ft, high, dests, link_delays, params, dag_for)
 }
 
-/// The ξ dynamic program and Eq. 4 penalty accumulation over
-/// **precomputed** per-link delays.
+/// The ξ walk ([`xi_walk`], unreachable sources at 0) and Eq. 4
+/// penalty accumulation over **precomputed** per-link delays.
 ///
 /// [`sla_evaluation`] computes the delays against raw link capacity
 /// (the paper's two-class SLA model, where the high class is alone at
@@ -622,25 +620,10 @@ where
     let mut pair_delays = Vec::new();
     let mut lambda = 0.0;
     let mut violations = 0;
-    // ξ(v → t): expected delay over even ECMP splitting, computed by
-    // dynamic programming in increasing-distance order.
     let mut xi = vec![0.0f64; ft.node_count()];
     for &t in dests {
         let dag = dag_for(t);
-        let dag = dag.borrow();
-        xi.fill(0.0);
-        // `dag.order` is decreasing distance; walk it backwards.
-        for &v in dag.order.iter().rev() {
-            if v == t.0 || !dag.reachable(NodeId(v)) {
-                continue;
-            }
-            let branches = dag.branches(ft, v);
-            let mut acc = 0.0;
-            for &lid in branches {
-                acc += link_delays[lid as usize] + xi[ft.dst(lid) as usize];
-            }
-            xi[v as usize] = acc / branches.len() as f64;
-        }
+        xi_walk(ft, dag.borrow(), &link_delays, 0.0, &mut xi, |_, _| {});
         for (s, _vol) in matrix.demands_to(t.index()) {
             let delay_s = xi[s];
             let penalty = sla_penalty(delay_s, params.bound_s, params.penalty_a, params.penalty_b);
@@ -662,6 +645,39 @@ where
         pair_delays,
         lambda,
         violations,
+    }
+}
+
+/// The ξ walk: fills `xi[v]` with the expected delay from node `v` to
+/// `dag.dest` under even ECMP splitting, the mean over `v`'s branches
+/// of (the branch's `link_delays` entry + `xi` at its head). Nodes are
+/// taken in `dag.order` reversed (increasing distance), so every head
+/// is done before its tails. The destination gets 0 and a node that
+/// cannot reach it `unreachable`. `visit(v, l)` sees every branch `l`
+/// of every walked node `v`, after the branches of `l`'s head.
+pub fn xi_walk(
+    ft: &FlatTopo,
+    dag: &ShortestPathDag,
+    link_delays: &[f64],
+    unreachable: f64,
+    xi: &mut [f64],
+    mut visit: impl FnMut(u32, u32),
+) {
+    for (v, x) in xi.iter_mut().enumerate() {
+        let walked = dag.reachable(NodeId(v as u32));
+        *x = if walked { 0.0 } else { unreachable };
+    }
+    for &v in dag.order.iter().rev() {
+        if v == dag.dest || !dag.reachable(NodeId(v)) {
+            continue;
+        }
+        let branches = dag.branches(ft, v);
+        let mut acc = 0.0;
+        for &lid in branches {
+            acc += link_delays[lid as usize] + xi[ft.dst(lid) as usize];
+            visit(v, lid);
+        }
+        xi[v as usize] = acc / branches.len() as f64;
     }
 }
 
@@ -738,6 +754,43 @@ mod tests {
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.high_loads, b.high_loads);
         assert_eq!(a.low_loads, b.low_loads);
+    }
+
+    #[test]
+    fn xi_walk_averages_branches_and_prefills_unreachable_nodes() {
+        // Diamond 0 → {1, 2} → 3 with unit weights, plus node 4 hanging
+        // off 3 with its link towards 3 cut: 4 cannot reach 3.
+        let mut b = dtr_graph::TopologyBuilder::new();
+        b.add_nodes(5);
+        for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)] {
+            b.add_duplex(NodeId(u), NodeId(v), 10.0, 0.001);
+        }
+        let topo = b.build().unwrap();
+        let link = |u, v| topo.find_link(NodeId(u), NodeId(v)).unwrap().index();
+        let mut link_up = vec![true; topo.link_count()];
+        link_up[link(4, 3)] = false;
+        let ft = FlatTopo::new(&topo);
+        let mut dag = ShortestPathDag::empty(&ft);
+        let (w, mask) = (
+            WeightVector::uniform(&topo, 1),
+            LinkMask::from_up_slice(&link_up),
+        );
+        dag.compute_into(&ft, w.as_slice(), 3, Some(&mask), &mut SpfWorkspace::new());
+        let mut delays = vec![100.0; topo.link_count()];
+        for (u, v, d) in [(0, 1, 1.0), (0, 2, 3.0), (1, 3, 2.0), (2, 3, 4.0)] {
+            delays[link(u, v)] = d;
+        }
+        for unreachable in [0.0, f64::INFINITY] {
+            let mut xi = vec![-1.0; 5];
+            let mut visits = Vec::new();
+            xi_walk(&ft, &dag, &delays, unreachable, &mut xi, |v, l| {
+                visits.push((v, l as usize))
+            });
+            // ξ(1) = 2, ξ(2) = 4, ξ(0) = ((1 + 2) + (3 + 4)) / 2 = 5.
+            assert_eq!(xi, [5.0, 2.0, 4.0, 0.0, unreachable]);
+            let (l01, l02, l13, l23) = (link(0, 1), link(0, 2), link(1, 3), link(2, 3));
+            assert_eq!(visits, [(2, l23), (1, l13), (0, l01), (0, l02)]);
+        }
     }
 
     #[test]

@@ -24,13 +24,13 @@ pub mod loads;
 pub mod lower_bound;
 pub mod scenarios;
 
-pub use cascade::{cascade_classes, ClassCascade};
+pub use cascade::{cascade_classes, cascade_each, ClassCascade};
 pub use deploy::{hybrid_low_dag, push_hybrid, DeploymentSet, HybridScratch};
 pub use eval::{
-    sla_evaluation, sla_walk, EvalError, Evaluation, Evaluator, HighSide, LinkRank, PairDelay,
-    SlaEvaluation,
+    sla_evaluation, sla_walk, xi_walk, EvalError, Evaluation, Evaluator, HighSide, LinkRank,
+    PairDelay, SlaEvaluation,
 };
-pub use loads::{demand_column, push_demand_flat, ClassLoads, LoadCalculator};
+pub use loads::{demand_column, push_demand_flat, ClassLoads, DagSource, LoadCalculator};
 pub use lower_bound::{dual_lower_bound, frank_wolfe, DualLowerBound, FwParams, FwResult};
 pub use scenarios::{
     strongly_connected_under, survivable_duplex_failures, FailurePolicy, FailureScenario,

@@ -8,9 +8,12 @@
 //! (Fortz–Thorup \[2\], §2).
 //!
 //! [`push_demand_flat`] is the one implementation of that split in the
-//! workspace: [`LoadCalculator`], the evaluator's hybrid low push under
-//! partial deployment, the incremental engine and the fluid simulator
-//! all route through it, and `tests/oracle.rs` checks it against an
+//! workspace, and [`LoadCalculator::route`] the one routing pass over
+//! destinations that calls it: the evaluator, both engine backends'
+//! full evaluations, the simulators' forwarding tables and the fluid
+//! backend's loads all run that pass, while the evaluator's hybrid low
+//! push under partial deployment and the incremental engine's repairs
+//! call the split directly. `tests/oracle.rs` checks both against an
 //! independent path enumeration.
 
 use dtr_graph::{
@@ -44,7 +47,9 @@ impl LoadCalculator {
         weights: &WeightVector,
         demands: &TrafficMatrix,
     ) -> ClassLoads {
-        self.class_loads_on(&FlatTopo::new(topo), weights.as_slice(), None, demands)
+        let spf = DagSource::Spf(weights.as_slice(), None);
+        self.route(&FlatTopo::new(topo), spf, &[demands], None)
+            .swap_remove(0)
     }
 
     /// Like [`Self::class_loads`] but with down links masked out
@@ -60,21 +65,8 @@ impl LoadCalculator {
         demands: &TrafficMatrix,
     ) -> ClassLoads {
         let (ft, mask) = (FlatTopo::new(topo), LinkMask::from_up_slice(link_up));
-        self.class_loads_on(&ft, weights.as_slice(), Some(&mask), demands)
-    }
-
-    /// The loads of one class on a prebuilt view of the topology, with
-    /// the links `mask` marks down removed (`None` keeps all).
-    pub(crate) fn class_loads_on(
-        &mut self,
-        ft: &FlatTopo,
-        weights: &[Weight],
-        mask: Option<&LinkMask>,
-        demands: &TrafficMatrix,
-    ) -> ClassLoads {
-        let mut loads = vec![0.0; ft.link_count()];
-        self.accumulate(ft, weights, mask, &[demands], &mut [&mut loads]);
-        loads
+        let spf = DagSource::Spf(weights.as_slice(), Some(&mask));
+        self.route(&ft, spf, &[demands], None).swap_remove(0)
     }
 
     /// Computes loads for **two classes sharing one weight vector**
@@ -86,44 +78,65 @@ impl LoadCalculator {
         high: &TrafficMatrix,
         low: &TrafficMatrix,
     ) -> (ClassLoads, ClassLoads) {
-        let mut h = vec![0.0; topo.link_count()];
-        let mut l = vec![0.0; topo.link_count()];
         let (ft, w) = (FlatTopo::new(topo), weights.as_slice());
-        self.accumulate(&ft, w, None, &[high, low], &mut [&mut h, &mut l]);
+        let loads = self.route(&ft, DagSource::Spf(w, None), &[high, low], None);
+        let [h, l] = <[ClassLoads; 2]>::try_from(loads).expect("one row per matrix");
         (h, l)
     }
 
-    /// Shared inner loop: routes each matrix in `demands` on `weights`,
-    /// accumulating into the parallel `outs` slot, destinations in
-    /// ascending order. All matrices share the per-destination DAG, so
-    /// passing both classes at once halves SPF work for STR evaluation.
-    fn accumulate(
+    /// The routing pass: for each destination `t` in ascending order,
+    /// takes the DAG towards `t` from `dags` and pushes each matrix's
+    /// column towards `t` down it with [`push_demand_flat`], into that
+    /// matrix's row of the returned loads. All matrices share the DAG,
+    /// so routing both classes at once halves SPF work for STR. A
+    /// destination no matrix sends to is skipped, unless `keep` is
+    /// given: then every destination's DAG is appended to it.
+    pub fn route(
         &mut self,
         ft: &FlatTopo,
-        weights: &[Weight],
-        mask: Option<&LinkMask>,
+        dags: DagSource<'_>,
         demands: &[&TrafficMatrix],
-        outs: &mut [&mut ClassLoads],
-    ) {
-        debug_assert_eq!(demands.len(), outs.len());
+        mut keep: Option<&mut Vec<ShortestPathDag>>,
+    ) -> Vec<ClassLoads> {
         let n = ft.node_count();
+        let mut loads = vec![vec![0.0; ft.link_count()]; demands.len()];
         for t in 0..n as u32 {
             let cols: Vec<Vec<f64>> = demands.iter().map(|m| demand_column(m, t, n)).collect();
-            // Skip destinations with no demand in any class.
-            if cols.iter().all(Vec::is_empty) {
+            if cols.iter().all(Vec::is_empty) && keep.is_none() {
                 continue;
             }
-            self.dag.compute_into(ft, weights, t, mask, &mut self.ws);
-            for (col, out) in cols.iter().zip(outs.iter_mut()) {
+            let dag = match dags {
+                DagSource::Spf(weights, mask) => {
+                    self.dag.compute_into(ft, weights, t, mask, &mut self.ws);
+                    &self.dag
+                }
+                DagSource::Prebuilt(dags) => &dags[t as usize],
+            };
+            for (col, out) in cols.iter().zip(loads.iter_mut()) {
                 if col.is_empty() {
                     continue;
                 }
-                push_demand_flat(ft, &self.dag, col, &mut self.node_flow, None, |l, share| {
+                push_demand_flat(ft, dag, col, &mut self.node_flow, None, |l, share| {
                     out[l as usize] += share
                 });
             }
+            if let Some(keep) = keep.as_mut() {
+                keep.push(dag.clone());
+            }
         }
+        loads
     }
+}
+
+/// Where [`LoadCalculator::route`] takes each destination's ECMP DAG
+/// from.
+#[derive(Debug, Clone, Copy)]
+pub enum DagSource<'a> {
+    /// One reverse Dijkstra per destination on these weights, with the
+    /// links the mask marks down removed (`None` keeps all).
+    Spf(&'a [Weight], Option<&'a LinkMask>),
+    /// Prebuilt DAGs indexed by destination, such as forwarding tables.
+    Prebuilt(&'a [ShortestPathDag]),
 }
 
 /// The demand `m` carries towards `t` as a dense per-source column of

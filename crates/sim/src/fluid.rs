@@ -7,20 +7,20 @@
 //!
 //! 1. **Loads** — each class's demand is routed exactly like the
 //!    analytic evaluator routes it: one shortest-path DAG per
-//!    destination, even splitting over equal-cost branches, implemented
-//!    by the *same* primitive (`dtr_routing::push_demand_flat`) on
-//!    DAGs from the *same* [`ForwardingState`] the DES forwards on.
+//!    destination, even splitting over equal-cost branches, by the
+//!    *same* routing pass (`dtr_routing::LoadCalculator::route`) over
+//!    the DAGs of the *same* [`ForwardingState`] the DES forwards on.
 //!    Identical DAGs + identical arithmetic ⇒ the loads are
 //!    bit-identical to `Evaluator::eval_dual`'s — the structural
 //!    agreement the validation harness asserts at 1e-9.
 //! 2. **Per-link delays** — Cobham's closed-form mean waits for the
 //!    k-priority M/M/1 link at those loads; no event loop, no sampling
 //!    noise, unstable links report infinity.
-//! 3. **End-to-end delays** — a dynamic program over each destination
-//!    DAG: ξ(v→t) averages branch sojourn + propagation + downstream ξ
-//!    over the ECMP branches, mirroring the evaluator's SLA walk but
-//!    with the exact priority-queue sojourns instead of the paper's
-//!    Eq. 3 surrogate.
+//! 3. **End-to-end delays** — the evaluator's ξ walk
+//!    (`dtr_routing::xi_walk`) over each destination DAG: ξ(v→t)
+//!    averages branch sojourn + propagation + downstream ξ over the
+//!    ECMP branches, with the exact priority-queue sojourns instead of
+//!    the paper's Eq. 3 surrogate.
 //!
 //! The whole computation is `O(dests · (SPF + links))` — orders of
 //! magnitude faster than a statistically meaningful DES run, and exactly
@@ -31,8 +31,8 @@ use crate::forwarding::ForwardingState;
 use crate::queueing::cobham_k;
 use crate::stats::PairKey;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, NodeId, Topology, WeightVector};
-use dtr_routing::{demand_column, push_demand_flat};
+use dtr_graph::{Topology, WeightVector};
+use dtr_routing::{xi_walk, DagSource, LoadCalculator};
 use dtr_traffic::{DemandSet, TrafficMatrix};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -51,32 +51,6 @@ impl FluidSim {
     /// The fluid backend.
     pub fn new() -> Self {
         FluidSim
-    }
-
-    /// Routes one class's demand down its DAGs, accumulating loads in
-    /// ascending-destination order — the same iteration order and the
-    /// same pushing primitive as `dtr_routing::LoadCalculator`, so the
-    /// floating-point sums are bit-identical.
-    fn class_loads(
-        &self,
-        topo: &Topology,
-        fwd: &ForwardingState,
-        class: usize,
-        m: &TrafficMatrix,
-        flow: &mut Vec<f64>,
-    ) -> Vec<f64> {
-        let (flat, n) = (fwd.flat(), topo.node_count());
-        let mut loads = vec![0.0; topo.link_count()];
-        for t in topo.nodes() {
-            let col = demand_column(m, t.0, n);
-            if col.is_empty() {
-                continue;
-            }
-            push_demand_flat(flat, fwd.dag(class, t), &col, flow, None, |l, share| {
-                loads[l as usize] += share
-            });
-        }
-        loads
     }
 
     /// The fluid run: `matrices[c]` is the demand of priority class `c`
@@ -109,15 +83,20 @@ impl FluidSim {
         assert_eq!(matrices.len(), fwd.classes(), "one DAG table per class");
         let k = matrices.len();
         let m = topo.link_count();
-        let mut flow = Vec::new();
+        let mut calc = LoadCalculator::new();
         let loads: Vec<Vec<f64>> = (0..k)
-            .map(|c| self.class_loads(topo, fwd, c, matrices[c], &mut flow))
+            .map(|c| {
+                let dags = DagSource::Prebuilt(fwd.class_dags(c));
+                calc.route(fwd.flat(), dags, &[matrices[c]], None)
+                    .swap_remove(0)
+            })
             .collect();
 
-        // Closed-form per-link waits and sojourns at those loads, plus
-        // the near-saturation flags for the hot-pair scan.
+        // Closed-form per-link waits and link delays (sojourn +
+        // propagation) at those loads, plus the near-saturation flags
+        // for the hot-pair scan.
         let mut wait = vec![vec![0.0; m]; k];
-        let mut sojourn = vec![vec![0.0; m]; k];
+        let mut delay = vec![vec![0.0; m]; k];
         let mut link_hot = vec![false; m];
         let mut offered = vec![0.0; k];
         for (lid, link) in topo.links() {
@@ -130,16 +109,18 @@ impl FluidSim {
             let delays = cobham_k(link.capacity, &offered);
             for c in 0..k {
                 wait[c][i] = delays[c].wait_s;
-                sojourn[c][i] = delays[c].sojourn_s;
+                delay[c][i] = delays[c].sojourn_s + link.prop_delay;
             }
             link_hot[i] = total / link.capacity >= HOT_UTIL;
         }
 
-        // End-to-end expected delays: ξ dynamic program per destination
-        // DAG, exactly the evaluator's SLA walk shape but with the
-        // class's priority-queue sojourn at every link. A parallel
-        // boolean DP marks nodes whose flow can touch a near-saturated
-        // link on the way to `t`.
+        // End-to-end expected delays: the evaluator's ξ walk per
+        // destination DAG, over the class's link delays. A source that
+        // cannot reach `t` has no delay, not a zero delay: it gets
+        // infinity, so undeliverable pairs are excluded from means
+        // exactly like saturated ones. Alongside, a boolean DP marks
+        // nodes whose flow can touch a near-saturated link on the way
+        // to `t`.
         let mut pair_delays = BTreeMap::new();
         let mut hot_pairs = BTreeSet::new();
         let mut xi = vec![0.0f64; topo.node_count()];
@@ -149,31 +130,18 @@ impl FluidSim {
                 if matrix.demands_to(t.index()).next().is_none() {
                     continue;
                 }
-                let dag = fwd.dag(c, t);
-                xi.fill(0.0);
                 hot.fill(false);
-                // A source that cannot reach `t` has no delay, not a
-                // zero delay: report infinity so undeliverable pairs
-                // are excluded from means exactly like saturated ones.
-                for v in topo.nodes() {
-                    if v != t && !dag.reachable(v) {
-                        xi[v.index()] = f64::INFINITY;
-                    }
-                }
-                for &v in dag.order.iter().rev() {
-                    let vi = v as usize;
-                    if NodeId(v) == t || !dag.reachable(NodeId(v)) {
-                        continue;
-                    }
-                    let branches = dag.branches(fwd.flat(), v);
-                    let mut acc = 0.0;
-                    for &lid in branches {
-                        let link = topo.link(LinkId(lid));
-                        acc += sojourn[c][lid as usize] + link.prop_delay + xi[link.dst.index()];
-                        hot[vi] |= link_hot[lid as usize] || hot[link.dst.index()];
-                    }
-                    xi[vi] = acc / branches.len() as f64;
-                }
+                let flat = fwd.flat();
+                xi_walk(
+                    flat,
+                    fwd.dag(c, t),
+                    &delay[c],
+                    f64::INFINITY,
+                    &mut xi,
+                    |v, l| {
+                        hot[v as usize] |= link_hot[l as usize] || hot[flat.dst(l) as usize];
+                    },
+                );
                 for (s, _vol) in matrix.demands_to(t.index()) {
                     let key = PairKey {
                         class: c as u8,

@@ -6,8 +6,8 @@
 //! evaluator's even splitting in expectation.
 
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{FlatTopo, NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
-use dtr_routing::{hybrid_low_dag, DeploymentSet};
+use dtr_graph::{FlatTopo, NodeId, ShortestPathDag, Topology, WeightVector};
+use dtr_routing::{hybrid_low_dag, DagSource, DeploymentSet, LoadCalculator};
 
 /// Per-class, per-destination shortest-path DAGs.
 ///
@@ -25,18 +25,6 @@ pub struct ForwardingState {
     dags: Vec<Vec<ShortestPathDag>>,
 }
 
-/// The DAG towards every destination, ascending, on `w`.
-fn dags_on(flat: &FlatTopo, w: &WeightVector) -> Vec<ShortestPathDag> {
-    let mut ws = SpfWorkspace::new();
-    (0..flat.node_count() as u32)
-        .map(|dest| {
-            let mut dag = ShortestPathDag::empty(flat);
-            dag.compute_into(flat, w.as_slice(), dest, None, &mut ws);
-            dag
-        })
-        .collect()
-}
-
 impl ForwardingState {
     /// Builds the tables from a dual weight setting: class 0 routes on
     /// `weights.high`, class 1 on `weights.low`.
@@ -49,8 +37,15 @@ impl ForwardingState {
     /// unified objective spec plumbs through the backends).
     pub fn with_class_weights(topo: &Topology, weights: &[WeightVector]) -> Self {
         assert!(!weights.is_empty(), "need at least one class");
-        let flat = FlatTopo::new(topo);
-        let dags = weights.iter().map(|w| dags_on(&flat, w)).collect();
+        let (flat, mut calc) = (FlatTopo::new(topo), LoadCalculator::new());
+        let dags = (weights.iter())
+            .map(|w| {
+                let mut dags = Vec::with_capacity(flat.node_count());
+                let spf = DagSource::Spf(w.as_slice(), None);
+                calc.route(&flat, spf, &[], Some(&mut dags));
+                dags
+            })
+            .collect();
         ForwardingState { flat, dags }
     }
 
@@ -70,20 +65,14 @@ impl ForwardingState {
     /// cannot tolerate undeliverable demand must gate on the
     /// evaluator's undeliverable volume *before* simulating.
     pub fn with_deployment(topo: &Topology, weights: &DualWeights, dep: &DeploymentSet) -> Self {
-        if dep.is_full() {
-            return Self::new(topo, weights);
+        let mut fwd = Self::new(topo, weights);
+        if !dep.is_full() {
+            let hybrid = (fwd.dags[1].iter().zip(&fwd.dags[0]))
+                .map(|(pure, high)| hybrid_low_dag(&fwd.flat, dep, high, pure))
+                .collect();
+            fwd.dags[1] = hybrid;
         }
-        let flat = FlatTopo::new(topo);
-        let high = dags_on(&flat, &weights.high);
-        let low = dags_on(&flat, &weights.low)
-            .iter()
-            .zip(&high)
-            .map(|(pure, high)| hybrid_low_dag(&flat, dep, high, pure))
-            .collect();
-        ForwardingState {
-            flat,
-            dags: vec![high, low],
-        }
+        fwd
     }
 
     /// Number of priority classes the tables cover.
@@ -106,6 +95,12 @@ impl ForwardingState {
     #[inline]
     pub fn dag(&self, class: usize, dest: NodeId) -> &ShortestPathDag {
         &self.dags[class][dest.index()]
+    }
+
+    /// Priority class `class`'s DAGs, indexed by destination.
+    #[inline]
+    pub(crate) fn class_dags(&self, class: usize) -> &[ShortestPathDag] {
+        &self.dags[class]
     }
 
     /// The view of the topology the DAGs were computed on, which

@@ -56,8 +56,5 @@ pub use backend::{BackendReport, DesBackend, SimBackend};
 pub use engine::{SimConfig, SimReport, Simulation};
 pub use fluid::{FluidSim, HOT_UTIL};
 pub use forwarding::ForwardingState;
-pub use queueing::{
-    cobham, cobham_k, mm1_sojourn, paper_high_sojourn, residual_approx_error, residual_low_sojourn,
-    ClassDelays, MEAN_PACKET_BITS,
-};
+pub use queueing::{cobham, cobham_k, ClassDelays, MEAN_PACKET_BITS};
 pub use stats::{ClassStats, LinkStats, PairKey};

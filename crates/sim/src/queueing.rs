@@ -15,12 +15,12 @@
 //! W_L = W₀ / ((1 − ρ_H)(1 − ρ_H − ρ_L))
 //! ```
 //!
-//! This module provides both the exact formulas and the paper's
-//! surrogates so the gap can be quantified (and is, in the tests and the
-//! `validate_model` example): the residual-capacity surrogate coincides
-//! with the exact low-class delay when `ρ_H = 0` and *underestimates* it
-//! otherwise — it accounts for the stolen bandwidth but not for waits
-//! behind queued high-priority bursts. The discrete-event engine
+//! This module provides the exact formulas; its tests restate the
+//! paper's surrogates beside them and quantify the gap: the
+//! residual-capacity surrogate coincides with the exact low-class delay
+//! when `ρ_H = 0` and *underestimates* it otherwise — it accounts for
+//! the stolen bandwidth but not for waits behind queued high-priority
+//! bursts. The discrete-event engine
 //! ([`crate::Simulation`]) closes the loop by reproducing the exact
 //! formulas empirically.
 //!
@@ -143,49 +143,6 @@ pub fn cobham_k(capacity_mbps: f64, loads_mbps: &[f64]) -> Vec<ClassDelays> {
         .collect()
 }
 
-/// Plain M/M/1 mean sojourn time `E[S]/(1 − ρ)` (seconds); infinite at
-/// `ρ ≥ 1`. This is what the paper's Eq. 3 computes for the high class:
-/// `s/C·(H/(C−H) + 1) = E[S]/(1 − ρ_H)`.
-pub fn mm1_sojourn(capacity_mbps: f64, load_mbps: f64) -> f64 {
-    assert!(capacity_mbps > 0.0);
-    assert!(load_mbps >= 0.0);
-    let rho = load_mbps / capacity_mbps;
-    if rho >= 1.0 {
-        return f64::INFINITY;
-    }
-    service_s(capacity_mbps) / (1.0 - rho)
-}
-
-/// The paper's **high-class** surrogate (Eq. 3 without propagation):
-/// an M/M/1 queue at full capacity, low class invisible.
-pub fn paper_high_sojourn(capacity_mbps: f64, high_mbps: f64) -> f64 {
-    mm1_sojourn(capacity_mbps, high_mbps)
-}
-
-/// The paper's **low-class** surrogate (§3.1): an M/M/1 queue over the
-/// residual capacity `C̃ = max(C − H, 0)`. Infinite when the residual is
-/// exhausted.
-pub fn residual_low_sojourn(capacity_mbps: f64, high_mbps: f64, low_mbps: f64) -> f64 {
-    let residual = (capacity_mbps - high_mbps).max(0.0);
-    if residual <= 0.0 {
-        return f64::INFINITY;
-    }
-    mm1_sojourn(residual, low_mbps)
-}
-
-/// Relative error of the paper's low-class surrogate against the exact
-/// Cobham sojourn, `(exact − approx)/exact ∈ [0, 1)` for stable loads
-/// (the surrogate never overestimates — see the module docs). Returns 0
-/// when both are infinite.
-pub fn residual_approx_error(capacity_mbps: f64, high_mbps: f64, low_mbps: f64) -> f64 {
-    let exact = cobham(capacity_mbps, high_mbps, low_mbps).1.sojourn_s;
-    let approx = residual_low_sojourn(capacity_mbps, high_mbps, low_mbps);
-    if exact.is_infinite() && approx.is_infinite() {
-        return 0.0;
-    }
-    (exact - approx) / exact
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,8 +151,52 @@ mod tests {
     use dtr_graph::weights::DualWeights;
     use dtr_graph::{NodeId, WeightVector};
     use dtr_traffic::{DemandSet, TrafficMatrix};
+    use proptest::prelude::*;
 
     const CAP: f64 = 10.0;
+
+    /// Plain M/M/1 mean sojourn time `E[S]/(1 − ρ)` (seconds); infinite at
+    /// `ρ ≥ 1`. This is what the paper's Eq. 3 computes for the high class:
+    /// `s/C·(H/(C−H) + 1) = E[S]/(1 − ρ_H)`.
+    fn mm1_sojourn(capacity_mbps: f64, load_mbps: f64) -> f64 {
+        assert!(capacity_mbps > 0.0);
+        assert!(load_mbps >= 0.0);
+        let rho = load_mbps / capacity_mbps;
+        if rho >= 1.0 {
+            return f64::INFINITY;
+        }
+        service_s(capacity_mbps) / (1.0 - rho)
+    }
+
+    /// The paper's **high-class** surrogate (Eq. 3 without propagation):
+    /// an M/M/1 queue at full capacity, low class invisible.
+    fn paper_high_sojourn(capacity_mbps: f64, high_mbps: f64) -> f64 {
+        mm1_sojourn(capacity_mbps, high_mbps)
+    }
+
+    /// The paper's **low-class** surrogate (§3.1): an M/M/1 queue over the
+    /// residual capacity `C̃ = max(C − H, 0)`. Infinite when the residual is
+    /// exhausted.
+    fn residual_low_sojourn(capacity_mbps: f64, high_mbps: f64, low_mbps: f64) -> f64 {
+        let residual = (capacity_mbps - high_mbps).max(0.0);
+        if residual <= 0.0 {
+            return f64::INFINITY;
+        }
+        mm1_sojourn(residual, low_mbps)
+    }
+
+    /// Relative error of the paper's low-class surrogate against the exact
+    /// Cobham sojourn, `(exact − approx)/exact ∈ [0, 1)` for stable loads
+    /// (the surrogate never overestimates — see the module docs). Returns 0
+    /// when both are infinite.
+    fn residual_approx_error(capacity_mbps: f64, high_mbps: f64, low_mbps: f64) -> f64 {
+        let exact = cobham(capacity_mbps, high_mbps, low_mbps).1.sojourn_s;
+        let approx = residual_low_sojourn(capacity_mbps, high_mbps, low_mbps);
+        if exact.is_infinite() && approx.is_infinite() {
+            return 0.0;
+        }
+        (exact - approx) / exact
+    }
 
     #[test]
     fn packet_size_is_the_eq3_delay_models() {
@@ -419,6 +420,21 @@ mod tests {
     fn exhausted_residual_is_infinite_for_both() {
         assert!(residual_low_sojourn(CAP, 10.0, 0.1).is_infinite());
         assert_eq!(residual_approx_error(CAP, 12.0, 0.1), 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn residual_surrogate_never_overestimates(cap in 5.0f64..50.0, h in 0.0f64..20.0, l in 0.0f64..20.0) {
+            // The paper's low-class model (M/M/1 over residual capacity) is
+            // exact at ρ_H = 0 and an underestimate otherwise — for every
+            // stable operating point.
+            prop_assume!(h + l < 0.95 * cap);
+            let exact = cobham(cap, h, l).1.sojourn_s;
+            let approx = residual_low_sojourn(cap, h, l);
+            prop_assert!(approx <= exact + 1e-12, "approx {approx} > exact {exact}");
+        }
     }
 
     /// End-to-end check: the discrete-event engine reproduces Cobham on a

@@ -115,18 +115,6 @@ proptest! {
     }
 
     #[test]
-    fn residual_surrogate_never_overestimates(cap in 5.0f64..50.0, h in 0.0f64..20.0, l in 0.0f64..20.0) {
-        // The paper's low-class model (M/M/1 over residual capacity) is
-        // exact at ρ_H = 0 and an underestimate otherwise — for every
-        // stable operating point.
-        use dtr_sim::{cobham, residual_low_sojourn};
-        prop_assume!(h + l < 0.95 * cap);
-        let exact = cobham(cap, h, l).1.sojourn_s;
-        let approx = residual_low_sojourn(cap, h, l);
-        prop_assert!(approx <= exact + 1e-12, "approx {approx} > exact {exact}");
-    }
-
-    #[test]
     fn priority_isolation_across_topologies_and_families(
         topo_seed in 0u64..40,
         traffic_seed in 0u64..1000,

@@ -12,10 +12,9 @@
 //! ```
 
 use dtr::core::{DtrSearch, Objective, RobustSearch, ScenarioCombine, Scheme, SearchParams};
-use dtr::cost::phi;
 use dtr::graph::gen::{random_topology, RandomTopologyCfg};
 use dtr::graph::weights::DualWeights;
-use dtr::routing::{survivable_duplex_failures, LoadCalculator};
+use dtr::routing::{cascade_each, survivable_duplex_failures, LoadCalculator};
 use dtr::traffic::{DemandSet, TrafficCfg};
 
 fn main() {
@@ -71,9 +70,9 @@ fn main() {
         let cost = |calc: &mut LoadCalculator, up: &[bool]| -> f64 {
             let h = calc.class_loads_masked(&topo, &weights.high, up, &demands.high);
             let l = calc.class_loads_masked(&topo, &weights.low, up, &demands.low);
-            topo.links()
-                .map(|(lid, link)| phi(l[lid.index()], (link.capacity - h[lid.index()]).max(0.0)))
-                .sum()
+            let mut phi_l = 0.0;
+            cascade_each(&topo, &[&h, &l], 1, |_, _, _, p| phi_l += p);
+            phi_l
         };
         let intact = cost(&mut calc, &all_up);
         for sc in &scenarios {
