@@ -28,7 +28,7 @@ use crate::state::WorkStats;
 use crate::{dag_cursor, Lane};
 use dtr_cost::{link_delay, ClassMode, LexCost, ObjectiveError, ObjectiveSpec};
 use dtr_graph::{FlatTopo, NodeId, ShortestPathDag, Topology, WeightVector};
-use dtr_routing::{cascade_classes, sla_walk, ClassLoads, SlaEvaluation};
+use dtr_routing::{cascade_classes, cascade_each, sla_walk, ClassLoads, SlaEvaluation};
 use dtr_traffic::TrafficMatrix;
 use std::sync::Arc;
 
@@ -51,12 +51,10 @@ pub struct KClassEvaluation {
 impl KClassEvaluation {
     /// Residual capacity seen by class `class` on each link.
     pub fn residuals(&self, topo: &Topology, class: usize) -> Vec<f64> {
-        topo.links()
-            .map(|(lid, link)| {
-                let higher: f64 = self.loads[..class].iter().map(|l| l[lid.index()]).sum();
-                (link.capacity - higher).max(0.0)
-            })
-            .collect()
+        let rows: Vec<&[f64]> = self.loads[..=class].iter().map(Vec::as_slice).collect();
+        let mut out = vec![0.0; topo.link_count()];
+        cascade_each(topo, &rows, class, |_, l, residual, _| out[l] = residual);
+        out
     }
 
     /// Total per-link load across classes.

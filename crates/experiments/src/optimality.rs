@@ -23,6 +23,7 @@
 use crate::report::{fmt, Table};
 use crate::runner::{demands_random_model, gamma_grid, run_pair, ExperimentCtx, TopologyKind};
 use dtr_core::Objective;
+use dtr_cost::load::residual_capacity;
 use dtr_graph::Topology;
 use dtr_routing::lower_bound::{frank_wolfe, FwParams, FwResult};
 use rayon::prelude::*;
@@ -53,7 +54,7 @@ fn low_reference(
 ) -> FwResult {
     let residuals: Vec<f64> = topo
         .links()
-        .map(|(lid, l)| (l.capacity - high_loads[lid.index()]).max(0.0))
+        .map(|(lid, l)| residual_capacity(l.capacity, high_loads[lid.index()]))
         .collect();
     frank_wolfe(topo, &demands.low, &residuals, &FwParams::default())
 }

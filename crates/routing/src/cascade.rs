@@ -15,6 +15,7 @@
 //! `(C − 0).max(0) = C` bitwise, class 1 sees `(C − H).max(0)`.
 
 use crate::loads::ClassLoads;
+use dtr_cost::load::residual_capacity;
 use dtr_cost::phi;
 use dtr_graph::Topology;
 
@@ -78,7 +79,7 @@ pub fn cascade_each(
         let mut used = 0.0;
         for (c, row) in loads.iter().enumerate() {
             if c >= priced {
-                let residual = (link.capacity - used).max(0.0);
+                let residual = residual_capacity(link.capacity, used);
                 charge(c, i, residual, phi(row[i], residual));
             }
             used += row[i];
