@@ -349,7 +349,7 @@ fn corpus(args: &Args) -> Result<(&str, Vec<ScenarioSpec>), CliError> {
 /// it: when either flag is present, every selected manifest's objective
 /// is replaced and the result re-validated — so objective sweeps never
 /// need manifest edits, and an override a given instance cannot carry
-/// (e.g. `k ≥ 3` on a non-gravity family) fails fast with the
+/// (e.g. `k ≥ 3` on a partial deployment) fails fast with the
 /// instance's name. A needle that matches no instance is an error
 /// listing the available names, not a silently shorter run.
 fn select_corpus(
@@ -2121,16 +2121,17 @@ mod tests {
 
     #[test]
     fn objective_override_rejects_incompatible_instances_by_name() {
-        // vl2-hotspot carries a WorstK failure policy, so a 3-class
-        // override must fail fast and name the instance.
+        // isp-partial-upgrade carries a partial deployment, which takes
+        // two classes only, so a 3-class override must fail fast and
+        // name the instance.
         let corpus = format!("{}/../../corpus", env!("CARGO_MANIFEST_DIR"));
         let out = tmp("suite-override-err");
         let e = run(&args(&format!(
-            "suite --corpus {corpus} --smoke --only vl2 --classes 3 --out {out}"
+            "suite --corpus {corpus} --smoke --only isp-partial --classes 3 --out {out}"
         )))
         .unwrap_err();
         let msg = e.to_string();
-        assert!(msg.contains("vl2-hotspot"), "{msg}");
+        assert!(msg.contains("isp-partial-upgrade"), "{msg}");
         assert!(msg.contains("--only"), "{msg}");
     }
 

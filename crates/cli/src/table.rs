@@ -266,8 +266,8 @@ pub static COMMANDS: &[Command] = &[
                 and asserts result shapes — the CI gate. --only takes a comma-separated list \
                 of name substrings; an instance runs if it matches any. \
                 --objective/--classes override the selected manifests' objective — k >= 3 \
-                needs instances without failure policies, so narrow with --only when \
-                overriding)",
+                needs instances without a partial deployment or portfolio search, so \
+                narrow with --only when overriding)",
         run: cmd_suite,
     },
     Command {

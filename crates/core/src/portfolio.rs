@@ -49,7 +49,7 @@
 use crate::anneal::AnnealSearch;
 use crate::dtr::DtrSearch;
 use crate::params::SearchParams;
-use crate::robust::{RobustCost, RobustEvaluator, RobustSearch, ScenarioCombine};
+use crate::robust::{per_class, RobustCost, RobustEvaluator, RobustSearch, ScenarioCombine};
 use crate::scheme::Scheme;
 use crate::str_search::StrSearch;
 use crate::telemetry::SearchResult;
@@ -354,13 +354,10 @@ impl<'a> PortfolioSearch<'a> {
                 cap: Some(cap),
                 ..
             } => {
-                let mut ev = RobustEvaluator::with_backend(
-                    self.topo,
-                    self.demands,
-                    combine,
-                    self.params.backend,
-                );
-                let w0 = self.initial_or_uniform();
+                let classes = vec![&self.demands.high, &self.demands.low];
+                let backend = self.params.backend;
+                let mut ev = RobustEvaluator::with_backend(self.topo, classes, combine, backend);
+                let w0 = per_class(&self.initial_or_uniform());
                 ev.rebase(&w0);
                 Some(ev.cap_to_worst(&w0, cap))
             }
@@ -467,13 +464,15 @@ impl<'a> PortfolioSearch<'a> {
         let PortfolioMode::Robust { combine, .. } = self.mode else {
             unreachable!("canonical robust evaluator outside robust mode")
         };
+        let classes = vec![&self.demands.high, &self.demands.low];
         let mut ev =
-            RobustEvaluator::with_backend(self.topo, self.demands, combine, self.params.backend);
+            RobustEvaluator::with_backend(self.topo, classes, combine, self.params.backend);
         if let Some(ids) = capped_ids {
             ev.retain_pairs(ids);
         }
-        ev.rebase(w);
-        ev.eval(w)
+        let w = per_class(w);
+        ev.rebase(&w);
+        ev.eval_classes(&w)
     }
 
     fn initial_or_uniform(&self) -> DualWeights {

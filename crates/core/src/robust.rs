@@ -8,8 +8,12 @@
 //! with unchanged weights, so the weight setting itself must leave
 //! headroom).
 //!
-//! For a candidate setting `W`, the robust cost blends the intact
-//! lexicographic cost with the worst post-failure cost, component-wise:
+//! [`RobustEvaluator`] prices `k ≥ 2` strict-priority classes, one
+//! weight vector each, and projects every k-class cost onto
+//! `⟨Φ_0, Σ_{c≥1} Φ_c⟩` (the identity at `k = 2`, where it reads
+//! `⟨Φ_H, Φ_L⟩`). For a candidate setting `W`, the robust cost blends
+//! the intact projected cost with the worst post-failure one,
+//! component-wise:
 //!
 //! ```text
 //! robust(W) = ⟨ (1−β)·Φ_H + β·max_s Φ_H^s ,  (1−β)·Φ_L + β·max_s Φ_L^s ⟩
@@ -26,8 +30,8 @@
 //! the shared [`descent`](crate::descent) driver: a step proposes `m`
 //! single-weight changes under the [`Scheme`], a diversification
 //! perturbs `g1` of `W^H` and `g2` of `W^L` (STR: the shared vector).
-//! A candidate costs `1 + |scenarios|` routing evaluations through
-//! [`dtr_engine::BatchEvaluator`], whose **failure-sweep backend**
+//! A candidate costs `1 + |scenarios|` routing evaluations per class
+//! through [`dtr_engine::KClassBatchEvaluator`], whose **failure sweep**
 //! ([`SearchParams::backend`] `= Incremental`, the default) evaluates
 //! all scenarios of one candidate against a single intact SPF state — a
 //! failed duplex pair is two link-mask deltas, repaired after the
@@ -44,21 +48,21 @@
 //! observable. With the incremental sweep backend the full set is
 //! affordable far more often; prefer it whenever it is.
 //!
-//! Only the load-based objective is supported: a post-failure SLA
-//! evaluation would need per-scenario delay DAGs, and §5's robustness
-//! question is about load headroom.
+//! Only the load-based objective is supported, for any class count: a
+//! post-failure SLA evaluation would need per-scenario delay DAGs, and
+//! §5's robustness question is about load headroom.
 
 use crate::descent::{best_improving, Descent, SingleChange, Step, Walk};
 use crate::neighborhood::perturb_weights;
 use crate::params::SearchParams;
 use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
-use dtr_cost::{Lex2, Objective};
-use dtr_engine::{BackendKind, BatchEvaluator};
+use dtr_cost::{Lex2, ObjectiveSpec};
+use dtr_engine::{BackendKind, KClassBatchEvaluator};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_routing::{cascade_each, survivable_duplex_failures, FailureScenario};
-use dtr_traffic::DemandSet;
+use dtr_routing::{survivable_duplex_failures, FailureScenario};
+use dtr_traffic::{DemandSet, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -78,6 +82,7 @@ pub enum ScenarioCombine {
 }
 
 /// Cost breakdown of one weight setting under the robust objective.
+/// Every component is a projected cost `⟨Φ_0, Σ_{c≥1} Φ_c⟩`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RobustCost {
     /// Intact-topology `⟨Φ_H, Φ_L⟩`.
@@ -106,45 +111,44 @@ pub struct RobustResult {
     pub trace: SearchTrace,
 }
 
-/// Evaluates weight settings against a failure-scenario set.
-///
-/// Evaluation is driven through [`BatchEvaluator`]: the intact loads
-/// come from the nominal candidate path and the per-scenario loads from
-/// the failure-sweep path ([`BatchEvaluator::sweep_high`] /
-/// [`BatchEvaluator::sweep_low`]), both bit-identical to
-/// `LoadCalculator::class_loads_masked` full evaluation regardless of
-/// backend. Cost assembly stays here: the robust cost needs masked
-/// loads folded per scenario, which the nominal
-/// [`dtr_routing::Evaluator`] does not model.
+/// Evaluates weight settings against a failure-scenario set: a loop
+/// over scenarios on the k-class kernel. The intact network is priced
+/// by [`KClassBatchEvaluator::eval`], every scenario by
+/// [`KClassBatchEvaluator::sweep`] — the same strict-priority cascade,
+/// with per-class loads bit-identical to
+/// `LoadCalculator::class_loads_masked` regardless of backend.
 pub struct RobustEvaluator<'a> {
-    topo: &'a Topology,
+    kernel: KClassBatchEvaluator<'a>,
     scenarios: Vec<FailureScenario>,
     combine: ScenarioCombine,
-    engine: BatchEvaluator<'a>,
 }
 
 impl<'a> RobustEvaluator<'a> {
-    /// Binds the instance and enumerates all survivable duplex failures,
-    /// evaluating through the default (incremental) backend.
+    /// Binds a two-class instance and enumerates all survivable duplex
+    /// failures, evaluating through the default (incremental) backend.
     pub fn new(topo: &'a Topology, demands: &'a DemandSet, combine: ScenarioCombine) -> Self {
-        Self::with_backend(topo, demands, combine, BackendKind::default())
+        let classes = vec![&demands.high, &demands.low];
+        Self::with_backend(topo, classes, combine, BackendKind::default())
     }
 
-    /// [`Self::new`] with an explicit evaluation backend.
+    /// Binds one traffic matrix per class (highest priority first, at
+    /// least two) and enumerates all survivable duplex failures,
+    /// evaluating through `backend`.
     pub fn with_backend(
         topo: &'a Topology,
-        demands: &'a DemandSet,
+        classes: Vec<&'a TrafficMatrix>,
         combine: ScenarioCombine,
         backend: BackendKind,
     ) -> Self {
         if let ScenarioCombine::Blend { beta } = combine {
             assert!((0.0..=1.0).contains(&beta), "β must be in [0,1]");
         }
+        let spec = ObjectiveSpec::load(classes.len());
         RobustEvaluator {
-            topo,
+            kernel: KClassBatchEvaluator::new(topo, classes, &spec, backend)
+                .expect("a robust instance has two classes or more"),
             scenarios: survivable_duplex_failures(topo),
             combine,
-            engine: BatchEvaluator::new(topo, demands, Objective::LoadBased, backend),
         }
     }
 
@@ -158,38 +162,31 @@ impl<'a> RobustEvaluator<'a> {
         self.scenarios.iter().map(|s| s.pair_id).collect()
     }
 
-    /// Moves the engine's base onto `w` (the search accepted a move or
-    /// diversified), keeping the incremental backend's repairs small.
-    pub fn rebase(&mut self, w: &DualWeights) {
-        self.engine.rebase_high(&w.high);
-        self.engine.rebase_low(&w.low);
+    /// Moves the kernel's per-class bases onto `weights` (the search
+    /// accepted a move or diversified), keeping the incremental
+    /// backend's repairs small.
+    pub fn rebase(&mut self, weights: &[WeightVector]) {
+        for (class, w) in weights.iter().enumerate() {
+            self.kernel.rebase(class, w);
+        }
     }
 
     /// Restricts the scenario set to the `cap` scenarios with the worst
-    /// low-priority cost under `w` (plus ties broken by pair id). Returns
-    /// the retained pair ids.
-    pub fn cap_to_worst(&mut self, w: &DualWeights, cap: usize) -> Vec<u32> {
+    /// projected secondary cost under `weights` (plus ties broken by
+    /// pair id). Returns the retained pair ids.
+    pub fn cap_to_worst(&mut self, weights: &[WeightVector], cap: usize) -> Vec<u32> {
         if cap >= self.scenarios.len() {
             return self.pair_ids();
         }
-        let costs = self.scenario_costs(w);
-        let mut scored: Vec<(f64, usize)> = costs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.secondary, i))
-            .collect();
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut keep: Vec<usize> = scored[..cap].iter().map(|&(_, i)| i).collect();
+        let costs = self.scenario_costs(weights);
+        let mut keep: Vec<usize> = (0..costs.len()).collect();
+        // A stable sort: tied scenarios stay in pair-id order.
+        keep.sort_by(|&a, &b| costs[b].secondary.total_cmp(&costs[a].secondary));
+        keep.truncate(cap);
         keep.sort_unstable();
         let scenarios = std::mem::take(&mut self.scenarios);
-        let mut kept = Vec::with_capacity(cap);
-        let mut next = Vec::with_capacity(cap);
-        for i in keep {
-            kept.push(scenarios[i].pair_id);
-            next.push(scenarios[i].clone());
-        }
-        self.scenarios = next;
-        kept
+        self.scenarios = keep.into_iter().map(|i| scenarios[i].clone()).collect();
+        self.pair_ids()
     }
 
     /// Restricts the scenario set to the given pair ids (unknown ids are
@@ -202,43 +199,29 @@ impl<'a> RobustEvaluator<'a> {
         self.scenarios.retain(|s| keep.contains(&s.pair_id));
     }
 
-    /// Per-scenario costs of `w`, in scenario order: one class sweep per
-    /// side, each scenario's loads priced by [`Self::price`].
-    fn scenario_costs(&mut self, w: &DualWeights) -> Vec<Lex2> {
-        let h = self.engine.sweep_high(&w.high, &self.scenarios);
-        let l = self.engine.sweep_low(&w.low, &self.scenarios);
-        h.iter().zip(&l).map(|(h, l)| self.price(h, l)).collect()
+    /// Projected per-scenario costs of `weights`, in scenario order.
+    fn scenario_costs(&mut self, weights: &[WeightVector]) -> Vec<Lex2> {
+        let sweep = self.kernel.sweep(weights, &self.scenarios);
+        sweep.iter().map(|s| project(&s.phis)).collect()
     }
 
-    /// `⟨Φ_H, Φ_L⟩` of one scenario's class loads: the strict-priority
-    /// cascade, which charges the low class against the residual
-    /// capacity the high class leaves (§3's priority-queueing model).
-    fn price(&self, h: &[f64], l: &[f64]) -> Lex2 {
-        let mut phis = [0.0; 2];
-        cascade_each(self.topo, &[h, l], 0, |c, _, _, p| phis[c] += p);
-        Lex2::new(phis[0], phis[1])
-    }
-
-    /// Full robust evaluation of one setting.
+    /// Full robust evaluation of one dual setting.
     pub fn eval(&mut self, w: &DualWeights) -> RobustCost {
-        let h = self.engine.high_loads(&w.high);
-        let l = self.engine.low_loads(&w.low);
-        let intact = self.price(&h, &l);
+        self.eval_classes(&per_class(w))
+    }
 
-        let mut worst_h = intact.primary;
-        let mut worst_l = intact.secondary;
-        let mut sum_h = intact.primary;
-        let mut sum_l = intact.secondary;
-        for c in self.scenario_costs(w) {
-            worst_h = worst_h.max(c.primary);
-            worst_l = worst_l.max(c.secondary);
-            sum_h += c.primary;
-            sum_l += c.secondary;
+    /// Full robust evaluation of one weight vector per class.
+    pub fn eval_classes(&mut self, weights: &[WeightVector]) -> RobustCost {
+        let intact = project(&self.kernel.eval(weights).phis);
+        let (mut worst, mut sum) = (intact, intact);
+        for c in self.scenario_costs(weights) {
+            worst.primary = worst.primary.max(c.primary);
+            worst.secondary = worst.secondary.max(c.secondary);
+            sum.primary += c.primary;
+            sum.secondary += c.secondary;
         }
         let count = (self.scenarios.len() + 1) as f64;
-
-        let worst = Lex2::new(worst_h, worst_l);
-        let average = Lex2::new(sum_h / count, sum_l / count);
+        let average = Lex2::new(sum.primary / count, sum.secondary / count);
         let combined = match self.combine {
             ScenarioCombine::Worst => worst,
             ScenarioCombine::Average => average,
@@ -254,6 +237,17 @@ impl<'a> RobustEvaluator<'a> {
             combined,
         }
     }
+}
+
+/// `⟨Φ_0, Σ_{c≥1} Φ_c⟩` of per-class `Φ`s: at `k = 2`, `⟨Φ_H, Φ_L⟩`
+/// bit for bit.
+fn project(phis: &[f64]) -> Lex2 {
+    Lex2::new(phis[0], phis[1..].iter().sum())
+}
+
+/// The class vectors of a dual setting, highest priority first.
+pub(crate) fn per_class(w: &DualWeights) -> [WeightVector; 2] {
+    [w.high.clone(), w.low.clone()]
 }
 
 /// The failure-aware local search.
@@ -276,8 +270,9 @@ impl<'a> RobustSearch<'a> {
         mode: Scheme,
     ) -> Self {
         params.validate();
+        let classes = vec![&demands.high, &demands.low];
         RobustSearch {
-            evaluator: RobustEvaluator::with_backend(topo, demands, combine, params.backend),
+            evaluator: RobustEvaluator::with_backend(topo, classes, combine, params.backend),
             params,
             mode,
             scenario_cap: None,
@@ -298,8 +293,9 @@ impl<'a> RobustSearch<'a> {
     /// optimum) rather than search from scratch. In STR mode `w0` must
     /// have replicated vectors.
     pub fn with_initial(mut self, w0: DualWeights) -> Self {
-        assert_eq!(w0.high.len(), self.evaluator.topo.link_count());
-        assert_eq!(w0.low.len(), self.evaluator.topo.link_count());
+        let links = self.evaluator.kernel.topo().link_count();
+        assert_eq!(w0.high.len(), links);
+        assert_eq!(w0.low.len(), links);
         if self.mode == Scheme::Str {
             assert_eq!(
                 w0.high, w0.low,
@@ -317,13 +313,13 @@ impl<'a> RobustSearch<'a> {
     pub fn run(mut self) -> RobustResult {
         let params = self.params;
         let w = self.initial.take().unwrap_or_else(|| {
-            DualWeights::replicated(WeightVector::uniform(self.evaluator.topo, 1))
+            DualWeights::replicated(WeightVector::uniform(self.evaluator.kernel.topo(), 1))
         });
-        self.evaluator.rebase(&w);
+        self.evaluator.rebase(&per_class(&w));
         let mut dropped_scenarios = Vec::new();
         if let Some(cap) = self.scenario_cap {
             let before = self.evaluator.pair_ids();
-            let kept = self.evaluator.cap_to_worst(&w, cap);
+            let kept = self.evaluator.cap_to_worst(&per_class(&w), cap);
             dropped_scenarios = before.into_iter().filter(|id| !kept.contains(id)).collect();
         }
         let mut walk = RobustWalk {
@@ -388,7 +384,7 @@ impl Walk for RobustWalk<'_> {
         let best = best_improving(cands, self.cost(), |(c, _)| &c.combined);
         let moved = best.is_some();
         if let Some((cost, w)) = best {
-            self.evaluator.rebase(&w);
+            self.evaluator.rebase(&per_class(&w));
             self.cost = cost;
             self.w = w;
         }
@@ -403,8 +399,9 @@ impl Walk for RobustWalk<'_> {
         } else {
             perturb_weights(&mut self.w.low, p.g2, &p, &mut self.rng);
         }
-        self.evaluator.rebase(&self.w);
-        self.cost = self.evaluator.eval(&self.w);
+        let classes = per_class(&self.w);
+        self.evaluator.rebase(&classes);
+        self.cost = self.evaluator.eval_classes(&classes);
         1
     }
 }
@@ -485,6 +482,44 @@ mod tests {
         assert_eq!(rc.intact.secondary.to_bits(), ne.phi_l.to_bits());
     }
 
+    /// Every field of a robust cost, as bit patterns.
+    fn bits(c: &RobustCost) -> Vec<u64> {
+        [c.intact, c.worst, c.average, c.combined]
+            .iter()
+            .flat_map(|l| [l.primary.to_bits(), l.secondary.to_bits()])
+            .collect()
+    }
+
+    /// A class that offers no traffic costs `Φ = 0` on every link, so
+    /// appending it below a two-class instance leaves the projected
+    /// secondary `Φ_1 + 0` — every field bit for bit, intact, per
+    /// scenario and after the cap.
+    #[test]
+    fn an_all_zero_lowest_class_changes_no_robust_cost() {
+        let (topo, demands) = small_instance();
+        let zero = TrafficMatrix::zeros(topo.node_count());
+        let mut w = DualWeights::replicated(WeightVector::uniform(&topo, 2));
+        w.low.set(dtr_graph::LinkId(3), 9);
+        let three = [
+            w.high.clone(),
+            w.low.clone(),
+            WeightVector::uniform(&topo, 5),
+        ];
+        let blend = ScenarioCombine::Blend { beta: 0.3 };
+        for combine in [ScenarioCombine::Worst, ScenarioCombine::Average, blend] {
+            for kind in [BackendKind::Full, BackendKind::Incremental] {
+                let (high, low) = (&demands.high, &demands.low);
+                let mut two = RobustEvaluator::with_backend(&topo, vec![high, low], combine, kind);
+                let mut k3 =
+                    RobustEvaluator::with_backend(&topo, vec![high, low, &zero], combine, kind);
+                assert_eq!(bits(&two.eval(&w)), bits(&k3.eval_classes(&three)));
+                let kept = two.cap_to_worst(&per_class(&w), 4);
+                assert_eq!(kept, k3.cap_to_worst(&three, 4));
+                assert_eq!(bits(&two.eval(&w)), bits(&k3.eval_classes(&three)));
+            }
+        }
+    }
+
     #[test]
     fn ring_worst_case_reflects_reroute_concentration() {
         // On a unit ring with demand 0→2 split over both directions,
@@ -528,7 +563,7 @@ mod tests {
         let w = DualWeights::replicated(WeightVector::uniform(&topo, 1));
         // Find the true worst scenario first.
         let full = ev.eval(&w);
-        let kept = ev.cap_to_worst(&w, 4);
+        let kept = ev.cap_to_worst(&per_class(&w), 4);
         assert_eq!(kept.len(), 4);
         assert_eq!(ev.scenario_count(), 4);
         // The capped worst equals the full worst on the Φ_L component

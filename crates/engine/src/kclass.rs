@@ -18,17 +18,22 @@
 //! that class's affected destinations, and the other classes' sides come
 //! straight from cache. Priority couples a class only to the classes
 //! above it, so a batch moving class `c` prices classes `..c` once and
-//! each candidate from `c` down. Full and incremental backends remain
-//! bit-identical (enforced by `tests/proptests.rs`), and a two-class
-//! load spec reproduces the legacy evaluator exactly — class 0's
-//! residual is the raw capacity bit-for-bit.
+//! each candidate from `c` down. The failure sweep
+//! ([`KClassBatchEvaluator::sweep`]) runs each lane under a set of link
+//! masks and prices every scenario by the same cascade; it is load-only.
+//! Full and incremental backends remain bit-identical (enforced by
+//! `tests/proptests.rs`), and a two-class load spec reproduces the
+//! legacy evaluator exactly — class 0's residual is the raw capacity
+//! bit-for-bit.
 
 use crate::backend::BackendKind;
 use crate::state::WorkStats;
 use crate::{dag_cursor, Lane};
 use dtr_cost::{link_delay, ClassMode, LexCost, ObjectiveError, ObjectiveSpec};
 use dtr_graph::{FlatTopo, NodeId, ShortestPathDag, Topology, WeightVector};
-use dtr_routing::{cascade_classes, cascade_each, sla_walk, ClassLoads, SlaEvaluation};
+use dtr_routing::{
+    cascade_classes, cascade_each, sla_walk, ClassLoads, FailureScenario, SlaEvaluation,
+};
 use dtr_traffic::TrafficMatrix;
 use std::sync::Arc;
 
@@ -66,6 +71,16 @@ impl KClassEvaluation {
     pub fn avg_utilization(&self, topo: &Topology) -> f64 {
         dtr_routing::loads::avg_utilization(topo, &self.total_loads())
     }
+}
+
+/// One failure scenario of [`KClassBatchEvaluator::sweep`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct KClassScenario {
+    /// Per-class link loads under the scenario's mask, highest priority
+    /// first.
+    pub loads: Vec<ClassLoads>,
+    /// Per-class total Φ against that class's residual capacity.
+    pub phis: Vec<f64>,
 }
 
 /// Entries per class in the side cache. A search step re-reads the `k`
@@ -205,6 +220,33 @@ impl<'a> KClassBatchEvaluator<'a> {
                 let mut rows = head.clone();
                 rows.append(self.price(class, &tail, &mut used.clone()));
                 rows.into_evaluation()
+            })
+            .collect()
+    }
+
+    /// One weight vector per class under every failure scenario, in
+    /// input order: each class's lane runs its backend's
+    /// `eval_scenarios` under the scenario masks, and each scenario's k
+    /// load rows are priced by one [`cascade_each`]. Load-only (no SLA
+    /// walk) and uncached, as the robust objective needs it.
+    pub fn sweep(
+        &mut self,
+        weights: &[WeightVector],
+        scenarios: &[FailureScenario],
+    ) -> Vec<KClassScenario> {
+        assert_eq!(weights.len(), self.class_count(), "one vector per class");
+        let mut swept: Vec<_> = (self.lanes.iter_mut().zip(weights))
+            .map(|(lane, w)| lane.sweep(w, scenarios).into_iter())
+            .collect();
+        (0..scenarios.len())
+            .map(|_| {
+                let loads: Vec<ClassLoads> = (swept.iter_mut())
+                    .map(|class| class.next().expect("one per scenario"))
+                    .collect();
+                let rows: Vec<&[f64]> = loads.iter().map(Vec::as_slice).collect();
+                let mut phis = vec![0.0; rows.len()];
+                cascade_each(self.topo, &rows, 0, |c, _, _, p| phis[c] += p);
+                KClassScenario { loads, phis }
             })
             .collect()
     }

@@ -48,7 +48,7 @@ pub use dynspf::{
     apply_link_down, apply_weight_delta, delta_affects_dag, link_down_affects_dag, DynSpfScratch,
 };
 use hybrid::HybridLows;
-pub use kclass::{KClassBatchEvaluator, KClassEvaluation};
+pub use kclass::{KClassBatchEvaluator, KClassEvaluation, KClassScenario};
 pub use state::{CandidateEval, DestState, FlowState, WorkStats, PAR_MIN_WORK};
 
 use dtr_cost::Objective;
@@ -193,6 +193,13 @@ impl<'a, V: Clone> Lane<'a, V> {
             self.base = b.base().clone();
         }
         self.all_dests = all_dests;
+    }
+
+    /// The loads of a one-matrix lane's `w` under every scenario, in
+    /// input order, uncached.
+    fn sweep(&mut self, w: &WeightVector, scenarios: &[FailureScenario]) -> Vec<ClassLoads> {
+        let swept = self.backend().eval_scenarios(w, scenarios).into_iter();
+        swept.map(|mut ev| ev.loads.swap_remove(0)).collect()
     }
 
     pub(crate) fn work_stats(&self) -> WorkStats {
@@ -493,50 +500,18 @@ impl<'a> BatchEvaluator<'a> {
             .collect()
     }
 
-    /// Raw per-link loads of the high class under `wh` — no cost
-    /// assembly, bit-identical to
-    /// [`dtr_routing::LoadCalculator::class_loads`]. The robust search's
-    /// intact-evaluation path (it folds loads into per-scenario costs
-    /// itself, so the nominal `HighSide` machinery does not apply).
-    pub fn high_loads(&mut self, wh: &WeightVector) -> ClassLoads {
-        let mut ev = self
-            .high
-            .backend()
-            .eval_batch(std::slice::from_ref(wh), false)
-            .pop()
-            .unwrap();
-        ev.loads.swap_remove(0)
-    }
-
-    /// Raw per-link loads of the low class under `wl`.
-    pub fn low_loads(&mut self, wl: &WeightVector) -> ClassLoads {
-        let mut ev = self
-            .low
-            .backend()
-            .eval_batch(std::slice::from_ref(wl), false)
-            .pop()
-            .unwrap();
-        ev.loads.swap_remove(0)
-    }
-
     /// High-class loads of `wh` under every failure scenario, in input
     /// order — each entry bit-identical to
     /// [`dtr_routing::LoadCalculator::class_loads_masked`] on that
-    /// scenario's mask. Uncached: the robust search never revisits a
-    /// (candidate, scenario) pair within one run, so a sweep cache
-    /// would only pay on the incumbent re-evaluations, which the caller
-    /// already avoids.
+    /// scenario's mask. Uncached, like the k-class kernel's
+    /// [`KClassBatchEvaluator::sweep`]: a (candidate, scenario) pair is
+    /// rarely priced twice.
     pub fn sweep_high(
         &mut self,
         wh: &WeightVector,
         scenarios: &[FailureScenario],
     ) -> Vec<ClassLoads> {
-        self.high
-            .backend()
-            .eval_scenarios(wh, scenarios)
-            .into_iter()
-            .map(|mut ev| ev.loads.swap_remove(0))
-            .collect()
+        self.high.sweep(wh, scenarios)
     }
 
     /// Low-class loads of `wl` under every failure scenario.
@@ -545,12 +520,7 @@ impl<'a> BatchEvaluator<'a> {
         wl: &WeightVector,
         scenarios: &[FailureScenario],
     ) -> Vec<ClassLoads> {
-        self.low
-            .backend()
-            .eval_scenarios(wl, scenarios)
-            .into_iter()
-            .map(|mut ev| ev.loads.swap_remove(0))
-            .collect()
+        self.low.sweep(wl, scenarios)
     }
 
     /// Moves the high-class base (the search accepted a move).

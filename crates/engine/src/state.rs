@@ -814,7 +814,7 @@ mod tests {
     use super::*;
     use dtr_graph::gen::{random_topology, RandomTopologyCfg};
     use dtr_graph::{LinkId, ShortestPathDag};
-    use dtr_routing::LoadCalculator;
+    use dtr_routing::{DagSource, LoadCalculator};
     use dtr_traffic::{DemandSet, TrafficCfg};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -936,14 +936,14 @@ mod tests {
     }
 
     #[test]
-    fn joint_fold_matches_joint_loads_bitwise() {
+    fn joint_fold_matches_a_two_matrix_route_bitwise() {
         let (topo, demands) = instance(5);
         let w = WeightVector::uniform(&topo, 3);
-        let state = FlowState::new(&topo, vec![&demands.high, &demands.low], w.clone(), false);
-        let (fh, fl) = LoadCalculator::new().joint_loads(&topo, &w, &demands.high, &demands.low);
-        let loads = state.base_loads();
-        assert_eq!(loads[0], fh);
-        assert_eq!(loads[1], fl);
+        let matrices = vec![&demands.high, &demands.low];
+        let state = FlowState::new(&topo, matrices.clone(), w.clone(), false);
+        let spf = DagSource::Spf(w.as_slice(), None);
+        let full = LoadCalculator::new().route(&FlatTopo::new(&topo), spf, &matrices, None);
+        assert_eq!(state.base_loads(), full);
     }
 
     #[test]

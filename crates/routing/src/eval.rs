@@ -383,9 +383,10 @@ impl<'a> Evaluator<'a> {
     /// Single-topology evaluation (both classes share `w`); one SPF pass
     /// per destination covers both classes.
     pub fn eval_str(&mut self, w: &WeightVector) -> Evaluation {
-        let (h, l) = self
-            .calc
-            .joint_loads(self.topo, w, &self.demands.high, &self.demands.low);
+        let (ft, d) = (&self.ft, self.demands);
+        let spf = DagSource::Spf(w.as_slice(), None);
+        let loads = self.calc.route(ft, spf, &[&d.high, &d.low], None);
+        let [h, l] = <[ClassLoads; 2]>::try_from(loads).expect("one row per matrix");
         self.assemble(h, l, w)
     }
 

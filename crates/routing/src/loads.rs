@@ -69,21 +69,6 @@ impl LoadCalculator {
         self.route(&ft, spf, &[demands], None).swap_remove(0)
     }
 
-    /// Computes loads for **two classes sharing one weight vector**
-    /// (single-topology routing) with one SPF pass per destination.
-    pub fn joint_loads(
-        &mut self,
-        topo: &Topology,
-        weights: &WeightVector,
-        high: &TrafficMatrix,
-        low: &TrafficMatrix,
-    ) -> (ClassLoads, ClassLoads) {
-        let (ft, w) = (FlatTopo::new(topo), weights.as_slice());
-        let loads = self.route(&ft, DagSource::Spf(w, None), &[high, low], None);
-        let [h, l] = <[ClassLoads; 2]>::try_from(loads).expect("one row per matrix");
-        (h, l)
-    }
-
     /// The routing pass: for each destination `t` in ascending order,
     /// takes the DAG towards `t` from `dags` and pushes each matrix's
     /// column towards `t` down it with [`push_demand_flat`], into that
@@ -319,7 +304,9 @@ mod tests {
         l.set(1, 2, 25.0);
         l.set(0, 3, 5.0);
         let mut calc = LoadCalculator::new();
-        let (jh, jl) = calc.joint_loads(&t, &w, &h, &l);
+        let spf = DagSource::Spf(w.as_slice(), None);
+        let joint = calc.route(&FlatTopo::new(&t), spf, &[&h, &l], None);
+        let (jh, jl) = (&joint[0], &joint[1]);
         let sh = calc.class_loads(&t, &w, &h);
         let sl = calc.class_loads(&t, &w, &l);
         for i in 0..t.link_count() {

@@ -711,19 +711,11 @@ impl ScenarioSpec {
                 _ => {}
             }
         }
-        if classes > 2 {
-            if !self.failures().is_none() {
-                return Err(format!(
-                    "k-class instances ({classes} classes) do not support failure \
-                     sweeps (the robustness evaluator is two-class)"
-                ));
-            }
-            if search.portfolio() {
-                return Err(format!(
-                    "k-class instances ({classes} classes) do not support the \
-                     portfolio orchestrator (its strategy arms are two-class)"
-                ));
-            }
+        if classes > 2 && search.portfolio() {
+            return Err(format!(
+                "k-class instances ({classes} classes) do not support the \
+                 portfolio orchestrator (its strategy arms are two-class)"
+            ));
         }
         if let Some(dep) = &self.deployment {
             if classes != 2 {
@@ -874,6 +866,9 @@ mod tests {
         s.deployment = Some(DeploymentSpec { upgraded: vec![1] });
         s.failures = Some(FailurePolicy::AllSingleDuplex);
         assert!(s.validate().unwrap_err().contains("failure"));
+        s.failures = None;
+        s.objective = Some(ObjectiveSpec::load(3));
+        assert!(s.validate().unwrap_err().contains("two-class pipeline"));
     }
 
     #[test]
@@ -891,12 +886,19 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("densities"));
         s.traffic.densities = None;
         s.validate().unwrap();
-        // k-class instances take any traffic family, but no failures.
+        // k-class instances take any traffic family and failure policy,
+        // but not the portfolio.
         s.traffic.family = TrafficFamily::SkewedGravity { alpha: 1.0 };
         s.validate().unwrap();
         s.failures = Some(FailurePolicy::AllSingleDuplex);
-        assert!(s.validate().unwrap_err().contains("failure"));
+        s.validate().unwrap();
+        s.search = Some(SearchSpec {
+            portfolio: Some(true),
+            ..Default::default()
+        });
+        assert!(s.validate().unwrap_err().contains("portfolio"));
         // And a structurally bad objective is reported with context.
+        s.search = None;
         s.failures = None;
         s.objective = Some(ObjectiveSpec { classes: vec![] });
         assert!(s.validate().unwrap_err().contains("objective"));

@@ -18,8 +18,8 @@
 //!    (`search.portfolio = true` in the manifest);
 //! 4. if the instance's failure policy requests it, a robustness
 //!    evaluation of both incumbents over the policy's scenario set
-//!    (driven by `dtr-core`'s failure-sweep `RobustEvaluator`, i.e. the
-//!    `BatchEvaluator` incremental path).
+//!    (driven by `dtr-core`'s `RobustEvaluator`, a scenario loop over
+//!    the k-class kernel's failure sweep).
 //!
 //! Class count is data above the cost kernel: instances with more than
 //! two classes run the same body through the same [`SearchedInstance`]
@@ -27,9 +27,8 @@
 //! produce the incumbents ([`search_incumbents`]: steps 1–3 above vs. an
 //! STR search on the two-class fold followed by the staged k-class
 //! `MultiSearch`), which single-shot evaluator prices them (`price`),
-//! and — in [`crate::validate`] — the DES budget policy; step 4 stays
-//! behind the manifest fence that admits failure sweeps for two classes
-//! only.
+//! and — in [`crate::validate`] — the DES budget policy; step 4 sweeps
+//! every class count alike.
 //!
 //! Reports are plain serializable structs; `dtrctl suite` writes one
 //! JSON file per instance plus `summary.json`. The paper's qualitative
@@ -229,8 +228,8 @@ pub(crate) fn dual_weights(weights: &[WeightVector]) -> DualWeights {
 }
 
 /// The two-class kernel's view of a two-matrix demand list. Everything
-/// that needs it — `Evaluator`, `RobustEvaluator`, the deployment model
-/// — sits behind a manifest fence that admits two classes only.
+/// that needs it — `Evaluator`, the deployment model — sits behind a
+/// manifest fence that admits two classes only.
 pub(crate) fn demand_pair(demands: &MultiDemand) -> DemandSet {
     assert_eq!(
         demands.class_count(),
@@ -483,8 +482,9 @@ pub fn search_incumbents(spec: &ScenarioSpec, smoke: bool) -> SearchedInstance {
     }
 }
 
-/// Executes one instance end-to-end, failure-policy sweep included
-/// (manifest validation fences the sweep to two-class instances).
+/// Executes one instance end-to-end, failure-policy sweep included: the
+/// sweep prices every class of both incumbents, whatever the class
+/// count.
 pub fn run_instance(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
     let search = spec.search();
     let run = search_incumbents(spec, smoke);
@@ -492,22 +492,24 @@ pub fn run_instance(spec: &ScenarioSpec, smoke: bool) -> InstanceReport {
         FailurePolicy::None => None,
         policy => {
             let beta = search.beta();
-            let pair = demand_pair(&run.demands);
-            let mut rev = RobustEvaluator::new(&run.topo, &pair, ScenarioCombine::Blend { beta });
-            if let Some(k) = policy.cap() {
+            let classes = run.demands.classes.iter().collect();
+            let combine = ScenarioCombine::Blend { beta };
+            let mut rev =
+                RobustEvaluator::with_backend(&run.topo, classes, combine, BackendKind::default());
+            if let Some(cap) = policy.cap() {
                 // Cap against a scheme-neutral reference (uniform
                 // weights) so both incumbents face the same scenarios.
-                let reference = DualWeights::replicated(WeightVector::uniform(&run.topo, 1));
-                rev.cap_to_worst(&reference, k);
+                let k = run.demands.class_count();
+                rev.cap_to_worst(&vec![WeightVector::uniform(&run.topo, 1); k], cap);
             }
             // Each incumbent is swept from a base moved onto it: one
             // rebuild, then every scenario repairs only what it cuts.
-            let mut price = |w: DualWeights| {
-                rev.rebase(&w);
-                rev.eval(&w)
+            let mut price = |w: &[WeightVector]| {
+                rev.rebase(w);
+                rev.eval_classes(w)
             };
-            let rc_dtr = price(dual_weights(&run.dtr_weights));
-            let rc_str = price(dual_weights(&run.str_weights));
+            let rc_dtr = price(&run.dtr_weights);
+            let rc_str = price(&run.str_weights);
             Some(RobustReport {
                 scenarios: rev.scenario_count(),
                 beta,
@@ -909,7 +911,7 @@ mod tests {
         assert_report_shape(&r);
         assert_eq!(r.classes, 3);
         assert_eq!(r.objective, "sla:25ms,sla:25ms,load");
-        assert!(r.robust.is_none(), "k-class instances skip the sweep");
+        assert!(r.robust.is_none(), "the instance has no failure policy");
         // The warm start makes the leading component a never-regress
         // guarantee, so the paper's qualitative gate holds by
         // construction.

@@ -11,16 +11,18 @@
 use dtr_scenario::{load_spec, run_instance, validate_instance, ValidateCfg};
 use std::path::PathBuf;
 
-/// One manifest per path the suite has: two k-class SLA instances and
-/// one over a non-gravity base class, a failure-sweep instance, a
-/// partial-deployment instance, the portfolio branch of `run_scheme`, a
-/// `WorstK` cap on a non-gravity family, a two-class SLA objective, and
-/// that objective on a partial deployment. The last two live beside the
-/// goldens; the rest are corpus instances.
-const INSTANCES: [&str; 9] = [
+/// One manifest per path the suite has: two k-class SLA instances, one
+/// over a non-gravity base class and one under a `WorstK` failure sweep,
+/// a failure-sweep instance, a partial-deployment instance, the
+/// portfolio branch of `run_scheme`, a `WorstK` cap on a non-gravity
+/// family, a two-class SLA objective, and that objective on a partial
+/// deployment. The last two live beside the goldens; the rest are
+/// corpus instances.
+const INSTANCES: [&str; 10] = [
     "../../corpus/random10-triclass-sla",
     "../../corpus/grid9-quadclass-sla",
     "../../corpus/random10-triclass-hotspot",
+    "../../corpus/random10-triclass-worstk",
     "../../corpus/random12-smoke",
     "../../corpus/isp-partial-upgrade",
     "../../corpus/xpander20-portfolio",

@@ -15,7 +15,7 @@ use dtr::engine::{BackendKind, BatchEvaluator, KClassBatchEvaluator};
 use dtr::graph::gen::triangle_topology;
 use dtr::graph::weights::DualWeights;
 use dtr::graph::{NodeId, Topology, TopologyBuilder, WeightVector};
-use dtr::routing::{DeploymentSet, Evaluator, LoadCalculator};
+use dtr::routing::{DeploymentSet, Evaluator, FailureScenario, LoadCalculator};
 use dtr::traffic::{DemandSet, TrafficMatrix};
 use oracle::{connected, hybrid_all, route, shortest_all};
 use rand::rngs::StdRng;
@@ -125,9 +125,9 @@ fn load_calculator_matches_the_oracle() {
             &calc.class_loads(&topo, &w, &d.high),
             &want_h,
         );
-        let (jh, jl) = calc.joint_loads(&topo, &w, &d.high, &d.low);
-        assert_close("joint_loads high", &jh, &want_h);
-        assert_close("joint_loads low", &jl, &want_l);
+        let joint = Evaluator::new(&topo, &d, Objective::LoadBased).eval_str(&w);
+        assert_close("eval_str high", &joint.high_loads, &want_h);
+        assert_close("eval_str low", &joint.low_loads, &want_l);
 
         for pairs in [1, 2] {
             let up = cut(&topo, pairs, &mut rng);
@@ -300,6 +300,55 @@ fn the_loop_trapping_triangle_matches_the_oracle() {
     let dep = DeploymentSet::from_upgraded(3, &[1]);
     let trapped = check_deployed(&topo, &d, &w, &dep, &[false, true, false]);
     assert!(close(trapped, 0.75), "trapped {trapped}");
+}
+
+/// The k-class kernel's failure sweep on three classes under `cut()`
+/// masks, from a base the incremental backend repairs: every class's
+/// loads match the oracle, and every class's Φ the cascade over them.
+#[test]
+fn k_class_sweep_loads_match_the_oracle_on_both_backends() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let spec = ObjectiveSpec::load(3);
+    for _ in 0..CASES / 4 {
+        let topo = network(&mut rng);
+        let n = topo.node_count();
+        let matrices: Vec<TrafficMatrix> = (0..3).map(|_| matrix(n, &mut rng)).collect();
+        let base: Vec<WeightVector> = (0..3).map(|_| weights(&topo, &mut rng)).collect();
+        let mut ws = base.clone();
+        let l = dtr::graph::LinkId(rng.random_range(0..topo.link_count() as u32));
+        ws[1].set(l, base[1].get(l) % 4 + 1);
+        let scenarios: Vec<FailureScenario> = (0..3)
+            .map(|i| FailureScenario {
+                pair_id: i,
+                link_up: cut(&topo, 1 + i as usize % 2, &mut rng),
+            })
+            .collect();
+        for kind in [BackendKind::Full, BackendKind::Incremental] {
+            let mut kernel =
+                KClassBatchEvaluator::new(&topo, matrices.iter().collect(), &spec, kind).unwrap();
+            for (c, w) in base.iter().enumerate() {
+                kernel.rebase(c, w);
+            }
+            for (s, swept) in scenarios.iter().zip(kernel.sweep(&ws, &scenarios)) {
+                let mut used = vec![0.0; topo.link_count()];
+                for c in 0..3 {
+                    let what = format!("{kind:?} scenario {} class {c}", s.pair_id);
+                    let want = loads_of(&topo, &ws[c], &s.link_up, &matrices[c]);
+                    assert_close(&what, &swept.loads[c], &want);
+                    let phi_c: f64 = (topo.links())
+                        .map(|(l, link)| {
+                            let residual = (link.capacity - used[l.index()]).max(0.0);
+                            phi(want[l.index()], residual)
+                        })
+                        .sum();
+                    assert_close(&what, &swept.phis[c..=c], &[phi_c]);
+                    for (u, x) in used.iter_mut().zip(&want) {
+                        *u += x;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
